@@ -8,6 +8,21 @@
 
 namespace ptucker {
 
+namespace {
+
+// Whether the build can honor `#pragma omp simd`. The build requires
+// OpenMP today, but the scalar fallback keeps the kernels correct in any
+// future configuration without it.
+#ifdef _OPENMP
+constexpr bool kHaveOmpSimd = true;
+#define PTUCKER_OMP_SIMD _Pragma("omp simd")
+#else
+constexpr bool kHaveOmpSimd = false;
+#define PTUCKER_OMP_SIMD
+#endif
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Base class: entry-major reference kernels shared by naive and cached.
 // ---------------------------------------------------------------------------
@@ -130,16 +145,19 @@ ModeMajorDeltaEngine::ModeMajorDeltaEngine(const CoreEntryList& core,
                 core.order());
   // Charge before allocating, like the cache table, so an over-budget
   // engine fails as OutOfMemoryBudget without building anything.
-  charged_bytes_ = ExpectedBytes();
-  if (tracker_ != nullptr) tracker_->Charge(charged_bytes_);
-  BuildViews();
+  Recharge(GroupedBytes());
+  try {
+    BuildViews();
+  } catch (...) {
+    // A throwing constructor runs no destructor: return the charge here.
+    Recharge(0);
+    throw;
+  }
 }
 
-ModeMajorDeltaEngine::~ModeMajorDeltaEngine() {
-  if (tracker_ != nullptr) tracker_->Release(charged_bytes_);
-}
+ModeMajorDeltaEngine::~ModeMajorDeltaEngine() { Recharge(0); }
 
-std::int64_t ModeMajorDeltaEngine::ExpectedBytes() const {
+std::int64_t ModeMajorDeltaEngine::GroupedBytes() const {
   const std::int64_t order = core().order();
   const std::int64_t n_entries = core().size();
   std::int64_t bytes = 0;
@@ -152,6 +170,17 @@ std::int64_t ModeMajorDeltaEngine::ExpectedBytes() const {
     bytes += static_cast<std::int64_t>(sizeof(std::int32_t)) * n_entries;
   }
   return bytes;
+}
+
+void ModeMajorDeltaEngine::Recharge(std::int64_t bytes) {
+  if (tracker_ != nullptr) {
+    if (bytes > charged_bytes_) {
+      tracker_->Charge(bytes - charged_bytes_);
+    } else {
+      tracker_->Release(charged_bytes_ - bytes);
+    }
+  }
+  charged_bytes_ = bytes;
 }
 
 void ModeMajorDeltaEngine::BuildViews() {
@@ -195,6 +224,82 @@ void ModeMajorDeltaEngine::BuildViews() {
       view.list_pos[static_cast<std::size_t>(t)] =
           static_cast<std::int32_t>(b);
     }
+  }
+  BuildLanes();
+}
+
+std::int64_t ModeMajorDeltaEngine::MergeGroups(const ModeView& view,
+                                               std::int64_t width,
+                                               LaneView* lanes) {
+  const std::int64_t rank = static_cast<std::int64_t>(view.offsets.size()) - 1;
+  const std::int32_t* cols = view.cols.data();
+  std::vector<std::int64_t> head(view.offsets.begin(), view.offsets.end() - 1);
+  auto live = [&](std::int64_t j) {
+    return head[static_cast<std::size_t>(j)] <
+           view.offsets[static_cast<std::size_t>(j + 1)];
+  };
+  auto tuple = [&](std::int64_t j) {
+    return cols + head[static_cast<std::size_t>(j)] * width;
+  };
+  // Tuples compare last coordinate first: a list collected from a dense
+  // core (column-major) is sorted that way, so every group's tuples ascend
+  // and the merge emits their sorted union — no tuple twice.
+  auto precedes = [width](const std::int32_t* a, const std::int32_t* b) {
+    for (std::int64_t w = width - 1; w >= 0; --w) {
+      if (a[w] != b[w]) return a[w] < b[w];
+    }
+    return false;
+  };
+  std::int64_t rows = 0;
+  for (;;) {
+    std::int64_t smallest = -1;
+    for (std::int64_t j = 0; j < rank; ++j) {
+      if (!live(j)) continue;
+      if (smallest < 0 || precedes(tuple(j), tuple(smallest))) smallest = j;
+    }
+    if (smallest < 0) return rows;
+    // The emitted tuple stays readable while heads advance past it.
+    const std::int32_t* emitted = tuple(smallest);
+    if (lanes != nullptr) {
+      std::copy(emitted, emitted + width, lanes->cols.data() + rows * width);
+    }
+    for (std::int64_t j = 0; j < rank; ++j) {
+      if (!live(j) || !std::equal(emitted, emitted + width, tuple(j))) {
+        continue;
+      }
+      if (lanes != nullptr) {
+        lanes->values[static_cast<std::size_t>(rows * rank + j)] =
+            view.values[static_cast<std::size_t>(
+                head[static_cast<std::size_t>(j)])];
+      }
+      ++head[static_cast<std::size_t>(j)];
+    }
+    ++rows;
+  }
+}
+
+void ModeMajorDeltaEngine::BuildLanes() {
+  const std::int64_t order = core().order();
+  const std::int64_t width = order - 1;
+  std::vector<std::int64_t> rows(static_cast<std::size_t>(order));
+  std::int64_t lane_bytes = 0;
+  for (std::int64_t n = 0; n < order; ++n) {
+    const std::int64_t rank = factors()[static_cast<std::size_t>(n)].cols();
+    const std::int64_t u = MergeGroups(view(n), width, nullptr);
+    rows[static_cast<std::size_t>(n)] = u;
+    lane_bytes += static_cast<std::int64_t>(sizeof(std::int32_t)) * u * width;
+    lane_bytes += static_cast<std::int64_t>(sizeof(double)) * u * rank;
+  }
+  Recharge(GroupedBytes() + lane_bytes);
+
+  lanes_.resize(static_cast<std::size_t>(order));
+  for (std::int64_t n = 0; n < order; ++n) {
+    LaneView& lanes = lanes_[static_cast<std::size_t>(n)];
+    const std::int64_t rank = factors()[static_cast<std::size_t>(n)].cols();
+    lanes.rows = rows[static_cast<std::size_t>(n)];
+    lanes.cols.resize(static_cast<std::size_t>(lanes.rows * width));
+    lanes.values.assign(static_cast<std::size_t>(lanes.rows * rank), 0.0);
+    MergeGroups(view(n), width, &lanes);
   }
 }
 
@@ -262,58 +367,94 @@ inline double GroupSum(const double* values, const std::int32_t* cols,
   return acc;
 }
 
+// acc[j] = Σ_u ((values[u·stride + j]·p0)·p1)·…·p(width−1) for j < lanes,
+// where p_w is the w-th non-mode factor value of lane row u. The factor
+// values are gathered once per row and shared by every lane; per lane the
+// multiply and accumulate order is GroupSum's, and the lanes are
+// independent sums, so vectorizing across them reassociates nothing.
+// kWidth > 0 fixes the width at compile time (full unroll); kWidth = 0
+// reads it from `width`. `p` is scratch for one row's `width` values.
+template <int kWidth>
+inline void LaneSumsKernel(const double* values, std::int64_t stride,
+                           std::int64_t lanes, const std::int32_t* cols,
+                           std::int64_t n_rows, std::int64_t width,
+                           const double* const* rows, double* p,
+                           double* acc) {
+  const std::int64_t w_count = kWidth > 0 ? kWidth : width;
+  for (std::int64_t j = 0; j < lanes; ++j) acc[j] = 0.0;
+  for (std::int64_t u = 0; u < n_rows; ++u, cols += w_count, values += stride) {
+    for (std::int64_t w = 0; w < w_count; ++w) p[w] = rows[w][cols[w]];
+    PTUCKER_OMP_SIMD
+    for (std::int64_t j = 0; j < lanes; ++j) {
+      double product = values[j];
+      for (std::int64_t w = 0; w < w_count; ++w) product *= p[w];
+      acc[j] += product;
+    }
+  }
+}
+
 }  // namespace
+
+void ModeMajorDeltaEngine::LaneSums(const std::int64_t* entry_index,
+                                    std::int64_t mode, std::int64_t lane_begin,
+                                    std::int64_t lane_count,
+                                    double* acc) const {
+  const LaneView& lanes = lanes_[static_cast<std::size_t>(mode)];
+  const std::int64_t order = core().order();
+  const std::int64_t width = order - 1;
+  const std::int64_t stride =
+      factors()[static_cast<std::size_t>(mode)].cols();
+  const double* rows[kMaxOrder];
+  GatherRows(factors(), entry_index, order, mode, rows);
+  double p[kMaxOrder];
+  const double* values = lanes.values.data() + lane_begin;
+  const std::int32_t* cols = lanes.cols.data();
+  switch (width) {
+    case 1:
+      LaneSumsKernel<1>(values, stride, lane_count, cols, lanes.rows, width,
+                        rows, p, acc);
+      break;
+    case 2:
+      LaneSumsKernel<2>(values, stride, lane_count, cols, lanes.rows, width,
+                        rows, p, acc);
+      break;
+    case 3:
+      LaneSumsKernel<3>(values, stride, lane_count, cols, lanes.rows, width,
+                        rows, p, acc);
+      break;
+    case 4:
+      LaneSumsKernel<4>(values, stride, lane_count, cols, lanes.rows, width,
+                        rows, p, acc);
+      break;
+    default:
+      LaneSumsKernel<0>(values, stride, lane_count, cols, lanes.rows, width,
+                        rows, p, acc);
+      break;
+  }
+}
 
 void ModeMajorDeltaEngine::ComputeDelta(std::int64_t /*entry*/,
                                         const std::int64_t* entry_index,
                                         std::int64_t mode,
                                         double* delta) const {
-  ComputeDeltaGrouped(entry_index, mode, /*skip=*/nullptr, delta);
-}
-
-void ModeMajorDeltaEngine::ComputeDeltaGrouped(const std::int64_t* entry_index,
-                                               std::int64_t mode,
-                                               const char* skip,
-                                               double* delta) const {
-  const ModeView& v = view(mode);
-  const std::int64_t order = core().order();
-  const std::int64_t width = order - 1;
-  const std::int64_t rank =
-      factors()[static_cast<std::size_t>(mode)].cols();
-  const double* rows[kMaxOrder];
-  GatherRows(factors(), entry_index, order, mode, rows);
-  const double* values = v.values.data();
-  const std::int32_t* cols = v.cols.data();
-  for (std::int64_t j = 0; j < rank; ++j) {
-    if (skip != nullptr && skip[j]) {
-      delta[j] = 0.0;  // the group's |G| mass is inside the ε budget
-      continue;
-    }
-    delta[j] = GroupSum(values, cols, v.offsets[static_cast<std::size_t>(j)],
-                        v.offsets[static_cast<std::size_t>(j + 1)], width,
-                        rows);
-  }
+  LaneSums(entry_index, mode, /*lane_begin=*/0,
+           factors()[static_cast<std::size_t>(mode)].cols(), delta);
 }
 
 double ModeMajorDeltaEngine::Reconstruct(
     const std::int64_t* entry_index) const {
-  const ModeView& view = views_[0];
-  const std::int64_t order = core().order();
-  const std::int64_t width = order - 1;
   const std::int64_t rank = factors()[0].cols();
-  const double* rows[kMaxOrder];
-  GatherRows(factors(), entry_index, order, /*skip=*/0, rows);
   const double* coefficients = factors()[0].Row(entry_index[0]);
-  const double* values = view.values.data();
-  const std::int32_t* cols = view.cols.data();
+  double acc[kLaneBlock];
   double sum = 0.0;
-  for (std::int64_t j = 0; j < rank; ++j) {
-    const double coefficient = coefficients[j];
-    if (coefficient == 0.0) continue;  // group-level skip
-    sum += coefficient *
-           GroupSum(values, cols, view.offsets[static_cast<std::size_t>(j)],
-                    view.offsets[static_cast<std::size_t>(j + 1)], width,
-                    rows);
+  for (std::int64_t begin = 0; begin < rank; begin += kLaneBlock) {
+    const std::int64_t count = std::min(kLaneBlock, rank - begin);
+    LaneSums(entry_index, /*mode=*/0, begin, count, acc);
+    for (std::int64_t j = 0; j < count; ++j) {
+      const double coefficient = coefficients[begin + j];
+      if (coefficient == 0.0) continue;  // group-level skip
+      sum += coefficient * acc[j];
+    }
   }
   return sum;
 }
@@ -413,6 +554,7 @@ void ModeMajorDeltaEngine::OnCoreValuesChanged() {
       view.values[t] = list.value(view.list_pos[t]);
     }
   }
+  BuildLanes();
 }
 
 void ModeMajorDeltaEngine::OnCoreEntriesRemoved(
@@ -461,12 +603,7 @@ void ModeMajorDeltaEngine::OnCoreEntriesRemoved(
     view.list_pos.resize(static_cast<std::size_t>(write));
   }
 
-  // Shrinking never throws; release the difference.
-  const std::int64_t new_bytes = ExpectedBytes();
-  if (tracker_ != nullptr && new_bytes < charged_bytes_) {
-    tracker_->Release(charged_bytes_ - new_bytes);
-  }
-  charged_bytes_ = new_bytes;
+  BuildLanes();
 }
 
 // ---------------------------------------------------------------------------
@@ -538,8 +675,24 @@ void AdaptiveDeltaEngine::ComputeDelta(std::int64_t /*entry*/,
                                        const std::int64_t* entry_index,
                                        std::int64_t mode,
                                        double* delta) const {
-  ComputeDeltaGrouped(entry_index, mode,
-                      skip_[static_cast<std::size_t>(mode)].data(), delta);
+  const ModeView& v = view(mode);
+  const std::int64_t order = core().order();
+  const std::int64_t width = order - 1;
+  const std::int64_t rank =
+      factors()[static_cast<std::size_t>(mode)].cols();
+  const char* skip = skip_[static_cast<std::size_t>(mode)].data();
+  const double* rows[kMaxOrder];
+  GatherRows(factors(), entry_index, order, mode, rows);
+  for (std::int64_t j = 0; j < rank; ++j) {
+    if (skip[j]) {
+      delta[j] = 0.0;  // the group's |G| mass is inside the ε budget
+      continue;
+    }
+    delta[j] = GroupSum(v.values.data(), v.cols.data(),
+                        v.offsets[static_cast<std::size_t>(j)],
+                        v.offsets[static_cast<std::size_t>(j + 1)], width,
+                        rows);
+  }
 }
 
 void AdaptiveDeltaEngine::OnCoreValuesChanged() {
@@ -578,21 +731,6 @@ TiledDeltaEngine::TiledDeltaEngine(const CoreEntryList& core,
       tile_(std::min<std::int64_t>(tile_width, kMaxTile)) {
   PTUCKER_CHECK(tile_width >= 1);
 }
-
-namespace {
-
-// Whether the build can honor `#pragma omp simd`. The build requires
-// OpenMP today, but the scalar fallback keeps the kernels correct in any
-// future configuration without it.
-#ifdef _OPENMP
-constexpr bool kHaveOmpSimd = true;
-#define PTUCKER_OMP_SIMD _Pragma("omp simd")
-#else
-constexpr bool kHaveOmpSimd = false;
-#define PTUCKER_OMP_SIMD
-#endif
-
-}  // namespace
 
 bool TiledDeltaEngine::SimdEligible(std::int64_t count,
                                     std::int64_t mode) const {

@@ -31,8 +31,9 @@ namespace ptucker {
 /// pluggable so callers never special-case it:
 ///
 ///   - NaiveDeltaEngine     entry-major scan; the correctness oracle.
-///   - ModeMajorDeltaEngine per-mode regrouped core views; branch-free
-///                          contiguous inner products. The default.
+///   - ModeMajorDeltaEngine per-mode regrouped and lane-interleaved core
+///                          views; every δ component of an entry in one
+///                          pass. The default.
 ///   - CachedDeltaEngine    the §III-C Pres table behind the same calls.
 ///   - AdaptiveDeltaEngine  mode-major views + VeST-style group skipping
 ///                          under an error budget ε (exact at ε = 0).
@@ -187,17 +188,28 @@ class NaiveDeltaEngine final : public DeltaEngine {
 };
 
 /// Mode-major layout: one reordered copy of the core entries per mode,
-/// grouped by β_n with the mode-n column factored out into the group id.
-/// The inner product is branch-free (no `if (k == mode)`), reads the
-/// remaining N−1 column indices contiguously, and accumulates each
-/// delta[β_n] in a register per group instead of scattering. Kernels that
-/// carry the mode-n coefficient (Reconstruct, ComputeProducts, the design
-/// ops) skip a whole group when its row coefficient is zero.
+/// grouped by β_n with the mode-n column factored out into the group id,
+/// plus a lane view per mode that interleaves those groups.
 ///
-/// The views cost Θ(N·|G|) extra memory, charged to the tracker for the
-/// engine's lifetime. They are maintained incrementally: RefreshValues
-/// only rewrites the value arrays through a stored permutation, and Remove
-/// compacts each view in place — neither re-sorts.
+/// ComputeDelta and Reconstruct run on the lane view: each row is one
+/// non-mode tuple (β_k, k≠n) carrying Jn lane values (lane j = G_β of
+/// group j, or 0.0 where group j lacks the tuple), so one pass gathers the
+/// N−1 factor values once per row and advances all Jn per-group sums side
+/// by side. Lane j adds exactly group j's terms in group order, with the
+/// same multiply order as the grouped scan, plus exact ±0 padding terms
+/// that never change a sum started at +0 — so δ is bit-identical to the
+/// naive scan whenever the factor values are finite. The other kernels
+/// (ComputeProducts, the design ops) stay on the grouped views, which read
+/// the remaining N−1 column indices contiguously and skip a whole group
+/// when its mode-0 row coefficient is zero.
+///
+/// The grouped views cost Θ(N·|G|) extra memory and the lane views
+/// Θ(Σ_n U_n·(N−1+2·Jn)) in 4-byte words, where U_n ≤ |G| is the lane row
+/// count (|G|/Jn for a dense core); both are charged to the tracker, before
+/// allocation, for the engine's lifetime. The grouped views are maintained
+/// incrementally — RefreshValues rewrites the value arrays through a
+/// stored permutation, Remove compacts each view in place — and the lane
+/// views are re-merged from them after every change.
 ///
 /// Subclassable: AdaptiveDeltaEngine and TiledDeltaEngine build on the
 /// same regrouped views (exposed to them as protected state) and inherit
@@ -257,18 +269,45 @@ class ModeMajorDeltaEngine : public DeltaEngine {
     return views_[static_cast<std::size_t>(mode)];
   }
 
-  /// The δ kernel over mode `mode`'s regrouped view, honoring an optional
-  /// per-group skip vector (`nullptr` computes every group; a skipped
-  /// group's component is written as 0). Shared by ComputeDelta and the
-  /// adaptive engine so the hot kernel exists exactly once.
-  void ComputeDeltaGrouped(const std::int64_t* entry_index, std::int64_t mode,
-                           const char* skip, double* delta) const;
-
  private:
-  std::int64_t ExpectedBytes() const;
+  /// Lanes Reconstruct sums per pass over a lane view (sizes its stack
+  /// accumulators); a mode-0 rank above it takes several passes.
+  static constexpr std::int64_t kLaneBlock = 64;
+
+  /// Mode n's groups interleaved by non-mode tuple. Built by merging the
+  /// Jn grouped sequences by their heads: emit the smallest head tuple and
+  /// advance every group whose head equals it, so each group's entries
+  /// keep their grouped (list) order for any CoreEntryList order.
+  struct LaneView {
+    std::int64_t rows = 0;           ///< U merged tuples
+    std::vector<std::int32_t> cols;  ///< U × (N−1) β_k for k≠n, k asc.
+    std::vector<double> values;      ///< U × Jn lane values, 0.0 padding
+  };
+
+  /// Bytes of the grouped views (the lane views are charged separately).
+  std::int64_t GroupedBytes() const;
+  /// Moves the tracker charge to `bytes` (charging any growth first, which
+  /// throws OutOfMemoryBudget when over budget).
+  void Recharge(std::int64_t bytes);
+  /// Builds the grouped views, then the lane views.
   void BuildViews();
+  /// Re-merges every lane view from the grouped views, charging the new
+  /// lane bytes before allocating them (a list whose groups are not
+  /// sorted can merge into more rows after a removal, so even the
+  /// removal hook may throw OutOfMemoryBudget).
+  void BuildLanes();
+  /// Merges `view`'s groups into lane rows (see LaneView) and returns the
+  /// row count; with `lanes` null it only counts.
+  static std::int64_t MergeGroups(const ModeView& view, std::int64_t width,
+                                  LaneView* lanes);
+  /// acc[j] = Σ_u ((v[u][lane_begin + j]·p0)·p1)·… for the `lane_count`
+  /// lanes starting at `lane_begin` of mode `mode`'s lane view.
+  void LaneSums(const std::int64_t* entry_index, std::int64_t mode,
+                std::int64_t lane_begin, std::int64_t lane_count,
+                double* acc) const;
 
   std::vector<ModeView> views_;
+  std::vector<LaneView> lanes_;
   MemoryTracker* tracker_;
   std::int64_t charged_bytes_ = 0;
 };

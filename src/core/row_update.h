@@ -26,7 +26,9 @@ class DeltaEngine;
 /// Scopes the OpenMP thread-count and schedule ICVs so a solver honors
 /// its options without leaking settings to the caller. Row updates use
 /// schedule(runtime); §III-D prescribes dynamic scheduling because
-/// |Ω(n,in)| is skewed. Instantiate one around a batch of
+/// |Ω(n,in)| is skewed. The dynamic chunk is one row: a single heavy row
+/// can hold a tenth of Ω, and a chunk of several rows would pin its
+/// neighbours to the same thread. Instantiate one around a batch of
 /// UpdateFactorRows calls (the solver wraps a whole decomposition, the
 /// ingest pipeline wraps each flush).
 class OmpEnvironmentGuard {
@@ -38,7 +40,7 @@ class OmpEnvironmentGuard {
     omp_get_schedule(&saved_schedule_, &saved_chunk_);
     if (num_threads > 0) omp_set_num_threads(num_threads);
     if (scheduling == Scheduling::kDynamic) {
-      omp_set_schedule(omp_sched_dynamic, 8);
+      omp_set_schedule(omp_sched_dynamic, 1);
     } else {
       omp_set_schedule(omp_sched_static, 0);
     }

@@ -11,7 +11,11 @@
 #include "core/delta_engine.h"
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <numeric>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -462,12 +466,168 @@ TEST(DeltaEngineTest, ModeMajorDeltaIsBitIdenticalToNaive) {
   }
 }
 
+// --- Lane views: the mode-major δ / x̂ kernel. ---
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// The lane kernel against the naive oracle, bit for bit (signed zeros
+// included): δ of every (entry, mode), and x̂ against the naive mode-0 δ
+// folded with the entry's mode-0 row in group order, zero coefficients
+// skipped — the mode-major x̂ formula evaluated on oracle sums.
+void ExpectLanesMatchNaive(const SparseTensor& x, const CoreEntryList& list,
+                           const std::vector<Matrix>& factors,
+                           const ModeMajorDeltaEngine& engine,
+                           const std::string& where) {
+  const NaiveDeltaEngine oracle(list, factors);
+  const std::int64_t order = x.order();
+  for (std::int64_t entry = 0; entry < x.nnz(); ++entry) {
+    const std::int64_t* idx = x.index(entry);
+    for (std::int64_t mode = 0; mode < order; ++mode) {
+      const std::int64_t rank = factors[static_cast<std::size_t>(mode)].cols();
+      std::vector<double> expected(static_cast<std::size_t>(rank), 7.0);
+      std::vector<double> actual(static_cast<std::size_t>(rank), 7.0);
+      oracle.ComputeDelta(entry, idx, mode, expected.data());
+      engine.ComputeDelta(entry, idx, mode, actual.data());
+      for (std::int64_t j = 0; j < rank; ++j) {
+        ASSERT_EQ(Bits(actual[static_cast<std::size_t>(j)]),
+                  Bits(expected[static_cast<std::size_t>(j)]))
+            << where << ": delta entry " << entry << " mode " << mode
+            << " group " << j;
+      }
+    }
+    const std::int64_t rank0 = factors[0].cols();
+    std::vector<double> delta0(static_cast<std::size_t>(rank0));
+    oracle.ComputeDelta(entry, idx, 0, delta0.data());
+    double expected_hat = 0.0;
+    for (std::int64_t j = 0; j < rank0; ++j) {
+      const double coefficient = factors[0](idx[0], j);
+      if (coefficient == 0.0) continue;
+      expected_hat += coefficient * delta0[static_cast<std::size_t>(j)];
+    }
+    ASSERT_EQ(Bits(engine.Reconstruct(idx)), Bits(expected_hat))
+        << where << ": x-hat entry " << entry;
+  }
+}
+
+// An order-`order` problem whose core is dense with shape
+// {rank, rank, 2, 2, ...}, signed values in [-0.5, 0.5), and factors with
+// signed values and two all-zero rows each, so negative core values meet
+// zero coefficients and the products include −0.
+Ctx MakeSignedCtx(std::int64_t order, std::int64_t rank, std::uint64_t seed) {
+  Rng rng(seed);
+  Ctx s;
+  std::vector<std::int64_t> dims;
+  std::vector<std::int64_t> ranks;
+  for (std::int64_t k = 0; k < order; ++k) {
+    dims.push_back(10);
+    ranks.push_back(k < 2 ? rank : 2);
+  }
+  s.x = UniformSparseTensor(dims, 60, rng);
+  s.core = DenseTensor(ranks);
+  for (std::int64_t linear = 0; linear < s.core.size(); ++linear) {
+    s.core[linear] = rng.Uniform(-0.5, 0.5);
+  }
+  s.list = CoreEntryList(s.core);
+  for (std::int64_t k = 0; k < order; ++k) {
+    Matrix factor(s.x.dim(k), ranks[static_cast<std::size_t>(k)]);
+    for (std::int64_t i = 0; i < factor.rows(); ++i) {
+      for (std::int64_t j = 0; j < factor.cols(); ++j) {
+        factor(i, j) = i < 2 ? 0.0 : rng.Uniform(-0.5, 0.5);
+      }
+    }
+    s.factors.push_back(std::move(factor));
+  }
+  return s;
+}
+
+TEST(DeltaEngineTest, LaneKernelIsBitIdenticalToNaive) {
+  for (std::int64_t order = 2; order <= 6; ++order) {
+    for (const std::int64_t rank : {std::int64_t{1}, std::int64_t{9}}) {
+      const std::string where =
+          "order " + std::to_string(order) + " rank " + std::to_string(rank);
+      Ctx s = MakeSignedCtx(order, rank, 100 + 10 * order + rank);
+      ModeMajorDeltaEngine engine(s.list, s.factors, nullptr);
+      ExpectLanesMatchNaive(s.x, s.list, s.factors, engine, where + " dense");
+
+      // New values on the same pattern, including an explicit −0.0 and a
+      // sign flip, then three truncation rounds (each ends in
+      // OnCoreEntriesRemoved).
+      std::vector<std::int64_t> index(static_cast<std::size_t>(order));
+      for (std::int64_t b = 0; b < s.list.size(); ++b) {
+        for (std::int64_t k = 0; k < order; ++k) {
+          index[static_cast<std::size_t>(k)] = s.list.index(b)[k];
+        }
+        const double value = s.list.value(b);
+        s.core.at(index.data()) = b % 7 == 3 ? -0.0 : -1.5 * value;
+      }
+      s.list.RefreshValues(s.core);
+      engine.OnCoreValuesChanged();
+      ExpectLanesMatchNaive(s.x, s.list, s.factors, engine,
+                            where + " refreshed");
+      for (int round = 1; round <= 3; ++round) {
+        TruncateNoisyEntries(s.x, &s.core, &s.list, s.factors, 0.3, &engine);
+        ExpectLanesMatchNaive(s.x, s.list, s.factors, engine,
+                              where + " truncation round " +
+                                  std::to_string(round));
+      }
+    }
+  }
+}
+
+TEST(DeltaEngineTest, LaneKernelHandlesShuffledListsAndWideModes) {
+  // A list in random order (built through the snapshot constructor) has
+  // groups whose tuples do not ascend, so the merge emits some tuples
+  // more than once — more lane rows, hence more bytes, than the same
+  // entries in dense-core order. δ and x̂ stay bit-identical regardless.
+  Ctx s = MakeSignedCtx(4, 9, 77);
+  std::vector<std::int64_t> perm(static_cast<std::size_t>(s.list.size()));
+  std::iota(perm.begin(), perm.end(), 0);
+  Rng rng(5);
+  rng.Shuffle(perm);
+  std::vector<std::int32_t> indices;
+  std::vector<double> values;
+  for (const std::int64_t b : perm) {
+    for (std::int64_t k = 0; k < 4; ++k) indices.push_back(s.list.index(b)[k]);
+    values.push_back(s.list.value(b));
+  }
+  CoreEntryList shuffled(
+      4, Span<const std::int32_t>(indices.data(), indices.size()),
+      Span<const double>(values.data(), values.size()));
+  const ModeMajorDeltaEngine sorted_engine(s.list, s.factors, nullptr);
+  ModeMajorDeltaEngine engine(shuffled, s.factors, nullptr);
+  EXPECT_GT(engine.ByteSize(), sorted_engine.ByteSize());
+  ExpectLanesMatchNaive(s.x, shuffled, s.factors, engine, "shuffled");
+
+  std::vector<char> remove(static_cast<std::size_t>(shuffled.size()), 0);
+  for (std::size_t b = 0; b < remove.size(); b += 3) remove[b] = 1;
+  shuffled.Remove(remove, nullptr);
+  engine.OnCoreEntriesRemoved(remove);
+  ExpectLanesMatchNaive(s.x, shuffled, s.factors, engine, "shuffled removed");
+
+  // A mode-0 rank above the kernel's lane block takes several passes.
+  Ctx wide = MakeSignedCtx(2, 70, 78);
+  const ModeMajorDeltaEngine wide_engine(wide.list, wide.factors, nullptr);
+  ExpectLanesMatchNaive(wide.x, wide.list, wide.factors, wide_engine, "wide");
+}
+
 TEST(DeltaEngineTest, ModeMajorChargesAndReleasesTracker) {
   Ctx s = MakeCtx(3, 5, 7);
   MemoryTracker tracker;
   {
     ModeMajorDeltaEngine engine(s.list, s.factors, &tracker);
     EXPECT_GT(tracker.current_bytes(), 0);
+    EXPECT_EQ(tracker.current_bytes(), engine.ByteSize());
+
+    // A value refresh keeps the pattern, so the lane views keep their
+    // shape and the charge stays put.
+    const std::int64_t built = tracker.current_bytes();
+    s.list.RefreshValues(s.core);
+    engine.OnCoreValuesChanged();
+    EXPECT_EQ(tracker.current_bytes(), built);
     EXPECT_EQ(tracker.current_bytes(), engine.ByteSize());
 
     // Removing entries shrinks the views and the charge with them.
@@ -479,8 +639,51 @@ TEST(DeltaEngineTest, ModeMajorChargesAndReleasesTracker) {
     engine.OnCoreEntriesRemoved(remove);
     EXPECT_LT(tracker.current_bytes(), before);
     EXPECT_EQ(tracker.current_bytes(), engine.ByteSize());
+
+    // The list is still in dense-core order, so each lane view holds
+    // every distinct non-mode tuple exactly once: U_n rows of (N−1) int32
+    // columns and Jn doubles, on top of the grouped views' bytes.
+    const std::int64_t n_core = s.list.size();
+    std::int64_t expected = 0;
+    for (std::int64_t n = 0; n < 3; ++n) {
+      std::set<std::vector<std::int32_t>> tuples;
+      for (std::int64_t b = 0; b < n_core; ++b) {
+        std::vector<std::int32_t> tuple;
+        for (std::int64_t k = 0; k < 3; ++k) {
+          if (k != n) tuple.push_back(s.list.index(b)[k]);
+        }
+        tuples.insert(tuple);
+      }
+      const std::int64_t rows = static_cast<std::int64_t>(tuples.size());
+      expected += 8 * 6 + 4 * n_core * 2 + 8 * n_core + 4 * n_core;
+      expected += 4 * rows * 2 + 8 * rows * 5;
+    }
+    EXPECT_EQ(engine.ByteSize(), expected);
   }
   EXPECT_EQ(tracker.current_bytes(), 0);
+
+  // On a dense core the byte count has a closed form. Grouped views, per
+  // mode n: (Jn + 1) int64 offsets, |G|·(N−1) int32 columns, |G| doubles
+  // and |G| int32 list ids. Lane views, per mode: U = |G|/Jn rows of
+  // (N−1) int32 columns and Jn doubles.
+  Rng rng(3);
+  DenseTensor core({3, 4, 5});
+  core.FillUniform(rng);
+  core[0] = 0.25;  // FillUniform may draw an exact 0; keep the core dense
+  const CoreEntryList list(core);
+  ASSERT_EQ(list.size(), 60);
+  std::vector<Matrix> factors;
+  for (const std::int64_t rank : {3, 4, 5}) factors.emplace_back(6, rank);
+  std::int64_t expected = 0;
+  for (const std::int64_t rank : {3, 4, 5}) {
+    expected += 8 * (rank + 1) + 4 * 60 * 2 + 8 * 60 + 4 * 60;
+    expected += 4 * (60 / rank) * 2 + 8 * (60 / rank) * rank;
+  }
+  EXPECT_EQ(expected, 5536);
+  MemoryTracker dense_tracker;
+  const ModeMajorDeltaEngine dense(list, factors, &dense_tracker);
+  EXPECT_EQ(dense.ByteSize(), expected);
+  EXPECT_EQ(dense_tracker.current_bytes(), expected);
 }
 
 TEST(DeltaEngineTest, ModeMajorBudgetTriggersOom) {
@@ -488,6 +691,26 @@ TEST(DeltaEngineTest, ModeMajorBudgetTriggersOom) {
   MemoryTracker tracker(16);  // tiny budget
   EXPECT_THROW(ModeMajorDeltaEngine(s.list, s.factors, &tracker),
                OutOfMemoryBudget);
+  EXPECT_EQ(tracker.current_bytes(), 0);
+
+  // A budget that admits the grouped views but not the lane views fails
+  // at the lane charge and returns the grouped charge on the way out.
+  const std::int64_t n_core = s.list.size();
+  const std::int64_t grouped = 3 * (8 * 6 + 4 * n_core * 2 + 8 * n_core +
+                                    4 * n_core);
+  MemoryTracker lanes_over(grouped);
+  EXPECT_THROW(ModeMajorDeltaEngine(s.list, s.factors, &lanes_over),
+               OutOfMemoryBudget);
+  EXPECT_EQ(lanes_over.current_bytes(), 0);
+  EXPECT_EQ(lanes_over.peak_bytes(), grouped);
+
+  // The engine's full footprint fits a budget of exactly that size.
+  const std::int64_t full =
+      ModeMajorDeltaEngine(s.list, s.factors, nullptr).ByteSize();
+  MemoryTracker exact(full);
+  const ModeMajorDeltaEngine fits(s.list, s.factors, &exact);
+  EXPECT_EQ(exact.current_bytes(), full);
+  EXPECT_EQ(fits.ByteSize(), full);
 }
 
 TEST(DeltaEngineTest, FactoryResolvesAutoFromVariant) {
