@@ -1,11 +1,10 @@
 // Multi-process scaling bench for the real distributed solver
 // (src/distributed/proc/): forked workers over socketpairs vs the
-// single-process solver, N in {1, 2, 4, 8}. Unlike bench_distributed_sim
-// (a cost-model simulation), every row here is a real wall-clock run —
-// and every run's factors are checked bit-identical to the baseline
-// before its timing is reported, so a fast-but-wrong exchange cannot
-// pass. Exits 1 if the determinism check fails or if 4-worker overhead
-// exceeds the gate below.
+// single-process solver, N in {1, 2, 4, 8}. Every row is a real
+// wall-clock run — and every run's factors are checked bit-identical to
+// the baseline before its timing is reported, so a fast-but-wrong
+// exchange cannot pass. Exits 1 if the determinism check fails or if
+// 4-worker overhead exceeds the gate below.
 #include <cstring>
 
 #include "bench/bench_common.h"

@@ -43,10 +43,11 @@ struct Fixture {
 
 void BM_ComputeDelta(benchmark::State& state) {
   Fixture f(state.range(0));
+  const std::vector<FactorView> views = MakeFactorViews(f.factors);
   std::vector<double> delta(static_cast<std::size_t>(state.range(0)));
   std::int64_t entry = 0;
   for (auto _ : state) {
-    ComputeDelta(f.list, f.factors, f.x.index(entry), 0, delta.data());
+    ComputeDelta(f.list, views, f.x.index(entry), 0, delta.data());
     benchmark::DoNotOptimize(delta.data());
     entry = (entry + 1) % f.x.nnz();
   }
@@ -56,11 +57,12 @@ BENCHMARK(BM_ComputeDelta)->Arg(4)->Arg(8)->Arg(12);
 
 void BM_CachedDelta(benchmark::State& state) {
   Fixture f(state.range(0));
-  CacheTable cache(f.x, f.list, f.factors, nullptr);
+  const std::vector<FactorView> views = MakeFactorViews(f.factors);
+  CacheTable cache(f.x, f.list, views, nullptr);
   std::vector<double> delta(static_cast<std::size_t>(state.range(0)));
   std::int64_t entry = 0;
   for (auto _ : state) {
-    cache.ComputeDeltaCached(f.list, f.factors, entry, f.x.index(entry), 0,
+    cache.ComputeDeltaCached(f.list, views, entry, f.x.index(entry), 0,
                              delta.data());
     benchmark::DoNotOptimize(delta.data());
     entry = (entry + 1) % f.x.nnz();

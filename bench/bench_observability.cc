@@ -93,12 +93,11 @@ std::vector<std::vector<std::int64_t>> MakeQueries(std::int64_t count,
 double RunServingOnce(PredictionService* service,
                       const std::vector<std::vector<std::int64_t>>& queries,
                       std::int64_t requests, const ServeNetMetrics& metrics) {
-  ServerStats stats;
   BatchCoalescer::Options options;
   options.max_batch = 64;
   options.batch_window_us = 0;  // take whatever is queued — pure hot path
   options.queue_capacity = 8192;
-  BatchCoalescer coalescer(service, &stats, options, &metrics);
+  BatchCoalescer coalescer(service, options, &metrics);
   CountingSink sink;
   coalescer.Start(2);
 

@@ -1,7 +1,7 @@
 // Movie recommendation on a simulated MovieLens-style tensor
 // (user, movie, year, hour; rating) — the paper's motivating workload,
 // run the way a production backend would: train P-Tucker, persist the
-// model as a binary snapshot (serve/snapshot.h), load it back into a
+// model as a binary snapshot (serve/snapshot_v2.h), map it back into a
 // PredictionService (serve/service.h), and answer every query —
 // held-out RMSE and top-K recommendations — through the serving layer's
 // batched tile kernels instead of re-factorizing.
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 
 #include "baselines/hooi.h"
 #include "core/ptucker.h"
@@ -21,7 +22,7 @@
 #include "data/movielens_sim.h"
 #include "data/split.h"
 #include "serve/service.h"
-#include "serve/snapshot.h"
+#include "serve/snapshot_v2.h"
 #include "util/random.h"
 
 int main() {
@@ -54,20 +55,20 @@ int main() {
   options.max_iterations = 12;
   PTuckerResult ptucker = PTuckerDecompose(split.train, options);
 
-  // --- Snapshot: persist the fitted model, then reload it — what a
+  // --- Snapshot: persist the fitted model, then map it back — what a
   // trainer hands to a serving fleet. The round trip is bit-identical.
   const std::string snapshot_path =
       (std::filesystem::temp_directory_path() / "movie_model.ptks").string();
-  SaveSnapshot(snapshot_path, ptucker.model);
-  TuckerFactorization served_model = LoadSnapshot(snapshot_path);
-  std::printf("\nmodel checkpointed to %s and reloaded (core nnz %lld)\n",
+  SaveSnapshotV2(snapshot_path, ptucker.model, /*with_centroids=*/false);
+  std::shared_ptr<const ModelSnapshot> snapshot =
+      ModelSnapshot::CreateFromFile(snapshot_path, /*tile_width=*/32);
+  std::printf("\nmodel checkpointed to %s and mapped back (core nnz %lld)\n",
               snapshot_path.c_str(),
-              static_cast<long long>(served_model.core.CountNonZeros()));
+              static_cast<long long>(snapshot->core_nnz()));
 
   // --- Serve: every query below goes through the snapshot's batched
   // tile kernels, not the trainer's in-memory model.
-  PredictionService service(
-      ModelSnapshot::Create(std::move(served_model), /*tile_width=*/32));
+  PredictionService service(std::move(snapshot));
 
   // Held-out RMSE through the serving path (same metric as TestRmse).
   const std::vector<double> predictions = service.PredictBatch(split.test);

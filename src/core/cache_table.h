@@ -31,14 +31,10 @@ namespace ptucker {
 class CacheTable {
  public:
   /// Charges |Ω|·|G| doubles to `tracker` (throws OutOfMemoryBudget if
-  /// over budget) and fills the table in parallel.
+  /// over budget) and fills the table in parallel. Owning factors pass
+  /// MakeFactorViews() here and below.
   CacheTable(const SparseTensor& x, const CoreEntryList& core,
              const std::vector<FactorView>& factors, MemoryTracker* tracker);
-
-  /// \overload over owning factor matrices (training path).
-  CacheTable(const SparseTensor& x, const CoreEntryList& core,
-             const std::vector<Matrix>& factors, MemoryTracker* tracker)
-      : CacheTable(x, core, MakeFactorViews(factors), tracker) {}
   /// Releases the charged bytes.
   ~CacheTable();
 
@@ -62,27 +58,11 @@ class CacheTable {
                           std::int64_t entry, const std::int64_t* entry_index,
                           std::int64_t mode, double* delta) const;
 
-  /// \overload over owning factor matrices (training path).
-  void ComputeDeltaCached(const CoreEntryList& core,
-                          const std::vector<Matrix>& factors,
-                          std::int64_t entry, const std::int64_t* entry_index,
-                          std::int64_t mode, double* delta) const {
-    ComputeDeltaCached(core, MakeFactorViews(factors), entry, entry_index,
-                       mode, delta);
-  }
-
   /// Rescales the table after mode `mode`'s factor changed from
   /// `old_factor` to `new_factor` (Algorithm 3 lines 16-19).
   void UpdateAfterMode(const SparseTensor& x, const CoreEntryList& core,
                        const std::vector<FactorView>& factors,
                        std::int64_t mode, const Matrix& old_factor);
-
-  /// \overload over owning factor matrices (training path).
-  void UpdateAfterMode(const SparseTensor& x, const CoreEntryList& core,
-                       const std::vector<Matrix>& factors, std::int64_t mode,
-                       const Matrix& old_factor) {
-    UpdateAfterMode(x, core, MakeFactorViews(factors), mode, old_factor);
-  }
 
   /// Bytes held by the table (the Θ(|Ω|·|G|) trade of §III-C).
   std::int64_t ByteSize() const {

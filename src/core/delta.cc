@@ -73,15 +73,10 @@ std::int64_t CoreEntryList::Remove(const std::vector<char>& remove,
   return removed;
 }
 
-namespace {
-
-// One implementation for both factor containers (owning Matrix and
-// non-owning FactorView share the read API), so neither overload pays a
-// per-call conversion in these per-entry hot kernels.
-template <typename Factors>
-void ComputeDeltaImpl(const CoreEntryList& core, const Factors& factors,
-                      const std::int64_t* entry_index, std::int64_t mode,
-                      double* delta) {
+void ComputeDelta(const CoreEntryList& core,
+                  const std::vector<FactorView>& factors,
+                  const std::int64_t* entry_index, std::int64_t mode,
+                  double* delta) {
   const std::int64_t order = core.order();
   const std::int64_t rank = factors[static_cast<std::size_t>(mode)].cols();
   for (std::int64_t j = 0; j < rank; ++j) delta[j] = 0.0;
@@ -99,10 +94,9 @@ void ComputeDeltaImpl(const CoreEntryList& core, const Factors& factors,
   }
 }
 
-template <typename Factors>
-double ReconstructFromListImpl(const CoreEntryList& core,
-                               const Factors& factors,
-                               const std::int64_t* entry_index) {
+double ReconstructFromList(const CoreEntryList& core,
+                           const std::vector<FactorView>& factors,
+                           const std::int64_t* entry_index) {
   const std::int64_t order = core.order();
   const std::int64_t n_entries = core.size();
   double sum = 0.0;
@@ -116,34 +110,6 @@ double ReconstructFromListImpl(const CoreEntryList& core,
     sum += product;
   }
   return sum;
-}
-
-}  // namespace
-
-void ComputeDelta(const CoreEntryList& core,
-                  const std::vector<Matrix>& factors,
-                  const std::int64_t* entry_index, std::int64_t mode,
-                  double* delta) {
-  ComputeDeltaImpl(core, factors, entry_index, mode, delta);
-}
-
-void ComputeDelta(const CoreEntryList& core,
-                  const std::vector<FactorView>& factors,
-                  const std::int64_t* entry_index, std::int64_t mode,
-                  double* delta) {
-  ComputeDeltaImpl(core, factors, entry_index, mode, delta);
-}
-
-double ReconstructFromList(const CoreEntryList& core,
-                           const std::vector<Matrix>& factors,
-                           const std::int64_t* entry_index) {
-  return ReconstructFromListImpl(core, factors, entry_index);
-}
-
-double ReconstructFromList(const CoreEntryList& core,
-                           const std::vector<FactorView>& factors,
-                           const std::int64_t* entry_index) {
-  return ReconstructFromListImpl(core, factors, entry_index);
 }
 
 }  // namespace ptucker

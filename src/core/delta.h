@@ -68,15 +68,8 @@ class CoreEntryList {
 
 /// Computes δ(n,α) of Eq. 12 for entry α with coordinates `entry_index`:
 /// delta[j] = Σ_{β∈G, βn=j} G_β Π_{k≠n} A(k)(ik, jk).
-/// `delta` must hold Jn = factors[mode].cols() zero-initialized doubles...
-/// (the function zeroes it first). O(|G|·N).
-void ComputeDelta(const CoreEntryList& core,
-                  const std::vector<Matrix>& factors,
-                  const std::int64_t* entry_index, std::int64_t mode,
-                  double* delta);
-
-/// \overload FactorView flavor for the serving plane (same kernel; the
-/// Matrix overload stays conversion-free for the training hot path).
+/// `delta` must hold Jn = factors[mode].cols() doubles (the function
+/// zeroes it first). O(|G|·N). Owning factors pass MakeFactorViews().
 void ComputeDelta(const CoreEntryList& core,
                   const std::vector<FactorView>& factors,
                   const std::int64_t* entry_index, std::int64_t mode,
@@ -84,11 +77,6 @@ void ComputeDelta(const CoreEntryList& core,
 
 /// Full per-entry reconstruction x̂_α (Eq. 4) driven by the entry list:
 /// Σ_β G_β Π_k A(k)(ik, jk). O(|G|·N).
-double ReconstructFromList(const CoreEntryList& core,
-                           const std::vector<Matrix>& factors,
-                           const std::int64_t* entry_index);
-
-/// \overload FactorView flavor for the serving plane.
 double ReconstructFromList(const CoreEntryList& core,
                            const std::vector<FactorView>& factors,
                            const std::int64_t* entry_index);

@@ -1318,7 +1318,7 @@ CachedDeltaEngine::CachedDeltaEngine(const SparseTensor& x,
                                      const std::vector<Matrix>& factors,
                                      MemoryTracker* tracker)
     : DeltaEngine(core, factors), x_(&x), tracker_(tracker),
-      table_(std::make_unique<CacheTable>(x, core, factors, tracker)) {}
+      table_(std::make_unique<CacheTable>(x, core, this->factors(), tracker)) {}
 
 void CachedDeltaEngine::ComputeDelta(std::int64_t entry,
                                      const std::int64_t* entry_index,

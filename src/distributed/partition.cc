@@ -1,17 +1,13 @@
 #include "distributed/partition.h"
 
-#include <algorithm>
-#include <numeric>
-#include <queue>
-
 #include "util/logging.h"
 
 namespace ptucker {
 
 std::int64_t RowUpdateCost(const SparseTensor& x, std::int64_t mode,
                            std::int64_t row) {
-  // |Ω(n,in)| + 1: the +1 keeps empty rows from being free so no worker
-  // collects unbounded row counts.
+  // |Ω(n,in)| + 1: the +1 stands for the per-row solve, so an empty row
+  // is never free.
   return x.SliceSize(mode, row) + 1;
 }
 
@@ -29,59 +25,6 @@ RowPartition PartitionRowsBlock(const SparseTensor& x, std::int64_t mode,
     for (std::int64_t row = begin; row < end; ++row) owned.push_back(row);
   }
   return partition;
-}
-
-RowPartition PartitionRowsGreedy(const SparseTensor& x, std::int64_t mode,
-                                 std::int64_t workers) {
-  PTUCKER_CHECK(workers >= 1);
-  PTUCKER_CHECK(x.has_mode_index());
-  const std::int64_t rows = x.dim(mode);
-
-  std::vector<std::int64_t> order(static_cast<std::size_t>(rows));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::int64_t a, std::int64_t b) {
-    return RowUpdateCost(x, mode, a) > RowUpdateCost(x, mode, b);
-  });
-
-  // Min-heap of (load, worker).
-  using Entry = std::pair<std::int64_t, std::int64_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  for (std::int64_t w = 0; w < workers; ++w) heap.emplace(0, w);
-
-  RowPartition partition;
-  partition.rows_per_worker.resize(static_cast<std::size_t>(workers));
-  for (const std::int64_t row : order) {
-    auto [load, worker] = heap.top();
-    heap.pop();
-    partition.rows_per_worker[static_cast<std::size_t>(worker)].push_back(
-        row);
-    heap.emplace(load + RowUpdateCost(x, mode, row), worker);
-  }
-  // Keep each worker's rows in index order (nicer locality, stable tests).
-  for (auto& owned : partition.rows_per_worker) {
-    std::sort(owned.begin(), owned.end());
-  }
-  return partition;
-}
-
-double LoadImbalance(const SparseTensor& x, std::int64_t mode,
-                     const RowPartition& partition) {
-  PTUCKER_CHECK(partition.num_workers() >= 1);
-  std::int64_t total = 0;
-  std::int64_t max_load = 0;
-  for (const auto& owned : partition.rows_per_worker) {
-    std::int64_t load = 0;
-    for (const std::int64_t row : owned) {
-      load += RowUpdateCost(x, mode, row);
-    }
-    total += load;
-    max_load = std::max(max_load, load);
-  }
-  const double mean =
-      static_cast<double>(total) /
-      static_cast<double>(partition.num_workers());
-  if (mean == 0.0) return 1.0;
-  return static_cast<double>(max_load) / mean;
 }
 
 }  // namespace ptucker

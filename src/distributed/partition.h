@@ -19,27 +19,15 @@ struct RowPartition {
 };
 
 /// Cost of updating one row of A(mode): proportional to |Ω(n,in)| (the δ
-/// computations dominate; the J³ solve is constant per row). Used both
-/// for partitioning and for the simulator's compute model.
+/// computations dominate; the J³ solve is constant per row). The unit of
+/// DistributedStats' makespan model (distributed/proc/dist_solver.h).
 std::int64_t RowUpdateCost(const SparseTensor& x, std::int64_t mode,
                            std::int64_t row);
 
-/// Naive partitioning: contiguous equal-count row blocks. The distributed
-/// analog of static scheduling — ignores slice-size skew.
+/// Contiguous equal-count row blocks: worker w owns rows
+/// [rows·w/W, rows·(w+1)/W). The multi-process solver's ownership rule.
 RowPartition PartitionRowsBlock(const SparseTensor& x, std::int64_t mode,
                                 std::int64_t workers);
-
-/// Workload-aware partitioning (LPT greedy): rows sorted by descending
-/// |Ω(n,in)| are assigned to the currently lightest worker. The
-/// distributed analog of the paper's §III-D "careful distribution of
-/// work"; guarantees max-load ≤ (4/3 − 1/(3W)) · optimal.
-RowPartition PartitionRowsGreedy(const SparseTensor& x, std::int64_t mode,
-                                 std::int64_t workers);
-
-/// max worker load / mean worker load under RowUpdateCost (1.0 = perfectly
-/// balanced). Empty workers count toward the mean.
-double LoadImbalance(const SparseTensor& x, std::int64_t mode,
-                     const RowPartition& partition);
 
 }  // namespace ptucker
 

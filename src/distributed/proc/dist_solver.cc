@@ -453,7 +453,7 @@ DistributedPTuckerResult DistributedPTuckerDecompose(
     CoreEntryList core_list(core);
 
     // Row ownership (the same blocks every worker derives) plus the cost
-    // model the simulated cluster reports: per-iteration serial work and
+    // model DistributedStats reports: per-iteration serial work and
     // makespan under RowUpdateCost. The partition is fixed, so both are
     // constant across iterations.
     std::vector<RowPartition> partitions;

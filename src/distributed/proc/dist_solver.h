@@ -1,7 +1,7 @@
 /// \file
 /// \brief The multi-process P-Tucker solver: a coordinator launches N
 /// workers (forked processes over socketpairs or loopback TCP, or worker
-/// threads for the simulated cluster), each owning a contiguous block of
+/// threads for the in-process transport), each owning a contiguous block of
 /// factor rows per mode (PartitionRowsBlock) and a contiguous subrange
 /// of the fixed reduction lanes. Workers solve their rows through the
 /// shared core/row_update.h kernel and ship raw per-lane reduction
@@ -17,10 +17,11 @@
 #define PTUCKER_DISTRIBUTED_PROC_DIST_SOLVER_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "core/options.h"
+#include "core/ptucker.h"
 #include "distributed/proc/transport.h"
-#include "distributed/sim_cluster.h"
 #include "tensor/sparse_tensor.h"
 
 namespace ptucker {
@@ -61,6 +62,35 @@ struct DistOptions {
 
   /// Fault injection for failure-path tests (none by default).
   DistFaultInjection fault;
+};
+
+/// Cluster-side accounting of one distributed solve: measured wire
+/// traffic plus a compute cost model under RowUpdateCost
+/// (distributed/partition.h).
+struct DistributedStats {
+  std::int64_t workers = 1;  ///< cluster size N
+  int iterations_run = 0;    ///< iterations the solve completed
+  /// Bytes moved across the transport in total, both directions.
+  std::int64_t total_comm_bytes = 0;
+  /// Compute makespan per iteration in cost units: Σ over modes of the
+  /// heaviest worker's RowUpdateCost load.
+  std::vector<std::int64_t> makespan_per_iteration;
+  /// Total compute cost units per iteration (= serial work).
+  std::vector<std::int64_t> total_cost_per_iteration;
+
+  /// Parallel efficiency of iteration `i`: serial / (N · makespan).
+  double Efficiency(std::size_t i) const {
+    return static_cast<double>(total_cost_per_iteration[i]) /
+           (static_cast<double>(workers) *
+            static_cast<double>(makespan_per_iteration[i]));
+  }
+};
+
+/// A distributed solve's model (bit-identical to PTuckerDecompose's)
+/// and its cluster stats.
+struct DistributedPTuckerResult {
+  PTuckerResult result;    ///< the fitted model and trajectory
+  DistributedStats stats;  ///< wire bytes and cost model
 };
 
 /// Decomposes `x` with `dist.workers` processes (or threads, for the

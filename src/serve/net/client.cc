@@ -144,18 +144,6 @@ void NetClient::Ping() {
   }
 }
 
-std::vector<std::uint64_t> NetClient::Stats() {
-  const std::uint64_t id = next_id_++;
-  const WireFrame frame =
-      RoundTrip(EncodeEmptyFrame(Opcode::kStats, id), id);
-  std::vector<std::uint64_t> counters;
-  std::string error;
-  if (!ParseStatsReply(frame, &counters, &error)) {
-    throw std::runtime_error("net-client: " + error);
-  }
-  return counters;
-}
-
 std::string NetClient::Metrics() {
   const std::uint64_t id = next_id_++;
   const WireFrame frame =

@@ -37,9 +37,6 @@ class NetClient {
   /// Liveness round trip; throws if the reply id or opcode mismatches.
   void Ping();
 
-  /// The server's counter vector (see ServerStats::ToVector order).
-  std::vector<std::uint64_t> Stats();
-
   /// The server's self-describing telemetry: Prometheus-style
   /// exposition text from the METRICS opcode (docs/observability.md).
   std::string Metrics();

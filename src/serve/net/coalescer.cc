@@ -9,44 +9,14 @@
 
 namespace ptucker {
 
-// ServerStats is exactly its atomic counters, one per catalog row — so
-// adding a field without extending kServerStatsFields (and ToVector()
-// below, and the docs/serving.md table) fails right here instead of
-// silently shipping an undocumented wire index.
-static_assert(sizeof(ServerStats) ==
-                  kServerStatsFieldCount * sizeof(std::atomic<std::uint64_t>),
-              "ServerStats fields and kServerStatsFields disagree: update "
-              "the catalog, ToVector(), and docs/serving.md together");
-
-std::vector<std::uint64_t> ServerStats::ToVector() const {
-  return {connections_accepted.load(std::memory_order_relaxed),
-          requests_received.load(std::memory_order_relaxed),
-          predicts_served.load(std::memory_order_relaxed),
-          topks_served.load(std::memory_order_relaxed),
-          pings_served.load(std::memory_order_relaxed),
-          errors_sent.load(std::memory_order_relaxed),
-          batches_executed.load(std::memory_order_relaxed),
-          batched_entries.load(std::memory_order_relaxed),
-          max_batch_observed.load(std::memory_order_relaxed),
-          overloads_shed.load(std::memory_order_relaxed)};
-}
-
-void ServerStats::ObserveBatch(std::uint64_t size) {
-  std::uint64_t seen = max_batch_observed.load(std::memory_order_relaxed);
-  while (seen < size && !max_batch_observed.compare_exchange_weak(
-                            seen, size, std::memory_order_relaxed)) {
-  }
-}
-
-BatchCoalescer::BatchCoalescer(PredictionService* service, ServerStats* stats,
+BatchCoalescer::BatchCoalescer(PredictionService* service,
                                const Options& options,
                                const ServeNetMetrics* metrics)
     : service_(service),
-      stats_(stats),
       options_(options),
       metrics_(metrics != nullptr ? *metrics : ServeNetMetrics::Global()) {
-  if (service_ == nullptr || stats_ == nullptr) {
-    throw std::invalid_argument("coalescer: service and stats are required");
+  if (service_ == nullptr) {
+    throw std::invalid_argument("coalescer: service is required");
   }
   if (options_.max_batch < 1 || options_.max_batch > 4096) {
     throw std::invalid_argument("coalescer: max_batch must be in [1, 4096]");
@@ -159,10 +129,6 @@ void BatchCoalescer::WorkerLoop() {
 void BatchCoalescer::ProcessBatch(std::vector<NetRequest>* batch) {
   if (batch->empty()) return;
   PTUCKER_TRACE_SPAN("serve.batch");
-  stats_->batches_executed.fetch_add(1, std::memory_order_relaxed);
-  stats_->batched_entries.fetch_add(batch->size(),
-                                    std::memory_order_relaxed);
-  stats_->ObserveBatch(batch->size());
   if (metrics_.batch_size != nullptr) {
     metrics_.batch_size->Observe(static_cast<double>(batch->size()));
   }
@@ -224,7 +190,7 @@ void BatchCoalescer::ProcessBatch(std::vector<NetRequest>* batch) {
   for (NetRequest& request : *batch) {
     std::string error;
     if (!validate(request, &error)) {
-      stats_->errors_sent.fetch_add(1, std::memory_order_relaxed);
+      metrics_.CountError();
       request.sink->PostReply(
           request.connection_id,
           EncodeErrorReply(request.opcode, request.request_id,
@@ -251,10 +217,6 @@ void BatchCoalescer::ProcessBatch(std::vector<NetRequest>* batch) {
     std::vector<double> out(predicts.size());
     pinned.PredictBatch(static_cast<std::int64_t>(predicts.size()),
                         indices.data(), out.data());
-    // Count before posting: a client that has its reply in hand may ask
-    // for STATS immediately, and the loop thread must see the bump.
-    stats_->predicts_served.fetch_add(predicts.size(),
-                                      std::memory_order_relaxed);
     for (std::size_t i = 0; i < predicts.size(); ++i) {
       predicts[i]->sink->PostReply(
           predicts[i]->connection_id,
@@ -269,12 +231,11 @@ void BatchCoalescer::ProcessBatch(std::vector<NetRequest>* batch) {
     try {
       const std::vector<ScoredIndex> results =
           pinned.TopK(request->mode, request->coords, request->k);
-      stats_->topks_served.fetch_add(1, std::memory_order_relaxed);
       request->sink->PostReply(request->connection_id,
                                EncodeTopKReply(request->request_id, results));
       observe_latency(*request);
     } catch (const std::exception& e) {
-      stats_->errors_sent.fetch_add(1, std::memory_order_relaxed);
+      metrics_.CountError();
       request->sink->PostReply(
           request->connection_id,
           EncodeErrorReply(Opcode::kTopK, request->request_id,

@@ -31,61 +31,6 @@
 
 namespace ptucker {
 
-/// One row of the STATS counter catalog: the wire index is the row's
-/// position in kServerStatsFields, the same order ToVector() encodes.
-struct ServerStatsField {
-  const char* name;  ///< snake_case counter name (docs/serving.md table)
-  const char* help;  ///< one-line meaning
-};
-
-/// The STATS payload catalog, one row per ServerStats counter in wire
-/// order. The static_assert next to ToVector() pins the ServerStats
-/// field count to this table, so appending a counter without extending
-/// both the encoder and this documentation fails to compile. The
-/// generated table in docs/serving.md mirrors these rows.
-constexpr ServerStatsField kServerStatsFields[] = {
-    {"connections_accepted", "TCP connections accepted across all loops"},
-    {"requests_received", "wire frames dispatched (all opcodes)"},
-    {"predicts_served", "PREDICT requests answered OK"},
-    {"topks_served", "TOPK requests answered OK"},
-    {"pings_served", "PING frames answered"},
-    {"errors_sent", "error replies of any status"},
-    {"batches_executed", "coalesced batches run by the workers"},
-    {"batched_entries", "requests executed inside those batches"},
-    {"max_batch_observed", "widest batch executed so far (not monotonic-add)"},
-    {"overloads_shed", "parked requests answered OVERLOADED"},
-};
-
-/// Number of STATS counters on the wire (and ServerStats fields).
-constexpr std::size_t kServerStatsFieldCount =
-    sizeof(kServerStatsFields) / sizeof(kServerStatsFields[0]);
-
-/// Server-wide monotonic counters, updated with relaxed atomics from
-/// the loop and worker threads and snapshot-read by the STATS opcode.
-struct ServerStats {
-  std::atomic<std::uint64_t> connections_accepted{0};
-  std::atomic<std::uint64_t> requests_received{0};
-  std::atomic<std::uint64_t> predicts_served{0};
-  std::atomic<std::uint64_t> topks_served{0};
-  std::atomic<std::uint64_t> pings_served{0};
-  std::atomic<std::uint64_t> errors_sent{0};
-  std::atomic<std::uint64_t> batches_executed{0};
-  std::atomic<std::uint64_t> batched_entries{0};
-  std::atomic<std::uint64_t> max_batch_observed{0};
-  std::atomic<std::uint64_t> overloads_shed{0};
-
-  /// The STATS wire payload, in this exact documented order (see the
-  /// stats table in docs/serving.md): connections_accepted,
-  /// requests_received, predicts_served, topks_served, pings_served,
-  /// errors_sent, batches_executed, batched_entries, max_batch_observed,
-  /// overloads_shed. New counters only ever append, so old clients keep
-  /// their offsets.
-  std::vector<std::uint64_t> ToVector() const;
-
-  /// Monotonic max update for max_batch_observed.
-  void ObserveBatch(std::uint64_t size);
-};
-
 /// Where a finished reply frame goes: implemented by EventLoop (routes
 /// the bytes to the owning connection's write buffer, dropping them if
 /// the connection died while the request was in flight) and by test
@@ -127,15 +72,14 @@ class BatchCoalescer {
     std::int64_t queue_capacity = 8192; ///< TryPush refuses beyond this
   };
 
-  /// `service` and `stats` must outlive the coalescer. Throws
+  /// `service` must outlive the coalescer. Throws
   /// std::invalid_argument on out-of-range options. `metrics` selects
   /// the telemetry bundle: nullptr (the default) records into the
   /// process-wide registry via ServeNetMetrics::Global(); pass a bundle
   /// built over a private registry for isolation, or one built over a
   /// null registry to turn recording off (bench_observability's
   /// baseline).
-  BatchCoalescer(PredictionService* service, ServerStats* stats,
-                 const Options& options,
+  BatchCoalescer(PredictionService* service, const Options& options,
                  const ServeNetMetrics* metrics = nullptr);
   ~BatchCoalescer();
 
@@ -167,7 +111,6 @@ class BatchCoalescer {
   void ProcessBatch(std::vector<NetRequest>* batch);
 
   PredictionService* const service_;
-  ServerStats* const stats_;
   const Options options_;
   const ServeNetMetrics metrics_;
   std::function<void()> space_callback_;

@@ -74,11 +74,10 @@ int CreateListenSocket(int* port, int backlog) {
 }
 
 EventLoop::EventLoop(int listen_fd, BatchCoalescer* coalescer,
-                     ServerStats* stats, std::uint64_t id_base,
-                     const Options& options, const ServeNetMetrics* metrics)
+                     std::uint64_t id_base, const Options& options,
+                     const ServeNetMetrics* metrics)
     : listen_fd_(listen_fd),
       coalescer_(coalescer),
-      stats_(stats),
       options_(options),
       metrics_(metrics != nullptr ? *metrics : ServeNetMetrics::Global()),
       next_id_(id_base + 1) {
@@ -188,7 +187,6 @@ void EventLoop::Run() {
   }
   conns_.clear();
   by_id_.clear();
-  open_connections_.store(0, std::memory_order_relaxed);
   for (const int dead : deferred_close_) ::close(dead);
   deferred_close_.clear();
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
@@ -215,8 +213,9 @@ void EventLoop::AcceptNewConnections() {
     AddToEpoll(epoll_fd_, fd, EPOLLIN);
     by_id_[conn->id] = conn.get();
     conns_[fd] = std::move(conn);
-    stats_->connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    open_connections_.fetch_add(1, std::memory_order_relaxed);
+    if (metrics_.connections_total != nullptr) {
+      metrics_.connections_total->Increment();
+    }
   }
 }
 
@@ -281,7 +280,6 @@ void EventLoop::ParseInput(Connection* conn) {
 }
 
 bool EventLoop::HandleFrame(Connection* conn, WireFrame&& frame) {
-  stats_->requests_received.fetch_add(1, std::memory_order_relaxed);
   if (metrics_.requests_total != nullptr) metrics_.requests_total->Increment();
   if (frame.status != WireStatus::kOk) {
     FailConnection(conn, frame.opcode, frame.request_id,
@@ -292,15 +290,10 @@ bool EventLoop::HandleFrame(Connection* conn, WireFrame&& frame) {
     case Opcode::kPing:
       // Control frames are answered on the loop thread — a liveness
       // probe must not queue behind a batch window.
-      stats_->pings_served.fetch_add(1, std::memory_order_relaxed);
       QueueReply(conn, EncodeEmptyFrame(Opcode::kPing, frame.request_id));
       return true;
-    case Opcode::kStats:
-      QueueReply(conn,
-                 EncodeStatsReply(frame.request_id, stats_->ToVector()));
-      return true;
     case Opcode::kMetrics:
-      // Self-describing telemetry, answered inline like STATS. A null
+      // Self-describing telemetry, answered inline like PING. A null
       // registry (telemetry off) serves empty exposition text — still a
       // valid reply, so clients need no special case.
       QueueReply(conn,
@@ -313,7 +306,7 @@ bool EventLoop::HandleFrame(Connection* conn, WireFrame&& frame) {
       PredictRequest request;
       std::string error;
       if (!ParsePredictRequest(frame.payload, &request, &error)) {
-        stats_->errors_sent.fetch_add(1, std::memory_order_relaxed);
+        metrics_.CountError();
         QueueReply(conn,
                    EncodeErrorReply(Opcode::kPredict, frame.request_id,
                                     WireStatus::kBadRequest, error));
@@ -332,7 +325,7 @@ bool EventLoop::HandleFrame(Connection* conn, WireFrame&& frame) {
       TopKRequest request;
       std::string error;
       if (!ParseTopKRequest(frame.payload, &request, &error)) {
-        stats_->errors_sent.fetch_add(1, std::memory_order_relaxed);
+        metrics_.CountError();
         QueueReply(conn, EncodeErrorReply(Opcode::kTopK, frame.request_id,
                                           WireStatus::kBadRequest, error));
         return true;
@@ -372,9 +365,8 @@ bool EventLoop::PushOrDefer(Connection* conn, NetRequest&& request) {
 }
 
 void EventLoop::ShedDeferred(Connection* conn) {
-  stats_->overloads_shed.fetch_add(1, std::memory_order_relaxed);
-  stats_->errors_sent.fetch_add(1, std::memory_order_relaxed);
   if (metrics_.shed_total != nullptr) metrics_.shed_total->Increment();
+  metrics_.CountError();
   QueueReply(conn,
              EncodeErrorReply(conn->deferred.opcode, conn->deferred.request_id,
                               WireStatus::kOverloaded,
@@ -437,7 +429,7 @@ void EventLoop::QueueReply(Connection* conn,
 void EventLoop::FailConnection(Connection* conn, Opcode opcode,
                                std::uint64_t request_id,
                                const std::string& message) {
-  stats_->errors_sent.fetch_add(1, std::memory_order_relaxed);
+  metrics_.CountError();
   const std::vector<std::uint8_t> reply =
       EncodeErrorReply(opcode, request_id, WireStatus::kMalformed, message);
   conn->outbuf.insert(conn->outbuf.end(), reply.begin(), reply.end());
@@ -516,7 +508,6 @@ void EventLoop::CloseConnection(Connection* conn) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   by_id_.erase(conn->id);
   deferred_close_.push_back(conn->fd);
-  open_connections_.fetch_sub(1, std::memory_order_relaxed);
   conns_.erase(conn->fd);  // destroys *conn
 }
 

@@ -4,7 +4,7 @@
 /// connections across loops), its own epoll instance, and its own set
 /// of nonblocking connections. Each connection runs a small state
 /// machine — read bytes, decode frames, answer control frames (PING /
-/// STATS) inline, hand PREDICT / TOPK to the BatchCoalescer, flush
+/// METRICS) inline, hand PREDICT / TOPK to the BatchCoalescer, flush
 /// queued reply bytes — and two backpressure rules keep memory bounded:
 /// a connection whose decoded request the full coalescer queue refuses,
 /// or whose unsent reply backlog exceeds the cap, has its EPOLLIN
@@ -44,19 +44,19 @@ class EventLoop : public ReplySink {
     /// queue. -1 (default) parks forever behind TCP flow control; 0
     /// sheds immediately; > 0 sheds after that many milliseconds. A
     /// shed request is answered with WireStatus::kOverloaded (the
-    /// connection stays open) and counted in overloads_shed.
+    /// connection stays open) and counted in ptucker_serve_shed_total.
     std::int64_t overload_timeout_ms = -1;
   };
 
-  /// `coalescer` and `stats` must outlive the loop. `id_base` makes
+  /// `coalescer` must outlive the loop. `id_base` makes
   /// connection ids unique across loops (each loop allocates
   /// monotonically above its base; ids are never reused, so a reply for
   /// a closed connection can never alias a new one the way raw fds do).
   /// `metrics` selects the telemetry bundle (nullptr = the process-wide
   /// ServeNetMetrics::Global()); the METRICS opcode serves that
   /// bundle's registry.
-  EventLoop(int listen_fd, BatchCoalescer* coalescer, ServerStats* stats,
-            std::uint64_t id_base, const Options& options,
+  EventLoop(int listen_fd, BatchCoalescer* coalescer, std::uint64_t id_base,
+            const Options& options,
             const ServeNetMetrics* metrics = nullptr);
   ~EventLoop() override;
 
@@ -76,11 +76,6 @@ class EventLoop : public ReplySink {
   /// Coalescer-space notification: wakes the loop so connections stalled
   /// on a full queue retry their parked request and resume reading.
   void NotifyQueueSpace();
-
-  /// Open connections right now (diagnostic; loop-thread accurate only).
-  std::size_t open_connections() const {
-    return open_connections_.load(std::memory_order_relaxed);
-  }
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
@@ -134,14 +129,12 @@ class EventLoop : public ReplySink {
 
   const int listen_fd_;
   BatchCoalescer* const coalescer_;
-  ServerStats* const stats_;
   const Options options_;
   const ServeNetMetrics metrics_;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   std::uint64_t next_id_;
   std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> open_connections_{0};
 
   // fd -> connection (loop thread only) and id -> connection for reply
   // routing; ids of closed connections are simply absent.

@@ -20,9 +20,16 @@ std::vector<double> BatchBounds() {
 ServeNetMetrics::ServeNetMetrics(obs::MetricsRegistry* registry_in)
     : registry(registry_in) {
   if (registry == nullptr) return;  // telemetry off: every handle null
+  connections_total = registry->GetCounter(
+      "ptucker_serve_connections_total",
+      "TCP connections accepted across all event loops");
   requests_total = registry->GetCounter(
       "ptucker_serve_requests_total",
       "Wire frames dispatched by the event loops, all opcodes");
+  errors_total = registry->GetCounter(
+      "ptucker_serve_errors_total",
+      "Error replies sent, any status (malformed, bad request, "
+      "overloaded, internal)");
   parked_total = registry->GetCounter(
       "ptucker_serve_parked_total",
       "Requests parked on a full coalescer queue (backpressure)");

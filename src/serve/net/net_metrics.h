@@ -28,13 +28,20 @@ struct ServeNetMetrics {
   /// METRICS opcode serves its ExpositionText().
   obs::MetricsRegistry* registry = nullptr;
 
+  obs::Counter* connections_total = nullptr;  ///< TCP connections accepted
   obs::Counter* requests_total = nullptr;   ///< frames dispatched, by loop
+  obs::Counter* errors_total = nullptr;     ///< error replies, any status
   obs::Counter* parked_total = nullptr;     ///< requests parked on a full queue
   obs::Counter* shed_total = nullptr;       ///< parked requests shed OVERLOADED
   obs::Gauge* queue_depth = nullptr;        ///< coalescer queue occupancy
   obs::Histogram* predict_latency = nullptr;  ///< enqueue→reply, seconds
   obs::Histogram* topk_latency = nullptr;     ///< enqueue→reply, seconds
   obs::Histogram* batch_size = nullptr;       ///< executed batch widths
+
+  /// Counts one error reply of any status; a no-op with telemetry off.
+  void CountError() const {
+    if (errors_total != nullptr) errors_total->Increment();
+  }
 };
 
 }  // namespace ptucker

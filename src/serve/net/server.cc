@@ -66,7 +66,7 @@ void NetServer::Start() {
   coalescer_options.max_batch = options_.max_batch;
   coalescer_options.batch_window_us = options_.batch_window_us;
   coalescer_options.queue_capacity = options_.queue_capacity;
-  coalescer_ = std::make_unique<BatchCoalescer>(service_.get(), &stats_,
+  coalescer_ = std::make_unique<BatchCoalescer>(service_.get(),
                                                 coalescer_options, &metrics_);
 
   EventLoop::Options loop_options;
@@ -76,7 +76,7 @@ void NetServer::Start() {
     // id_base keeps connection ids globally unique: the loop index lives
     // in the top bits, each loop counts monotonically below it.
     loops_.push_back(std::make_unique<EventLoop>(
-        listeners[static_cast<std::size_t>(t)], coalescer_.get(), &stats_,
+        listeners[static_cast<std::size_t>(t)], coalescer_.get(),
         static_cast<std::uint64_t>(t + 1) << 48, loop_options, &metrics_));
   }
   coalescer_->SetSpaceCallback([this] {

@@ -68,9 +68,6 @@ class NetServer {
   /// The bound TCP port (valid after Start()).
   int port() const { return port_; }
 
-  /// Live server counters (the STATS opcode reads the same struct).
-  const ServerStats& stats() const { return stats_; }
-
   /// The served model plane — ReloadSnapshot here hot-swaps under load.
   PredictionService& service() { return *service_; }
 
@@ -82,7 +79,6 @@ class NetServer {
   NetServerOptions options_;
   int port_ = 0;
   bool running_ = false;
-  ServerStats stats_;
   ServeNetMetrics metrics_;
   std::unique_ptr<BatchCoalescer> coalescer_;
   std::vector<std::unique_ptr<EventLoop>> loops_;

@@ -6,9 +6,16 @@ namespace {
 
 // Valid wire opcodes; anything else in the opcode byte is a framing
 // error (the stream may be garbage, so the connection is torn down).
+// Byte 4, the retired STATS opcode, stays reserved and is rejected.
 bool KnownOpcode(std::uint8_t value) {
-  return value >= static_cast<std::uint8_t>(Opcode::kPredict) &&
-         value <= static_cast<std::uint8_t>(Opcode::kMetrics);
+  switch (static_cast<Opcode>(value)) {
+    case Opcode::kPredict:
+    case Opcode::kTopK:
+    case Opcode::kPing:
+    case Opcode::kMetrics:
+      return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -195,42 +202,6 @@ bool ParseTopKReply(const WireFrame& frame, std::vector<ScoredIndex>* results,
   for (std::uint32_t r = 0; r < count; ++r) {
     (*results)[r].index = ReadI64(frame.payload.data() + 4 + r * 16);
     (*results)[r].score = ReadF64(frame.payload.data() + 4 + r * 16 + 8);
-  }
-  return true;
-}
-
-std::vector<std::uint8_t> EncodeStatsReply(
-    std::uint64_t request_id, const std::vector<std::uint64_t>& counters) {
-  std::vector<std::uint8_t> payload;
-  AppendU32(&payload, static_cast<std::uint32_t>(counters.size()));
-  for (const std::uint64_t c : counters) AppendU64(&payload, c);
-  std::vector<std::uint8_t> out;
-  EncodeFrame(Opcode::kStats, WireStatus::kOk, request_id, payload.data(),
-              payload.size(), &out);
-  return out;
-}
-
-bool ParseStatsReply(const WireFrame& frame,
-                     std::vector<std::uint64_t>* counters,
-                     std::string* error) {
-  if (frame.status != WireStatus::kOk) {
-    *error = "server error " +
-             std::to_string(static_cast<unsigned>(frame.status)) + ": " +
-             std::string(frame.payload.begin(), frame.payload.end());
-    return false;
-  }
-  if (frame.opcode != Opcode::kStats || frame.payload.size() < 4) {
-    *error = "malformed stats reply";
-    return false;
-  }
-  const std::uint32_t count = ReadU32(frame.payload.data());
-  if (frame.payload.size() != 4 + static_cast<std::size_t>(count) * 8) {
-    *error = "stats reply count disagrees with its payload size";
-    return false;
-  }
-  counters->resize(count);
-  for (std::uint32_t c = 0; c < count; ++c) {
-    (*counters)[c] = ReadU64(frame.payload.data() + 4 + c * 8);
   }
   return true;
 }

@@ -1,6 +1,6 @@
 /// \file
 /// \brief The serving wire protocol: little-endian length-prefixed
-/// binary frames carrying predict / top-K / ping / stats requests and
+/// binary frames carrying predict / top-K / ping / metrics requests and
 /// their replies. The framing layer (EncodeFrame/DecodeFrame) is shared
 /// by the server's per-connection decoder, the NetClient, and the load
 /// generator, so the two sides cannot drift. Malformed input is
@@ -50,12 +50,13 @@ constexpr std::uint32_t kMaxWirePayload = 1u << 20;
 /// The protocol magic, byte-for-byte ('P','T','K','N').
 constexpr std::uint8_t kWireMagic[4] = {0x50, 0x54, 0x4B, 0x4E};
 
-/// Request/reply opcodes. Values are wire bytes — never renumber.
+/// Request/reply opcodes. Values are wire bytes — never renumber. Byte
+/// 4 (the retired positional STATS) is reserved: never reused, and
+/// rejected as an unknown opcode like any other value not listed here.
 enum class Opcode : std::uint8_t {
   kPredict = 1,  ///< x̂ at one coordinate; reply payload = f64
   kTopK = 2,     ///< top-K along one mode; reply payload = scored list
   kPing = 3,     ///< liveness probe; empty payload both ways
-  kStats = 4,    ///< server counters; reply payload = u64 counter vector
   kMetrics = 5,  ///< self-describing telemetry; reply payload = UTF-8
                  ///< Prometheus-style exposition text
                  ///< (docs/observability.md)
@@ -153,10 +154,6 @@ std::vector<std::uint8_t> EncodeTopKReply(
     std::uint64_t request_id, const std::vector<ScoredIndex>& results);
 bool ParseTopKReply(const WireFrame& frame, std::vector<ScoredIndex>* results,
                     std::string* error);
-std::vector<std::uint8_t> EncodeStatsReply(
-    std::uint64_t request_id, const std::vector<std::uint64_t>& counters);
-bool ParseStatsReply(const WireFrame& frame,
-                     std::vector<std::uint64_t>* counters, std::string* error);
 std::vector<std::uint8_t> EncodeMetricsReply(std::uint64_t request_id,
                                              const std::string& text);
 bool ParseMetricsReply(const WireFrame& frame, std::string* text,

@@ -43,9 +43,8 @@ class ModelSnapshot {
       MemoryTracker* tracker = nullptr);
 
   /// Builds a query-ready snapshot directly over the snapshot file at
-  /// `path` (v2 is mmap-ed with zero factor copies; v1 falls back to a
-  /// parsed heap buffer). `verify_payload` additionally checks the v2
-  /// payload CRC — off by default so load time stays independent of
+  /// `path`, mmap-ed with zero factor copies (MmapSnapshot).
+  /// `verify_payload` additionally checks the payload CRC — off by default so load time stays independent of
   /// model size. Throws std::runtime_error on open/parse failure and
   /// std::invalid_argument on a bad `tile_width`.
   static std::shared_ptr<const ModelSnapshot> CreateFromFile(

@@ -1,313 +1,13 @@
 #include "serve/snapshot.h"
 
-#include <cstring>
-#include <fstream>
-#include <stdexcept>
 #include <vector>
 
 #include "serve/snapshot_v2.h"
-#include "tensor/dense_tensor.h"
 
 namespace ptucker {
 
-namespace {
-
-// File layout (all integers little-endian on the platforms we target;
-// the same raw-memory convention as the PTNB tensor format in
-// tensor/io.cc):
-//
-//   [0,4)   magic "PTKS"
-//   [4,8)   u32 format version (kSnapshotVersion)
-//   [8,12)  u32 CRC-32 (IEEE) of the body
-//   [12,20) u64 body byte count
-//   [20,..) body:
-//     i64 order N
-//     i64 dims[N]        factor row counts I_n
-//     i64 ranks[N]       core dimensionalities J_n
-//     i64 core_nnz
-//     f64 factors        row-major, mode 0 first (Σ I_n·J_n doubles)
-//     i32 core_indices   core_nnz × N, entry-major
-//     f64 core_values    core_nnz
-constexpr char kMagic[4] = {'P', 'T', 'K', 'S'};
-constexpr std::size_t kHeaderBytes = 20;
-constexpr std::int64_t kMaxSnapshotOrder = 64;
-// Ceiling on dense core elements a snapshot may declare (16 GiB of
-// doubles) — far beyond any servable core, but it stops a crafted
-// header from requesting an absurd zero-filled allocation.
-constexpr std::int64_t kMaxCoreElements = std::int64_t{1} << 31;
-
-// Name of the in-memory source shown when no file path is known.
-constexpr char kMemorySource[] = "<memory>";
-
-// Every rejection names its source (the file path, when known) and the
-// section being parsed, so a serve_smoke failure in CI pinpoints the
-// broken checkpoint without a reproduction.
-[[noreturn]] void ThrowFormat(const std::string& source,
-                              const std::string& section,
-                              const std::string& detail) {
-  throw std::runtime_error("snapshot parse error: " + detail + " (file " +
-                           source + ", section " + section + ")");
-}
-
-void AppendRaw(std::string* out, const void* data, std::size_t bytes) {
-  out->append(reinterpret_cast<const char*>(data), bytes);
-}
-
-void AppendI64(std::string* out, std::int64_t value) {
-  AppendRaw(out, &value, sizeof(value));
-}
-
-// Bounds-checked sequential reader over the body bytes; truncation
-// errors name the section the cursor is in.
-class Reader {
- public:
-  Reader(const char* data, std::size_t size, const std::string& source)
-      : data_(data), size_(size), source_(&source) {}
-
-  void SetSection(const char* section) { section_ = section; }
-
-  void Read(void* out, std::size_t bytes) {
-    if (bytes > size_ - pos_) {
-      ThrowFormat(*source_, section_, "body truncated");
-    }
-    std::memcpy(out, data_ + pos_, bytes);
-    pos_ += bytes;
-  }
-
-  std::int64_t ReadI64() {
-    std::int64_t value = 0;
-    Read(&value, sizeof(value));
-    return value;
-  }
-
-  std::size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  std::size_t size_;
-  const std::string* source_;
-  const char* section_ = "header";
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::string SerializeSnapshot(const TuckerFactorization& model) {
-  const std::int64_t order = model.core.order();
-  if (order < 1 || order > kMaxSnapshotOrder) {
-    throw std::runtime_error("snapshot: model order must be in [1, 64]");
-  }
-  if (static_cast<std::int64_t>(model.factors.size()) != order) {
-    throw std::runtime_error(
-        "snapshot: factor count does not match core order");
-  }
-  for (std::int64_t n = 0; n < order; ++n) {
-    const Matrix& factor = model.factors[static_cast<std::size_t>(n)];
-    if (factor.rows() < 1 || factor.cols() != model.core.dim(n)) {
-      throw std::runtime_error(
-          "snapshot: factor " + std::to_string(n) +
-          " shape does not match the core (" + std::to_string(factor.rows()) +
-          "x" + std::to_string(factor.cols()) + " vs rank " +
-          std::to_string(model.core.dim(n)) + ")");
-    }
-  }
-
-  std::string body;
-  AppendI64(&body, order);
-  for (std::int64_t n = 0; n < order; ++n) {
-    AppendI64(&body, model.factors[static_cast<std::size_t>(n)].rows());
-  }
-  for (std::int64_t n = 0; n < order; ++n) {
-    AppendI64(&body, model.core.dim(n));
-  }
-  AppendI64(&body, model.core.CountNonZeros());
-  for (const Matrix& factor : model.factors) {
-    AppendRaw(&body, factor.data(),
-              static_cast<std::size_t>(factor.size()) * sizeof(double));
-  }
-  // VeST-compact core: COO nonzeros only, in linear (mode-0-fastest)
-  // order so serialization is deterministic.
-  std::vector<std::int64_t> index(static_cast<std::size_t>(order));
-  std::vector<double> values;
-  for (std::int64_t linear = 0; linear < model.core.size(); ++linear) {
-    if (model.core[linear] == 0.0) continue;
-    model.core.IndexOf(linear, index.data());
-    for (std::int64_t k = 0; k < order; ++k) {
-      const std::int32_t coord =
-          static_cast<std::int32_t>(index[static_cast<std::size_t>(k)]);
-      AppendRaw(&body, &coord, sizeof(coord));
-    }
-    values.push_back(model.core[linear]);
-  }
-  AppendRaw(&body, values.data(), values.size() * sizeof(double));
-
-  std::string out;
-  out.reserve(kHeaderBytes + body.size());
-  out.append(kMagic, sizeof(kMagic));
-  const std::uint32_t version = kSnapshotVersion;
-  AppendRaw(&out, &version, sizeof(version));
-  const std::uint32_t crc = SnapshotCrc32(body.data(), body.size());
-  AppendRaw(&out, &crc, sizeof(crc));
-  const std::uint64_t body_bytes = body.size();
-  AppendRaw(&out, &body_bytes, sizeof(body_bytes));
-  out += body;
-  return out;
-}
-
-TuckerFactorization ParseSnapshot(const std::string& bytes) {
-  return ParseSnapshot(bytes, kMemorySource);
-}
-
-TuckerFactorization ParseSnapshot(const std::string& bytes,
-                                  const std::string& source) {
-  if (bytes.size() < kHeaderBytes) {
-    ThrowFormat(source, "header", "file shorter than the header");
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    ThrowFormat(source, "header", "bad magic (not a PTKS snapshot)");
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 4, sizeof(version));
-  if (version != kSnapshotVersion) {
-    ThrowFormat(source, "header",
-                "unsupported snapshot version " + std::to_string(version) +
-                    " (this parser reads version " +
-                    std::to_string(kSnapshotVersion) + ")");
-  }
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + 8, sizeof(stored_crc));
-  std::uint64_t body_bytes = 0;
-  std::memcpy(&body_bytes, bytes.data() + 12, sizeof(body_bytes));
-  if (body_bytes != bytes.size() - kHeaderBytes) {
-    ThrowFormat(source, "header",
-                body_bytes > bytes.size() - kHeaderBytes
-                    ? "body truncated"
-                    : "trailing bytes after the body");
-  }
-  const char* body = bytes.data() + kHeaderBytes;
-  const std::uint32_t computed_crc =
-      SnapshotCrc32(body, static_cast<std::size_t>(body_bytes));
-  if (computed_crc != stored_crc) {
-    ThrowFormat(source, "body", "CRC mismatch (file is corrupt)");
-  }
-
-  Reader reader(body, static_cast<std::size_t>(body_bytes), source);
-  reader.SetSection("dims");
-  const std::int64_t order = reader.ReadI64();
-  if (order < 1 || order > kMaxSnapshotOrder) {
-    ThrowFormat(source, "dims",
-                "order " + std::to_string(order) + " out of range");
-  }
-  std::vector<std::int64_t> dims(static_cast<std::size_t>(order));
-  for (auto& d : dims) {
-    d = reader.ReadI64();
-    if (d < 1) {
-      ThrowFormat(source, "dims", "non-positive mode dimensionality");
-    }
-  }
-  reader.SetSection("ranks");
-  std::vector<std::int64_t> ranks(static_cast<std::size_t>(order));
-  std::int64_t core_size = 1;
-  for (auto& r : ranks) {
-    r = reader.ReadI64();
-    if (r < 1) ThrowFormat(source, "ranks", "non-positive core rank");
-    if (core_size > kMaxCoreElements / r) {
-      ThrowFormat(source, "ranks", "core too large");
-    }
-    core_size *= r;
-  }
-  reader.SetSection("core header");
-  const std::int64_t core_nnz = reader.ReadI64();
-  if (core_nnz < 0 || core_nnz > core_size) {
-    ThrowFormat(source, "core header",
-                "core nnz " + std::to_string(core_nnz) + " out of range");
-  }
-  // Every remaining allocation is sized by untrusted header fields; cap
-  // each one by the bytes actually left in the body *before* allocating,
-  // so a tiny crafted file (the CRC is computable by anyone) fails with
-  // "body truncated" instead of zero-filling terabytes or overflowing
-  // rows*cols. ranks are bounded by kMaxCoreElements above, so
-  // cols*sizeof(double) cannot overflow; dims are only bounded here.
-  if (static_cast<std::uint64_t>(core_nnz) >
-      reader.remaining() / (static_cast<std::uint64_t>(order) *
-                                sizeof(std::int32_t) +
-                            sizeof(double))) {
-    ThrowFormat(source, "core header", "body truncated");
-  }
-
-  TuckerFactorization model;
-  model.factors.reserve(static_cast<std::size_t>(order));
-  for (std::int64_t n = 0; n < order; ++n) {
-    const std::int64_t rows = dims[static_cast<std::size_t>(n)];
-    const std::int64_t cols = ranks[static_cast<std::size_t>(n)];
-    const std::string section = "factor " + std::to_string(n);
-    reader.SetSection(section.c_str());
-    if (static_cast<std::uint64_t>(rows) >
-        reader.remaining() /
-            (static_cast<std::uint64_t>(cols) * sizeof(double))) {
-      ThrowFormat(source, section, "body truncated");
-    }
-    Matrix factor(rows, cols);
-    reader.Read(factor.data(),
-                static_cast<std::size_t>(factor.size()) * sizeof(double));
-    model.factors.push_back(std::move(factor));
-  }
-  model.core = DenseTensor(ranks);
-  reader.SetSection("core indices");
-  std::vector<std::int64_t> index(static_cast<std::size_t>(order));
-  std::vector<std::int64_t> linear_positions(
-      static_cast<std::size_t>(core_nnz));
-  for (std::int64_t e = 0; e < core_nnz; ++e) {
-    for (std::int64_t k = 0; k < order; ++k) {
-      std::int32_t coord = 0;
-      reader.Read(&coord, sizeof(coord));
-      if (coord < 0 || coord >= ranks[static_cast<std::size_t>(k)]) {
-        ThrowFormat(source, "core indices",
-                    "core index out of bounds in entry " + std::to_string(e));
-      }
-      index[static_cast<std::size_t>(k)] = coord;
-    }
-    linear_positions[static_cast<std::size_t>(e)] =
-        Linearize(index.data(), model.core.strides(), order);
-  }
-  reader.SetSection("core values");
-  for (std::int64_t e = 0; e < core_nnz; ++e) {
-    double value = 0.0;
-    reader.Read(&value, sizeof(value));
-    model.core[linear_positions[static_cast<std::size_t>(e)]] = value;
-  }
-  if (reader.remaining() != 0) {
-    ThrowFormat(source, "core values", "trailing bytes inside the body");
-  }
-  return model;
-}
-
-void SaveSnapshot(const std::string& path, const TuckerFactorization& model) {
-  const std::string bytes = SerializeSnapshot(model);
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("snapshot: cannot open file for write: " + path);
-  }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw std::runtime_error("snapshot: write failed: " + path);
-}
-
 TuckerFactorization LoadSnapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("snapshot: cannot open file: " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) throw std::runtime_error("snapshot: read failed: " + path);
-  // Version dispatch: v2 files are opened through the zero-copy loader
-  // and materialized into an owning model (the warm-start bridge).
-  if (bytes.size() >= 8 && std::memcmp(bytes.data(), kMagic, 4) == 0) {
-    std::uint32_t version = 0;
-    std::memcpy(&version, bytes.data() + 4, sizeof(version));
-    if (version == kSnapshotVersion2) {
-      return MaterializeModel(*MmapSnapshot::Open(path));
-    }
-  }
-  return ParseSnapshot(bytes, path);
+  return MaterializeModel(*MmapSnapshot::Open(path));
 }
 
 std::uint32_t SnapshotCrc32(const char* data, std::size_t size) {

@@ -1,14 +1,16 @@
 /// \file
-/// \brief Persistent model checkpoints: a versioned, CRC-checked binary
-/// snapshot of a fitted TuckerFactorization (dims, ranks, factor
-/// matrices, and the sparse core as COO nonzeros — VeST-compact, so a
-/// truncated P-TUCKER-APPROX core costs only its surviving entries on
-/// disk). Snapshots round-trip bit-identically and feed both the
-/// warm-start path (PTuckerOptions::init_snapshot) and the serving layer
+/// \brief Loading persistent model checkpoints into an owning
+/// TuckerFactorization. Snapshots are written in format v2
+/// (serve/snapshot_v2.h): dims, ranks, factor matrices and the sparse
+/// core as COO nonzeros — VeST-compact, so a truncated P-TUCKER-APPROX
+/// core costs only its surviving entries on disk. They round-trip
+/// bit-identically and feed both the warm-start path
+/// (PTuckerOptions::init_snapshot) and the serving layer
 /// (serve/service.h). Format spec: docs/serving.md.
 #ifndef PTUCKER_SERVE_SNAPSHOT_H_
 #define PTUCKER_SERVE_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -16,42 +18,15 @@
 
 namespace ptucker {
 
-/// Snapshot format version this library writes and accepts. Bumped on
-/// any layout change; LoadSnapshot rejects other versions explicitly
-/// instead of misparsing them.
-inline constexpr std::uint32_t kSnapshotVersion = 1;
-
-/// Serializes `model` into the versioned binary snapshot format
-/// ("PTKS" magic, version, CRC-32 over the body, body = dims + ranks +
-/// row-major factors + COO core nonzeros). The core is stored
-/// VeST-compact: only nonzero entries are written.
-std::string SerializeSnapshot(const TuckerFactorization& model);
-
-/// Parses a v1 snapshot produced by SerializeSnapshot. Throws
-/// std::runtime_error on a bad magic, an unsupported version, a CRC
-/// mismatch (bit corruption), truncation, trailing bytes, or
-/// out-of-bounds dims/indices — every message names the source
-/// (`"<memory>"` here) and the offending section. The returned model is
-/// bit-identical to the one serialized.
-TuckerFactorization ParseSnapshot(const std::string& bytes);
-
-/// \overload naming `source` (normally the file path) in every rejection
-/// so serve failures are debuggable from logs.
-TuckerFactorization ParseSnapshot(const std::string& bytes,
-                                  const std::string& source);
-
-/// Writes `model` to `path` in the snapshot format. Throws
-/// std::runtime_error when the file cannot be written.
-void SaveSnapshot(const std::string& path, const TuckerFactorization& model);
-
-/// Reads a snapshot from `path`, dispatching on the format version: v1
-/// parses directly, v2 (serve/snapshot_v2.h) is opened and materialized
-/// into an owning model. See ParseSnapshot for the failure modes;
-/// unopenable files also throw std::runtime_error.
+/// Reads the snapshot at `path` into an owning model: opens it with
+/// MmapSnapshot::Open and copies the factor and core bits out
+/// (MaterializeModel). Throws std::runtime_error naming the path on an
+/// unopenable file and on every parse failure, including an unsupported
+/// format version (only v2 is read).
 TuckerFactorization LoadSnapshot(const std::string& path);
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — the checksum both
-/// snapshot formats store, exposed for the v2 writer and tests.
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — the checksum the
+/// snapshot format stores, exposed for the writer and tests.
 std::uint32_t SnapshotCrc32(const char* data, std::size_t size);
 
 }  // namespace ptucker

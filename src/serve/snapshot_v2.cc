@@ -136,7 +136,8 @@ std::string SerializeSnapshotV2(const TuckerFactorization& model,
     throw std::runtime_error("snapshot: IVF index count does not match order");
   }
 
-  // VeST-compact core, linear (mode-0-fastest) order like v1.
+  // VeST-compact core: nonzeros only, in linear (mode-0-fastest) order
+  // so serialization is deterministic.
   std::vector<std::int32_t> core_indices;
   std::vector<double> core_values;
   std::vector<std::int64_t> index(static_cast<std::size_t>(order));
@@ -338,36 +339,6 @@ std::unique_ptr<MmapSnapshot> MmapSnapshot::Open(const std::string& path,
                                                  bool verify_payload) {
   std::unique_ptr<MmapSnapshot> snapshot(new MmapSnapshot());
 
-  // Peek at magic + version to pick the load strategy.
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("snapshot: cannot open file: " + path);
-    char head[8] = {0};
-    in.read(head, sizeof(head));
-    if (in.gcount() < static_cast<std::streamsize>(sizeof(head))) {
-      ThrowFormat(path, "header", "file shorter than the header");
-    }
-    if (std::memcmp(head, kMagic, sizeof(kMagic)) != 0) {
-      ThrowFormat(path, "header", "bad magic (not a PTKS snapshot)");
-    }
-    std::uint32_t version = 0;
-    std::memcpy(&version, head + 4, sizeof(version));
-    if (version == kSnapshotVersion) {
-      // v1 fallback: parse the owning model, re-serialize to v2 in
-      // memory, and serve views over the heap buffer.
-      const TuckerFactorization model =
-          ParseSnapshot(ReadWholeFile(path), path);
-      snapshot->AdoptHeapBuffer(SerializeSnapshotV2(model, nullptr));
-      snapshot->ParseV2(path, /*verify_payload=*/false);
-      return snapshot;
-    }
-    if (version != kSnapshotVersion2) {
-      ThrowFormat(path, "header",
-                  "unsupported snapshot version " + std::to_string(version) +
-                      " (this library reads versions 1 and 2)");
-    }
-  }
-
 #if PTUCKER_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd >= 0) {
@@ -396,7 +367,9 @@ std::unique_ptr<MmapSnapshot> MmapSnapshot::Open(const std::string& path,
 }
 
 void MmapSnapshot::ParseV2(const std::string& path, bool verify_payload) {
-  if (size_ < kHeaderBytes) {
+  // Magic and version come first, so a file in another format version
+  // is named as such even when it is shorter than a v2 header.
+  if (size_ < 8) {
     ThrowFormat(path, "header", "file shorter than the header");
   }
   if (std::memcmp(base_, kMagic, sizeof(kMagic)) != 0) {
@@ -406,7 +379,11 @@ void MmapSnapshot::ParseV2(const std::string& path, bool verify_payload) {
   std::memcpy(&version, base_ + 4, sizeof(version));
   if (version != kSnapshotVersion2) {
     ThrowFormat(path, "header",
-                "unsupported snapshot version " + std::to_string(version));
+                "unsupported snapshot version " + std::to_string(version) +
+                    " (this library reads version 2)");
+  }
+  if (size_ < kHeaderBytes) {
+    ThrowFormat(path, "header", "file shorter than the header");
   }
   std::uint32_t meta_crc = 0;
   std::uint32_t payload_crc = 0;

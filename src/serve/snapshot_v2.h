@@ -4,8 +4,8 @@
 /// — MmapSnapshot maps it read-only and hands out FactorViews / core
 /// spans pointing straight into the mapping, zero factor copies. An
 /// optional section carries per-mode IVF coarse centroids + inverted
-/// lists for sublinear top-K. v1 files and failed mappings fall back to a
-/// heap buffer behind the same interface. Format spec: docs/serving.md.
+/// lists for sublinear top-K. A failed mapping falls back to a heap
+/// buffer behind the same interface. Format spec: docs/serving.md.
 #ifndef PTUCKER_SERVE_SNAPSHOT_V2_H_
 #define PTUCKER_SERVE_SNAPSHOT_V2_H_
 
@@ -21,8 +21,8 @@
 
 namespace ptucker {
 
-/// Format version written by SerializeSnapshotV2 and accepted (alongside
-/// v1, via fallback conversion) by MmapSnapshot::Open.
+/// Format version written by SerializeSnapshotV2 and the only one
+/// MmapSnapshot::Open accepts.
 inline constexpr std::uint32_t kSnapshotVersion2 = 2;
 
 /// Alignment of every v2 section (header, meta, factors, core, IVF);
@@ -43,8 +43,7 @@ void SaveSnapshotV2(const std::string& path, const TuckerFactorization& model,
 
 /// A v2 snapshot opened in place. Prefers `mmap` + `madvise(WILLNEED)`;
 /// when mapping fails (or on platforms without it) the file is read into
-/// an aligned heap buffer, and a v1 file is parsed and re-serialized to
-/// v2 in memory — every path yields the same views. Structural
+/// an aligned heap buffer — both paths yield the same views. Structural
 /// validation (magic, version, meta CRC, section alignment and extents,
 /// core index ranges, IVF list boundaries) always runs and never touches
 /// the factor payload; `verify_payload` additionally checks the payload
@@ -95,11 +94,6 @@ class MmapSnapshot {
 
   /// True when backed by a live mmap (false = heap fallback).
   bool mapped() const { return map_ != nullptr; }
-
-  /// Total snapshot size in bytes.
-  std::int64_t file_bytes() const {
-    return static_cast<std::int64_t>(size_);
-  }
 
  private:
   MmapSnapshot() = default;

@@ -1,5 +1,6 @@
 #include "tensor/io.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -42,11 +43,13 @@ bool ParseLine(const std::string& line, std::int64_t line_number,
   entry->index.clear();
   for (std::size_t k = 0; k + 1 < tokens.size(); ++k) {
     const double raw = tokens[k];
-    const std::int64_t one_based = static_cast<std::int64_t>(raw);
-    if (static_cast<double>(one_based) != raw || one_based < 1) {
+    // Range-check before the cast: converting a double outside int64's
+    // range (1e19, 1e300, NaN) is undefined behaviour. Every integer up
+    // to 2^53 is exactly representable, so the floor test is exact too.
+    if (!(raw >= 1.0 && raw <= 9007199254740992.0) || std::floor(raw) != raw) {
       ThrowParse(line_number, "index must be a positive integer");
     }
-    entry->index.push_back(one_based - 1);
+    entry->index.push_back(static_cast<std::int64_t>(raw) - 1);
   }
   entry->value = tokens.back();
   return true;

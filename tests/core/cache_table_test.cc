@@ -32,7 +32,7 @@ Ctx MakeCtx(std::uint64_t seed) {
 
 TEST(CacheTableTest, EntriesMatchDirectProducts) {
   Ctx s = MakeCtx(1);
-  CacheTable cache(s.x, s.list, s.factors, nullptr);
+  CacheTable cache(s.x, s.list, MakeFactorViews(s.factors), nullptr);
   for (std::int64_t e = 0; e < s.x.nnz(); ++e) {
     const std::int64_t* idx = s.x.index(e);
     for (std::int64_t b = 0; b < s.list.size(); ++b) {
@@ -48,16 +48,17 @@ TEST(CacheTableTest, EntriesMatchDirectProducts) {
 
 TEST(CacheTableTest, CachedDeltaMatchesDirectDelta) {
   Ctx s = MakeCtx(2);
-  CacheTable cache(s.x, s.list, s.factors, nullptr);
+  CacheTable cache(s.x, s.list, MakeFactorViews(s.factors), nullptr);
   for (std::int64_t e = 0; e < s.x.nnz(); ++e) {
     const std::int64_t* idx = s.x.index(e);
     for (std::int64_t mode = 0; mode < 3; ++mode) {
       const std::int64_t rank = s.core.dim(mode);
       std::vector<double> cached(static_cast<std::size_t>(rank));
       std::vector<double> direct(static_cast<std::size_t>(rank));
-      cache.ComputeDeltaCached(s.list, s.factors, e, idx, mode,
-                               cached.data());
-      ComputeDelta(s.list, s.factors, idx, mode, direct.data());
+      cache.ComputeDeltaCached(s.list, MakeFactorViews(s.factors), e, idx,
+                               mode, cached.data());
+      ComputeDelta(s.list, MakeFactorViews(s.factors), idx, mode,
+                   direct.data());
       for (std::int64_t j = 0; j < rank; ++j) {
         EXPECT_NEAR(cached[static_cast<std::size_t>(j)],
                     direct[static_cast<std::size_t>(j)], 1e-9);
@@ -74,13 +75,14 @@ TEST(CacheTableTest, ZeroCoefficientFallback) {
   for (std::int64_t j = 0; j < s.factors[1].cols(); ++j) {
     s.factors[1](row, j) = 0.0;
   }
-  CacheTable cache(s.x, s.list, s.factors, nullptr);
+  CacheTable cache(s.x, s.list, MakeFactorViews(s.factors), nullptr);
   const std::int64_t rank = s.core.dim(1);
   std::vector<double> cached(static_cast<std::size_t>(rank));
   std::vector<double> direct(static_cast<std::size_t>(rank));
-  cache.ComputeDeltaCached(s.list, s.factors, 0, s.x.index(0), 1,
-                           cached.data());
-  ComputeDelta(s.list, s.factors, s.x.index(0), 1, direct.data());
+  cache.ComputeDeltaCached(s.list, MakeFactorViews(s.factors), 0,
+                           s.x.index(0), 1, cached.data());
+  ComputeDelta(s.list, MakeFactorViews(s.factors), s.x.index(0), 1,
+               direct.data());
   for (std::int64_t j = 0; j < rank; ++j) {
     EXPECT_NEAR(cached[static_cast<std::size_t>(j)],
                 direct[static_cast<std::size_t>(j)], 1e-12);
@@ -89,14 +91,14 @@ TEST(CacheTableTest, ZeroCoefficientFallback) {
 
 TEST(CacheTableTest, UpdateAfterModeTracksNewFactor) {
   Ctx s = MakeCtx(4);
-  CacheTable cache(s.x, s.list, s.factors, nullptr);
+  CacheTable cache(s.x, s.list, MakeFactorViews(s.factors), nullptr);
   // Change mode 2's factor, then rescale the table.
   Matrix old_factor = s.factors[2];
   Rng rng(99);
   s.factors[2].FillUniform(rng);
-  cache.UpdateAfterMode(s.x, s.list, s.factors, 2, old_factor);
+  cache.UpdateAfterMode(s.x, s.list, MakeFactorViews(s.factors), 2, old_factor);
   // Table must now equal a fresh build against the new factors.
-  CacheTable fresh(s.x, s.list, s.factors, nullptr);
+  CacheTable fresh(s.x, s.list, MakeFactorViews(s.factors), nullptr);
   for (std::int64_t e = 0; e < s.x.nnz(); ++e) {
     for (std::int64_t b = 0; b < s.list.size(); ++b) {
       EXPECT_NEAR(cache.Row(e)[b], fresh.Row(e)[b], 1e-9);
@@ -114,9 +116,9 @@ TEST(CacheTableTest, UpdateAfterModeWithZeroOldCoefficient) {
   // Build the cache against the zeroed old factor, then restore.
   std::vector<Matrix> old_factors = s.factors;
   old_factors[0] = old_factor;
-  CacheTable cache(s.x, s.list, old_factors, nullptr);
-  cache.UpdateAfterMode(s.x, s.list, s.factors, 0, old_factor);
-  CacheTable fresh(s.x, s.list, s.factors, nullptr);
+  CacheTable cache(s.x, s.list, MakeFactorViews(old_factors), nullptr);
+  cache.UpdateAfterMode(s.x, s.list, MakeFactorViews(s.factors), 0, old_factor);
+  CacheTable fresh(s.x, s.list, MakeFactorViews(s.factors), nullptr);
   for (std::int64_t e = 0; e < s.x.nnz(); ++e) {
     for (std::int64_t b = 0; b < s.list.size(); ++b) {
       EXPECT_NEAR(cache.Row(e)[b], fresh.Row(e)[b], 1e-9);
@@ -128,7 +130,7 @@ TEST(CacheTableTest, ChargesOmegaTimesCoreBytes) {
   Ctx s = MakeCtx(6);
   MemoryTracker tracker;
   {
-    CacheTable cache(s.x, s.list, s.factors, &tracker);
+    CacheTable cache(s.x, s.list, MakeFactorViews(s.factors), &tracker);
     EXPECT_EQ(tracker.current_bytes(),
               s.x.nnz() * s.list.size() *
                   static_cast<std::int64_t>(sizeof(double)));
@@ -139,7 +141,7 @@ TEST(CacheTableTest, ChargesOmegaTimesCoreBytes) {
 TEST(CacheTableTest, BudgetTriggersOom) {
   Ctx s = MakeCtx(7);
   MemoryTracker tracker(64);  // tiny budget
-  EXPECT_THROW(CacheTable(s.x, s.list, s.factors, &tracker),
+  EXPECT_THROW(CacheTable(s.x, s.list, MakeFactorViews(s.factors), &tracker),
                OutOfMemoryBudget);
 }
 

@@ -109,7 +109,7 @@ TEST(ComputeDeltaTest, MatchesBruteForceEq12) {
   for (std::int64_t mode = 0; mode < 3; ++mode) {
     std::vector<double> delta(
         static_cast<std::size_t>(ranks[static_cast<std::size_t>(mode)]));
-    ComputeDelta(list, factors, entry, mode, delta.data());
+    ComputeDelta(list, MakeFactorViews(factors), entry, mode, delta.data());
     const auto expected = BruteForceDelta(core, factors, entry, mode);
     for (std::size_t j = 0; j < expected.size(); ++j) {
       EXPECT_NEAR(delta[j], expected[j], 1e-12) << "mode " << mode;
@@ -125,7 +125,7 @@ TEST(ComputeDeltaTest, SparseCoreSkipsZeros) {
                                  Matrix(3, 2, {1, 0, 0, 1, 1, 1})};
   const std::int64_t entry[2] = {1, 2};
   double delta[2];
-  ComputeDelta(list, factors, entry, 0, delta);
+  ComputeDelta(list, MakeFactorViews(factors), entry, 0, delta);
   // delta[0] = G(0,0) * A2(2, 0) = 3 * 1 = 3; delta[1] = 0.
   EXPECT_DOUBLE_EQ(delta[0], 3.0);
   EXPECT_DOUBLE_EQ(delta[1], 0.0);
@@ -142,13 +142,14 @@ TEST(ReconstructFromListTest, MatchesEq4) {
   // Eq. 4 via delta: x̂ = Σ_j delta(j) * A(n)(in, j) for any mode n.
   for (std::int64_t mode = 0; mode < 3; ++mode) {
     std::vector<double> delta(2);
-    ComputeDelta(list, factors, entry, mode, delta.data());
+    ComputeDelta(list, MakeFactorViews(factors), entry, mode, delta.data());
     double via_delta = 0.0;
     for (int j = 0; j < 2; ++j) {
       via_delta += delta[static_cast<std::size_t>(j)] *
                    factors[static_cast<std::size_t>(mode)](entry[mode], j);
     }
-    EXPECT_NEAR(ReconstructFromList(list, factors, entry), via_delta, 1e-12);
+    EXPECT_NEAR(ReconstructFromList(list, MakeFactorViews(factors), entry),
+                via_delta, 1e-12);
   }
 }
 

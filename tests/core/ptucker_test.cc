@@ -186,7 +186,8 @@ TEST(PTuckerTest, PredictMatchesReconstruction) {
   const double via_struct = result.model.Predict(index);
   CoreEntryList list(result.model.core);
   EXPECT_NEAR(via_struct,
-              ReconstructFromList(list, result.model.factors, index.data()),
+              ReconstructFromList(list, MakeFactorViews(result.model.factors),
+                                  index.data()),
               1e-10);
 }
 

@@ -36,55 +36,6 @@ TEST(PartitionTest, BlockCoversAllRowsDisjointly) {
   }
 }
 
-TEST(PartitionTest, GreedyCoversAllRowsDisjointly) {
-  SparseTensor x = SkewedTensor(2);
-  for (const std::int64_t workers : {1, 2, 4, 9}) {
-    RowPartition partition = PartitionRowsGreedy(x, 1, workers);
-    ASSERT_EQ(partition.num_workers(), workers);
-    ExpectValidPartition(partition, x.dim(1));
-  }
-}
-
-TEST(PartitionTest, SingleWorkerOwnsEverything) {
-  SparseTensor x = SkewedTensor(3);
-  RowPartition partition = PartitionRowsGreedy(x, 0, 1);
-  EXPECT_EQ(static_cast<std::int64_t>(partition.rows_per_worker[0].size()),
-            x.dim(0));
-  EXPECT_DOUBLE_EQ(LoadImbalance(x, 0, partition), 1.0);
-}
-
-TEST(PartitionTest, MoreWorkersThanRows) {
-  SparseTensor x({3, 3});
-  x.AddEntry({0, 0}, 1.0);
-  x.AddEntry({1, 1}, 1.0);
-  x.AddEntry({2, 2}, 1.0);
-  x.BuildModeIndex();
-  RowPartition partition = PartitionRowsGreedy(x, 0, 8);
-  ExpectValidPartition(partition, 3);
-}
-
-TEST(PartitionTest, GreedyBeatsBlockOnSkewedData) {
-  // The point of workload-aware partitioning (§III-D's distributed
-  // analog): lower imbalance than contiguous blocks under Zipf skew.
-  SparseTensor x = SkewedTensor(4);
-  for (const std::int64_t workers : {2, 4, 8}) {
-    const double block =
-        LoadImbalance(x, 0, PartitionRowsBlock(x, 0, workers));
-    const double greedy =
-        LoadImbalance(x, 0, PartitionRowsGreedy(x, 0, workers));
-    EXPECT_LE(greedy, block + 1e-12) << "workers " << workers;
-    EXPECT_GE(greedy, 1.0 - 1e-12);
-  }
-}
-
-TEST(PartitionTest, GreedyNearBalancedOnUniformData) {
-  Rng rng(5);
-  SparseTensor x = UniformSparseTensor({100, 100, 100}, 4000, rng);
-  const double imbalance =
-      LoadImbalance(x, 0, PartitionRowsGreedy(x, 0, 4));
-  EXPECT_LT(imbalance, 1.05);
-}
-
 TEST(PartitionTest, BlockWithMoreWorkersThanRowsLeavesTrailingWorkersEmpty) {
   // The multi-process solver's edge case: dims smaller than the worker
   // count mean some workers own zero rows of a mode — the partition must
@@ -128,36 +79,27 @@ TEST(PartitionTest, SingleRowModePutsTheRowOnExactlyOneWorker) {
   x.AddEntry({0, 5}, 2.0);
   x.BuildModeIndex();
   for (const std::int64_t workers : {1, 2, 4}) {
-    for (const bool greedy : {false, true}) {
-      RowPartition partition = greedy ? PartitionRowsGreedy(x, 0, workers)
-                                      : PartitionRowsBlock(x, 0, workers);
-      ExpectValidPartition(partition, 1);
-      std::int64_t owners = 0;
-      for (const auto& owned : partition.rows_per_worker) {
-        if (!owned.empty()) ++owners;
-      }
-      EXPECT_EQ(owners, 1) << (greedy ? "greedy" : "block") << " workers "
-                           << workers;
+    RowPartition partition = PartitionRowsBlock(x, 0, workers);
+    ExpectValidPartition(partition, 1);
+    std::int64_t owners = 0;
+    for (const auto& owned : partition.rows_per_worker) {
+      if (!owned.empty()) ++owners;
     }
+    EXPECT_EQ(owners, 1) << "workers " << workers;
   }
 }
 
 TEST(PartitionTest, EmptySlicesStillGetAssignedAndCosted) {
   // Rows with no observed entries (empty Ω(n,in)) are real rows: they
   // must land on some worker (the solver zeroes them) and cost the +1
-  // floor, never 0 — otherwise greedy could starve a worker and the
-  // imbalance model would divide by zero.
+  // floor, never 0, so the makespan model still charges them.
   SparseTensor x({5, 2});
   x.AddEntry({2, 0}, 1.0);  // rows 0, 1, 3, 4 of mode 0 are empty
   x.BuildModeIndex();
   for (std::int64_t row = 0; row < 5; ++row) {
     EXPECT_GE(RowUpdateCost(x, 0, row), 1);
   }
-  RowPartition block = PartitionRowsBlock(x, 0, 3);
-  ExpectValidPartition(block, 5);
-  RowPartition greedy = PartitionRowsGreedy(x, 0, 3);
-  ExpectValidPartition(greedy, 5);
-  EXPECT_GE(LoadImbalance(x, 0, greedy), 1.0 - 1e-12);
+  ExpectValidPartition(PartitionRowsBlock(x, 0, 3), 5);
 }
 
 TEST(PartitionTest, RowUpdateCostTracksSliceSize) {

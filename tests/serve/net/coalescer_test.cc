@@ -20,6 +20,8 @@
 
 #include "core/ptucker.h"
 #include "linalg/matrix.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/service.h"
 #include "tensor/dense_tensor.h"
 #include "util/random.h"
@@ -94,6 +96,7 @@ NetRequest MakePredict(FakeSink* sink, std::uint64_t id,
   request.request_id = id;
   request.opcode = Opcode::kPredict;
   request.coords = std::move(coords);
+  request.enqueue_us = obs::Tracer::NowMicros();
   return request;
 }
 
@@ -109,7 +112,8 @@ class CoalescerTest : public ::testing::Test {
 
   TuckerFactorization model_;
   PredictionService service_;
-  ServerStats stats_;
+  obs::MetricsRegistry registry_;
+  ServeNetMetrics metrics_{&registry_};
 };
 
 TEST_F(CoalescerTest, FullBatchCoalescesIntoOneExecution) {
@@ -117,7 +121,7 @@ TEST_F(CoalescerTest, FullBatchCoalescesIntoOneExecution) {
   options.max_batch = 4;
   options.batch_window_us = 200000;  // must not matter: the batch fills
   options.queue_capacity = 16;
-  BatchCoalescer coalescer(&service_, &stats_, options);
+  BatchCoalescer coalescer(&service_, options, &metrics_);
 
   FakeSink sink;
   const std::vector<std::vector<std::int64_t>> queries = {
@@ -138,10 +142,10 @@ TEST_F(CoalescerTest, FullBatchCoalescesIntoOneExecution) {
     EXPECT_EQ(value, Expected(queries[q])) << "query " << q;
   }
   // All four ran as ONE batch — the whole point of the coalescer.
-  EXPECT_EQ(stats_.batches_executed.load(), 1u);
-  EXPECT_EQ(stats_.batched_entries.load(), 4u);
-  EXPECT_EQ(stats_.max_batch_observed.load(), 4u);
-  EXPECT_EQ(stats_.predicts_served.load(), 4u);
+  const obs::HistogramSnapshot batches = metrics_.batch_size->Snapshot();
+  EXPECT_EQ(batches.count, 1u);
+  EXPECT_EQ(batches.sum, 4.0);
+  EXPECT_EQ(metrics_.predict_latency->Snapshot().count, 4u);
 }
 
 TEST_F(CoalescerTest, WindowExpiryServesPartialBatch) {
@@ -149,7 +153,7 @@ TEST_F(CoalescerTest, WindowExpiryServesPartialBatch) {
   options.max_batch = 64;  // never fills
   options.batch_window_us = 5000;
   options.queue_capacity = 128;
-  BatchCoalescer coalescer(&service_, &stats_, options);
+  BatchCoalescer coalescer(&service_, options, &metrics_);
   coalescer.Start(1);
 
   FakeSink sink;
@@ -161,7 +165,7 @@ TEST_F(CoalescerTest, WindowExpiryServesPartialBatch) {
 
   const WireFrame frame = sink.Find(1);
   EXPECT_EQ(frame.status, WireStatus::kOk);
-  EXPECT_EQ(stats_.batched_entries.load(), 1u);
+  EXPECT_EQ(metrics_.batch_size->Snapshot().sum, 1.0);
 }
 
 TEST_F(CoalescerTest, BadRequestsDoNotPoisonBatchmates) {
@@ -169,7 +173,7 @@ TEST_F(CoalescerTest, BadRequestsDoNotPoisonBatchmates) {
   options.max_batch = 4;
   options.batch_window_us = 0;
   options.queue_capacity = 16;
-  BatchCoalescer coalescer(&service_, &stats_, options);
+  BatchCoalescer coalescer(&service_, options, &metrics_);
 
   FakeSink sink;
   ASSERT_TRUE(coalescer.TryPush(MakePredict(&sink, 1, {2, 2, 2})));
@@ -191,14 +195,15 @@ TEST_F(CoalescerTest, BadRequestsDoNotPoisonBatchmates) {
   EXPECT_FALSE(ParsePredictReply(sink.Find(2), &value, &error));
   EXPECT_NE(error.find("out of"), std::string::npos) << error;
   EXPECT_EQ(sink.Find(3).status, WireStatus::kBadRequest);
-  EXPECT_EQ(stats_.errors_sent.load(), 2u);
-  EXPECT_EQ(stats_.predicts_served.load(), 2u);
+  EXPECT_EQ(metrics_.errors_total->Value(), 2u);
+  // Every reply, OK or not, observes the latency histogram once.
+  EXPECT_EQ(metrics_.predict_latency->Snapshot().count, 4u);
 }
 
 TEST_F(CoalescerTest, TopKMatchesServiceExactly) {
   BatchCoalescer::Options options;
   options.batch_window_us = 0;
-  BatchCoalescer coalescer(&service_, &stats_, options);
+  BatchCoalescer coalescer(&service_, options, &metrics_);
 
   FakeSink sink;
   NetRequest request;
@@ -209,6 +214,7 @@ TEST_F(CoalescerTest, TopKMatchesServiceExactly) {
   request.coords = {3, 0, 5};
   request.mode = 1;
   request.k = 5;
+  request.enqueue_us = obs::Tracer::NowMicros();
   ASSERT_TRUE(coalescer.TryPush(std::move(request)));
   coalescer.Start(1);
   ASSERT_TRUE(sink.WaitForReplies(1));
@@ -223,7 +229,8 @@ TEST_F(CoalescerTest, TopKMatchesServiceExactly) {
     EXPECT_EQ(got[r].index, want[r].index);
     EXPECT_EQ(got[r].score, want[r].score);  // bit-exact over the wire
   }
-  EXPECT_EQ(stats_.topks_served.load(), 1u);
+  EXPECT_EQ(metrics_.topk_latency->Snapshot().count, 1u);
+  EXPECT_EQ(metrics_.errors_total->Value(), 0u);
 }
 
 TEST_F(CoalescerTest, TryPushRefusesAtCapacityAndSpaceCallbackFires) {
@@ -231,7 +238,7 @@ TEST_F(CoalescerTest, TryPushRefusesAtCapacityAndSpaceCallbackFires) {
   options.max_batch = 2;
   options.batch_window_us = 0;
   options.queue_capacity = 4;
-  BatchCoalescer coalescer(&service_, &stats_, options);
+  BatchCoalescer coalescer(&service_, options, &metrics_);
 
   std::atomic<int> space_signals{0};
   coalescer.SetSpaceCallback([&] { space_signals.fetch_add(1); });
@@ -271,7 +278,7 @@ TEST_F(CoalescerTest, StopDrainsEverythingAlreadyQueued) {
   options.max_batch = 8;
   options.batch_window_us = 1000;
   options.queue_capacity = 256;
-  BatchCoalescer coalescer(&service_, &stats_, options);
+  BatchCoalescer coalescer(&service_, options, &metrics_);
 
   FakeSink sink;
   const std::size_t kCount = 100;
@@ -284,8 +291,10 @@ TEST_F(CoalescerTest, StopDrainsEverythingAlreadyQueued) {
 
   ASSERT_TRUE(sink.WaitForReplies(kCount, /*timeout_ms=*/0));
   EXPECT_EQ(sink.Snapshot().size(), kCount);
-  EXPECT_EQ(stats_.predicts_served.load(), kCount);
-  EXPECT_GE(stats_.batches_executed.load(), kCount / 8);
+  EXPECT_EQ(metrics_.predict_latency->Snapshot().count, kCount);
+  const obs::HistogramSnapshot batches = metrics_.batch_size->Snapshot();
+  EXPECT_GE(batches.count, kCount / 8);
+  EXPECT_EQ(batches.sum, static_cast<double>(kCount));
 }
 
 }  // namespace

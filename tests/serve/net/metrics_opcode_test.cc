@@ -1,8 +1,6 @@
 // METRICS wire opcode (docs/observability.md): a live NetServer wired to
 // a private MetricsRegistry must serve Prometheus-style exposition text
-// over TCP that reflects the traffic it just handled — and the legacy
-// STATS counter vector must keep its exact shape alongside it
-// (kServerStatsFieldCount, the indexed table in docs/serving.md).
+// over TCP that reflects the traffic it just handled.
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -109,11 +107,10 @@ TEST(ServeNetMetricsOpcodeTest, MetricsReflectServedTrafficOverTcp) {
   EXPECT_NE(text.find("ptucker_serve_queue_depth"), std::string::npos);
   EXPECT_NE(text.find("ptucker_serve_shed_total"), std::string::npos);
 
-  // Legacy STATS rides alongside, shape pinned to the field table.
-  const std::vector<std::uint64_t> counters = client.Stats();
-  ASSERT_EQ(counters.size(),
-            static_cast<std::size_t>(kServerStatsFieldCount));
-  EXPECT_GE(counters[2], 20u);  // predicts_served
+  ASSERT_TRUE(FindSample(text, "ptucker_serve_connections_total", &value));
+  EXPECT_EQ(value, 1);
+  ASSERT_TRUE(FindSample(text, "ptucker_serve_errors_total", &value));
+  EXPECT_EQ(value, 0);
 
   server.Stop();
 }

@@ -1,7 +1,7 @@
 // The reserved OVERLOADED wire status, live (wire.h / event_loop.h): a
 // request parked on a full coalescer queue past the configured deadline
 // is answered kOverloaded on a surviving connection and counted in
-// overloads_shed. The harness assembles the reactor by hand —
+// ptucker_serve_shed_total. The harness assembles the reactor by hand —
 // CreateListenSocket + a 1-slot BatchCoalescer whose workers start only
 // when the test says so — so the queue is saturated deterministically
 // instead of by racing traffic. Runs under the ASan+UBSan CI job via
@@ -17,6 +17,7 @@
 
 #include "core/ptucker.h"
 #include "linalg/matrix.h"
+#include "obs/metrics.h"
 #include "serve/net/client.h"
 #include "serve/net/coalescer.h"
 #include "serve/net/wire.h"
@@ -53,14 +54,14 @@ class OverloadHarness {
     coalescer_options.max_batch = 1;
     coalescer_options.batch_window_us = 0;
     coalescer_options.queue_capacity = 1;
-    coalescer_ = std::make_unique<BatchCoalescer>(&service_, &stats_,
-                                                  coalescer_options);
+    coalescer_ = std::make_unique<BatchCoalescer>(
+        &service_, coalescer_options, &metrics_);
     EventLoop::Options loop_options;
     loop_options.overload_timeout_ms = overload_timeout_ms;
     const int listen_fd = CreateListenSocket(&port_);
     loop_ = std::make_unique<EventLoop>(listen_fd, coalescer_.get(),
-                                        &stats_, std::uint64_t{1} << 48,
-                                        loop_options);
+                                        std::uint64_t{1} << 48, loop_options,
+                                        &metrics_);
     coalescer_->SetSpaceCallback([this] { loop_->NotifyQueueSpace(); });
     loop_thread_ = std::thread([this] { loop_->Run(); });
   }
@@ -73,13 +74,12 @@ class OverloadHarness {
 
   int port() const { return port_; }
   void StartWorkers() { coalescer_->Start(1); }
-  std::uint64_t overloads_shed() const {
-    return stats_.overloads_shed.load();
-  }
+  std::uint64_t overloads_shed() const { return metrics_.shed_total->Value(); }
 
  private:
   PredictionService service_;
-  ServerStats stats_;
+  obs::MetricsRegistry registry_;
+  ServeNetMetrics metrics_{&registry_};
   std::unique_ptr<BatchCoalescer> coalescer_;
   std::unique_ptr<EventLoop> loop_;
   std::thread loop_thread_;

@@ -1,6 +1,6 @@
 // serve_net smoke: an in-process NetServer on an ephemeral port driven
 // over real TCP sockets by NetClient. Covers the full opcode surface
-// (predict / top-K / ping / stats) with replies compared EXPECT_EQ
+// (predict / top-K / ping / metrics) with replies compared EXPECT_EQ
 // against direct PredictionService calls, bad-request handling on a
 // surviving connection, loud rejection-then-close for unrecoverable
 // framing garbage, clean shutdown with clients attached, and the
@@ -21,6 +21,7 @@
 
 #include "core/ptucker.h"
 #include "linalg/matrix.h"
+#include "obs/metrics.h"
 #include "serve/net/client.h"
 #include "serve/service.h"
 #include "tensor/dense_tensor.h"
@@ -75,10 +76,12 @@ class ServeNetSmokeTest : public ::testing::Test {
 };
 
 TEST_F(ServeNetSmokeTest, FullOpcodeSurfaceOverRealSockets) {
+  obs::MetricsRegistry registry;
   NetServerOptions options;
   options.listen_threads = 2;
   options.worker_threads = 2;
   options.batch_window_us = 0;  // sequential client: don't add latency
+  options.metrics_registry = &registry;
   NetServer server(service_, options);
   server.Start();
   ASSERT_GT(server.port(), 0);
@@ -105,22 +108,26 @@ TEST_F(ServeNetSmokeTest, FullOpcodeSurfaceOverRealSockets) {
   EXPECT_EQ(client.TopK(2, 1000, probe).size(),
             static_cast<std::size_t>(dims_[2]));
 
-  const std::vector<std::uint64_t> counters = client.Stats();
-  ASSERT_EQ(counters.size(), 10u);  // ServerStats::ToVector order
-  EXPECT_GE(counters[0], 1u);       // connections_accepted
-  EXPECT_GE(counters[1], 55u);      // requests_received
-  EXPECT_GE(counters[2], 50u);      // predicts_served
-  EXPECT_GE(counters[3], 4u);       // topks_served
-  EXPECT_GE(counters[4], 1u);       // pings_served
-  EXPECT_GE(counters[6], 1u);       // batches_executed
-  EXPECT_EQ(counters[9], 0u);       // overloads_shed: nothing parked here
+  EXPECT_NE(client.Metrics().find("ptucker_serve_requests_total"),
+            std::string::npos);
 
+  // Stop() joins the workers, which record latencies after posting each
+  // reply, so the counts below are final.
   server.Stop();
+  const ServeNetMetrics metrics(&registry);
+  EXPECT_GE(metrics.connections_total->Value(), 1u);
+  EXPECT_GE(metrics.requests_total->Value(), 55u);
+  EXPECT_GE(metrics.predict_latency->Snapshot().count, 50u);
+  EXPECT_GE(metrics.topk_latency->Snapshot().count, 4u);
+  EXPECT_GE(metrics.batch_size->Snapshot().count, 1u);
+  EXPECT_EQ(metrics.shed_total->Value(), 0u);  // nothing parked here
 }
 
 TEST_F(ServeNetSmokeTest, BadRequestsAnsweredOnASurvivingConnection) {
+  obs::MetricsRegistry registry;
   NetServerOptions options;
   options.batch_window_us = 0;
+  options.metrics_registry = &registry;
   NetServer server(service_, options);
   server.Start();
   NetClient client("127.0.0.1", server.port());
@@ -146,7 +153,7 @@ TEST_F(ServeNetSmokeTest, BadRequestsAnsweredOnASurvivingConnection) {
 
   // The same socket still serves good traffic after all five rejections.
   EXPECT_EQ(client.Predict({5, 5, 5}), service_->Predict({5, 5, 5}));
-  EXPECT_GE(server.stats().errors_sent.load(), 5u);
+  EXPECT_GE(ServeNetMetrics(&registry).errors_total->Value(), 5u);
   server.Stop();
 }
 
@@ -165,6 +172,11 @@ TEST_F(ServeNetSmokeTest, FramingGarbageGetsErrorReplyThenClose) {
     std::vector<std::uint8_t> frame = EncodePredictRequest(9, {1, 2, 3});
     frame[4] = 0x66;  // unknown opcode
     cases.push_back({"unknown opcode", frame});
+  }
+  {
+    std::vector<std::uint8_t> frame = EncodeEmptyFrame(Opcode::kPing, 9);
+    frame[4] = 4;  // the retired STATS opcode: reserved, never reused
+    cases.push_back({"retired opcode 4", frame});
   }
   {
     std::vector<std::uint8_t> frame = EncodePredictRequest(9, {1, 2, 3});

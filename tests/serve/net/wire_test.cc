@@ -91,20 +91,6 @@ TEST(WireTest, PredictReplyRoundTripAndErrorReply) {
   EXPECT_NE(error.find("coordinate out of bounds"), std::string::npos);
 }
 
-TEST(WireTest, StatsRoundTrip) {
-  const std::vector<std::uint64_t> counters = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  const std::vector<std::uint8_t> reply = EncodeStatsReply(5, counters);
-  WireFrame frame;
-  std::size_t consumed = 0;
-  std::string error;
-  ASSERT_EQ(DecodeFrame(reply.data(), reply.size(), &frame, &consumed,
-                        &error),
-            DecodeResult::kFrame);
-  std::vector<std::uint64_t> decoded;
-  ASSERT_TRUE(ParseStatsReply(frame, &decoded, &error)) << error;
-  EXPECT_EQ(decoded, counters);
-}
-
 TEST(WireTest, RejectsBadMagicAtItsFirstWrongByte) {
   std::vector<std::uint8_t> bytes = ValidPredictFrame();
   bytes[2] ^= 0x20;
@@ -135,6 +121,15 @@ TEST(WireTest, RejectsReservedBytesUnknownOpcodeAndOversizedPayload) {
                         &error),
             DecodeResult::kError);
   EXPECT_NE(error.find("unknown opcode 119"), std::string::npos);
+
+  // Byte 4 was the positional STATS opcode; it stays reserved and is
+  // rejected exactly like a never-assigned value.
+  std::vector<std::uint8_t> retired = EncodeEmptyFrame(Opcode::kPing, 3);
+  retired[4] = 4;
+  EXPECT_EQ(DecodeFrame(retired.data(), retired.size(), &frame, &consumed,
+                        &error),
+            DecodeResult::kError);
+  EXPECT_NE(error.find("unknown opcode 4"), std::string::npos);
 
   std::vector<std::uint8_t> oversized = ValidPredictFrame();
   oversized[19] = 0xFF;  // length's top byte: ~4 GB payload claim

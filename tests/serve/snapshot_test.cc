@@ -1,20 +1,28 @@
-// Snapshot format tests: bit-identical round trips, rejection of
-// corrupt/truncated/mismatched files, and warm-start trajectory
+// Snapshot front-door tests (serve/snapshot.h): bit-identical v2 file
+// round trips through LoadSnapshot, sparse-core storage, rejection of
+// the retired v1 format and of missing files, and warm-start trajectory
 // continuation through PTuckerOptions::init_snapshot.
 #include "serve/snapshot.h"
 
-#include <cstdio>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/ptucker.h"
 #include "data/synthetic.h"
+#include "serve/service.h"
+#include "serve/snapshot_v2.h"
 #include "util/random.h"
 
 namespace ptucker {
 namespace {
+
+std::string TempPath(const char* name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
 
 SparseTensor MakeTensor(std::uint64_t seed = 7) {
   Rng rng(seed);
@@ -42,24 +50,23 @@ void ExpectBitIdentical(const TuckerFactorization& a,
   EXPECT_EQ(MaxAbsDiff(a.core, b.core), 0.0);
 }
 
-TEST(SnapshotTest, RoundTripIsBitIdentical) {
-  const SparseTensor x = MakeTensor();
-  const TuckerFactorization model = TrainModel(x, 3);
-  const TuckerFactorization reloaded =
-      ParseSnapshot(SerializeSnapshot(model));
-  ExpectBitIdentical(model, reloaded);
+// Saves `model` as a v2 file and loads it back through LoadSnapshot.
+TuckerFactorization FileRoundTrip(const TuckerFactorization& model,
+                                  const char* name,
+                                  bool with_centroids = false) {
+  const std::string path = TempPath(name);
+  SaveSnapshotV2(path, model, with_centroids);
+  TuckerFactorization reloaded = LoadSnapshot(path);
+  std::filesystem::remove(path);
+  return reloaded;
 }
 
 TEST(SnapshotTest, FileRoundTripIsBitIdentical) {
   const SparseTensor x = MakeTensor();
   const TuckerFactorization model = TrainModel(x, 3);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "snapshot_test_rt.ptks")
-          .string();
-  SaveSnapshot(path, model);
-  const TuckerFactorization reloaded = LoadSnapshot(path);
-  std::filesystem::remove(path);
-  ExpectBitIdentical(model, reloaded);
+  ExpectBitIdentical(model, FileRoundTrip(model, "snapshot_test_rt.ptks"));
+  ExpectBitIdentical(model, FileRoundTrip(model, "snapshot_test_rt_ivf.ptks",
+                                          /*with_centroids=*/true));
 }
 
 TEST(SnapshotTest, StoresOnlyCoreNonzeros) {
@@ -67,117 +74,44 @@ TEST(SnapshotTest, StoresOnlyCoreNonzeros) {
   TuckerFactorization model = TrainModel(x, 2, /*orthogonalize=*/false);
   // Sparsify the core the way P-TUCKER-APPROX truncation does; the
   // snapshot must round-trip the zeros and shrink with them.
-  const std::string dense_bytes = SerializeSnapshot(model);
+  const std::string dense_bytes = SerializeSnapshotV2(model, nullptr);
   for (std::int64_t i = 0; i < model.core.size(); i += 2) model.core[i] = 0.0;
-  const std::string sparse_bytes = SerializeSnapshot(model);
+  const std::string sparse_bytes = SerializeSnapshotV2(model, nullptr);
   EXPECT_LT(sparse_bytes.size(), dense_bytes.size());
-  ExpectBitIdentical(model, ParseSnapshot(sparse_bytes));
+  ExpectBitIdentical(model, FileRoundTrip(model, "snapshot_test_sparse.ptks"));
 }
 
-TEST(SnapshotTest, RejectsBadMagic) {
-  const TuckerFactorization model = TrainModel(MakeTensor(), 1);
-  std::string bytes = SerializeSnapshot(model);
-  bytes[0] = 'X';
-  EXPECT_THROW(ParseSnapshot(bytes), std::runtime_error);
-}
-
-TEST(SnapshotTest, RejectsVersionMismatch) {
-  const TuckerFactorization model = TrainModel(MakeTensor(), 1);
-  std::string bytes = SerializeSnapshot(model);
-  bytes[4] = static_cast<char>(kSnapshotVersion + 1);  // version field
-  try {
-    ParseSnapshot(bytes);
-    FAIL() << "version mismatch not rejected";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
-        << e.what();
+// Format v1 (the pre-mmap layout: a 20-byte header of magic, u32
+// version 1, u32 body CRC and u64 body size) is no longer read. A
+// hand-built v1 header, shorter than a v2 header, must be refused by
+// every loader with an error naming the path and the version.
+TEST(SnapshotTest, V1FileIsRejectedNamingPathAndVersion) {
+  std::string bytes = "PTKS";
+  const std::uint32_t version = 1;
+  bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  bytes.append(12, '\0');  // CRC and body size of an empty body
+  const std::string path = TempPath("snapshot_test_v1.ptks");
+  {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.is_open());
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-}
 
-TEST(SnapshotTest, RejectsCorruptBody) {
-  const TuckerFactorization model = TrainModel(MakeTensor(), 1);
-  const std::string pristine = SerializeSnapshot(model);
-  // A flipped bit anywhere in the body must trip the CRC, never load a
-  // silently wrong model.
-  for (const std::size_t offset :
-       {std::size_t{20}, std::size_t{40}, pristine.size() - 1}) {
-    std::string bytes = pristine;
-    bytes[offset] = static_cast<char>(bytes[offset] ^ 0x20);
+  const auto expect_rejected = [&path](const char* loader, auto&& load) {
     try {
-      ParseSnapshot(bytes);
-      FAIL() << "corruption at offset " << offset << " not rejected";
+      load();
+      ADD_FAILURE() << loader << " accepted a v1 file";
     } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos)
-          << e.what();
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << loader << ": " << what;
+      EXPECT_NE(what.find("unsupported snapshot version 1"), std::string::npos)
+          << loader << ": " << what;
     }
-  }
-}
-
-TEST(SnapshotTest, RejectsTruncationAndTrailingBytes) {
-  const TuckerFactorization model = TrainModel(MakeTensor(), 1);
-  const std::string pristine = SerializeSnapshot(model);
-  EXPECT_THROW(ParseSnapshot(pristine.substr(0, 10)), std::runtime_error);
-  EXPECT_THROW(ParseSnapshot(pristine.substr(0, pristine.size() / 2)),
-               std::runtime_error);
-  EXPECT_THROW(ParseSnapshot(pristine + "extra"), std::runtime_error);
-  EXPECT_THROW(ParseSnapshot(""), std::runtime_error);
-}
-
-// Crafted hostile header: correct magic/version/CRC (the CRC is
-// computable by anyone) but dims/ranks declaring terabyte-scale
-// factors/core in a ~100-byte body. The parser must reject it from the
-// byte budget *before* allocating, not OOM or overflow rows*cols.
-TEST(SnapshotTest, RejectsHugeDeclaredShapesWithoutAllocating) {
-  const auto crc32 = [](const std::string& data) {
-    std::uint32_t crc = 0xFFFFFFFFu;
-    for (const char ch : data) {
-      crc ^= static_cast<unsigned char>(ch);
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
-      }
-    }
-    return crc ^ 0xFFFFFFFFu;
   };
-  const auto append_i64 = [](std::string* out, std::int64_t value) {
-    out->append(reinterpret_cast<const char*>(&value), sizeof(value));
-  };
-  const auto make_snapshot = [&](const std::vector<std::int64_t>& dims,
-                                 const std::vector<std::int64_t>& ranks,
-                                 std::int64_t core_nnz) {
-    std::string body;
-    append_i64(&body, static_cast<std::int64_t>(dims.size()));
-    for (const std::int64_t d : dims) append_i64(&body, d);
-    for (const std::int64_t r : ranks) append_i64(&body, r);
-    append_i64(&body, core_nnz);
-    std::string bytes = "PTKS";
-    const std::uint32_t version = kSnapshotVersion;
-    bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
-    const std::uint32_t crc = crc32(body);
-    bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    const std::uint64_t body_bytes = body.size();
-    bytes.append(reinterpret_cast<const char*>(&body_bytes),
-                 sizeof(body_bytes));
-    return bytes + body;
-  };
-  // Factor 0 would be 2^40 x 8 doubles (64 TiB).
-  EXPECT_THROW(ParseSnapshot(make_snapshot({std::int64_t{1} << 40, 2, 2},
-                                           {8, 1, 1}, 0)),
-               std::runtime_error);
-  // rows * cols would overflow std::int64_t.
-  EXPECT_THROW(ParseSnapshot(make_snapshot({std::int64_t{1} << 62, 2, 2},
-                                           {512, 1, 1}, 0)),
-               std::runtime_error);
-  // Dense core would be 2^39 doubles (4 TiB).
-  EXPECT_THROW(ParseSnapshot(make_snapshot({2, 2, 2},
-                                           {std::int64_t{1} << 13,
-                                            std::int64_t{1} << 13,
-                                            std::int64_t{1} << 13},
-                                           0)),
-               std::runtime_error);
-  // core_nnz claims far more entries than the body holds.
-  EXPECT_THROW(ParseSnapshot(make_snapshot({1, 1, 1}, {1, 1, 1},
-                                           /*core_nnz=*/1)),
-               std::runtime_error);
+  expect_rejected("LoadSnapshot", [&] { LoadSnapshot(path); });
+  expect_rejected("CreateFromFile",
+                  [&] { ModelSnapshot::CreateFromFile(path); });
+  std::filesystem::remove(path);
 }
 
 TEST(SnapshotTest, LoadMissingFileThrows) {
@@ -202,7 +136,7 @@ TEST(SnapshotTest, WarmStartContinuesTrajectoryBitIdentically) {
   options.max_iterations = 3;
   const PTuckerResult half = PTuckerDecompose(x, options);
   const TuckerFactorization checkpoint =
-      ParseSnapshot(SerializeSnapshot(half.model));
+      FileRoundTrip(half.model, "snapshot_test_warm.ptks");
 
   options.init_snapshot = &checkpoint;
   const PTuckerResult resumed = PTuckerDecompose(x, options);
@@ -219,7 +153,8 @@ TEST(SnapshotTest, WarmStartContinuesTrajectoryBitIdentically) {
 
 TEST(SnapshotTest, WarmStartShapeMismatchThrows) {
   const SparseTensor x = MakeTensor();
-  const TuckerFactorization model = TrainModel(x, 1);  // ranks {3,4,2}
+  const TuckerFactorization model =  // ranks {3,4,2}
+      FileRoundTrip(TrainModel(x, 1), "snapshot_test_shape.ptks");
   PTuckerOptions options;
   options.core_dims = {3, 4, 3};  // mode-2 rank disagrees
   options.init_snapshot = &model;
@@ -234,7 +169,7 @@ TEST(SnapshotTest, WarmStartShapeMismatchThrows) {
 TEST(SnapshotTest, SerializeRejectsInconsistentModel) {
   TuckerFactorization model = TrainModel(MakeTensor(), 1);
   model.factors.pop_back();
-  EXPECT_THROW(SerializeSnapshot(model), std::runtime_error);
+  EXPECT_THROW(SerializeSnapshotV2(model, nullptr), std::runtime_error);
 }
 
 }  // namespace

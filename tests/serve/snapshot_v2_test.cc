@@ -1,8 +1,9 @@
-// Snapshot format v2 tests: bit-identical round trips through the
-// mmap-ed loader, the v1 fallback, IVF section round trips, and an
-// exhaustive corruption sweep — a bit flip or truncation at *every* byte
-// offset of a v2 file must be rejected loudly (never UB, never a
-// silently wrong model) when payload verification is on.
+// Snapshot v2 format tests: bit-identical round trips through the
+// mmap-ed loader, IVF section round trips, and an exhaustive corruption
+// sweep — a bit flip or truncation at *every* byte offset of a v2 file
+// must be rejected loudly (never UB, never a silently wrong model) when
+// payload verification is on. The LoadSnapshot front door and warm start
+// are covered by snapshot_test.cc.
 #include "serve/snapshot_v2.h"
 
 #include <cstdint>
@@ -14,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/ptucker.h"
 #include "serve/snapshot.h"
 #include "tensor/dense_tensor.h"
 #include "util/random.h"
@@ -70,24 +70,6 @@ TEST(SnapshotV2Test, FileRoundTripIsBitIdentical) {
   SaveSnapshotV2(path, model, /*with_centroids=*/false);
   const std::unique_ptr<MmapSnapshot> snap =
       MmapSnapshot::Open(path, /*verify_payload=*/true);
-  ExpectBitIdentical(model, MaterializeModel(*snap));
-  std::filesystem::remove(path);
-}
-
-TEST(SnapshotV2Test, LoadSnapshotDispatchesOnVersion) {
-  const TuckerFactorization model = MakeModel();
-  const std::string path = TempPath("snapshot_v2_dispatch.ptks");
-  SaveSnapshotV2(path, model, /*with_centroids=*/true);
-  ExpectBitIdentical(model, LoadSnapshot(path));
-  std::filesystem::remove(path);
-}
-
-TEST(SnapshotV2Test, V1FileFallsBackBehindTheSameInterface) {
-  const TuckerFactorization model = MakeModel();
-  const std::string path = TempPath("snapshot_v2_v1fb.ptks");
-  SaveSnapshot(path, model);  // v1 writer
-  const std::unique_ptr<MmapSnapshot> snap = MmapSnapshot::Open(path);
-  EXPECT_FALSE(snap->mapped());  // converted in memory, not mapped
   ExpectBitIdentical(model, MaterializeModel(*snap));
   std::filesystem::remove(path);
 }

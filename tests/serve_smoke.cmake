@@ -93,6 +93,21 @@ if(NOT converted_topk_out MATCHES "top-3 along mode 2")
   message(FATAL_ERROR "converted snapshot unservable:\n${converted_topk_out}")
 endif()
 
+# 5b. Format v1 files (the pre-mmap layout) are no longer read: a
+# hand-built v1 header must be refused by both the warm-start and the
+# serving loaders, naming the file and the version.
+set(v1_path ${WORK_DIR}/serve_smoke_model_v1.ptks)
+execute_process(
+  COMMAND sh -c "printf 'PTKS\\001\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000\\000' > '${v1_path}'")
+run(v1_warm_out 1 --selftest --max-iters 1 --quiet --load-model ${v1_path})
+run(v1_predict_out 1 predict --load-model ${v1_path} --queries ${queries_path})
+foreach(v1_out IN ITEMS "${v1_warm_out}" "${v1_predict_out}")
+  if(NOT v1_out MATCHES "unsupported snapshot version 1"
+     OR NOT v1_out MATCHES "serve_smoke_model_v1.ptks")
+    message(FATAL_ERROR "v1 snapshot not refused by name:\n${v1_out}")
+  endif()
+endforeach()
+
 # 6. Knob validation: out-of-range engine knobs die at the flag parser
 # with exit code 2, not deep inside the library.
 run(bad_tile_out 2 --selftest --tile-width 0)
@@ -168,5 +183,5 @@ if(NOT positional_out MATCHES "unexpected positional argument")
   message(FATAL_ERROR "missing positional-argument error in:\n${positional_out}")
 endif()
 
-file(REMOVE ${model_path} ${queries_path} ${converted_path})
+file(REMOVE ${model_path} ${queries_path} ${converted_path} ${v1_path})
 message(STATUS "serve_smoke passed")

@@ -53,6 +53,23 @@ TEST(TnsParseTest, RejectsFractionalIndex) {
   EXPECT_THROW(ParseTns("1.5 1 0.5\n"), std::runtime_error);
 }
 
+// Indices beyond int64 (1e19) or far beyond any double-to-int cast
+// (1e300) must be rejected by value, with the line number, before any
+// conversion — the cast itself would be undefined behaviour.
+TEST(TnsParseTest, RejectsHugeIndexTokens) {
+  for (const std::string token : {"1e19", "1e300"}) {
+    try {
+      ParseTns("1 1 0.5\n" + token + " 1 0.5\n");
+      ADD_FAILURE() << "accepted index " << token;
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+      EXPECT_NE(message.find("positive integer"), std::string::npos)
+          << message;
+    }
+  }
+}
+
 TEST(TnsParseTest, RejectsInconsistentOrder) {
   EXPECT_THROW(ParseTns("1 1 0.5\n1 1 1 0.5\n"), std::runtime_error);
 }

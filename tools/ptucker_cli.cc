@@ -590,8 +590,7 @@ PredictionService MakeService(const CliConfig& config) {
   if (config.load_model.empty()) {
     Fail(config.subcommand + " requires --load-model PATH");
   }
-  // v2 snapshots are mmap-ed and served zero-copy; v1 files fall back to
-  // an in-memory conversion behind the same interface.
+  // Snapshots are mmap-ed and served zero-copy.
   std::shared_ptr<const ModelSnapshot> snapshot =
       ModelSnapshot::CreateFromFile(config.load_model, config.tile_width);
   std::printf("model: %lld modes, dims ",
@@ -710,13 +709,17 @@ int RunServe(const CliConfig& config) {
     log_stop.store(true, std::memory_order_relaxed);
     if (logger.joinable()) logger.join();
     server.Stop();
-    const std::vector<std::uint64_t> counters = server.stats().ToVector();
+    // The server recorded into the global registry (no private one set).
+    const ServeNetMetrics& metrics = ServeNetMetrics::Global();
     std::printf("stopped after %llds: %llu connections, %llu requests, "
                 "%llu batches\n",
                 static_cast<long long>(config.serve_seconds),
-                static_cast<unsigned long long>(counters[0]),
-                static_cast<unsigned long long>(counters[1]),
-                static_cast<unsigned long long>(counters[6]));
+                static_cast<unsigned long long>(
+                    metrics.connections_total->Value()),
+                static_cast<unsigned long long>(
+                    metrics.requests_total->Value()),
+                static_cast<unsigned long long>(
+                    metrics.batch_size->Snapshot().count));
     return 0;
   }
   while (true) {
@@ -967,8 +970,8 @@ int RunSolve(const CliConfig& config) {
   return 0;
 }
 
-// convert-model: parse any supported snapshot and rewrite it as v2 with
-// IVF centroids embedded, so topk --topk-nprobe can probe it.
+// convert-model: rewrite a snapshot with IVF centroids embedded, so
+// topk --topk-nprobe can probe it.
 int RunConvertModel(const CliConfig& config) {
   if (config.load_model.empty()) {
     Fail("convert-model requires --load-model PATH");
