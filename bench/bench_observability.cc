@@ -175,7 +175,7 @@ int main() {
   Rng rng(31);
   const TuckerFactorization model = MakeModel(rng);
   const auto queries = MakeQueries(4096, rng);
-  PredictionService service(ModelSnapshot::Create(model, /*tile_width=*/32));
+  PredictionService service(ModelSnapshot::Create(model));
   const std::int64_t requests = 60000;
 
   // OFF: a bundle over a null registry — every handle null — and the

@@ -1,14 +1,9 @@
 // Serving-path benchmark (serve/service.h): single-entry Predict vs
 // batched PredictBatch throughput (QPS) and TopK latency against a
-// MovieLens-scale model, at several engine tile widths. The batched path
-// is what the PR 3/4 batch contract exists for — every query tile
-// streams each core group once through the tiled SIMD kernels and the
-// batch parallelizes across threads. The exit status is the Release CI
-// perf gate (docs/benchmarks.md): 0 only if some tile width B > 1
-// matches or beats BOTH per-entry baselines — the serial single-entry
-// Predict loop AND the parallel tile-1 PredictBatch (same thread count,
-// no tile kernels) — so multi-core parallelism alone cannot mask a
-// regression in the batch kernels themselves.
+// MovieLens-scale model. PredictBatch parallelizes one engine
+// Reconstruct per query across threads. The default run reports; its
+// exit status is 1 only if a TopK call returns other than exactly k
+// results (docs/benchmarks.md).
 //
 // `bench_serving --rows [N]` (default N = 10,000,000) switches to the
 // snapshot-scale mode instead: an N x 64 x 32 rank-4 model with
@@ -230,9 +225,8 @@ int RunDefaultBench() {
   std::vector<double> out(static_cast<std::size_t>(num_queries));
 
   // Single-entry baseline: one Predict() per query — the per-request
-  // server without batching. Measured once on a tile-1 snapshot.
-  PredictionService single_service(
-      ModelSnapshot::Create(model, /*tile_width=*/1));
+  // server without batching.
+  PredictionService service(ModelSnapshot::Create(model));
   std::vector<std::int64_t> query(static_cast<std::size_t>(order));
   double single_seconds = 1e30;
   for (int repeat = 0; repeat < 3; ++repeat) {
@@ -240,7 +234,7 @@ int RunDefaultBench() {
     for (std::int64_t q = 0; q < num_queries; ++q) {
       query.assign(queries[static_cast<std::size_t>(q)],
                    queries[static_cast<std::size_t>(q)] + order);
-      out[static_cast<std::size_t>(q)] = single_service.Predict(query);
+      out[static_cast<std::size_t>(q)] = service.Predict(query);
     }
     single_seconds = std::min(single_seconds, clock.ElapsedSeconds());
   }
@@ -249,7 +243,7 @@ int RunDefaultBench() {
 
   // Per-request latency distribution for the single-entry path, from a
   // separate instrumented pass so the per-query clock reads cannot
-  // perturb the QPS numbers the gate compares. Percentile definitions:
+  // perturb the QPS numbers. Percentile definitions:
   // src/obs/percentile.h (shared with bench_serving_net).
   obs::LatencyRecorder single_latency;
   single_latency.Reserve(static_cast<std::size_t>(num_queries));
@@ -257,42 +251,28 @@ int RunDefaultBench() {
     query.assign(queries[static_cast<std::size_t>(q)],
                  queries[static_cast<std::size_t>(q)] + order);
     Stopwatch clock;
-    out[static_cast<std::size_t>(q)] = single_service.Predict(query);
+    out[static_cast<std::size_t>(q)] = service.Predict(query);
     single_latency.Record(clock.ElapsedSeconds());
   }
   std::printf("single Predict() per-request latency: p50 %s us   p99 %s us\n",
               FormatDouble(single_latency.P50() * 1e6, 2).c_str(),
               FormatDouble(single_latency.P99() * 1e6, 2).c_str());
 
-  TablePrinter table({"path", "tile", "seconds", "QPS", "vs single"});
-  table.AddRow({"single Predict()", "1", FormatDouble(single_seconds, 4),
-                FormatDouble(single_qps, 0), "1.00x"});
-
-  // Parallel per-entry baseline: PredictBatch at tile 1 has the same
-  // thread-level parallelism as the batched rows but no tile kernels —
-  // the fair yardstick for whether batching itself pays.
-  double tile1_qps = 0.0;
-  bool batched_matched_baselines = false;
-  for (const std::int64_t tile : {std::int64_t{1}, std::int64_t{16},
-                                  std::int64_t{32}, std::int64_t{64}}) {
-    PredictionService service(ModelSnapshot::Create(model, tile));
-    double seconds = 1e30;
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      Stopwatch clock;
-      service.PredictBatch(num_queries, queries.data(), out.data());
-      seconds = std::min(seconds, clock.ElapsedSeconds());
-    }
-    const double qps = static_cast<double>(num_queries) / seconds;
-    if (tile == 1) {
-      tile1_qps = qps;
-    } else if (qps >= single_qps && qps >= tile1_qps) {
-      batched_matched_baselines = true;
-    }
-    table.AddRow({tile == 1 ? "PredictBatch (per-entry)" : "PredictBatch",
-                  std::to_string(tile), FormatDouble(seconds, 4),
-                  FormatDouble(qps, 0),
-                  FormatDouble(qps / single_qps, 2) + "x"});
+  // PredictBatch: the same per-entry work, parallelized across threads.
+  double batch_seconds = 1e30;
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    Stopwatch clock;
+    service.PredictBatch(num_queries, queries.data(), out.data());
+    batch_seconds = std::min(batch_seconds, clock.ElapsedSeconds());
   }
+  const double batch_qps = static_cast<double>(num_queries) / batch_seconds;
+
+  TablePrinter table({"path", "seconds", "QPS", "vs single"});
+  table.AddRow({"single Predict()", FormatDouble(single_seconds, 4),
+                FormatDouble(single_qps, 0), "1.00x"});
+  table.AddRow({"PredictBatch", FormatDouble(batch_seconds, 4),
+                FormatDouble(batch_qps, 0),
+                FormatDouble(batch_qps / single_qps, 2) + "x"});
   table.Print();
 
   // Top-K latency: rank every item (mode 1) for one user context — the
@@ -300,44 +280,36 @@ int RunDefaultBench() {
   std::printf("\ntop-K recommendation latency (scan mode 1, %lld "
               "candidates):\n",
               static_cast<long long>(dims[1]));
-  TablePrinter topk_table({"tile", "k", "min ms", "p50 ms", "p99 ms"});
-  for (const std::int64_t tile : {std::int64_t{1}, std::int64_t{32}}) {
-    PredictionService service(ModelSnapshot::Create(model, tile));
-    for (const std::int64_t k : {std::int64_t{10}, std::int64_t{100}}) {
-      const std::vector<std::int64_t> at = {42, 0, 21};
-      double seconds = 1e30;
-      obs::LatencyRecorder latency;
-      for (int repeat = 0; repeat < 50; ++repeat) {
-        Stopwatch clock;
-        const auto top = service.TopK(1, at, k);
-        const double elapsed = clock.ElapsedSeconds();
-        seconds = std::min(seconds, elapsed);
-        latency.Record(elapsed);
-        if (static_cast<std::int64_t>(top.size()) != k) {
-          std::fprintf(stderr, "topk returned %zu results, want %lld\n",
-                       top.size(), static_cast<long long>(k));
-          return 1;
-        }
+  TablePrinter topk_table({"k", "min ms", "p50 ms", "p99 ms"});
+  for (const std::int64_t k : {std::int64_t{10}, std::int64_t{100}}) {
+    const std::vector<std::int64_t> at = {42, 0, 21};
+    double seconds = 1e30;
+    obs::LatencyRecorder latency;
+    for (int repeat = 0; repeat < 50; ++repeat) {
+      Stopwatch clock;
+      const auto top = service.TopK(1, at, k);
+      const double elapsed = clock.ElapsedSeconds();
+      seconds = std::min(seconds, elapsed);
+      latency.Record(elapsed);
+      if (static_cast<std::int64_t>(top.size()) != k) {
+        std::fprintf(stderr, "topk returned %zu results, want %lld\n",
+                     top.size(), static_cast<long long>(k));
+        return 1;
       }
-      topk_table.AddRow({std::to_string(tile), std::to_string(k),
-                         FormatDouble(seconds * 1e3, 3),
-                         FormatDouble(latency.P50() * 1e3, 3),
-                         FormatDouble(latency.P99() * 1e3, 3)});
     }
+    topk_table.AddRow({std::to_string(k), FormatDouble(seconds * 1e3, 3),
+                       FormatDouble(latency.P50() * 1e3, 3),
+                       FormatDouble(latency.P99() * 1e3, 3)});
   }
   topk_table.Print();
-
-  std::printf("\nsome batched tile >= both per-entry baselines "
-              "(the CI gate): %s\n",
-              batched_matched_baselines ? "YES" : "NO");
-  return batched_matched_baselines ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   // `--rows [N]` selects the snapshot-scale mode; the no-argument run is
-  // the Release CI perf gate and stays unchanged.
+  // the throughput report above.
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--rows") == 0) {
       std::int64_t rows = 10000000;

@@ -11,7 +11,7 @@
 //   batch-1:   1 worker, max_batch 1, window 0 — a request-at-a-time
 //              server, the front end without coalescing;
 //   coalesced: multi-worker, max_batch 64, 200 us window — cross-client
-//              batches hit the tiled PredictBatch kernels;
+//              batches go through one PredictBatch call each;
 // and the exit status is 0 only if the coalesced shape sustains >= 1.3x
 // the batch-1 QPS. Closed-loop means every connection keeps exactly one
 // request in flight, so coalescing opportunity comes only from
@@ -117,7 +117,7 @@ BenchOptions ParseOptions(int argc, char** argv) {
 
 // Serving-realistic model with a heavy enough core (24x24x12) that
 // per-predict compute, not syscalls, dominates — the regime where
-// coalescing into tiled batches pays.
+// coalescing requests into batches pays.
 TuckerFactorization MakeModel(Rng& rng) {
   const std::vector<std::int64_t> dims = {20000, 2000, 24};
   const std::vector<std::int64_t> ranks = {24, 24, 12};
@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
   const TuckerFactorization model = MakeModel(rng);
   const auto queries = MakeQueries(4096, rng);
   auto service = std::make_shared<PredictionService>(
-      ModelSnapshot::Create(model, /*tile_width=*/32));
+      ModelSnapshot::Create(model));
 
   NetServerOptions coalesced;
   coalesced.listen_threads = 2;

@@ -3,8 +3,8 @@
 // run the way a production backend would: train P-Tucker, persist the
 // model as a binary snapshot (serve/snapshot_v2.h), map it back into a
 // PredictionService (serve/service.h), and answer every query —
-// held-out RMSE and top-K recommendations — through the serving layer's
-// batched tile kernels instead of re-factorizing.
+// held-out RMSE and top-K recommendations — through the serving layer
+// instead of re-factorizing.
 //
 //   $ ./movie_recommendation
 //
@@ -61,13 +61,13 @@ int main() {
       (std::filesystem::temp_directory_path() / "movie_model.ptks").string();
   SaveSnapshotV2(snapshot_path, ptucker.model, /*with_centroids=*/false);
   std::shared_ptr<const ModelSnapshot> snapshot =
-      ModelSnapshot::CreateFromFile(snapshot_path, /*tile_width=*/32);
+      ModelSnapshot::CreateFromFile(snapshot_path);
   std::printf("\nmodel checkpointed to %s and mapped back (core nnz %lld)\n",
               snapshot_path.c_str(),
               static_cast<long long>(snapshot->core_nnz()));
 
-  // --- Serve: every query below goes through the snapshot's batched
-  // tile kernels, not the trainer's in-memory model.
+  // --- Serve: every query below goes through the snapshot's engine,
+  // not the trainer's in-memory model.
   PredictionService service(std::move(snapshot));
 
   // Held-out RMSE through the serving path (same metric as TestRmse).

@@ -35,10 +35,6 @@ namespace ptucker {
 ///                          views; every δ component of an entry in one
 ///                          pass. The default.
 ///   - CachedDeltaEngine    the §III-C Pres table behind the same calls.
-///   - AdaptiveDeltaEngine  mode-major views + VeST-style group skipping
-///                          under an error budget ε (exact at ε = 0).
-///   - TiledDeltaEngine     mode-major views + a native B-wide DeltaBatch
-///                          kernel (cuFasterTucker-style batching).
 ///
 /// Engines hold a non-owning view of the core entry list and non-owning
 /// FactorViews of the factor storage; both referents must outlive the
@@ -50,14 +46,13 @@ namespace ptucker {
 /// the On* hooks so engines with derived state (reordered views, the Pres
 /// table) stay consistent.
 ///
-/// Adding another engine (e.g. a SIMD or GPU kernel) means subclassing
-/// (DeltaEngine directly, or ModeMajorDeltaEngine to inherit the regrouped
-/// views), overriding ComputeDelta and/or the batch kernels (DeltaBatch,
-/// ReconstructBatch, ProductsBatch — plus any optional bulk kernels worth
-/// specializing), handling the three hooks, and wiring a new enumerator
-/// through DeltaEngineChoice + DeltaEngineCatalog() + MakeDeltaEngine.
-/// See docs/architecture.md and docs/delta_engines.md for the full
-/// walkthrough.
+/// Every consumer calls the per-entry kernels (ComputeDelta, Reconstruct,
+/// ComputeProducts, the design ops). Adding another engine means
+/// subclassing DeltaEngine, overriding ComputeDelta (plus any other
+/// per-entry kernel worth specializing), handling the three hooks, and
+/// wiring a new enumerator through DeltaEngineChoice + DeltaEngineCatalog()
+/// + MakeDeltaEngine. See docs/architecture.md and docs/delta_engines.md
+/// for the full walkthrough.
 class DeltaEngine {
  public:
   /// Binds the engine to a (non-owning) view of the core entry list and
@@ -88,49 +83,27 @@ class DeltaEngine {
                             const std::int64_t* entry_index, std::int64_t mode,
                             double* delta) const = 0;
 
-  /// Batch δ: deltas for a tile of `count` entries against the same mode,
-  /// written contiguously (`deltas[i·Jn .. (i+1)·Jn)` belongs to tile
-  /// entry i). `entries[i]` and `entry_indices[i]` follow the ComputeDelta
-  /// conventions. The base implementation is a per-entry loop, so every
-  /// engine supports the batch call and consumers can be rewired to it
-  /// incrementally; TiledDeltaEngine overrides it with a kernel that
-  /// streams each core group once per tile instead of once per entry.
-  /// Per-entry results are identical to `count` ComputeDelta calls.
-  virtual void DeltaBatch(std::int64_t count, const std::int64_t* entries,
-                          const std::int64_t* const* entry_indices,
-                          std::int64_t mode, double* deltas) const;
+  /// `count` ComputeDelta calls against the same mode, written
+  /// contiguously (`deltas[i·Jn .. (i+1)·Jn)` belongs to entry i).
+  /// `entries[i]` and `entry_indices[i]` follow the ComputeDelta
+  /// conventions. Exists only for the repository benchmark (perfbench),
+  /// which calls it; the library calls ComputeDelta per entry.
+  void DeltaBatch(std::int64_t count, const std::int64_t* entries,
+                  const std::int64_t* const* entry_indices, std::int64_t mode,
+                  double* deltas) const;
 
-  /// Tile width DeltaBatch callers should aim for: >1 only when the
-  /// engine has a kernel that actually amortizes work across the tile.
-  /// Callers may pass any count regardless — engines chunk internally.
-  virtual std::int64_t PreferredBatch() const { return 1; }
+  /// Always 1: no engine amortizes work across entries. Exists only for
+  /// the repository benchmark (perfbench), which sizes its DeltaBatch
+  /// calls by it.
+  std::int64_t PreferredBatch() const { return 1; }
 
   /// Full reconstruction x̂_α (Eq. 4) at arbitrary coordinates.
   virtual double Reconstruct(const std::int64_t* entry_index) const;
-
-  /// Batch x̂: out[i] = Reconstruct(entry_indices[i]) for a tile of
-  /// `count` entries. The base implementation is a per-entry loop;
-  /// TiledDeltaEngine overrides it with a kernel that streams each core
-  /// group once per tile. Per-entry results are identical to `count`
-  /// Reconstruct calls, so metric paths may tile freely.
-  virtual void ReconstructBatch(std::int64_t count,
-                                const std::int64_t* const* entry_indices,
-                                double* out) const;
 
   /// products[b] = c_αβ = G_β Π_k A(k)(ik, jk) for every core entry, in
   /// list order — the per-pair terms of the partial error R(β) (Eq. 13).
   virtual void ComputeProducts(const std::int64_t* entry_index,
                                double* products) const;
-
-  /// Batch c_αβ: the ComputeProducts vector for each of `count` entries,
-  /// written contiguously (`products[i·|G| .. (i+1)·|G|)` belongs to tile
-  /// entry i). The base implementation is a per-entry loop;
-  /// TiledDeltaEngine overrides it with a kernel that streams each core
-  /// group once per tile. Per-entry results are identical to `count`
-  /// ComputeProducts calls, so the truncation scorer may tile freely.
-  virtual void ProductsBatch(std::int64_t count,
-                             const std::int64_t* const* entry_indices,
-                             double* products) const;
 
   /// Σ_b g[b] · Π_k A(k)(ik, jk) — one row of the core-update design
   /// matrix P applied to `g` (list order). Note: excludes G_β.
@@ -196,7 +169,7 @@ class NaiveDeltaEngine final : public DeltaEngine {
 /// group j, or 0.0 where group j lacks the tuple), so one pass gathers the
 /// N−1 factor values once per row and advances all Jn per-group sums side
 /// by side. Lane j adds exactly group j's terms in group order, with the
-/// same multiply order as the grouped scan, plus exact ±0 padding terms
+/// same multiply order as the naive scan, plus exact ±0 padding terms
 /// that never change a sum started at +0 — so δ is bit-identical to the
 /// naive scan whenever the factor values are finite. The other kernels
 /// (ComputeProducts, the design ops) stay on the grouped views, which read
@@ -210,11 +183,7 @@ class NaiveDeltaEngine final : public DeltaEngine {
 /// incrementally — RefreshValues rewrites the value arrays through a
 /// stored permutation, Remove compacts each view in place — and the lane
 /// views are re-merged from them after every change.
-///
-/// Subclassable: AdaptiveDeltaEngine and TiledDeltaEngine build on the
-/// same regrouped views (exposed to them as protected state) and inherit
-/// every kernel they do not specialize.
-class ModeMajorDeltaEngine : public DeltaEngine {
+class ModeMajorDeltaEngine final : public DeltaEngine {
  public:
   /// Charges the view bytes to `tracker` (throws OutOfMemoryBudget when
   /// over budget) before building.
@@ -249,7 +218,7 @@ class ModeMajorDeltaEngine : public DeltaEngine {
 
   std::int64_t ByteSize() const override { return charged_bytes_; }
 
- protected:
+ private:
   /// Core entries of one mode, grouped by that mode's coordinate β_n.
   /// Group j spans [offsets[j], offsets[j+1]); within a group, entries keep
   /// list order, so per-group sums reassociate nothing vs the naive scan.
@@ -269,7 +238,6 @@ class ModeMajorDeltaEngine : public DeltaEngine {
     return views_[static_cast<std::size_t>(mode)];
   }
 
- private:
   /// Lanes Reconstruct sums per pass over a lane view (sizes its stack
   /// accumulators); a mode-0 rank above it takes several passes.
   static constexpr std::int64_t kLaneBlock = 64;
@@ -310,174 +278,6 @@ class ModeMajorDeltaEngine : public DeltaEngine {
   std::vector<LaneView> lanes_;
   MemoryTracker* tracker_;
   std::int64_t charged_bytes_ = 0;
-};
-
-/// VeST-style sparsity-adaptive engine (Park et al., PAPERS.md): the
-/// mode-major regrouped views plus, per view, a skip flag for the groups
-/// whose cumulative magnitude Σ|G_β| falls under the error budget
-/// ε · Σ_β |G_β| (greedy smallest-weight-first). ComputeDelta writes 0 for
-/// skipped groups and never streams them, so the δ-sweep drops roughly an
-/// ε fraction of its inner products; the absolute error of each skipped
-/// component is bounded by its group weight times the product of the
-/// largest participating factor magnitudes. Every other kernel
-/// (Reconstruct, ComputeProducts, the design ops) stays exact so error
-/// metrics and truncation scores are never degraded. At ε = 0 nothing
-/// with nonzero weight is skipped and δ is bit-identical to the
-/// mode-major engine. Skip flags are recomputed whenever the core list
-/// changes (RefreshValues / Remove).
-class AdaptiveDeltaEngine final : public ModeMajorDeltaEngine {
- public:
-  /// `epsilon` must be in [0, 1) — the fraction of total core magnitude
-  /// the skipped groups may cumulatively reach.
-  AdaptiveDeltaEngine(const CoreEntryList& core,
-                      const std::vector<Matrix>& factors,
-                      MemoryTracker* tracker, double epsilon);
-
-  /// Same, bound directly to factor views (serving plane).
-  AdaptiveDeltaEngine(const CoreEntryList& core,
-                      std::vector<FactorView> factors, MemoryTracker* tracker,
-                      double epsilon);
-
-  DeltaEngineChoice kind() const override {
-    return DeltaEngineChoice::kAdaptive;
-  }
-  const char* name() const override { return "adaptive"; }
-
-  void ComputeDelta(std::int64_t entry, const std::int64_t* entry_index,
-                    std::int64_t mode, double* delta) const override;
-
-  void OnCoreValuesChanged() override;
-  void OnCoreEntriesRemoved(const std::vector<char>& removed) override;
-
-  /// The error budget the engine was built with.
-  double epsilon() const { return epsilon_; }
-
-  /// Groups currently skipped in mode `mode`'s view (for tests/benches).
-  std::int64_t SkippedGroups(std::int64_t mode) const;
-
- private:
-  void RecomputeSkips();
-
-  double epsilon_;
-  std::vector<std::vector<char>> skip_;  // per mode, per group
-};
-
-/// Tiled batch engine (cuFasterTucker-style, Li et al., PAPERS.md): the
-/// mode-major regrouped views plus native DeltaBatch / ReconstructBatch /
-/// ProductsBatch kernels that evaluate a tile of up to `tile_width`
-/// entries simultaneously. Each core group's value/column stream is read
-/// once per tile instead of once per entry, and the tile-wide accumulators
-/// form B independent dependency chains, so the inner loop is
-/// throughput-bound instead of serialised on one running sum.
-///
-/// Each batch call picks between two kernels per tile:
-///
-///   - The **SIMD kernel** first packs the tile's factor rows into
-///     transposed scratch (`packed[w][c·B + i]` = lane i's coefficient for
-///     column c of the w-th non-mode factor), so the `#pragma omp simd`
-///     lane loops read unit-stride vectors instead of chasing B row
-///     pointers per streamed core entry — the CPU analogue of
-///     cuFasterTucker staging factor rows in shared memory. Lanes are
-///     independent accumulator chains, so vectorizing across them
-///     reassociates nothing within any per-entry sum.
-///   - The **scalar fallback** keeps per-lane row pointers and plain
-///     loops. A runtime check (SimdEligible) steers tiles that are too
-///     short to amortize the pack, tensors whose order or ranks exceed
-///     the pack scratch bounds, and every call in a build without OpenMP
-///     SIMD onto it. Both kernels produce the same bits.
-///
-/// Per-entry multiply/accumulate order equals the mode-major scan's, so
-/// batch results are bit-identical to it for any tile width. Single-entry
-/// calls (ComputeDelta, Reconstruct, …) inherit the mode-major kernels
-/// unchanged.
-class TiledDeltaEngine final : public ModeMajorDeltaEngine {
- public:
-  /// Hard upper bound on the tile width (sizes the kernel's stack
-  /// buffers); wider requests are clamped.
-  static constexpr std::int64_t kMaxTile = 64;
-
-  /// Shortest tile the SIMD kernels are worth entering: the transposed
-  /// row pack is amortized only once a tile spans many vector registers,
-  /// so shorter tiles (including every partial trailing tile) take the
-  /// scalar fallback, which computes identical bits.
-  static constexpr std::int64_t kSimdMinTile = 32;
-
-  /// Widest non-mode slot count (order − 1) the SIMD kernels pack for;
-  /// higher orders take the scalar fallback.
-  static constexpr std::int64_t kMaxPackWidth = 3;
-
-  /// Largest per-mode rank the SIMD kernels pack for (bounds the stack
-  /// scratch at kMaxPackWidth·kMaxTile·kMaxPackRank doubles); larger
-  /// ranks take the scalar fallback.
-  static constexpr std::int64_t kMaxPackRank = 32;
-
-  /// `tile_width` must be >= 1; it is clamped to kMaxTile.
-  TiledDeltaEngine(const CoreEntryList& core,
-                   const std::vector<Matrix>& factors, MemoryTracker* tracker,
-                   std::int64_t tile_width);
-
-  /// Same, bound directly to factor views (serving plane — this is the
-  /// engine ModelSnapshot builds zero-copy over an mmap-ed snapshot).
-  TiledDeltaEngine(const CoreEntryList& core, std::vector<FactorView> factors,
-                   MemoryTracker* tracker, std::int64_t tile_width);
-
-  DeltaEngineChoice kind() const override { return DeltaEngineChoice::kTiled; }
-  const char* name() const override { return "tiled"; }
-
-  void DeltaBatch(std::int64_t count, const std::int64_t* entries,
-                  const std::int64_t* const* entry_indices, std::int64_t mode,
-                  double* deltas) const override;
-
-  void ReconstructBatch(std::int64_t count,
-                        const std::int64_t* const* entry_indices,
-                        double* out) const override;
-
-  void ProductsBatch(std::int64_t count,
-                     const std::int64_t* const* entry_indices,
-                     double* products) const override;
-
-  std::int64_t PreferredBatch() const override { return tile_; }
-
- private:
-  /// The runtime check in front of every SIMD kernel: true when the tile
-  /// is long enough to amortize the row pack and the non-`mode` factor
-  /// ranks fit the pack scratch (width ∈ [1, kMaxPackWidth], every rank
-  /// <= kMaxPackRank) in a build with OpenMP SIMD.
-  bool SimdEligible(std::int64_t count, std::int64_t mode) const;
-
-  /// Scalar δ tile kernel: per-lane factor-row pointers, plain loops.
-  void TileKernelScalar(const std::int64_t* const* entry_indices,
-                        std::int64_t count, std::int64_t mode,
-                        double* deltas) const;
-
-  /// SIMD δ tile kernel: transposed row pack + `#pragma omp simd` lane
-  /// loops. Bit-identical to the scalar kernel.
-  void TileKernelSimd(const std::int64_t* const* entry_indices,
-                      std::int64_t count, std::int64_t mode,
-                      double* deltas) const;
-
-  /// Scalar x̂ tile kernel against view 0, carrying each lane's mode-0
-  /// coefficient exactly like the mode-major Reconstruct (group skipped
-  /// per lane when its coefficient is zero).
-  void ReconstructTileScalar(const std::int64_t* const* entry_indices,
-                             std::int64_t count, double* out) const;
-
-  /// SIMD x̂ tile kernel (transposed row pack). Bit-identical to scalar.
-  void ReconstructTileSimd(const std::int64_t* const* entry_indices,
-                           std::int64_t count, double* out) const;
-
-  /// Scalar c_αβ tile kernel against view 0, scattered to list order per
-  /// lane (stride core().size()), preserving ComputeProducts' multiply
-  /// order and its exact-0 writes for zero coefficients.
-  void ProductsTileScalar(const std::int64_t* const* entry_indices,
-                          std::int64_t count, double* products) const;
-
-  /// SIMD c_αβ tile kernel (transposed row pack). Bit-identical to
-  /// scalar.
-  void ProductsTileSimd(const std::int64_t* const* entry_indices,
-                        std::int64_t count, double* products) const;
-
-  std::int64_t tile_;
 };
 
 /// The §III-C Pres table (CacheTable) behind the engine interface: δ by
@@ -546,9 +346,11 @@ DeltaEngineChoice ResolveDeltaEngineChoice(const PTuckerOptions& options);
 
 /// Builds the requested engine over `x`, `core` and `factors` (all
 /// outliving the engine). `choice` must not be kAuto — resolve it first.
-/// `x` and `tracker` may go unused depending on the engine.
-/// `adaptive_epsilon` is consumed by kAdaptive and `tile_width` by kTiled
-/// (PTuckerOptions carries both; see those fields for semantics).
+/// `x` and `tracker` may go unused depending on the engine. The last two
+/// parameters exist only for the repository benchmark (perfbench), which
+/// passes PTuckerOptions' fields of the same names: a nonzero
+/// `adaptive_epsilon` throws std::invalid_argument (the lossy adaptive
+/// engine was removed) and `tile_width` is ignored.
 std::unique_ptr<DeltaEngine> MakeDeltaEngine(
     DeltaEngineChoice choice, const SparseTensor& x, const CoreEntryList& core,
     const std::vector<Matrix>& factors, MemoryTracker* tracker,

@@ -41,18 +41,12 @@ enum class DeltaEngineChoice {
   kModeMajor,
   /// The §III-C Pres table behind the engine interface.
   kCached,
-  /// Mode-major views plus a VeST-style group skip: core groups whose
-  /// cumulative |G_β| mass falls under PTuckerOptions::adaptive_epsilon
-  /// are dropped from δ. Exact (bit-identical to kModeMajor) at ε = 0.
-  kAdaptive,
-  /// Mode-major views plus a native B-wide DeltaBatch kernel: one tile of
-  /// PTuckerOptions::tile_width entries shares each streamed core group
-  /// (cuFasterTucker-style; the stepping stone to SIMD/GPU).
-  kTiled,
 };
 
-/// Default DeltaBatch tile width of the kTiled engine (entries per tile).
-/// Shared by PTuckerOptions and MakeDeltaEngine so the two cannot drift.
+/// Default of PTuckerOptions::tile_width and of the width parameters of
+/// MakeDeltaEngine and ModelSnapshot::CreateFromFile. No engine batches
+/// any more; the name exists only for the repository benchmark
+/// (perfbench), which passes it.
 inline constexpr std::int64_t kDefaultTileWidth = 16;
 
 /// OpenMP scheduling of the row updates (paper §III-D). The paper's
@@ -88,26 +82,15 @@ struct PTuckerOptions {
   /// value overrides it (e.g. kNaive pins the oracle scan for debugging).
   DeltaEngineChoice delta_engine = DeltaEngineChoice::kAuto;
 
-  /// Error budget ε of the kAdaptive engine, as a fraction of the total
-  /// core magnitude Σ_β |G_β| per regrouped view. Groups are skipped
-  /// smallest-first while their cumulative |G_β| mass stays ≤ ε · Σ|G_β|,
-  /// bounding the δ error by ε · Σ|G_β| · max|A|^(N−1) per component sum.
-  /// Only δ is lossy: the engine's reconstruction/products/design kernels
-  /// stay exact, so error metrics and truncation scores never degrade.
-  /// 0 (default) skips nothing and is bit-identical to kModeMajor; must be
-  /// in [0, 1). Ignored by the other engines.
+  /// Exists only for the repository benchmark (perfbench), which passes
+  /// it to MakeDeltaEngine. Must be 0: any other value throws
+  /// std::invalid_argument, because the lossy adaptive δ-engine it once
+  /// budgeted was removed.
   double adaptive_epsilon = 0.0;
 
-  /// Entries per batch tile of the kTiled engine — the width of its
-  /// DeltaBatch, ReconstructBatch, and ProductsBatch kernels, which the
-  /// solver row update, the reconstruction/test-RMSE metrics, and the
-  /// approx truncation scorer all consume (each consuming tiles in entry
-  /// order, so results are bit-identical at every width). Must be >= 1;
-  /// clamped to the engine's compile-time kMaxTile (64). Tiles below
-  /// TiledDeltaEngine::kSimdMinTile (32) — including this default — run
-  /// the scalar tile kernels; the packed `#pragma omp simd` kernels,
-  /// which pay only at wide tiles, need tile_width >= 32. Ignored by the
-  /// other engines (they batch with width 1).
+  /// Exists only for the repository benchmark (perfbench), which passes
+  /// it to MakeDeltaEngine. Must be >= 1 (std::invalid_argument
+  /// otherwise) and is otherwise unused: no engine batches any more.
   std::int64_t tile_width = kDefaultTileWidth;
 
   /// Truncation rate p per iteration (P-TUCKER-APPROX only). Paper: 0.2.

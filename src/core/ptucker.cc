@@ -63,9 +63,10 @@ void ValidateInputs(const SparseTensor& x, const PTuckerOptions& options) {
   if (options.sample_rate <= 0.0 || options.sample_rate > 1.0) {
     throw std::invalid_argument("P-Tucker: sample_rate must be in (0, 1]");
   }
-  if (options.adaptive_epsilon < 0.0 || options.adaptive_epsilon >= 1.0) {
+  if (options.adaptive_epsilon != 0.0) {
     throw std::invalid_argument(
-        "P-Tucker: adaptive_epsilon must be in [0, 1)");
+        "P-Tucker: adaptive_epsilon must be 0: the lossy adaptive "
+        "delta-engine was removed");
   }
   if (options.tile_width < 1) {
     throw std::invalid_argument("P-Tucker: tile_width must be >= 1");
@@ -155,24 +156,16 @@ PTuckerResult PTuckerDecompose(const SparseTensor& x,
   // views by default, the §III-C Pres table for P-TUCKER-CACHE, or
   // whatever options.delta_engine pins explicitly.
   std::unique_ptr<DeltaEngine> engine = MakeDeltaEngine(
-      ResolveDeltaEngineChoice(options), x, core_list, factors, tracker,
-      options.adaptive_epsilon, options.tile_width);
+      ResolveDeltaEngineChoice(options), x, core_list, factors, tracker);
 
-  // Row updates hand the engine tiles of `batch` entries at a time; only
-  // engines with a real batch kernel ask for more than one.
-  const std::int64_t batch = std::max<std::int64_t>(1, engine->PreferredBatch());
-
-  // Intermediate data of the default variant: per-thread B and the solved
-  // row + c (J²+2J), the δ tile (batch·J) and its entry ids/coordinate
-  // pointers/values (3·batch words), plus the reconstruction-error tile
-  // (coordinate pointers, observed values, and x̂ — 3·batch words) used by
-  // the metric path — still the O(T J²) of Theorem 4 for the default
-  // batch-1 engines. (The truncation scorer's batch·|G| products scratch
-  // is charged inside ComputePartialErrors, where |G| is current.)
+  // Intermediate data of the default variant: per-thread B, c, δ and the
+  // solved row (J²+3J) — the O(T J²) of Theorem 4. (The truncation
+  // scorer's |G| products scratch is charged inside ComputePartialErrors,
+  // where |G| is current.)
   const std::int64_t scratch_bytes =
       static_cast<std::int64_t>(threads) *
       static_cast<std::int64_t>(sizeof(double)) *
-      (max_rank * max_rank + 2 * max_rank + batch * max_rank + 6 * batch);
+      (max_rank * max_rank + 3 * max_rank);
   ScopedCharge scratch_charge(tracker, scratch_bytes);
 
   PTuckerResult result;

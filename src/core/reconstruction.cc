@@ -1,6 +1,5 @@
 #include "core/reconstruction.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "core/delta_engine.h"
@@ -10,62 +9,8 @@ namespace ptucker {
 
 namespace {
 
-// Per-thread worker of SquaredResidualSum: buffers consecutive entries
-// into a tile of the engine's preferred width, reconstructs the tile with
-// one ReconstructBatch call, and adds the squared residuals in entry
-// order. ReconstructBatch equals a per-entry Reconstruct loop on every
-// engine, and with the blocked deterministic sum's static partition the
-// additions happen in exactly the per-entry order — so the sum is
-// bit-identical to the unbatched flow for any batch width.
-class ResidualWorker {
- public:
-  ResidualWorker(const SparseTensor& x, const DeltaEngine& engine,
-                 std::int64_t batch)
-      : x_(&x), engine_(&engine), batch_(batch) {
-    if (batch_ > 1) {
-      indices_.resize(static_cast<std::size_t>(batch_));
-      observed_.resize(static_cast<std::size_t>(batch_));
-      predicted_.resize(static_cast<std::size_t>(batch_));
-    }
-  }
-
-  void operator()(std::int64_t e, double* local) {
-    if (batch_ == 1) {
-      // Batch-1 engines keep the direct per-entry hot path.
-      const double residual =
-          x_->value(e) - engine_->Reconstruct(x_->index(e));
-      *local += residual * residual;
-      return;
-    }
-    indices_[static_cast<std::size_t>(pending_)] = x_->index(e);
-    observed_[static_cast<std::size_t>(pending_)] = x_->value(e);
-    if (++pending_ == batch_) Flush(local);
-  }
-
-  void Flush(double* local) {
-    if (pending_ == 0) return;
-    engine_->ReconstructBatch(pending_, indices_.data(), predicted_.data());
-    for (std::int64_t i = 0; i < pending_; ++i) {
-      const double residual = observed_[static_cast<std::size_t>(i)] -
-                              predicted_[static_cast<std::size_t>(i)];
-      *local += residual * residual;
-    }
-    pending_ = 0;
-  }
-
- private:
-  const SparseTensor* x_;
-  const DeltaEngine* engine_;
-  std::int64_t batch_;
-  std::int64_t pending_ = 0;
-  std::vector<const std::int64_t*> indices_;
-  std::vector<double> observed_;
-  std::vector<double> predicted_;
-};
-
 // Σ (X_α − x̂_α)² in parallel; the building block of both metrics.
-// Deterministic combine order so fixed-seed solves are bit-reproducible;
-// tiled through ReconstructBatch when the engine has a real batch kernel.
+// Deterministic combine order so fixed-seed solves are bit-reproducible.
 double SquaredResidualSum(const SparseTensor& x, const DeltaEngine& engine) {
   double lane_sums[kReductionLanes];
   SquaredResidualLaneSums(x, engine, 0, kReductionLanes, lane_sums);
@@ -77,11 +22,13 @@ double SquaredResidualSum(const SparseTensor& x, const DeltaEngine& engine) {
 void SquaredResidualLaneSums(const SparseTensor& x, const DeltaEngine& engine,
                              std::int64_t lane_begin, std::int64_t lane_end,
                              double* lane_sums) {
-  const std::int64_t batch =
-      std::max<std::int64_t>(1, engine.PreferredBatch());
   DeterministicParallelLaneSums(
-      x.nnz(), lane_begin, lane_end, lane_sums,
-      [&] { return ResidualWorker(x, engine, batch); });
+      x.nnz(), lane_begin, lane_end, lane_sums, [&] {
+        return [&](std::int64_t e, double* local) {
+          const double residual = x.value(e) - engine.Reconstruct(x.index(e));
+          *local += residual * residual;
+        };
+      });
 }
 
 double ReconstructionError(const SparseTensor& x, const DeltaEngine& engine) {
@@ -118,32 +65,9 @@ double TestRmse(const SparseTensor& test, const DenseTensor& core,
 
 void PredictEntries(std::int64_t count, const std::int64_t* const* indices,
                     const DeltaEngine& engine, double* out) {
-  const std::int64_t batch =
-      std::max<std::int64_t>(1, engine.PreferredBatch());
-#pragma omp parallel
-  {
-    // With static scheduling each thread's entries are consecutive, so a
-    // buffered tile always maps to a contiguous span of the output and
-    // ReconstructBatch can write it directly.
-    std::vector<const std::int64_t*> tile(static_cast<std::size_t>(batch));
-    std::int64_t tile_start = 0;
-    std::int64_t pending = 0;
-    const auto flush = [&] {
-      if (pending == 0) return;
-      engine.ReconstructBatch(pending, tile.data(), out + tile_start);
-      pending = 0;
-    };
-#pragma omp for schedule(static)
-    for (std::int64_t e = 0; e < count; ++e) {
-      if (batch == 1) {
-        out[e] = engine.Reconstruct(indices[e]);
-        continue;
-      }
-      if (pending == 0) tile_start = e;
-      tile[static_cast<std::size_t>(pending)] = indices[e];
-      if (++pending == batch) flush();
-    }
-    flush();
+#pragma omp parallel for schedule(static)
+  for (std::int64_t e = 0; e < count; ++e) {
+    out[e] = engine.Reconstruct(indices[e]);
   }
 }
 

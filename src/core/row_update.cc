@@ -73,26 +73,16 @@ void UpdateFactorRows(const SparseTensor& x, std::int64_t mode,
     }
   }
 
-  // Row updates hand the engine tiles of `batch` entries at a time; only
-  // engines with a real batch kernel ask for more than one.
-  const std::int64_t batch =
-      std::max<std::int64_t>(1, engine.PreferredBatch());
   const bool subsample = options.sample_rate < 1.0;
   Matrix& factor_ref = *factor;
 
 #pragma omp parallel
   {
-    // Per-thread intermediate data (Fig. 4): B, c, the δ tile, and
-    // the row. The tile buffers batch entries between DeltaBatch
-    // calls; with batch = 1 this degenerates to the per-entry flow.
+    // Per-thread intermediate data (Fig. 4): B, c, δ, and the row.
     Matrix b(rank, rank);
     std::vector<double> c(static_cast<std::size_t>(rank));
     std::vector<double> new_row(static_cast<std::size_t>(rank));
-    std::vector<double> deltas(static_cast<std::size_t>(batch * rank));
-    std::vector<std::int64_t> tile_entries(static_cast<std::size_t>(batch));
-    std::vector<const std::int64_t*> tile_index(
-        static_cast<std::size_t>(batch));
-    std::vector<double> tile_values(static_cast<std::size_t>(batch));
+    std::vector<double> delta(static_cast<std::size_t>(rank));
 
     // schedule(runtime): dynamic under the paper's careful
     // distribution of work, static for the naive ablation.
@@ -110,36 +100,11 @@ void UpdateFactorRows(const SparseTensor& x, std::int64_t mode,
       Rng sampler(subsample ? SampleStreamSeed(options.seed, options.iteration,
                                                mode, row_index)
                             : 0);
-      // Tiled δ, then the Eq. 10 / Eq. 11 accumulations. The per-tile
-      // results are consumed in entry order, so B and c accumulate in
-      // exactly the per-entry order regardless of the batch width —
-      // trajectories do not depend on how the engine tiles δ.
-      std::int64_t pending = 0;
-      const auto flush_tile = [&] {
-        if (pending == 0) return;
-        engine.DeltaBatch(pending, tile_entries.data(), tile_index.data(),
-                          mode, deltas.data());
-        for (std::int64_t t = 0; t < pending; ++t) {
-          double* delta = deltas.data() + t * rank;
-          SymmetricRank1Update(b, delta);                  // Eq. 10
-          Axpy(tile_values[static_cast<std::size_t>(t)], delta, c.data(),
-               rank);                                      // Eq. 11
-        }
-        pending = 0;
-      };
+      // δ, then the Eq. 10 / Eq. 11 accumulations, in entry order.
       const auto accumulate_entry = [&](std::int64_t entry) {
-        if (batch == 1) {
-          // Batch-1 engines keep the direct per-entry hot path — no
-          // tile buffering, no extra virtual dispatch.
-          engine.ComputeDelta(entry, x.index(entry), mode, deltas.data());
-          SymmetricRank1Update(b, deltas.data());            // Eq. 10
-          Axpy(x.value(entry), deltas.data(), c.data(), rank);
-          return;
-        }
-        tile_entries[static_cast<std::size_t>(pending)] = entry;
-        tile_index[static_cast<std::size_t>(pending)] = x.index(entry);
-        tile_values[static_cast<std::size_t>(pending)] = x.value(entry);
-        if (++pending == batch) flush_tile();
+        engine.ComputeDelta(entry, x.index(entry), mode, delta.data());
+        SymmetricRank1Update(b, delta.data());                 // Eq. 10
+        Axpy(x.value(entry), delta.data(), c.data(), rank);    // Eq. 11
       };
       std::int64_t used = 0;
       for (const std::int64_t entry : slice) {
@@ -153,7 +118,6 @@ void UpdateFactorRows(const SparseTensor& x, std::int64_t mode,
         // Keep every observed row anchored to at least one entry.
         accumulate_entry(slice.front());
       }
-      flush_tile();
       for (std::int64_t j = 0; j < rank; ++j) b(j, j) += options.lambda;
       SolveRow(b, c.data(), new_row.data(), rank);      // Eq. 9
       for (std::int64_t j = 0; j < rank; ++j) {

@@ -84,9 +84,8 @@ struct RowUpdateOptions {
 
 /// Re-solves factor rows of `mode` against the current (core, factors)
 /// state seen through `engine`: for each requested row, accumulates the
-/// Eq. 10/11 normal equations over the row's slice Ω(mode, in) — tiled
-/// through DeltaEngine::DeltaBatch with entry-order consumption, so
-/// results do not depend on the engine's tile width — and solves Eq. 9
+/// Eq. 10/11 normal equations over the row's slice Ω(mode, in), one
+/// DeltaEngine::ComputeDelta per entry in slice order, and solves Eq. 9
 /// (Cholesky with an LU fallback), writing the row into `factor`.
 ///
 /// `rows` selects the subset: `num_rows` row indices (each in

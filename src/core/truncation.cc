@@ -14,74 +14,37 @@ namespace ptucker {
 
 namespace {
 
-// Per-thread worker of ComputePartialErrors: buffers consecutive observed
-// entries into a tile of the engine's preferred width, computes every
-// c_αβ of the tile with one ProductsBatch call, and applies the Eq. 13
-// update in entry order. ProductsBatch equals a per-entry ComputeProducts
-// loop on every engine and the blocked deterministic sum keeps the
-// per-entry static partition, so the scores — and therefore the set of
-// truncated entries — are bit-identical to the unbatched flow for any
-// batch width.
+// Per-lane worker of ComputePartialErrors: computes every c_αβ of one
+// observed entry with ComputeProducts, then applies its Eq. 13 update —
+// one pass over the products computes the reconstruction x̂_α, a second
+// folds each product into R(β).
 class PartialErrorWorker {
  public:
   PartialErrorWorker(const SparseTensor& x, const DeltaEngine& engine,
-                     std::int64_t n_core, std::int64_t batch)
-      : x_(&x), engine_(&engine), n_core_(n_core), batch_(batch) {
-    products_.resize(static_cast<std::size_t>(batch_ * n_core_));
-    if (batch_ > 1) {
-      indices_.resize(static_cast<std::size_t>(batch_));
-      observed_.resize(static_cast<std::size_t>(batch_));
-    }
-  }
+                     std::int64_t n_core)
+      : x_(&x), engine_(&engine), n_core_(n_core),
+        products_(static_cast<std::size_t>(n_core)) {}
 
   void operator()(std::int64_t e, double* local) {
-    if (batch_ == 1) {
-      // Batch-1 engines keep the direct per-entry hot path.
-      engine_->ComputeProducts(x_->index(e), products_.data());
-      Accumulate(x_->value(e), products_.data(), local);
-      return;
-    }
-    indices_[static_cast<std::size_t>(pending_)] = x_->index(e);
-    observed_[static_cast<std::size_t>(pending_)] = x_->value(e);
-    if (++pending_ == batch_) Flush(local);
-  }
-
-  void Flush(double* local) {
-    if (pending_ == 0) return;
-    engine_->ProductsBatch(pending_, indices_.data(), products_.data());
-    for (std::int64_t i = 0; i < pending_; ++i) {
-      Accumulate(observed_[static_cast<std::size_t>(i)],
-                 products_.data() + i * n_core_, local);
-    }
-    pending_ = 0;
-  }
-
- private:
-  // One entry's Eq. 13 contribution: one pass over its c_αβ computes the
-  // reconstruction x̂_α, a second folds each product into R(β).
-  void Accumulate(double observed, const double* products,
-                  double* local) const {
+    engine_->ComputeProducts(x_->index(e), products_.data());
     double reconstruction = 0.0;
     for (std::int64_t b = 0; b < n_core_; ++b) {
-      reconstruction += products[b];
+      reconstruction += products_[static_cast<std::size_t>(b)];
     }
-    const double residual = observed - reconstruction;
+    const double residual = x_->value(e) - reconstruction;
     for (std::int64_t b = 0; b < n_core_; ++b) {
-      const double c = products[b];
+      const double c = products_[static_cast<std::size_t>(b)];
       // (X−x̂)² − (X−x̂+c)² = −c·(c + 2(X−x̂)) — Eq. 13 in terms of
       // the residual.
       local[b] -= c * (c + 2.0 * residual);
     }
   }
 
+ private:
   const SparseTensor* x_;
   const DeltaEngine* engine_;
   std::int64_t n_core_;
-  std::int64_t batch_;
-  std::int64_t pending_ = 0;
   std::vector<double> products_;
-  std::vector<const std::int64_t*> indices_;
-  std::vector<double> observed_;
 };
 
 }  // namespace
@@ -96,24 +59,19 @@ std::vector<double> ComputePartialErrors(const SparseTensor& x,
   std::vector<double> result(core_count, 0.0);
   const NaiveDeltaEngine fallback(core, factors);
   const DeltaEngine& delta_engine = engine != nullptr ? *engine : fallback;
-  const std::int64_t batch =
-      std::max<std::int64_t>(1, delta_engine.PreferredBatch());
 
-  // The per-thread tile scratch (batch·|G| products plus the tile's
-  // coordinate pointers and values) is intermediate data like any other;
-  // charge it for the duration of the scan.
+  // The per-thread products scratch (|G| doubles) is intermediate data
+  // like any other; charge it for the duration of the scan.
   const std::int64_t scratch_bytes =
       static_cast<std::int64_t>(omp_get_max_threads()) *
-      static_cast<std::int64_t>(sizeof(double)) *
-      (batch * n_core + (batch > 1 ? 2 * batch : 0));
+      static_cast<std::int64_t>(sizeof(double)) * n_core;
   ScopedCharge scratch_charge(tracker, scratch_bytes);
 
-  // Per-thread accumulators merged in thread order (no atomics on the hot
-  // path, deterministic run-to-run for a fixed thread count).
-  DeterministicParallelBlockedVectorSum(
-      x.nnz(), core_count, result.data(), [&] {
-        return PartialErrorWorker(x, delta_engine, n_core, batch);
-      });
+  // Per-lane accumulators merged in lane order (no atomics on the hot
+  // path, deterministic for every thread count).
+  DeterministicParallelVectorSum(x.nnz(), core_count, result.data(), [&] {
+    return PartialErrorWorker(x, delta_engine, n_core);
+  });
   return result;
 }
 

@@ -1,8 +1,8 @@
 /// \file
 /// \brief P-TUCKER-APPROX core truncation (Algorithm 4): partial
 /// reconstruction errors R(β) (Eq. 13) and removal of the noisiest core
-/// entries, with DeltaEngine-aware scoring (tiled through
-/// DeltaEngine::ProductsBatch) and removal notification.
+/// entries, with DeltaEngine-aware scoring (DeltaEngine::ComputeProducts)
+/// and removal notification.
 #ifndef PTUCKER_CORE_TRUNCATION_H_
 #define PTUCKER_CORE_TRUNCATION_H_
 
@@ -30,12 +30,10 @@ namespace ptucker {
 class DeltaEngine;
 
 /// R(β) for every entry of `core`, in list order. O(|Ω|·|G|·N), parallel
-/// over observed entries with a deterministic (thread-ordered) merge. The
+/// over observed entries with a deterministic (lane-ordered) merge. The
 /// per-(α,β) products come from `engine` when given, else from an
-/// entry-major scan; entries are tiled through ProductsBatch in
-/// PreferredBatch()-sized tiles and consumed in entry order, so the
-/// scores are bit-identical to a per-entry scan for every engine and
-/// batch width. The per-thread tile scratch (T · batch · |G| doubles) is
+/// entry-major scan, and are consumed in entry order within each fixed
+/// reduction lane. The per-thread products scratch (T · |G| doubles) is
 /// charged to `tracker` for the duration of the scan when given.
 std::vector<double> ComputePartialErrors(const SparseTensor& x,
                                          const CoreEntryList& core,

@@ -4,13 +4,6 @@
 
 namespace ptucker {
 
-std::int64_t RowUpdateCost(const SparseTensor& x, std::int64_t mode,
-                           std::int64_t row) {
-  // |Ω(n,in)| + 1: the +1 stands for the per-row solve, so an empty row
-  // is never free.
-  return x.SliceSize(mode, row) + 1;
-}
-
 RowPartition PartitionRowsBlock(const SparseTensor& x, std::int64_t mode,
                                 std::int64_t workers) {
   PTUCKER_CHECK(workers >= 1);

@@ -18,12 +18,6 @@ struct RowPartition {
   }
 };
 
-/// Cost of updating one row of A(mode): proportional to |Ω(n,in)| (the δ
-/// computations dominate; the J³ solve is constant per row). The unit of
-/// DistributedStats' makespan model (distributed/proc/dist_solver.h).
-std::int64_t RowUpdateCost(const SparseTensor& x, std::int64_t mode,
-                           std::int64_t row);
-
 /// Contiguous equal-count row blocks: worker w owns rows
 /// [rows·w/W, rows·(w+1)/W). The multi-process solver's ownership rule.
 RowPartition PartitionRowsBlock(const SparseTensor& x, std::int64_t mode,

@@ -88,6 +88,11 @@ void ValidateDistributed(const SparseTensor& x, const PTuckerOptions& options,
     throw std::invalid_argument(
         "distributed P-Tucker: sample_rate must be in (0, 1]");
   }
+  if (options.adaptive_epsilon != 0.0) {
+    throw std::invalid_argument(
+        "distributed P-Tucker: adaptive_epsilon must be 0: the lossy "
+        "adaptive delta-engine was removed");
+  }
 }
 
 // Replicates the single-process initialization (Algorithm 2 line 1)
@@ -239,9 +244,9 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
   std::vector<Matrix> factors;
   DenseTensor core = InitModel(x, options, &factors);
   CoreEntryList core_list(core);
-  const std::unique_ptr<DeltaEngine> engine = MakeDeltaEngine(
-      ResolveDeltaEngineChoice(options), x, core_list, factors,
-      /*tracker=*/nullptr, options.adaptive_epsilon, options.tile_width);
+  const std::unique_ptr<DeltaEngine> engine =
+      MakeDeltaEngine(ResolveDeltaEngineChoice(options), x, core_list,
+                      factors, /*tracker=*/nullptr);
 
   // Row ownership per mode (every worker derives the same partition) and
   // this rank's contiguous reduction-lane subrange.
@@ -452,27 +457,11 @@ DistributedPTuckerResult DistributedPTuckerDecompose(
     DenseTensor core = InitModel(x, options, &factors);
     CoreEntryList core_list(core);
 
-    // Row ownership (the same blocks every worker derives) plus the cost
-    // model DistributedStats reports: per-iteration serial work and
-    // makespan under RowUpdateCost. The partition is fixed, so both are
-    // constant across iterations.
+    // Row ownership: the same blocks every worker derives.
     std::vector<RowPartition> partitions;
     partitions.reserve(static_cast<std::size_t>(order));
-    std::int64_t total_cost = 0;
-    std::int64_t makespan = 0;
     for (std::int64_t mode = 0; mode < order; ++mode) {
       partitions.push_back(PartitionRowsBlock(x, mode, workers));
-      std::int64_t max_load = 0;
-      for (std::int64_t r = 0; r < workers; ++r) {
-        std::int64_t load = 0;
-        for (const std::int64_t row :
-             partitions.back().rows_per_worker[static_cast<std::size_t>(r)]) {
-          load += RowUpdateCost(x, mode, row);
-        }
-        total_cost += load;
-        max_load = std::max(max_load, load);
-      }
-      makespan += max_load;
     }
 
     PTuckerResult& result = out.result;
@@ -585,8 +574,6 @@ DistributedPTuckerResult DistributedPTuckerDecompose(
       previous_error = error;
       stats.seconds = iteration_clock.ElapsedSeconds();
       result.iterations.push_back(stats);
-      out.stats.makespan_per_iteration.push_back(makespan);
-      out.stats.total_cost_per_iteration.push_back(total_cost);
       if (options.verbose) {
         PTUCKER_LOG(kInfo) << "distributed iteration " << iteration
                            << ": error=" << error << " (" << stats.seconds

@@ -65,38 +65,25 @@ struct DistOptions {
 };
 
 /// Cluster-side accounting of one distributed solve: measured wire
-/// traffic plus a compute cost model under RowUpdateCost
-/// (distributed/partition.h).
+/// traffic.
 struct DistributedStats {
   std::int64_t workers = 1;  ///< cluster size N
   int iterations_run = 0;    ///< iterations the solve completed
   /// Bytes moved across the transport in total, both directions.
   std::int64_t total_comm_bytes = 0;
-  /// Compute makespan per iteration in cost units: Σ over modes of the
-  /// heaviest worker's RowUpdateCost load.
-  std::vector<std::int64_t> makespan_per_iteration;
-  /// Total compute cost units per iteration (= serial work).
-  std::vector<std::int64_t> total_cost_per_iteration;
-
-  /// Parallel efficiency of iteration `i`: serial / (N · makespan).
-  double Efficiency(std::size_t i) const {
-    return static_cast<double>(total_cost_per_iteration[i]) /
-           (static_cast<double>(workers) *
-            static_cast<double>(makespan_per_iteration[i]));
-  }
 };
 
 /// A distributed solve's model (bit-identical to PTuckerDecompose's)
 /// and its cluster stats.
 struct DistributedPTuckerResult {
   PTuckerResult result;    ///< the fitted model and trajectory
-  DistributedStats stats;  ///< wire bytes and cost model
+  DistributedStats stats;  ///< wire bytes
 };
 
 /// Decomposes `x` with `dist.workers` processes (or threads, for the
 /// in-process transport) and returns the same result a single-process
 /// PTuckerDecompose(x, options) produces, bit for bit, plus cluster
-/// stats (measured wire bytes, cost-model makespans). Supports the
+/// stats (measured wire bytes). Supports the
 /// kMemory variant with options.tracker == nullptr (the tracker is a
 /// process-local memory model; the approx variant changes |G|
 /// mid-flight, which would need re-planning); throws

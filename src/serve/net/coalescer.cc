@@ -202,13 +202,12 @@ void BatchCoalescer::ProcessBatch(std::vector<NetRequest>* batch) {
   }
 
   // The coalescing payoff: every predict in the batch — regardless of
-  // which client or loop thread it came from — runs through ONE tiled
-  // PredictBatch call, so the SIMD tile kernels and the OpenMP entry
-  // parallelism both engage. Replies are routed back by request id; the
-  // result for each query depends only on that query and the snapshot
-  // (PredictBatch is bit-identical to the per-entry path at every tile
-  // width), so grouping, ordering, and window size can never change a
-  // reply's bytes.
+  // which client or loop thread it came from — runs through ONE
+  // PredictBatch call, so the OpenMP entry parallelism engages. Replies
+  // are routed back by request id; the result for each query depends
+  // only on that query and the snapshot (PredictBatch is bit-identical
+  // to the per-entry path), so grouping, ordering, and window size can
+  // never change a reply's bytes.
   if (!predicts.empty()) {
     std::vector<const std::int64_t*> indices(predicts.size());
     for (std::size_t i = 0; i < predicts.size(); ++i) {
@@ -225,8 +224,8 @@ void BatchCoalescer::ProcessBatch(std::vector<NetRequest>* batch) {
     }
   }
 
-  // Top-K requests execute one by one — each call is already internally
-  // tiled and thread-parallel over its candidate scan.
+  // Top-K requests execute one by one — each call is already
+  // thread-parallel over its candidate scan.
   for (NetRequest* request : topks) {
     try {
       const std::vector<ScoredIndex> results =

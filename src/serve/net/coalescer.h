@@ -3,12 +3,11 @@
 /// from every connection (on every event-loop thread) land in one
 /// bounded MPSC queue; worker threads drain up to `max_batch` entries —
 /// or whatever arrived within `batch_window_us`, whichever fills first —
-/// and run them through ONE tiled PredictBatch / TopK call against a
-/// single atomically-grabbed ModelSnapshot, then route each encoded
-/// reply back to its connection by request id. This is where a live
-/// server recovers the 1.4–2.2× batch-kernel advantage bench_serving
-/// measures in-process: concurrent clients each sending one query at a
-/// time still execute as wide tiles. Backpressure is structural: when
+/// and run them through ONE PredictBatch / TopK call against a single
+/// atomically-grabbed ModelSnapshot, then route each encoded reply back
+/// to its connection by request id, so concurrent clients each sending
+/// one query at a time still share one thread-parallel batch and one
+/// wakeup. Backpressure is structural: when
 /// the queue is full TryPush refuses, the event loop parks the decoded
 /// request and stops reading that connection's socket until a worker
 /// drains the queue — slow consumers stall their own TCP window instead

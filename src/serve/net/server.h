@@ -4,7 +4,7 @@
 /// port() reports the choice), runs one epoll EventLoop per listener,
 /// and starts the BatchCoalescer's worker pool; every loop feeds the
 /// one shared bounded queue, so predict/top-K requests from different
-/// clients — and different loop threads — coalesce into single tiled
+/// clients — and different loop threads — coalesce into single
 /// PredictBatch / TopK calls. Hot reload rides on the underlying
 /// PredictionService: ReloadSnapshot on it swaps the model atomically
 /// while connections stay open, and every in-flight batch is served by

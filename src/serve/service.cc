@@ -14,8 +14,7 @@ namespace {
 
 // Total order on candidates: higher score first, ties broken by the
 // smaller mode coordinate. Because the order is total, the top-k set and
-// its ordering are unique — TopK's result cannot depend on thread count
-// or tile width.
+// its ordering are unique — TopK's result cannot depend on thread count.
 bool Better(const ScoredIndex& a, const ScoredIndex& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.index < b.index;
@@ -87,8 +86,7 @@ std::vector<std::int32_t> ProbeIvf(const ModelSnapshot& snap,
 }  // namespace
 
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::Create(
-    TuckerFactorization model, std::int64_t tile_width,
-    MemoryTracker* tracker) {
+    TuckerFactorization model, MemoryTracker* tracker) {
   const std::int64_t order = model.core.order();
   if (order < 1) {
     throw std::invalid_argument("serve: model has no modes");
@@ -105,9 +103,6 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::Create(
           " shape does not match the core rank");
     }
   }
-  if (tile_width < 1) {
-    throw std::invalid_argument("serve: tile_width must be >= 1");
-  }
   // Two-phase construction: the engine keeps references into the
   // snapshot's core list and views into its factors, so both must
   // already live at their final heap address before the engine is built.
@@ -115,8 +110,8 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::Create(
   snapshot->model_ = std::move(model);
   snapshot->factor_views_ = MakeFactorViews(snapshot->model_.factors);
   snapshot->core_list_ = CoreEntryList(snapshot->model_.core);
-  snapshot->engine_ = std::make_unique<TiledDeltaEngine>(
-      snapshot->core_list_, snapshot->factor_views_, tracker, tile_width);
+  snapshot->engine_ = std::make_unique<ModeMajorDeltaEngine>(
+      snapshot->core_list_, snapshot->factor_views_, tracker);
   return snapshot;
 }
 
@@ -135,8 +130,8 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::CreateFromFile(
   snapshot->factor_views_ = file.factors();
   snapshot->core_list_ =
       CoreEntryList(file.order(), file.core_indices(), file.core_values());
-  snapshot->engine_ = std::make_unique<TiledDeltaEngine>(
-      snapshot->core_list_, snapshot->factor_views_, tracker, tile_width);
+  snapshot->engine_ = std::make_unique<ModeMajorDeltaEngine>(
+      snapshot->core_list_, snapshot->factor_views_, tracker);
   return snapshot;
 }
 
@@ -188,7 +183,7 @@ void PredictionService::PredictBatchOn(const ModelSnapshot& snap,
   for (std::int64_t e = 0; e < count; ++e) {
     ValidateQueryIndex(snap, indices[e], -1);
   }
-  // The tiled parallel kernel lives in core/reconstruction.cc; serving
+  // The parallel kernel lives in core/reconstruction.cc; serving
   // adds only the snapshot grab and coordinate validation.
   PredictEntries(count, indices, snap.engine(), out);
 }
@@ -252,8 +247,6 @@ std::vector<ScoredIndex> PredictionService::TopK(
   }
 
   const DeltaEngine& engine = snap->engine();
-  const std::int64_t batch =
-      std::max<std::int64_t>(1, engine.PreferredBatch());
   // Per-thread bounded heaps merged in thread order — the top-K analogue
   // of the deterministic-sum discipline (util/parallel.h): each thread's
   // k best over its static contiguous range, then one sequential merge.
@@ -265,37 +258,7 @@ std::vector<ScoredIndex> PredictionService::TopK(
     // top, so a better newcomer replaces it in O(log k).
     std::vector<ScoredIndex> heap;
     heap.reserve(static_cast<std::size_t>(std::min(k, candidates)));
-    std::vector<std::int64_t> coords(static_cast<std::size_t>(batch * order));
-    std::vector<const std::int64_t*> tile(static_cast<std::size_t>(batch));
-    std::vector<std::int64_t> tile_candidate(static_cast<std::size_t>(batch));
-    std::vector<double> scores(static_cast<std::size_t>(batch));
-    for (std::int64_t b = 0; b < batch; ++b) {
-      std::int64_t* slot = coords.data() + b * order;
-      std::copy(index.begin(), index.end(), slot);
-      tile[static_cast<std::size_t>(b)] = slot;
-    }
-    const auto consider = [&](std::int64_t candidate, double score) {
-      const ScoredIndex scored{candidate, score};
-      if (static_cast<std::int64_t>(heap.size()) < k) {
-        heap.push_back(scored);
-        std::push_heap(heap.begin(), heap.end(), Better);
-        return;
-      }
-      if (!Better(scored, heap.front())) return;
-      std::pop_heap(heap.begin(), heap.end(), Better);
-      heap.back() = scored;
-      std::push_heap(heap.begin(), heap.end(), Better);
-    };
-    std::int64_t pending = 0;
-    const auto flush = [&] {
-      if (pending == 0) return;
-      engine.ReconstructBatch(pending, tile.data(), scores.data());
-      for (std::int64_t i = 0; i < pending; ++i) {
-        consider(tile_candidate[static_cast<std::size_t>(i)],
-                 scores[static_cast<std::size_t>(i)]);
-      }
-      pending = 0;
-    };
+    std::vector<std::int64_t> coords = index;
 #pragma omp for schedule(static)
     for (std::int64_t i = 0; i < count; ++i) {
       const std::int64_t candidate =
@@ -306,11 +269,18 @@ std::vector<ScoredIndex> PredictionService::TopK(
           (*exclude)[static_cast<std::size_t>(candidate)] != 0) {
         continue;
       }
-      coords[static_cast<std::size_t>(pending * order + mode)] = candidate;
-      tile_candidate[static_cast<std::size_t>(pending)] = candidate;
-      if (++pending == batch) flush();
+      coords[static_cast<std::size_t>(mode)] = candidate;
+      const ScoredIndex scored{candidate, engine.Reconstruct(coords.data())};
+      if (static_cast<std::int64_t>(heap.size()) < k) {
+        heap.push_back(scored);
+        std::push_heap(heap.begin(), heap.end(), Better);
+        continue;
+      }
+      if (!Better(scored, heap.front())) continue;
+      std::pop_heap(heap.begin(), heap.end(), Better);
+      heap.back() = scored;
+      std::push_heap(heap.begin(), heap.end(), Better);
     }
-    flush();
     per_thread[static_cast<std::size_t>(omp_get_thread_num())] =
         std::move(heap);
   }

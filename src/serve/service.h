@@ -1,6 +1,6 @@
 /// \file
 /// \brief The serving layer: an immutable ModelSnapshot (fitted model +
-/// its batch-capable DeltaEngine) behind an atomically swappable
+/// its mode-major DeltaEngine) behind an atomically swappable
 /// shared_ptr, and a PredictionService exposing single/batched x̂
 /// queries and deterministic parallel top-K recommendation. Queries in
 /// flight keep the snapshot they started with alive, so ReloadSnapshot
@@ -22,7 +22,7 @@
 namespace ptucker {
 
 /// An immutable, query-ready view of a fitted model: its factor views
-/// plus the CoreEntryList and TiledDeltaEngine built over them once at
+/// plus the CoreEntryList and ModeMajorDeltaEngine built over them once at
 /// load time, so every query amortizes the engine's mode-major views
 /// instead of rebuilding them. Two backings share the interface:
 /// Create() owns a TuckerFactorization, CreateFromFile() pins an
@@ -33,25 +33,25 @@ namespace ptucker {
 /// in-flight queries outlive a hot reload.
 class ModelSnapshot {
  public:
-  /// Builds a query-ready snapshot over `model` (owning). `tile_width`
-  /// sizes the engine's batch kernels (see PTuckerOptions::tile_width);
-  /// the engine's derived state is charged to `tracker` when given.
-  /// Throws std::invalid_argument when the factor shapes do not match
-  /// the core.
+  /// Builds a query-ready snapshot over `model` (owning). The engine's
+  /// derived state is charged to `tracker` when given. Throws
+  /// std::invalid_argument when the factor shapes do not match the core.
   static std::shared_ptr<const ModelSnapshot> Create(
-      TuckerFactorization model, std::int64_t tile_width = kDefaultTileWidth,
-      MemoryTracker* tracker = nullptr);
+      TuckerFactorization model, MemoryTracker* tracker = nullptr);
 
   /// Builds a query-ready snapshot directly over the snapshot file at
   /// `path`, mmap-ed with zero factor copies (MmapSnapshot).
-  /// `verify_payload` additionally checks the payload CRC — off by default so load time stays independent of
-  /// model size. Throws std::runtime_error on open/parse failure and
-  /// std::invalid_argument on a bad `tile_width`.
+  /// `verify_payload` additionally checks the payload CRC — off by
+  /// default so load time stays independent of model size. `tile_width`
+  /// exists only for the repository benchmark (perfbench), which passes
+  /// kDefaultTileWidth; it must be >= 1 and is otherwise unused. Throws
+  /// std::runtime_error on open/parse failure and std::invalid_argument
+  /// on a bad `tile_width`.
   static std::shared_ptr<const ModelSnapshot> CreateFromFile(
       const std::string& path, std::int64_t tile_width = kDefaultTileWidth,
       MemoryTracker* tracker = nullptr, bool verify_payload = false);
 
-  /// The batch-capable engine bound to the model (lifetime = snapshot).
+  /// The engine bound to the model (lifetime = snapshot).
   const DeltaEngine& engine() const { return *engine_; }
 
   /// Tensor order N.
@@ -101,12 +101,11 @@ struct ScoredIndex {
 /// coordinates against the snapshot's dims and throw
 /// std::invalid_argument on a mismatch.
 ///
-/// Determinism: PredictBatch tiles entries through the engine's
-/// ReconstructBatch exactly like PredictEntries (core/reconstruction.h),
-/// so batched results are bit-identical to the per-entry path at every
-/// tile width; TopK merges per-thread candidate heaps in thread order
-/// and totally orders candidates by (score desc, index asc), so its
-/// result is independent of thread count and tile width.
+/// Determinism: PredictBatch runs PredictEntries (core/reconstruction.h),
+/// one engine Reconstruct per entry, so batched results are
+/// bit-identical to Predict; TopK merges per-thread candidate heaps in
+/// thread order and totally orders candidates by (score desc, index
+/// asc), so its result is independent of thread count.
 class PredictionService {
  public:
   /// Serves `snapshot` (must be non-null).
@@ -123,9 +122,8 @@ class PredictionService {
   double Predict(const std::vector<std::int64_t>& index) const;
 
   /// Batched prediction: out[i] = x̂(indices[i]) for `count` coordinate
-  /// arrays of order() entries each. Parallelized over entries and tiled
-  /// through the engine's ReconstructBatch; bit-identical to `count`
-  /// Predict calls.
+  /// arrays of order() entries each. Parallelized over entries;
+  /// bit-identical to `count` Predict calls.
   void PredictBatch(std::int64_t count, const std::int64_t* const* indices,
                     double* out) const;
 
@@ -135,7 +133,7 @@ class PredictionService {
 
   /// Top-`k` completions along `mode`: scores candidate coordinates
   /// with `index`'s mode-`mode` slot replaced (the slot's incoming
-  /// value is ignored) through the tile kernels and returns the k best
+  /// value is ignored) through the engine and returns the k best
   /// ordered by (score desc, index asc). `exclude`, when given, must
   /// hold dim(mode) flags; flagged candidates are skipped (e.g. movies
   /// the user already rated). Fewer than k candidates returns them all.
@@ -157,7 +155,7 @@ class PredictionService {
                                 std::int64_t nprobe = -1) const;
 
  private:
-  // The batch kernel both public PredictBatch overloads share; `snap` is
+  // The kernel both public PredictBatch overloads share; `snap` is
   // the one snapshot the caller atomically grabbed for the whole call.
   static void PredictBatchOn(const ModelSnapshot& snap, std::int64_t count,
                              const std::int64_t* const* indices, double* out);

@@ -311,11 +311,11 @@ void IngestPipeline::WriteCheckpoint(std::int64_t seq) {
   if (options_.service != nullptr) {
     if (!snapshot_path.empty()) {
       options_.service->ReloadSnapshot(ModelSnapshot::CreateFromFile(
-          snapshot_path, options_.tile_width, options_.tracker));
+          snapshot_path, kDefaultTileWidth, options_.tracker));
     } else {
       TuckerFactorization copy = model_;
-      options_.service->ReloadSnapshot(ModelSnapshot::Create(
-          std::move(copy), options_.tile_width, options_.tracker));
+      options_.service->ReloadSnapshot(
+          ModelSnapshot::Create(std::move(copy), options_.tracker));
     }
   }
   ++checkpoints_written_;
@@ -337,8 +337,7 @@ void IngestPipeline::RebuildKeyMap() {
 void IngestPipeline::RebuildEngine() {
   engine_.reset();
   engine_ = MakeDeltaEngine(engine_choice_, tensor_, *core_list_,
-                            model_.factors, options_.tracker,
-                            options_.adaptive_epsilon, options_.tile_width);
+                            model_.factors, options_.tracker);
 }
 
 void IngestPipeline::SolveTouchedRows(

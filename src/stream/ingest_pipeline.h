@@ -42,10 +42,6 @@ struct IngestOptions {
   /// is keyed by entry ids).
   DeltaEngineChoice delta_engine = DeltaEngineChoice::kAuto;
 
-  /// ε of kAdaptive (exact at 0) and tile width of kTiled.
-  double adaptive_epsilon = 0.0;
-  std::int64_t tile_width = kDefaultTileWidth;
-
   /// OpenMP environment of the re-solves (0 threads = ambient).
   int num_threads = 0;
   Scheduling scheduling = Scheduling::kDynamic;

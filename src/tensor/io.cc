@@ -2,13 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "tensor/dense_tensor.h"
-#include "util/logging.h"
 
 namespace ptucker {
 
@@ -145,64 +143,6 @@ void WriteTns(const std::string& path, const SparseTensor& tensor) {
   if (!out) throw std::runtime_error("cannot open file for write: " + path);
   out << FormatTns(tensor);
   if (!out) throw std::runtime_error("write failed: " + path);
-}
-
-void WriteBinary(const std::string& path, const SparseTensor& tensor) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open file for write: " + path);
-  const char magic[4] = {'P', 'T', 'N', 'B'};
-  out.write(magic, 4);
-  const std::int64_t order = tensor.order();
-  const std::int64_t entries = tensor.nnz();
-  out.write(reinterpret_cast<const char*>(&order), sizeof(order));
-  for (std::int64_t k = 0; k < order; ++k) {
-    const std::int64_t d = tensor.dim(k);
-    out.write(reinterpret_cast<const char*>(&d), sizeof(d));
-  }
-  out.write(reinterpret_cast<const char*>(&entries), sizeof(entries));
-  for (std::int64_t e = 0; e < entries; ++e) {
-    out.write(reinterpret_cast<const char*>(tensor.index(e)),
-              static_cast<std::streamsize>(sizeof(std::int64_t) * order));
-    const double value = tensor.value(e);
-    out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-  }
-  if (!out) throw std::runtime_error("write failed: " + path);
-}
-
-SparseTensor ReadBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open file: " + path);
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, "PTNB", 4) != 0) {
-    throw std::runtime_error("bad magic in binary tensor file: " + path);
-  }
-  std::int64_t order = 0;
-  in.read(reinterpret_cast<char*>(&order), sizeof(order));
-  if (!in || order <= 0 || order > 64) {
-    throw std::runtime_error("bad order in binary tensor file: " + path);
-  }
-  std::vector<std::int64_t> dims(static_cast<std::size_t>(order));
-  for (auto& d : dims) in.read(reinterpret_cast<char*>(&d), sizeof(d));
-  std::int64_t entries = 0;
-  in.read(reinterpret_cast<char*>(&entries), sizeof(entries));
-  if (!in || entries < 0) {
-    throw std::runtime_error("bad entry count in binary tensor file: " + path);
-  }
-  SparseTensor tensor(dims);
-  tensor.Reserve(entries);
-  std::vector<std::int64_t> index(static_cast<std::size_t>(order));
-  for (std::int64_t e = 0; e < entries; ++e) {
-    in.read(reinterpret_cast<char*>(index.data()),
-            static_cast<std::streamsize>(sizeof(std::int64_t) * order));
-    double value = 0.0;
-    in.read(reinterpret_cast<char*>(&value), sizeof(value));
-    if (!in) {
-      throw std::runtime_error("truncated binary tensor file: " + path);
-    }
-    tensor.AddEntry(index.data(), value);
-  }
-  return tensor;
 }
 
 SparseTensor SparseFromDense(const DenseTensor& dense) {

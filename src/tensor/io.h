@@ -30,11 +30,6 @@ void WriteTns(const std::string& path, const SparseTensor& tensor);
 /// Serializes `.tns` content to a string.
 std::string FormatTns(const SparseTensor& tensor);
 
-/// Compact binary round-trip format ("PTNB"): order, dims, nnz, indices,
-/// values, all little-endian 64-bit.
-void WriteBinary(const std::string& path, const SparseTensor& tensor);
-SparseTensor ReadBinary(const std::string& path);
-
 /// The nonzeros of a dense tensor as a SparseTensor (used to serialize a
 /// fitted — possibly truncated — core tensor in FROSTT format).
 SparseTensor SparseFromDense(const class DenseTensor& tensor);

@@ -10,10 +10,8 @@
 /// computes exactly the partials the single-process fold consumes, so a
 /// coordinator that gathers all lanes and folds them in lane order
 /// reproduces the one-process sum bit for bit (src/distributed/proc/).
-/// The blocked variants accept workers that buffer tiles of consecutive
-/// indices; the plain variants are thin wrappers over them with a no-op
-/// Flush, so the two families share one partition/combine implementation
-/// by construction.
+/// Every sum here goes through the two lane-sum primitives and the two
+/// folds, so all of them share one partition/combine implementation.
 #ifndef PTUCKER_UTIL_PARALLEL_H_
 #define PTUCKER_UTIL_PARALLEL_H_
 
@@ -44,9 +42,10 @@ inline constexpr std::int64_t ReductionLaneBegin(std::int64_t n,
 /// Fills `lane_sums[0 .. lane_end-lane_begin)` with the per-lane partial
 /// sums of lanes [lane_begin, lane_end): lane l covers indices
 /// [ReductionLaneBegin(n, l), ReductionLaneBegin(n, l+1)), accumulated in
-/// index order through a fresh worker (the DeterministicParallelBlockedSum
-/// contract: `operator()(i, double*)` plus one trailing `Flush`). Lanes
-/// are independent, so the loop parallelizes freely; each lane's partial
+/// index order through a fresh worker: `make_worker()` runs once per lane
+/// and returns a callable `worker(i, double* local)` that adds index i's
+/// term into `*local` (and may own per-lane scratch). Lanes are
+/// independent, so the loop parallelizes freely; each lane's partial
 /// depends only on (n, lane, the summed terms) — never on the thread
 /// count or on which process computes it. This is the primitive the
 /// distributed solver ships across the wire.
@@ -63,7 +62,6 @@ void DeterministicParallelLaneSums(std::int64_t n, std::int64_t lane_begin,
     const std::int64_t begin = ReductionLaneBegin(n, lane);
     const std::int64_t end = ReductionLaneBegin(n, lane + 1);
     for (std::int64_t i = begin; i < end; ++i) worker(i, &local);
-    worker.Flush(&local);
     lane_sums[static_cast<std::size_t>(l)] = local;
   }
 }
@@ -87,7 +85,6 @@ void DeterministicParallelVectorLaneSums(std::int64_t n, std::size_t width,
     const std::int64_t begin = ReductionLaneBegin(n, lane);
     const std::int64_t end = ReductionLaneBegin(n, lane + 1);
     for (std::int64_t i = begin; i < end; ++i) worker(i, local);
-    worker.Flush(local);
   }
 }
 
@@ -114,87 +111,33 @@ inline void FoldVectorLaneSums(const double* lane_sums, std::int64_t lanes,
   }
 }
 
-/// DeterministicParallelSum for workers that buffer consecutive indices
-/// into tiles (e.g. to feed DeltaEngine batch kernels). `make_worker()`
-/// runs once per lane and returns an object exposing
-///   `void operator()(std::int64_t i, double* local)` and
-///   `void Flush(double* local)`;
-/// the worker may defer accumulating into `local` until Flush, which is
-/// called exactly once after the lane's contiguous index range is
-/// exhausted (so a partial trailing tile is never dropped). Because each
-/// lane is a contiguous, increasing index range, a worker that buffers
-/// consecutive indices and accumulates tile results in index order
-/// produces a total that is bit-identical to the per-index flow, for any
-/// tile width — and, via the fixed lane partition, for any thread count.
-template <typename WorkerFactory>
-double DeterministicParallelBlockedSum(std::int64_t n,
-                                       WorkerFactory&& make_worker) {
+/// Sums `term(i)` for i in [0, n) in parallel with a result that is
+/// bit-identical at every thread count: all kReductionLanes lane partials
+/// (DeterministicParallelLaneSums) folded in lane order.
+template <typename TermFn>
+double DeterministicParallelSum(std::int64_t n, TermFn&& term) {
   double lane_sums[kReductionLanes];
-  DeterministicParallelLaneSums(n, 0, kReductionLanes, lane_sums,
-                                std::forward<WorkerFactory>(make_worker));
+  DeterministicParallelLaneSums(n, 0, kReductionLanes, lane_sums, [&term] {
+    return [&term](std::int64_t i, double* local) { *local += term(i); };
+  });
   return FoldLaneSums(lane_sums, kReductionLanes);
 }
 
-/// Vector-valued counterpart of DeterministicParallelBlockedSum: the
-/// same worker contract (`operator()(i, double* local)` + one
-/// `Flush(local)` per lane), with `local` pointing at a width-sized
-/// accumulator, and the same lane partition/combine guarantees.
+/// Vector-valued counterpart of DeterministicParallelSum: fills
+/// `out[0..width)` with Σ_i contribution(i). `make_worker()` runs once
+/// per lane and returns a callable `worker(i, double* local)` that may
+/// own per-lane scratch. Same lane partition and lane-order fold as the
+/// scalar sum — no `omp critical` or atomics anywhere on a merge path.
 template <typename WorkerFactory>
-void DeterministicParallelBlockedVectorSum(std::int64_t n, std::size_t width,
-                                           double* out,
-                                           WorkerFactory&& make_worker) {
+void DeterministicParallelVectorSum(std::int64_t n, std::size_t width,
+                                    double* out,
+                                    WorkerFactory&& make_worker) {
   std::vector<double> lane_sums(static_cast<std::size_t>(kReductionLanes) *
                                 width);
   DeterministicParallelVectorLaneSums(
       n, width, 0, kReductionLanes, lane_sums.data(),
       std::forward<WorkerFactory>(make_worker));
   FoldVectorLaneSums(lane_sums.data(), kReductionLanes, width, out);
-}
-
-namespace internal {
-
-/// Adapts a per-index scalar term to the blocked-worker contract.
-template <typename TermFn>
-struct TermWorker {
-  TermFn& term;
-  void operator()(std::int64_t i, double* local) { *local += term(i); }
-  void Flush(double* /*local*/) {}
-};
-
-/// Adapts a per-index vector worker (no Flush) to the blocked contract.
-template <typename Worker>
-struct NoFlushWorker {
-  Worker worker;
-  void operator()(std::int64_t i, double* local) { worker(i, local); }
-  void Flush(double* /*local*/) {}
-};
-
-}  // namespace internal
-
-/// Sums `term(i)` for i in [0, n) in parallel with a result that is
-/// bit-identical at every thread count (see
-/// DeterministicParallelBlockedSum, which this wraps with a no-op
-/// Flush — guaranteeing the per-index and blocked flows share one
-/// partition/combine implementation).
-template <typename TermFn>
-double DeterministicParallelSum(std::int64_t n, TermFn&& term) {
-  return DeterministicParallelBlockedSum(
-      n, [&term] { return internal::TermWorker<TermFn>{term}; });
-}
-
-/// Vector-valued counterpart of DeterministicParallelSum: fills
-/// `out[0..width)` with Σ_i contribution(i). `make_worker()` runs once
-/// per lane and returns a callable `worker(i, double* local)` that may
-/// own per-lane scratch. Wraps DeterministicParallelBlockedVectorSum
-/// with a no-op Flush — same partition/combine guarantees, no
-/// `omp critical` or atomics anywhere on a merge path.
-template <typename WorkerFactory>
-void DeterministicParallelVectorSum(std::int64_t n, std::size_t width,
-                                    double* out,
-                                    WorkerFactory&& make_worker) {
-  DeterministicParallelBlockedVectorSum(n, width, out, [&make_worker] {
-    return internal::NoFlushWorker<decltype(make_worker())>{make_worker()};
-  });
 }
 
 }  // namespace ptucker

@@ -1,20 +1,18 @@
 // Equivalence and maintenance tests for the pluggable δ-engines: the
-// mode-major, cached, adaptive (ε = 0) and tiled (B ∈ {1, 4, 32}) engines
-// must agree with the naive entry-major oracle on every kernel, stay
-// consistent through core-list mutations (Remove, RefreshValues) and
-// factor updates, and hold across thread counts. Every batch entry point
-// (DeltaBatch, ReconstructBatch, ProductsBatch) must equal its per-entry
-// loop on every engine, adaptive ε > 0 must stay inside its documented
-// error budget, and the solver-level guarantees are pinned: exact engines
-// produce the same trajectories — including the batched truncation and
-// metric paths at every tile width — each bit-reproducibly.
+// mode-major and cached engines must agree with the naive entry-major
+// oracle on every kernel, stay consistent through core-list mutations
+// (Remove, RefreshValues) and factor updates, and hold across thread
+// counts. DeltaBatch must equal its per-entry loop on every engine, and
+// the solver-level guarantees are pinned: the engines produce the same
+// trajectories, each bit-reproducibly, and the metric and truncation
+// scans are bit-identical across thread counts.
 #include "core/delta_engine.h"
 
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -87,30 +85,18 @@ struct Engines {
   NaiveDeltaEngine naive;
   ModeMajorDeltaEngine mode_major;
   CachedDeltaEngine cached;
-  AdaptiveDeltaEngine adaptive0;  // ε = 0: must be bit-identical
-  TiledDeltaEngine tiled1;
-  TiledDeltaEngine tiled4;
-  TiledDeltaEngine tiled32;
 
   explicit Engines(const Ctx& s)
       : naive(s.list, s.factors),
         mode_major(s.list, s.factors, nullptr),
-        cached(s.x, s.list, s.factors, nullptr),
-        adaptive0(s.list, s.factors, nullptr, 0.0),
-        tiled1(s.list, s.factors, nullptr, 1),
-        tiled4(s.list, s.factors, nullptr, 4),
-        tiled32(s.list, s.factors, nullptr, 32) {}
+        cached(s.x, s.list, s.factors, nullptr) {}
 
-  // The engines with derived state, for broadcasting the mutation hooks.
-  std::vector<DeltaEngine*> All() {
-    return {&naive,  &mode_major, &cached, &adaptive0,
-            &tiled1, &tiled4,     &tiled32};
-  }
+  // Every engine, for broadcasting the mutation hooks.
+  std::vector<DeltaEngine*> All() { return {&naive, &mode_major, &cached}; }
 };
 
 // DeltaBatch over every observed entry at once must equal the per-entry
-// ComputeDelta loop bit-for-bit — for every engine, including partial
-// final tiles (nnz is no multiple of the tile widths).
+// ComputeDelta loop bit-for-bit — for every engine.
 void ExpectBatchMatchesLoop(const Ctx& s, const DeltaEngine& engine) {
   const std::int64_t order = s.x.order();
   const std::int64_t nnz = s.x.nnz();
@@ -137,86 +123,13 @@ void ExpectBatchMatchesLoop(const Ctx& s, const DeltaEngine& engine) {
   }
 }
 
-// ReconstructBatch over every observed entry at once must equal the
-// per-entry Reconstruct loop bit-for-bit — for every engine, including
-// partial final tiles and (for the tiled engine at B >= its SIMD
-// threshold) the packed SIMD reconstruct kernel.
-void ExpectReconstructBatchMatchesLoop(const Ctx& s,
-                                       const DeltaEngine& engine) {
-  const std::int64_t nnz = s.x.nnz();
-  std::vector<const std::int64_t*> indices(static_cast<std::size_t>(nnz));
-  for (std::int64_t e = 0; e < nnz; ++e) {
-    indices[static_cast<std::size_t>(e)] = s.x.index(e);
-  }
-  std::vector<double> batched(static_cast<std::size_t>(nnz));
-  engine.ReconstructBatch(nnz, indices.data(), batched.data());
-  for (std::int64_t e = 0; e < nnz; ++e) {
-    EXPECT_EQ(batched[static_cast<std::size_t>(e)],
-              engine.Reconstruct(s.x.index(e)))
-        << engine.name() << " reconstruct batch, entry " << e;
-  }
-}
-
-// ProductsBatch over every observed entry at once must equal the
-// per-entry ComputeProducts loop bit-for-bit — same coverage notes as
-// ExpectReconstructBatchMatchesLoop.
-void ExpectProductsBatchMatchesLoop(const Ctx& s, const DeltaEngine& engine) {
-  const std::int64_t nnz = s.x.nnz();
-  const std::int64_t n_core = s.list.size();
-  std::vector<const std::int64_t*> indices(static_cast<std::size_t>(nnz));
-  for (std::int64_t e = 0; e < nnz; ++e) {
-    indices[static_cast<std::size_t>(e)] = s.x.index(e);
-  }
-  std::vector<double> batched(static_cast<std::size_t>(nnz * n_core));
-  engine.ProductsBatch(nnz, indices.data(), batched.data());
-  std::vector<double> single(static_cast<std::size_t>(n_core));
-  for (std::int64_t e = 0; e < nnz; ++e) {
-    engine.ComputeProducts(s.x.index(e), single.data());
-    for (std::int64_t b = 0; b < n_core; ++b) {
-      EXPECT_EQ(batched[static_cast<std::size_t>(e * n_core + b)],
-                single[static_cast<std::size_t>(b)])
-          << engine.name() << " products batch, entry " << e << " core " << b;
-    }
-  }
-}
-
 // Asserts every engine kernel agrees with the naive oracle within 1e-12
-// over all observed entries, that the regrouped derivatives (adaptive at
-// ε = 0, tiled at every width) are bit-identical to mode-major, and that
-// every batch entry point equals its per-entry loop on every engine.
+// over all observed entries, and that DeltaBatch equals its per-entry
+// loop on every engine.
 void ExpectEnginesAgree(const Ctx& s, const Engines& e) {
-  {
-    const std::int64_t order = s.x.order();
-    std::vector<double> reference;
-    std::vector<double> actual;
-    const DeltaEngine* regrouped[] = {&e.adaptive0, &e.tiled1, &e.tiled4,
-                                      &e.tiled32};
-    for (std::int64_t entry = 0; entry < s.x.nnz(); ++entry) {
-      for (std::int64_t mode = 0; mode < order; ++mode) {
-        const std::int64_t rank = s.core.dim(mode);
-        reference.assign(static_cast<std::size_t>(rank), 0.0);
-        actual.assign(static_cast<std::size_t>(rank), 0.0);
-        e.mode_major.ComputeDelta(entry, s.x.index(entry), mode,
-                                  reference.data());
-        for (const DeltaEngine* engine : regrouped) {
-          engine->ComputeDelta(entry, s.x.index(entry), mode, actual.data());
-          for (std::int64_t j = 0; j < rank; ++j) {
-            EXPECT_EQ(actual[static_cast<std::size_t>(j)],
-                      reference[static_cast<std::size_t>(j)])
-                << engine->name() << " delta, entry " << entry << " mode "
-                << mode;
-          }
-        }
-      }
-    }
-  }
-  const DeltaEngine* all_engines[] = {&e.naive,  &e.mode_major, &e.cached,
-                                      &e.adaptive0, &e.tiled1,  &e.tiled4,
-                                      &e.tiled32};
+  const DeltaEngine* all_engines[] = {&e.naive, &e.mode_major, &e.cached};
   for (const DeltaEngine* engine : all_engines) {
     ExpectBatchMatchesLoop(s, *engine);
-    ExpectReconstructBatchMatchesLoop(s, *engine);
-    ExpectProductsBatchMatchesLoop(s, *engine);
   }
   const std::int64_t order = s.x.order();
   const std::int64_t n_core = s.list.size();
@@ -370,69 +283,10 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.threads);
     });
 
-TEST(DeltaEngineTest, AdaptiveStaysWithinErrorBudget) {
-  // The adaptive engine's documented bound: per (entry, mode), the summed
-  // absolute δ error is at most ε · Σ_β |G_β| · max|A|^(N−1) — the skipped
-  // groups' magnitude mass times the largest possible factor product.
-  Ctx s = MakeCtx(3, 5, 23);
-  const std::int64_t order = s.x.order();
-  NaiveDeltaEngine oracle(s.list, s.factors);
-  double total_mass = 0.0;
-  for (std::int64_t b = 0; b < s.list.size(); ++b) {
-    total_mass += std::fabs(s.list.value(b));
-  }
-  double max_factor = 0.0;
-  for (const Matrix& factor : s.factors) {
-    for (std::int64_t i = 0; i < factor.rows(); ++i) {
-      for (std::int64_t j = 0; j < factor.cols(); ++j) {
-        max_factor = std::max(max_factor, std::fabs(factor(i, j)));
-      }
-    }
-  }
-  for (const double eps : {0.05, 0.45}) {
-    AdaptiveDeltaEngine adaptive(s.list, s.factors, nullptr, eps);
-    const double bound =
-        eps * total_mass * std::pow(max_factor, static_cast<double>(order - 1));
-    for (std::int64_t entry = 0; entry < s.x.nnz(); ++entry) {
-      for (std::int64_t mode = 0; mode < order; ++mode) {
-        const std::int64_t rank = s.core.dim(mode);
-        std::vector<double> exact(static_cast<std::size_t>(rank));
-        std::vector<double> lossy(static_cast<std::size_t>(rank));
-        oracle.ComputeDelta(entry, s.x.index(entry), mode, exact.data());
-        adaptive.ComputeDelta(entry, s.x.index(entry), mode, lossy.data());
-        double summed_error = 0.0;
-        for (std::int64_t j = 0; j < rank; ++j) {
-          summed_error += std::fabs(lossy[static_cast<std::size_t>(j)] -
-                                    exact[static_cast<std::size_t>(j)]);
-        }
-        EXPECT_LE(summed_error, bound + 1e-12)
-            << "eps " << eps << " entry " << entry << " mode " << mode;
-      }
-    }
-  }
-}
-
-TEST(DeltaEngineTest, AdaptiveSkipsGroupsOnlyAtPositiveEpsilon) {
-  Ctx s = MakeCtx(3, 5, 29);
-  AdaptiveDeltaEngine exact(s.list, s.factors, nullptr, 0.0);
-  AdaptiveDeltaEngine lossy(s.list, s.factors, nullptr, 0.45);
-  std::int64_t exact_skips = 0;
-  std::int64_t lossy_skips = 0;
-  for (std::int64_t mode = 0; mode < s.x.order(); ++mode) {
-    exact_skips += exact.SkippedGroups(mode);
-    lossy_skips += lossy.SkippedGroups(mode);
-  }
-  // At ε = 0 only zero-weight (empty) groups may be flagged, and the core
-  // list holds only nonzeros, so a non-degenerate core skips nothing.
-  EXPECT_EQ(exact_skips, 0);
-  EXPECT_GT(lossy_skips, 0);
-  EXPECT_EQ(lossy.epsilon(), 0.45);
-}
-
 TEST(DeltaEngineTest, CatalogCoversEveryChoiceAndParsesNames) {
   // One row per enumerator, names round-trip, alias resolves, unknown
   // names are rejected — the CLI parser and --help both lean on this.
-  EXPECT_EQ(DeltaEngineCatalog().size(), 6u);
+  EXPECT_EQ(DeltaEngineCatalog().size(), 4u);
   for (const DeltaEngineDescriptor& descriptor : DeltaEngineCatalog()) {
     const DeltaEngineDescriptor* found =
         FindDeltaEngineByName(descriptor.name);
@@ -727,23 +581,26 @@ TEST(DeltaEngineTest, FactoryResolvesAutoFromVariant) {
   EXPECT_EQ(engine->kind(), DeltaEngineChoice::kModeMajor);
   EXPECT_STREQ(engine->name(), "modemajor");
   EXPECT_EQ(engine->PreferredBatch(), 1);
-
-  const auto adaptive =
-      MakeDeltaEngine(DeltaEngineChoice::kAdaptive, s.x, s.list, s.factors,
-                      nullptr, /*adaptive_epsilon=*/0.2);
-  EXPECT_EQ(adaptive->kind(), DeltaEngineChoice::kAdaptive);
-  EXPECT_STREQ(adaptive->name(), "adaptive");
-
-  const auto tiled =
-      MakeDeltaEngine(DeltaEngineChoice::kTiled, s.x, s.list, s.factors,
+  // The width parameter is accepted and ignored.
+  const auto wide =
+      MakeDeltaEngine(DeltaEngineChoice::kModeMajor, s.x, s.list, s.factors,
                       nullptr, /*adaptive_epsilon=*/0.0, /*tile_width=*/32);
-  EXPECT_EQ(tiled->kind(), DeltaEngineChoice::kTiled);
-  EXPECT_STREQ(tiled->name(), "tiled");
-  EXPECT_EQ(tiled->PreferredBatch(), 32);
+  EXPECT_EQ(wide->PreferredBatch(), 1);
+}
 
-  // Wider-than-kMaxTile requests are clamped, not rejected.
-  const TiledDeltaEngine clamped(s.list, s.factors, nullptr, 10000);
-  EXPECT_EQ(clamped.PreferredBatch(), TiledDeltaEngine::kMaxTile);
+TEST(DeltaEngineTest, NonzeroAdaptiveEpsilonIsRejected) {
+  // The lossy adaptive engine is gone; the option survives only so the
+  // repository benchmark compiles, and a nonzero budget must fail loudly
+  // instead of silently running an exact engine.
+  Ctx s = MakeCtx(3, 2, 11);
+  EXPECT_THROW(MakeDeltaEngine(DeltaEngineChoice::kModeMajor, s.x, s.list,
+                               s.factors, nullptr, /*adaptive_epsilon=*/0.2),
+               std::invalid_argument);
+  PTuckerOptions options;
+  options.core_dims = {2, 2, 2};
+  options.max_iterations = 1;
+  options.adaptive_epsilon = 0.2;
+  EXPECT_THROW(PTuckerDecompose(s.x, options), std::invalid_argument);
 }
 
 TEST(DeltaEngineTest, TruncationKeepsEnginesConsistent) {
@@ -771,56 +628,57 @@ TEST(DeltaEngineTest, TruncationKeepsEnginesConsistent) {
 }
 
 TEST(DeltaEngineTest, BatchedMetricsMatchPerEntryBitForBit) {
-  // The metric paths tile entries through ReconstructBatch; since the
-  // tiled kernels are bit-identical to mode-major per entry and the
-  // blocked deterministic sums add residuals in entry order, whole
-  // metrics must be EXPECT_EQ across engines and tile widths — including
-  // widths that exercise the packed SIMD kernel (B >= kSimdMinTile) and
-  // partial trailing tiles (nnz is no multiple of any width here).
+  // The metric paths sum per-entry residuals in entry order within fixed
+  // reduction lanes, so whole metrics must be EXPECT_EQ across thread
+  // counts, and bulk prediction must equal per-entry Reconstruct.
   Ctx s = MakeCtx(3, 5, 37);
   ModeMajorDeltaEngine mode_major(s.list, s.factors, nullptr);
-  const double expected_error = ReconstructionError(s.x, mode_major);
-  const double expected_rmse = TestRmse(s.x, mode_major);
-  const std::vector<double> expected_pred = PredictEntries(s.x, mode_major);
-  for (const std::int64_t tile :
-       {std::int64_t{1}, std::int64_t{4}, std::int64_t{32},
-        std::int64_t{33}}) {
-    const TiledDeltaEngine tiled(s.list, s.factors, nullptr, tile);
-    EXPECT_EQ(ReconstructionError(s.x, tiled), expected_error)
-        << "tile " << tile;
-    EXPECT_EQ(TestRmse(s.x, tiled), expected_rmse) << "tile " << tile;
-    const std::vector<double> pred = PredictEntries(s.x, tiled);
-    ASSERT_EQ(pred.size(), expected_pred.size());
+  double expected_error = 0.0;
+  double expected_rmse = 0.0;
+  {
+    ThreadCountGuard guard(1);
+    expected_error = ReconstructionError(s.x, mode_major);
+    expected_rmse = TestRmse(s.x, mode_major);
+  }
+  for (const int threads : {1, 4, 13}) {
+    ThreadCountGuard guard(threads);
+    EXPECT_EQ(ReconstructionError(s.x, mode_major), expected_error)
+        << "threads " << threads;
+    EXPECT_EQ(TestRmse(s.x, mode_major), expected_rmse)
+        << "threads " << threads;
+    const std::vector<double> pred = PredictEntries(s.x, mode_major);
+    ASSERT_EQ(pred.size(), static_cast<std::size_t>(s.x.nnz()));
     for (std::size_t i = 0; i < pred.size(); ++i) {
-      EXPECT_EQ(pred[i], expected_pred[i]) << "tile " << tile << " entry "
-                                           << i;
+      EXPECT_EQ(pred[i],
+                mode_major.Reconstruct(s.x.index(static_cast<std::int64_t>(i))))
+          << "threads " << threads << " entry " << i;
     }
   }
-  const AdaptiveDeltaEngine adaptive0(s.list, s.factors, nullptr, 0.0);
-  EXPECT_EQ(ReconstructionError(s.x, adaptive0), expected_error);
 }
 
 TEST(DeltaEngineTest, BatchedPartialErrorsMatchPerEntryBitForBit) {
-  // The truncation scorer tiles entries through ProductsBatch; the scores
-  // (and therefore the removal set) must be EXPECT_EQ across engines and
-  // tile widths, and the per-thread tile scratch must be charged to the
-  // tracker only for the duration of the scan.
+  // The truncation scores (and therefore the removal set) must be
+  // EXPECT_EQ across thread counts, and the per-thread products scratch
+  // must be charged to the tracker only for the duration of the scan.
   Ctx s = MakeCtx(4, 5, 41);
   ModeMajorDeltaEngine mode_major(s.list, s.factors, nullptr);
-  const std::vector<double> expected =
-      ComputePartialErrors(s.x, s.list, s.factors, &mode_major);
-  for (const std::int64_t tile :
-       {std::int64_t{1}, std::int64_t{4}, std::int64_t{32}}) {
-    const TiledDeltaEngine tiled(s.list, s.factors, nullptr, tile);
+  std::vector<double> expected;
+  {
+    ThreadCountGuard guard(1);
+    expected = ComputePartialErrors(s.x, s.list, s.factors, &mode_major);
+  }
+  for (const int threads : {1, 4, 13}) {
+    ThreadCountGuard guard(threads);
     MemoryTracker tracker;
     const std::vector<double> scores =
-        ComputePartialErrors(s.x, s.list, s.factors, &tiled, &tracker);
+        ComputePartialErrors(s.x, s.list, s.factors, &mode_major, &tracker);
     ASSERT_EQ(scores.size(), expected.size());
     for (std::size_t b = 0; b < scores.size(); ++b) {
-      EXPECT_EQ(scores[b], expected[b]) << "tile " << tile << " core " << b;
+      EXPECT_EQ(scores[b], expected[b])
+          << "threads " << threads << " core " << b;
     }
-    EXPECT_GT(tracker.peak_bytes(), 0) << "tile " << tile;
-    EXPECT_EQ(tracker.current_bytes(), 0) << "tile " << tile;
+    EXPECT_GT(tracker.peak_bytes(), 0) << "threads " << threads;
+    EXPECT_EQ(tracker.current_bytes(), 0) << "threads " << threads;
   }
 }
 
@@ -828,8 +686,7 @@ TEST(DeltaEngineTest, BatchedPartialErrorsMatchPerEntryBitForBit) {
 
 PTuckerResult Solve(const SparseTensor& x, DeltaEngineChoice engine,
                     PTuckerVariant variant = PTuckerVariant::kMemory,
-                    bool update_core = false, double adaptive_epsilon = 0.0,
-                    std::int64_t tile_width = kDefaultTileWidth) {
+                    bool update_core = false) {
   PTuckerOptions options;
   options.core_dims = {3, 3, 3};
   options.max_iterations = 5;
@@ -837,8 +694,6 @@ PTuckerResult Solve(const SparseTensor& x, DeltaEngineChoice engine,
   options.delta_engine = engine;
   options.variant = variant;
   options.update_core = update_core;
-  options.adaptive_epsilon = adaptive_epsilon;
-  options.tile_width = tile_width;
   return PTuckerDecompose(x, options);
 }
 
@@ -866,84 +721,12 @@ TEST_F(DeltaEngineTrajectories, AllEnginesProduceTheSameTrajectory) {
   }
 }
 
-TEST_F(DeltaEngineTrajectories, RegroupedEnginesMatchModeMajorBitForBit) {
-  // Adaptive at ε = 0 and tiled at any width compute bit-identical δ and
-  // consume it in the same entry order, so whole solver trajectories —
-  // not just single kernels — must match mode-major exactly.
-  const PTuckerResult mode_major = Solve(x_, DeltaEngineChoice::kModeMajor);
-  const PTuckerResult adaptive =
-      Solve(x_, DeltaEngineChoice::kAdaptive, PTuckerVariant::kMemory, false,
-            /*adaptive_epsilon=*/0.0);
-  for (const std::int64_t tile : {std::int64_t{1}, std::int64_t{4},
-                                  std::int64_t{32}}) {
-    const PTuckerResult tiled =
-        Solve(x_, DeltaEngineChoice::kTiled, PTuckerVariant::kMemory, false,
-              0.0, tile);
-    ASSERT_EQ(tiled.iterations.size(), mode_major.iterations.size());
-    for (std::size_t i = 0; i < tiled.iterations.size(); ++i) {
-      EXPECT_EQ(tiled.iterations[i].error, mode_major.iterations[i].error)
-          << "tile " << tile << " iter " << i;
-    }
-  }
-  ASSERT_EQ(adaptive.iterations.size(), mode_major.iterations.size());
-  for (std::size_t i = 0; i < adaptive.iterations.size(); ++i) {
-    EXPECT_EQ(adaptive.iterations[i].error, mode_major.iterations[i].error)
-        << "iter " << i;
-  }
-}
-
-TEST_F(DeltaEngineTrajectories, TiledTruncationTrajectoriesMatchModeMajor) {
-  // Under P-TUCKER-APPROX the truncation scorer runs through
-  // ProductsBatch and the error metric through ReconstructBatch, both
-  // tiled. The scores, the removal sets, and the error trajectory must
-  // stay bit-identical to the mode-major per-entry flow at every width.
-  const PTuckerResult mode_major =
-      Solve(x_, DeltaEngineChoice::kModeMajor, PTuckerVariant::kApprox);
-  for (const std::int64_t tile :
-       {std::int64_t{1}, std::int64_t{4}, std::int64_t{32}}) {
-    const PTuckerResult tiled = Solve(x_, DeltaEngineChoice::kTiled,
-                                      PTuckerVariant::kApprox, false, 0.0,
-                                      tile);
-    ASSERT_EQ(tiled.iterations.size(), mode_major.iterations.size());
-    for (std::size_t i = 0; i < tiled.iterations.size(); ++i) {
-      EXPECT_EQ(tiled.iterations[i].error, mode_major.iterations[i].error)
-          << "tile " << tile << " iter " << i;
-      EXPECT_EQ(tiled.iterations[i].core_nnz,
-                mode_major.iterations[i].core_nnz)
-          << "tile " << tile << " iter " << i;
-    }
-    EXPECT_EQ(tiled.final_error, mode_major.final_error) << "tile " << tile;
-  }
-}
-
-TEST_F(DeltaEngineTrajectories, AdaptiveWithBudgetTradesBoundedAccuracy) {
-  // ε > 0 degrades δ but the solve must stay well-behaved: same iteration
-  // count, finite errors, and a final model in the same quality ballpark
-  // as the exact engine (the documented speed-for-accuracy trade).
-  const PTuckerResult exact = Solve(x_, DeltaEngineChoice::kModeMajor);
-  const PTuckerResult lossy =
-      Solve(x_, DeltaEngineChoice::kAdaptive, PTuckerVariant::kMemory, false,
-            /*adaptive_epsilon=*/0.4);
-  ASSERT_EQ(lossy.iterations.size(), exact.iterations.size());
-  for (std::size_t i = 0; i < lossy.iterations.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(lossy.iterations[i].error)) << "iter " << i;
-  }
-  EXPECT_GT(lossy.final_error, 0.0);
-  EXPECT_LE(lossy.final_error, 1.5 * exact.final_error);
-}
-
 TEST_F(DeltaEngineTrajectories, EachEngineIsRunToRunDeterministic) {
   for (const DeltaEngineChoice choice :
        {DeltaEngineChoice::kNaive, DeltaEngineChoice::kModeMajor,
-        DeltaEngineChoice::kCached, DeltaEngineChoice::kAdaptive,
-        DeltaEngineChoice::kTiled}) {
-    // Give the lossy/batched engines non-trivial knobs so determinism is
-    // exercised on the interesting code paths.
-    const double eps = choice == DeltaEngineChoice::kAdaptive ? 0.4 : 0.0;
-    const PTuckerResult a =
-        Solve(x_, choice, PTuckerVariant::kMemory, false, eps, 4);
-    const PTuckerResult b =
-        Solve(x_, choice, PTuckerVariant::kMemory, false, eps, 4);
+        DeltaEngineChoice::kCached}) {
+    const PTuckerResult a = Solve(x_, choice);
+    const PTuckerResult b = Solve(x_, choice);
     ASSERT_EQ(a.iterations.size(), b.iterations.size());
     for (std::size_t i = 0; i < a.iterations.size(); ++i) {
       EXPECT_EQ(a.iterations[i].error, b.iterations[i].error)

@@ -69,8 +69,7 @@ void ExpectSameMatrix(const Matrix& a, const Matrix& b) {
 TEST(RowUpdateTest, NullRowsEqualsExplicitAllRows) {
   for (const DeltaEngineChoice choice :
        {DeltaEngineChoice::kNaive, DeltaEngineChoice::kModeMajor,
-        DeltaEngineChoice::kCached, DeltaEngineChoice::kAdaptive,
-        DeltaEngineChoice::kTiled}) {
+        DeltaEngineChoice::kCached}) {
     Ctx ctx = MakeCtx(11);
     const auto engine = MakeDeltaEngine(choice, ctx.x, *ctx.list,
                                         ctx.factors, nullptr);
@@ -139,8 +138,9 @@ TEST(RowUpdateTest, DeterministicAcrossThreadCountsAndScheduling) {
     for (const Scheduling scheduling :
          {Scheduling::kDynamic, Scheduling::kStatic}) {
       Ctx ctx = MakeCtx(13);
-      const auto engine = MakeDeltaEngine(DeltaEngineChoice::kTiled, ctx.x,
-                                          *ctx.list, ctx.factors, nullptr);
+      const auto engine = MakeDeltaEngine(DeltaEngineChoice::kModeMajor,
+                                          ctx.x, *ctx.list, ctx.factors,
+                                          nullptr);
       Matrix factor = ctx.factors[0];
       RowUpdateOptions options;
       ThreadCountGuard ambient(threads);

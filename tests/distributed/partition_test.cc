@@ -89,29 +89,13 @@ TEST(PartitionTest, SingleRowModePutsTheRowOnExactlyOneWorker) {
   }
 }
 
-TEST(PartitionTest, EmptySlicesStillGetAssignedAndCosted) {
+TEST(PartitionTest, EmptySlicesStillGetAssigned) {
   // Rows with no observed entries (empty Ω(n,in)) are real rows: they
-  // must land on some worker (the solver zeroes them) and cost the +1
-  // floor, never 0, so the makespan model still charges them.
+  // must land on some worker (the solver zeroes them).
   SparseTensor x({5, 2});
   x.AddEntry({2, 0}, 1.0);  // rows 0, 1, 3, 4 of mode 0 are empty
   x.BuildModeIndex();
-  for (std::int64_t row = 0; row < 5; ++row) {
-    EXPECT_GE(RowUpdateCost(x, 0, row), 1);
-  }
   ExpectValidPartition(PartitionRowsBlock(x, 0, 3), 5);
-}
-
-TEST(PartitionTest, RowUpdateCostTracksSliceSize) {
-  SparseTensor x({4, 4});
-  x.AddEntry({1, 0}, 1.0);
-  x.AddEntry({1, 1}, 1.0);
-  x.AddEntry({1, 2}, 1.0);
-  x.AddEntry({3, 0}, 1.0);
-  x.BuildModeIndex();
-  EXPECT_EQ(RowUpdateCost(x, 0, 0), 1);  // empty slice: the +1 floor
-  EXPECT_EQ(RowUpdateCost(x, 0, 1), 4);
-  EXPECT_EQ(RowUpdateCost(x, 0, 3), 2);
 }
 
 }  // namespace

@@ -102,18 +102,6 @@ TEST(FactorViewTest, ViewBuiltEnginesMatchMatrixBuiltEnginesExactly) {
                                        nullptr);
     compare(by_matrix, by_view);
   }
-  {
-    const AdaptiveDeltaEngine by_matrix(list, factors, nullptr, 0.0);
-    const AdaptiveDeltaEngine by_view(list, MakeFactorViews(factors), nullptr,
-                                      0.0);
-    compare(by_matrix, by_view);
-  }
-  {
-    const TiledDeltaEngine by_matrix(list, factors, nullptr, 32);
-    const TiledDeltaEngine by_view(list, MakeFactorViews(factors), nullptr,
-                                   32);
-    compare(by_matrix, by_view);
-  }
 }
 
 }  // namespace

@@ -91,8 +91,8 @@ TEST(IvfTopKTest, ExactPathMatchesBruteForceBitIdentically) {
   std::vector<std::int64_t> index = MakeQuery(rng, *service.snapshot());
   const std::vector<ScoredIndex> top = service.TopK(0, index, 10);
 
-  // Brute force through the single-entry path, which TopK's batch kernel
-  // is documented bit-identical to.
+  // Brute force through the single-entry path, which TopK's candidate
+  // scan is documented bit-identical to.
   std::vector<ScoredIndex> all;
   for (std::int64_t i = 0; i < service.snapshot()->dim(0); ++i) {
     index[0] = i;

@@ -104,7 +104,7 @@ class CoalescerTest : public ::testing::Test {
  protected:
   CoalescerTest()
       : model_(MakeModel({12, 10, 8}, {3, 2, 4}, 21)),
-        service_(ModelSnapshot::Create(model_, 16)) {}
+        service_(ModelSnapshot::Create(model_)) {}
 
   double Expected(const std::vector<std::int64_t>& coords) const {
     return service_.Predict(coords);

@@ -59,7 +59,7 @@ TEST(ServeNetMetricsOpcodeTest, MetricsReflectServedTrafficOverTcp) {
   const std::vector<std::int64_t> dims = {24, 18, 15};
   const TuckerFactorization model = MakeModel(dims, {4, 3, 5}, 41);
   auto service = std::make_shared<PredictionService>(
-      ModelSnapshot::Create(model, 16));
+      ModelSnapshot::Create(model));
 
   obs::MetricsRegistry registry;
   NetServerOptions options;
@@ -119,7 +119,7 @@ TEST(ServeNetMetricsOpcodeTest, NullRegistryStillAnswersMetrics) {
   const std::vector<std::int64_t> dims = {24, 18, 15};
   const TuckerFactorization model = MakeModel(dims, {4, 3, 5}, 42);
   auto service = std::make_shared<PredictionService>(
-      ModelSnapshot::Create(model, 16));
+      ModelSnapshot::Create(model));
 
   // No registry configured: the server answers METRICS from the global
   // bundle rather than erroring — scrapes never kill a serve.

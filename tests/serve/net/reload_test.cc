@@ -50,8 +50,8 @@ TEST(ServeNetReloadTest, EveryReplyMatchesExactlyOneModelUnderLiveLoad) {
   const std::vector<std::int64_t> ranks = {3, 4, 2};
   const TuckerFactorization model_a = MakeModel(dims, ranks, 51);
   const TuckerFactorization model_b = MakeModel(dims, ranks, 52);
-  const auto snapshot_a = ModelSnapshot::Create(model_a, 16);
-  const auto snapshot_b = ModelSnapshot::Create(model_b, 16);
+  const auto snapshot_a = ModelSnapshot::Create(model_a);
+  const auto snapshot_b = ModelSnapshot::Create(model_b);
 
   // Ground truth per model, pinned once up front.
   const PredictionService truth_a(snapshot_a);

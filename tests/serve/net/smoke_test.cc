@@ -68,7 +68,7 @@ class ServeNetSmokeTest : public ::testing::Test {
       : dims_({24, 18, 15}),
         model_(MakeModel(dims_, {4, 3, 5}, 33)),
         service_(std::make_shared<PredictionService>(
-            ModelSnapshot::Create(model_, 16))) {}
+            ModelSnapshot::Create(model_))) {}
 
   std::vector<std::int64_t> dims_;
   TuckerFactorization model_;

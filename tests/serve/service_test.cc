@@ -1,6 +1,5 @@
 // PredictionService tests: batched predictions bit-identical to the
-// per-entry PredictEntries path at several tile widths, deterministic
-// top-K against brute force, validation, and snapshot hot-reload safety
+// per-entry PredictEntries path, deterministic top-K against brute force, validation, and snapshot hot-reload safety
 // while a query loop is running.
 #include "serve/service.h"
 
@@ -54,8 +53,7 @@ SparseTensor MakeQueries(const std::vector<std::int64_t>& dims,
 }
 
 // The acceptance contract: the service's batched path must EXPECT_EQ the
-// per-entry PredictEntries flow (driven by a batch-1 mode-major engine
-// over the same model) at B ∈ {1, 4, 32}.
+// PredictEntries flow driven by a mode-major engine over the same model.
 TEST(PredictionServiceTest, PredictBatchMatchesPredictEntriesPath) {
   const std::vector<std::int64_t> dims = {30, 25, 18};
   const std::vector<std::int64_t> ranks = {4, 3, 5};
@@ -67,24 +65,20 @@ TEST(PredictionServiceTest, PredictBatchMatchesPredictEntriesPath) {
   const std::vector<double> reference =
       PredictEntries(queries, per_entry_engine);
 
-  for (const std::int64_t tile : {std::int64_t{1}, std::int64_t{4},
-                                  std::int64_t{32}}) {
-    const PredictionService service(ModelSnapshot::Create(model, tile));
-    const std::vector<double> batched = service.PredictBatch(queries);
-    ASSERT_EQ(batched.size(), reference.size());
-    for (std::size_t q = 0; q < reference.size(); ++q) {
-      EXPECT_EQ(batched[q], reference[q]) << "tile " << tile << " query "
-                                          << q;
+  const PredictionService service(ModelSnapshot::Create(model));
+  const std::vector<double> batched = service.PredictBatch(queries);
+  ASSERT_EQ(batched.size(), reference.size());
+  for (std::size_t q = 0; q < reference.size(); ++q) {
+    EXPECT_EQ(batched[q], reference[q]) << "query " << q;
+  }
+  // Single-entry Predict agrees with its own batch.
+  std::vector<std::int64_t> index(dims.size());
+  for (std::size_t q = 0; q < 25; ++q) {
+    for (std::size_t n = 0; n < dims.size(); ++n) {
+      index[n] = queries.index(static_cast<std::int64_t>(q),
+                               static_cast<std::int64_t>(n));
     }
-    // Single-entry Predict agrees with its own batch.
-    std::vector<std::int64_t> index(dims.size());
-    for (std::size_t q = 0; q < 25; ++q) {
-      for (std::size_t n = 0; n < dims.size(); ++n) {
-        index[n] = queries.index(static_cast<std::int64_t>(q),
-                                 static_cast<std::int64_t>(n));
-      }
-      EXPECT_EQ(service.Predict(index), batched[q]);
-    }
+    EXPECT_EQ(service.Predict(index), batched[q]);
   }
 }
 
@@ -92,7 +86,7 @@ TEST(PredictionServiceTest, TopKMatchesBruteForce) {
   const std::vector<std::int64_t> dims = {12, 60, 9};
   const std::vector<std::int64_t> ranks = {3, 4, 3};
   const TuckerFactorization model = MakeModel(dims, ranks, 21);
-  const PredictionService service(ModelSnapshot::Create(model, 16));
+  const PredictionService service(ModelSnapshot::Create(model));
 
   const std::vector<std::int64_t> at = {5, 0, 2};
   std::vector<char> exclude(static_cast<std::size_t>(dims[1]), 0);
@@ -127,7 +121,7 @@ TEST(PredictionServiceTest, TopKMatchesBruteForce) {
   }
 }
 
-TEST(PredictionServiceTest, TopKDeterministicAcrossThreadsAndTiles) {
+TEST(PredictionServiceTest, TopKDeterministicAcrossThreads) {
   const std::vector<std::int64_t> dims = {10, 300, 8};
   const std::vector<std::int64_t> ranks = {3, 3, 3};
   const TuckerFactorization model = MakeModel(dims, ranks, 31);
@@ -137,21 +131,18 @@ TEST(PredictionServiceTest, TopKDeterministicAcrossThreadsAndTiles) {
   const int saved_threads = omp_get_max_threads();
   for (const int threads : {1, 3, 8}) {
     omp_set_num_threads(threads);
-    for (const std::int64_t tile : {std::int64_t{1}, std::int64_t{16},
-                                    std::int64_t{64}}) {
-      const PredictionService service(ModelSnapshot::Create(model, tile));
-      const std::vector<ScoredIndex> top = service.TopK(1, at, 17);
-      if (reference.empty()) {
-        reference = top;
-        continue;
-      }
-      ASSERT_EQ(top.size(), reference.size());
-      for (std::size_t r = 0; r < top.size(); ++r) {
-        EXPECT_EQ(top[r].index, reference[r].index)
-            << "threads " << threads << " tile " << tile << " rank " << r;
-        EXPECT_EQ(top[r].score, reference[r].score)
-            << "threads " << threads << " tile " << tile << " rank " << r;
-      }
+    const PredictionService service(ModelSnapshot::Create(model));
+    const std::vector<ScoredIndex> top = service.TopK(1, at, 17);
+    if (reference.empty()) {
+      reference = top;
+      continue;
+    }
+    ASSERT_EQ(top.size(), reference.size());
+    for (std::size_t r = 0; r < top.size(); ++r) {
+      EXPECT_EQ(top[r].index, reference[r].index)
+          << "threads " << threads << " rank " << r;
+      EXPECT_EQ(top[r].score, reference[r].score)
+          << "threads " << threads << " rank " << r;
     }
   }
   omp_set_num_threads(saved_threads);
@@ -159,7 +150,7 @@ TEST(PredictionServiceTest, TopKDeterministicAcrossThreadsAndTiles) {
 
 TEST(PredictionServiceTest, ValidatesQueriesAndConstruction) {
   const TuckerFactorization model = MakeModel({8, 6, 5}, {2, 2, 2}, 41);
-  const PredictionService service(ModelSnapshot::Create(model, 8));
+  const PredictionService service(ModelSnapshot::Create(model));
 
   EXPECT_THROW(service.Predict({1, 2}), std::invalid_argument);
   EXPECT_THROW(service.Predict({8, 0, 0}), std::invalid_argument);
@@ -174,9 +165,7 @@ TEST(PredictionServiceTest, ValidatesQueriesAndConstruction) {
   EXPECT_THROW(PredictionService(nullptr), std::invalid_argument);
   TuckerFactorization broken = MakeModel({8, 6, 5}, {2, 2, 2}, 41);
   broken.factors[1] = Matrix(6, 3);  // cols disagree with the core rank
-  EXPECT_THROW(ModelSnapshot::Create(std::move(broken), 8),
-               std::invalid_argument);
-  EXPECT_THROW(ModelSnapshot::Create(MakeModel({8, 6, 5}, {2, 2, 2}, 41), 0),
+  EXPECT_THROW(ModelSnapshot::Create(std::move(broken)),
                std::invalid_argument);
 }
 
@@ -191,8 +180,8 @@ TEST(PredictionServiceTest, ConcurrentReloadDuringPredictBatch) {
   const TuckerFactorization model_b = MakeModel(dims, ranks, 52);
   const SparseTensor queries = MakeQueries(dims, 200, 53);
 
-  const auto snapshot_a = ModelSnapshot::Create(model_a, 16);
-  const auto snapshot_b = ModelSnapshot::Create(model_b, 16);
+  const auto snapshot_a = ModelSnapshot::Create(model_a);
+  const auto snapshot_b = ModelSnapshot::Create(model_b);
   PredictionService service(snapshot_a);
   const std::vector<double> expected_a = service.PredictBatch(queries);
   service.ReloadSnapshot(snapshot_b);

@@ -108,15 +108,15 @@ foreach(v1_out IN ITEMS "${v1_warm_out}" "${v1_predict_out}")
   endif()
 endforeach()
 
-# 6. Knob validation: out-of-range engine knobs die at the flag parser
-# with exit code 2, not deep inside the library.
-run(bad_tile_out 2 --selftest --tile-width 0)
-if(NOT bad_tile_out MATCHES "--tile-width must be in")
-  message(FATAL_ERROR "missing tile-width validation in:\n${bad_tile_out}")
+# 6. Knob validation: removed engine knobs and engines, and bad flag
+# values, die with exit code 2, not deep inside the library.
+run(bad_tile_out 2 --selftest --tile-width 4)
+if(NOT bad_tile_out MATCHES "unknown flag")
+  message(FATAL_ERROR "removed --tile-width not refused in:\n${bad_tile_out}")
 endif()
-run(bad_eps_out 2 --selftest --adaptive-eps 1.5)
-if(NOT bad_eps_out MATCHES "--adaptive-eps must be in")
-  message(FATAL_ERROR "missing adaptive-eps validation in:\n${bad_eps_out}")
+run(bad_engine_out 2 --selftest --delta-engine tiled)
+if(NOT bad_engine_out MATCHES "unknown --delta-engine")
+  message(FATAL_ERROR "removed tiled engine not refused in:\n${bad_engine_out}")
 endif()
 run(bad_nprobe_out 2 topk --load-model ${model_path} --mode 2 --index 3,1,5
     --topk-nprobe maybe)

@@ -1,10 +1,10 @@
 // The streaming ingest pipeline (stream/ingest_pipeline.h). The
 // property layer drives random append/update/delete interleavings
 // through every δ-engine and pins the determinism contract: final
-// factors are bit-identical across thread counts {1, 4, 13}, across the
-// regrouped exact engines (mode-major / adaptive ε = 0 / tiled), and
-// across a restart from any flush boundary — the live Ω always equals a
-// structural replay of the event prefix. The fault-injection layer
+// factors are bit-identical across thread counts {1, 4, 13}, close
+// across engines, and bit-identical across a restart from any flush
+// boundary — the live Ω always equals a structural replay of the event
+// prefix. The fault-injection layer
 // crashes the pipeline in the window between checkpoint durability and
 // publish and proves recovery (last MANIFEST + tail replay) lands on
 // factors bit-identical to the uninterrupted run. Hot-swap publication
@@ -135,7 +135,6 @@ RunResult RunPipeline(const SparseTensor& initial,
                       DeltaEngineChoice engine, int threads) {
   IngestOptions options;
   options.delta_engine = engine;
-  options.tile_width = 4;
   options.num_threads = threads;
   options.flush_every = 8;
   IngestPipeline pipeline(initial, model, options);
@@ -202,8 +201,7 @@ TEST(IngestPipelineProperty, DeterministicAcrossThreadCountsAndEngines) {
     RunResult reference;  // mode-major, 1 thread
     for (const DeltaEngineChoice engine :
          {DeltaEngineChoice::kModeMajor, DeltaEngineChoice::kNaive,
-          DeltaEngineChoice::kCached, DeltaEngineChoice::kAdaptive,
-          DeltaEngineChoice::kTiled}) {
+          DeltaEngineChoice::kCached}) {
       RunResult per_engine_reference;
       for (const int threads : {1, 4, 13}) {
         ThreadCountGuard ambient(threads);
@@ -223,14 +221,7 @@ TEST(IngestPipelineProperty, DeterministicAcrossThreadCountsAndEngines) {
                             "thread count");
         }
       }
-      if (engine == DeltaEngineChoice::kAdaptive ||
-          engine == DeltaEngineChoice::kTiled) {
-        // The regrouped exact engines consume bit-identical δ in the
-        // same entry order as mode-major (delta_engine_test pins the
-        // kernel-level guarantee; this pins it through the pipeline).
-        ExpectSameFactors(per_engine_reference.model.factors,
-                          reference.model.factors, "engine");
-      } else if (engine != DeltaEngineChoice::kModeMajor) {
+      if (engine != DeltaEngineChoice::kModeMajor) {
         // Naive sums in entry order and the cached engine maintains its
         // Pres table multiplicatively — same math, different rounding.
         ExpectNearFactors(per_engine_reference.model.factors,

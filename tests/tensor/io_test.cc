@@ -110,44 +110,5 @@ TEST(TnsFileTest, MissingFileThrows) {
                std::runtime_error);
 }
 
-TEST(BinaryIoTest, RoundTripExact) {
-  Rng rng(3);
-  SparseTensor original = UniformSparseTensor({9, 5, 6, 2}, 40, rng);
-  const std::string path = TempPath("ptucker_io_test.ptnb");
-  WriteBinary(path, original);
-  SparseTensor loaded = ReadBinary(path);
-  ASSERT_EQ(loaded.dims(), original.dims());
-  ASSERT_EQ(loaded.nnz(), original.nnz());
-  for (std::int64_t e = 0; e < original.nnz(); ++e) {
-    EXPECT_EQ(loaded.value(e), original.value(e));  // bit-exact
-    for (std::int64_t k = 0; k < 4; ++k) {
-      EXPECT_EQ(loaded.index(e, k), original.index(e, k));
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(BinaryIoTest, BadMagicThrows) {
-  const std::string path = TempPath("ptucker_bad_magic.ptnb");
-  FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("NOPE garbage", f);
-  std::fclose(f);
-  EXPECT_THROW(ReadBinary(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(BinaryIoTest, TruncatedFileThrows) {
-  Rng rng(4);
-  SparseTensor original = UniformSparseTensor({5, 5}, 10, rng);
-  const std::string path = TempPath("ptucker_truncated.ptnb");
-  WriteBinary(path, original);
-  // Truncate the file to half.
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size / 2);
-  EXPECT_THROW(ReadBinary(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
 }  // namespace
 }  // namespace ptucker

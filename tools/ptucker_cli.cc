@@ -32,11 +32,6 @@
 //                         DeltaEngineCatalog() (core/delta_engine.h) and
 //                         are printed by --help — parser and help share
 //                         that one table so they cannot drift
-//   --adaptive-eps X      error budget of --delta-engine adaptive, [0, 1)
-//   --tile-width B        batch tile of --delta-engine tiled, in [1, 64]
-//                         (rejected otherwise; sizes its delta/reconstruct/
-//                         products kernels; the SIMD kernels engage at
-//                         B >= 32, shorter tiles run the scalar fallback)
 //   --lambda X            L2 regularization (default 0.01)
 //   --max-iters N         maximum ALS iterations (default 20)
 //   --tolerance X         relative-error convergence (default 1e-4)
@@ -189,8 +184,6 @@ struct CliConfig {
   double tolerance = 1e-4;
   double truncation_rate = 0.2;
   double sample_rate = 1.0;
-  double adaptive_eps = 0.0;
-  std::int64_t tile_width = kDefaultTileWidth;
   int threads = 0;
   std::uint64_t seed = 0x5eedULL;
   double test_fraction = 0.0;
@@ -280,8 +273,8 @@ void PrintUsageAndExit() {
   }
   std::printf(
       "options:  --lambda --max-iters --tolerance --truncation-rate\n"
-      "          --sample-rate --adaptive-eps --tile-width --threads\n"
-      "          --seed --test-fraction --output-dir --update-core --quiet\n"
+      "          --sample-rate --threads --seed --test-fraction\n"
+      "          --output-dir --update-core --quiet\n"
       "model:    --save-model PATH (checkpoint after decompose, format v2)\n"
       "          --load-model PATH (decompose: warm start; predict/topk/\n"
       "          serve: the served model) --queries PATH --mode M\n"
@@ -399,10 +392,6 @@ CliConfig ParseArgs(int argc, char** argv) {
       config.truncation_rate = std::stod(need_value(i));
     else if (arg == "--sample-rate")
       config.sample_rate = std::stod(need_value(i));
-    else if (arg == "--adaptive-eps")
-      config.adaptive_eps = std::stod(need_value(i));
-    else if (arg == "--tile-width")
-      config.tile_width = std::stoll(need_value(i));
     else if (arg == "--threads") config.threads = std::stoi(need_value(i));
     else if (arg == "--seed") config.seed = std::stoull(need_value(i));
     else if (arg == "--test-fraction")
@@ -471,21 +460,10 @@ CliConfig ParseArgs(int argc, char** argv) {
     else Fail("unknown flag: " + arg);
     if (has_inline_value) Fail("flag does not take a value: " + arg);
   }
-  // Engine-knob validation happens here, at the boundary, so a typo'd
-  // flag dies with exit code 2 and a usable message instead of an
-  // exception (or a silent clamp) deep inside the library.
-  if (config.tile_width < 1 || config.tile_width > TiledDeltaEngine::kMaxTile) {
-    Fail("--tile-width must be in [1, " +
-         std::to_string(TiledDeltaEngine::kMaxTile) + "], got " +
-         std::to_string(config.tile_width));
-  }
-  if (!(config.adaptive_eps >= 0.0) || config.adaptive_eps >= 1.0) {
-    Fail("--adaptive-eps must be in [0, 1), got " +
-         std::to_string(config.adaptive_eps));
-  }
-  // Serving knobs die here too — same ranges NetServer's constructor
-  // enforces for library users, but with exit code 2 and the flag named
-  // so a typo'd systemd unit fails its start instead of half-working.
+  // Serving knobs are validated here, at the boundary — same ranges
+  // NetServer's constructor enforces for library users, but with exit
+  // code 2 and the flag named so a typo'd systemd unit fails its start
+  // instead of half-working.
   if (config.serve_port < 0 || config.serve_port > 65535) {
     Fail("--port must be in [0, 65535], got " +
          std::to_string(config.serve_port));
@@ -592,7 +570,7 @@ PredictionService MakeService(const CliConfig& config) {
   }
   // Snapshots are mmap-ed and served zero-copy.
   std::shared_ptr<const ModelSnapshot> snapshot =
-      ModelSnapshot::CreateFromFile(config.load_model, config.tile_width);
+      ModelSnapshot::CreateFromFile(config.load_model);
   std::printf("model: %lld modes, dims ",
               static_cast<long long>(snapshot->order()));
   for (std::int64_t n = 0; n < snapshot->order(); ++n) {
@@ -813,8 +791,6 @@ int RunReplay(const CliConfig& config) {
     Fail("unknown --delta-engine: " + config.delta_engine);
   }
   options.delta_engine = engine->choice;
-  options.adaptive_epsilon = config.adaptive_eps;
-  options.tile_width = config.tile_width;
   options.num_threads = config.threads;
   options.flush_every = config.flush_every;
   options.checkpoint_every = config.checkpoint_every;
@@ -919,8 +895,6 @@ int RunSolve(const CliConfig& config) {
   options.sample_rate = config.sample_rate;
   options.seed = config.seed;
   options.update_core = config.update_core;
-  options.adaptive_epsilon = config.adaptive_eps;
-  options.tile_width = config.tile_width;
   const DeltaEngineDescriptor* engine =
       FindDeltaEngineByName(config.delta_engine);
   if (engine == nullptr) {
@@ -950,15 +924,11 @@ int RunSolve(const CliConfig& config) {
   PrintTrace(distributed.result.iterations, config.quiet);
   std::printf("final reconstruction error (Eq. 5): %.6f\n",
               distributed.result.final_error);
-  const double efficiency = distributed.stats.makespan_per_iteration.empty()
-                                ? 1.0
-                                : distributed.stats.Efficiency(0);
   std::printf("cluster: %lld workers, %d iterations, %lld bytes on the "
-              "wire, partition efficiency %.3f\n",
+              "wire\n",
               static_cast<long long>(distributed.stats.workers),
               distributed.stats.iterations_run,
-              static_cast<long long>(distributed.stats.total_comm_bytes),
-              efficiency);
+              static_cast<long long>(distributed.stats.total_comm_bytes));
   if (!config.output_dir.empty()) {
     WriteModel(distributed.result.model, config.output_dir);
   }
@@ -1063,8 +1033,6 @@ int Run(const CliConfig& config) {
     } else {
       Fail("unknown --variant: " + config.variant);
     }
-    options.adaptive_epsilon = config.adaptive_eps;
-    options.tile_width = config.tile_width;
     if (has_warm_start) options.init_snapshot = &warm_start;
     // Engine names resolve through the same catalog --help prints.
     const DeltaEngineDescriptor* engine =
