@@ -16,43 +16,6 @@ double VecDot(const std::vector<double>& a, const std::vector<double>& b) {
   return sum;
 }
 
-// Local CoreCgMatVec: lane partials over every reduction lane, folded in
-// lane order — the exact arithmetic the distributed coordinator
-// reproduces by gathering the same lanes from its workers.
-class LocalCoreMatVec : public CoreCgMatVec {
- public:
-  LocalCoreMatVec(const SparseTensor& x, const DeltaEngine& engine,
-                  std::size_t width)
-      : x_(&x),
-        engine_(&engine),
-        width_(width),
-        lane_sums_(static_cast<std::size_t>(kReductionLanes) * width) {}
-
-  void ResidualBase(const std::vector<double>& g,
-                    std::vector<double>* z) override {
-    Product(/*residual_from_x=*/true, g, z);
-  }
-
-  void NormalProduct(const std::vector<double>& d,
-                     std::vector<double>* z) override {
-    Product(/*residual_from_x=*/false, d, z);
-  }
-
- private:
-  void Product(bool residual_from_x, const std::vector<double>& input,
-               std::vector<double>* z) {
-    DesignLanePartials(*x_, *engine_, residual_from_x, input, 0,
-                       kReductionLanes, lane_sums_.data());
-    z->resize(width_);
-    FoldVectorLaneSums(lane_sums_.data(), kReductionLanes, width_, z->data());
-  }
-
-  const SparseTensor* x_;
-  const DeltaEngine* engine_;
-  std::size_t width_;
-  std::vector<double> lane_sums_;
-};
-
 }  // namespace
 
 void DesignLanePartials(const SparseTensor& x, const DeltaEngine& engine,
@@ -77,17 +40,36 @@ void DesignLanePartials(const SparseTensor& x, const DeltaEngine& engine,
       [&] { return Worker{&x, &engine, input.data(), residual_from_x}; });
 }
 
-void RunCoreCg(CoreCgMatVec* matvec, double lambda, int cg_iterations,
-               std::vector<double>* g) {
-  PTUCKER_CHECK(matvec != nullptr && g != nullptr);
-  const std::size_t core_count = g->size();
-  if (core_count == 0 || cg_iterations <= 0) return;
+std::vector<double> RunCoreCg(const DesignLaneFill& fill_lanes, double lambda,
+                              int cg_iterations, DenseTensor* core,
+                              CoreEntryList* core_list) {
+  PTUCKER_CHECK(core != nullptr && core_list != nullptr);
+  // Warm start from the current core values: CG then monotonically
+  // improves the regularized objective.
+  std::vector<double> g(static_cast<std::size_t>(core_list->size()));
+  for (std::int64_t b = 0; b < core_list->size(); ++b) {
+    g[static_cast<std::size_t>(b)] = core_list->value(b);
+  }
+  const std::size_t core_count = g.size();
+  if (core_count == 0 || cg_iterations <= 0) return g;
+
+  // z = the design product of `input`, folded from its lanes in lane order.
+  std::vector<double> lane_sums(
+      static_cast<std::size_t>(kReductionLanes) * core_count);
+  const auto product = [&](bool residual_from_x,
+                           const std::vector<double>& input,
+                           std::vector<double>* z) {
+    fill_lanes(residual_from_x, input, lane_sums.data());
+    z->resize(core_count);
+    FoldVectorLaneSums(lane_sums.data(), kReductionLanes, core_count,
+                       z->data());
+  };
 
   // r = Pᵀ(x − P g) − λ g  (negative gradient of the objective / 2).
   std::vector<double> residual;
-  matvec->ResidualBase(*g, &residual);
+  product(/*residual_from_x=*/true, g, &residual);
   for (std::size_t b = 0; b < core_count; ++b) {
-    residual[b] -= lambda * (*g)[b];
+    residual[b] -= lambda * g[b];
   }
 
   std::vector<double> direction = residual;
@@ -97,7 +79,7 @@ void RunCoreCg(CoreCgMatVec* matvec, double lambda, int cg_iterations,
 
   for (int step = 0; step < cg_iterations && rho > threshold; ++step) {
     // q = (PᵀP + λI) d.
-    matvec->NormalProduct(direction, &q);
+    product(/*residual_from_x=*/false, direction, &q);
     for (std::size_t b = 0; b < core_count; ++b) {
       q[b] += lambda * direction[b];
     }
@@ -105,7 +87,7 @@ void RunCoreCg(CoreCgMatVec* matvec, double lambda, int cg_iterations,
     if (curvature <= 0.0) break;
     const double alpha = rho / curvature;
     for (std::size_t b = 0; b < core_count; ++b) {
-      (*g)[b] += alpha * direction[b];
+      g[b] += alpha * direction[b];
       residual[b] -= alpha * q[b];
     }
     const double rho_next = VecDot(residual, residual);
@@ -115,6 +97,8 @@ void RunCoreCg(CoreCgMatVec* matvec, double lambda, int cg_iterations,
       direction[b] = residual[b] + beta * direction[b];
     }
   }
+  StoreCoreValues(g, core, core_list);
+  return g;
 }
 
 void StoreCoreValues(const std::vector<double>& g, DenseTensor* core,
@@ -137,22 +121,15 @@ void UpdateCoreTensor(const SparseTensor& x, DenseTensor* core,
                       const std::vector<Matrix>& factors, double lambda,
                       int cg_iterations, const DeltaEngine* engine) {
   PTUCKER_CHECK(core != nullptr && core_list != nullptr);
-  const std::int64_t n_core = core_list->size();
-  if (n_core == 0 || cg_iterations <= 0) return;
-  const std::size_t core_count = static_cast<std::size_t>(n_core);
   const NaiveDeltaEngine fallback(*core_list, factors);
   const DeltaEngine& design = engine != nullptr ? *engine : fallback;
-
-  // Warm start from the current core values: CG then monotonically
-  // improves the regularized objective.
-  std::vector<double> g(core_count);
-  for (std::int64_t b = 0; b < n_core; ++b) {
-    g[static_cast<std::size_t>(b)] = core_list->value(b);
-  }
-
-  LocalCoreMatVec matvec(x, design, core_count);
-  RunCoreCg(&matvec, lambda, cg_iterations, &g);
-  StoreCoreValues(g, core, core_list);
+  RunCoreCg(
+      [&](bool residual_from_x, const std::vector<double>& input,
+          double* lane_sums) {
+        DesignLanePartials(x, design, residual_from_x, input, 0,
+                           kReductionLanes, lane_sums);
+      },
+      lambda, cg_iterations, core, core_list);
 }
 
 }  // namespace ptucker

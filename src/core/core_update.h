@@ -6,6 +6,7 @@
 #ifndef PTUCKER_CORE_CORE_UPDATE_H_
 #define PTUCKER_CORE_CORE_UPDATE_H_
 
+#include <functional>
 #include <vector>
 
 #include "core/delta.h"
@@ -40,34 +41,26 @@ void UpdateCoreTensor(const SparseTensor& x, DenseTensor* core,
                       const std::vector<Matrix>& factors, double lambda,
                       int cg_iterations, const DeltaEngine* engine = nullptr);
 
-/// Matrix-free operator behind the core CG loop: the two design-matrix
-/// products RunCoreCg needs per solve. The local implementation computes
-/// lane partials over all reduction lanes and folds them; the
-/// distributed coordinator broadcasts the input vector, gathers each
-/// worker's lane partials, and folds the same lanes in the same order —
-/// so both implementations hand CG bit-identical vectors.
-class CoreCgMatVec {
- public:
-  virtual ~CoreCgMatVec() = default;
-
-  /// z = Pᵀ(x − P g): the residual base of the warm-started CG solve
-  /// (the caller subtracts the λg regularization term itself).
-  virtual void ResidualBase(const std::vector<double>& g,
-                            std::vector<double>* z) = 0;
-
-  /// z = Pᵀ(P d): the normal-equations product of a CG direction
-  /// (the caller adds the λd term itself).
-  virtual void NormalProduct(const std::vector<double>& d,
-                             std::vector<double>* z) = 0;
-};
+/// Fills the kReductionLanes × |input| per-lane partials of a design
+/// product, laid out like DesignLanePartials over every lane: of
+/// Pᵀ(x − P·input) when `residual_from_x`, else of Pᵀ(P·input). The
+/// single-process solver computes all lanes itself; the distributed
+/// coordinator gathers them from its workers. RunCoreCg folds them in
+/// lane order either way, so CG sees bit-identical vectors.
+using DesignLaneFill =
+    std::function<void(bool residual_from_x, const std::vector<double>& input,
+                       double* lane_sums)>;
 
 /// The conjugate-gradient loop of UpdateCoreTensor, extracted so the
 /// single-process and multi-process solvers run the exact same control
 /// flow and scalar arithmetic (step counts, curvature guard, stopping
-/// threshold max(ρ₀·1e-16, 1e-28)) against any CoreCgMatVec. Starts
-/// from `*g` (warm start) and leaves the final iterate in `*g`.
-void RunCoreCg(CoreCgMatVec* matvec, double lambda, int cg_iterations,
-               std::vector<double>* g);
+/// threshold max(ρ₀·1e-16, 1e-28)) over any DesignLaneFill. Starts
+/// from the values of `core_list` (warm start), stores the final iterate
+/// into `core` and `core_list` (StoreCoreValues) and returns it; with no
+/// core entries or no CG steps it changes nothing.
+std::vector<double> RunCoreCg(const DesignLaneFill& fill_lanes, double lambda,
+                              int cg_iterations, DenseTensor* core,
+                              CoreEntryList* core_list);
 
 /// Per-lane partials of a design-transposed product over the fixed
 /// reduction-lane partition of the entry range [0, x.nnz()): for each

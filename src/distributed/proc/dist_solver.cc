@@ -1,25 +1,19 @@
 #include "distributed/proc/dist_solver.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/als_driver.h"
 #include "core/core_update.h"
-#include "core/delta.h"
 #include "core/delta_engine.h"
-#include "core/orthogonalize.h"
-#include "core/ptucker.h"
 #include "core/reconstruction.h"
 #include "core/row_update.h"
 #include "distributed/partition.h"
 #include "util/logging.h"
 #include "util/parallel.h"
-#include "util/random.h"
-#include "obs/stopwatch.h"
 #include "obs/trace.h"
 
 namespace ptucker {
@@ -33,7 +27,9 @@ std::int64_t WorkerLaneBegin(std::int64_t rank, std::int64_t workers) {
   return kReductionLanes * rank / workers;
 }
 
-void ValidateDistributed(const SparseTensor& x, const PTuckerOptions& options,
+// The cluster-only checks; everything else is RunAls's
+// ValidateAlsInputs, shared with PTuckerDecompose.
+void ValidateDistributed(const PTuckerOptions& options,
                          const DistOptions& dist) {
   if (dist.workers < 1 || dist.workers > kReductionLanes) {
     throw std::invalid_argument(
@@ -51,77 +47,6 @@ void ValidateDistributed(const SparseTensor& x, const PTuckerOptions& options,
         "distributed P-Tucker: the memory tracker is process-local and "
         "cannot account a multi-process solve");
   }
-  if (x.nnz() == 0) {
-    throw std::invalid_argument(
-        "distributed P-Tucker: tensor has no observed entries");
-  }
-  if (!x.has_mode_index()) {
-    throw std::invalid_argument(
-        "distributed P-Tucker: call SparseTensor::BuildModeIndex() before "
-        "decomposing");
-  }
-  if (static_cast<std::int64_t>(options.core_dims.size()) != x.order()) {
-    throw std::invalid_argument(
-        "distributed P-Tucker: core_dims order does not match tensor order");
-  }
-  for (std::int64_t n = 0; n < x.order(); ++n) {
-    const std::int64_t rank = options.core_dims[static_cast<std::size_t>(n)];
-    if (rank < 1) {
-      throw std::invalid_argument(
-          "distributed P-Tucker: core dimensionality must be >= 1");
-    }
-    if (options.orthogonalize_output && rank > x.dim(n)) {
-      throw std::invalid_argument(
-          "distributed P-Tucker: Jn > In is incompatible with QR "
-          "orthogonalization");
-    }
-  }
-  if (options.lambda < 0.0) {
-    throw std::invalid_argument(
-        "distributed P-Tucker: lambda must be non-negative");
-  }
-  if (options.max_iterations < 1) {
-    throw std::invalid_argument(
-        "distributed P-Tucker: max_iterations must be >= 1");
-  }
-  if (options.sample_rate <= 0.0 || options.sample_rate > 1.0) {
-    throw std::invalid_argument(
-        "distributed P-Tucker: sample_rate must be in (0, 1]");
-  }
-  if (options.adaptive_epsilon != 0.0) {
-    throw std::invalid_argument(
-        "distributed P-Tucker: adaptive_epsilon must be 0: the lossy "
-        "adaptive delta-engine was removed");
-  }
-}
-
-// Replicates the single-process initialization (Algorithm 2 line 1)
-// exactly: coordinator and every worker draw the same factors and core
-// from the same seed (or copy the same warm-start snapshot), so all
-// N + 1 model replicas start bit-identical.
-DenseTensor InitModel(const SparseTensor& x, const PTuckerOptions& options,
-                      std::vector<Matrix>* factors) {
-  Rng rng(options.seed);
-  factors->clear();
-  factors->reserve(static_cast<std::size_t>(x.order()));
-  for (std::int64_t n = 0; n < x.order(); ++n) {
-    const std::int64_t rank = options.core_dims[static_cast<std::size_t>(n)];
-    if (options.init_snapshot != nullptr) {
-      factors->push_back(
-          options.init_snapshot->factors[static_cast<std::size_t>(n)]);
-    } else {
-      Matrix factor(x.dim(n), rank);
-      factor.FillUniform(rng);
-      factors->push_back(std::move(factor));
-    }
-  }
-  DenseTensor core(options.core_dims);
-  if (options.init_snapshot != nullptr) {
-    core = options.init_snapshot->core;
-  } else {
-    core.FillUniform(rng);
-  }
-  return core;
 }
 
 // Receives one frame from `rank`, converting every failure into a
@@ -154,71 +79,47 @@ DistFrame ExpectFrame(FrameChannel& channel, std::int64_t rank,
   return frame;
 }
 
-// CoreCgMatVec over the cluster: broadcasts the input vector, gathers
-// every worker's raw per-lane partials into the full 64-lane buffer, and
-// folds all lanes in lane order — the same fold LocalCoreMatVec runs on
-// its own lane buffer, so CG sees bit-identical vectors either way.
-class RemoteCoreMatVec : public CoreCgMatVec {
- public:
-  RemoteCoreMatVec(ClusterTransport* transport, std::size_t width,
-                   std::uint64_t tag)
-      : transport_(transport),
-        width_(width),
-        tag_(tag),
-        lane_sums_(static_cast<std::size_t>(kReductionLanes) * width) {}
-
-  void ResidualBase(const std::vector<double>& g,
-                    std::vector<double>* z) override {
-    Product(DistOpcode::kCoreResidual, g, z);
+// Sends one `opcode` frame carrying `payload` to every worker.
+void Broadcast(ClusterTransport* transport, DistOpcode opcode,
+               std::uint64_t tag, const std::vector<std::uint8_t>& payload) {
+  for (std::int64_t r = 0; r < transport->workers(); ++r) {
+    transport->Channel(r).SendFrame(opcode, tag, payload);
   }
+}
 
-  void NormalProduct(const std::vector<double>& d,
-                     std::vector<double>* z) override {
-    Product(DistOpcode::kCoreMatVec, d, z);
-  }
-
- private:
-  void Product(DistOpcode opcode, const std::vector<double>& input,
-               std::vector<double>* z) {
-    const std::vector<std::uint8_t> payload = EncodeDoubleVector(input);
-    const std::int64_t workers = transport_->workers();
-    for (std::int64_t r = 0; r < workers; ++r) {
-      transport_->Channel(r).SendFrame(opcode, tag_, payload);
+// Broadcasts `payload` under `opcode` to every worker, then gathers each
+// worker's raw lane partials (a `reply` frame), checks that they cover
+// exactly its lane subrange at `width` values per lane, and copies them
+// into the full kReductionLanes x width buffer `lane_sums`. The worker
+// subranges tile all lanes, so every slot is written.
+void GatherLaneSums(ClusterTransport* transport, DistOpcode opcode,
+                    const std::vector<std::uint8_t>& payload,
+                    DistOpcode reply, std::uint64_t tag, std::size_t width,
+                    double* lane_sums) {
+  const std::int64_t workers = transport->workers();
+  Broadcast(transport, opcode, tag, payload);
+  for (std::int64_t r = 0; r < workers; ++r) {
+    const DistFrame frame = ExpectFrame(transport->Channel(r), r, reply, tag);
+    DistLaneBlock block;
+    std::string error;
+    if (!ParseLaneBlock(frame.payload, &block, &error)) {
+      throw DistError("worker " + std::to_string(r) +
+                      " sent a malformed lane block: " + error);
     }
-    std::fill(lane_sums_.begin(), lane_sums_.end(), 0.0);
-    for (std::int64_t r = 0; r < workers; ++r) {
-      const DistFrame frame = ExpectFrame(transport_->Channel(r), r,
-                                          DistOpcode::kCorePartials, tag_);
-      DistLaneBlock block;
-      std::string error;
-      if (!ParseLaneBlock(frame.payload, &block, &error)) {
-        throw DistError("worker " + std::to_string(r) +
-                        " sent a malformed lane block: " + error);
-      }
-      if (block.first_lane != WorkerLaneBegin(r, workers) ||
-          block.lane_count !=
-              WorkerLaneBegin(r + 1, workers) - WorkerLaneBegin(r, workers) ||
-          block.width != static_cast<std::int64_t>(width_)) {
-        throw DistError("worker " + std::to_string(r) +
-                        " sent lane range [" +
-                        std::to_string(block.first_lane) + ", +" +
-                        std::to_string(block.lane_count) + ") x " +
-                        std::to_string(block.width) +
-                        " that does not match its lane ownership");
-      }
-      std::copy(block.values.begin(), block.values.end(),
-                lane_sums_.begin() +
-                    static_cast<std::size_t>(block.first_lane) * width_);
+    if (block.first_lane != WorkerLaneBegin(r, workers) ||
+        block.lane_count !=
+            WorkerLaneBegin(r + 1, workers) - WorkerLaneBegin(r, workers) ||
+        block.width != static_cast<std::int64_t>(width)) {
+      throw DistError("worker " + std::to_string(r) + " sent lane range [" +
+                      std::to_string(block.first_lane) + ", +" +
+                      std::to_string(block.lane_count) + ") x " +
+                      std::to_string(block.width) +
+                      " that does not match its lane ownership");
     }
-    z->resize(width_);
-    FoldVectorLaneSums(lane_sums_.data(), kReductionLanes, width_, z->data());
+    std::copy(block.values.begin(), block.values.end(),
+              lane_sums + static_cast<std::size_t>(block.first_lane) * width);
   }
-
-  ClusterTransport* transport_;
-  std::size_t width_;
-  std::uint64_t tag_;
-  std::vector<double> lane_sums_;
-};
+}
 
 // The worker body: replicate the model, build the engine, then obey
 // coordinator commands until kShutdown. Throws DistError to exit (the
@@ -241,11 +142,12 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
     obs::Tracer::Global().Clear();
   }
 
-  std::vector<Matrix> factors;
-  DenseTensor core = InitModel(x, options, &factors);
-  CoreEntryList core_list(core);
+  // The same draw as RunAls on the coordinator, so all N + 1 model
+  // replicas start bit-identical.
+  AlsModel model = InitAlsModel(x, options);
+  std::vector<Matrix>& factors = model.factors;
   const std::unique_ptr<DeltaEngine> engine =
-      MakeDeltaEngine(ResolveDeltaEngineChoice(options), x, core_list,
+      MakeDeltaEngine(ResolveDeltaEngineChoice(options), x, model.core_list,
                       factors, /*tracker=*/nullptr);
 
   // Row ownership per mode (every worker derives the same partition) and
@@ -356,7 +258,8 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
           if (!ParseDoubleVector(frame.payload, &input, &error)) {
             throw std::runtime_error(error);
           }
-          if (static_cast<std::int64_t>(input.size()) != core_list.size()) {
+          if (static_cast<std::int64_t>(input.size()) !=
+              model.core_list.size()) {
             throw std::runtime_error("core vector length mismatch");
           }
           lane_buffer.assign(
@@ -378,10 +281,10 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
           if (!ParseDoubleVector(frame.payload, &g, &error)) {
             throw std::runtime_error(error);
           }
-          if (static_cast<std::int64_t>(g.size()) != core_list.size()) {
+          if (static_cast<std::int64_t>(g.size()) != model.core_list.size()) {
             throw std::runtime_error("core write length mismatch");
           }
-          StoreCoreValues(g, &core, &core_list);
+          StoreCoreValues(g, &model.core, &model.core_list);
           engine->OnCoreValuesChanged();
           channel.SendFrame(DistOpcode::kAck, frame.tag, {});
           break;
@@ -430,194 +333,137 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
   }
 }
 
+// The coordinator's backend: every Ω-dependent step is a lock-step PTKD
+// exchange with the workers, and the coordinator's model replica is only
+// the merged rows and the CG iterate.
+class FrameBackend : public AlsBackend {
+ public:
+  FrameBackend(const SparseTensor& x, ClusterTransport* transport,
+               AlsModel* model)
+      : transport_(transport), model_(model) {
+    // Row ownership: the same blocks every worker derives.
+    for (std::int64_t mode = 0; mode < x.order(); ++mode) {
+      partitions_.push_back(PartitionRowsBlock(x, mode, transport->workers()));
+    }
+  }
+
+  void SolveMode(std::int64_t mode, int iteration) override {
+    const std::uint64_t tag = static_cast<std::uint64_t>(iteration);
+    const std::int64_t workers = transport_->workers();
+    Broadcast(transport_, DistOpcode::kSolveMode, tag, EncodeSolveMode(mode));
+    Matrix& factor = model_->factors[static_cast<std::size_t>(mode)];
+    const RowPartition& partition =
+        partitions_[static_cast<std::size_t>(mode)];
+    for (std::int64_t r = 0; r < workers; ++r) {
+      const DistFrame frame =
+          ExpectFrame(transport_->Channel(r), r, DistOpcode::kRows, tag);
+      DistRowBlock block;
+      std::string error;
+      if (!ParseRowBlock(frame.payload, &block, &error)) {
+        throw DistError("worker " + std::to_string(r) +
+                        " sent a malformed row block: " + error);
+      }
+      const auto& owned =
+          partition.rows_per_worker[static_cast<std::size_t>(r)];
+      const std::int64_t want_begin = owned.empty() ? 0 : owned.front();
+      if (block.mode != mode || block.cols != factor.cols() ||
+          block.row_begin != want_begin ||
+          block.row_count != static_cast<std::int64_t>(owned.size())) {
+        throw DistError("worker " + std::to_string(r) + " sent rows [" +
+                        std::to_string(block.row_begin) + ", +" +
+                        std::to_string(block.row_count) + ") of mode " +
+                        std::to_string(block.mode) +
+                        " that do not match its row ownership");
+      }
+      if (block.row_count > 0) {
+        std::copy(block.values.begin(), block.values.end(),
+                  factor.Row(block.row_begin));
+      }
+    }
+    Broadcast(transport_, DistOpcode::kFactor, tag,
+              EncodeRowBlock(mode, factor, 0, factor.rows()));
+  }
+
+  void DesignLaneSums(bool residual_from_x, const std::vector<double>& input,
+                      int iteration, double* lane_sums) override {
+    GatherLaneSums(transport_,
+                   residual_from_x ? DistOpcode::kCoreResidual
+                                   : DistOpcode::kCoreMatVec,
+                   EncodeDoubleVector(input), DistOpcode::kCorePartials,
+                   static_cast<std::uint64_t>(iteration), input.size(),
+                   lane_sums);
+  }
+
+  void CommitCore(const std::vector<double>& g, int iteration) override {
+    const std::uint64_t tag = static_cast<std::uint64_t>(iteration);
+    Broadcast(transport_, DistOpcode::kCoreWrite, tag, EncodeDoubleVector(g));
+    for (std::int64_t r = 0; r < transport_->workers(); ++r) {
+      ExpectFrame(transport_->Channel(r), r, DistOpcode::kAck, tag);
+    }
+  }
+
+  void ErrorLaneSums(int iteration, double* lane_sums) override {
+    GatherLaneSums(transport_, DistOpcode::kErrorSums, {},
+                   DistOpcode::kErrorSums,
+                   static_cast<std::uint64_t>(iteration), 1, lane_sums);
+  }
+
+ private:
+  ClusterTransport* transport_;
+  AlsModel* model_;
+  std::vector<RowPartition> partitions_;
+};
+
+// Clean shutdown: every worker says goodbye, shipping its span ring when
+// tracing is on, and the rings merge into the coordinator's tracer
+// (pid r+1; the coordinator is pid 0). Telemetry never fails a finished
+// solve: a malformed payload is logged and dropped.
+void ShutdownCluster(ClusterTransport* transport) {
+  Broadcast(transport, DistOpcode::kShutdown, 0, {});
+  for (std::int64_t r = 0; r < transport->workers(); ++r) {
+    const DistFrame bye =
+        ExpectFrame(transport->Channel(r), r, DistOpcode::kBye, 0);
+    if (!bye.payload.empty() && obs::Tracer::Global().enabled()) {
+      std::string error;
+      if (!obs::Tracer::Global().ImportSerialized(
+              bye.payload, static_cast<int>(r) + 1, &error)) {
+        PTUCKER_LOG(kWarning) << "worker " << r
+                              << ": undecodable trace payload: " << error;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 DistributedPTuckerResult DistributedPTuckerDecompose(
     const SparseTensor& x, const PTuckerOptions& options,
     const DistOptions& dist) {
-  ValidateDistributed(x, options, dist);
-  const std::int64_t order = x.order();
-  const std::int64_t workers = dist.workers;
-  Stopwatch total_clock;
-
+  ValidateDistributed(options, dist);
   const WorkerMain worker_main = [&x, &options, &dist](std::int64_t rank,
                                                        FrameChannel& channel) {
     RunDistWorker(x, options, dist, rank, channel);
   };
-  const std::unique_ptr<ClusterTransport> transport = LaunchCluster(
-      dist.transport, workers, worker_main, dist.recv_timeout_ms);
 
   DistributedPTuckerResult out;
-  out.stats.workers = workers;
+  out.stats.workers = dist.workers;
+  // Launched by RunAls once the options are validated and the
+  // coordinator's replica is drawn; aborted (every worker reaped) on any
+  // failure, a non-finite error included.
+  std::unique_ptr<ClusterTransport> transport;
   try {
-    // The coordinator's own model replica (no engine: all Ω-dependent
-    // compute runs on the workers; the wrap-up phases below reuse the
-    // single-process code paths).
-    std::vector<Matrix> factors;
-    DenseTensor core = InitModel(x, options, &factors);
-    CoreEntryList core_list(core);
-
-    // Row ownership: the same blocks every worker derives.
-    std::vector<RowPartition> partitions;
-    partitions.reserve(static_cast<std::size_t>(order));
-    for (std::int64_t mode = 0; mode < order; ++mode) {
-      partitions.push_back(PartitionRowsBlock(x, mode, workers));
-    }
-
-    PTuckerResult& result = out.result;
-    double previous_error = std::numeric_limits<double>::infinity();
-
-    for (int iteration = 1; iteration <= options.max_iterations;
-         ++iteration) {
-      Stopwatch iteration_clock;
-      const std::uint64_t tag = static_cast<std::uint64_t>(iteration);
-
-      // --- Factor updates: one lock-step exchange per mode. ---
-      for (std::int64_t mode = 0; mode < order; ++mode) {
-        const std::vector<std::uint8_t> solve = EncodeSolveMode(mode);
-        for (std::int64_t r = 0; r < workers; ++r) {
-          transport->Channel(r).SendFrame(DistOpcode::kSolveMode, tag, solve);
-        }
-        Matrix& factor = factors[static_cast<std::size_t>(mode)];
-        const RowPartition& partition =
-            partitions[static_cast<std::size_t>(mode)];
-        for (std::int64_t r = 0; r < workers; ++r) {
-          const DistFrame frame = ExpectFrame(transport->Channel(r), r,
-                                              DistOpcode::kRows, tag);
-          DistRowBlock block;
-          std::string error;
-          if (!ParseRowBlock(frame.payload, &block, &error)) {
-            throw DistError("worker " + std::to_string(r) +
-                            " sent a malformed row block: " + error);
-          }
-          const auto& owned =
-              partition.rows_per_worker[static_cast<std::size_t>(r)];
-          const std::int64_t want_begin = owned.empty() ? 0 : owned.front();
-          if (block.mode != mode || block.cols != factor.cols() ||
-              block.row_begin != want_begin ||
-              block.row_count != static_cast<std::int64_t>(owned.size())) {
-            throw DistError("worker " + std::to_string(r) +
-                            " sent rows [" + std::to_string(block.row_begin) +
-                            ", +" + std::to_string(block.row_count) +
-                            ") of mode " + std::to_string(block.mode) +
-                            " that do not match its row ownership");
-          }
-          if (block.row_count > 0) {
-            std::copy(block.values.begin(), block.values.end(),
-                      factor.Row(block.row_begin));
-          }
-        }
-        const std::vector<std::uint8_t> merged =
-            EncodeRowBlock(mode, factor, 0, factor.rows());
-        for (std::int64_t r = 0; r < workers; ++r) {
-          transport->Channel(r).SendFrame(DistOpcode::kFactor, tag, merged);
-        }
-      }
-
-      // --- Optional core re-fit: coordinator runs the CG control flow,
-      // workers compute the design products as lane partials. ---
-      if (options.update_core && core_list.size() > 0 &&
-          options.core_update_cg_iterations > 0) {
-        std::vector<double> g(static_cast<std::size_t>(core_list.size()));
-        for (std::int64_t b = 0; b < core_list.size(); ++b) {
-          g[static_cast<std::size_t>(b)] = core_list.value(b);
-        }
-        RemoteCoreMatVec matvec(transport.get(), g.size(), tag);
-        RunCoreCg(&matvec, options.lambda,
-                  options.core_update_cg_iterations, &g);
-        StoreCoreValues(g, &core, &core_list);
-        const std::vector<std::uint8_t> payload = EncodeDoubleVector(g);
-        for (std::int64_t r = 0; r < workers; ++r) {
-          transport->Channel(r).SendFrame(DistOpcode::kCoreWrite, tag,
-                                          payload);
-        }
-        for (std::int64_t r = 0; r < workers; ++r) {
-          ExpectFrame(transport->Channel(r), r, DistOpcode::kAck, tag);
-        }
-      }
-
-      // --- Reconstruction error: gather all 64 lane partials, fold in
-      // lane order, exactly like the single-process blocked sum. ---
-      for (std::int64_t r = 0; r < workers; ++r) {
-        transport->Channel(r).SendFrame(DistOpcode::kErrorSums, tag, {});
-      }
-      double lane_sums[kReductionLanes] = {0.0};
-      for (std::int64_t r = 0; r < workers; ++r) {
-        const DistFrame frame = ExpectFrame(transport->Channel(r), r,
-                                            DistOpcode::kErrorSums, tag);
-        DistLaneBlock block;
-        std::string error;
-        if (!ParseLaneBlock(frame.payload, &block, &error)) {
-          throw DistError("worker " + std::to_string(r) +
-                          " sent a malformed lane block: " + error);
-        }
-        if (block.first_lane != WorkerLaneBegin(r, workers) ||
-            block.lane_count != WorkerLaneBegin(r + 1, workers) -
-                                    WorkerLaneBegin(r, workers) ||
-            block.width != 1) {
-          throw DistError("worker " + std::to_string(r) +
-                          " sent an error-sum lane range that does not "
-                          "match its lane ownership");
-        }
-        std::copy(block.values.begin(), block.values.end(),
-                  lane_sums + block.first_lane);
-      }
-      const double error = std::sqrt(FoldLaneSums(lane_sums, kReductionLanes));
-
-      IterationStats stats;
-      stats.iteration = iteration;
-      stats.error = error;
-      stats.core_nnz = core_list.size();
-      stats.peak_intermediate_bytes = 0;
-      const double change =
-          std::fabs(previous_error - error) / std::max(previous_error, 1e-12);
-      previous_error = error;
-      stats.seconds = iteration_clock.ElapsedSeconds();
-      result.iterations.push_back(stats);
-      if (options.verbose) {
-        PTUCKER_LOG(kInfo) << "distributed iteration " << iteration
-                           << ": error=" << error << " (" << stats.seconds
-                           << "s, " << workers << " workers)";
-      }
-      if (change < options.tolerance) {
-        result.converged = true;
-        break;
-      }
-    }
-
-    // --- Clean shutdown, then the single-process wrap-up phases. ---
-    for (std::int64_t r = 0; r < workers; ++r) {
-      transport->Channel(r).SendFrame(DistOpcode::kShutdown, 0, {});
-    }
-    for (std::int64_t r = 0; r < workers; ++r) {
-      const DistFrame bye =
-          ExpectFrame(transport->Channel(r), r, DistOpcode::kBye, 0);
-      // Merge the worker's spans (pid r+1; the coordinator is pid 0).
-      // Telemetry never fails a finished solve: a malformed payload is
-      // logged and dropped.
-      if (!bye.payload.empty() && obs::Tracer::Global().enabled()) {
-        std::string error;
-        if (!obs::Tracer::Global().ImportSerialized(
-                bye.payload, static_cast<int>(r) + 1, &error)) {
-          PTUCKER_LOG(kWarning) << "worker " << r
-                                << ": undecodable trace payload: " << error;
-        }
-      }
-    }
+    out.result = RunAls(x, options, [&](AlsModel* model) {
+      transport = LaunchCluster(dist.transport, dist.workers, worker_main,
+                                dist.recv_timeout_ms);
+      return std::make_unique<FrameBackend>(x, transport.get(), model);
+    });
+    ShutdownCluster(transport.get());
     out.stats.total_comm_bytes = transport->TotalCommBytes();
-    out.stats.iterations_run = static_cast<int>(result.iterations.size());
+    out.stats.iterations_run =
+        static_cast<int>(out.result.iterations.size());
     transport->Shutdown();
-
-    if (options.orthogonalize_output) {
-      OrthogonalizeFactors(&factors, &core);
-      core_list = CoreEntryList(core);
-    }
-    result.final_error = ReconstructionError(x, core_list, factors);
-    result.model.factors = std::move(factors);
-    result.model.core = std::move(core);
-    result.total_seconds = total_clock.ElapsedSeconds();
   } catch (...) {
-    transport->Abort();
+    if (transport != nullptr) transport->Abort();
     throw;
   }
   return out;

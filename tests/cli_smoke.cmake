@@ -1,5 +1,6 @@
 # CLI smoke test: run ptucker_cli end-to-end on a tiny synthetic tensor
-# (--selftest) and assert exit code 0 plus parseable output.
+# (--selftest) and assert exit code 0 plus parseable output, then run the
+# same selftest through `solve` and assert the same final error line.
 #
 # Invoked by ctest as:
 #   cmake -DPTUCKER_CLI=<path> -P cli_smoke.cmake
@@ -27,6 +28,29 @@ if(NOT smoke_out MATCHES "final reconstruction error \\(Eq\\. 5\\): [0-9]+\\.[0-
 endif()
 if(NOT smoke_out MATCHES "selftest OK")
   message(FATAL_ERROR "missing 'selftest OK' in:\n${smoke_out}")
+endif()
+
+# `solve` must print the same final error as `decompose` on the same flags
+# and the same synthetic tensor: the distributed bit-identity contract
+# (docs/distributed.md), checked end to end through the CLI.
+execute_process(
+  COMMAND ${PTUCKER_CLI} solve --selftest --workers 3 --max-iters 5 --seed 42
+  OUTPUT_VARIABLE solve_out
+  ERROR_VARIABLE solve_err
+  RESULT_VARIABLE solve_rc
+)
+if(NOT solve_rc EQUAL 0)
+  message(FATAL_ERROR
+    "ptucker_cli solve --selftest exited with ${solve_rc}\n"
+    "stdout:\n${solve_out}\nstderr:\n${solve_err}")
+endif()
+set(final_error_line "final reconstruction error \\(Eq\\. 5\\): [0-9]+\\.[0-9]+")
+string(REGEX MATCH "${final_error_line}" decompose_final "${smoke_out}")
+string(REGEX MATCH "${final_error_line}" solve_final "${solve_out}")
+if(NOT solve_final STREQUAL decompose_final)
+  message(FATAL_ERROR
+    "solve and decompose disagree on the final error:\n"
+    "decompose: '${decompose_final}'\nsolve: '${solve_final}'")
 endif()
 
 message(STATUS "cli_smoke passed")

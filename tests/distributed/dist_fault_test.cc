@@ -1,6 +1,9 @@
 #include <sys/wait.h>
 
 #include <cerrno>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -132,6 +135,33 @@ TEST(DistFaultTest, FaultBeforeFirstCleanIterationStillAborts) {
   dist.fault.mode = 0;
   EXPECT_THROW(DistributedPTuckerDecompose(x, TestOptions(), dist),
                DistError);
+  ExpectNoChildProcesses();
+}
+
+TEST(DistFaultTest, NonFiniteErrorStopsBothSolversAndReapsWorkers) {
+  // One NaN observation poisons its rows and then the error. Both front
+  // doors share the non-finite check in RunAls: stop at iteration 1 with
+  // an error that names it, instead of iterating to a NaN model. The
+  // forked cluster is aborted and every worker reaped on the way out.
+  SparseTensor x = TestTensor(27);
+  x.set_value(x.nnz() / 2, std::numeric_limits<double>::quiet_NaN());
+  DistOptions dist;
+  dist.workers = 3;
+  dist.transport = DistTransport::kSocketpair;
+  for (const bool distributed : {false, true}) {
+    try {
+      if (distributed) {
+        DistributedPTuckerDecompose(x, TestOptions(), dist);
+      } else {
+        PTuckerDecompose(x, TestOptions());
+      }
+      FAIL() << "a NaN error must stop the solve (distributed="
+             << distributed << ")";
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("iteration 1"), std::string::npos) << message;
+    }
+  }
   ExpectNoChildProcesses();
 }
 

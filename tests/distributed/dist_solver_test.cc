@@ -1,5 +1,10 @@
 #include "distributed/proc/dist_solver.h"
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/ptucker.h"
@@ -213,6 +218,50 @@ TEST(DistSolverTest, RejectsUnsupportedConfigurations) {
   bad.core_dims = {3, 2};  // wrong order
   EXPECT_THROW(DistributedPTuckerDecompose(x, bad, dist),
                std::invalid_argument);
+}
+
+TEST(DistSolverTest, RejectsWhatTheLocalSolverRejects) {
+  // One validation behind both front doors: every input the single-process
+  // solver rejects, the distributed one rejects too, before any worker is
+  // launched.
+  const SparseTensor x = TestTensor(19);
+  TuckerFactorization misshapen;  // mode 2 has 11 rows, the tensor 12
+  misshapen.factors = {Matrix(20, 3), Matrix(16, 2), Matrix(11, 2)};
+  misshapen.core = DenseTensor({3, 2, 2});
+  const std::vector<
+      std::pair<std::string, std::function<void(PTuckerOptions*)>>>
+      cases = {
+          {"lambda -1", [](PTuckerOptions* o) { o->lambda = -1.0; }},
+          {"max_iterations 0",
+           [](PTuckerOptions* o) { o->max_iterations = 0; }},
+          {"sample_rate 0", [](PTuckerOptions* o) { o->sample_rate = 0.0; }},
+          {"sample_rate 1.5", [](PTuckerOptions* o) { o->sample_rate = 1.5; }},
+          {"num_threads -2", [](PTuckerOptions* o) { o->num_threads = -2; }},
+          {"tile_width 0", [](PTuckerOptions* o) { o->tile_width = 0; }},
+          {"truncation_rate 1",
+           [](PTuckerOptions* o) { o->truncation_rate = 1.0; }},
+          {"adaptive_epsilon 0.2",
+           [](PTuckerOptions* o) { o->adaptive_epsilon = 0.2; }},
+          {"core_dims order", [](PTuckerOptions* o) { o->core_dims = {3, 2}; }},
+          {"rank above dim",
+           [](PTuckerOptions* o) {
+             o->core_dims = {3, 2, 13};
+             o->orthogonalize_output = true;
+           }},
+          {"init_snapshot shape",
+           [&](PTuckerOptions* o) { o->init_snapshot = &misshapen; }},
+      };
+  DistOptions dist;
+  dist.workers = 2;
+  dist.transport = DistTransport::kInProcess;
+  for (const auto& [label, corrupt] : cases) {
+    PTuckerOptions bad = TestOptions();
+    corrupt(&bad);
+    EXPECT_THROW(PTuckerDecompose(x, bad), std::invalid_argument) << label;
+    EXPECT_THROW(DistributedPTuckerDecompose(x, bad, dist),
+                 std::invalid_argument)
+        << label;
+  }
 }
 
 }  // namespace
