@@ -4,7 +4,8 @@
 // the solves), a full reconstruct sweep (x̂ for every observed entry —
 // the inner work of the Eq. 5 error metric), and a short end-to-end
 // decomposition per engine. Every engine's δ and x̂ are checked against
-// the naive oracle to 1e-6.
+// the naive oracle: modemajor and cache to 1e-6, contraction to its
+// stated per-value bound 2(N + |G|)·2⁻⁵³·Σ|terms| (docs/delta_engines.md).
 //
 // Exit status (docs/benchmarks.md): 0 only if every engine matches the
 // oracle and modemajor beats naive on the δ-sweep of at least one config.
@@ -27,8 +28,7 @@ using namespace ptucker;
 using namespace ptucker::bench;
 
 struct Config {
-  std::int64_t order;
-  std::int64_t dim;
+  std::vector<std::int64_t> dims;
   std::int64_t nnz;
   std::int64_t rank;
 };
@@ -92,6 +92,20 @@ double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
   return max_diff;
 }
 
+// Largest |a − b| / (c·b) over the values: at most 1 when `a` is within
+// the contraction engine's stated bound c·Σ|terms| of the oracle `b`. The
+// configs' factors and core are Uniform[0,1) draws, so every term is
+// non-negative and the oracle's own value is Σ|terms|.
+double MaxBoundRatio(const std::vector<double>& a, const std::vector<double>& b,
+                     double c) {
+  double ratio = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double diff = std::fabs(a[i] - b[i]);
+    if (diff > 0.0) ratio = std::max(ratio, diff / (c * b[i]));
+  }
+  return ratio;
+}
+
 double SolveSeconds(DeltaEngineChoice choice, const SparseTensor& x,
                     const std::vector<std::int64_t>& ranks) {
   PTuckerOptions options;
@@ -112,16 +126,19 @@ int main() {
               "solve = 2 P-Tucker iterations; best of 5 sweeps; "
               "every engine matches the naive oracle to 1e-6");
 
+  // The last config has Fig. 7's short modes (year 21, hour 24), which
+  // the contraction engine memoizes.
   const Config configs[] = {
-      {3, 3000, 30000, 5},
-      {3, 3000, 30000, 8},
-      {4, 300, 10000, 5},
+      {{3000, 3000, 3000}, 30000, 5},
+      {{3000, 3000, 3000}, 30000, 8},
+      {{300, 300, 300, 300}, 10000, 5},
+      {{3000, 600, 21, 24}, 30000, 4},
   };
   // Naive first: it is the reference every other engine is checked
   // against.
-  const DeltaEngineChoice engines[] = {DeltaEngineChoice::kNaive,
-                                       DeltaEngineChoice::kModeMajor,
-                                       DeltaEngineChoice::kCached};
+  const DeltaEngineChoice engines[] = {
+      DeltaEngineChoice::kNaive, DeltaEngineChoice::kModeMajor,
+      DeltaEngineChoice::kCached, DeltaEngineChoice::kContraction};
 
   TablePrinter table(
       {"config", "engine", "build s", "sweep s", "speedup", "solve s"});
@@ -129,14 +146,14 @@ int main() {
   bool modemajor_beat_naive = false;
 
   for (const Config& config : configs) {
-    Rng rng(900 + static_cast<std::uint64_t>(config.order * 10 + config.rank));
-    const SparseTensor x =
-        UniformCubicTensor(config.order, config.dim, config.nnz, rng);
-    const std::vector<std::int64_t> ranks(
-        static_cast<std::size_t>(config.order), config.rank);
+    const std::int64_t order = static_cast<std::int64_t>(config.dims.size());
+    Rng rng(900 + static_cast<std::uint64_t>(order * 10 + config.rank));
+    const SparseTensor x = UniformSparseTensor(config.dims, config.nnz, rng);
+    const std::vector<std::int64_t> ranks(static_cast<std::size_t>(order),
+                                          config.rank);
 
     std::vector<Matrix> factors;
-    for (std::int64_t n = 0; n < config.order; ++n) {
+    for (std::int64_t n = 0; n < order; ++n) {
       Matrix factor(x.dim(n), config.rank);
       factor.FillUniform(rng);
       factors.push_back(std::move(factor));
@@ -145,9 +162,10 @@ int main() {
     core.FillUniform(rng);
     const CoreEntryList list(core);
 
-    const std::string name = "N=" + std::to_string(config.order) +
-                             " J=" + std::to_string(config.rank) +
-                             " nnz=" + std::to_string(config.nnz);
+    std::string name = "N=" + std::to_string(order) +
+                       " J=" + std::to_string(config.rank) +
+                       " nnz=" + std::to_string(config.nnz);
+    if (config.dims[0] != config.dims.back()) name += " short";
 
     SweepResult naive;
     for (const DeltaEngineChoice choice : engines) {
@@ -161,6 +179,19 @@ int main() {
         rec_table.AddRow(
             {name, label, FormatDouble(naive.rec_seconds, 4), "1.00x"});
         continue;
+      }
+      if (choice == DeltaEngineChoice::kContraction) {
+        const double c = 2.0 * static_cast<double>(order + list.size()) *
+                         std::ldexp(1.0, -53);
+        const double delta_ratio = MaxBoundRatio(sweep.deltas, naive.deltas, c);
+        const double xhat_ratio = MaxBoundRatio(sweep.xhat, naive.xhat, c);
+        if (delta_ratio > 1.0 || xhat_ratio > 1.0) {
+          std::fprintf(stderr,
+                       "%s outside its bound on %s: delta %.3f, x-hat %.3f "
+                       "of the bound\n",
+                       label, name.c_str(), delta_ratio, xhat_ratio);
+          return 1;
+        }
       }
       const double delta_error = MaxAbsDiff(sweep.deltas, naive.deltas);
       if (delta_error > 1e-6) {

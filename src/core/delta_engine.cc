@@ -1,7 +1,10 @@
 #include "core/delta_engine.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/logging.h"
 
@@ -15,6 +18,21 @@ namespace {
 #else
 #define PTUCKER_OMP_SIMD
 #endif
+
+// Moves the charge `*charged` held on `tracker` (null: no tracking) to
+// `bytes`, charging any growth first, which throws OutOfMemoryBudget when
+// over budget and then leaves `*charged` unchanged.
+void MoveCharge(MemoryTracker* tracker, std::int64_t bytes,
+                std::int64_t* charged) {
+  if (tracker != nullptr) {
+    if (bytes > *charged) {
+      tracker->Charge(bytes - *charged);
+    } else {
+      tracker->Release(*charged - bytes);
+    }
+  }
+  *charged = bytes;
+}
 
 }  // namespace
 
@@ -123,17 +141,19 @@ ModeMajorDeltaEngine::ModeMajorDeltaEngine(const CoreEntryList& core,
                 core.order());
   // Charge before allocating, like the cache table, so an over-budget
   // engine fails as OutOfMemoryBudget without building anything.
-  Recharge(GroupedBytes());
+  MoveCharge(tracker_, GroupedBytes(), &charged_bytes_);
   try {
     BuildViews();
   } catch (...) {
     // A throwing constructor runs no destructor: return the charge here.
-    Recharge(0);
+    MoveCharge(tracker_, 0, &charged_bytes_);
     throw;
   }
 }
 
-ModeMajorDeltaEngine::~ModeMajorDeltaEngine() { Recharge(0); }
+ModeMajorDeltaEngine::~ModeMajorDeltaEngine() {
+  MoveCharge(tracker_, 0, &charged_bytes_);
+}
 
 std::int64_t ModeMajorDeltaEngine::GroupedBytes() const {
   const std::int64_t order = core().order();
@@ -148,17 +168,6 @@ std::int64_t ModeMajorDeltaEngine::GroupedBytes() const {
     bytes += static_cast<std::int64_t>(sizeof(std::int32_t)) * n_entries;
   }
   return bytes;
-}
-
-void ModeMajorDeltaEngine::Recharge(std::int64_t bytes) {
-  if (tracker_ != nullptr) {
-    if (bytes > charged_bytes_) {
-      tracker_->Charge(bytes - charged_bytes_);
-    } else {
-      tracker_->Release(charged_bytes_ - bytes);
-    }
-  }
-  charged_bytes_ = bytes;
 }
 
 void ModeMajorDeltaEngine::BuildViews() {
@@ -268,7 +277,7 @@ void ModeMajorDeltaEngine::BuildLanes() {
     lane_bytes += static_cast<std::int64_t>(sizeof(std::int32_t)) * u * width;
     lane_bytes += static_cast<std::int64_t>(sizeof(double)) * u * rank;
   }
-  Recharge(GroupedBytes() + lane_bytes);
+  MoveCharge(tracker_, GroupedBytes() + lane_bytes, &charged_bytes_);
 
   lanes_.resize(static_cast<std::size_t>(order));
   for (std::int64_t n = 0; n < order; ++n) {
@@ -537,8 +546,6 @@ void ModeMajorDeltaEngine::OnCoreEntriesRemoved(
   BuildLanes();
 }
 
-#undef PTUCKER_OMP_SIMD
-
 // ---------------------------------------------------------------------------
 // CachedDeltaEngine
 // ---------------------------------------------------------------------------
@@ -581,6 +588,434 @@ void CachedDeltaEngine::RebuildTable() {
 }
 
 // ---------------------------------------------------------------------------
+// ContractionDeltaEngine
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
+// a·b for non-negative operands, saturating at kInt64Max.
+std::int64_t SaturatingProduct(std::int64_t a, std::int64_t b) {
+  if (a != 0 && b > kInt64Max / a) return kInt64Max;
+  return a * b;
+}
+
+// acc[j] += prefix·(subtree sum, lane j) over the level-`level` nodes
+// [begin, end): each node multiplies its factor value into the running
+// product once, and each leaf adds its Jn lanes scaled by that product.
+// kRank > 0 fixes Jn at compile time (unrolled lanes); kRank = 0 reads it
+// from `rank`.
+template <int kRank>
+void WalkTree(const std::vector<std::vector<std::int32_t>>& coords,
+              const std::vector<std::vector<std::int64_t>>& child,
+              const double* const* rows, const double* values,
+              std::int64_t rank, std::size_t level, std::int64_t begin,
+              std::int64_t end, double prefix, double* acc) {
+  const std::int32_t* coord = coords[level].data();
+  const double* row = rows[level];
+  if (level + 1 == coords.size()) {
+    const std::int64_t lanes = kRank > 0 ? kRank : rank;
+    for (std::int64_t leaf = begin; leaf < end; ++leaf) {
+      const double product = prefix * row[coord[leaf]];
+      const double* lane = values + leaf * lanes;
+      PTUCKER_OMP_SIMD
+      for (std::int64_t j = 0; j < lanes; ++j) acc[j] += product * lane[j];
+    }
+    return;
+  }
+  const std::int64_t* children = child[level].data();
+  for (std::int64_t node = begin; node < end; ++node) {
+    WalkTree<kRank>(coords, child, rows, values, rank, level + 1,
+                    children[node], children[node + 1],
+                    prefix * row[coord[node]], acc);
+  }
+}
+
+}  // namespace
+
+ContractionDeltaEngine::ContractionDeltaEngine(
+    const SparseTensor& x, const CoreEntryList& core,
+    const std::vector<Matrix>& factors, MemoryTracker* tracker)
+    : DeltaEngine(core, factors),
+      nnz_(x.nnz()),
+      tracker_(tracker),
+      mode_major_(core, factors, tracker) {
+  PTUCKER_CHECK(core.order() >= 1 && core.order() <= kMaxOrder);
+  PTUCKER_CHECK(static_cast<std::int64_t>(factors.size()) == core.order());
+  try {
+    Rebuild();
+  } catch (...) {
+    // A throwing constructor runs no destructor: return the charge here
+    // (mode_major_, fully built, releases its own).
+    MoveCharge(tracker_, 0, &charged_bytes_);
+    throw;
+  }
+}
+
+ContractionDeltaEngine::~ContractionDeltaEngine() {
+  MoveCharge(tracker_, 0, &charged_bytes_);
+}
+
+std::int64_t ContractionDeltaEngine::MemoCapBytes(std::int64_t nnz,
+                                                  std::int64_t order) {
+  return SaturatingProduct(
+      nnz, (order + 1) * static_cast<std::int64_t>(sizeof(double)));
+}
+
+std::int64_t ContractionDeltaEngine::MemoTableBytes() const {
+  std::int64_t bytes = 0;
+  for (const ModePlan& plan : plans_) {
+    if (!plan.memo.empty()) {
+      bytes += static_cast<std::int64_t>(sizeof(double) * plan.values.size());
+    }
+  }
+  return bytes;
+}
+
+ContractionDeltaEngine::ModePlan ContractionDeltaEngine::MakeTree(
+    std::int64_t mode, std::vector<std::int64_t> memo) const {
+  const CoreEntryList& list = core();
+  const std::int64_t order = list.order();
+  const std::int64_t n_core = list.size();
+  const std::int64_t rank = factors()[static_cast<std::size_t>(mode)].cols();
+
+  ModePlan plan;
+  std::sort(memo.begin(), memo.end());
+  plan.memo = std::move(memo);
+  // Array id = Σ i_k·stride_k, the last memoized mode fastest.
+  plan.strides.resize(plan.memo.size());
+  for (std::size_t s = plan.memo.size(); s-- > 0;) {
+    plan.strides[s] = plan.tables;
+    plan.tables = SaturatingProduct(
+        plan.tables, factors()[static_cast<std::size_t>(plan.memo[s])].rows());
+  }
+
+  // R_n in ascending rank (ties by mode index): the fewest upper nodes.
+  for (std::int64_t k = 0; k < order; ++k) {
+    if (k == mode ||
+        std::binary_search(plan.memo.begin(), plan.memo.end(), k)) {
+      continue;
+    }
+    plan.levels.push_back(k);
+  }
+  std::stable_sort(plan.levels.begin(), plan.levels.end(),
+                   [&](std::int64_t a, std::int64_t b) {
+                     return factors()[static_cast<std::size_t>(a)].cols() <
+                            factors()[static_cast<std::size_t>(b)].cols();
+                   });
+  plan.leaf_of.assign(static_cast<std::size_t>(n_core), 0);
+  const std::size_t depth = plan.levels.size();
+  if (depth == 0) {
+    plan.madds = rank;  // δ is one leaf array, copied
+    return plan;
+  }
+
+  // Sort the core entries by their projected tuple, then open a node on
+  // every level from the first coordinate that differs from the previous
+  // entry's.
+  const auto key = [&](std::int64_t b, std::size_t level) {
+    return list.index(b)[plan.levels[level]];
+  };
+  std::vector<std::int64_t> sorted(static_cast<std::size_t>(n_core));
+  std::iota(sorted.begin(), sorted.end(), 0);
+  std::sort(sorted.begin(), sorted.end(), [&](std::int64_t a, std::int64_t b) {
+    for (std::size_t l = 0; l < depth; ++l) {
+      if (key(a, l) != key(b, l)) return key(a, l) < key(b, l);
+    }
+    return a < b;
+  });
+  plan.coords.assign(depth, {});
+  plan.child.assign(depth - 1, {});
+  for (std::size_t t = 0; t < sorted.size(); ++t) {
+    const std::int64_t b = sorted[t];
+    std::size_t first = 0;
+    if (t > 0) {
+      while (first < depth && key(sorted[t - 1], first) == key(b, first)) {
+        ++first;
+      }
+    }
+    for (std::size_t l = first; l < depth; ++l) {
+      if (l + 1 < depth) {
+        plan.child[l].push_back(
+            static_cast<std::int64_t>(plan.coords[l + 1].size()));
+      }
+      plan.coords[l].push_back(key(b, l));
+    }
+    plan.leaf_of[static_cast<std::size_t>(b)] =
+        static_cast<std::int32_t>(plan.coords[depth - 1].size() - 1);
+  }
+  std::int64_t internal = 0;
+  for (std::size_t l = 0; l + 1 < depth; ++l) {
+    plan.child[l].push_back(
+        static_cast<std::int64_t>(plan.coords[l + 1].size()));
+    internal += static_cast<std::int64_t>(plan.coords[l].size());
+  }
+  plan.leaves = static_cast<std::int64_t>(plan.coords[depth - 1].size());
+  plan.madds = internal + plan.leaves * (rank + 1);
+  return plan;
+}
+
+std::vector<ContractionDeltaEngine::ModePlan>
+ContractionDeltaEngine::MakePlans() const {
+  const std::int64_t order = core().order();
+  const std::int64_t n_core = core().size();
+  const std::int64_t cap = MemoCapBytes(nnz_, order);
+
+  // Every mode's feasible candidates k = |S_n| = 0, 1, … with their cost
+  // in multiply-adds per sweep and their memo bytes.
+  struct Candidate {
+    ModePlan plan;
+    double cost;
+    std::int64_t bytes;
+  };
+  std::vector<std::vector<Candidate>> candidates(
+      static_cast<std::size_t>(order));
+  for (std::int64_t n = 0; n < order; ++n) {
+    const std::int64_t rank = factors()[static_cast<std::size_t>(n)].cols();
+    std::vector<std::int64_t> others;
+    for (std::int64_t k = 0; k < order; ++k) {
+      if (k != n) others.push_back(k);
+    }
+    std::stable_sort(others.begin(), others.end(),
+                     [&](std::int64_t a, std::int64_t b) {
+                       return factors()[static_cast<std::size_t>(a)].rows() <
+                              factors()[static_cast<std::size_t>(b)].rows();
+                     });
+    std::int64_t tables = 1;
+    for (std::size_t k = 0; k <= others.size(); ++k) {
+      if (k > 0) {
+        tables = SaturatingProduct(
+            tables, factors()[static_cast<std::size_t>(others[k - 1])].rows());
+        // Each array holds at least one leaf: past the cap no tree fits.
+        if (SaturatingProduct(tables, rank * 8) > cap) break;
+      }
+      ModePlan plan = MakeTree(
+          n, std::vector<std::int64_t>(others.begin(), others.begin() + k));
+      const std::int64_t bytes =
+          k == 0 ? 0
+                 : SaturatingProduct(
+                       SaturatingProduct(plan.tables, plan.leaves), rank * 8);
+      if (bytes > cap) continue;
+      const double sweep = static_cast<double>(nnz_) *
+                           static_cast<double>(plan.madds);
+      const double rebuilds = static_cast<double>(k) *
+                              static_cast<double>(plan.tables) *
+                              static_cast<double>(n_core) *
+                              static_cast<double>(k + 1);
+      candidates[static_cast<std::size_t>(n)].push_back(
+          {std::move(plan), sweep + rebuilds, bytes});
+    }
+  }
+
+  // Modes claim the memo budget in order of their best saving (ties by
+  // mode index); each takes its cheapest candidate that still fits.
+  const auto cheapest = [&](std::int64_t n, std::int64_t budget) {
+    const std::vector<Candidate>& options =
+        candidates[static_cast<std::size_t>(n)];
+    std::size_t best = 0;  // k = 0 always fits: it holds no memo bytes
+    for (std::size_t c = 1; c < options.size(); ++c) {
+      if (options[c].bytes <= budget && options[c].cost < options[best].cost) {
+        best = c;
+      }
+    }
+    return best;
+  };
+  std::vector<double> saving(static_cast<std::size_t>(order));
+  std::vector<std::int64_t> by_saving(static_cast<std::size_t>(order));
+  for (std::int64_t n = 0; n < order; ++n) {
+    const std::vector<Candidate>& options =
+        candidates[static_cast<std::size_t>(n)];
+    saving[static_cast<std::size_t>(n)] =
+        options[0].cost - options[cheapest(n, cap)].cost;
+    by_saving[static_cast<std::size_t>(n)] = n;
+  }
+  std::stable_sort(by_saving.begin(), by_saving.end(),
+                   [&](std::int64_t a, std::int64_t b) {
+                     return saving[static_cast<std::size_t>(a)] >
+                            saving[static_cast<std::size_t>(b)];
+                   });
+  std::vector<ModePlan> plans(static_cast<std::size_t>(order));
+  std::int64_t budget = cap;
+  for (const std::int64_t n : by_saving) {
+    std::vector<Candidate>& options = candidates[static_cast<std::size_t>(n)];
+    Candidate& chosen = options[cheapest(n, budget)];
+    budget -= chosen.bytes;
+    plans[static_cast<std::size_t>(n)] = std::move(chosen.plan);
+  }
+  return plans;
+}
+
+std::int64_t ContractionDeltaEngine::PlanBytes(
+    const std::vector<ModePlan>& plans) const {
+  const std::vector<FactorView>& f = factors();
+  std::int64_t bytes = 0;
+  for (std::size_t n = 0; n < plans.size(); ++n) {
+    const ModePlan& plan = plans[n];
+    for (const auto& coords : plan.coords) {
+      bytes += static_cast<std::int64_t>(sizeof(std::int32_t) * coords.size());
+    }
+    for (const auto& child : plan.child) {
+      bytes += static_cast<std::int64_t>(sizeof(std::int64_t) * child.size());
+    }
+    bytes += static_cast<std::int64_t>(sizeof(std::int32_t) *
+                                       plan.leaf_of.size());
+    bytes += static_cast<std::int64_t>(sizeof(double)) * plan.tables *
+             plan.leaves * f[n].cols();
+  }
+  return bytes;
+}
+
+void ContractionDeltaEngine::Rebuild() {
+  std::vector<ModePlan> plans = MakePlans();
+  // Charge the trees and every leaf array before allocating the arrays.
+  MoveCharge(tracker_, PlanBytes(plans), &charged_bytes_);
+  plans_ = std::move(plans);
+  const std::int64_t order = core().order();
+  std::int64_t best_cost = kInt64Max;
+  for (std::int64_t n = 0; n < order; ++n) {
+    ModePlan& plan = plans_[static_cast<std::size_t>(n)];
+    const std::int64_t rank = factors()[static_cast<std::size_t>(n)].cols();
+    plan.values.assign(
+        static_cast<std::size_t>(plan.tables * plan.leaves * rank), 0.0);
+    FillTables(n);
+    if (plan.madds + rank < best_cost) {
+      best_cost = plan.madds + rank;
+      reconstruct_mode_ = n;
+    }
+  }
+}
+
+void ContractionDeltaEngine::FillTables(std::int64_t mode) {
+  ModePlan& plan = plans_[static_cast<std::size_t>(mode)];
+  const CoreEntryList& list = core();
+  const std::vector<FactorView>& f = factors();
+  const std::int64_t n_core = list.size();
+  const std::int64_t rank = f[static_cast<std::size_t>(mode)].cols();
+  const std::int64_t width = plan.leaves * rank;
+  const std::size_t memo_count = plan.memo.size();
+  for (std::int64_t t = 0; t < plan.tables; ++t) {
+    const double* memo_rows[kMaxOrder];
+    std::int64_t rest = t;
+    for (std::size_t s = 0; s < memo_count; ++s) {
+      memo_rows[s] = f[static_cast<std::size_t>(plan.memo[s])].Row(
+          rest / plan.strides[s]);
+      rest %= plan.strides[s];
+    }
+    double* out = plan.values.data() + t * width;
+    std::fill(out, out + width, 0.0);
+    for (std::int64_t b = 0; b < n_core; ++b) {
+      const std::int32_t* beta = list.index(b);
+      double term = list.value(b);
+      for (std::size_t s = 0; s < memo_count; ++s) {
+        term *= memo_rows[s][beta[plan.memo[s]]];
+      }
+      out[plan.leaf_of[static_cast<std::size_t>(b)] * rank + beta[mode]] +=
+          term;
+    }
+  }
+}
+
+void ContractionDeltaEngine::ComputeDelta(std::int64_t /*entry*/,
+                                          const std::int64_t* entry_index,
+                                          std::int64_t mode,
+                                          double* delta) const {
+  const ModePlan& plan = plans_[static_cast<std::size_t>(mode)];
+  const std::int64_t rank = factors()[static_cast<std::size_t>(mode)].cols();
+  std::int64_t table = 0;
+  for (std::size_t s = 0; s < plan.memo.size(); ++s) {
+    table += entry_index[plan.memo[s]] * plan.strides[s];
+  }
+  const double* values = plan.values.data() + table * plan.leaves * rank;
+  if (plan.levels.empty()) {
+    std::copy(values, values + rank, delta);
+    return;
+  }
+  const double* rows[kMaxOrder];
+  for (std::size_t l = 0; l < plan.levels.size(); ++l) {
+    const std::int64_t k = plan.levels[l];
+    rows[l] = factors()[static_cast<std::size_t>(k)].Row(entry_index[k]);
+  }
+  std::fill(delta, delta + rank, 0.0);
+  const std::int64_t roots = static_cast<std::int64_t>(plan.coords[0].size());
+  const auto walk = [&](auto lanes) {
+    WalkTree<decltype(lanes)::value>(plan.coords, plan.child, rows, values,
+                                     rank, 0, 0, roots, 1.0, delta);
+  };
+  switch (rank) {
+    case 1: walk(std::integral_constant<int, 1>()); break;
+    case 2: walk(std::integral_constant<int, 2>()); break;
+    case 3: walk(std::integral_constant<int, 3>()); break;
+    case 4: walk(std::integral_constant<int, 4>()); break;
+    case 5: walk(std::integral_constant<int, 5>()); break;
+    case 6: walk(std::integral_constant<int, 6>()); break;
+    case 8: walk(std::integral_constant<int, 8>()); break;
+    default: walk(std::integral_constant<int, 0>()); break;
+  }
+}
+
+double ContractionDeltaEngine::Reconstruct(
+    const std::int64_t* entry_index) const {
+  const std::int64_t mode = reconstruct_mode_;
+  const std::int64_t rank = factors()[static_cast<std::size_t>(mode)].cols();
+  constexpr std::int64_t kStackRank = 64;
+  double stack[kStackRank];
+  std::vector<double> heap;
+  double* delta = stack;
+  if (rank > kStackRank) {
+    heap.resize(static_cast<std::size_t>(rank));
+    delta = heap.data();
+  }
+  ComputeDelta(-1, entry_index, mode, delta);
+  const double* coefficients =
+      factors()[static_cast<std::size_t>(mode)].Row(entry_index[mode]);
+  double sum = 0.0;
+  for (std::int64_t j = 0; j < rank; ++j) sum += coefficients[j] * delta[j];
+  return sum;
+}
+
+void ContractionDeltaEngine::ComputeProducts(const std::int64_t* entry_index,
+                                             double* products) const {
+  mode_major_.ComputeProducts(entry_index, products);
+}
+
+double ContractionDeltaEngine::DesignDot(const std::int64_t* entry_index,
+                                         const double* g) const {
+  return mode_major_.DesignDot(entry_index, g);
+}
+
+void ContractionDeltaEngine::DesignAccumulate(const std::int64_t* entry_index,
+                                              double scale, double* z) const {
+  mode_major_.DesignAccumulate(entry_index, scale, z);
+}
+
+void ContractionDeltaEngine::OnFactorUpdated(std::int64_t mode,
+                                             const Matrix& old_factor) {
+  mode_major_.OnFactorUpdated(mode, old_factor);
+  for (std::size_t n = 0; n < plans_.size(); ++n) {
+    const std::vector<std::int64_t>& memo = plans_[n].memo;
+    if (std::binary_search(memo.begin(), memo.end(), mode)) {
+      FillTables(static_cast<std::int64_t>(n));
+    }
+  }
+}
+
+void ContractionDeltaEngine::OnCoreValuesChanged() {
+  mode_major_.OnCoreValuesChanged();
+  for (std::size_t n = 0; n < plans_.size(); ++n) {
+    FillTables(static_cast<std::int64_t>(n));
+  }
+}
+
+void ContractionDeltaEngine::OnCoreEntriesRemoved(
+    const std::vector<char>& removed) {
+  mode_major_.OnCoreEntriesRemoved(removed);
+  Rebuild();  // the pattern changed: a new plan, new trees, new arrays
+}
+
+#undef PTUCKER_OMP_SIMD
+
+// ---------------------------------------------------------------------------
 // Catalog + factory
 // ---------------------------------------------------------------------------
 
@@ -591,13 +1026,15 @@ namespace {
 // so accepted spellings and documentation cannot drift apart.
 constexpr DeltaEngineDescriptor kDeltaEngineCatalog[] = {
     {DeltaEngineChoice::kAuto, "auto", nullptr,
-     "follow the variant: cache variant -> Pres table, else modemajor"},
+     "follow the variant: cache variant -> Pres table, else contraction"},
     {DeltaEngineChoice::kNaive, "naive", nullptr,
      "entry-major scan of the core list; the correctness oracle"},
     {DeltaEngineChoice::kModeMajor, "modemajor", nullptr,
-     "per-mode regrouped core views, branch-free kernels (default)"},
+     "per-mode lane views, bit-identical to naive (serving's kernel)"},
     {DeltaEngineChoice::kCached, "cache", "cached",
      "the paper's Sec. III-C Pres table; O(1) delta per (alpha, beta)"},
+    {DeltaEngineChoice::kContraction, "contraction", nullptr,
+     "core trees with memoized short modes, reassociated (default)"},
 };
 
 }  // namespace
@@ -631,7 +1068,7 @@ DeltaEngineChoice ResolveDeltaEngineChoice(const PTuckerOptions& options) {
   }
   return options.variant == PTuckerVariant::kCache
              ? DeltaEngineChoice::kCached
-             : DeltaEngineChoice::kModeMajor;
+             : DeltaEngineChoice::kContraction;
 }
 
 std::unique_ptr<DeltaEngine> MakeDeltaEngine(
@@ -650,6 +1087,9 @@ std::unique_ptr<DeltaEngine> MakeDeltaEngine(
       return std::make_unique<ModeMajorDeltaEngine>(core, factors, tracker);
     case DeltaEngineChoice::kCached:
       return std::make_unique<CachedDeltaEngine>(x, core, factors, tracker);
+    case DeltaEngineChoice::kContraction:
+      return std::make_unique<ContractionDeltaEngine>(x, core, factors,
+                                                      tracker);
     case DeltaEngineChoice::kAuto:
       break;
   }

@@ -33,18 +33,21 @@ namespace ptucker {
 ///   - NaiveDeltaEngine     entry-major scan; the correctness oracle.
 ///   - ModeMajorDeltaEngine per-mode regrouped and lane-interleaved core
 ///                          views; every δ component of an entry in one
-///                          pass. The default.
+///                          pass, bit-identical to naive. Serving's kernel.
 ///   - CachedDeltaEngine    the §III-C Pres table behind the same calls.
+///   - ContractionDeltaEngine core trees with memoized short modes; the
+///                          solvers' default (reassociated sums).
 ///
 /// Engines hold a non-owning view of the core entry list and non-owning
 /// FactorViews of the factor storage; both referents must outlive the
 /// engine. Construction from owning `std::vector<Matrix>` converts to
 /// views, so the training path is unchanged; the serving plane constructs
 /// from FactorViews directly (e.g. over an mmap-ed snapshot) with zero
-/// copies. Factor *values* may change in place at any time (row-wise ALS
-/// does); structural changes to the core list must be announced through
-/// the On* hooks so engines with derived state (reordered views, the Pres
-/// table) stay consistent.
+/// copies. Factor *values* of the mode being solved may change in place
+/// (row-wise ALS does); every finished factor update and every change to
+/// the core list must be announced through the On* hooks so engines with
+/// derived state (reordered views, the Pres table, the contraction
+/// engine's memo arrays) stay consistent.
 ///
 /// Every consumer calls the per-entry kernels (ComputeDelta, Reconstruct,
 /// ComputeProducts, the design ops). Adding another engine means
@@ -254,9 +257,6 @@ class ModeMajorDeltaEngine final : public DeltaEngine {
 
   /// Bytes of the grouped views (the lane views are charged separately).
   std::int64_t GroupedBytes() const;
-  /// Moves the tracker charge to `bytes` (charging any growth first, which
-  /// throws OutOfMemoryBudget when over budget).
-  void Recharge(std::int64_t bytes);
   /// Builds the grouped views, then the lane views.
   void BuildViews();
   /// Re-merges every lane view from the grouped views, charging the new
@@ -318,6 +318,137 @@ class CachedDeltaEngine final : public DeltaEngine {
   std::unique_ptr<CacheTable> table_;
 };
 
+/// Contraction-order δ: the core is contracted one mode at a time along a
+/// tree, and the short modes are contracted once per sweep instead of once
+/// per entry.
+///
+/// For each mode n a plan splits the other modes into a memoized set S_n
+/// and the remaining modes R_n. The engine keeps one tree over the core
+/// pattern projected onto R_n (a CSF of the core, levels in ascending
+/// rank), with Jn-wide lanes at the leaves, and one array of leaf values
+/// per short-mode tuple i_S: leaf ℓ, lane j holds
+/// Σ_{β: β_R = ℓ, β_n = j} G_β Π_{k∈S_n} A(k)(i_k, β_k). ComputeDelta picks
+/// the entry's array and walks the tree top-down, multiplying each node's
+/// factor value into the running product once for its whole subtree.
+/// With S_n = ∅ this is the plain core tree: one leaf array, the core
+/// values themselves.
+///
+/// **The plan** is fixed from shapes alone — the factor dims and ranks,
+/// |Ω| of the tensor the engine is built over, and the core pattern — and
+/// never from the tracker or the thread count. S_n is the k shortest
+/// other modes (ties by mode index); k minimizes the multiply-add count
+/// |Ω|·(tree cost per δ) + |S_n|·(tables)·|G|·(|S_n| + 1), the second
+/// term being the |S_n| leaf-array rebuilds per sweep. All memo arrays
+/// (S_n ≠ ∅) together hold at most MemoCapBytes() = |Ω|·(N+1)·8 bytes,
+/// the size of the observed tensor; modes claim that budget in order of
+/// their saving, and a mode the budget cannot fit keeps S_n = ∅.
+///
+/// **Rebuilds.** The constructor and every hook rebuild the affected leaf
+/// arrays whole (OnFactorUpdated(m): every mode with m ∈ S_n;
+/// OnCoreValuesChanged: all; OnCoreEntriesRemoved: a new plan, trees and
+/// arrays). Nothing is patched in place, so the engine's state is a pure
+/// function of (dims, |Ω|, core, factors): traced and untraced runs,
+/// N workers and one process, resumed and straight runs, and every
+/// thread count see bit-identical δ. The contract this adds to the base
+/// class: a factor's values may change in place only while that mode is
+/// being solved (row-wise ALS); any other change must be announced with
+/// OnFactorUpdated before the next δ or x̂.
+///
+/// **Exactness: reassociated.** δ differs from the naive scan only by
+/// summation order and the grouping of the N−1 products, so
+/// |δ − δ_naive| ≤ 2(N + |G|)·2⁻⁵³·Σ|terms| per lane. Reconstruct is
+/// Σ_j A(m)(i_m, j)·δ_m[j] on the cheapest mode m. ComputeProducts and the
+/// design ops forward to an owned ModeMajorDeltaEngine (bit-identical to
+/// naive), so truncation scores and core-update products are unchanged.
+///
+/// The trees, the leaf arrays and the owned mode-major views are charged
+/// to the tracker before they are allocated (OutOfMemoryBudget when over
+/// budget); ByteSize() is the whole charge.
+class ContractionDeltaEngine final : public DeltaEngine {
+ public:
+  /// Plans and builds over |Ω| = x.nnz() (read once; `x` is not kept),
+  /// charging `tracker` before allocating.
+  ContractionDeltaEngine(const SparseTensor& x, const CoreEntryList& core,
+                         const std::vector<Matrix>& factors,
+                         MemoryTracker* tracker);
+  /// Releases the bytes charged to the tracker.
+  ~ContractionDeltaEngine() override;
+
+  DeltaEngineChoice kind() const override {
+    return DeltaEngineChoice::kContraction;
+  }
+  const char* name() const override { return "contraction"; }
+
+  void ComputeDelta(std::int64_t entry, const std::int64_t* entry_index,
+                    std::int64_t mode, double* delta) const override;
+  double Reconstruct(const std::int64_t* entry_index) const override;
+  void ComputeProducts(const std::int64_t* entry_index,
+                       double* products) const override;
+  double DesignDot(const std::int64_t* entry_index,
+                   const double* g) const override;
+  void DesignAccumulate(const std::int64_t* entry_index, double scale,
+                        double* z) const override;
+
+  void OnFactorUpdated(std::int64_t mode, const Matrix& old_factor) override;
+  void OnCoreValuesChanged() override;
+  void OnCoreEntriesRemoved(const std::vector<char>& removed) override;
+
+  std::int64_t ByteSize() const override {
+    return charged_bytes_ + mode_major_.ByteSize();
+  }
+
+  /// The memoized set S_n of mode `mode`, in ascending mode order.
+  const std::vector<std::int64_t>& memo_modes(std::int64_t mode) const {
+    return plans_[static_cast<std::size_t>(mode)].memo;
+  }
+  /// The mode whose δ Reconstruct folds (the cheapest tree).
+  std::int64_t reconstruct_mode() const { return reconstruct_mode_; }
+  /// Bytes of the memo leaf arrays (modes with S_n ≠ ∅), ≤ MemoCapBytes().
+  std::int64_t MemoTableBytes() const;
+  /// The memo budget for `nnz` observed entries of an order-`order`
+  /// tensor: the bytes of its coordinates and values, nnz·(order+1)·8.
+  static std::int64_t MemoCapBytes(std::int64_t nnz, std::int64_t order);
+
+ private:
+  /// Supported tensor order (sizes the stack-resident row pointers).
+  static constexpr std::int64_t kMaxOrder = 32;
+
+  /// One mode's plan and tree. Level l of the tree holds the distinct
+  /// prefixes (β_{levels[0]}, …, β_{levels[l]}) of the projected core
+  /// pattern in lexicographic order; node u of a non-leaf level owns the
+  /// level-(l+1) nodes [child[l][u], child[l][u+1]).
+  struct ModePlan {
+    std::vector<std::int64_t> memo;     ///< S_n, ascending mode index
+    std::vector<std::int64_t> strides;  ///< array id = Σ i_k·strides
+    std::int64_t tables = 1;            ///< Π_{k∈S_n} I_k leaf arrays
+    std::vector<std::int64_t> levels;   ///< R_n, tree level order
+    std::vector<std::vector<std::int32_t>> coords;  ///< per level
+    std::vector<std::vector<std::int64_t>> child;   ///< per non-leaf level
+    std::int64_t leaves = 1;            ///< leaf count (1 when R_n = ∅)
+    std::vector<std::int32_t> leaf_of;  ///< core entry → leaf
+    std::vector<double> values;  ///< tables × leaves × Jn leaf values
+    std::int64_t madds = 0;      ///< multiply-adds per δ (the cost model)
+  };
+
+  /// Builds mode `mode`'s tree with S = `memo` (no leaf values).
+  ModePlan MakeTree(std::int64_t mode, std::vector<std::int64_t> memo) const;
+  /// Chooses every mode's S_n under the memo cap and builds the trees.
+  std::vector<ModePlan> MakePlans() const;
+  /// Bytes of `plans` (trees plus leaf arrays, allocated or not).
+  std::int64_t PlanBytes(const std::vector<ModePlan>& plans) const;
+  /// Plans, charges and builds everything (constructor, core removal).
+  void Rebuild();
+  /// Recomputes mode `mode`'s leaf arrays from the core and the factors.
+  void FillTables(std::int64_t mode);
+
+  std::int64_t nnz_;
+  MemoryTracker* tracker_;
+  ModeMajorDeltaEngine mode_major_;
+  std::vector<ModePlan> plans_;
+  std::int64_t reconstruct_mode_ = 0;
+  std::int64_t charged_bytes_ = 0;
+};
+
 /// One row of the engine name table: the enumerator, its canonical CLI
 /// token, an optional accepted alias, and a one-line summary. The CLI
 /// parser and its --help text are both generated from this table, so the
@@ -341,7 +472,7 @@ const char* DeltaEngineChoiceName(DeltaEngineChoice choice);
 
 /// The engine a PTuckerOptions value actually asks for: an explicit
 /// delta_engine wins; kAuto maps kCache to kCached and everything else to
-/// kModeMajor. Never returns kAuto.
+/// kContraction. Never returns kAuto.
 DeltaEngineChoice ResolveDeltaEngineChoice(const PTuckerOptions& options);
 
 /// Builds the requested engine over `x`, `core` and `factors` (all

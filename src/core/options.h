@@ -32,15 +32,22 @@ enum class PTuckerVariant {
 /// (core/delta_engine.h) — the CLI parser and its --help text are both
 /// generated from that one table. See docs/architecture.md.
 enum class DeltaEngineChoice {
-  /// Defer to the variant: kCache → kCached, everything else → kModeMajor.
+  /// Defer to the variant: kCache → kCached, everything else →
+  /// kContraction. The solvers, the distributed workers and
+  /// IngestPipeline all resolve it through ResolveDeltaEngineChoice.
   kAuto,
   /// Entry-major scan of the core list — the correctness oracle.
   kNaive,
-  /// Per-mode regrouped core views with branch-free inner products — the
-  /// default hot path.
+  /// Per-mode lane-interleaved core views, bit-identical to kNaive for
+  /// finite factors. Serves predictions (serve/service.h) and the
+  /// truncation scores and core-update products of kContraction; no
+  /// longer what kAuto picks.
   kModeMajor,
   /// The §III-C Pres table behind the engine interface.
   kCached,
+  /// Core trees with memoized short modes (reassociated sums) — the
+  /// default hot path of the solvers and the ingest pipeline.
+  kContraction,
 };
 
 /// Default of PTuckerOptions::tile_width and of the width parameters of

@@ -79,9 +79,9 @@ IngestPipeline::IngestPipeline(SparseTensor tensor, TuckerFactorization model,
     throw std::invalid_argument("ingest: ops_already_applied must be >= 0");
   }
 
-  engine_choice_ = options_.delta_engine == DeltaEngineChoice::kAuto
-                       ? DeltaEngineChoice::kModeMajor
-                       : options_.delta_engine;
+  PTuckerOptions engine_options;
+  engine_options.delta_engine = options_.delta_engine;
+  engine_choice_ = ResolveDeltaEngineChoice(engine_options);
   if (!options_.checkpoint_dir.empty()) {
     std::filesystem::create_directories(options_.checkpoint_dir);
   }
@@ -254,8 +254,9 @@ void IngestPipeline::Flush() {
   pending_.clear();
   if (metric_pending_ != nullptr) metric_pending_->Set(0);
 
-  // Engines with Ω-keyed derived state (the Pres table) see a different
-  // entry set now; value-only batches keep the engine as-is.
+  // Engines with Ω-keyed derived state (the Pres table, the contraction
+  // plan) see a different entry set now; value-only batches keep the
+  // engine as-is.
   if (structural) RebuildEngine();
 
   for (auto& rows : touched) {

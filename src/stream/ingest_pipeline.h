@@ -37,9 +37,10 @@ struct IngestOptions {
   /// produced the initial model).
   double lambda = 0.01;
 
-  /// δ-engine for the re-solves. kAuto picks kModeMajor. kCached
-  /// rebuilds its Pres table whenever Ω changes structurally (the table
-  /// is keyed by entry ids).
+  /// δ-engine for the re-solves, resolved like the solvers' (kAuto picks
+  /// kContraction, see ResolveDeltaEngineChoice). The engine is rebuilt
+  /// whenever Ω changes structurally: the Pres table is keyed by entry
+  /// ids and the contraction plan by |Ω|.
   DeltaEngineChoice delta_engine = DeltaEngineChoice::kAuto;
 
   /// OpenMP environment of the re-solves (0 threads = ambient).

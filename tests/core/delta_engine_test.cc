@@ -1,13 +1,16 @@
 // Equivalence and maintenance tests for the pluggable δ-engines: the
 // mode-major and cached engines must agree with the naive entry-major
-// oracle on every kernel, stay consistent through core-list mutations
-// (Remove, RefreshValues) and factor updates, and hold across thread
+// oracle on every kernel, and the contraction engine within its stated
+// per-value bound, all staying consistent through core-list mutations
+// (Remove, RefreshValues) and factor updates, and holding across thread
 // counts. DeltaBatch must equal its per-entry loop on every engine, and
 // the solver-level guarantees are pinned: the engines produce the same
 // trajectories, each bit-reproducibly, and the metric and truncation
 // scans are bit-identical across thread counts.
 #include "core/delta_engine.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <numeric>
@@ -286,7 +289,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DeltaEngineTest, CatalogCoversEveryChoiceAndParsesNames) {
   // One row per enumerator, names round-trip, alias resolves, unknown
   // names are rejected — the CLI parser and --help both lean on this.
-  EXPECT_EQ(DeltaEngineCatalog().size(), 4u);
+  EXPECT_EQ(DeltaEngineCatalog().size(), 5u);
   for (const DeltaEngineDescriptor& descriptor : DeltaEngineCatalog()) {
     const DeltaEngineDescriptor* found =
         FindDeltaEngineByName(descriptor.name);
@@ -569,7 +572,7 @@ TEST(DeltaEngineTest, ModeMajorBudgetTriggersOom) {
 
 TEST(DeltaEngineTest, FactoryResolvesAutoFromVariant) {
   PTuckerOptions options;
-  EXPECT_EQ(ResolveDeltaEngineChoice(options), DeltaEngineChoice::kModeMajor);
+  EXPECT_EQ(ResolveDeltaEngineChoice(options), DeltaEngineChoice::kContraction);
   options.variant = PTuckerVariant::kCache;
   EXPECT_EQ(ResolveDeltaEngineChoice(options), DeltaEngineChoice::kCached);
   options.delta_engine = DeltaEngineChoice::kNaive;
@@ -682,6 +685,346 @@ TEST(DeltaEngineTest, BatchedPartialErrorsMatchPerEntryBitForBit) {
   }
 }
 
+// --- The contraction engine: reassociated, within a stated bound. ---
+
+// An order-dims.size() problem with per-mode ranks, a dense signed core
+// and signed factors sprinkled with exact zeros.
+Ctx MakeShapedCtx(const std::vector<std::int64_t>& dims,
+                  const std::vector<std::int64_t>& ranks, std::int64_t nnz,
+                  std::uint64_t seed) {
+  Rng rng(seed);
+  Ctx s;
+  s.x = UniformSparseTensor(dims, nnz, rng);
+  s.core = DenseTensor(ranks);
+  for (std::int64_t linear = 0; linear < s.core.size(); ++linear) {
+    s.core[linear] = rng.Uniform(-0.5, 0.5);
+  }
+  s.list = CoreEntryList(s.core);
+  for (std::size_t k = 0; k < dims.size(); ++k) {
+    Matrix factor(dims[k], ranks[k]);
+    for (std::int64_t i = 0; i < factor.rows(); ++i) {
+      for (std::int64_t j = 0; j < factor.cols(); ++j) {
+        factor(i, j) = rng.Uniform() < 0.1 ? 0.0 : rng.Uniform(-1.0, 1.0);
+      }
+    }
+    s.factors.push_back(std::move(factor));
+  }
+  return s;
+}
+
+// Asserts every δ lane and x̂ of `engine` is within the contraction
+// engine's stated bound of the naive oracle, at every observed entry
+// (with its id and as entry −1) and at shifted coordinates outside the
+// tensor (entry −1).
+//
+// The bound is 2(N + |G|)·u·Σ|terms|, u = 2⁻⁵³, where Σ|terms| is the
+// same sum over |G_β| and |A(k)(i_k, β_k)|. Both engines form every term
+// G_β·Π_{k≠n} A(k) with N−1 rounded multiplies: the contraction engine
+// spends |S_n| on the memo array, |R_n| − 1 on the running tree product
+// (1.0 times the first factor is exact) and one on scaling the leaf. Each
+// lane sums at most |G| terms, so any term passes through at most |G| − 1
+// rounded additions (leaf-array sums, then leaf accumulation). Each
+// result is thus within γ_{N+|G|−2}·Σ|terms| ≤ (N + |G|)·u·Σ|terms| of
+// the exact value, and the two within twice that of each other. x̂ adds
+// one multiply per term and folds at most Jn partial sums, which the
+// same N + |G| still covers.
+void ExpectContractionWithinBound(const SparseTensor& x,
+                                  const CoreEntryList& list,
+                                  const std::vector<Matrix>& factors,
+                                  const ContractionDeltaEngine& engine,
+                                  const std::string& where) {
+  const std::int64_t order = x.order();
+  const double c = 2.0 * static_cast<double>(order + list.size()) *
+                   std::ldexp(1.0, -53);
+  const NaiveDeltaEngine oracle(list, factors);
+  std::vector<std::int32_t> abs_indices;
+  std::vector<double> abs_values;
+  for (std::int64_t b = 0; b < list.size(); ++b) {
+    for (std::int64_t k = 0; k < order; ++k) {
+      abs_indices.push_back(list.index(b)[k]);
+    }
+    abs_values.push_back(std::fabs(list.value(b)));
+  }
+  const CoreEntryList abs_list(
+      order, Span<const std::int32_t>(abs_indices.data(), abs_indices.size()),
+      Span<const double>(abs_values.data(), abs_values.size()));
+  std::vector<Matrix> abs_factors = factors;
+  for (Matrix& factor : abs_factors) {
+    for (std::int64_t i = 0; i < factor.size(); ++i) {
+      factor.data()[i] = std::fabs(factor.data()[i]);
+    }
+  }
+  const NaiveDeltaEngine magnitude(abs_list, abs_factors);
+
+  std::vector<std::int64_t> shifted(static_cast<std::size_t>(order));
+  for (std::int64_t e = 0; e < x.nnz(); ++e) {
+    for (std::int64_t k = 0; k < order; ++k) {
+      shifted[static_cast<std::size_t>(k)] =
+          (x.index(e)[k] + 1) % x.dim(k);
+    }
+    const struct {
+      const std::int64_t* idx;
+      std::int64_t entry;
+    } probes[] = {{x.index(e), e}, {x.index(e), -1}, {shifted.data(), -1}};
+    for (const auto& probe : probes) {
+      for (std::int64_t mode = 0; mode < order; ++mode) {
+        const std::int64_t rank =
+            factors[static_cast<std::size_t>(mode)].cols();
+        std::vector<double> expected(static_cast<std::size_t>(rank));
+        std::vector<double> actual(static_cast<std::size_t>(rank), 7.0);
+        std::vector<double> terms(static_cast<std::size_t>(rank));
+        oracle.ComputeDelta(probe.entry, probe.idx, mode, expected.data());
+        engine.ComputeDelta(probe.entry, probe.idx, mode, actual.data());
+        magnitude.ComputeDelta(probe.entry, probe.idx, mode, terms.data());
+        for (std::size_t j = 0; j < expected.size(); ++j) {
+          ASSERT_LE(std::fabs(actual[j] - expected[j]), c * terms[j])
+              << where << ": delta entry " << e << " (as " << probe.entry
+              << ") mode " << mode << " lane " << j;
+        }
+      }
+      ASSERT_LE(std::fabs(engine.Reconstruct(probe.idx) -
+                          oracle.Reconstruct(probe.idx)),
+                c * magnitude.Reconstruct(probe.idx))
+          << where << ": x-hat entry " << e << " (as " << probe.entry << ")";
+    }
+  }
+}
+
+// Every δ of every (entry, mode), for bitwise comparisons.
+std::vector<double> AllDeltas(const SparseTensor& x, const DeltaEngine& engine,
+                              const std::vector<Matrix>& factors) {
+  std::vector<double> out;
+  for (std::int64_t e = 0; e < x.nnz(); ++e) {
+    for (std::int64_t mode = 0; mode < x.order(); ++mode) {
+      std::vector<double> delta(static_cast<std::size_t>(
+          factors[static_cast<std::size_t>(mode)].cols()));
+      engine.ComputeDelta(e, x.index(e), mode, delta.data());
+      out.insert(out.end(), delta.begin(), delta.end());
+    }
+  }
+  return out;
+}
+
+// S_n must be the |S_n| shortest other modes, ties broken by mode index.
+void ExpectMemoIsShortestModes(const SparseTensor& x,
+                               const ContractionDeltaEngine& engine,
+                               const std::string& where) {
+  for (std::int64_t n = 0; n < x.order(); ++n) {
+    std::vector<std::int64_t> others;
+    for (std::int64_t k = 0; k < x.order(); ++k) {
+      if (k != n) others.push_back(k);
+    }
+    std::stable_sort(others.begin(), others.end(),
+                     [&](std::int64_t a, std::int64_t b) {
+                       return x.dim(a) < x.dim(b);
+                     });
+    const std::vector<std::int64_t>& memo = engine.memo_modes(n);
+    std::vector<std::int64_t> shortest(
+        others.begin(),
+        others.begin() + static_cast<std::ptrdiff_t>(memo.size()));
+    std::sort(shortest.begin(), shortest.end());
+    EXPECT_EQ(memo, shortest) << where << ": mode " << n;
+  }
+}
+
+struct Shape {
+  std::vector<std::int64_t> dims;
+  std::vector<std::int64_t> ranks;
+  std::int64_t nnz;
+  bool memoizes;  // some mode gets S_n ≠ ∅
+};
+
+// Orders 3-5, unequal ranks, short modes mixed with long ones, and one
+// tensor so sparse that the memo cap leaves every S_n empty.
+std::vector<Shape> ContractionShapes() {
+  return {
+      {{40, 3, 30}, {3, 2, 4}, 300, true},
+      {{50, 4, 30, 5}, {3, 2, 4, 2}, 600, true},
+      {{20, 3, 18, 4, 2}, {2, 3, 2, 2, 2}, 500, true},
+      {{40, 30, 20}, {4, 3, 2}, 3, false},
+  };
+}
+
+TEST(ContractionEngineTest, WithinBoundOnDenseAndTruncatedCores) {
+  std::uint64_t seed = 200;
+  for (const Shape& shape : ContractionShapes()) {
+    Ctx s = MakeShapedCtx(shape.dims, shape.ranks, shape.nnz, ++seed);
+    ContractionDeltaEngine engine(s.x, s.list, s.factors, nullptr);
+    const std::string where =
+        "order " + std::to_string(shape.dims.size()) + " nnz " +
+        std::to_string(shape.nnz);
+    ExpectMemoIsShortestModes(s.x, engine, where);
+    bool any_memo = false;
+    for (std::int64_t n = 0; n < s.x.order(); ++n) {
+      any_memo = any_memo || !engine.memo_modes(n).empty();
+    }
+    EXPECT_EQ(any_memo, shape.memoizes) << where;
+    ExpectContractionWithinBound(s.x, s.list, s.factors, engine,
+                                 where + " dense");
+    for (int round = 1; round <= 2; ++round) {
+      TruncateNoisyEntries(s.x, &s.core, &s.list, s.factors, 0.3, &engine);
+      ExpectContractionWithinBound(
+          s.x, s.list, s.factors, engine,
+          where + " truncation round " + std::to_string(round));
+    }
+  }
+}
+
+TEST(ContractionEngineTest, EveryHookRebuildsToTheFreshEngine) {
+  // After each hook the bound holds again, and the engine is bit for bit
+  // a freshly built one: its state is a function of (dims, |Ω|, core,
+  // factors) alone.
+  Ctx s = MakeShapedCtx({50, 4, 30, 5}, {3, 2, 4, 2}, 600, 301);
+  ContractionDeltaEngine engine(s.x, s.list, s.factors, nullptr);
+  const auto expect_fresh = [&](const std::string& where) {
+    ExpectContractionWithinBound(s.x, s.list, s.factors, engine, where);
+    const ContractionDeltaEngine fresh(s.x, s.list, s.factors, nullptr);
+    EXPECT_EQ(AllDeltas(s.x, engine, s.factors),
+              AllDeltas(s.x, fresh, s.factors))
+        << where;
+    EXPECT_EQ(ReconstructionError(s.x, engine),
+              ReconstructionError(s.x, fresh))
+        << where;
+  };
+
+  // A short mode that some other mode memoizes, then every mode in turn.
+  ASSERT_FALSE(engine.memo_modes(0).empty());
+  Rng rng(302);
+  for (const std::int64_t mode : {engine.memo_modes(0).front(),
+                                  std::int64_t{0}, std::int64_t{1},
+                                  std::int64_t{2}, std::int64_t{3}}) {
+    Matrix& factor = s.factors[static_cast<std::size_t>(mode)];
+    const Matrix old_factor = factor;
+    for (std::int64_t i = 0; i < factor.size(); ++i) {
+      factor.data()[i] = rng.Uniform(-1.0, 1.0);
+    }
+    engine.OnFactorUpdated(mode, old_factor);
+    expect_fresh("factor " + std::to_string(mode));
+  }
+
+  std::vector<std::int64_t> index(static_cast<std::size_t>(s.core.order()));
+  for (std::int64_t b = 0; b < s.list.size(); ++b) {
+    for (std::int64_t k = 0; k < s.core.order(); ++k) {
+      index[static_cast<std::size_t>(k)] = s.list.index(b)[k];
+    }
+    s.core.at(index.data()) = b % 5 == 2 ? -0.0 : 0.3 - 0.01 * b;
+  }
+  s.list.RefreshValues(s.core);
+  engine.OnCoreValuesChanged();
+  expect_fresh("core values");
+
+  std::vector<char> remove(static_cast<std::size_t>(s.list.size()), 0);
+  for (std::size_t b = 0; b < remove.size(); b += 3) remove[b] = 1;
+  s.list.Remove(remove, &s.core);
+  engine.OnCoreEntriesRemoved(remove);
+  expect_fresh("core removal");
+}
+
+TEST(ContractionEngineTest, BitIdenticalAcrossThreadCounts) {
+  // The plan, the memo arrays and the per-entry δ and x̂ kernels never
+  // depend on the thread count: engines built and used at any thread
+  // count agree bit for bit, and so do the parallel error scans.
+  Ctx s = MakeShapedCtx({60, 4, 40, 6}, {3, 2, 4, 3}, 800, 401);
+  std::vector<double> expected_deltas;
+  double expected_error = 0.0;
+  std::vector<std::vector<std::int64_t>> expected_plan;
+  for (const int threads : {1, 4, 13}) {
+    ThreadCountGuard guard(threads);
+    const ContractionDeltaEngine engine(s.x, s.list, s.factors, nullptr);
+    std::vector<std::vector<std::int64_t>> plan;
+    for (std::int64_t n = 0; n < s.x.order(); ++n) {
+      plan.push_back(engine.memo_modes(n));
+    }
+    const std::vector<double> deltas = AllDeltas(s.x, engine, s.factors);
+    const double error = ReconstructionError(s.x, engine);
+    if (threads == 1) {
+      expected_deltas = deltas;
+      expected_error = error;
+      expected_plan = plan;
+      continue;
+    }
+    EXPECT_EQ(plan, expected_plan) << "threads " << threads;
+    EXPECT_EQ(deltas, expected_deltas) << "threads " << threads;
+    EXPECT_EQ(error, expected_error) << "threads " << threads;
+  }
+}
+
+TEST(ContractionEngineTest, MemoCapHoldsAndPlanIgnoresTheTracker) {
+  // Four equal modes of 30: memoizing one other mode costs 30 arrays x 9
+  // leaves x 3 lanes x 8 B = 6,480 B against a cap of 400 x 5 x 8 =
+  // 16,000 B, so two modes memoize and the others fall back to S_n = ∅.
+  Ctx s = MakeShapedCtx({30, 30, 30, 30}, {3, 3, 3, 3}, 400, 501);
+  ASSERT_EQ(ContractionDeltaEngine::MemoCapBytes(s.x.nnz(), 4), 16000);
+  const ContractionDeltaEngine engine(s.x, s.list, s.factors, nullptr);
+  EXPECT_LE(engine.MemoTableBytes(),
+            ContractionDeltaEngine::MemoCapBytes(s.x.nnz(), s.x.order()));
+  std::int64_t memoized = 0;
+  for (std::int64_t n = 0; n < 4; ++n) {
+    memoized += engine.memo_modes(n).empty() ? 0 : 1;
+  }
+  EXPECT_EQ(memoized, 2);
+  EXPECT_EQ(engine.MemoTableBytes(), 2 * 6480);
+
+  // A tight tracker changes nothing about the plan.
+  MemoryTracker tracker(engine.ByteSize());
+  const ContractionDeltaEngine tracked(s.x, s.list, s.factors, &tracker);
+  for (std::int64_t n = 0; n < 4; ++n) {
+    EXPECT_EQ(tracked.memo_modes(n), engine.memo_modes(n)) << "mode " << n;
+  }
+  EXPECT_EQ(tracked.reconstruct_mode(), engine.reconstruct_mode());
+  EXPECT_EQ(AllDeltas(s.x, tracked, s.factors),
+            AllDeltas(s.x, engine, s.factors));
+}
+
+TEST(ContractionEngineTest, ChargesTrackerBeforeAllocating) {
+  Ctx s = MakeShapedCtx({50, 4, 30, 5}, {3, 2, 4, 2}, 600, 601);
+  const std::int64_t full =
+      ContractionDeltaEngine(s.x, s.list, s.factors, nullptr).ByteSize();
+  const std::int64_t mode_major =
+      ModeMajorDeltaEngine(s.list, s.factors, nullptr).ByteSize();
+  ASSERT_GT(full, mode_major);
+
+  // Over budget, whether at the owned mode-major views or at the trees
+  // and memo arrays after them: OutOfMemoryBudget, nothing left charged.
+  for (const std::int64_t budget : {std::int64_t{16}, mode_major, full - 1}) {
+    MemoryTracker tracker(budget);
+    EXPECT_THROW(ContractionDeltaEngine(s.x, s.list, s.factors, &tracker),
+                 OutOfMemoryBudget)
+        << "budget " << budget;
+    EXPECT_EQ(tracker.current_bytes(), 0) << "budget " << budget;
+  }
+
+  {
+    MemoryTracker exact(full);
+    const ContractionDeltaEngine engine(s.x, s.list, s.factors, &exact);
+    EXPECT_EQ(engine.ByteSize(), full);
+    EXPECT_EQ(exact.current_bytes(), full);
+    EXPECT_EQ(exact.peak_bytes(), full);
+  }
+
+  // Every hook leaves the charge equal to ByteSize(). (A removal may
+  // grow it: a smaller core can make more memo arrays pay off.)
+  MemoryTracker tracker;
+  {
+    ContractionDeltaEngine engine(s.x, s.list, s.factors, &tracker);
+
+    Matrix old_factor = s.factors[1];
+    Rng rng(602);
+    s.factors[1].FillUniform(rng);
+    engine.OnFactorUpdated(1, old_factor);
+    EXPECT_EQ(tracker.current_bytes(), engine.ByteSize());
+    s.list.RefreshValues(s.core);
+    engine.OnCoreValuesChanged();
+    EXPECT_EQ(tracker.current_bytes(), engine.ByteSize());
+    std::vector<char> remove(static_cast<std::size_t>(s.list.size()), 0);
+    for (std::size_t b = 0; b < remove.size(); b += 2) remove[b] = 1;
+    s.list.Remove(remove, &s.core);
+    engine.OnCoreEntriesRemoved(remove);
+    EXPECT_EQ(tracker.current_bytes(), engine.ByteSize());
+  }
+  EXPECT_EQ(tracker.current_bytes(), 0);
+}
+
 // --- Solver-level guarantees across engines. ---
 
 PTuckerResult Solve(const SparseTensor& x, DeltaEngineChoice engine,
@@ -710,13 +1053,19 @@ TEST_F(DeltaEngineTrajectories, AllEnginesProduceTheSameTrajectory) {
   const PTuckerResult naive = Solve(x_, DeltaEngineChoice::kNaive);
   const PTuckerResult mode_major = Solve(x_, DeltaEngineChoice::kModeMajor);
   const PTuckerResult cached = Solve(x_, DeltaEngineChoice::kCached);
+  const PTuckerResult contraction =
+      Solve(x_, DeltaEngineChoice::kContraction);
   ASSERT_EQ(naive.iterations.size(), mode_major.iterations.size());
   ASSERT_EQ(naive.iterations.size(), cached.iterations.size());
+  ASSERT_EQ(naive.iterations.size(), contraction.iterations.size());
   for (std::size_t i = 0; i < naive.iterations.size(); ++i) {
     EXPECT_NEAR(mode_major.iterations[i].error, naive.iterations[i].error,
                 1e-7)
         << "iter " << i;
     EXPECT_NEAR(cached.iterations[i].error, naive.iterations[i].error, 1e-7)
+        << "iter " << i;
+    EXPECT_NEAR(contraction.iterations[i].error, naive.iterations[i].error,
+                1e-7)
         << "iter " << i;
   }
 }
@@ -724,7 +1073,7 @@ TEST_F(DeltaEngineTrajectories, AllEnginesProduceTheSameTrajectory) {
 TEST_F(DeltaEngineTrajectories, EachEngineIsRunToRunDeterministic) {
   for (const DeltaEngineChoice choice :
        {DeltaEngineChoice::kNaive, DeltaEngineChoice::kModeMajor,
-        DeltaEngineChoice::kCached}) {
+        DeltaEngineChoice::kCached, DeltaEngineChoice::kContraction}) {
     const PTuckerResult a = Solve(x_, choice);
     const PTuckerResult b = Solve(x_, choice);
     ASSERT_EQ(a.iterations.size(), b.iterations.size());
@@ -740,11 +1089,18 @@ TEST_F(DeltaEngineTrajectories, EnginesAgreeUnderApproxTruncation) {
       Solve(x_, DeltaEngineChoice::kNaive, PTuckerVariant::kApprox);
   const PTuckerResult mode_major =
       Solve(x_, DeltaEngineChoice::kModeMajor, PTuckerVariant::kApprox);
+  const PTuckerResult contraction =
+      Solve(x_, DeltaEngineChoice::kContraction, PTuckerVariant::kApprox);
   ASSERT_EQ(naive.iterations.size(), mode_major.iterations.size());
+  ASSERT_EQ(naive.iterations.size(), contraction.iterations.size());
   for (std::size_t i = 0; i < naive.iterations.size(); ++i) {
     EXPECT_NEAR(mode_major.iterations[i].error, naive.iterations[i].error,
                 1e-7);
     EXPECT_EQ(mode_major.iterations[i].core_nnz, naive.iterations[i].core_nnz);
+    EXPECT_NEAR(contraction.iterations[i].error, naive.iterations[i].error,
+                1e-7);
+    EXPECT_EQ(contraction.iterations[i].core_nnz,
+              naive.iterations[i].core_nnz);
   }
 }
 
@@ -753,10 +1109,45 @@ TEST_F(DeltaEngineTrajectories, EnginesAgreeUnderCoreUpdate) {
                                     PTuckerVariant::kMemory, true);
   const PTuckerResult mode_major = Solve(x_, DeltaEngineChoice::kModeMajor,
                                          PTuckerVariant::kMemory, true);
+  const PTuckerResult contraction = Solve(x_, DeltaEngineChoice::kContraction,
+                                          PTuckerVariant::kMemory, true);
   ASSERT_EQ(naive.iterations.size(), mode_major.iterations.size());
+  ASSERT_EQ(naive.iterations.size(), contraction.iterations.size());
   for (std::size_t i = 0; i < naive.iterations.size(); ++i) {
     EXPECT_NEAR(mode_major.iterations[i].error, naive.iterations[i].error,
                 1e-6);
+    EXPECT_NEAR(contraction.iterations[i].error, naive.iterations[i].error,
+                1e-6);
+  }
+}
+
+TEST_F(DeltaEngineTrajectories, ModeMajorModelIsBitIdenticalToNaive) {
+  // Mode-major's δ is bit-identical to naive, so the row updates, the
+  // truncation scores and hence the final model are too; only the
+  // per-iteration errors may differ, because its Reconstruct sums by
+  // group. Pinned with EXPECT_EQ on every factor and core value.
+  for (const PTuckerVariant variant :
+       {PTuckerVariant::kMemory, PTuckerVariant::kApprox}) {
+    const PTuckerResult naive = Solve(x_, DeltaEngineChoice::kNaive, variant);
+    const PTuckerResult mode_major =
+        Solve(x_, DeltaEngineChoice::kModeMajor, variant);
+    const std::string where =
+        variant == PTuckerVariant::kMemory ? "memory" : "approx";
+    ASSERT_EQ(naive.model.factors.size(), mode_major.model.factors.size());
+    for (std::size_t n = 0; n < naive.model.factors.size(); ++n) {
+      const Matrix& a = naive.model.factors[n];
+      const Matrix& b = mode_major.model.factors[n];
+      ASSERT_EQ(a.size(), b.size()) << where;
+      for (std::int64_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a.data()[i], b.data()[i])
+            << where << " factor " << n << " element " << i;
+      }
+    }
+    ASSERT_EQ(naive.model.core.size(), mode_major.model.core.size()) << where;
+    for (std::int64_t i = 0; i < naive.model.core.size(); ++i) {
+      EXPECT_EQ(naive.model.core[i], mode_major.model.core[i])
+          << where << " core element " << i;
+    }
   }
 }
 

@@ -60,14 +60,15 @@ void ExpectBitIdentical(const PTuckerResult& expected,
 }
 
 TEST(DistSolverTest, EveryEngineAndWorkerCountMatchesSingleProcessBitwise) {
-  // The property sweep: random tensor x workers {1, 2, 3, 8} x all three
+  // The property sweep: random tensor x workers {1, 2, 3, 8} x all four
   // δ-engines, in-process transport, EXPECT_EQ against the one-process
   // trajectory. Fixed reduction lanes + rank-ordered merges make this an
-  // equality, not a tolerance.
+  // equality, not a tolerance — also for the reassociated contraction
+  // engine, whose state is a function of the replicated model alone.
   const SparseTensor x = TestTensor(11);
   const DeltaEngineChoice engines[] = {
       DeltaEngineChoice::kNaive, DeltaEngineChoice::kModeMajor,
-      DeltaEngineChoice::kCached};
+      DeltaEngineChoice::kCached, DeltaEngineChoice::kContraction};
   for (const DeltaEngineChoice engine : engines) {
     PTuckerOptions options = TestOptions();
     options.delta_engine = engine;

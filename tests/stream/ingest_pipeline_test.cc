@@ -201,7 +201,7 @@ TEST(IngestPipelineProperty, DeterministicAcrossThreadCountsAndEngines) {
     RunResult reference;  // mode-major, 1 thread
     for (const DeltaEngineChoice engine :
          {DeltaEngineChoice::kModeMajor, DeltaEngineChoice::kNaive,
-          DeltaEngineChoice::kCached}) {
+          DeltaEngineChoice::kCached, DeltaEngineChoice::kContraction}) {
       RunResult per_engine_reference;
       for (const int threads : {1, 4, 13}) {
         ThreadCountGuard ambient(threads);
@@ -222,8 +222,9 @@ TEST(IngestPipelineProperty, DeterministicAcrossThreadCountsAndEngines) {
         }
       }
       if (engine != DeltaEngineChoice::kModeMajor) {
-        // Naive sums in entry order and the cached engine maintains its
-        // Pres table multiplicatively — same math, different rounding.
+        // Naive sums in entry order, the cached engine maintains its
+        // Pres table multiplicatively and the contraction engine sums
+        // along its core trees — same math, different rounding.
         ExpectNearFactors(per_engine_reference.model.factors,
                           reference.model.factors, 1e-7, "engine");
       }
