@@ -135,8 +135,8 @@ PTuckerResult RunAls(const SparseTensor& x, const PTuckerOptions& options,
 
   // Intermediate data of the default variant: per-thread B, c, δ and the
   // solved row (J²+3J) — the O(T J²) of Theorem 4. (The truncation
-  // scorer's |G| products scratch is charged inside ComputePartialErrors,
-  // where |G| is current.)
+  // scorer charges its own scratch — sorted order, dense core, per-thread
+  // contraction buffers, lane partials — inside ComputePartialErrors.)
   const std::int64_t max_rank = *std::max_element(options.core_dims.begin(),
                                                   options.core_dims.end());
   const std::int64_t scratch_bytes =

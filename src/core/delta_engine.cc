@@ -44,22 +44,6 @@ double DeltaEngine::Reconstruct(const std::int64_t* entry_index) const {
   return ReconstructFromList(core(), factors(), entry_index);
 }
 
-void DeltaEngine::ComputeProducts(const std::int64_t* entry_index,
-                                  double* products) const {
-  const CoreEntryList& list = core();
-  const std::vector<FactorView>& f = factors();
-  const std::int64_t order = list.order();
-  const std::int64_t n_entries = list.size();
-  for (std::int64_t b = 0; b < n_entries; ++b) {
-    const std::int32_t* beta = list.index(b);
-    double product = list.value(b);
-    for (std::int64_t k = 0; k < order; ++k) {
-      product *= f[static_cast<std::size_t>(k)](entry_index[k], beta[k]);
-    }
-    products[b] = product;
-  }
-}
-
 double DeltaEngine::DesignDot(const std::int64_t* entry_index,
                               const double* g) const {
   const CoreEntryList& list = core();
@@ -397,38 +381,6 @@ double ModeMajorDeltaEngine::Reconstruct(
     }
   }
   return sum;
-}
-
-void ModeMajorDeltaEngine::ComputeProducts(const std::int64_t* entry_index,
-                                           double* products) const {
-  const ModeView& view = views_[0];
-  const std::int64_t order = core().order();
-  const std::int64_t width = order - 1;
-  const std::int64_t rank = factors()[0].cols();
-  const double* rows[kMaxOrder];
-  GatherRows(factors(), entry_index, order, /*skip=*/0, rows);
-  const double* coefficients = factors()[0].Row(entry_index[0]);
-  for (std::int64_t j = 0; j < rank; ++j) {
-    const std::int64_t begin = view.offsets[static_cast<std::size_t>(j)];
-    const std::int64_t end = view.offsets[static_cast<std::size_t>(j + 1)];
-    const double coefficient = coefficients[j];
-    if (coefficient == 0.0) {  // group-level skip: every product is 0
-      for (std::int64_t t = begin; t < end; ++t) {
-        products[view.list_pos[static_cast<std::size_t>(t)]] = 0.0;
-      }
-      continue;
-    }
-    const std::int32_t* col = view.cols.data() + begin * width;
-    for (std::int64_t t = begin; t < end; ++t, col += width) {
-      // value · A(0) first, remaining modes ascending — the same multiply
-      // order as the entry-major scan, so products match it bit-for-bit.
-      double product = view.values[static_cast<std::size_t>(t)] * coefficient;
-      for (std::int64_t w = 0; w < width; ++w) {
-        product *= rows[w][col[w]];
-      }
-      products[view.list_pos[static_cast<std::size_t>(t)]] = product;
-    }
-  }
 }
 
 double ModeMajorDeltaEngine::DesignDot(const std::int64_t* entry_index,
@@ -972,11 +924,6 @@ double ContractionDeltaEngine::Reconstruct(
   double sum = 0.0;
   for (std::int64_t j = 0; j < rank; ++j) sum += coefficients[j] * delta[j];
   return sum;
-}
-
-void ContractionDeltaEngine::ComputeProducts(const std::int64_t* entry_index,
-                                             double* products) const {
-  mode_major_.ComputeProducts(entry_index, products);
 }
 
 double ContractionDeltaEngine::DesignDot(const std::int64_t* entry_index,

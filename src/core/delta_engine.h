@@ -50,9 +50,9 @@ namespace ptucker {
 /// engine's memo arrays) stay consistent.
 ///
 /// Every consumer calls the per-entry kernels (ComputeDelta, Reconstruct,
-/// ComputeProducts, the design ops). Adding another engine means
-/// subclassing DeltaEngine, overriding ComputeDelta (plus any other
-/// per-entry kernel worth specializing), handling the three hooks, and
+/// the design ops). Adding another engine means subclassing DeltaEngine,
+/// overriding ComputeDelta (plus any other per-entry kernel worth
+/// specializing), handling the three hooks, and
 /// wiring a new enumerator through DeltaEngineChoice + DeltaEngineCatalog()
 /// + MakeDeltaEngine. See docs/architecture.md and docs/delta_engines.md
 /// for the full walkthrough.
@@ -102,11 +102,6 @@ class DeltaEngine {
 
   /// Full reconstruction x̂_α (Eq. 4) at arbitrary coordinates.
   virtual double Reconstruct(const std::int64_t* entry_index) const;
-
-  /// products[b] = c_αβ = G_β Π_k A(k)(ik, jk) for every core entry, in
-  /// list order — the per-pair terms of the partial error R(β) (Eq. 13).
-  virtual void ComputeProducts(const std::int64_t* entry_index,
-                               double* products) const;
 
   /// Σ_b g[b] · Π_k A(k)(ik, jk) — one row of the core-update design
   /// matrix P applied to `g` (list order). Note: excludes G_β.
@@ -174,10 +169,10 @@ class NaiveDeltaEngine final : public DeltaEngine {
 /// by side. Lane j adds exactly group j's terms in group order, with the
 /// same multiply order as the naive scan, plus exact ±0 padding terms
 /// that never change a sum started at +0 — so δ is bit-identical to the
-/// naive scan whenever the factor values are finite. The other kernels
-/// (ComputeProducts, the design ops) stay on the grouped views, which read
-/// the remaining N−1 column indices contiguously and skip a whole group
-/// when its mode-0 row coefficient is zero.
+/// naive scan whenever the factor values are finite. The design ops stay
+/// on the grouped views, which read the remaining N−1 column indices
+/// contiguously and skip a whole group when its mode-0 row coefficient
+/// is zero.
 ///
 /// The grouped views cost Θ(N·|G|) extra memory and the lane views
 /// Θ(Σ_n U_n·(N−1+2·Jn)) in 4-byte words, where U_n ≤ |G| is the lane row
@@ -209,8 +204,6 @@ class ModeMajorDeltaEngine final : public DeltaEngine {
   void ComputeDelta(std::int64_t entry, const std::int64_t* entry_index,
                     std::int64_t mode, double* delta) const override;
   double Reconstruct(const std::int64_t* entry_index) const override;
-  void ComputeProducts(const std::int64_t* entry_index,
-                       double* products) const override;
   double DesignDot(const std::int64_t* entry_index,
                    const double* g) const override;
   void DesignAccumulate(const std::int64_t* entry_index, double scale,
@@ -357,9 +350,9 @@ class CachedDeltaEngine final : public DeltaEngine {
 /// **Exactness: reassociated.** δ differs from the naive scan only by
 /// summation order and the grouping of the N−1 products, so
 /// |δ − δ_naive| ≤ 2(N + |G|)·2⁻⁵³·Σ|terms| per lane. Reconstruct is
-/// Σ_j A(m)(i_m, j)·δ_m[j] on the cheapest mode m. ComputeProducts and the
-/// design ops forward to an owned ModeMajorDeltaEngine (bit-identical to
-/// naive), so truncation scores and core-update products are unchanged.
+/// Σ_j A(m)(i_m, j)·δ_m[j] on the cheapest mode m. The design ops forward
+/// to an owned ModeMajorDeltaEngine (bit-identical to naive), so
+/// core-update products are unchanged.
 ///
 /// The trees, the leaf arrays and the owned mode-major views are charged
 /// to the tracker before they are allocated (OutOfMemoryBudget when over
@@ -382,8 +375,6 @@ class ContractionDeltaEngine final : public DeltaEngine {
   void ComputeDelta(std::int64_t entry, const std::int64_t* entry_index,
                     std::int64_t mode, double* delta) const override;
   double Reconstruct(const std::int64_t* entry_index) const override;
-  void ComputeProducts(const std::int64_t* entry_index,
-                       double* products) const override;
   double DesignDot(const std::int64_t* entry_index,
                    const double* g) const override;
   void DesignAccumulate(const std::int64_t* entry_index, double scale,

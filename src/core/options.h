@@ -40,8 +40,7 @@ enum class DeltaEngineChoice {
   kNaive,
   /// Per-mode lane-interleaved core views, bit-identical to kNaive for
   /// finite factors. Serves predictions (serve/service.h) and the
-  /// truncation scores and core-update products of kContraction; no
-  /// longer what kAuto picks.
+  /// core-update products of kContraction; no longer what kAuto picks.
   kModeMajor,
   /// The §III-C Pres table behind the engine interface.
   kCached,

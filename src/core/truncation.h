@@ -1,8 +1,8 @@
 /// \file
 /// \brief P-TUCKER-APPROX core truncation (Algorithm 4): partial
-/// reconstruction errors R(β) (Eq. 13) and removal of the noisiest core
-/// entries, with DeltaEngine-aware scoring (DeltaEngine::ComputeProducts)
-/// and removal notification.
+/// reconstruction errors R(β) (Eq. 13), scored by one fused TTM-chain
+/// pass over a CSF tree of the observed entries, and removal of the
+/// noisiest core entries with engine notification.
 #ifndef PTUCKER_CORE_TRUNCATION_H_
 #define PTUCKER_CORE_TRUNCATION_H_
 
@@ -29,23 +29,43 @@ namespace ptucker {
 
 class DeltaEngine;
 
-/// R(β) for every entry of `core`, in list order. O(|Ω|·|G|·N), parallel
-/// over observed entries with a deterministic (lane-ordered) merge. The
-/// per-(α,β) products come from `engine` when given, else from an
-/// entry-major scan, and are consumed in entry order within each fixed
-/// reduction lane. The per-thread products scratch (T · |G| doubles) is
-/// charged to `tracker` for the duration of the scan when given.
+/// R(β) for every entry of `core`, in list order, from the factored form
+///   R(β) = −G_β²·S2_β − 2·G_β·S1_β,
+///   S1 = Σ_α r_α·⊗_n A(n)(in, :),   S2 = Σ_α ⊗_n A(n)(in, :)∘²,
+/// where r_α = X_α − x̂_α. One depth-first pass over a CSF tree of Ω
+/// (levels = modes in ascending In, ties by mode index; entries ordered
+/// by an LSD counting sort built on every call) computes both: opening a
+/// node contracts the dense core with the node's factor row (the TTM
+/// chain that also yields x̂_α at the leaves), and closing a node folds
+/// its residual-weighted and squared accumulators into its parent as
+/// outer products. Cost O(N·(|Ω| + max In) + Σ_nodes Π_{m≥l} Jm) plus
+/// Λ·|G| for the projection onto the list.
+///
+/// Deterministic: reduction lane l is the sorted-entry range
+/// [ReductionLaneBegin(|Ω|, l), …) with its own pass; the lane partials
+/// fold in lane order (FoldVectorLaneSums). So the scores are
+/// bit-identical at every thread count and depend only on (x, core,
+/// factors). **Exactness: reassociated** against the per-(α,β) scorer;
+/// the bound is derived in tests/core/truncation_test.cc.
+///
+/// Every scratch buffer — the sorted order and its sort workspace, the
+/// dense level-ordered core, the per-thread contraction and accumulator
+/// buffers and the Λ·|G| lane partials — is charged to `tracker`, when
+/// given, before it is allocated (OutOfMemoryBudget when over budget,
+/// with nothing left charged), and released on return.
 std::vector<double> ComputePartialErrors(const SparseTensor& x,
                                          const CoreEntryList& core,
                                          const std::vector<Matrix>& factors,
-                                         const DeltaEngine* engine = nullptr,
                                          MemoryTracker* tracker = nullptr);
 
 /// Removes the top-⌊p·|G|⌋ entries by R(β) from `core_list` and zeroes
 /// them in `core` (Algorithm 4). Always keeps at least one entry. Returns
-/// the number removed. When `engine` is given it both scores the entries
-/// and is notified of the removal (OnCoreEntriesRemoved), keeping its
-/// derived state consistent with the compacted list. `tracker` is passed
+/// the number removed. Entries rank by (R(β) descending, list index
+/// ascending), so ties remove the lowest list indices. Throws
+/// std::runtime_error naming the core entry when any R(β) is NaN or Inf.
+/// When `engine` is given it is notified of the removal
+/// (OnCoreEntriesRemoved), keeping its derived state consistent with the
+/// compacted list; the scores never depend on it. `tracker` is passed
 /// through to ComputePartialErrors for the scoring scratch.
 std::int64_t TruncateNoisyEntries(const SparseTensor& x, DenseTensor* core,
                                   CoreEntryList* core_list,

@@ -172,15 +172,6 @@ void ExpectEnginesAgree(const Ctx& s, const Engines& e) {
     EXPECT_NEAR(e.mode_major.Reconstruct(idx), expected_hat, 1e-12);
     EXPECT_NEAR(e.cached.Reconstruct(idx), expected_hat, 1e-12);
 
-    std::vector<double> expected_products(static_cast<std::size_t>(n_core));
-    std::vector<double> actual_products(static_cast<std::size_t>(n_core));
-    e.naive.ComputeProducts(idx, expected_products.data());
-    e.mode_major.ComputeProducts(idx, actual_products.data());
-    for (std::int64_t b = 0; b < n_core; ++b) {
-      EXPECT_NEAR(actual_products[static_cast<std::size_t>(b)],
-                  expected_products[static_cast<std::size_t>(b)], 1e-12);
-    }
-
     EXPECT_NEAR(e.mode_major.DesignDot(idx, g.data()),
                 e.naive.DesignDot(idx, g.data()), 1e-12);
 
@@ -661,20 +652,19 @@ TEST(DeltaEngineTest, BatchedMetricsMatchPerEntryBitForBit) {
 
 TEST(DeltaEngineTest, BatchedPartialErrorsMatchPerEntryBitForBit) {
   // The truncation scores (and therefore the removal set) must be
-  // EXPECT_EQ across thread counts, and the per-thread products scratch
-  // must be charged to the tracker only for the duration of the scan.
+  // EXPECT_EQ across thread counts, and the scoring scratch must be
+  // charged to the tracker only for the duration of the scan.
   Ctx s = MakeCtx(4, 5, 41);
-  ModeMajorDeltaEngine mode_major(s.list, s.factors, nullptr);
   std::vector<double> expected;
   {
     ThreadCountGuard guard(1);
-    expected = ComputePartialErrors(s.x, s.list, s.factors, &mode_major);
+    expected = ComputePartialErrors(s.x, s.list, s.factors);
   }
   for (const int threads : {1, 4, 13}) {
     ThreadCountGuard guard(threads);
     MemoryTracker tracker;
     const std::vector<double> scores =
-        ComputePartialErrors(s.x, s.list, s.factors, &mode_major, &tracker);
+        ComputePartialErrors(s.x, s.list, s.factors, &tracker);
     ASSERT_EQ(scores.size(), expected.size());
     for (std::size_t b = 0; b < scores.size(); ++b) {
       EXPECT_EQ(scores[b], expected[b])
