@@ -1,10 +1,19 @@
 #include "tensor/io.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
+#include <utility>
 
 #include "tensor/dense_tensor.h"
 
@@ -12,117 +21,284 @@ namespace ptucker {
 
 namespace {
 
-[[noreturn]] void ThrowParse(std::int64_t line_number,
-                             const std::string& detail) {
-  throw std::runtime_error("tns parse error at line " +
-                           std::to_string(line_number) + ": " + detail);
+// The characters `std::istream >> double` skips before a token in the C
+// locale ('\n' never occurs inside a line).
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
 }
 
-struct ParsedEntry {
-  std::vector<std::int64_t> index;  // 0-based
-  double value;
-};
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
-// Parses one data line into `entry`; returns false for blank/comment lines.
-bool ParseLine(const std::string& line, std::int64_t line_number,
-               ParsedEntry* entry) {
-  std::size_t first = line.find_first_not_of(" \t\r");
-  if (first == std::string::npos || line[first] == '#') return false;
+bool IsSign(char c) { return c == '+' || c == '-'; }
 
-  std::istringstream in(line);
-  std::vector<double> tokens;
-  double token = 0.0;
-  while (in >> token) tokens.push_back(token);
-  if (!in.eof()) ThrowParse(line_number, "non-numeric token");
-  if (tokens.size() < 2) {
-    ThrowParse(line_number, "expected at least one index and a value");
-  }
+// Every integer up to 2^53 is exactly representable, so a token read as a
+// double names an index exactly when it is integral and in [1, 2^53].
+constexpr double kMaxIndex = 9007199254740992.0;
 
-  entry->index.clear();
-  for (std::size_t k = 0; k + 1 < tokens.size(); ++k) {
-    const double raw = tokens[k];
-    // Range-check before the cast: converting a double outside int64's
-    // range (1e19, 1e300, NaN) is undefined behaviour. Every integer up
-    // to 2^53 is exactly representable, so the floor test is exact too.
-    if (!(raw >= 1.0 && raw <= 9007199254740992.0) || std::floor(raw) != raw) {
-      ThrowParse(line_number, "index must be a positive integer");
+// Where `std::istream >> double` (libstdc++'s num_get in the C locale)
+// stops reading a token that starts at `p`: a sign, then digits with at
+// most one '.', then 'e' or 'E' with an optional sign and more digits.
+// Whatever follows starts the next token. (The stream takes the 'e' only
+// after a digit; without one the token fails to read either way.)
+const char* NumberEnd(const char* p, const char* end) {
+  if (p < end && IsSign(*p)) ++p;
+  bool point = false;
+  bool exponent = false;
+  while (p < end) {
+    const char c = *p;
+    if (c == '.' && !point && !exponent) {
+      point = true;
+    } else if ((c == 'e' || c == 'E') && !exponent) {
+      exponent = true;
+      if (++p < end && IsSign(*p)) ++p;
+      continue;
+    } else if (!IsDigit(c)) {
+      break;
     }
-    entry->index.push_back(static_cast<std::int64_t>(raw) - 1);
+    ++p;
   }
-  entry->value = tokens.back();
-  return true;
+  return p;
 }
 
-SparseTensor BuildFromEntries(const std::vector<ParsedEntry>& entries,
-                              const std::vector<std::int64_t>& dims) {
-  if (entries.empty() && dims.empty()) {
-    throw std::runtime_error("tns parse error: no entries and no dims given");
+// `inf`, `infinity` or `nan` in any case after an optional sign: the
+// spellings of a non-finite value, which the stream does not read.
+bool SpellsNonFinite(const char* p, const char* end) {
+  if (p < end && IsSign(*p)) ++p;
+  std::string word;
+  for (; p < end && !IsSpace(*p); ++p) {
+    word += static_cast<char>(std::tolower(static_cast<unsigned char>(*p)));
   }
-  const std::size_t order =
-      entries.empty() ? dims.size() : entries.front().index.size();
+  return word == "inf" || word == "infinity" || word == "nan";
+}
 
-  std::vector<std::int64_t> resolved = dims;
-  if (resolved.empty()) {
-    resolved.assign(order, 1);
-    for (const auto& entry : entries) {
-      for (std::size_t k = 0; k < order; ++k) {
-        resolved[k] = std::max(resolved[k], entry.index[k] + 1);
-      }
+// Scans `.tns` lines straight into flat coordinate and value arrays,
+// which Finish() hands to the SparseTensor without a copy.
+class TnsScanner {
+ public:
+  // `prefix` starts every error message (the file path for ReadTns). The
+  // input holds at most `max_lines` lines of `max_bytes` bytes in all, so
+  // the storage is reserved once, when the first data line fixes the order.
+  TnsScanner(const std::vector<std::int64_t>& dims, std::string prefix,
+             std::int64_t max_lines, std::int64_t max_bytes)
+      : dims_(dims),
+        prefix_(std::move(prefix)),
+        max_lines_(max_lines),
+        max_bytes_(max_bytes) {}
+
+  // Scans the lines in [begin, end); each ends in '\n' but the last may
+  // not.
+  void ScanLines(const char* begin, const char* end) {
+    while (begin < end) {
+      const auto* newline = static_cast<const char*>(
+          std::memchr(begin, '\n', static_cast<std::size_t>(end - begin)));
+      ++line_;
+      ScanLine(begin, newline != nullptr ? newline : end);
+      begin = newline != nullptr ? newline + 1 : end;
     }
   }
-  if (resolved.size() != order) {
-    throw std::runtime_error("tns parse error: dims order mismatch");
+
+  // The tensor of every line scanned; call once.
+  SparseTensor Finish() {
+    if (values_.empty() && dims_.empty()) {
+      throw std::runtime_error(prefix_ +
+                               "tns parse error: no entries and no dims given");
+    }
+    if (!values_.empty() && !dims_.empty() && dims_.size() != order_) {
+      throw std::runtime_error(
+          prefix_ + "tns parse error: dims order mismatch: " +
+          std::to_string(dims_.size()) + " dims for " +
+          std::to_string(order_) + " indices per entry");
+    }
+    if (out_of_bounds_line_ != 0) Fail(out_of_bounds_line_, out_of_bounds_);
+    return SparseTensor(dims_.empty() ? std::move(extent_) : dims_,
+                        std::move(coords_), std::move(values_));
   }
 
-  SparseTensor tensor(resolved);
-  tensor.Reserve(static_cast<std::int64_t>(entries.size()));
-  for (std::size_t e = 0; e < entries.size(); ++e) {
-    const auto& entry = entries[e];
-    if (entry.index.size() != order) {
-      throw std::runtime_error("tns parse error: entry " + std::to_string(e) +
-                               " has inconsistent order");
+ private:
+  [[noreturn]] void Fail(std::int64_t line, const std::string& detail) const {
+    throw std::runtime_error(prefix_ + "tns parse error at line " +
+                             std::to_string(line) + ": " + detail);
+  }
+
+  // Reads the token that starts at `p` (not a space) into `*value` and
+  // returns where it ends.
+  const char* ScanToken(const char* p, const char* end, double* value) const {
+    // Up to 15 plain digits, which a double holds exactly.
+    const char* digits = IsSign(*p) ? p + 1 : p;
+    const char* q = digits;
+    std::int64_t whole = 0;
+    for (; q < end && IsDigit(*q) && q - digits < 15; ++q) {
+      whole = whole * 10 + (*q - '0');
     }
+    if (q > digits && (q == end || (!IsDigit(*q) && *q != '.' &&
+                                    *q != 'e' && *q != 'E'))) {
+      const auto magnitude = static_cast<double>(whole);
+      *value = *p == '-' ? -magnitude : magnitude;
+      return q;
+    }
+    // from_chars reads a token as the stream does, except that it takes no
+    // leading '+' and does take `inf` and `nan`. So where it stops at a
+    // separator with a finite value, that is the token's value.
+    const char* number = *p == '+' ? p + 1 : p;
+    std::from_chars_result parsed = std::from_chars(number, end, *value);
+    const bool separated = parsed.ptr == end || IsSpace(*parsed.ptr);
+    if (parsed.ec == std::errc() && separated &&
+        (number == p || !IsSign(*number)) && std::isfinite(*value)) {
+      return parsed.ptr;
+    }
+    // Otherwise the token must read whole up to where the stream stops.
+    const char* token_end = NumberEnd(p, end);
+    parsed = std::from_chars(number, token_end, *value);
+    if (parsed.ptr != token_end ||
+        (parsed.ec != std::errc() &&
+         parsed.ec != std::errc::result_out_of_range)) {
+      Fail(line_, SpellsNonFinite(p, end) ? "value is not finite"
+                                          : "non-numeric token");
+    }
+    if (parsed.ec == std::errc::result_out_of_range) {
+      // from_chars leaves *value alone on a range error. strtod rounds an
+      // underflow to a signed zero, as the stream does, and an overflow
+      // to infinity.
+      *value = std::strtod(std::string(p, token_end).c_str(), nullptr);
+    }
+    if (!std::isfinite(*value)) Fail(line_, "value is not finite");
+    return token_end;
+  }
+
+  void ScanLine(const char* p, const char* end) {
+    while (p < end && (*p == ' ' || *p == '\t' || *p == '\r')) ++p;
+    if (p == end || *p == '#') return;
+
+    tokens_.clear();
+    for (;;) {
+      while (p < end && IsSpace(*p)) ++p;
+      if (p == end) break;
+      double token = 0.0;
+      p = ScanToken(p, end, &token);
+      tokens_.push_back(token);
+    }
+    if (tokens_.size() < 2) {
+      Fail(line_, "expected at least one index and a value");
+    }
+    const std::size_t order = tokens_.size() - 1;
     for (std::size_t k = 0; k < order; ++k) {
-      if (entry.index[k] >= resolved[k]) {
-        throw std::runtime_error("tns parse error: entry " +
-                                 std::to_string(e) + " out of bounds");
+      const double raw = tokens_[k];
+      // Range-check before the cast: converting a double outside int64's
+      // range (1e19, 1e300) is undefined behaviour.
+      if (!(raw >= 1.0 && raw <= kMaxIndex) || std::floor(raw) != raw) {
+        Fail(line_, "index must be a positive integer");
       }
     }
-    tensor.AddEntry(entry.index, entry.value);
-  }
-  return tensor;
-}
-
-std::vector<ParsedEntry> ParseStream(std::istream& in) {
-  std::vector<ParsedEntry> entries;
-  std::string line;
-  std::int64_t line_number = 0;
-  ParsedEntry entry;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (!ParseLine(line, line_number, &entry)) continue;
-    if (!entries.empty() &&
-        entry.index.size() != entries.front().index.size()) {
-      ThrowParse(line_number, "inconsistent number of indices");
+    if (order_ == 0) {
+      StartEntries(order);
+    } else if (order != order_) {
+      Fail(line_, "inconsistent number of indices: expected " +
+                      std::to_string(order_) + ", found " +
+                      std::to_string(order));
     }
-    entries.push_back(entry);
+
+    const bool check_bounds = dims_.size() == order_;
+    for (std::size_t k = 0; k < order; ++k) {
+      const auto index = static_cast<std::int64_t>(tokens_[k]) - 1;
+      coords_.push_back(index);
+      if (dims_.empty()) {
+        extent_[k] = std::max(extent_[k], index + 1);
+      } else if (check_bounds && out_of_bounds_line_ == 0 &&
+                 index >= dims_[k]) {
+        out_of_bounds_line_ = line_;
+        out_of_bounds_ = "index " + std::to_string(index + 1) + " of mode " +
+                         std::to_string(k + 1) + " exceeds dimension " +
+                         std::to_string(dims_[k]);
+      }
+    }
+    values_.push_back(tokens_.back());
   }
-  return entries;
-}
+
+  void StartEntries(std::size_t order) {
+    order_ = order;
+    if (dims_.empty()) extent_.assign(order, 1);
+    // A data line holds order + 1 tokens of one byte or more, so the byte
+    // count bounds the entries too, whatever the number of blank lines.
+    const std::int64_t entries = std::min(
+        max_lines_, max_bytes_ / static_cast<std::int64_t>(order + 1));
+    values_.reserve(static_cast<std::size_t>(entries));
+    coords_.reserve(static_cast<std::size_t>(entries) * order);
+  }
+
+  const std::vector<std::int64_t>& dims_;
+  const std::string prefix_;
+  const std::int64_t max_lines_;
+  const std::int64_t max_bytes_;
+  std::int64_t line_ = 0;
+  std::size_t order_ = 0;  // indices per entry; 0 until the first entry
+  std::vector<double> tokens_;  // the current line's tokens
+  std::vector<std::int64_t> coords_;  // 0-based, entry-major
+  std::vector<double> values_;
+  std::vector<std::int64_t> extent_;  // per-mode maximum index, without dims
+  std::int64_t out_of_bounds_line_ = 0;  // first line beyond dims, or 0
+  std::string out_of_bounds_;
+};
 
 }  // namespace
 
 SparseTensor ReadTns(const std::string& path,
                      const std::vector<std::int64_t>& dims) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open tns file: " + path);
-  return BuildFromEntries(ParseStream(in), dims);
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  if (!file) {
+    throw std::runtime_error(path + ": cannot open tns file: " +
+                             std::strerror(errno));
+  }
+  std::vector<char> block(kTnsReadBlockBytes);
+
+  // First pass: count the lines, so the storage is reserved once.
+  std::int64_t lines = 0;
+  std::int64_t bytes = 0;
+  char last = '\n';
+  for (std::size_t got = 0;
+       (got = std::fread(block.data(), 1, block.size(), file.get())) > 0;) {
+    lines += std::count(block.data(), block.data() + got, '\n');
+    bytes += static_cast<std::int64_t>(got);
+    last = block[got - 1];
+  }
+  lines += last != '\n' ? 1 : 0;
+  if (std::ferror(file.get()) || std::fseek(file.get(), 0, SEEK_SET) != 0) {
+    throw std::runtime_error(path + ": read error");
+  }
+
+  TnsScanner scanner(dims, path + ": ", lines, bytes);
+  // Second pass: scan the whole lines of each block and carry a partial
+  // last line over to the next.
+  std::size_t carry = 0;
+  for (;;) {
+    if (carry == block.size()) block.resize(2 * block.size());
+    const std::size_t got = std::fread(block.data() + carry, 1,
+                                       block.size() - carry, file.get());
+    if (got == 0) break;
+    const char* begin = block.data();
+    const char* end = begin + carry + got;
+    const char* cut = end;
+    while (cut > begin && cut[-1] != '\n') --cut;
+    scanner.ScanLines(begin, cut);
+    carry = static_cast<std::size_t>(end - cut);
+    std::memmove(block.data(), cut, carry);
+  }
+  if (std::ferror(file.get())) throw std::runtime_error(path + ": read error");
+  scanner.ScanLines(block.data(), block.data() + carry);
+  return scanner.Finish();
 }
 
 SparseTensor ParseTns(const std::string& content,
                       const std::vector<std::int64_t>& dims) {
-  std::istringstream in(content);
-  return BuildFromEntries(ParseStream(in), dims);
+  const char* begin = content.data();
+  const char* end = begin + content.size();
+  const bool unterminated = !content.empty() && content.back() != '\n';
+  const std::int64_t lines =
+      std::count(begin, end, '\n') + (unterminated ? 1 : 0);
+  TnsScanner scanner(dims, "", lines,
+                     static_cast<std::int64_t>(content.size()));
+  scanner.ScanLines(begin, end);
+  return scanner.Finish();
 }
 
 std::string FormatTns(const SparseTensor& tensor) {

@@ -1,6 +1,7 @@
 #include "tensor/sparse_tensor.h"
 
 #include <cmath>
+#include <utility>
 
 #include "tensor/index.h"
 #include "util/logging.h"
@@ -10,6 +11,18 @@ namespace ptucker {
 SparseTensor::SparseTensor(std::vector<std::int64_t> dims)
     : dims_(std::move(dims)) {
   for (std::int64_t d : dims_) PTUCKER_CHECK(d > 0);
+}
+
+SparseTensor::SparseTensor(std::vector<std::int64_t> dims,
+                           std::vector<std::int64_t> indices,
+                           std::vector<double> values)
+    : SparseTensor(std::move(dims)) {
+  PTUCKER_CHECK(indices.size() == values.size() * dims_.size());
+  for (std::size_t at = 0; at < indices.size(); at += dims_.size()) {
+    PTUCKER_CHECK(IndexInBounds(indices.data() + at, dims_));
+  }
+  indices_ = std::move(indices);
+  values_ = std::move(values);
 }
 
 void SparseTensor::Reserve(std::int64_t entries) {

@@ -27,6 +27,11 @@ class SparseTensor {
   /// Creates an empty tensor with the given mode dimensionalities.
   explicit SparseTensor(std::vector<std::int64_t> dims);
 
+  /// Adopts flat entry-major coordinates (nnz x order, each within bounds)
+  /// and their parallel values without copying them.
+  SparseTensor(std::vector<std::int64_t> dims,
+               std::vector<std::int64_t> indices, std::vector<double> values);
+
   std::int64_t order() const {
     return static_cast<std::int64_t>(dims_.size());
   }
