@@ -15,6 +15,9 @@
 #include <system_error>
 #include <utility>
 
+#include <locale.h>
+#include <sys/stat.h>
+
 #include "tensor/dense_tensor.h"
 
 namespace ptucker {
@@ -30,6 +33,9 @@ bool IsSpace(char c) {
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
 bool IsSign(char c) { return c == '+' || c == '-'; }
+
+// ReadTns's first read size for an input of unknown size.
+constexpr std::size_t kReadChunkBytes = std::size_t{1} << 16;
 
 // Every integer up to 2^53 is exactly representable, so a token read as a
 // double names an index exactly when it is integral and in [1, 2^53].
@@ -136,19 +142,12 @@ class TnsScanner {
       *value = *p == '-' ? -magnitude : magnitude;
       return q;
     }
-    // from_chars reads a token as the stream does, except that it takes no
-    // leading '+' and does take `inf` and `nan`. So where it stops at a
-    // separator with a finite value, that is the token's value.
+    // The token must read whole up to where the stream stops. from_chars
+    // reads as the stream does but takes no leading '+'.
     const char* number = *p == '+' ? p + 1 : p;
-    std::from_chars_result parsed = std::from_chars(number, end, *value);
-    const bool separated = parsed.ptr == end || IsSpace(*parsed.ptr);
-    if (parsed.ec == std::errc() && separated &&
-        (number == p || !IsSign(*number)) && std::isfinite(*value)) {
-      return parsed.ptr;
-    }
-    // Otherwise the token must read whole up to where the stream stops.
     const char* token_end = NumberEnd(p, end);
-    parsed = std::from_chars(number, token_end, *value);
+    const std::from_chars_result parsed =
+        std::from_chars(number, token_end, *value);
     if (parsed.ptr != token_end ||
         (parsed.ec != std::errc() &&
          parsed.ec != std::errc::result_out_of_range)) {
@@ -156,10 +155,12 @@ class TnsScanner {
                                           : "non-numeric token");
     }
     if (parsed.ec == std::errc::result_out_of_range) {
-      // from_chars leaves *value alone on a range error. strtod rounds an
-      // underflow to a signed zero, as the stream does, and an overflow
-      // to infinity.
-      *value = std::strtod(std::string(p, token_end).c_str(), nullptr);
+      // from_chars leaves *value alone on a range error. strtod in the C
+      // locale, which the stream calls, rounds an underflow to a signed
+      // zero and an overflow to infinity.
+      static const locale_t c_locale = newlocale(LC_ALL_MASK, "C", nullptr);
+      *value =
+          strtod_l(std::string(p, token_end).c_str(), nullptr, c_locale);
     }
     if (!std::isfinite(*value)) Fail(line_, "value is not finite");
     return token_end;
@@ -239,6 +240,21 @@ class TnsScanner {
   std::string out_of_bounds_;
 };
 
+// Scans all of `content`; `prefix` starts every error message.
+SparseTensor ScanTns(const std::string& content,
+                     const std::vector<std::int64_t>& dims,
+                     std::string prefix) {
+  const char* begin = content.data();
+  const char* end = begin + content.size();
+  const bool unterminated = !content.empty() && content.back() != '\n';
+  const std::int64_t lines =
+      std::count(begin, end, '\n') + (unterminated ? 1 : 0);
+  TnsScanner scanner(dims, std::move(prefix), lines,
+                     static_cast<std::int64_t>(content.size()));
+  scanner.ScanLines(begin, end);
+  return scanner.Finish();
+}
+
 }  // namespace
 
 SparseTensor ReadTns(const std::string& path,
@@ -249,56 +265,32 @@ SparseTensor ReadTns(const std::string& path,
     throw std::runtime_error(path + ": cannot open tns file: " +
                              std::strerror(errno));
   }
-  std::vector<char> block(kTnsReadBlockBytes);
-
-  // First pass: count the lines, so the storage is reserved once.
-  std::int64_t lines = 0;
-  std::int64_t bytes = 0;
-  char last = '\n';
-  for (std::size_t got = 0;
-       (got = std::fread(block.data(), 1, block.size(), file.get())) > 0;) {
-    lines += std::count(block.data(), block.data() + got, '\n');
-    bytes += static_cast<std::int64_t>(got);
-    last = block[got - 1];
-  }
-  lines += last != '\n' ? 1 : 0;
-  if (std::ferror(file.get()) || std::fseek(file.get(), 0, SEEK_SET) != 0) {
-    throw std::runtime_error(path + ": read error");
-  }
-
-  TnsScanner scanner(dims, path + ": ", lines, bytes);
-  // Second pass: scan the whole lines of each block and carry a partial
-  // last line over to the next.
-  std::size_t carry = 0;
+  // Read the whole input in one pass, so a pipe or FIFO reads too. A
+  // regular file's size sizes the buffer; the spare byte meets end of file.
+  struct stat info {};
+  const bool sized =
+      ::fstat(::fileno(file.get()), &info) == 0 && info.st_size > 0;
+  std::string content(sized ? static_cast<std::size_t>(info.st_size) + 1
+                            : kReadChunkBytes,
+                      '\0');
+  std::size_t size = 0;
   for (;;) {
-    if (carry == block.size()) block.resize(2 * block.size());
-    const std::size_t got = std::fread(block.data() + carry, 1,
-                                       block.size() - carry, file.get());
+    if (size == content.size()) content.resize(2 * size);
+    const std::size_t got = std::fread(content.data() + size, 1,
+                                       content.size() - size, file.get());
     if (got == 0) break;
-    const char* begin = block.data();
-    const char* end = begin + carry + got;
-    const char* cut = end;
-    while (cut > begin && cut[-1] != '\n') --cut;
-    scanner.ScanLines(begin, cut);
-    carry = static_cast<std::size_t>(end - cut);
-    std::memmove(block.data(), cut, carry);
+    size += got;
   }
-  if (std::ferror(file.get())) throw std::runtime_error(path + ": read error");
-  scanner.ScanLines(block.data(), block.data() + carry);
-  return scanner.Finish();
+  if (std::ferror(file.get())) {
+    throw std::runtime_error(path + ": read error: " + std::strerror(errno));
+  }
+  content.resize(size);
+  return ScanTns(content, dims, path + ": ");
 }
 
 SparseTensor ParseTns(const std::string& content,
                       const std::vector<std::int64_t>& dims) {
-  const char* begin = content.data();
-  const char* end = begin + content.size();
-  const bool unterminated = !content.empty() && content.back() != '\n';
-  const std::int64_t lines =
-      std::count(begin, end, '\n') + (unterminated ? 1 : 0);
-  TnsScanner scanner(dims, "", lines,
-                     static_cast<std::int64_t>(content.size()));
-  scanner.ScanLines(begin, end);
-  return scanner.Finish();
+  return ScanTns(content, dims, "");
 }
 
 std::string FormatTns(const SparseTensor& tensor) {

@@ -1,7 +1,6 @@
 #ifndef PTUCKER_TENSOR_IO_H_
 #define PTUCKER_TENSOR_IO_H_
 
-#include <cstddef>
 #include <string>
 
 #include "tensor/sparse_tensor.h"
@@ -37,19 +36,17 @@ namespace ptucker {
 /// file) and the dimension. Input with no entries needs `dims`, and `dims`
 /// must have one entry per index column.
 
-/// Reads a `.tns` file. Mode dimensionalities are the per-mode maximum
+/// Reads a `.tns` file, which may be a pipe or FIFO: the input is read once,
+/// whole, then parsed. Mode dimensionalities are the per-mode maximum
 /// index unless `dims` is non-empty, in which case indices are validated
-/// against it.
+/// against it. A file that does not open or read throws "<path>: cannot
+/// open tns file: <reason>" or "<path>: read error: <reason>".
 SparseTensor ReadTns(const std::string& path,
                      const std::vector<std::int64_t>& dims = {});
 
 /// Parses `.tns` content from a string (same rules as ReadTns).
 SparseTensor ParseTns(const std::string& content,
                       const std::vector<std::int64_t>& dims = {});
-
-/// ReadTns reads its file in blocks of this many bytes (a longer line grows
-/// the block). Public so tests can put a line across a block boundary.
-inline constexpr std::size_t kTnsReadBlockBytes = std::size_t{1} << 16;
 
 /// Writes FROSTT text (1-based indices).
 void WriteTns(const std::string& path, const SparseTensor& tensor);

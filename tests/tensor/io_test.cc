@@ -1,5 +1,6 @@
 #include "tensor/io.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -9,6 +10,9 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+
+#include <sys/stat.h>
 
 #include <gtest/gtest.h>
 
@@ -375,6 +379,17 @@ TEST(TnsParseTest, ErrorsNameThePlace) {
     }
   }
   std::remove(path.c_str());
+
+  // A directory opens but does not read.
+  const std::string directory =
+      std::filesystem::temp_directory_path().string();
+  try {
+    ReadTns(directory);
+    ADD_FAILURE() << "read " << directory;
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(directory + ": read error: ", 0), 0u)
+        << e.what();
+  }
 }
 
 // Every edge token of the grammar, as an index and as a value, at the
@@ -426,30 +441,47 @@ TEST(TnsDifferentialTest, LineShapesMatchOracle) {
   }
 }
 
-// ReadTns reads in blocks; lines across every offset of a block boundary
-// (including the '\r' of a CRLF ending), and a line longer than a block,
-// must read exactly as the oracle reads the whole text.
-TEST(TnsDifferentialTest, ReadTnsAcrossBlockBoundariesMatchesOracle) {
+// At least `bytes` of entry lines, some with CRLF endings.
+std::string EntryLines(std::size_t bytes) {
   std::string body;
-  for (std::int64_t e = 0; body.size() < kTnsReadBlockBytes + 100; ++e) {
+  for (std::int64_t e = 0; body.size() < bytes; ++e) {
     body += std::to_string(e % 97 + 1) + " " + std::to_string(e % 13 + 1) +
             " " + std::to_string(0.001 * static_cast<double>(e)) +
             (e % 3 == 0 ? "\r\n" : "\n");
   }
-  const std::string path = TempPath("ptucker_io_blocks.tns");
-  for (std::size_t shift = 0; shift < 24; ++shift) {
-    const std::string content = "#" + std::string(shift, '-') + "\n" + body;
+  return body;
+}
+
+// ReadTns reads a file exactly as the oracle reads its text, including a
+// long comment line and a malformed last line.
+TEST(TnsDifferentialTest, ReadTnsMatchesOracle) {
+  const std::string body = EntryLines(200000);
+  const std::string path = TempPath("ptucker_io_read.tns");
+  for (const std::string& content :
+       {body, "1 1 0.5\n#" + std::string(200000, 'x') + "\n2 2 1",
+        body + "1 1 x"}) {
     WriteFile(path, content);
     ExpectMatchesOracle(Capture([&] { return ReadTns(path); }), content);
   }
-  const std::string long_line =
-      "1 1 0.5\n#" + std::string(3 * kTnsReadBlockBytes, 'x') + "\n2 2 1";
-  WriteFile(path, long_line);
-  ExpectMatchesOracle(Capture([&] { return ReadTns(path); }), long_line);
-  const std::string bad_tail = body + "1 1 x";
-  WriteFile(path, bad_tail);
-  ExpectMatchesOracle(Capture([&] { return ReadTns(path); }), bad_tail);
   std::remove(path.c_str());
+}
+
+// A FIFO can be read only once and has no size up front; ReadTns reads it
+// whole, growing its buffer past the first read.
+TEST(TnsFileTest, ReadsAFifo) {
+  const std::string path = TempPath("ptucker_io_fifo.tns");
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  const std::string content = EntryLines(200000);
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::binary);
+    out << content;
+  });
+  const Outcome got = Capture([&] { return ReadTns(path); });
+  writer.join();
+  std::remove(path.c_str());
+  EXPECT_TRUE(got.ok) << got.error;
+  ExpectMatchesOracle(got, content);
 }
 
 TEST(TnsDifferentialTest, FormattedRandomTensorsMatchOracle) {
