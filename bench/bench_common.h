@@ -36,6 +36,9 @@ struct MethodOutcome {
   double final_error = 0.0;
   double test_rmse = 0.0;
   std::int64_t peak_intermediate_bytes = 0;
+  /// P-Tucker's slice-ordered copy of Ω (not intermediate data; 0 for
+  /// the other methods).
+  std::int64_t slice_layout_bytes = 0;
   TuckerFactorization model;
   std::vector<IterationStats> iterations;
 
@@ -88,6 +91,7 @@ inline MethodOutcome RunPTucker(const SparseTensor& x, PTuckerOptions options,
     outcome->seconds_per_iteration = result.SecondsPerIteration();
     outcome->total_seconds = result.total_seconds;
     outcome->final_error = result.final_error;
+    outcome->slice_layout_bytes = result.slice_layout_bytes;
     outcome->iterations = result.iterations;
     if (test != nullptr) {
       outcome->test_rmse =

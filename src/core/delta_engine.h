@@ -72,6 +72,10 @@ class DeltaEngine {
   DeltaEngine(const DeltaEngine&) = delete;             ///< non-copyable
   DeltaEngine& operator=(const DeltaEngine&) = delete;  ///< non-copyable
 
+  /// Highest supported tensor order: it sizes the stack-resident per-mode
+  /// arrays of the engines' hot kernels and of the row kernel.
+  static constexpr std::int64_t kMaxOrder = 32;
+
   /// The enumerator this engine was built for (kind() never is kAuto).
   virtual DeltaEngineChoice kind() const = 0;
   /// Canonical catalog name (the `--delta-engine` token).
@@ -81,7 +85,8 @@ class DeltaEngine {
   /// delta[j] = Σ_{β∈G, βn=j} G_β Π_{k≠n} A(k)(ik, jk). `delta` holds
   /// Jn = factors[mode].cols() doubles (overwritten). `entry` is the
   /// observed-entry id in the tensor the engine was created over, or a
-  /// negative value for coordinates outside it.
+  /// negative value for coordinates outside it. Engines whose
+  /// UsesEntryIds() is false ignore it, and callers may pass −1 to them.
   virtual void ComputeDelta(std::int64_t entry,
                             const std::int64_t* entry_index, std::int64_t mode,
                             double* delta) const = 0;
@@ -116,6 +121,11 @@ class DeltaEngine {
   /// True when OnFactorUpdated needs the pre-update factor values; callers
   /// then snapshot the factor before running the mode's row updates.
   virtual bool WantsFactorSnapshot() const { return false; }
+
+  /// True when ComputeDelta reads its `entry` argument, i.e. the engine
+  /// keys derived state by observed-entry id. The solver's slice-ordered
+  /// Ω (core/row_update.h) keeps an entry-id column only for such engines.
+  virtual bool UsesEntryIds() const { return false; }
 
   /// Mode `mode`'s factor rows were rewritten (Algorithm 3 finished the
   /// mode). `old_factor` holds the pre-update values when
@@ -225,10 +235,6 @@ class ModeMajorDeltaEngine final : public DeltaEngine {
     std::vector<std::int32_t> list_pos;  ///< grouped position → list id
   };
 
-  /// Supported tensor order; the stack-resident factor-row pointer arrays
-  /// in the hot kernels are sized by this.
-  static constexpr std::int64_t kMaxOrder = 32;
-
   /// The regrouped view of mode `mode` (one per tensor mode).
   const ModeView& view(std::int64_t mode) const {
     return views_[static_cast<std::size_t>(mode)];
@@ -294,6 +300,7 @@ class CachedDeltaEngine final : public DeltaEngine {
                     std::int64_t mode, double* delta) const override;
 
   bool WantsFactorSnapshot() const override { return true; }
+  bool UsesEntryIds() const override { return true; }
   void OnFactorUpdated(std::int64_t mode, const Matrix& old_factor) override;
   void OnCoreValuesChanged() override;
   void OnCoreEntriesRemoved(const std::vector<char>& removed) override;
@@ -401,9 +408,6 @@ class ContractionDeltaEngine final : public DeltaEngine {
   static std::int64_t MemoCapBytes(std::int64_t nnz, std::int64_t order);
 
  private:
-  /// Supported tensor order (sizes the stack-resident row pointers).
-  static constexpr std::int64_t kMaxOrder = 32;
-
   /// One mode's plan and tree. Level l of the tree holds the distinct
   /// prefixes (β_{levels[0]}, …, β_{levels[l]}) of the projected core
   /// pattern in lexicographic order; node u of a non-leaf level owns the

@@ -17,8 +17,9 @@ namespace ptucker {
 namespace {
 
 // The single-process backend: every row of a mode through UpdateFactorRows
-// with the engine's factor hooks, and the CG design products and error
-// partials over all 64 reduction lanes of this process's engine.
+// over Ω in slice order (built once per solve) with the engine's factor
+// hooks, and the CG design products and error partials over all 64
+// reduction lanes of this process's engine.
 class LocalAlsBackend : public AlsBackend {
  public:
   LocalAlsBackend(const SparseTensor& x, const PTuckerOptions& options,
@@ -30,7 +31,10 @@ class LocalAlsBackend : public AlsBackend {
         // P-TUCKER-CACHE, or whatever options.delta_engine pins.
         engine_(MakeDeltaEngine(ResolveDeltaEngineChoice(options), x,
                                 model->core_list, model->factors,
-                                options.tracker)) {
+                                options.tracker)),
+        // Ω in slice order, read by every row sweep of the solve. A
+        // re-layout of the input, so not charged to options.tracker.
+        omega_(x, engine_->UsesEntryIds()) {
     row_options_.lambda = options.lambda;
     row_options_.sample_rate = options.sample_rate;
     row_options_.seed = options.seed;
@@ -41,7 +45,7 @@ class LocalAlsBackend : public AlsBackend {
     Matrix old_factor;
     if (engine_->WantsFactorSnapshot()) old_factor = factor;
     row_options_.iteration = iteration;
-    UpdateFactorRows(*x_, mode, /*rows=*/nullptr, /*num_rows=*/0, *engine_,
+    UpdateFactorRows(omega_, mode, /*rows=*/nullptr, /*num_rows=*/0, *engine_,
                      &factor, row_options_);
     engine_->OnFactorUpdated(mode, old_factor);
   }
@@ -63,10 +67,14 @@ class LocalAlsBackend : public AlsBackend {
 
   DeltaEngine* engine() override { return engine_.get(); }
 
+  /// Bytes of the solve's slice-ordered Ω.
+  std::int64_t slice_layout_bytes() const { return omega_.bytes(); }
+
  private:
   const SparseTensor* x_;
   AlsModel* model_;
   std::unique_ptr<DeltaEngine> engine_;
+  const SliceOrderedOmega omega_;
   RowUpdateOptions row_options_;
 };
 
@@ -91,9 +99,14 @@ double PTuckerResult::SecondsPerIteration() const {
 
 PTuckerResult PTuckerDecompose(const SparseTensor& x,
                                const PTuckerOptions& options) {
-  return RunAls(x, options, [&](AlsModel* model) {
-    return std::make_unique<LocalAlsBackend>(x, options, model);
+  std::int64_t slice_layout_bytes = 0;
+  PTuckerResult result = RunAls(x, options, [&](AlsModel* model) {
+    auto backend = std::make_unique<LocalAlsBackend>(x, options, model);
+    slice_layout_bytes = backend->slice_layout_bytes();
+    return backend;
   });
+  result.slice_layout_bytes = slice_layout_bytes;
+  return result;
 }
 
 }  // namespace ptucker

@@ -40,6 +40,11 @@ struct PTuckerResult {
   double final_error = 0.0;
   /// Wall-clock seconds of the whole solve.
   double total_seconds = 0.0;
+  /// Bytes of the slice-ordered copy of Ω the row sweeps read
+  /// (SliceOrderedOmega in core/row_update.h). O(N·|Ω|) and held for the
+  /// whole solve, but a re-layout of the input rather than intermediate
+  /// data, so options.tracker's peak does not include it.
+  std::int64_t slice_layout_bytes = 0;
 
   /// Mean seconds per ALS iteration — the paper's reporting unit
   /// ("average elapsed time per iteration", §IV-A3).

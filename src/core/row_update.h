@@ -2,16 +2,37 @@
 /// \brief The row-wise ALS update (Algorithm 3, Eqs. 9-11) as a shared,
 /// row-subset-capable entry point. P-Tucker's Lemma 1 makes every row of
 /// a mode's factor independent of the others within that mode's update,
-/// so the same kernel serves two callers: the solver sweeps every row of
-/// every mode per iteration, and the streaming ingest pipeline
+/// so the same kernel serves three callers: the solver sweeps every row of
+/// every mode per iteration, the streaming ingest pipeline
 /// (stream/ingest_pipeline.h) re-solves only the rows touched by changed
-/// Ω entries. Both produce bit-identical rows for the same (tensor,
-/// core, factors) state regardless of thread count, scheduling, or
-/// which other rows the call covers.
+/// Ω entries, and each distributed worker solves the rows it owns.
+///
+/// **What the kernel reads.** Row i of A(n) depends on Ω(n, i) alone.
+/// The kernel reads that slice as records, in ascending entry id: the
+/// N−1 coordinates of the other modes (int32), the value and, only for
+/// an engine whose DeltaEngine::UsesEntryIds() is true, the entry id.
+/// For each record it widens the coordinates to int64, calls
+/// DeltaEngine::ComputeDelta and adds δδᵀ to B (Eq. 10) and x·δ to c
+/// (Eq. 11); then it solves Eq. 9.
+///
+/// **Two routes to the records.** The solver builds a SliceOrderedOmega
+/// once per solve: every mode's records, stored in slice order, which
+/// every sweep then reads front to back. The SparseTensor overload of
+/// UpdateFactorRows serves every other caller: the ingest pipeline, whose
+/// Ω changes between flushes and which re-solves few rows; perfbench's
+/// traced solve; and, for now, the distributed workers, which re-solve the
+/// same rows of a fixed shard every iteration and could keep a layout of
+/// their own (an open item in ROADMAP.md). Each thread copies its row's
+/// records out of the tensor's mode index into per-thread scratch. Both
+/// routes hand the kernel the same records in the same order, so they
+/// produce the same rows bit for bit, whatever the thread count, the
+/// schedule or the other rows of the call.
 #ifndef PTUCKER_CORE_ROW_UPDATE_H_
 #define PTUCKER_CORE_ROW_UPDATE_H_
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include <omp.h>
 
@@ -82,17 +103,91 @@ struct RowUpdateOptions {
   int iteration = 1;
 };
 
+/// The records of one slice Ω(n, i), in ascending entry id. Record r has
+/// the coordinates `coords[r·(N−1) .. (r+1)·(N−1))` of the modes other
+/// than n, in ascending mode order, and the value `values[r]`.
+/// `entry_ids` is null unless the layout keeps the id column.
+struct SliceRecords {
+  const std::int32_t* coords = nullptr;     ///< count × (N−1) coordinates
+  const double* values = nullptr;           ///< count observed values
+  const std::int32_t* entry_ids = nullptr;  ///< count entry ids, or null
+  std::int64_t count = 0;                   ///< |Ω(n, i)|
+};
+
+/// Ω stored once per mode in slice order: the row kernel's input for a
+/// whole solve. Mode n holds one record per observed entry (see
+/// SliceRecords), grouped by the mode-n coordinate with int64 slice
+/// offsets; inside a slice the records keep ascending entry id, which is
+/// SparseTensor::Slice's order. The row's own coordinate is the row index,
+/// so it is not stored.
+///
+/// The layout is O(N·|Ω|) state owned by the solve, bytes() of it. Like
+/// the tensor's mode index it is a re-layout of the input, so it is not
+/// intermediate data (Definition 7) and is not charged to a MemoryTracker:
+/// P-Tucker's budgeted intermediate memory stays Theorem 4's O(T·J²).
+/// Coordinates and entry ids are int32, so every mode dimension and |Ω|
+/// must be at most INT32_MAX.
+class SliceOrderedOmega {
+ public:
+  /// Builds the layout of `x` with one scatter pass per mode over `x` in
+  /// entry order, the modes in parallel, after allocating every buffer on
+  /// the calling thread. Keeps the entry-id column when `entry_ids`.
+  /// Throws std::invalid_argument, before allocating, when a dimension or
+  /// |Ω| exceeds INT32_MAX or `x` has no mode index.
+  SliceOrderedOmega(const SparseTensor& x, bool entry_ids);
+
+  /// Bytes of the layout of a tensor with mode dimensions `dims` and
+  /// `nnz` entries: N·nnz·(4(N−1) + 8) + 8·Σ(In + 1), plus N·nnz·4 with
+  /// the entry-id column. Throws std::invalid_argument, naming the mode
+  /// and its size, when a dimension exceeds INT32_MAX, and naming |Ω|
+  /// when `nnz` does.
+  static std::int64_t Bytes(const std::vector<std::int64_t>& dims,
+                            std::int64_t nnz, bool entry_ids);
+
+  /// Tensor order N.
+  std::int64_t order() const { return static_cast<std::int64_t>(dims_.size()); }
+  /// Mode dimension In (the row count of A(n)).
+  std::int64_t dim(std::int64_t mode) const {
+    return dims_[static_cast<std::size_t>(mode)];
+  }
+  /// True when the records carry entry ids.
+  bool has_entry_ids() const { return entry_ids_; }
+  /// Bytes(dims, |Ω|, has_entry_ids()) of this layout.
+  std::int64_t bytes() const { return bytes_; }
+
+  /// The records of Ω(mode, i).
+  SliceRecords Slice(std::int64_t mode, std::int64_t i) const;
+
+ private:
+  /// One mode's records, in slice order. The arrays are left
+  /// uninitialized when allocated: the parallel fill writes every element.
+  struct ModeRecords {
+    std::unique_ptr<std::int64_t[]> offsets;  ///< In + 1 slice boundaries
+    std::unique_ptr<std::int32_t[]> coords;   ///< |Ω| × (N−1) coordinates
+    std::unique_ptr<double[]> values;         ///< |Ω| values
+    std::unique_ptr<std::int32_t[]> ids;      ///< |Ω| entry ids, or null
+  };
+
+  bool entry_ids_;
+  std::int64_t bytes_ = 0;
+  std::vector<std::int64_t> dims_;
+  std::vector<ModeRecords> modes_;
+};
+
 /// Re-solves factor rows of `mode` against the current (core, factors)
 /// state seen through `engine`: for each requested row, accumulates the
 /// Eq. 10/11 normal equations over the row's slice Ω(mode, in), one
 /// DeltaEngine::ComputeDelta per entry in slice order, and solves Eq. 9
 /// (Cholesky with an LU fallback), writing the row into `factor`.
 ///
-/// `rows` selects the subset: `num_rows` row indices (each in
-/// [0, x.dim(mode)), duplicates allowed but wasteful), or nullptr to
-/// update every row of the mode (the full Algorithm 3 sweep; `num_rows`
-/// is then ignored). A row whose slice is empty is set to zero (the
+/// `rows` selects the subset: `num_rows` row indices, each in
+/// [0, dim(mode)), or nullptr to update every row of the mode (the full
+/// Algorithm 3 sweep; `num_rows` is then ignored). A row listed more than
+/// once is solved once. A row whose slice is empty is set to zero (the
 /// regularized minimum).
+///
+/// `omega` must be the layout of the tensor `engine` was built over, with
+/// the entry-id column when `engine.UsesEntryIds()`.
 ///
 /// The caller owns the engine lifecycle hooks: snapshot the factor
 /// first when `engine.WantsFactorSnapshot()` and fire
@@ -103,6 +198,16 @@ struct RowUpdateOptions {
 /// Rows are independent within a mode (Lemma 1), so the parallel loop
 /// is bit-deterministic: the same state and row set produce identical
 /// factor rows at every thread count.
+void UpdateFactorRows(const SliceOrderedOmega& omega, std::int64_t mode,
+                      const std::int64_t* rows, std::int64_t num_rows,
+                      const DeltaEngine& engine, Matrix* factor,
+                      const RowUpdateOptions& options);
+
+/// The same update reading Ω straight from `x` (mode index required): each
+/// thread copies its row's records into per-thread scratch, so no
+/// |Ω|-sized state is built. Bit-identical to the SliceOrderedOmega
+/// overload on the same tensor. Every dimension and |Ω| of `x` must be at
+/// most INT32_MAX.
 void UpdateFactorRows(const SparseTensor& x, std::int64_t mode,
                       const std::int64_t* rows, std::int64_t num_rows,
                       const DeltaEngine& engine, Matrix* factor,

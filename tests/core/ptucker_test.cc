@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/reconstruction.h"
+#include "core/row_update.h"
 #include "data/lowrank.h"
 #include "data/synthetic.h"
 #include "linalg/qr.h"
@@ -204,6 +205,26 @@ TEST(PTuckerTest, MemoryScratchTrackedAsTJ2) {
   EXPECT_LT(tracker.peak_bytes(),
             x.nnz() * 27 * static_cast<std::int64_t>(sizeof(double)));
   EXPECT_EQ(tracker.current_bytes(), 0);
+}
+
+TEST(PTuckerTest, SliceLayoutStaysOutOfTheIntermediateBudget) {
+  // The row sweeps' slice-ordered Ω is a re-layout of the input, not
+  // intermediate data: the result reports its bytes, and a budget that
+  // fits Theorem 4's scratch but not the layout still runs, bit for bit.
+  SparseTensor x = SmallTensor(17, 900);
+  PTuckerOptions options = SmallOptions();
+  options.num_threads = 2;
+  MemoryTracker unlimited;
+  options.tracker = &unlimited;
+  const PTuckerResult free_run = PTuckerDecompose(x, options);
+  EXPECT_EQ(free_run.slice_layout_bytes,
+            SliceOrderedOmega::Bytes(x.dims(), x.nnz(), false));
+  ASSERT_GT(free_run.slice_layout_bytes, unlimited.peak_bytes());
+  MemoryTracker tight(unlimited.peak_bytes());
+  options.tracker = &tight;
+  const PTuckerResult budgeted = PTuckerDecompose(x, options);
+  EXPECT_EQ(budgeted.final_error, free_run.final_error);
+  EXPECT_EQ(tight.peak_bytes(), unlimited.peak_bytes());
 }
 
 TEST(PTuckerTest, TraceRecordsCoreNnzAndTimes) {
