@@ -131,7 +131,7 @@ PTuckerResult RunAls(const SparseTensor& x, const PTuckerOptions& options,
   OmpEnvironmentGuard omp_guard(threads, options.scheduling);
 
   AlsModel model = InitAlsModel(x, options);
-  const std::unique_ptr<AlsBackend> backend = make_backend(&model);
+  std::unique_ptr<AlsBackend> backend = make_backend(&model);
 
   // Intermediate data of the default variant: per-thread B, c, δ and the
   // solved row (J²+3J) — the O(T J²) of Theorem 4. (The truncation
@@ -231,12 +231,24 @@ PTuckerResult RunAls(const SparseTensor& x, const PTuckerOptions& options,
     }
   }
 
+  // --- Wrap-up. The backend (the local one's engine and slice-ordered Ω)
+  // is released first: the wrap-up holds only the model. ---
+  backend.reset();
+
   // --- Orthogonalize and fold R into the core (lines 8-11). ---
   if (options.orthogonalize_output) {
+    PTUCKER_TRACE_SPAN("als.orthogonalize");
     OrthogonalizeFactors(&model.factors, &model.core);
     model.core_list = CoreEntryList(model.core);
   }
-  result.final_error = ReconstructionError(x, model.core_list, model.factors);
+
+  // --- Error of the output model, through the entry-major oracle (its
+  // batched scan), whichever engine ran the loop. ---
+  {
+    PTUCKER_TRACE_SPAN("als.final_error");
+    result.final_error =
+        ReconstructionError(x, model.core_list, model.factors);
+  }
   result.model.factors = std::move(model.factors);
   result.model.core = std::move(model.core);
   result.total_seconds = total_clock.ElapsedSeconds();

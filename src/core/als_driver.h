@@ -87,10 +87,15 @@ using AlsBackendFactory =
 /// Runs P-Tucker (Algorithm 2) over the backend `make_backend` builds:
 /// validates (std::invalid_argument), initializes, iterates until the
 /// relative error change falls below options.tolerance or
-/// options.max_iterations is reached, and orthogonalizes. Each
-/// iteration's error is √(FoldLaneSums of the backend's lanes), which is
+/// options.max_iterations is reached, then wraps up. Each iteration's
+/// error is √(FoldLaneSums of the backend's lanes), which is
 /// ReconstructionError bit for bit. Throws std::runtime_error naming the
-/// iteration when that error is NaN or Inf.
+/// iteration when that error is NaN or Inf. The wrap-up releases the
+/// backend, orthogonalizes (spans `als.orthogonalize`) and computes
+/// final_error (`als.final_error`) as ReconstructionError(x, core,
+/// factors) of the output model: the entry-major oracle's batched scan,
+/// the same bits whichever engine ran the loop, with nothing charged to
+/// options.tracker.
 PTuckerResult RunAls(const SparseTensor& x, const PTuckerOptions& options,
                      const AlsBackendFactory& make_backend);
 

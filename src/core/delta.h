@@ -81,6 +81,18 @@ double ReconstructFromList(const CoreEntryList& core,
                            const std::vector<FactorView>& factors,
                            const std::int64_t* entry_index);
 
+/// ReconstructFromList for `count` entries at once, bit for bit:
+/// out[i] = ReconstructFromList(core, factors, indices[i]). The entries go
+/// through in blocks of 16 whose factor rows are first transposed into
+/// scratch, so one pass over the list advances every entry of a block
+/// side by side (independent sums, contiguous operands) while each entry
+/// keeps the scalar scan's multiply order and list-order sum. Nothing is
+/// reassociated.
+void ReconstructFromList(const CoreEntryList& core,
+                         const std::vector<FactorView>& factors,
+                         std::int64_t count, const std::int64_t* const* indices,
+                         double* out);
+
 }  // namespace ptucker
 
 #endif  // PTUCKER_CORE_DELTA_H_

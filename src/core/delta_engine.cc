@@ -44,6 +44,12 @@ double DeltaEngine::Reconstruct(const std::int64_t* entry_index) const {
   return ReconstructFromList(core(), factors(), entry_index);
 }
 
+void DeltaEngine::ReconstructBatch(std::int64_t count,
+                                   const std::int64_t* const* indices,
+                                   double* out) const {
+  for (std::int64_t i = 0; i < count; ++i) out[i] = Reconstruct(indices[i]);
+}
+
 double DeltaEngine::DesignDot(const std::int64_t* entry_index,
                               const double* g) const {
   const CoreEntryList& list = core();
@@ -105,6 +111,12 @@ void NaiveDeltaEngine::ComputeDelta(std::int64_t /*entry*/,
                                     const std::int64_t* entry_index,
                                     std::int64_t mode, double* delta) const {
   ptucker::ComputeDelta(core(), factors(), entry_index, mode, delta);
+}
+
+void NaiveDeltaEngine::ReconstructBatch(std::int64_t count,
+                                        const std::int64_t* const* indices,
+                                        double* out) const {
+  ReconstructFromList(core(), factors(), count, indices, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -519,6 +531,12 @@ void CachedDeltaEngine::ComputeDelta(std::int64_t entry,
   }
   table_->ComputeDeltaCached(core(), factors(), entry, entry_index, mode,
                              delta);
+}
+
+void CachedDeltaEngine::ReconstructBatch(std::int64_t count,
+                                         const std::int64_t* const* indices,
+                                         double* out) const {
+  ReconstructFromList(core(), factors(), count, indices, out);
 }
 
 void CachedDeltaEngine::OnFactorUpdated(std::int64_t mode,

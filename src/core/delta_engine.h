@@ -50,7 +50,8 @@ namespace ptucker {
 /// engine's memo arrays) stay consistent.
 ///
 /// Every consumer calls the per-entry kernels (ComputeDelta, Reconstruct,
-/// the design ops). Adding another engine means subclassing DeltaEngine,
+/// the design ops), except the residual sums, which reconstruct through
+/// ReconstructBatch. Adding another engine means subclassing DeltaEngine,
 /// overriding ComputeDelta (plus any other per-entry kernel worth
 /// specializing), handling the three hooks, and
 /// wiring a new enumerator through DeltaEngineChoice + DeltaEngineCatalog()
@@ -107,6 +108,14 @@ class DeltaEngine {
 
   /// Full reconstruction x̂_α (Eq. 4) at arbitrary coordinates.
   virtual double Reconstruct(const std::int64_t* entry_index) const;
+
+  /// out[i] = Reconstruct(indices[i]) for `count` coordinate arrays, bit
+  /// for bit. The default calls Reconstruct per entry; the engines whose
+  /// Reconstruct is the entry-major list scan run the batched
+  /// ReconstructFromList instead.
+  virtual void ReconstructBatch(std::int64_t count,
+                                const std::int64_t* const* indices,
+                                double* out) const;
 
   /// Σ_b g[b] · Π_k A(k)(ik, jk) — one row of the core-update design
   /// matrix P applied to `g` (list order). Note: excludes G_β.
@@ -166,6 +175,8 @@ class NaiveDeltaEngine final : public DeltaEngine {
 
   void ComputeDelta(std::int64_t entry, const std::int64_t* entry_index,
                     std::int64_t mode, double* delta) const override;
+  void ReconstructBatch(std::int64_t count, const std::int64_t* const* indices,
+                        double* out) const override;
 };
 
 /// Mode-major layout: one reordered copy of the core entries per mode,
@@ -298,6 +309,8 @@ class CachedDeltaEngine final : public DeltaEngine {
 
   void ComputeDelta(std::int64_t entry, const std::int64_t* entry_index,
                     std::int64_t mode, double* delta) const override;
+  void ReconstructBatch(std::int64_t count, const std::int64_t* const* indices,
+                        double* out) const override;
 
   bool WantsFactorSnapshot() const override { return true; }
   bool UsesEntryIds() const override { return true; }

@@ -36,7 +36,10 @@ struct PTuckerResult {
   std::vector<IterationStats> iterations;
   /// True if the error converged before max_iterations.
   bool converged = false;
-  /// Reconstruction error (Eq. 5) of the returned model on the input.
+  /// Reconstruction error (Eq. 5) of the returned model on the input:
+  /// ReconstructionError(x, model.core, model.factors) bit for bit,
+  /// computed by the entry-major oracle after the solve's engine is
+  /// released, whichever engine ran the loop.
   double final_error = 0.0;
   /// Wall-clock seconds of the whole solve.
   double total_seconds = 0.0;

@@ -1,5 +1,6 @@
 #include "core/reconstruction.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/delta_engine.h"
@@ -22,12 +23,27 @@ double SquaredResidualSum(const SparseTensor& x, const DeltaEngine& engine) {
 void SquaredResidualLaneSums(const SparseTensor& x, const DeltaEngine& engine,
                              std::int64_t lane_begin, std::int64_t lane_end,
                              double* lane_sums) {
-  DeterministicParallelLaneSums(
-      x.nnz(), lane_begin, lane_end, lane_sums, [&] {
-        return [&](std::int64_t e, double* local) {
-          const double residual = x.value(e) - engine.Reconstruct(x.index(e));
-          *local += residual * residual;
-        };
+  // x̂ through ReconstructBatch, kChunk entries at a time; the residuals
+  // are still added one by one in entry order.
+  constexpr std::int64_t kChunk = 256;
+  DeterministicParallelLaneRanges(
+      x.nnz(), lane_begin, lane_end, lane_sums,
+      [&](std::int64_t begin, std::int64_t end) {
+        const std::int64_t* indices[kChunk];
+        double x_hat[kChunk];
+        double sum = 0.0;
+        for (std::int64_t first = begin; first < end; first += kChunk) {
+          const std::int64_t count = std::min(kChunk, end - first);
+          for (std::int64_t i = 0; i < count; ++i) {
+            indices[i] = x.index(first + i);
+          }
+          engine.ReconstructBatch(count, indices, x_hat);
+          for (std::int64_t i = 0; i < count; ++i) {
+            const double residual = x.value(first + i) - x_hat[i];
+            sum += residual * residual;
+          }
+        }
+        return sum;
       });
 }
 

@@ -10,8 +10,9 @@
 /// computes exactly the partials the single-process fold consumes, so a
 /// coordinator that gathers all lanes and folds them in lane order
 /// reproduces the one-process sum bit for bit (src/distributed/proc/).
-/// Every sum here goes through the two lane-sum primitives and the two
-/// folds, so all of them share one partition/combine implementation.
+/// Every sum here goes through the scalar lane-range primitive or the
+/// vector lane-sum primitive and the two folds, so all of them share one
+/// partition/combine implementation.
 #ifndef PTUCKER_UTIL_PARALLEL_H_
 #define PTUCKER_UTIL_PARALLEL_H_
 
@@ -39,6 +40,25 @@ inline constexpr std::int64_t ReductionLaneBegin(std::int64_t n,
   return n * lane / kReductionLanes;
 }
 
+/// The primitive under DeterministicParallelLaneSums: lane l of
+/// [lane_begin, lane_end) stores `lane_partial(begin, end)` at
+/// `lane_sums[l − lane_begin]`, where [begin, end) is the lane's index
+/// range. `lane_partial` must accumulate its range in index order from
+/// +0.0, so each partial depends only on (n, lane, the summed terms).
+/// Lanes run in parallel.
+template <typename LanePartialFn>
+void DeterministicParallelLaneRanges(std::int64_t n, std::int64_t lane_begin,
+                                     std::int64_t lane_end, double* lane_sums,
+                                     LanePartialFn&& lane_partial) {
+  const std::int64_t lanes = lane_end - lane_begin;
+#pragma omp parallel for schedule(static)
+  for (std::int64_t l = 0; l < lanes; ++l) {
+    const std::int64_t lane = lane_begin + l;
+    lane_sums[static_cast<std::size_t>(l)] = lane_partial(
+        ReductionLaneBegin(n, lane), ReductionLaneBegin(n, lane + 1));
+  }
+}
+
 /// Fills `lane_sums[0 .. lane_end-lane_begin)` with the per-lane partial
 /// sums of lanes [lane_begin, lane_end): lane l covers indices
 /// [ReductionLaneBegin(n, l), ReductionLaneBegin(n, l+1)), accumulated in
@@ -53,17 +73,14 @@ template <typename WorkerFactory>
 void DeterministicParallelLaneSums(std::int64_t n, std::int64_t lane_begin,
                                    std::int64_t lane_end, double* lane_sums,
                                    WorkerFactory&& make_worker) {
-  const std::int64_t lanes = lane_end - lane_begin;
-#pragma omp parallel for schedule(static)
-  for (std::int64_t l = 0; l < lanes; ++l) {
-    const std::int64_t lane = lane_begin + l;
-    double local = 0.0;
-    auto worker = make_worker();
-    const std::int64_t begin = ReductionLaneBegin(n, lane);
-    const std::int64_t end = ReductionLaneBegin(n, lane + 1);
-    for (std::int64_t i = begin; i < end; ++i) worker(i, &local);
-    lane_sums[static_cast<std::size_t>(l)] = local;
-  }
+  DeterministicParallelLaneRanges(
+      n, lane_begin, lane_end, lane_sums,
+      [&make_worker](std::int64_t begin, std::int64_t end) {
+        double local = 0.0;
+        auto worker = make_worker();
+        for (std::int64_t i = begin; i < end; ++i) worker(i, &local);
+        return local;
+      });
 }
 
 /// Vector-valued counterpart of DeterministicParallelLaneSums: lane l's

@@ -26,6 +26,7 @@
 #include "core/reconstruction.h"
 #include "core/truncation.h"
 #include "data/synthetic.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace ptucker {
@@ -646,6 +647,31 @@ TEST(DeltaEngineTest, BatchedMetricsMatchPerEntryBitForBit) {
       EXPECT_EQ(pred[i],
                 mode_major.Reconstruct(s.x.index(static_cast<std::int64_t>(i))))
           << "threads " << threads << " entry " << i;
+    }
+  }
+}
+
+TEST(DeltaEngineTest, ResidualSumsMatchPerEntryReconstruct) {
+  // SquaredResidualLaneSums reconstructs through ReconstructBatch; every
+  // engine's lane partials must equal the per-entry Reconstruct sums.
+  Ctx s = MakeCtx(4, 3, 43);
+  for (const DeltaEngineChoice choice :
+       {DeltaEngineChoice::kNaive, DeltaEngineChoice::kModeMajor,
+        DeltaEngineChoice::kCached, DeltaEngineChoice::kContraction}) {
+    const std::unique_ptr<DeltaEngine> engine =
+        MakeDeltaEngine(choice, s.x, s.list, s.factors, nullptr);
+    double lane_sums[kReductionLanes];
+    SquaredResidualLaneSums(s.x, *engine, 0, kReductionLanes, lane_sums);
+    for (std::int64_t lane = 0; lane < kReductionLanes; ++lane) {
+      double expected = 0.0;
+      for (std::int64_t e = ReductionLaneBegin(s.x.nnz(), lane);
+           e < ReductionLaneBegin(s.x.nnz(), lane + 1); ++e) {
+        const double residual =
+            s.x.value(e) - engine->Reconstruct(s.x.index(e));
+        expected += residual * residual;
+      }
+      EXPECT_EQ(std::memcmp(&expected, &lane_sums[lane], sizeof(double)), 0)
+          << engine->name() << ", lane " << lane;
     }
   }
 }

@@ -1,5 +1,7 @@
 #include "core/delta.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "util/random.h"
@@ -150,6 +152,61 @@ TEST(ReconstructFromListTest, MatchesEq4) {
     }
     EXPECT_NEAR(ReconstructFromList(list, MakeFactorViews(factors), entry),
                 via_delta, 1e-12);
+  }
+}
+
+TEST(ReconstructFromListTest, BatchIsBitIdenticalToPerEntryScan) {
+  // Orders 1-5, uneven ranks, signed values, a core with holes, and
+  // counts around the block size: every x̂ has the scalar scan's bits.
+  Rng rng(8);
+  for (std::int64_t order = 1; order <= 5; ++order) {
+    std::vector<std::int64_t> dims;
+    std::vector<std::int64_t> ranks;
+    for (std::int64_t k = 0; k < order; ++k) {
+      dims.push_back(7 + k);
+      ranks.push_back(1 + (k + order) % 4);
+    }
+    DenseTensor core(ranks);
+    for (std::int64_t i = 0; i < core.size(); ++i) {
+      core[i] = i % 5 == 3 ? 0.0 : rng.Uniform() - 0.5;
+    }
+    std::vector<Matrix> factors;
+    for (std::int64_t k = 0; k < order; ++k) {
+      Matrix factor(dims[static_cast<std::size_t>(k)],
+                    ranks[static_cast<std::size_t>(k)]);
+      for (std::int64_t i = 0; i < factor.size(); ++i) {
+        factor.data()[i] = (rng.Uniform() - 0.5) * (1.0 + 1e3 * (i % 3));
+      }
+      factors.push_back(std::move(factor));
+    }
+    const CoreEntryList list(core);
+    const std::vector<FactorView> views = MakeFactorViews(factors);
+    for (std::int64_t count : {0, 1, 15, 16, 17, 53}) {
+      std::vector<std::int64_t> coords(
+          static_cast<std::size_t>(count * order));
+      std::vector<const std::int64_t*> indices;
+      for (std::int64_t e = 0; e < count; ++e) {
+        for (std::int64_t k = 0; k < order; ++k) {
+          coords[static_cast<std::size_t>(e * order + k)] =
+              static_cast<std::int64_t>(
+                  rng.UniformInt(static_cast<std::uint64_t>(
+                      dims[static_cast<std::size_t>(k)])));
+        }
+      }
+      for (std::int64_t e = 0; e < count; ++e) {
+        indices.push_back(coords.data() + e * order);
+      }
+      std::vector<double> batch(static_cast<std::size_t>(count), -1.0);
+      ReconstructFromList(list, views, count, indices.data(), batch.data());
+      for (std::int64_t e = 0; e < count; ++e) {
+        const double scalar = ReconstructFromList(
+            list, views, indices[static_cast<std::size_t>(e)]);
+        const double batched = batch[static_cast<std::size_t>(e)];
+        EXPECT_EQ(std::memcmp(&scalar, &batched, sizeof(double)), 0)
+            << "order " << order << ", count " << count << ", entry " << e
+            << ": " << scalar << " vs " << batched;
+      }
+    }
   }
 }
 

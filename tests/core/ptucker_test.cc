@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -109,13 +110,79 @@ TEST(PTuckerTest, OutputFactorsOrthonormal) {
   }
 }
 
+// The engine and variant grid the wrap-up (orthogonalize, final error) is
+// checked over, each at 1 and 2 threads.
+struct WrapUpConfig {
+  const char* name;
+  DeltaEngineChoice engine;
+  PTuckerVariant variant;
+  bool update_core;
+  bool orthogonalize;
+};
+
+constexpr WrapUpConfig kWrapUpConfigs[] = {
+    {"auto", DeltaEngineChoice::kAuto, PTuckerVariant::kMemory, false, true},
+    {"naive", DeltaEngineChoice::kNaive, PTuckerVariant::kMemory, false, true},
+    {"modemajor", DeltaEngineChoice::kModeMajor, PTuckerVariant::kMemory,
+     false, true},
+    {"cache", DeltaEngineChoice::kCached, PTuckerVariant::kMemory, false,
+     true},
+    {"approx", DeltaEngineChoice::kAuto, PTuckerVariant::kApprox, false, true},
+    {"approx+naive", DeltaEngineChoice::kNaive, PTuckerVariant::kApprox, false,
+     true},
+    {"update_core", DeltaEngineChoice::kAuto, PTuckerVariant::kMemory, true,
+     true},
+    {"no orthogonalize", DeltaEngineChoice::kAuto, PTuckerVariant::kMemory,
+     false, false},
+};
+
+PTuckerOptions WrapUpOptions(const WrapUpConfig& config, int threads) {
+  PTuckerOptions options = SmallOptions();
+  options.delta_engine = config.engine;
+  options.variant = config.variant;
+  options.update_core = config.update_core;
+  options.orthogonalize_output = config.orthogonalize;
+  options.num_threads = threads;
+  return options;
+}
+
 TEST(PTuckerTest, FinalErrorMatchesModel) {
+  // Bit for bit the naive oracle's error of the returned model, whichever
+  // engine ran the loop.
   SparseTensor x = SmallTensor(7);
-  PTuckerResult result = PTuckerDecompose(x, SmallOptions());
-  EXPECT_NEAR(result.final_error,
-              ReconstructionError(x, result.model.core,
-                                  result.model.factors),
-              1e-9);
+  for (const WrapUpConfig& config : kWrapUpConfigs) {
+    for (int threads : {1, 2}) {
+      SCOPED_TRACE(std::string(config.name) + ", " +
+                   std::to_string(threads) + " threads");
+      const PTuckerResult result =
+          PTuckerDecompose(x, WrapUpOptions(config, threads));
+      EXPECT_EQ(result.final_error,
+                ReconstructionError(x, result.model.core,
+                                    result.model.factors));
+    }
+  }
+}
+
+TEST(PTuckerTest, WrapUpChargesNothingAboveTheLoop) {
+  // The wrap-up scores the output model through the naive oracle, which
+  // charges nothing, so the solve's tracked peak is the loop's, and
+  // nothing stays charged.
+  SparseTensor x = SmallTensor(23);
+  for (const WrapUpConfig& config : kWrapUpConfigs) {
+    for (int threads : {1, 2}) {
+      SCOPED_TRACE(std::string(config.name) + ", " +
+                   std::to_string(threads) + " threads");
+      MemoryTracker tracker;
+      PTuckerOptions options = WrapUpOptions(config, threads);
+      options.tracker = &tracker;
+      const PTuckerResult result = PTuckerDecompose(x, options);
+      ASSERT_FALSE(result.iterations.empty());
+      EXPECT_GT(tracker.peak_bytes(), 0);
+      EXPECT_EQ(tracker.peak_bytes(),
+                result.iterations.back().peak_intermediate_bytes);
+      EXPECT_EQ(tracker.current_bytes(), 0);
+    }
+  }
 }
 
 TEST(PTuckerTest, RecoversPlantedLowRankStructure) {

@@ -54,17 +54,23 @@ TEST(DistTraceTest, ForkedWorkersShipSpansPerRankWithoutPerturbingSolve) {
 
   // Spans arrived from at least 2 distinct worker ranks (pid = rank + 1;
   // pid 0 is the coordinator), and they carry the dist.* phase names.
+  // The coordinator records the driver's spans, the wrap-up included.
   std::set<int> worker_pids;
   std::set<std::string> worker_span_names;
+  std::set<std::string> coordinator_span_names;
   for (const obs::TraceEvent& event : events) {
     if (event.pid > 0) {
       worker_pids.insert(event.pid);
       worker_span_names.insert(event.name);
+    } else {
+      coordinator_span_names.insert(event.name);
     }
   }
   EXPECT_GE(worker_pids.size(), 2u);
   EXPECT_NE(worker_span_names.count("dist.row_solve"), 0u);
   EXPECT_NE(worker_span_names.count("dist.row_exchange"), 0u);
+  EXPECT_NE(coordinator_span_names.count("als.orthogonalize"), 0u);
+  EXPECT_NE(coordinator_span_names.count("als.final_error"), 0u);
 
   // Tracing never touches the numbers: bit-equal to the untraced
   // single-process trajectory.

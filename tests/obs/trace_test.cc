@@ -175,6 +175,8 @@ TEST(ObsTraceTest, SolveTrajectoryBitIdenticalTracingOnVsOff) {
 
   EXPECT_TRUE(ContainsName(events, "als.iteration"));
   EXPECT_TRUE(ContainsName(events, "als.factor_update"));
+  EXPECT_TRUE(ContainsName(events, "als.orthogonalize"));
+  EXPECT_TRUE(ContainsName(events, "als.final_error"));
 
   ASSERT_EQ(off.iterations.size(), on.iterations.size());
   for (std::size_t i = 0; i < off.iterations.size(); ++i) {
