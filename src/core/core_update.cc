@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "core/delta_engine.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -18,26 +17,47 @@ double VecDot(const std::vector<double>& a, const std::vector<double>& b) {
 
 }  // namespace
 
-void DesignLanePartials(const SparseTensor& x, const DeltaEngine& engine,
+void DesignLanePartials(const SparseTensor& x, const CoreEntryList& core_list,
+                        const std::vector<Matrix>& factors,
                         bool residual_from_x, const std::vector<double>& input,
                         std::int64_t lane_begin, std::int64_t lane_end,
                         double* lane_sums) {
-  struct Worker {
-    const SparseTensor* x;
-    const DeltaEngine* engine;
-    const double* input;
-    bool residual_from_x;
-    void operator()(std::int64_t e, double* local) {
-      double y = engine->DesignDot(x->index(e), input);
-      if (residual_from_x) y = x->value(e) - y;
-      if (y == 0.0) return;
-      engine->DesignAccumulate(x->index(e), y, local);
-    }
-    void Flush(double* /*local*/) {}
-  };
+  const std::int64_t order = core_list.order();
+  const std::int64_t n_core = core_list.size();
+  PTUCKER_CHECK(static_cast<std::int64_t>(factors.size()) == order);
+  PTUCKER_CHECK(static_cast<std::int64_t>(input.size()) == n_core);
+  // One design row per entry: each P(α, β) is computed once, into
+  // `design`, as the running product from 1.0 in ascending mode order,
+  // then read twice — y = Σ_b input[b]·P(α, β) in list order, and
+  // local[b] += y·P(α, β).
   DeterministicParallelVectorLaneSums(
-      x.nnz(), input.size(), lane_begin, lane_end, lane_sums,
-      [&] { return Worker{&x, &engine, input.data(), residual_from_x}; });
+      x.nnz(), input.size(), lane_begin, lane_end, lane_sums, [&] {
+        return [&, rows = std::vector<const double*>(
+                       static_cast<std::size_t>(order)),
+                design = std::vector<double>(static_cast<std::size_t>(
+                    n_core))](std::int64_t e, double* local) mutable {
+          const std::int64_t* index = x.index(e);
+          for (std::int64_t k = 0; k < order; ++k) {
+            rows[static_cast<std::size_t>(k)] =
+                factors[static_cast<std::size_t>(k)].Row(index[k]);
+          }
+          const double* const* row = rows.data();
+          double* p = design.data();
+          double y = 0.0;
+          for (std::int64_t b = 0; b < n_core; ++b) {
+            const std::int32_t* beta = core_list.index(b);
+            double product = 1.0;
+            for (std::int64_t k = 0; k < order; ++k) {
+              product *= row[k][beta[k]];
+            }
+            p[b] = product;
+            y += input[static_cast<std::size_t>(b)] * product;
+          }
+          if (residual_from_x) y = x.value(e) - y;
+          if (y == 0.0) return;
+          for (std::int64_t b = 0; b < n_core; ++b) local[b] += y * p[b];
+        };
+      });
 }
 
 std::vector<double> RunCoreCg(const DesignLaneFill& fill_lanes, double lambda,
@@ -119,14 +139,12 @@ void StoreCoreValues(const std::vector<double>& g, DenseTensor* core,
 void UpdateCoreTensor(const SparseTensor& x, DenseTensor* core,
                       CoreEntryList* core_list,
                       const std::vector<Matrix>& factors, double lambda,
-                      int cg_iterations, const DeltaEngine* engine) {
+                      int cg_iterations) {
   PTUCKER_CHECK(core != nullptr && core_list != nullptr);
-  const NaiveDeltaEngine fallback(*core_list, factors);
-  const DeltaEngine& design = engine != nullptr ? *engine : fallback;
   RunCoreCg(
       [&](bool residual_from_x, const std::vector<double>& input,
           double* lane_sums) {
-        DesignLanePartials(x, design, residual_from_x, input, 0,
+        DesignLanePartials(x, *core_list, factors, residual_from_x, input, 0,
                            kReductionLanes, lane_sums);
       },
       lambda, cg_iterations, core, core_list);

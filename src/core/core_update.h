@@ -1,8 +1,8 @@
 /// \file
 /// \brief Core-tensor refit extension (the paper's future-work direction):
 /// regularized least-squares update of the nonzero core values by
-/// matrix-free conjugate gradients, with the design-row products streamed
-/// through a DeltaEngine (DesignDot / DesignAccumulate).
+/// matrix-free conjugate gradients over one entry-major design-product
+/// scan (DesignLanePartials).
 #ifndef PTUCKER_CORE_CORE_UPDATE_H_
 #define PTUCKER_CORE_CORE_UPDATE_H_
 
@@ -15,8 +15,6 @@
 #include "tensor/sparse_tensor.h"
 
 namespace ptucker {
-
-class DeltaEngine;
 
 /// Extension of the paper (its future-work direction of improving the fit
 /// beyond a fixed random core): re-fits the nonzero core entries to the
@@ -32,14 +30,13 @@ class DeltaEngine;
 /// `core_list` in place. The loss (Eq. 6) never increases: CG starts from
 /// the current g, so every accepted iterate is at least as good.
 ///
-/// The design-row products stream through `engine` when given (else an
-/// entry-major scan). The caller still owns the engine's consistency:
-/// invoke OnCoreValuesChanged() after this returns, since the list's
-/// values were refreshed.
+/// The design products run through DesignLanePartials. A caller holding
+/// a DeltaEngine over `core_list` must invoke its OnCoreValuesChanged()
+/// after this returns, since the list's values were refreshed.
 void UpdateCoreTensor(const SparseTensor& x, DenseTensor* core,
                       CoreEntryList* core_list,
                       const std::vector<Matrix>& factors, double lambda,
-                      int cg_iterations, const DeltaEngine* engine = nullptr);
+                      int cg_iterations);
 
 /// Fills the kReductionLanes × |input| per-lane partials of a design
 /// product, laid out like DesignLanePartials over every lane: of
@@ -71,7 +68,16 @@ std::vector<double> RunCoreCg(const DesignLaneFill& fill_lanes, double lambda,
 /// reproduces the single-process product bit for bit, which is how a
 /// distributed worker's gathered partials stay exact (the worker ships
 /// raw lane partials, never a locally pre-folded sum).
-void DesignLanePartials(const SparseTensor& x, const DeltaEngine& engine,
+///
+/// This is the one implementation of the design products, whatever
+/// δ-engine the solve runs: an entry-major scan of `core_list` that forms
+/// each P(α, β) = Π_k A(k)(ik, βk) once per entry (a running product from
+/// 1.0 in ascending mode order), sums (P·input)_α over the list in list
+/// order, and adds y_α·P(α, β) per entry. These are the naive entry-major
+/// scan's bits, so a core refit does not depend on the engine choice.
+/// `input` holds |G| = core_list.size() values.
+void DesignLanePartials(const SparseTensor& x, const CoreEntryList& core_list,
+                        const std::vector<Matrix>& factors,
                         bool residual_from_x, const std::vector<double>& input,
                         std::int64_t lane_begin, std::int64_t lane_end,
                         double* lane_sums);

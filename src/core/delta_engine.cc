@@ -50,40 +50,6 @@ void DeltaEngine::ReconstructBatch(std::int64_t count,
   for (std::int64_t i = 0; i < count; ++i) out[i] = Reconstruct(indices[i]);
 }
 
-double DeltaEngine::DesignDot(const std::int64_t* entry_index,
-                              const double* g) const {
-  const CoreEntryList& list = core();
-  const std::vector<FactorView>& f = factors();
-  const std::int64_t order = list.order();
-  const std::int64_t n_entries = list.size();
-  double sum = 0.0;
-  for (std::int64_t b = 0; b < n_entries; ++b) {
-    const std::int32_t* beta = list.index(b);
-    double product = 1.0;
-    for (std::int64_t k = 0; k < order; ++k) {
-      product *= f[static_cast<std::size_t>(k)](entry_index[k], beta[k]);
-    }
-    sum += g[b] * product;
-  }
-  return sum;
-}
-
-void DeltaEngine::DesignAccumulate(const std::int64_t* entry_index,
-                                   double scale, double* z) const {
-  const CoreEntryList& list = core();
-  const std::vector<FactorView>& f = factors();
-  const std::int64_t order = list.order();
-  const std::int64_t n_entries = list.size();
-  for (std::int64_t b = 0; b < n_entries; ++b) {
-    const std::int32_t* beta = list.index(b);
-    double product = 1.0;
-    for (std::int64_t k = 0; k < order; ++k) {
-      product *= f[static_cast<std::size_t>(k)](entry_index[k], beta[k]);
-    }
-    z[b] += scale * product;
-  }
-}
-
 void DeltaEngine::DeltaBatch(std::int64_t count, const std::int64_t* entries,
                              const std::int64_t* const* entry_indices,
                              std::int64_t mode, double* deltas) const {
@@ -161,7 +127,6 @@ std::int64_t ModeMajorDeltaEngine::GroupedBytes() const {
     bytes += static_cast<std::int64_t>(sizeof(std::int32_t)) * n_entries *
              (order - 1);
     bytes += static_cast<std::int64_t>(sizeof(double)) * n_entries;
-    bytes += static_cast<std::int64_t>(sizeof(std::int32_t)) * n_entries;
   }
   return bytes;
 }
@@ -191,7 +156,6 @@ void ModeMajorDeltaEngine::BuildViews() {
 
     view.cols.resize(static_cast<std::size_t>(n_entries * width));
     view.values.resize(static_cast<std::size_t>(n_entries));
-    view.list_pos.resize(static_cast<std::size_t>(n_entries));
     std::vector<std::int64_t> cursor(view.offsets.begin(),
                                      view.offsets.end() - 1);
     for (std::int64_t b = 0; b < n_entries; ++b) {
@@ -204,8 +168,6 @@ void ModeMajorDeltaEngine::BuildViews() {
         col[w++] = beta[k];
       }
       view.values[static_cast<std::size_t>(t)] = list.value(b);
-      view.list_pos[static_cast<std::size_t>(t)] =
-          static_cast<std::int32_t>(b);
     }
   }
   BuildLanes();
@@ -395,119 +357,13 @@ double ModeMajorDeltaEngine::Reconstruct(
   return sum;
 }
 
-double ModeMajorDeltaEngine::DesignDot(const std::int64_t* entry_index,
-                                       const double* g) const {
-  const ModeView& view = views_[0];
-  const std::int64_t order = core().order();
-  const std::int64_t width = order - 1;
-  const std::int64_t rank = factors()[0].cols();
-  const double* rows[kMaxOrder];
-  GatherRows(factors(), entry_index, order, /*skip=*/0, rows);
-  const double* coefficients = factors()[0].Row(entry_index[0]);
-  double sum = 0.0;
-  for (std::int64_t j = 0; j < rank; ++j) {
-    const double coefficient = coefficients[j];
-    if (coefficient == 0.0) continue;  // group-level skip
-    const std::int64_t begin = view.offsets[static_cast<std::size_t>(j)];
-    const std::int64_t end = view.offsets[static_cast<std::size_t>(j + 1)];
-    const std::int32_t* col = view.cols.data() + begin * width;
-    double group = 0.0;
-    for (std::int64_t t = begin; t < end; ++t, col += width) {
-      double product = coefficient;
-      for (std::int64_t w = 0; w < width; ++w) {
-        product *= rows[w][col[w]];
-      }
-      group += g[view.list_pos[static_cast<std::size_t>(t)]] * product;
-    }
-    sum += group;
-  }
-  return sum;
-}
-
-void ModeMajorDeltaEngine::DesignAccumulate(const std::int64_t* entry_index,
-                                            double scale, double* z) const {
-  const ModeView& view = views_[0];
-  const std::int64_t order = core().order();
-  const std::int64_t width = order - 1;
-  const std::int64_t rank = factors()[0].cols();
-  const double* rows[kMaxOrder];
-  GatherRows(factors(), entry_index, order, /*skip=*/0, rows);
-  const double* coefficients = factors()[0].Row(entry_index[0]);
-  for (std::int64_t j = 0; j < rank; ++j) {
-    const double coefficient = coefficients[j];
-    if (coefficient == 0.0) continue;  // group-level skip: adds exact zeros
-    const std::int64_t begin = view.offsets[static_cast<std::size_t>(j)];
-    const std::int64_t end = view.offsets[static_cast<std::size_t>(j + 1)];
-    const std::int32_t* col = view.cols.data() + begin * width;
-    for (std::int64_t t = begin; t < end; ++t, col += width) {
-      double product = coefficient;
-      for (std::int64_t w = 0; w < width; ++w) {
-        product *= rows[w][col[w]];
-      }
-      z[view.list_pos[static_cast<std::size_t>(t)]] += scale * product;
-    }
-  }
-}
-
-void ModeMajorDeltaEngine::OnCoreValuesChanged() {
-  // Same sparsity pattern: only the value arrays need rewriting, through
-  // the stored grouped-position → list-id permutation. No re-sort.
-  const CoreEntryList& list = core();
-  for (ModeView& view : views_) {
-    for (std::size_t t = 0; t < view.values.size(); ++t) {
-      view.values[t] = list.value(view.list_pos[t]);
-    }
-  }
-  BuildLanes();
-}
+void ModeMajorDeltaEngine::OnCoreValuesChanged() { BuildViews(); }
 
 void ModeMajorDeltaEngine::OnCoreEntriesRemoved(
     const std::vector<char>& removed) {
-  // The list compacted in place keeping order; do the same to each view.
-  // Old list ids map to new ids by counting the keeps before them.
-  const std::int64_t old_size = static_cast<std::int64_t>(removed.size());
-  std::vector<std::int32_t> new_id(static_cast<std::size_t>(old_size), -1);
-  std::int32_t next = 0;
-  for (std::int64_t b = 0; b < old_size; ++b) {
-    if (!removed[static_cast<std::size_t>(b)]) {
-      new_id[static_cast<std::size_t>(b)] = next++;
-    }
-  }
-  PTUCKER_CHECK(static_cast<std::int64_t>(next) == core().size());
-
-  const std::int64_t order = core().order();
-  const std::int64_t width = order - 1;
-  for (std::int64_t n = 0; n < order; ++n) {
-    ModeView& view = views_[static_cast<std::size_t>(n)];
-    const std::int64_t rank = static_cast<std::int64_t>(view.offsets.size()) - 1;
-    std::int64_t write = 0;
-    for (std::int64_t j = 0; j < rank; ++j) {
-      const std::int64_t begin = view.offsets[static_cast<std::size_t>(j)];
-      const std::int64_t end = view.offsets[static_cast<std::size_t>(j + 1)];
-      view.offsets[static_cast<std::size_t>(j)] = write;
-      for (std::int64_t t = begin; t < end; ++t) {
-        const std::int32_t old_pos = view.list_pos[static_cast<std::size_t>(t)];
-        if (removed[static_cast<std::size_t>(old_pos)]) continue;
-        if (write != t) {
-          for (std::int64_t w = 0; w < width; ++w) {
-            view.cols[static_cast<std::size_t>(write * width + w)] =
-                view.cols[static_cast<std::size_t>(t * width + w)];
-          }
-          view.values[static_cast<std::size_t>(write)] =
-              view.values[static_cast<std::size_t>(t)];
-        }
-        view.list_pos[static_cast<std::size_t>(write)] =
-            new_id[static_cast<std::size_t>(old_pos)];
-        ++write;
-      }
-    }
-    view.offsets[static_cast<std::size_t>(rank)] = write;
-    view.cols.resize(static_cast<std::size_t>(write * width));
-    view.values.resize(static_cast<std::size_t>(write));
-    view.list_pos.resize(static_cast<std::size_t>(write));
-  }
-
-  BuildLanes();
+  PTUCKER_CHECK(std::count(removed.begin(), removed.end(), char{0}) ==
+                core().size());
+  BuildViews();
 }
 
 // ---------------------------------------------------------------------------
@@ -609,15 +465,13 @@ ContractionDeltaEngine::ContractionDeltaEngine(
     const std::vector<Matrix>& factors, MemoryTracker* tracker)
     : DeltaEngine(core, factors),
       nnz_(x.nnz()),
-      tracker_(tracker),
-      mode_major_(core, factors, tracker) {
+      tracker_(tracker) {
   PTUCKER_CHECK(core.order() >= 1 && core.order() <= kMaxOrder);
   PTUCKER_CHECK(static_cast<std::int64_t>(factors.size()) == core.order());
   try {
     Rebuild();
   } catch (...) {
-    // A throwing constructor runs no destructor: return the charge here
-    // (mode_major_, fully built, releases its own).
+    // A throwing constructor runs no destructor: return the charge here.
     MoveCharge(tracker_, 0, &charged_bytes_);
     throw;
   }
@@ -944,19 +798,8 @@ double ContractionDeltaEngine::Reconstruct(
   return sum;
 }
 
-double ContractionDeltaEngine::DesignDot(const std::int64_t* entry_index,
-                                         const double* g) const {
-  return mode_major_.DesignDot(entry_index, g);
-}
-
-void ContractionDeltaEngine::DesignAccumulate(const std::int64_t* entry_index,
-                                              double scale, double* z) const {
-  mode_major_.DesignAccumulate(entry_index, scale, z);
-}
-
 void ContractionDeltaEngine::OnFactorUpdated(std::int64_t mode,
-                                             const Matrix& old_factor) {
-  mode_major_.OnFactorUpdated(mode, old_factor);
+                                             const Matrix& /*old_factor*/) {
   for (std::size_t n = 0; n < plans_.size(); ++n) {
     const std::vector<std::int64_t>& memo = plans_[n].memo;
     if (std::binary_search(memo.begin(), memo.end(), mode)) {
@@ -966,15 +809,13 @@ void ContractionDeltaEngine::OnFactorUpdated(std::int64_t mode,
 }
 
 void ContractionDeltaEngine::OnCoreValuesChanged() {
-  mode_major_.OnCoreValuesChanged();
   for (std::size_t n = 0; n < plans_.size(); ++n) {
     FillTables(static_cast<std::int64_t>(n));
   }
 }
 
 void ContractionDeltaEngine::OnCoreEntriesRemoved(
-    const std::vector<char>& removed) {
-  mode_major_.OnCoreEntriesRemoved(removed);
+    const std::vector<char>& /*removed*/) {
   Rebuild();  // the pattern changed: a new plan, new trees, new arrays
 }
 

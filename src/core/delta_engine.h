@@ -49,13 +49,15 @@ namespace ptucker {
 /// derived state (reordered views, the Pres table, the contraction
 /// engine's memo arrays) stay consistent.
 ///
-/// Every consumer calls the per-entry kernels (ComputeDelta, Reconstruct,
-/// the design ops), except the residual sums, which reconstruct through
-/// ReconstructBatch. Adding another engine means subclassing DeltaEngine,
-/// overriding ComputeDelta (plus any other per-entry kernel worth
-/// specializing), handling the three hooks, and
-/// wiring a new enumerator through DeltaEngineChoice + DeltaEngineCatalog()
-/// + MakeDeltaEngine. See docs/architecture.md and docs/delta_engines.md
+/// Every consumer calls the per-entry kernels (ComputeDelta, Reconstruct),
+/// except the residual sums, which reconstruct through ReconstructBatch.
+/// The core refit's design products need no δ and are not engine
+/// operations: they are one entry-major scan (DesignLanePartials in
+/// core/core_update.h) under every engine. Adding another engine means
+/// subclassing DeltaEngine, overriding ComputeDelta (plus Reconstruct if
+/// worth specializing), handling the three hooks, and wiring a new
+/// enumerator through DeltaEngineChoice + DeltaEngineCatalog() +
+/// MakeDeltaEngine. See docs/architecture.md and docs/delta_engines.md
 /// for the full walkthrough.
 class DeltaEngine {
  public:
@@ -116,16 +118,6 @@ class DeltaEngine {
   virtual void ReconstructBatch(std::int64_t count,
                                 const std::int64_t* const* indices,
                                 double* out) const;
-
-  /// Σ_b g[b] · Π_k A(k)(ik, jk) — one row of the core-update design
-  /// matrix P applied to `g` (list order). Note: excludes G_β.
-  virtual double DesignDot(const std::int64_t* entry_index,
-                           const double* g) const;
-
-  /// z[b] += scale · Π_k A(k)(ik, jk) — one row of Pᵀ applied to a scalar
-  /// (list order). Note: excludes G_β.
-  virtual void DesignAccumulate(const std::int64_t* entry_index, double scale,
-                                double* z) const;
 
   /// True when OnFactorUpdated needs the pre-update factor values; callers
   /// then snapshot the factor before running the mode's row updates.
@@ -190,18 +182,15 @@ class NaiveDeltaEngine final : public DeltaEngine {
 /// by side. Lane j adds exactly group j's terms in group order, with the
 /// same multiply order as the naive scan, plus exact ±0 padding terms
 /// that never change a sum started at +0 — so δ is bit-identical to the
-/// naive scan whenever the factor values are finite. The design ops stay
-/// on the grouped views, which read the remaining N−1 column indices
-/// contiguously and skip a whole group when its mode-0 row coefficient
-/// is zero.
+/// naive scan whenever the factor values are finite.
 ///
 /// The grouped views cost Θ(N·|G|) extra memory and the lane views
 /// Θ(Σ_n U_n·(N−1+2·Jn)) in 4-byte words, where U_n ≤ |G| is the lane row
 /// count (|G|/Jn for a dense core); both are charged to the tracker, before
-/// allocation, for the engine's lifetime. The grouped views are maintained
-/// incrementally — RefreshValues rewrites the value arrays through a
-/// stored permutation, Remove compacts each view in place — and the lane
-/// views are re-merged from them after every change.
+/// allocation, for the engine's lifetime. Both core hooks rebuild every
+/// view from the list: the grouping sort is stable and RefreshValues and
+/// Remove keep list order, so a rebuilt lane view adds the same terms in
+/// the same order as before the change.
 class ModeMajorDeltaEngine final : public DeltaEngine {
  public:
   /// Charges the view bytes to `tracker` (throws OutOfMemoryBudget when
@@ -225,10 +214,6 @@ class ModeMajorDeltaEngine final : public DeltaEngine {
   void ComputeDelta(std::int64_t entry, const std::int64_t* entry_index,
                     std::int64_t mode, double* delta) const override;
   double Reconstruct(const std::int64_t* entry_index) const override;
-  double DesignDot(const std::int64_t* entry_index,
-                   const double* g) const override;
-  void DesignAccumulate(const std::int64_t* entry_index, double scale,
-                        double* z) const override;
 
   void OnCoreValuesChanged() override;
   void OnCoreEntriesRemoved(const std::vector<char>& removed) override;
@@ -240,10 +225,9 @@ class ModeMajorDeltaEngine final : public DeltaEngine {
   /// Group j spans [offsets[j], offsets[j+1]); within a group, entries keep
   /// list order, so per-group sums reassociate nothing vs the naive scan.
   struct ModeView {
-    std::vector<std::int64_t> offsets;   ///< Jn + 1 group boundaries
-    std::vector<std::int32_t> cols;      ///< |G| × (N−1) β_k for k≠n, k asc.
-    std::vector<double> values;          ///< |G| grouped G_β
-    std::vector<std::int32_t> list_pos;  ///< grouped position → list id
+    std::vector<std::int64_t> offsets;  ///< Jn + 1 group boundaries
+    std::vector<std::int32_t> cols;     ///< |G| × (N−1) β_k for k≠n, k asc.
+    std::vector<double> values;         ///< |G| grouped G_β
   };
 
   /// The regrouped view of mode `mode` (one per tensor mode).
@@ -269,7 +253,7 @@ class ModeMajorDeltaEngine final : public DeltaEngine {
   std::int64_t GroupedBytes() const;
   /// Builds the grouped views, then the lane views.
   void BuildViews();
-  /// Re-merges every lane view from the grouped views, charging the new
+  /// Merges every lane view from the grouped views, charging the new
   /// lane bytes before allocating them (a list whose groups are not
   /// sorted can merge into more rows after a removal, so even the
   /// removal hook may throw OutOfMemoryBudget).
@@ -294,8 +278,8 @@ class ModeMajorDeltaEngine final : public DeltaEngine {
 /// dividing the cached full product by the mode-n coefficient, with the
 /// after-mode rescale applied through the OnFactorUpdated hook. Core
 /// structure/value changes rebuild the table (the table is keyed by the
-/// entry pattern). Reconstruction and the design ops fall back to the
-/// entry-major scan — the table's time-for-memory trade only pays in δ.
+/// entry pattern). Reconstruction falls back to the entry-major scan —
+/// the table's time-for-memory trade only pays in δ.
 class CachedDeltaEngine final : public DeltaEngine {
  public:
   /// Builds the Pres table over the observed entries of `x` (charged to
@@ -370,13 +354,11 @@ class CachedDeltaEngine final : public DeltaEngine {
 /// **Exactness: reassociated.** δ differs from the naive scan only by
 /// summation order and the grouping of the N−1 products, so
 /// |δ − δ_naive| ≤ 2(N + |G|)·2⁻⁵³·Σ|terms| per lane. Reconstruct is
-/// Σ_j A(m)(i_m, j)·δ_m[j] on the cheapest mode m. The design ops forward
-/// to an owned ModeMajorDeltaEngine (bit-identical to naive), so
-/// core-update products are unchanged.
+/// Σ_j A(m)(i_m, j)·δ_m[j] on the cheapest mode m.
 ///
-/// The trees, the leaf arrays and the owned mode-major views are charged
-/// to the tracker before they are allocated (OutOfMemoryBudget when over
-/// budget); ByteSize() is the whole charge.
+/// The trees and the leaf arrays are charged to the tracker before they
+/// are allocated (OutOfMemoryBudget when over budget); ByteSize() is the
+/// whole charge.
 class ContractionDeltaEngine final : public DeltaEngine {
  public:
   /// Plans and builds over |Ω| = x.nnz() (read once; `x` is not kept),
@@ -395,18 +377,12 @@ class ContractionDeltaEngine final : public DeltaEngine {
   void ComputeDelta(std::int64_t entry, const std::int64_t* entry_index,
                     std::int64_t mode, double* delta) const override;
   double Reconstruct(const std::int64_t* entry_index) const override;
-  double DesignDot(const std::int64_t* entry_index,
-                   const double* g) const override;
-  void DesignAccumulate(const std::int64_t* entry_index, double scale,
-                        double* z) const override;
 
   void OnFactorUpdated(std::int64_t mode, const Matrix& old_factor) override;
   void OnCoreValuesChanged() override;
   void OnCoreEntriesRemoved(const std::vector<char>& removed) override;
 
-  std::int64_t ByteSize() const override {
-    return charged_bytes_ + mode_major_.ByteSize();
-  }
+  std::int64_t ByteSize() const override { return charged_bytes_; }
 
   /// The memoized set S_n of mode `mode`, in ascending mode order.
   const std::vector<std::int64_t>& memo_modes(std::int64_t mode) const {
@@ -451,7 +427,6 @@ class ContractionDeltaEngine final : public DeltaEngine {
 
   std::int64_t nnz_;
   MemoryTracker* tracker_;
-  ModeMajorDeltaEngine mode_major_;
   std::vector<ModePlan> plans_;
   std::int64_t reconstruct_mode_ = 0;
   std::int64_t charged_bytes_ = 0;

@@ -39,8 +39,8 @@ enum class DeltaEngineChoice {
   /// Entry-major scan of the core list — the correctness oracle.
   kNaive,
   /// Per-mode lane-interleaved core views, bit-identical to kNaive for
-  /// finite factors. Serves predictions (serve/service.h) and the
-  /// core-update products of kContraction; no longer what kAuto picks.
+  /// finite factors. Serves predictions (serve/service.h); no longer
+  /// what kAuto picks.
   kModeMajor,
   /// The §III-C Pres table behind the engine interface.
   kCached,

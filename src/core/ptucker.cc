@@ -18,8 +18,9 @@ namespace {
 
 // The single-process backend: every row of a mode through UpdateFactorRows
 // over Ω in slice order (built once per solve) with the engine's factor
-// hooks, and the CG design products and error partials over all 64
-// reduction lanes of this process's engine.
+// hooks, the CG design products over all 64 reduction lanes of the
+// model, and the error partials over all 64 lanes of this process's
+// engine.
 class LocalAlsBackend : public AlsBackend {
  public:
   LocalAlsBackend(const SparseTensor& x, const PTuckerOptions& options,
@@ -27,7 +28,7 @@ class LocalAlsBackend : public AlsBackend {
       : x_(&x),
         model_(model),
         // The δ-computation engine (derived state charged inside):
-        // mode-major views by default, the §III-C Pres table for
+        // contraction trees by default, the §III-C Pres table for
         // P-TUCKER-CACHE, or whatever options.delta_engine pins.
         engine_(MakeDeltaEngine(ResolveDeltaEngineChoice(options), x,
                                 model->core_list, model->factors,
@@ -52,8 +53,8 @@ class LocalAlsBackend : public AlsBackend {
 
   void DesignLaneSums(bool residual_from_x, const std::vector<double>& input,
                       int /*iteration*/, double* lane_sums) override {
-    DesignLanePartials(*x_, *engine_, residual_from_x, input, 0,
-                       kReductionLanes, lane_sums);
+    DesignLanePartials(*x_, model_->core_list, model_->factors,
+                       residual_from_x, input, 0, kReductionLanes, lane_sums);
   }
 
   void CommitCore(const std::vector<double>& /*g*/,

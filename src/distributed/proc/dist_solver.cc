@@ -265,7 +265,7 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
           lane_buffer.assign(
               static_cast<std::size_t>(lane_count) * input.size(), 0.0);
           DesignLanePartials(
-              x, *engine,
+              x, model.core_list, model.factors,
               /*residual_from_x=*/frame.opcode == DistOpcode::kCoreResidual,
               input, lane_begin, lane_end, lane_buffer.data());
           channel.SendFrame(

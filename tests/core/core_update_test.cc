@@ -6,6 +6,7 @@
 #include "tensor/nmode.h"
 #include "data/lowrank.h"
 #include "data/synthetic.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace ptucker {
@@ -109,6 +110,71 @@ TEST(CoreUpdateTest, ZeroIterationsIsNoop) {
   DenseTensor before = s.core;
   UpdateCoreTensor(s.x, &s.core, &s.list, s.factors, 0.01, 0);
   EXPECT_LT(MaxAbsDiff(before, s.core), 1e-15);
+}
+
+// The design products' reference: per entry, y = Σ_b input[b]·P(α, β)
+// with P the running product from 1.0 in ascending mode order, then
+// local[b] += y·P(α, β) unless y is zero, entries in lane order.
+std::vector<double> ReferenceLanePartials(const Ctx& s, bool residual_from_x,
+                                          const std::vector<double>& input,
+                                          std::int64_t lane_begin,
+                                          std::int64_t lane_end) {
+  const std::int64_t n_core = s.list.size();
+  std::vector<double> lanes(
+      static_cast<std::size_t>((lane_end - lane_begin) * n_core), 0.0);
+  auto design = [&](const std::int64_t* index, std::int64_t b) {
+    double product = 1.0;
+    for (std::int64_t k = 0; k < 3; ++k) {
+      product *= s.factors[static_cast<std::size_t>(k)](index[k],
+                                                        s.list.index(b)[k]);
+    }
+    return product;
+  };
+  for (std::int64_t l = lane_begin; l < lane_end; ++l) {
+    double* local = lanes.data() + (l - lane_begin) * n_core;
+    for (std::int64_t e = ReductionLaneBegin(s.x.nnz(), l);
+         e < ReductionLaneBegin(s.x.nnz(), l + 1); ++e) {
+      double y = 0.0;
+      for (std::int64_t b = 0; b < n_core; ++b) {
+        y += input[static_cast<std::size_t>(b)] * design(s.x.index(e), b);
+      }
+      if (residual_from_x) y = s.x.value(e) - y;
+      if (y == 0.0) continue;
+      for (std::int64_t b = 0; b < n_core; ++b) {
+        local[b] += y * design(s.x.index(e), b);
+      }
+    }
+  }
+  return lanes;
+}
+
+TEST(CoreUpdateTest, DesignLanePartialsAreTheEntryMajorScanBitwise) {
+  Ctx s = MakeCtx(8, 300);
+  std::vector<char> remove(8, 0);
+  remove[1] = remove[6] = 1;
+  s.list.Remove(remove, &s.core);
+  // A zero factor row makes some entries' y exactly zero.
+  for (std::int64_t j = 0; j < s.factors[1].cols(); ++j) {
+    s.factors[1](3, j) = 0.0;
+  }
+  const std::vector<double> input = {0.5, -1.25, 0.0, 2.0, 0.75, -0.125};
+  ASSERT_EQ(static_cast<std::int64_t>(input.size()), s.list.size());
+  for (const bool residual_from_x : {true, false}) {
+    for (const auto& [begin, end] :
+         {std::pair<std::int64_t, std::int64_t>{0, kReductionLanes},
+          std::pair<std::int64_t, std::int64_t>{5, 17}}) {
+      const std::vector<double> expected =
+          ReferenceLanePartials(s, residual_from_x, input, begin, end);
+      std::vector<double> actual(expected.size(), -1.0);
+      DesignLanePartials(s.x, s.list, s.factors, residual_from_x, input,
+                         begin, end, actual.data());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(actual[i], expected[i])
+            << "residual " << residual_from_x << " lanes [" << begin << ", "
+            << end << ") slot " << i;
+      }
+    }
+  }
 }
 
 TEST(CoreUpdateTest, StrongRegularizationShrinksCore) {
