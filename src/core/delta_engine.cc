@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <type_traits>
 
@@ -498,15 +497,22 @@ std::int64_t ContractionDeltaEngine::MemoTableBytes() const {
 }
 
 ContractionDeltaEngine::ModePlan ContractionDeltaEngine::MakeTree(
-    std::int64_t mode, std::vector<std::int64_t> memo) const {
+    std::int64_t mode, const std::vector<std::int64_t>& memo) const {
   const CoreEntryList& list = core();
   const std::int64_t order = list.order();
-  const std::int64_t n_core = list.size();
   const std::int64_t rank = factors()[static_cast<std::size_t>(mode)].cols();
 
   ModePlan plan;
-  std::sort(memo.begin(), memo.end());
-  plan.memo = std::move(memo);
+  std::vector<std::int64_t> ranks(static_cast<std::size_t>(order));
+  for (std::int64_t k = 0; k < order; ++k) {
+    ranks[static_cast<std::size_t>(k)] =
+        factors()[static_cast<std::size_t>(k)].cols();
+    if (std::find(memo.begin(), memo.end(), k) != memo.end()) {
+      plan.memo.push_back(k);
+    } else if (k != mode) {
+      plan.levels.push_back(k);
+    }
+  }
   // Array id = Σ i_k·stride_k, the last memoized mode fastest.
   plan.strides.resize(plan.memo.size());
   for (std::size_t s = plan.memo.size(); s-- > 0;) {
@@ -516,66 +522,22 @@ ContractionDeltaEngine::ModePlan ContractionDeltaEngine::MakeTree(
   }
 
   // R_n in ascending rank (ties by mode index): the fewest upper nodes.
-  for (std::int64_t k = 0; k < order; ++k) {
-    if (k == mode ||
-        std::binary_search(plan.memo.begin(), plan.memo.end(), k)) {
-      continue;
-    }
-    plan.levels.push_back(k);
-  }
   std::stable_sort(plan.levels.begin(), plan.levels.end(),
                    [&](std::int64_t a, std::int64_t b) {
                      return factors()[static_cast<std::size_t>(a)].cols() <
                             factors()[static_cast<std::size_t>(b)].cols();
                    });
-  plan.leaf_of.assign(static_cast<std::size_t>(n_core), 0);
-  const std::size_t depth = plan.levels.size();
-  if (depth == 0) {
+  plan.tree =
+      BuildCsfTree(list.index(0), list.size(), order, plan.levels, ranks);
+  if (plan.levels.empty()) {
     plan.madds = rank;  // δ is one leaf array, copied
     return plan;
   }
-
-  // Sort the core entries by their projected tuple, then open a node on
-  // every level from the first coordinate that differs from the previous
-  // entry's.
-  const auto key = [&](std::int64_t b, std::size_t level) {
-    return list.index(b)[plan.levels[level]];
-  };
-  std::vector<std::int64_t> sorted(static_cast<std::size_t>(n_core));
-  std::iota(sorted.begin(), sorted.end(), 0);
-  std::sort(sorted.begin(), sorted.end(), [&](std::int64_t a, std::int64_t b) {
-    for (std::size_t l = 0; l < depth; ++l) {
-      if (key(a, l) != key(b, l)) return key(a, l) < key(b, l);
-    }
-    return a < b;
-  });
-  plan.coords.assign(depth, {});
-  plan.child.assign(depth - 1, {});
-  for (std::size_t t = 0; t < sorted.size(); ++t) {
-    const std::int64_t b = sorted[t];
-    std::size_t first = 0;
-    if (t > 0) {
-      while (first < depth && key(sorted[t - 1], first) == key(b, first)) {
-        ++first;
-      }
-    }
-    for (std::size_t l = first; l < depth; ++l) {
-      if (l + 1 < depth) {
-        plan.child[l].push_back(
-            static_cast<std::int64_t>(plan.coords[l + 1].size()));
-      }
-      plan.coords[l].push_back(key(b, l));
-    }
-    plan.leaf_of[static_cast<std::size_t>(b)] =
-        static_cast<std::int32_t>(plan.coords[depth - 1].size() - 1);
-  }
   std::int64_t internal = 0;
-  for (std::size_t l = 0; l + 1 < depth; ++l) {
-    plan.child[l].push_back(
-        static_cast<std::int64_t>(plan.coords[l + 1].size()));
-    internal += static_cast<std::int64_t>(plan.coords[l].size());
+  for (std::size_t l = 0; l + 1 < plan.levels.size(); ++l) {
+    internal += static_cast<std::int64_t>(plan.tree.fids[l].size());
   }
-  plan.leaves = static_cast<std::int64_t>(plan.coords[depth - 1].size());
+  plan.leaves = static_cast<std::int64_t>(plan.tree.fids.back().size());
   plan.madds = internal + plan.leaves * (rank + 1);
   return plan;
 }
@@ -676,14 +638,14 @@ std::int64_t ContractionDeltaEngine::PlanBytes(
   std::int64_t bytes = 0;
   for (std::size_t n = 0; n < plans.size(); ++n) {
     const ModePlan& plan = plans[n];
-    for (const auto& coords : plan.coords) {
-      bytes += static_cast<std::int64_t>(sizeof(std::int32_t) * coords.size());
+    for (const auto& fids : plan.tree.fids) {
+      bytes += static_cast<std::int64_t>(sizeof(std::int32_t) * fids.size());
     }
-    for (const auto& child : plan.child) {
-      bytes += static_cast<std::int64_t>(sizeof(std::int64_t) * child.size());
+    for (const auto& fptr : plan.tree.fptr) {
+      bytes += static_cast<std::int64_t>(sizeof(std::int64_t) * fptr.size());
     }
     bytes += static_cast<std::int64_t>(sizeof(std::int32_t) *
-                                       plan.leaf_of.size());
+                                       plan.tree.leaf_of.size());
     bytes += static_cast<std::int64_t>(sizeof(double)) * plan.tables *
              plan.leaves * f[n].cols();
   }
@@ -734,8 +696,8 @@ void ContractionDeltaEngine::FillTables(std::int64_t mode) {
       for (std::size_t s = 0; s < memo_count; ++s) {
         term *= memo_rows[s][beta[plan.memo[s]]];
       }
-      out[plan.leaf_of[static_cast<std::size_t>(b)] * rank + beta[mode]] +=
-          term;
+      out[plan.tree.leaf_of[static_cast<std::size_t>(b)] * rank +
+          beta[mode]] += term;
     }
   }
 }
@@ -761,10 +723,11 @@ void ContractionDeltaEngine::ComputeDelta(std::int64_t /*entry*/,
     rows[l] = factors()[static_cast<std::size_t>(k)].Row(entry_index[k]);
   }
   std::fill(delta, delta + rank, 0.0);
-  const std::int64_t roots = static_cast<std::int64_t>(plan.coords[0].size());
+  const std::int64_t roots =
+      static_cast<std::int64_t>(plan.tree.fids[0].size());
   const auto walk = [&](auto lanes) {
-    WalkTree<decltype(lanes)::value>(plan.coords, plan.child, rows, values,
-                                     rank, 0, 0, roots, 1.0, delta);
+    WalkTree<decltype(lanes)::value>(plan.tree.fids, plan.tree.fptr, rows,
+                                     values, rank, 0, 0, roots, 1.0, delta);
   };
   switch (rank) {
     case 1: walk(std::integral_constant<int, 1>()); break;

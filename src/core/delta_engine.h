@@ -16,6 +16,7 @@
 #include "core/options.h"
 #include "linalg/factor_view.h"
 #include "linalg/matrix.h"
+#include "tensor/csf.h"
 #include "tensor/sparse_tensor.h"
 #include "util/memory_tracker.h"
 #include "util/span.h"
@@ -397,25 +398,23 @@ class ContractionDeltaEngine final : public DeltaEngine {
   static std::int64_t MemoCapBytes(std::int64_t nnz, std::int64_t order);
 
  private:
-  /// One mode's plan and tree. Level l of the tree holds the distinct
-  /// prefixes (β_{levels[0]}, …, β_{levels[l]}) of the projected core
-  /// pattern in lexicographic order; node u of a non-leaf level owns the
-  /// level-(l+1) nodes [child[l][u], child[l][u+1]).
+  /// One mode's plan and tree: the CSF tree (tensor/csf.h) of the core
+  /// pattern projected on R_n, level l holding the distinct prefixes
+  /// (β_{levels[0]}, …, β_{levels[l]}) in lexicographic order.
   struct ModePlan {
     std::vector<std::int64_t> memo;     ///< S_n, ascending mode index
     std::vector<std::int64_t> strides;  ///< array id = Σ i_k·strides
     std::int64_t tables = 1;            ///< Π_{k∈S_n} I_k leaf arrays
     std::vector<std::int64_t> levels;   ///< R_n, tree level order
-    std::vector<std::vector<std::int32_t>> coords;  ///< per level
-    std::vector<std::vector<std::int64_t>> child;   ///< per non-leaf level
+    CsfTree tree;                       ///< over R_n; core entry → leaf
     std::int64_t leaves = 1;            ///< leaf count (1 when R_n = ∅)
-    std::vector<std::int32_t> leaf_of;  ///< core entry → leaf
     std::vector<double> values;  ///< tables × leaves × Jn leaf values
     std::int64_t madds = 0;      ///< multiply-adds per δ (the cost model)
   };
 
   /// Builds mode `mode`'s tree with S = `memo` (no leaf values).
-  ModePlan MakeTree(std::int64_t mode, std::vector<std::int64_t> memo) const;
+  ModePlan MakeTree(std::int64_t mode,
+                    const std::vector<std::int64_t>& memo) const;
   /// Chooses every mode's S_n under the memo cap and builds the trees.
   std::vector<ModePlan> MakePlans() const;
   /// Bytes of `plans` (trees plus leaf arrays, allocated or not).

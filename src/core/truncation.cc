@@ -9,6 +9,7 @@
 #include <omp.h>
 
 #include "core/delta_engine.h"
+#include "tensor/csf.h"
 #include "util/logging.h"
 #include "util/memory_tracker.h"
 #include "util/parallel.h"
@@ -55,33 +56,6 @@ std::int64_t LevelOffset(const Levels& levels, const std::int32_t* beta) {
     offset += beta[levels.modes[d]] * levels.sizes[d + 1];
   }
   return offset;
-}
-
-// The entries of Ω in tree order: lexicographic in level order, stable in
-// entry id. LSD counting sort, one stable pass per level from the deepest
-// up, O(N·(|Ω| + max I_n)) with `scratch` (|Ω|) and `counts`
-// (max I_n + 1) as the only workspace.
-void SortEntries(const SparseTensor& x, const Levels& levels,
-                 std::vector<std::int64_t>* sorted,
-                 std::vector<std::int64_t>* scratch,
-                 std::vector<std::int64_t>* counts) {
-  std::iota(sorted->begin(), sorted->end(), 0);
-  for (std::int64_t d = x.order() - 1; d >= 0; --d) {
-    const std::int64_t mode = levels.modes[static_cast<std::size_t>(d)];
-    std::fill(counts->begin(), counts->begin() + x.dim(mode) + 1, 0);
-    for (const std::int64_t e : *sorted) {
-      ++(*counts)[static_cast<std::size_t>(x.index(e, mode) + 1)];
-    }
-    for (std::int64_t i = 0; i < x.dim(mode); ++i) {
-      (*counts)[static_cast<std::size_t>(i + 1)] +=
-          (*counts)[static_cast<std::size_t>(i)];
-    }
-    for (const std::int64_t e : *sorted) {
-      (*scratch)[static_cast<std::size_t>(
-          (*counts)[static_cast<std::size_t>(x.index(e, mode))]++)] = e;
-    }
-    sorted->swap(*scratch);
-  }
 }
 
 // One thread's depth-first pass over a contiguous range of the sorted
@@ -279,12 +253,9 @@ std::vector<double> ComputePartialErrors(const SparseTensor& x,
       word * kReductionLanes * n_core;
   ScopedCharge scratch_charge(tracker, scratch_bytes);
 
-  std::vector<std::int64_t> sorted(static_cast<std::size_t>(nnz));
-  {
-    std::vector<std::int64_t> scratch(static_cast<std::size_t>(nnz));
-    std::vector<std::int64_t> counts(static_cast<std::size_t>(max_dim + 1));
-    SortEntries(x, levels, &sorted, &scratch, &counts);
-  }
+  // Ω in tree order: lexicographic in level order, stable in entry id.
+  const std::vector<std::int64_t> sorted =
+      CsfOrder(x.index(0), nnz, x.order(), levels.modes, x.dims());
   std::vector<double> dense_core(static_cast<std::size_t>(levels.sizes[0]),
                                  0.0);
   std::vector<std::int64_t> offsets(core_count);

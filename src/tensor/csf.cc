@@ -1,86 +1,119 @@
 #include "tensor/csf.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "util/logging.h"
 
 namespace ptucker {
 
+template <typename Index>
+std::vector<std::int64_t> CsfOrder(const Index* coords, std::int64_t count,
+                                   std::int64_t order,
+                                   const std::vector<std::int64_t>& levels,
+                                   const std::vector<std::int64_t>& dims) {
+  std::vector<std::int64_t> sorted(static_cast<std::size_t>(count));
+  std::iota(sorted.begin(), sorted.end(), 0);
+  std::vector<std::int64_t> scratch(static_cast<std::size_t>(count));
+  std::vector<std::int64_t> counts;
+  for (std::size_t d = levels.size(); d-- > 0;) {
+    const Index* column = coords + levels[d];  // entry e's key: column[e·N]
+    const std::int64_t dim = dims[static_cast<std::size_t>(levels[d])];
+    counts.assign(static_cast<std::size_t>(dim + 1), 0);
+    for (const std::int64_t e : sorted) {
+      ++counts[static_cast<std::size_t>(column[e * order] + 1)];
+    }
+    for (std::int64_t i = 0; i < dim; ++i) {
+      counts[static_cast<std::size_t>(i + 1)] +=
+          counts[static_cast<std::size_t>(i)];
+    }
+    for (const std::int64_t e : sorted) {
+      scratch[static_cast<std::size_t>(
+          counts[static_cast<std::size_t>(column[e * order])]++)] = e;
+    }
+    sorted.swap(scratch);
+  }
+  return sorted;
+}
+
+template <typename Index>
+CsfTree BuildCsfTree(const Index* coords, std::int64_t count,
+                     std::int64_t order,
+                     const std::vector<std::int64_t>& levels,
+                     const std::vector<std::int64_t>& dims) {
+  constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+  for (const std::int64_t mode : levels) {
+    PTUCKER_CHECK(mode >= 0 && mode < order &&
+                  std::count(levels.begin(), levels.end(), mode) == 1);
+    const std::int64_t dim = dims[static_cast<std::size_t>(mode)];
+    if (dim > kInt32Max) {
+      throw std::invalid_argument(
+          "CSF tree: mode " + std::to_string(mode) + " has size " +
+          std::to_string(dim) + ", more than int32 fids can index");
+    }
+  }
+  if (count > kInt32Max) {
+    throw std::invalid_argument("CSF tree: " + std::to_string(count) +
+                                " entries, more than int32 leaf ids can index");
+  }
+
+  CsfTree tree;
+  tree.leaf_of.assign(static_cast<std::size_t>(count), 0);
+  const std::size_t depth = levels.size();
+  if (depth == 0) return tree;
+  const std::vector<std::int64_t> sorted =
+      CsfOrder(coords, count, order, levels, dims);
+  tree.fids.assign(depth, {});
+  tree.fptr.assign(depth - 1, {0});
+  // Open a node on every level from the first coordinate that differs
+  // from the previous entry's; a new node ends where it starts, and each
+  // child it gains moves its end one on.
+  const auto key = [&](std::int64_t e, std::size_t level) {
+    return static_cast<std::int32_t>(coords[e * order + levels[level]]);
+  };
+  for (std::size_t t = 0; t < sorted.size(); ++t) {
+    const std::int64_t e = sorted[t];
+    std::size_t first = 0;
+    while (t > 0 && first < depth && key(sorted[t - 1], first) == key(e, first))
+      ++first;
+    for (std::size_t l = first; l < depth; ++l) {
+      if (l + 1 < depth) tree.fptr[l].push_back(tree.fptr[l].back());
+      if (l > 0) ++tree.fptr[l - 1].back();
+      tree.fids[l].push_back(key(e, l));
+    }
+    tree.leaf_of[static_cast<std::size_t>(e)] =
+        static_cast<std::int32_t>(tree.fids[depth - 1].size() - 1);
+  }
+  return tree;
+}
+
+using Modes = std::vector<std::int64_t>;
+template Modes CsfOrder(const std::int32_t*, std::int64_t, std::int64_t,
+                        const Modes&, const Modes&);
+template Modes CsfOrder(const std::int64_t*, std::int64_t, std::int64_t,
+                        const Modes&, const Modes&);
+template CsfTree BuildCsfTree(const std::int32_t*, std::int64_t,
+                              std::int64_t, const Modes&, const Modes&);
+template CsfTree BuildCsfTree(const std::int64_t*, std::int64_t,
+                              std::int64_t, const Modes&, const Modes&);
+
 CsfTensor::CsfTensor(const SparseTensor& x,
                      std::vector<std::int64_t> mode_order)
-    : mode_order_(std::move(mode_order)), dims_(x.dims()) {
-  const std::int64_t order = x.order();
-  PTUCKER_CHECK(static_cast<std::int64_t>(mode_order_.size()) == order);
-  {
-    // Validate that mode_order_ is a permutation.
-    std::vector<std::int64_t> sorted = mode_order_;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::int64_t k = 0; k < order; ++k) PTUCKER_CHECK(sorted[k] == k);
-  }
-
-  // Sort entry ids lexicographically by the mode order.
-  std::vector<std::int64_t> perm(static_cast<std::size_t>(x.nnz()));
-  std::iota(perm.begin(), perm.end(), 0);
-  std::sort(perm.begin(), perm.end(), [&](std::int64_t a, std::int64_t b) {
-    for (std::int64_t level = 0; level < order; ++level) {
-      const std::int64_t mode = mode_order_[static_cast<std::size_t>(level)];
-      const std::int64_t ia = x.index(a, mode);
-      const std::int64_t ib = x.index(b, mode);
-      if (ia != ib) return ia < ib;
-    }
-    return false;
-  });
-
-  fids_.assign(static_cast<std::size_t>(order), {});
-  fptr_.assign(static_cast<std::size_t>(order - 1), {0});
-  values_.reserve(static_cast<std::size_t>(x.nnz()));
-
-  // Walk the sorted entries; open a new node at level l whenever the
-  // prefix (levels 0..l) differs from the previous entry's.
-  std::vector<std::int64_t> previous(static_cast<std::size_t>(order), -1);
-  for (std::size_t p = 0; p < perm.size(); ++p) {
-    const std::int64_t e = perm[p];
-    std::int64_t first_change = order;
-    for (std::int64_t level = 0; level < order; ++level) {
-      const std::int64_t mode = mode_order_[static_cast<std::size_t>(level)];
-      if (x.index(e, mode) != previous[static_cast<std::size_t>(level)]) {
-        first_change = level;
-        break;
-      }
-    }
-    // Duplicate coordinates collapse into the same leaf (values summed).
-    if (first_change == order) {
-      values_.back() += x.value(e);
-      continue;
-    }
-    for (std::int64_t level = first_change; level < order; ++level) {
-      const std::int64_t mode = mode_order_[static_cast<std::size_t>(level)];
-      const std::int64_t coord = x.index(e, mode);
-      fids_[static_cast<std::size_t>(level)].push_back(coord);
-      previous[static_cast<std::size_t>(level)] = coord;
-      if (level < order - 1) {
-        // Children of deeper levels restart.
-        previous[static_cast<std::size_t>(level + 1)] = -1;
-      }
-    }
-    values_.push_back(x.value(e));
-    // Update fptr: each level's node points one past its current children.
-    for (std::int64_t level = 0; level < order - 1; ++level) {
-      auto& ptr = fptr_[static_cast<std::size_t>(level)];
-      const std::int64_t n_here = num_nodes(level);
-      const std::int64_t n_below = num_nodes(level + 1);
-      ptr.resize(static_cast<std::size_t>(n_here) + 1);
-      ptr[static_cast<std::size_t>(n_here)] = n_below;
-    }
-  }
-  // Backfill fptr starts for nodes created before their first child count
-  // was recorded: fptr is built as "end of children" per node; starts come
-  // from the previous node's end.
-  for (std::int64_t level = 0; level < order - 1; ++level) {
-    auto& ptr = fptr_[static_cast<std::size_t>(level)];
-    if (ptr.empty()) ptr.push_back(0);
-    ptr[0] = 0;
+    : mode_order_(std::move(mode_order)) {
+  PTUCKER_CHECK(static_cast<std::int64_t>(mode_order_.size()) == x.order());
+  CsfTree tree =
+      BuildCsfTree(x.index(0), x.nnz(), x.order(), mode_order_, x.dims());
+  fids_ = std::move(tree.fids);
+  fptr_ = std::move(tree.fptr);
+  // Duplicate coordinates share a leaf and sum in entry order; −0.0 is
+  // the additive identity, so a lone value keeps its bits.
+  values_.assign(fids_.back().size(), -0.0);
+  for (std::int64_t e = 0; e < x.nnz(); ++e) {
+    const std::int32_t leaf = tree.leaf_of[static_cast<std::size_t>(e)];
+    values_[static_cast<std::size_t>(leaf)] += x.value(e);
   }
 }
 
@@ -187,7 +220,7 @@ std::int64_t CsfTensor::ByteSize() const {
   std::int64_t bytes =
       static_cast<std::int64_t>(values_.size() * sizeof(double));
   for (const auto& level : fids_) {
-    bytes += static_cast<std::int64_t>(level.size() * sizeof(std::int64_t));
+    bytes += static_cast<std::int64_t>(level.size() * sizeof(std::int32_t));
   }
   for (const auto& level : fptr_) {
     bytes += static_cast<std::int64_t>(level.size() * sizeof(std::int64_t));

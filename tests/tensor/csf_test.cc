@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "data/synthetic.h"
 #include "tensor/nmode.h"
 #include "util/random.h"
@@ -67,6 +74,144 @@ TEST(CsfTest, DuplicateCoordinatesCollapse) {
   CsfTensor csf(x, {0, 1});
   EXPECT_EQ(csf.nnz(), 1);
   EXPECT_DOUBLE_EQ(csf.leaf_values()[0], 4.0);
+
+  // Duplicates sum in entry order: (1e16 + 1) rounds to 1e16, so the
+  // leaf is exactly 0 (summing 1e16 − 1e16 first would leave 1.0).
+  SparseTensor cancelling({3, 3});
+  cancelling.AddEntry({0, 1}, 1e16);
+  cancelling.AddEntry({0, 1}, 1.0);
+  cancelling.AddEntry({0, 1}, -1e16);
+  CsfTensor summed(cancelling, {1, 0});
+  ASSERT_EQ(summed.nnz(), 1);
+  EXPECT_EQ(summed.leaf_values()[0], 0.0);
+}
+
+TEST(CsfTest, DimensionPastInt32Throws) {
+  // The mode index is never built: it would allocate per slice.
+  SparseTensor x({3000000000, 4});
+  x.AddEntry({2999999999, 3}, 1.0);
+  try {
+    CsfTensor csf(x, {0, 1});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("mode 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("3000000000"), std::string::npos) << what;
+  }
+}
+
+// The reference the shared builder must reproduce bit for bit: a
+// comparator sort of entry ids (ties by id), then one node opened on
+// every level from the first coordinate that differs from the previous
+// entry's.
+struct ReferenceTree {
+  std::vector<std::int64_t> sorted;
+  std::vector<std::vector<std::int32_t>> fids;
+  std::vector<std::vector<std::int64_t>> fptr;
+  std::vector<std::int32_t> leaf_of;
+};
+
+template <typename Index>
+ReferenceTree BuildReferenceTree(const std::vector<Index>& coords,
+                                 std::int64_t count, std::int64_t order,
+                                 const std::vector<std::int64_t>& levels) {
+  ReferenceTree tree;
+  tree.sorted.resize(static_cast<std::size_t>(count));
+  std::iota(tree.sorted.begin(), tree.sorted.end(), 0);
+  tree.leaf_of.assign(static_cast<std::size_t>(count), 0);
+  const std::size_t depth = levels.size();
+  if (depth == 0) return tree;
+  const auto key = [&](std::int64_t b, std::size_t level) {
+    return coords[static_cast<std::size_t>(b * order + levels[level])];
+  };
+  std::sort(tree.sorted.begin(), tree.sorted.end(),
+            [&](std::int64_t a, std::int64_t b) {
+              for (std::size_t l = 0; l < depth; ++l) {
+                if (key(a, l) != key(b, l)) return key(a, l) < key(b, l);
+              }
+              return a < b;
+            });
+  tree.fids.assign(depth, {});
+  tree.fptr.assign(depth - 1, {});
+  for (std::size_t t = 0; t < tree.sorted.size(); ++t) {
+    const std::int64_t b = tree.sorted[t];
+    std::size_t first = 0;
+    if (t > 0) {
+      const std::int64_t previous = tree.sorted[t - 1];
+      while (first < depth && key(previous, first) == key(b, first)) ++first;
+    }
+    for (std::size_t l = first; l < depth; ++l) {
+      if (l + 1 < depth) {
+        tree.fptr[l].push_back(
+            static_cast<std::int64_t>(tree.fids[l + 1].size()));
+      }
+      tree.fids[l].push_back(static_cast<std::int32_t>(key(b, l)));
+    }
+    tree.leaf_of[static_cast<std::size_t>(b)] =
+        static_cast<std::int32_t>(tree.fids[depth - 1].size() - 1);
+  }
+  for (std::size_t l = 0; l + 1 < depth; ++l) {
+    tree.fptr[l].push_back(static_cast<std::int64_t>(tree.fids[l + 1].size()));
+  }
+  return tree;
+}
+
+// Random coordinate sets (0, 1 and many entries; small dimensions, so
+// duplicate tuples and shared prefixes are common) under random level
+// orders: full permutations, strict subsets, one level and none.
+template <typename Index>
+void SweepAgainstReference(std::uint64_t seed) {
+  Rng rng(seed);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::int64_t order = 1 + static_cast<std::int64_t>(rng.UniformInt(5));
+    std::vector<std::int64_t> dims(static_cast<std::size_t>(order));
+    for (auto& dim : dims) {
+      dim = 1 + static_cast<std::int64_t>(rng.UniformInt(trial % 2 ? 4 : 40));
+    }
+    const std::int64_t count =
+        trial % 10 < 2 ? trial % 10
+                       : static_cast<std::int64_t>(rng.UniformInt(200));
+    std::vector<Index> coords(static_cast<std::size_t>(count * order));
+    for (std::int64_t e = 0; e < count; ++e) {
+      for (std::int64_t k = 0; k < order; ++k) {
+        coords[static_cast<std::size_t>(e * order + k)] = static_cast<Index>(
+            rng.UniformInt(static_cast<std::uint64_t>(dims[k])));
+      }
+    }
+    if (count > 2) {  // an exact duplicate of some earlier entry
+      const std::int64_t from = static_cast<std::int64_t>(
+          rng.UniformInt(static_cast<std::uint64_t>(count - 1)));
+      std::copy_n(coords.begin() + from * order, order,
+                  coords.begin() + (count - 1) * order);
+    }
+    std::vector<std::int64_t> levels(static_cast<std::size_t>(order));
+    std::iota(levels.begin(), levels.end(), 0);
+    rng.Shuffle(levels);
+    const std::int64_t depth =
+        trial % 3 == 0 ? order
+                       : static_cast<std::int64_t>(rng.UniformInt(
+                             static_cast<std::uint64_t>(order + 1)));
+    levels.resize(static_cast<std::size_t>(depth));
+
+    const ReferenceTree expected =
+        BuildReferenceTree(coords, count, order, levels);
+    const CsfTree tree =
+        BuildCsfTree(coords.data(), count, order, levels, dims);
+    EXPECT_EQ(CsfOrder(coords.data(), count, order, levels, dims),
+              expected.sorted)
+        << "trial " << trial;
+    EXPECT_EQ(tree.fids, expected.fids) << "trial " << trial;
+    EXPECT_EQ(tree.fptr, expected.fptr) << "trial " << trial;
+    EXPECT_EQ(tree.leaf_of, expected.leaf_of) << "trial " << trial;
+  }
+}
+
+TEST(CsfBuilderTest, Int32CoordinatesMatchReference) {
+  SweepAgainstReference<std::int32_t>(41);
+}
+
+TEST(CsfBuilderTest, Int64CoordinatesMatchReference) {
+  SweepAgainstReference<std::int64_t>(42);
 }
 
 TEST(CsfTest, TtmcRootMatchesCooStreaming) {
