@@ -9,6 +9,7 @@
 #include <omp.h>
 
 #include "core/core_update.h"
+#include "core/delta_engine.h"
 #include "core/orthogonalize.h"
 #include "core/reconstruction.h"
 #include "core/row_update.h"
@@ -24,8 +25,9 @@ namespace ptucker {
 namespace {
 
 // Throws std::invalid_argument, naming the option, unless `x` and
-// `options` are a valid P-Tucker input: a non-empty tensor with its mode
-// index built, one rank 1 <= Jn per mode (Jn <= In when orthogonalizing),
+// `options` are a valid P-Tucker input: a non-empty tensor of order at
+// most DeltaEngine::kMaxOrder with its mode index built, one rank
+// 1 <= Jn per mode (Jn <= In when orthogonalizing),
 // λ >= 0, max_iterations >= 1, truncation_rate in [0, 1), num_threads
 // >= 0, sample_rate in (0, 1], adaptive_epsilon 0, tile_width >= 1, and
 // an init_snapshot (when set) of matching shape.
@@ -36,6 +38,11 @@ void ValidateAlsInputs(const SparseTensor& x, const PTuckerOptions& options) {
   if (!x.has_mode_index()) {
     throw std::invalid_argument(
         "P-Tucker: call SparseTensor::BuildModeIndex() before decomposing");
+  }
+  if (x.order() > DeltaEngine::kMaxOrder) {
+    throw std::invalid_argument(
+        "P-Tucker: tensor order " + std::to_string(x.order()) +
+        " exceeds the limit of " + std::to_string(DeltaEngine::kMaxOrder));
   }
   if (static_cast<std::int64_t>(options.core_dims.size()) != x.order()) {
     throw std::invalid_argument(
@@ -149,8 +156,8 @@ PTuckerResult RunAls(const SparseTensor& x, const PTuckerOptions& options,
   double previous_error = std::numeric_limits<double>::infinity();
 
   for (int iteration = 1; iteration <= options.max_iterations; ++iteration) {
-    Stopwatch iteration_clock;
-    PTUCKER_TRACE_SPAN("als.iteration");
+    // One clock for IterationStats::seconds and the als.iteration span.
+    const std::int64_t iteration_start_us = obs::Tracer::NowMicros();
 
     // --- Update factor matrices (Algorithm 3), mode by mode. ---
     for (std::int64_t mode = 0; mode < x.order(); ++mode) {
@@ -219,7 +226,11 @@ PTuckerResult RunAls(const SparseTensor& x, const PTuckerOptions& options,
       }
     }
 
-    stats.seconds = iteration_clock.ElapsedSeconds();
+    const std::int64_t iteration_us =
+        obs::Tracer::NowMicros() - iteration_start_us;
+    stats.seconds = static_cast<double>(iteration_us) / 1e6;
+    obs::Tracer::Global().Record("als.iteration", iteration_start_us,
+                                 iteration_us);
     result.iterations.push_back(stats);
     if (options.verbose) {
       PTUCKER_LOG(kInfo) << "iteration " << iteration << ": error=" << error

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "util/logging.h"
@@ -31,6 +33,17 @@ void MoveCharge(MemoryTracker* tracker, std::int64_t bytes,
     }
   }
   *charged = bytes;
+}
+
+// Throws std::invalid_argument, naming `engine`, unless the tensor order
+// is in [1, DeltaEngine::kMaxOrder].
+void CheckOrder(const char* engine, std::int64_t order) {
+  if (order < 1 || order > DeltaEngine::kMaxOrder) {
+    throw std::invalid_argument(
+        std::string(engine) + " delta engine: tensor order " +
+        std::to_string(order) + " is outside [1, " +
+        std::to_string(DeltaEngine::kMaxOrder) + "]");
+  }
 }
 
 }  // namespace
@@ -97,14 +110,11 @@ ModeMajorDeltaEngine::ModeMajorDeltaEngine(const CoreEntryList& core,
                                            std::vector<FactorView> factors,
                                            MemoryTracker* tracker)
     : DeltaEngine(core, std::move(factors)), tracker_(tracker) {
-  PTUCKER_CHECK(core.order() >= 1 && core.order() <= kMaxOrder);
+  CheckOrder("modemajor", core.order());
   PTUCKER_CHECK(static_cast<std::int64_t>(this->factors().size()) ==
                 core.order());
-  // Charge before allocating, like the cache table, so an over-budget
-  // engine fails as OutOfMemoryBudget without building anything.
-  MoveCharge(tracker_, GroupedBytes(), &charged_bytes_);
   try {
-    BuildViews();
+    BuildLanes();
   } catch (...) {
     // A throwing constructor runs no destructor: return the charge here.
     MoveCharge(tracker_, 0, &charged_bytes_);
@@ -116,83 +126,46 @@ ModeMajorDeltaEngine::~ModeMajorDeltaEngine() {
   MoveCharge(tracker_, 0, &charged_bytes_);
 }
 
-std::int64_t ModeMajorDeltaEngine::GroupedBytes() const {
-  const std::int64_t order = core().order();
-  const std::int64_t n_entries = core().size();
-  std::int64_t bytes = 0;
-  for (std::int64_t n = 0; n < order; ++n) {
-    const std::int64_t rank = factors()[static_cast<std::size_t>(n)].cols();
-    bytes += static_cast<std::int64_t>(sizeof(std::int64_t)) * (rank + 1);
-    bytes += static_cast<std::int64_t>(sizeof(std::int32_t)) * n_entries *
-             (order - 1);
-    bytes += static_cast<std::int64_t>(sizeof(double)) * n_entries;
-  }
-  return bytes;
-}
-
-void ModeMajorDeltaEngine::BuildViews() {
+std::int64_t ModeMajorDeltaEngine::MergeGroups(std::int64_t mode,
+                                               LaneView* lanes) const {
   const CoreEntryList& list = core();
   const std::int64_t order = list.order();
-  const std::int64_t n_entries = list.size();
   const std::int64_t width = order - 1;
+  std::vector<std::int64_t> ranks;
+  for (const FactorView& factor : factors()) ranks.push_back(factor.cols());
+  const std::int64_t rank = ranks[static_cast<std::size_t>(mode)];
 
-  views_.assign(static_cast<std::size_t>(order), ModeView());
-  for (std::int64_t n = 0; n < order; ++n) {
-    ModeView& view = views_[static_cast<std::size_t>(n)];
-    const std::int64_t rank = factors()[static_cast<std::size_t>(n)].cols();
-
-    // Stable counting sort by β_n: group sizes, exclusive prefix, scatter
-    // in list order. Stability keeps per-group accumulation order equal to
-    // the naive scan's, so δ is bit-identical between the two engines.
-    view.offsets.assign(static_cast<std::size_t>(rank + 1), 0);
-    for (std::int64_t b = 0; b < n_entries; ++b) {
-      ++view.offsets[static_cast<std::size_t>(list.index(b)[n] + 1)];
-    }
-    for (std::int64_t j = 0; j < rank; ++j) {
-      view.offsets[static_cast<std::size_t>(j + 1)] +=
-          view.offsets[static_cast<std::size_t>(j)];
-    }
-
-    view.cols.resize(static_cast<std::size_t>(n_entries * width));
-    view.values.resize(static_cast<std::size_t>(n_entries));
-    std::vector<std::int64_t> cursor(view.offsets.begin(),
-                                     view.offsets.end() - 1);
-    for (std::int64_t b = 0; b < n_entries; ++b) {
-      const std::int32_t* beta = list.index(b);
-      const std::int64_t t = cursor[static_cast<std::size_t>(beta[n])]++;
-      std::int32_t* col = view.cols.data() + t * width;
-      std::int64_t w = 0;
-      for (std::int64_t k = 0; k < order; ++k) {
-        if (k == n) continue;
-        col[w++] = beta[k];
-      }
-      view.values[static_cast<std::size_t>(t)] = list.value(b);
-    }
+  // The list ids regrouped by β_n, stably: group j spans
+  // ids[offsets[j], offsets[j+1]) in list order, so per-group sums
+  // reassociate nothing vs the naive scan. Scratch for this merge only.
+  const std::vector<std::int64_t> ids =
+      CsfOrder(list.index(0), list.size(), order, {mode}, ranks);
+  std::vector<std::int64_t> offsets(static_cast<std::size_t>(rank + 1), 0);
+  for (std::int64_t b = 0; b < list.size(); ++b) {
+    ++offsets[static_cast<std::size_t>(list.index(b)[mode] + 1)];
   }
-  BuildLanes();
-}
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
 
-std::int64_t ModeMajorDeltaEngine::MergeGroups(const ModeView& view,
-                                               std::int64_t width,
-                                               LaneView* lanes) {
-  const std::int64_t rank = static_cast<std::int64_t>(view.offsets.size()) - 1;
-  const std::int32_t* cols = view.cols.data();
-  std::vector<std::int64_t> head(view.offsets.begin(), view.offsets.end() - 1);
+  std::vector<std::int64_t> head(offsets.begin(), offsets.end() - 1);
   auto live = [&](std::int64_t j) {
     return head[static_cast<std::size_t>(j)] <
-           view.offsets[static_cast<std::size_t>(j + 1)];
+           offsets[static_cast<std::size_t>(j + 1)];
   };
-  auto tuple = [&](std::int64_t j) {
-    return cols + head[static_cast<std::size_t>(j)] * width;
+  auto entry = [&](std::int64_t j) {
+    return ids[static_cast<std::size_t>(head[static_cast<std::size_t>(j)])];
   };
-  // Tuples compare last coordinate first: a list collected from a dense
-  // core (column-major) is sorted that way, so every group's tuples ascend
-  // and the merge emits their sorted union — no tuple twice.
-  auto precedes = [width](const std::int32_t* a, const std::int32_t* b) {
-    for (std::int64_t w = width - 1; w >= 0; --w) {
-      if (a[w] != b[w]) return a[w] < b[w];
+  auto tuple = [&](std::int64_t j) { return list.index(entry(j)); };
+  // Tuples skip mode n and compare last coordinate first: a list collected
+  // from a dense core (column-major) is sorted that way, so every group's
+  // tuples ascend and the merge emits their sorted union — no tuple twice.
+  auto precedes = [order, mode](const std::int32_t* a, const std::int32_t* b) {
+    for (std::int64_t k = order - 1; k >= 0; --k) {
+      if (k != mode && a[k] != b[k]) return a[k] < b[k];
     }
     return false;
+  };
+  auto same = [&](const std::int32_t* a, const std::int32_t* b) {
+    return !precedes(a, b) && !precedes(b, a);
   };
   std::int64_t rows = 0;
   for (;;) {
@@ -202,19 +175,18 @@ std::int64_t ModeMajorDeltaEngine::MergeGroups(const ModeView& view,
       if (smallest < 0 || precedes(tuple(j), tuple(smallest))) smallest = j;
     }
     if (smallest < 0) return rows;
-    // The emitted tuple stays readable while heads advance past it.
     const std::int32_t* emitted = tuple(smallest);
     if (lanes != nullptr) {
-      std::copy(emitted, emitted + width, lanes->cols.data() + rows * width);
+      std::int32_t* col = lanes->cols.data() + rows * width;
+      for (std::int64_t k = 0; k < order; ++k) {
+        if (k != mode) *col++ = emitted[k];
+      }
     }
     for (std::int64_t j = 0; j < rank; ++j) {
-      if (!live(j) || !std::equal(emitted, emitted + width, tuple(j))) {
-        continue;
-      }
+      if (!live(j) || !same(emitted, tuple(j))) continue;
       if (lanes != nullptr) {
         lanes->values[static_cast<std::size_t>(rows * rank + j)] =
-            view.values[static_cast<std::size_t>(
-                head[static_cast<std::size_t>(j)])];
+            list.value(entry(j));
       }
       ++head[static_cast<std::size_t>(j)];
     }
@@ -229,12 +201,14 @@ void ModeMajorDeltaEngine::BuildLanes() {
   std::int64_t lane_bytes = 0;
   for (std::int64_t n = 0; n < order; ++n) {
     const std::int64_t rank = factors()[static_cast<std::size_t>(n)].cols();
-    const std::int64_t u = MergeGroups(view(n), width, nullptr);
+    const std::int64_t u = MergeGroups(n, nullptr);
     rows[static_cast<std::size_t>(n)] = u;
     lane_bytes += static_cast<std::int64_t>(sizeof(std::int32_t)) * u * width;
     lane_bytes += static_cast<std::int64_t>(sizeof(double)) * u * rank;
   }
-  MoveCharge(tracker_, GroupedBytes() + lane_bytes, &charged_bytes_);
+  // Charge before allocating, like the cache table, so an over-budget
+  // engine fails as OutOfMemoryBudget without building anything.
+  MoveCharge(tracker_, lane_bytes, &charged_bytes_);
 
   lanes_.resize(static_cast<std::size_t>(order));
   for (std::int64_t n = 0; n < order; ++n) {
@@ -243,7 +217,7 @@ void ModeMajorDeltaEngine::BuildLanes() {
     lanes.rows = rows[static_cast<std::size_t>(n)];
     lanes.cols.resize(static_cast<std::size_t>(lanes.rows * width));
     lanes.values.assign(static_cast<std::size_t>(lanes.rows * rank), 0.0);
-    MergeGroups(view(n), width, &lanes);
+    MergeGroups(n, &lanes);
   }
 }
 
@@ -356,13 +330,13 @@ double ModeMajorDeltaEngine::Reconstruct(
   return sum;
 }
 
-void ModeMajorDeltaEngine::OnCoreValuesChanged() { BuildViews(); }
+void ModeMajorDeltaEngine::OnCoreValuesChanged() { BuildLanes(); }
 
 void ModeMajorDeltaEngine::OnCoreEntriesRemoved(
     const std::vector<char>& removed) {
   PTUCKER_CHECK(std::count(removed.begin(), removed.end(), char{0}) ==
                 core().size());
-  BuildViews();
+  BuildLanes();
 }
 
 // ---------------------------------------------------------------------------
@@ -465,7 +439,7 @@ ContractionDeltaEngine::ContractionDeltaEngine(
     : DeltaEngine(core, factors),
       nnz_(x.nnz()),
       tracker_(tracker) {
-  PTUCKER_CHECK(core.order() >= 1 && core.order() <= kMaxOrder);
+  CheckOrder("contraction", core.order());
   PTUCKER_CHECK(static_cast<std::int64_t>(factors.size()) == core.order());
   try {
     Rebuild();

@@ -32,9 +32,9 @@ namespace ptucker {
 /// pluggable so callers never special-case it:
 ///
 ///   - NaiveDeltaEngine     entry-major scan; the correctness oracle.
-///   - ModeMajorDeltaEngine per-mode regrouped and lane-interleaved core
-///                          views; every δ component of an entry in one
-///                          pass, bit-identical to naive. Serving's kernel.
+///   - ModeMajorDeltaEngine per-mode lane-interleaved core views; every δ
+///                          component of an entry in one pass,
+///                          bit-identical to naive. Serving's kernel.
 ///   - CachedDeltaEngine    the §III-C Pres table behind the same calls.
 ///   - ContractionDeltaEngine core trees with memoized short modes; the
 ///                          solvers' default (reassociated sums).
@@ -47,7 +47,7 @@ namespace ptucker {
 /// copies. Factor *values* of the mode being solved may change in place
 /// (row-wise ALS does); every finished factor update and every change to
 /// the core list must be announced through the On* hooks so engines with
-/// derived state (reordered views, the Pres table, the contraction
+/// derived state (lane views, the Pres table, the contraction
 /// engine's memo arrays) stay consistent.
 ///
 /// Every consumer calls the per-entry kernels (ComputeDelta, Reconstruct),
@@ -172,9 +172,8 @@ class NaiveDeltaEngine final : public DeltaEngine {
                         double* out) const override;
 };
 
-/// Mode-major layout: one reordered copy of the core entries per mode,
-/// grouped by β_n with the mode-n column factored out into the group id,
-/// plus a lane view per mode that interleaves those groups.
+/// Mode-major layout: one lane view per mode that interleaves the core
+/// entries' β_n groups, with the mode-n column factored out into the lane.
 ///
 /// ComputeDelta and Reconstruct run on the lane view: each row is one
 /// non-mode tuple (β_k, k≠n) carrying Jn lane values (lane j = G_β of
@@ -185,17 +184,19 @@ class NaiveDeltaEngine final : public DeltaEngine {
 /// that never change a sum started at +0 — so δ is bit-identical to the
 /// naive scan whenever the factor values are finite.
 ///
-/// The grouped views cost Θ(N·|G|) extra memory and the lane views
-/// Θ(Σ_n U_n·(N−1+2·Jn)) in 4-byte words, where U_n ≤ |G| is the lane row
-/// count (|G|/Jn for a dense core); both are charged to the tracker, before
-/// allocation, for the engine's lifetime. Both core hooks rebuild every
-/// view from the list: the grouping sort is stable and RefreshValues and
-/// Remove keep list order, so a rebuilt lane view adds the same terms in
-/// the same order as before the change.
+/// The lane views cost Θ(Σ_n U_n·(N−1+2·Jn)) 4-byte words, where U_n ≤ |G|
+/// is the lane row count (|G|/Jn for a dense core), charged to the tracker
+/// before allocation for the engine's lifetime. The groups come from a
+/// stable regroup of the list ids by β_n, build scratch that lives only
+/// through one mode's merge and is not charged. Both core hooks rebuild
+/// every lane view from the list: the regroup is stable and RefreshValues
+/// and Remove keep list order, so a rebuilt lane view adds the same terms
+/// in the same order as before the change.
 class ModeMajorDeltaEngine final : public DeltaEngine {
  public:
-  /// Charges the view bytes to `tracker` (throws OutOfMemoryBudget when
-  /// over budget) before building.
+  /// Charges the lane bytes to `tracker` (throws OutOfMemoryBudget when
+  /// over budget) before building. Throws std::invalid_argument when the
+  /// order is outside [1, kMaxOrder].
   ModeMajorDeltaEngine(const CoreEntryList& core,
                        const std::vector<Matrix>& factors,
                        MemoryTracker* tracker);
@@ -204,7 +205,7 @@ class ModeMajorDeltaEngine final : public DeltaEngine {
   ModeMajorDeltaEngine(const CoreEntryList& core,
                        std::vector<FactorView> factors,
                        MemoryTracker* tracker);
-  /// Releases the view bytes charged to the tracker.
+  /// Releases the lane bytes charged to the tracker.
   ~ModeMajorDeltaEngine() override;
 
   DeltaEngineChoice kind() const override {
@@ -222,54 +223,34 @@ class ModeMajorDeltaEngine final : public DeltaEngine {
   std::int64_t ByteSize() const override { return charged_bytes_; }
 
  private:
-  /// Core entries of one mode, grouped by that mode's coordinate β_n.
-  /// Group j spans [offsets[j], offsets[j+1]); within a group, entries keep
-  /// list order, so per-group sums reassociate nothing vs the naive scan.
-  struct ModeView {
-    std::vector<std::int64_t> offsets;  ///< Jn + 1 group boundaries
-    std::vector<std::int32_t> cols;     ///< |G| × (N−1) β_k for k≠n, k asc.
-    std::vector<double> values;         ///< |G| grouped G_β
-  };
-
-  /// The regrouped view of mode `mode` (one per tensor mode).
-  const ModeView& view(std::int64_t mode) const {
-    return views_[static_cast<std::size_t>(mode)];
-  }
-
   /// Lanes Reconstruct sums per pass over a lane view (sizes its stack
   /// accumulators); a mode-0 rank above it takes several passes.
   static constexpr std::int64_t kLaneBlock = 64;
 
-  /// Mode n's groups interleaved by non-mode tuple. Built by merging the
-  /// Jn grouped sequences by their heads: emit the smallest head tuple and
+  /// Mode n's β_n groups interleaved by non-mode tuple. Built by merging
+  /// the Jn groups by their heads: emit the smallest head tuple and
   /// advance every group whose head equals it, so each group's entries
-  /// keep their grouped (list) order for any CoreEntryList order.
+  /// keep list order for any CoreEntryList order.
   struct LaneView {
     std::int64_t rows = 0;           ///< U merged tuples
     std::vector<std::int32_t> cols;  ///< U × (N−1) β_k for k≠n, k asc.
     std::vector<double> values;      ///< U × Jn lane values, 0.0 padding
   };
 
-  /// Bytes of the grouped views (the lane views are charged separately).
-  std::int64_t GroupedBytes() const;
-  /// Builds the grouped views, then the lane views.
-  void BuildViews();
-  /// Merges every lane view from the grouped views, charging the new
-  /// lane bytes before allocating them (a list whose groups are not
-  /// sorted can merge into more rows after a removal, so even the
-  /// removal hook may throw OutOfMemoryBudget).
+  /// Merges every lane view from the core list, charging the lane bytes
+  /// before allocating any lane (a list whose groups are not sorted can
+  /// merge into more rows after a removal, so even the removal hook may
+  /// throw OutOfMemoryBudget).
   void BuildLanes();
-  /// Merges `view`'s groups into lane rows (see LaneView) and returns the
-  /// row count; with `lanes` null it only counts.
-  static std::int64_t MergeGroups(const ModeView& view, std::int64_t width,
-                                  LaneView* lanes);
+  /// Merges mode `mode`'s β_n groups into lane rows (see LaneView) and
+  /// returns the row count; with `lanes` null it only counts.
+  std::int64_t MergeGroups(std::int64_t mode, LaneView* lanes) const;
   /// acc[j] = Σ_u ((v[u][lane_begin + j]·p0)·p1)·… for the `lane_count`
   /// lanes starting at `lane_begin` of mode `mode`'s lane view.
   void LaneSums(const std::int64_t* entry_index, std::int64_t mode,
                 std::int64_t lane_begin, std::int64_t lane_count,
                 double* acc) const;
 
-  std::vector<ModeView> views_;
   std::vector<LaneView> lanes_;
   MemoryTracker* tracker_;
   std::int64_t charged_bytes_ = 0;

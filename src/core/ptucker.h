@@ -58,9 +58,9 @@ struct PTuckerResult {
 /// partially-observed tensor by fully-parallel row-wise ALS.
 ///
 /// Requirements: `x.nnz() > 0` and `x.has_mode_index()` (call
-/// `BuildModeIndex()` once after filling the tensor); options.core_dims
-/// must match `x.order()` with 1 <= Jn <= In. Violations throw
-/// std::invalid_argument.
+/// `BuildModeIndex()` once after filling the tensor); `x.order()` <= 32
+/// (DeltaEngine::kMaxOrder); options.core_dims must match `x.order()`
+/// with 1 <= Jn <= In. Violations throw std::invalid_argument.
 ///
 /// Throws OutOfMemoryBudget if options.tracker has a budget and the
 /// variant's intermediate data exceeds it (only realistic for kCache).

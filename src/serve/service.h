@@ -23,8 +23,8 @@ namespace ptucker {
 
 /// An immutable, query-ready view of a fitted model: its factor views
 /// plus the CoreEntryList and ModeMajorDeltaEngine built over them once at
-/// load time, so every query amortizes the engine's mode-major views
-/// instead of rebuilding them. Two backings share the interface:
+/// load time, so every query amortizes the engine's lane views instead
+/// of rebuilding them. Two backings share the interface:
 /// Create() owns a TuckerFactorization, CreateFromFile() pins an
 /// MmapSnapshot and serves the factors straight out of the mapping with
 /// zero copies. Always heap-allocated behind shared_ptr — the engine

@@ -462,11 +462,15 @@ TEST(DeltaEngineTest, ModeMajorChargesAndReleasesTracker) {
     EXPECT_EQ(tracker.current_bytes(), built);
     EXPECT_EQ(tracker.current_bytes(), engine.ByteSize());
 
-    // Removing entries shrinks the views and the charge with them.
+    // Removing every entry that shares entry 0's (β0, β1) deletes that
+    // mode-2 lane row, so the views and the charge shrink.
     const std::int64_t before = tracker.current_bytes();
     std::vector<char> remove(static_cast<std::size_t>(s.list.size()), 0);
-    remove[0] = 1;
-    remove[1] = 1;
+    for (std::int64_t b = 0; b < s.list.size(); ++b) {
+      remove[static_cast<std::size_t>(b)] =
+          s.list.index(b)[0] == s.list.index(0)[0] &&
+          s.list.index(b)[1] == s.list.index(0)[1];
+    }
     s.list.Remove(remove, &s.core);
     engine.OnCoreEntriesRemoved(remove);
     EXPECT_LT(tracker.current_bytes(), before);
@@ -474,7 +478,7 @@ TEST(DeltaEngineTest, ModeMajorChargesAndReleasesTracker) {
 
     // The list is still in dense-core order, so each lane view holds
     // every distinct non-mode tuple exactly once: U_n rows of (N−1) int32
-    // columns and Jn doubles, on top of the grouped views' bytes.
+    // columns and Jn doubles.
     const std::int64_t n_core = s.list.size();
     std::int64_t expected = 0;
     for (std::int64_t n = 0; n < 3; ++n) {
@@ -487,17 +491,14 @@ TEST(DeltaEngineTest, ModeMajorChargesAndReleasesTracker) {
         tuples.insert(tuple);
       }
       const std::int64_t rows = static_cast<std::int64_t>(tuples.size());
-      expected += 8 * 6 + 4 * n_core * 2 + 8 * n_core;
       expected += 4 * rows * 2 + 8 * rows * 5;
     }
     EXPECT_EQ(engine.ByteSize(), expected);
   }
   EXPECT_EQ(tracker.current_bytes(), 0);
 
-  // On a dense core the byte count has a closed form. Grouped views, per
-  // mode n: (Jn + 1) int64 offsets, |G|·(N−1) int32 columns and |G|
-  // doubles. Lane views, per mode: U = |G|/Jn rows of (N−1) int32
-  // columns and Jn doubles.
+  // On a dense core the byte count has a closed form. Lane views, per
+  // mode: U = |G|/Jn rows of (N−1) int32 columns and Jn doubles.
   Rng rng(3);
   DenseTensor core({3, 4, 5});
   core.FillUniform(rng);
@@ -508,14 +509,39 @@ TEST(DeltaEngineTest, ModeMajorChargesAndReleasesTracker) {
   for (const std::int64_t rank : {3, 4, 5}) factors.emplace_back(6, rank);
   std::int64_t expected = 0;
   for (const std::int64_t rank : {3, 4, 5}) {
-    expected += 8 * (rank + 1) + 4 * 60 * 2 + 8 * 60;
     expected += 4 * (60 / rank) * 2 + 8 * (60 / rank) * rank;
   }
-  EXPECT_EQ(expected, 4816);
+  EXPECT_EQ(expected, 1816);
   MemoryTracker dense_tracker;
   const ModeMajorDeltaEngine dense(list, factors, &dense_tracker);
   EXPECT_EQ(dense.ByteSize(), expected);
   EXPECT_EQ(dense_tracker.current_bytes(), expected);
+}
+
+TEST(DeltaEngineTest, OrdersAboveTheLimitThrow) {
+  // Past DeltaEngine::kMaxOrder the stack-sized kernels cannot run: the
+  // engines refuse with an exception naming the order, not an abort.
+  const std::int64_t order = DeltaEngine::kMaxOrder + 1;
+  SparseTensor x(std::vector<std::int64_t>(static_cast<std::size_t>(order), 2));
+  x.AddEntry(std::vector<std::int64_t>(static_cast<std::size_t>(order), 1),
+             1.0);
+  x.BuildModeIndex();
+  DenseTensor core(std::vector<std::int64_t>(static_cast<std::size_t>(order), 1));
+  core[0] = 1.0;
+  const CoreEntryList list(core);
+  const std::vector<Matrix> factors(static_cast<std::size_t>(order),
+                                    Matrix(2, 1));
+  for (const DeltaEngineChoice choice :
+       {DeltaEngineChoice::kModeMajor, DeltaEngineChoice::kContraction}) {
+    try {
+      MakeDeltaEngine(choice, x, list, factors, nullptr);
+      ADD_FAILURE() << "engine " << static_cast<int>(choice) << " built";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(std::to_string(order)),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(DeltaEngineTest, ModeMajorBudgetTriggersOom) {
@@ -525,19 +551,15 @@ TEST(DeltaEngineTest, ModeMajorBudgetTriggersOom) {
                OutOfMemoryBudget);
   EXPECT_EQ(tracker.current_bytes(), 0);
 
-  // A budget that admits the grouped views but not the lane views fails
-  // at the lane charge and returns the grouped charge on the way out.
-  const std::int64_t n_core = s.list.size();
-  const std::int64_t grouped = 3 * (8 * 6 + 4 * n_core * 2 + 8 * n_core);
-  MemoryTracker lanes_over(grouped);
-  EXPECT_THROW(ModeMajorDeltaEngine(s.list, s.factors, &lanes_over),
-               OutOfMemoryBudget);
-  EXPECT_EQ(lanes_over.current_bytes(), 0);
-  EXPECT_EQ(lanes_over.peak_bytes(), grouped);
-
-  // The engine's full footprint fits a budget of exactly that size.
+  // One byte short of the engine's full footprint fails too, with
+  // nothing left charged; a budget of exactly that size fits.
   const std::int64_t full =
       ModeMajorDeltaEngine(s.list, s.factors, nullptr).ByteSize();
+  MemoryTracker short_by_one(full - 1);
+  EXPECT_THROW(ModeMajorDeltaEngine(s.list, s.factors, &short_by_one),
+               OutOfMemoryBudget);
+  EXPECT_EQ(short_by_one.current_bytes(), 0);
+
   MemoryTracker exact(full);
   const ModeMajorDeltaEngine fits(s.list, s.factors, &exact);
   EXPECT_EQ(exact.current_bytes(), full);

@@ -3,9 +3,11 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/delta_engine.h"
 #include "core/reconstruction.h"
 #include "core/row_update.h"
 #include "data/lowrank.h"
@@ -75,6 +77,21 @@ TEST(PTuckerValidationTest, RejectsBadScalarOptions) {
   EXPECT_THROW(PTuckerDecompose(x, options), std::invalid_argument);
   options = SmallOptions();
   options.num_threads = -2;
+  EXPECT_THROW(PTuckerDecompose(x, options), std::invalid_argument);
+}
+
+TEST(PTuckerValidationTest, RejectsOrderAboveTheEngineLimit) {
+  // One order past DeltaEngine::kMaxOrder throws instead of aborting.
+  const std::int64_t order = DeltaEngine::kMaxOrder + 1;
+  SparseTensor x(std::vector<std::int64_t>(static_cast<std::size_t>(order), 2));
+  x.AddEntry(std::vector<std::int64_t>(static_cast<std::size_t>(order), 0),
+             1.0);
+  x.AddEntry(std::vector<std::int64_t>(static_cast<std::size_t>(order), 1),
+             2.0);
+  x.BuildModeIndex();
+  PTuckerOptions options;
+  options.core_dims.assign(static_cast<std::size_t>(order), 1);
+  options.max_iterations = 1;
   EXPECT_THROW(PTuckerDecompose(x, options), std::invalid_argument);
 }
 

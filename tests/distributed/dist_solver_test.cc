@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/delta_engine.h"
 #include "core/ptucker.h"
 #include "data/synthetic.h"
 #include "util/random.h"
@@ -218,6 +219,19 @@ TEST(DistSolverTest, RejectsUnsupportedConfigurations) {
   bad = options;
   bad.core_dims = {3, 2};  // wrong order
   EXPECT_THROW(DistributedPTuckerDecompose(x, bad, dist),
+               std::invalid_argument);
+
+  // An order past DeltaEngine::kMaxOrder fails validation before any
+  // worker starts, rather than aborting inside one.
+  const std::int64_t order = DeltaEngine::kMaxOrder + 1;
+  SparseTensor high(
+      std::vector<std::int64_t>(static_cast<std::size_t>(order), 2));
+  high.AddEntry(std::vector<std::int64_t>(static_cast<std::size_t>(order), 0),
+                1.0);
+  high.BuildModeIndex();
+  bad = options;
+  bad.core_dims.assign(static_cast<std::size_t>(order), 1);
+  EXPECT_THROW(DistributedPTuckerDecompose(high, bad, dist),
                std::invalid_argument);
 }
 

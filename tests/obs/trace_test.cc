@@ -14,6 +14,8 @@
 #endif
 #endif
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -188,6 +190,45 @@ TEST(ObsTraceTest, SolveTrajectoryBitIdenticalTracingOnVsOff) {
   }
   EXPECT_EQ(std::memcmp(&off.final_error, &on.final_error, sizeof(double)),
             0);
+}
+
+TEST(ObsTraceTest, IterationSpansShareTheClockOfIterationStats) {
+  // IterationStats::seconds and the als.iteration span come from the same
+  // two clock reads: one span per iteration, each as long as its stats.
+  Rng rng(6);
+  SparseTensor x = UniformSparseTensor({18, 14, 10}, 500, rng);
+  x.BuildModeIndex();
+  PTuckerOptions options;
+  options.core_dims = {3, 2, 2};
+  options.max_iterations = 4;
+  options.tolerance = 0.0;
+  options.num_threads = 1;
+  options.seed = 12;
+
+  Tracer& tracer = Tracer::Global();
+  tracer.Clear();
+  tracer.Enable();
+  const PTuckerResult result = PTuckerDecompose(x, options);
+  const std::vector<TraceEvent> events = tracer.Snapshot();
+  tracer.Disable();
+  tracer.Clear();
+
+  std::vector<TraceEvent> iterations;
+  for (const TraceEvent& event : events) {
+    if (std::strcmp(event.name, "als.iteration") == 0) {
+      iterations.push_back(event);
+    }
+  }
+  std::sort(iterations.begin(), iterations.end(),
+            [](const TraceEvent& a, const TraceEvent& b) {
+              return a.ts_us < b.ts_us;
+            });
+  ASSERT_EQ(iterations.size(), result.iterations.size());
+  for (std::size_t i = 0; i < iterations.size(); ++i) {
+    EXPECT_EQ(iterations[i].dur_us,
+              std::llround(result.iterations[i].seconds * 1e6))
+        << "iteration " << i + 1;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <filesystem>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +20,8 @@
 #include "core/ptucker.h"
 #include "core/reconstruction.h"
 #include "data/synthetic.h"
+#include "serve/snapshot_v2.h"
+#include "util/memory_tracker.h"
 #include "util/random.h"
 
 namespace ptucker {
@@ -209,6 +215,62 @@ TEST(PredictionServiceTest, ConcurrentReloadDuringPredictBatch) {
   stop.store(true, std::memory_order_relaxed);
   reloader.join();
   EXPECT_EQ(saw_a + saw_b, 200);
+}
+
+// The engine behind a snapshot is charged its lane views alone: per mode
+// n, a dense core's |G|/Jn lane rows of N−1 int32 columns and Jn doubles.
+// Both backings charge exactly that, once, and return it on release.
+TEST(PredictionServiceTest, SnapshotChargesOnlyTheLaneViews) {
+  const std::vector<std::int64_t> dims = {30, 25, 18};
+  const std::vector<std::int64_t> ranks = {4, 3, 5};
+  TuckerFactorization model = MakeModel(dims, ranks, 61);
+  model.core[0] = 0.25;  // FillUniform may draw an exact 0; keep it dense
+  const std::int64_t n_core = CoreEntryList(model.core).size();
+  ASSERT_EQ(n_core, 4 * 3 * 5);
+  const std::int64_t order = static_cast<std::int64_t>(ranks.size());
+  std::int64_t expected = 0;
+  for (const std::int64_t rank : ranks) {
+    expected += 4 * (n_core / rank) * (order - 1) + 8 * n_core;
+  }
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ptucker_service_charge.ptks")
+          .string();
+  SaveSnapshotV2(path, model, /*with_centroids=*/false);
+  for (const bool from_file : {false, true}) {
+    SCOPED_TRACE(from_file ? "CreateFromFile" : "Create");
+    MemoryTracker tracker;
+    {
+      const auto snapshot =
+          from_file
+              ? ModelSnapshot::CreateFromFile(path, kDefaultTileWidth, &tracker)
+              : ModelSnapshot::Create(model, &tracker);
+      EXPECT_EQ(snapshot->engine().ByteSize(), expected);
+      EXPECT_EQ(tracker.current_bytes(), expected);
+      EXPECT_EQ(tracker.peak_bytes(), expected);
+    }
+    EXPECT_EQ(tracker.current_bytes(), 0);
+  }
+  std::remove(path.c_str());
+}
+
+// Orders above DeltaEngine::kMaxOrder are refused with an exception, not
+// an abort, whether the model comes from memory or from a snapshot file
+// (the v2 format itself admits them).
+TEST(PredictionServiceTest, RejectsOrdersAboveTheEngineLimit) {
+  const std::int64_t order = DeltaEngine::kMaxOrder + 1;
+  const TuckerFactorization model =
+      MakeModel(std::vector<std::int64_t>(static_cast<std::size_t>(order), 2),
+                std::vector<std::int64_t>(static_cast<std::size_t>(order), 1),
+                71);
+  EXPECT_THROW(ModelSnapshot::Create(model), std::invalid_argument);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ptucker_service_order.ptks")
+          .string();
+  SaveSnapshotV2(path, model, /*with_centroids=*/false);
+  EXPECT_THROW(ModelSnapshot::CreateFromFile(path), std::invalid_argument);
+  std::remove(path.c_str());
 }
 
 }  // namespace
