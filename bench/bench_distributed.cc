@@ -40,7 +40,6 @@ int main() {
   for (const std::int64_t workers : {1, 2, 4, 8}) {
     DistOptions dist;
     dist.workers = workers;
-    dist.transport = DistTransport::kSocketpair;
     const DistributedPTuckerResult outcome =
         DistributedPTuckerDecompose(x, options, dist);
 

@@ -47,10 +47,15 @@ void ValidateDistributed(const PTuckerOptions& options,
         "distributed P-Tucker: the memory tracker is process-local and "
         "cannot account a multi-process solve");
   }
+  if (dist.recv_timeout_ms < 1) {
+    throw std::invalid_argument(
+        "distributed P-Tucker: recv_timeout_ms must be >= 1, got " +
+        std::to_string(dist.recv_timeout_ms));
+  }
 }
 
 // Receives one frame from `rank`, converting every failure into a
-// DistError that names the worker: transport errors get a "worker r:"
+// DistError that names the worker: channel errors get a "worker r:"
 // prefix, kAbort frames carry the worker's own message, and an opcode or
 // iteration-tag mismatch is a protocol violation in its own right.
 DistFrame ExpectFrame(FrameChannel& channel, std::int64_t rank,
@@ -80,10 +85,10 @@ DistFrame ExpectFrame(FrameChannel& channel, std::int64_t rank,
 }
 
 // Sends one `opcode` frame carrying `payload` to every worker.
-void Broadcast(ClusterTransport* transport, DistOpcode opcode,
+void Broadcast(Cluster* cluster, DistOpcode opcode,
                std::uint64_t tag, const std::vector<std::uint8_t>& payload) {
-  for (std::int64_t r = 0; r < transport->workers(); ++r) {
-    transport->Channel(r).SendFrame(opcode, tag, payload);
+  for (std::int64_t r = 0; r < cluster->workers(); ++r) {
+    cluster->Channel(r).SendFrame(opcode, tag, payload);
   }
 }
 
@@ -92,14 +97,14 @@ void Broadcast(ClusterTransport* transport, DistOpcode opcode,
 // exactly its lane subrange at `width` values per lane, and copies them
 // into the full kReductionLanes x width buffer `lane_sums`. The worker
 // subranges tile all lanes, so every slot is written.
-void GatherLaneSums(ClusterTransport* transport, DistOpcode opcode,
+void GatherLaneSums(Cluster* cluster, DistOpcode opcode,
                     const std::vector<std::uint8_t>& payload,
                     DistOpcode reply, std::uint64_t tag, std::size_t width,
                     double* lane_sums) {
-  const std::int64_t workers = transport->workers();
-  Broadcast(transport, opcode, tag, payload);
+  const std::int64_t workers = cluster->workers();
+  Broadcast(cluster, opcode, tag, payload);
   for (std::int64_t r = 0; r < workers; ++r) {
-    const DistFrame frame = ExpectFrame(transport->Channel(r), r, reply, tag);
+    const DistFrame frame = ExpectFrame(cluster->Channel(r), r, reply, tag);
     DistLaneBlock block;
     std::string error;
     if (!ParseLaneBlock(frame.payload, &block, &error)) {
@@ -123,7 +128,7 @@ void GatherLaneSums(ClusterTransport* transport, DistOpcode opcode,
 
 // The worker body: replicate the model, build the engine, then obey
 // coordinator commands until kShutdown. Throws DistError to exit (the
-// transport's worker wrapper swallows it and EOFs the channel).
+// forked child's wrapper swallows it and EOFs the channel).
 void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
                    const DistOptions& dist, std::int64_t rank,
                    FrameChannel& channel) {
@@ -135,12 +140,8 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
   const std::int64_t workers = dist.workers;
 
   // A forked worker inherits the parent tracer's rings; drop them so
-  // the kBye payload carries only this rank's spans. In-process workers
-  // share the coordinator's live tracer and must leave it alone.
-  if (dist.transport != DistTransport::kInProcess &&
-      obs::Tracer::Global().enabled()) {
-    obs::Tracer::Global().Clear();
-  }
+  // the kBye payload carries only this rank's spans.
+  obs::Tracer::Global().Clear();
 
   // The same draw as RunAls on the coordinator, so all N + 1 model
   // replicas start bit-identical.
@@ -302,14 +303,10 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
         case DistOpcode::kShutdown: {
           // When tracing is on, the farewell carries this worker's span
           // ring so the coordinator can merge all ranks into one Chrome
-          // trace. In-process workers already share the coordinator's
-          // tracer, so shipping the ring back would double every span.
+          // trace.
           std::vector<std::uint8_t> bye;
           obs::Tracer& tracer = obs::Tracer::Global();
-          if (tracer.enabled() &&
-              dist.transport != DistTransport::kInProcess) {
-            bye = tracer.SerializeEvents();
-          }
+          if (tracer.enabled()) bye = tracer.SerializeEvents();
           channel.SendFrame(DistOpcode::kBye, frame.tag, bye);
           return;
         }
@@ -338,25 +335,24 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
 // the merged rows and the CG iterate.
 class FrameBackend : public AlsBackend {
  public:
-  FrameBackend(const SparseTensor& x, ClusterTransport* transport,
-               AlsModel* model)
-      : transport_(transport), model_(model) {
+  FrameBackend(const SparseTensor& x, Cluster* cluster, AlsModel* model)
+      : cluster_(cluster), model_(model) {
     // Row ownership: the same blocks every worker derives.
     for (std::int64_t mode = 0; mode < x.order(); ++mode) {
-      partitions_.push_back(PartitionRowsBlock(x, mode, transport->workers()));
+      partitions_.push_back(PartitionRowsBlock(x, mode, cluster->workers()));
     }
   }
 
   void SolveMode(std::int64_t mode, int iteration) override {
     const std::uint64_t tag = static_cast<std::uint64_t>(iteration);
-    const std::int64_t workers = transport_->workers();
-    Broadcast(transport_, DistOpcode::kSolveMode, tag, EncodeSolveMode(mode));
+    const std::int64_t workers = cluster_->workers();
+    Broadcast(cluster_, DistOpcode::kSolveMode, tag, EncodeSolveMode(mode));
     Matrix& factor = model_->factors[static_cast<std::size_t>(mode)];
     const RowPartition& partition =
         partitions_[static_cast<std::size_t>(mode)];
     for (std::int64_t r = 0; r < workers; ++r) {
       const DistFrame frame =
-          ExpectFrame(transport_->Channel(r), r, DistOpcode::kRows, tag);
+          ExpectFrame(cluster_->Channel(r), r, DistOpcode::kRows, tag);
       DistRowBlock block;
       std::string error;
       if (!ParseRowBlock(frame.payload, &block, &error)) {
@@ -380,13 +376,13 @@ class FrameBackend : public AlsBackend {
                   factor.Row(block.row_begin));
       }
     }
-    Broadcast(transport_, DistOpcode::kFactor, tag,
+    Broadcast(cluster_, DistOpcode::kFactor, tag,
               EncodeRowBlock(mode, factor, 0, factor.rows()));
   }
 
   void DesignLaneSums(bool residual_from_x, const std::vector<double>& input,
                       int iteration, double* lane_sums) override {
-    GatherLaneSums(transport_,
+    GatherLaneSums(cluster_,
                    residual_from_x ? DistOpcode::kCoreResidual
                                    : DistOpcode::kCoreMatVec,
                    EncodeDoubleVector(input), DistOpcode::kCorePartials,
@@ -396,20 +392,20 @@ class FrameBackend : public AlsBackend {
 
   void CommitCore(const std::vector<double>& g, int iteration) override {
     const std::uint64_t tag = static_cast<std::uint64_t>(iteration);
-    Broadcast(transport_, DistOpcode::kCoreWrite, tag, EncodeDoubleVector(g));
-    for (std::int64_t r = 0; r < transport_->workers(); ++r) {
-      ExpectFrame(transport_->Channel(r), r, DistOpcode::kAck, tag);
+    Broadcast(cluster_, DistOpcode::kCoreWrite, tag, EncodeDoubleVector(g));
+    for (std::int64_t r = 0; r < cluster_->workers(); ++r) {
+      ExpectFrame(cluster_->Channel(r), r, DistOpcode::kAck, tag);
     }
   }
 
   void ErrorLaneSums(int iteration, double* lane_sums) override {
-    GatherLaneSums(transport_, DistOpcode::kErrorSums, {},
+    GatherLaneSums(cluster_, DistOpcode::kErrorSums, {},
                    DistOpcode::kErrorSums,
                    static_cast<std::uint64_t>(iteration), 1, lane_sums);
   }
 
  private:
-  ClusterTransport* transport_;
+  Cluster* cluster_;
   AlsModel* model_;
   std::vector<RowPartition> partitions_;
 };
@@ -418,11 +414,11 @@ class FrameBackend : public AlsBackend {
 // tracing is on, and the rings merge into the coordinator's tracer
 // (pid r+1; the coordinator is pid 0). Telemetry never fails a finished
 // solve: a malformed payload is logged and dropped.
-void ShutdownCluster(ClusterTransport* transport) {
-  Broadcast(transport, DistOpcode::kShutdown, 0, {});
-  for (std::int64_t r = 0; r < transport->workers(); ++r) {
+void ShutdownCluster(Cluster* cluster) {
+  Broadcast(cluster, DistOpcode::kShutdown, 0, {});
+  for (std::int64_t r = 0; r < cluster->workers(); ++r) {
     const DistFrame bye =
-        ExpectFrame(transport->Channel(r), r, DistOpcode::kBye, 0);
+        ExpectFrame(cluster->Channel(r), r, DistOpcode::kBye, 0);
     if (!bye.payload.empty() && obs::Tracer::Global().enabled()) {
       std::string error;
       if (!obs::Tracer::Global().ImportSerialized(
@@ -450,20 +446,20 @@ DistributedPTuckerResult DistributedPTuckerDecompose(
   // Launched by RunAls once the options are validated and the
   // coordinator's replica is drawn; aborted (every worker reaped) on any
   // failure, a non-finite error included.
-  std::unique_ptr<ClusterTransport> transport;
+  std::unique_ptr<Cluster> cluster;
   try {
     out.result = RunAls(x, options, [&](AlsModel* model) {
-      transport = LaunchCluster(dist.transport, dist.workers, worker_main,
-                                dist.recv_timeout_ms);
-      return std::make_unique<FrameBackend>(x, transport.get(), model);
+      cluster =
+          LaunchCluster(dist.workers, worker_main, dist.recv_timeout_ms);
+      return std::make_unique<FrameBackend>(x, cluster.get(), model);
     });
-    ShutdownCluster(transport.get());
-    out.stats.total_comm_bytes = transport->TotalCommBytes();
+    ShutdownCluster(cluster.get());
+    out.stats.total_comm_bytes = cluster->TotalCommBytes();
     out.stats.iterations_run =
         static_cast<int>(out.result.iterations.size());
-    transport->Shutdown();
+    cluster->Shutdown();
   } catch (...) {
-    if (transport != nullptr) transport->Abort();
+    if (cluster != nullptr) cluster->Abort();
     throw;
   }
   return out;

@@ -1,12 +1,12 @@
 /// \file
-/// \brief The multi-process P-Tucker solver: a coordinator launches N
-/// workers (forked processes over socketpairs or loopback TCP, or worker
-/// threads for the in-process transport), each owning a contiguous block of
-/// factor rows per mode (PartitionRowsBlock) and a contiguous subrange
-/// of the fixed reduction lanes. Workers solve their rows through the
-/// shared core/row_update.h kernel and ship raw per-lane reduction
-/// partials (never locally pre-folded sums); the coordinator merges rows
-/// and folds lanes in fixed rank/lane order, so the N-process trajectory
+/// \brief The multi-process P-Tucker solver: a coordinator forks N
+/// worker processes, each on its own socketpair (transport.h), owning a
+/// contiguous block of factor rows per mode (PartitionRowsBlock) and a
+/// contiguous subrange of the fixed reduction lanes. Workers solve their
+/// rows through the shared core/row_update.h kernel and ship raw
+/// per-lane reduction partials (never locally pre-folded sums); the
+/// coordinator merges rows and folds lanes in fixed rank/lane order, so
+/// the N-process trajectory
 /// — every factor row, core value, and per-iteration error — is
 /// bit-identical to the single-process PTuckerDecompose for every
 /// δ-engine and every N (a tested invariant). Any protocol failure (a
@@ -52,12 +52,9 @@ struct DistOptions {
   /// workers than lanes cannot all contribute partials.
   std::int64_t workers = 2;
 
-  /// How coordinator and workers talk (see DistTransport).
-  DistTransport transport = DistTransport::kSocketpair;
-
   /// Bound on every blocking receive, coordinator and worker side. A
   /// hung peer is convicted with a timeout DistError instead of
-  /// deadlocking the solve.
+  /// deadlocking the solve. Must be >= 1.
   int recv_timeout_ms = 120000;
 
   /// Fault injection for failure-path tests (none by default).
@@ -69,7 +66,7 @@ struct DistOptions {
 struct DistributedStats {
   std::int64_t workers = 1;  ///< cluster size N
   int iterations_run = 0;    ///< iterations the solve completed
-  /// Bytes moved across the transport in total, both directions.
+  /// Bytes moved across the worker sockets in total, both directions.
   std::int64_t total_comm_bytes = 0;
 };
 
@@ -80,13 +77,12 @@ struct DistributedPTuckerResult {
   DistributedStats stats;  ///< wire bytes
 };
 
-/// Decomposes `x` with `dist.workers` processes (or threads, for the
-/// in-process transport) and returns the same result a single-process
-/// PTuckerDecompose(x, options) produces, bit for bit, plus cluster
-/// stats (measured wire bytes). Supports the
-/// kMemory variant with options.tracker == nullptr (the tracker is a
-/// process-local memory model; the approx variant changes |G|
-/// mid-flight, which would need re-planning); throws
+/// Decomposes `x` with `dist.workers` forked worker processes and
+/// returns the same result a single-process PTuckerDecompose(x, options)
+/// produces, bit for bit, plus cluster stats (measured wire bytes).
+/// Supports the kMemory variant with options.tracker == nullptr (the
+/// tracker is a process-local memory model; the approx variant changes
+/// |G| mid-flight, which would need re-planning); throws
 /// std::invalid_argument for unsupported options and DistError when the
 /// cluster fails mid-protocol (all workers are reaped first).
 DistributedPTuckerResult DistributedPTuckerDecompose(const SparseTensor& x,

@@ -1,6 +1,8 @@
 # CLI smoke test: run ptucker_cli end-to-end on a tiny synthetic tensor
 # (--selftest) and assert exit code 0 plus parseable output, then run the
-# same selftest through `solve` and assert the same final error line.
+# same selftest through `solve` and assert the same final error line, with
+# and without a --test-fraction hold-out (then also the same test RMSE),
+# and a missing --load-model fails `solve`.
 #
 # Invoked by ctest as:
 #   cmake -DPTUCKER_CLI=<path> -P cli_smoke.cmake
@@ -51,6 +53,54 @@ if(NOT solve_final STREQUAL decompose_final)
   message(FATAL_ERROR
     "solve and decompose disagree on the final error:\n"
     "decompose: '${decompose_final}'\nsolve: '${solve_final}'")
+endif()
+
+# Both subcommands share one front half: a hold-out split must reach
+# `solve` too, so the two report the same final error and test RMSE.
+set(split_flags --selftest --max-iters 5 --seed 42 --test-fraction 0.2)
+execute_process(
+  COMMAND ${PTUCKER_CLI} ${split_flags}
+  OUTPUT_VARIABLE split_decompose_out
+  ERROR_VARIABLE split_decompose_err
+  RESULT_VARIABLE split_decompose_rc
+)
+execute_process(
+  COMMAND ${PTUCKER_CLI} solve --workers 3 ${split_flags}
+  OUTPUT_VARIABLE split_solve_out
+  ERROR_VARIABLE split_solve_err
+  RESULT_VARIABLE split_solve_rc
+)
+if(NOT split_decompose_rc EQUAL 0 OR NOT split_solve_rc EQUAL 0)
+  message(FATAL_ERROR
+    "--test-fraction runs exited with ${split_decompose_rc} (decompose) and "
+    "${split_solve_rc} (solve)\n"
+    "decompose stderr:\n${split_decompose_err}\n"
+    "solve stderr:\n${split_solve_err}")
+endif()
+set(test_rmse_line "test RMSE on held-out entries: +[0-9]+\\.[0-9]+")
+foreach(line_re IN ITEMS "${final_error_line}" "${test_rmse_line}")
+  string(REGEX MATCH "${line_re}" decompose_line "${split_decompose_out}")
+  string(REGEX MATCH "${line_re}" solve_line "${split_solve_out}")
+  if(decompose_line STREQUAL "" OR NOT solve_line STREQUAL decompose_line)
+    message(FATAL_ERROR
+      "solve and decompose disagree under --test-fraction 0.2:\n"
+      "decompose: '${decompose_line}'\nsolve: '${solve_line}'\n"
+      "decompose stdout:\n${split_decompose_out}\n"
+      "solve stdout:\n${split_solve_out}")
+  endif()
+endforeach()
+
+# A warm start that cannot be read fails `solve` as it fails `decompose`.
+execute_process(
+  COMMAND ${PTUCKER_CLI} solve --selftest --workers 2
+          --load-model ${CMAKE_CURRENT_BINARY_DIR}/cli_smoke_missing.ptks
+  OUTPUT_VARIABLE missing_out
+  ERROR_VARIABLE missing_err
+  RESULT_VARIABLE missing_rc
+)
+if(missing_rc EQUAL 0)
+  message(FATAL_ERROR
+    "solve --load-model <missing file> exited 0:\n${missing_out}")
 endif()
 
 message(STATUS "cli_smoke passed")

@@ -30,7 +30,6 @@ PTuckerOptions TestOptions() {
 DistOptions FaultyCluster(DistFaultInjection::Kind kind) {
   DistOptions dist;
   dist.workers = 3;
-  dist.transport = DistTransport::kSocketpair;
   dist.recv_timeout_ms = 30000;
   dist.fault.kind = kind;
   dist.fault.rank = 1;
@@ -98,28 +97,10 @@ TEST(DistFaultTest, TruncatedFrameReportsMidFrameClose) {
   ExpectNoChildProcesses();
 }
 
-TEST(DistFaultTest, InProcessWorkerDeathAbortsWithoutHanging) {
-  // The simulated cluster signals death through queue close, not EOF on
-  // a pipe — same conviction, no processes involved.
-  const SparseTensor x = TestTensor(24);
-  DistOptions dist = FaultyCluster(DistFaultInjection::Kind::kKillWorker);
-  dist.transport = DistTransport::kInProcess;
-  try {
-    DistributedPTuckerDecompose(x, TestOptions(), dist);
-    FAIL() << "a dead worker must abort the solve";
-  } catch (const DistError& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("worker 1"), std::string::npos) << message;
-    EXPECT_NE(message.find("connection closed"), std::string::npos)
-        << message;
-  }
-}
-
 TEST(DistFaultTest, CleanSolveReapsAllWorkers) {
   const SparseTensor x = TestTensor(25);
   DistOptions dist;
   dist.workers = 2;
-  dist.transport = DistTransport::kSocketpair;
   const DistributedPTuckerResult result =
       DistributedPTuckerDecompose(x, TestOptions(), dist);
   EXPECT_GT(result.result.iterations.size(), 0u);
@@ -147,7 +128,6 @@ TEST(DistFaultTest, NonFiniteErrorStopsBothSolversAndReapsWorkers) {
   x.set_value(x.nnz() / 2, std::numeric_limits<double>::quiet_NaN());
   DistOptions dist;
   dist.workers = 3;
-  dist.transport = DistTransport::kSocketpair;
   for (const bool distributed : {false, true}) {
     try {
       if (distributed) {

@@ -62,7 +62,7 @@ void ExpectBitIdentical(const PTuckerResult& expected,
 
 TEST(DistSolverTest, EveryEngineAndWorkerCountMatchesSingleProcessBitwise) {
   // The property sweep: random tensor x workers {1, 2, 3, 8} x all four
-  // δ-engines, in-process transport, EXPECT_EQ against the one-process
+  // δ-engines, forked workers, EXPECT_EQ against the one-process
   // trajectory. Fixed reduction lanes + rank-ordered merges make this an
   // equality, not a tolerance — also for the reassociated contraction
   // engine, whose state is a function of the replicated model alone.
@@ -77,7 +77,6 @@ TEST(DistSolverTest, EveryEngineAndWorkerCountMatchesSingleProcessBitwise) {
     for (const std::int64_t workers : {1, 2, 3, 8}) {
       DistOptions dist;
       dist.workers = workers;
-      dist.transport = DistTransport::kInProcess;
       const DistributedPTuckerResult distributed =
           DistributedPTuckerDecompose(x, options, dist);
       ExpectBitIdentical(expected, distributed.result,
@@ -100,25 +99,11 @@ TEST(DistSolverTest, ForkedSocketpairWorkersMatchSingleProcessBitwise) {
   for (const std::int64_t workers : {2, 4, 8}) {
     DistOptions dist;
     dist.workers = workers;
-    dist.transport = DistTransport::kSocketpair;
     const DistributedPTuckerResult distributed =
         DistributedPTuckerDecompose(x, options, dist);
     ExpectBitIdentical(expected, distributed.result,
                        "socketpair workers " + std::to_string(workers));
   }
-}
-
-TEST(DistSolverTest, TcpWorkersMatchSingleProcessBitwise) {
-  // The same wire a real multi-host deployment would use.
-  const SparseTensor x = TestTensor(13);
-  const PTuckerOptions options = TestOptions();
-  const PTuckerResult expected = PTuckerDecompose(x, options);
-  DistOptions dist;
-  dist.workers = 2;
-  dist.transport = DistTransport::kTcp;
-  const DistributedPTuckerResult distributed =
-      DistributedPTuckerDecompose(x, options, dist);
-  ExpectBitIdentical(expected, distributed.result, "tcp workers 2");
 }
 
 TEST(DistSolverTest, CoreUpdateRunsDistributedCgBitwise) {
@@ -132,7 +117,6 @@ TEST(DistSolverTest, CoreUpdateRunsDistributedCgBitwise) {
   for (const std::int64_t workers : {2, 3}) {
     DistOptions dist;
     dist.workers = workers;
-    dist.transport = DistTransport::kInProcess;
     const DistributedPTuckerResult distributed =
         DistributedPTuckerDecompose(x, options, dist);
     ExpectBitIdentical(expected, distributed.result,
@@ -149,7 +133,6 @@ TEST(DistSolverTest, SubsampledSolveStaysPartitionInvariant) {
   const PTuckerResult expected = PTuckerDecompose(x, options);
   DistOptions dist;
   dist.workers = 3;
-  dist.transport = DistTransport::kInProcess;
   const DistributedPTuckerResult distributed =
       DistributedPTuckerDecompose(x, options, dist);
   ExpectBitIdentical(expected, distributed.result, "sample_rate 0.6");
@@ -167,7 +150,6 @@ TEST(DistSolverTest, ModesSmallerThanWorkerCountStillMatch) {
   for (const std::int64_t workers : {4, 8}) {
     DistOptions dist;
     dist.workers = workers;
-    dist.transport = DistTransport::kInProcess;
     const DistributedPTuckerResult distributed =
         DistributedPTuckerDecompose(x, options, dist);
     ExpectBitIdentical(expected, distributed.result,
@@ -185,7 +167,6 @@ TEST(DistSolverTest, WarmStartSnapshotReplicatesAcrossWorkers) {
   const PTuckerResult expected = PTuckerDecompose(x, resumed);
   DistOptions dist;
   dist.workers = 2;
-  dist.transport = DistTransport::kInProcess;
   const DistributedPTuckerResult distributed =
       DistributedPTuckerDecompose(x, resumed, dist);
   ExpectBitIdentical(expected, distributed.result, "warm start");
@@ -195,7 +176,6 @@ TEST(DistSolverTest, RejectsUnsupportedConfigurations) {
   const SparseTensor x = TestTensor(18);
   const PTuckerOptions options = TestOptions();
   DistOptions dist;
-  dist.transport = DistTransport::kInProcess;
 
   dist.workers = 0;
   EXPECT_THROW(DistributedPTuckerDecompose(x, options, dist),
@@ -205,6 +185,14 @@ TEST(DistSolverTest, RejectsUnsupportedConfigurations) {
                std::invalid_argument);
 
   dist.workers = 2;
+  for (const int timeout_ms : {0, -5}) {  // rejected before any fork
+    dist.recv_timeout_ms = timeout_ms;
+    EXPECT_THROW(DistributedPTuckerDecompose(x, options, dist),
+                 std::invalid_argument)
+        << "recv_timeout_ms " << timeout_ms;
+  }
+  dist.recv_timeout_ms = DistOptions().recv_timeout_ms;
+
   PTuckerOptions bad = options;
   bad.variant = PTuckerVariant::kApprox;
   EXPECT_THROW(DistributedPTuckerDecompose(x, bad, dist),
@@ -268,7 +256,6 @@ TEST(DistSolverTest, RejectsWhatTheLocalSolverRejects) {
       };
   DistOptions dist;
   dist.workers = 2;
-  dist.transport = DistTransport::kInProcess;
   for (const auto& [label, corrupt] : cases) {
     PTuckerOptions bad = TestOptions();
     corrupt(&bad);

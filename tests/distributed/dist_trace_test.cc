@@ -44,7 +44,6 @@ TEST(DistTraceTest, ForkedWorkersShipSpansPerRankWithoutPerturbingSolve) {
 
   DistOptions dist;
   dist.workers = 4;
-  dist.transport = DistTransport::kSocketpair;
   tracer.Enable();
   const DistributedPTuckerResult traced =
       DistributedPTuckerDecompose(x, options, dist);
@@ -85,32 +84,6 @@ TEST(DistTraceTest, ForkedWorkersShipSpansPerRankWithoutPerturbingSolve) {
   EXPECT_EQ(std::memcmp(&expected.final_error, &traced.result.final_error,
                         sizeof(double)),
             0);
-}
-
-TEST(DistTraceTest, InProcessWorkersRecordSpansWithoutImport) {
-  // kInProcess workers share the coordinator's live tracer: spans appear
-  // directly (pid 0) and the kBye payload stays empty — no
-  // double-counting through the import path.
-  const SparseTensor x = TestTensor(22);
-  obs::Tracer& tracer = obs::Tracer::Global();
-  tracer.Disable();
-  tracer.Clear();
-
-  DistOptions dist;
-  dist.workers = 3;
-  dist.transport = DistTransport::kInProcess;
-  tracer.Enable();
-  DistributedPTuckerDecompose(x, TestOptions(), dist);
-  const std::vector<obs::TraceEvent> events = tracer.Snapshot();
-  tracer.Disable();
-  tracer.Clear();
-
-  bool saw_row_solve = false;
-  for (const obs::TraceEvent& event : events) {
-    EXPECT_EQ(event.pid, 0);  // nothing imported
-    if (std::strcmp(event.name, "dist.row_solve") == 0) saw_row_solve = true;
-  }
-  EXPECT_TRUE(saw_row_solve);
 }
 
 }  // namespace

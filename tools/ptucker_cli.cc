@@ -44,7 +44,7 @@
 //   --update-core         enable the core-update extension
 //   --quiet               suppress per-iteration output
 //   --save-model PATH     write a binary model snapshot after decomposing
-//   --load-model PATH     decompose: warm-start from this snapshot
+//   --load-model PATH     decompose/solve: warm-start from this snapshot
 //                         (--ranks defaults to the snapshot's ranks);
 //                         predict/topk: the model to serve
 //   --queries PATH        predict: .tns file of query coordinates
@@ -83,7 +83,6 @@
 //                         directory; an existing MANIFEST there resumes
 //                         the replay from its checkpoint
 //   --workers N           solve: worker processes, [1, 64] (default 2)
-//   --transport NAME      solve: socketpair (default) | tcp | inprocess
 //   --trace-out PATH      record phase spans and write them as Chrome
 //                         trace-event JSON on exit (chrome://tracing;
 //                         docs/observability.md)
@@ -215,7 +214,6 @@ struct CliConfig {
   std::int64_t checkpoint_every = 0;   // replay; 0 = final only
   std::string checkpoint_dir;          // replay
   std::int64_t dist_workers = 2;       // solve
-  std::string dist_transport = "socketpair";
   std::string stats_target;            // stats: the host:port positional
   std::string trace_out;               // --trace-out; empty = tracing off
   std::int64_t metrics_log_ms = 0;     // serve; 0 = no periodic log line
@@ -232,7 +230,7 @@ void PrintUsageAndExit() {
       "usage: ptucker_cli [subcommand] --input X.tns --ranks J1,J2,... "
       "[options]\n"
       "       ptucker_cli solve --input X.tns --ranks J1,J2,... "
-      "[--workers N] [--transport T]\n"
+      "[--workers N]\n"
       "       ptucker_cli predict --load-model M.ptks --queries Q.tns\n"
       "       ptucker_cli topk --load-model M.ptks --mode M --index "
       "i1,i2,... [--k K] [--topk-nprobe N|all]\n"
@@ -276,8 +274,8 @@ void PrintUsageAndExit() {
       "          --sample-rate --threads --seed --test-fraction\n"
       "          --output-dir --update-core --quiet\n"
       "model:    --save-model PATH (checkpoint after decompose, format v2)\n"
-      "          --load-model PATH (decompose: warm start; predict/topk/\n"
-      "          serve: the served model) --queries PATH --mode M\n"
+      "          --load-model PATH (decompose/solve: warm start; predict/\n"
+      "          topk/serve: the served model) --queries PATH --mode M\n"
       "          --index i1,... --k K --topk-nprobe N|all\n"
       "serving:  --port --listen-threads --worker-threads --max-batch\n"
       "          --batch-window-us --queue-capacity --serve-seconds\n"
@@ -290,7 +288,6 @@ void PrintUsageAndExit() {
       "          --checkpoint-every --checkpoint-dir\n"
       "          (ingest pipeline and replay format: docs/streaming.md)\n"
       "solve:    --workers N (worker processes, [1, 64])\n"
-      "          --transport socketpair|tcp|inprocess\n"
       "          (protocol and determinism contract: docs/distributed.md)\n"
       "flags accept both '--flag value' and '--flag=value'\n");
   std::exit(0);
@@ -453,7 +450,6 @@ CliConfig ParseArgs(int argc, char** argv) {
       config.checkpoint_dir = need_value(i);
     else if (arg == "--workers")
       config.dist_workers = std::stoll(need_value(i));
-    else if (arg == "--transport") config.dist_transport = need_value(i);
     else if (arg == "--trace-out") config.trace_out = need_value(i);
     else if (arg == "--metrics-log-ms")
       config.metrics_log_ms = std::stoll(need_value(i));
@@ -528,11 +524,6 @@ CliConfig ParseArgs(int argc, char** argv) {
   if (config.dist_workers < 1 || config.dist_workers > 64) {
     Fail("--workers must be in [1, 64], got " +
          std::to_string(config.dist_workers));
-  }
-  if (config.dist_transport != "socketpair" &&
-      config.dist_transport != "tcp" && config.dist_transport != "inprocess") {
-    Fail("unknown --transport '" + config.dist_transport +
-         "'; expected socketpair, tcp, or inprocess");
   }
   if (config.metrics_log_ms < 0 || config.metrics_log_ms > 3600000) {
     Fail("--metrics-log-ms must be in [0, 3600000], got " +
@@ -854,92 +845,6 @@ int RunReplay(const CliConfig& config) {
   return 0;
 }
 
-// solve: the multi-process P-Tucker front end. A coordinator forks
-// --workers processes, each solving its contiguous block of factor rows;
-// fixed-lane reductions make the result bit-identical to `decompose` on
-// the same flags (docs/distributed.md).
-int RunSolve(const CliConfig& config) {
-  SparseTensor x;
-  if (config.selftest) {
-    Rng rng(7);
-    x = UniformSparseTensor({50, 40, 30}, 3000, rng);
-    std::printf("selftest: synthetic 50x40x30 tensor, 3000 nnz\n");
-  } else {
-    if (config.input.empty()) Fail("solve requires --input PATH");
-    x = ReadTns(config.input);
-    x.BuildModeIndex();
-  }
-  if (config.method != "ptucker") {
-    Fail("solve supports --method ptucker only");
-  }
-  if (config.variant != "memory") {
-    Fail("solve supports --variant memory only (got '" + config.variant +
-         "')");
-  }
-  std::vector<std::int64_t> ranks = config.ranks;
-  if (ranks.empty() && config.uniform_rank > 0) {
-    ranks.assign(static_cast<std::size_t>(x.order()), config.uniform_rank);
-  }
-  if (ranks.empty() && config.selftest) ranks = {4, 4, 4};
-  if (ranks.empty()) Fail("--ranks (or --rank) is required");
-  if (static_cast<std::int64_t>(ranks.size()) != x.order()) {
-    Fail("--ranks has " + std::to_string(ranks.size()) + " values but the "
-         "tensor has " + std::to_string(x.order()) + " modes");
-  }
-
-  PTuckerOptions options;
-  options.core_dims = ranks;
-  options.lambda = config.lambda;
-  options.max_iterations = config.max_iters;
-  options.tolerance = config.tolerance;
-  options.sample_rate = config.sample_rate;
-  options.seed = config.seed;
-  options.update_core = config.update_core;
-  const DeltaEngineDescriptor* engine =
-      FindDeltaEngineByName(config.delta_engine);
-  if (engine == nullptr) {
-    Fail("unknown --delta-engine: " + config.delta_engine);
-  }
-  options.delta_engine = engine->choice;
-
-  DistOptions dist;
-  dist.workers = config.dist_workers;
-  if (config.dist_transport == "socketpair") {
-    dist.transport = DistTransport::kSocketpair;
-  } else if (config.dist_transport == "tcp") {
-    dist.transport = DistTransport::kTcp;
-  } else {
-    dist.transport = DistTransport::kInProcess;
-  }
-
-  std::printf("tensor: %s, %lld observed entries; ranks: %s; workers: %lld "
-              "(%s)\n",
-              JoinInts(x.dims(), "x").c_str(),
-              static_cast<long long>(x.nnz()),
-              JoinInts(ranks, ",").c_str(),
-              static_cast<long long>(dist.workers),
-              config.dist_transport.c_str());
-  DistributedPTuckerResult distributed =
-      DistributedPTuckerDecompose(x, options, dist);
-  PrintTrace(distributed.result.iterations, config.quiet);
-  std::printf("final reconstruction error (Eq. 5): %.6f\n",
-              distributed.result.final_error);
-  std::printf("cluster: %lld workers, %d iterations, %lld bytes on the "
-              "wire\n",
-              static_cast<long long>(distributed.stats.workers),
-              distributed.stats.iterations_run,
-              static_cast<long long>(distributed.stats.total_comm_bytes));
-  if (!config.output_dir.empty()) {
-    WriteModel(distributed.result.model, config.output_dir);
-  }
-  if (!config.save_model.empty()) {
-    SaveSnapshotV2(config.save_model, distributed.result.model,
-                   /*with_centroids=*/true);
-    std::printf("model snapshot written to %s\n", config.save_model.c_str());
-  }
-  return 0;
-}
-
 // convert-model: rewrite a snapshot with IVF centroids embedded, so
 // topk --topk-nprobe can probe it.
 int RunConvertModel(const CliConfig& config) {
@@ -956,7 +861,22 @@ int RunConvertModel(const CliConfig& config) {
   return 0;
 }
 
+// decompose and solve: one front half (input or selftest tensor, warm
+// start, hold-out split, rank defaulting, solver options) and one back
+// half (test RMSE, model output, selftest gate). `solve` only swaps in
+// DistributedPTuckerDecompose: a coordinator forks --workers processes,
+// each solving its contiguous block of factor rows, and fixed-lane
+// reductions make the result bit-identical to `decompose` on the same
+// flags (docs/distributed.md).
 int Run(const CliConfig& config) {
+  const bool solve = config.subcommand == "solve";
+  if (solve && config.method != "ptucker") {
+    Fail("solve supports --method ptucker only");
+  }
+  if (solve && config.variant != "memory") {
+    Fail("solve supports --variant memory only (got '" + config.variant +
+         "')");
+  }
   SparseTensor x;
   if (config.selftest) {
     Rng rng(7);
@@ -993,10 +913,14 @@ int Run(const CliConfig& config) {
          "tensor has " + std::to_string(x.order()) + " modes");
   }
 
-  std::printf("tensor: %s, %lld observed entries; ranks: %s; method: %s\n",
+  std::printf("tensor: %s, %lld observed entries; ranks: %s; ",
               JoinInts(x.dims(), "x").c_str(),
-              static_cast<long long>(x.nnz()),
-              JoinInts(ranks, ",").c_str(), config.method.c_str());
+              static_cast<long long>(x.nnz()), JoinInts(ranks, ",").c_str());
+  if (solve) {
+    std::printf("workers: %lld\n", static_cast<long long>(config.dist_workers));
+  } else {
+    std::printf("method: %s\n", config.method.c_str());
+  }
 
   // Optional hold-out split.
   SparseTensor train = std::move(x);
@@ -1041,7 +965,21 @@ int Run(const CliConfig& config) {
       Fail("unknown --delta-engine: " + config.delta_engine);
     }
     options.delta_engine = engine->choice;
-    PTuckerResult result = PTuckerDecompose(train, options);
+    PTuckerResult result;
+    if (solve) {
+      DistOptions dist;
+      dist.workers = config.dist_workers;
+      DistributedPTuckerResult distributed =
+          DistributedPTuckerDecompose(train, options, dist);
+      result = std::move(distributed.result);
+      std::printf("cluster: %lld workers, %d iterations, %lld bytes on the "
+                  "wire\n",
+                  static_cast<long long>(distributed.stats.workers),
+                  distributed.stats.iterations_run,
+                  static_cast<long long>(distributed.stats.total_comm_bytes));
+    } else {
+      result = PTuckerDecompose(train, options);
+    }
     PrintTrace(result.iterations, config.quiet);
     model = std::move(result.model);
     final_error = result.final_error;
@@ -1115,7 +1053,6 @@ int Run(const CliConfig& config) {
 namespace {
 
 int Dispatch(const CliConfig& config) {
-  if (config.subcommand == "solve") return RunSolve(config);
   if (config.subcommand == "predict") return RunPredict(config);
   if (config.subcommand == "topk") return RunTopk(config);
   if (config.subcommand == "convert-model") return RunConvertModel(config);
