@@ -2,11 +2,11 @@
 #define PTUCKER_BENCH_BENCH_COMMON_H_
 
 // Shared harness for the per-figure benchmark binaries. Every experiment
-// in DESIGN.md §3 runs each method through RunMethod(), which captures the
-// paper's reporting unit (average seconds/iteration), the accuracy
-// metrics, tracked peak intermediate memory, and the O.O.M. outcome when
-// the method exceeds the budget — so benches print the same rows the
-// paper's figures plot.
+// in docs/benchmarks.md runs each method through RunMethod(), which
+// captures the paper's reporting unit (average seconds/iteration), the
+// accuracy metrics, tracked peak intermediate memory, and the O.O.M.
+// outcome when the method exceeds the budget — so benches print the same
+// rows the paper's figures plot.
 
 #include <cstdio>
 #include <functional>
@@ -25,7 +25,7 @@
 namespace ptucker::bench {
 
 /// Default intermediate-memory budget standing in for the paper's 512 GB
-/// machine (scaled to this environment; see DESIGN.md §4).
+/// machine, scaled down like the benches' inputs (docs/benchmarks.md).
 constexpr std::int64_t kDefaultBudgetBytes = 256LL * 1024 * 1024;
 
 struct MethodOutcome {

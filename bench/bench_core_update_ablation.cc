@@ -1,8 +1,8 @@
-// Ablation of the core-update extension (DESIGN.md §2.2): the paper keeps
-// the core fixed at its random initialization during ALS (Algorithm 2)
-// and only folds QR factors in at the end; the extension re-fits the core
-// to the observed entries each iteration. This bench quantifies what the
-// fixed-core design costs/gains in accuracy and time.
+// Ablation of the core-update extension (docs/benchmarks.md): the paper
+// keeps the core fixed at its random initialization during ALS
+// (Algorithm 2) and only folds QR factors in at the end; the extension
+// re-fits the core to the observed entries each iteration. This bench
+// quantifies what the fixed-core design costs/gains in accuracy and time.
 #include "bench/bench_common.h"
 #include "bench/datasets.h"
 #include "data/split.h"

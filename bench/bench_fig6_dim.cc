@@ -1,6 +1,6 @@
 // Fig. 6(b): time per iteration vs mode dimensionality I.
 // Paper setup: N=3, I=1e2..1e7, |Ω|=10·I, Jn=10. Scaled here to
-// I=1e2..1e4 and Jn=5 (see EXPERIMENTS.md). Expected shape: P-Tucker
+// I=1e2..1e4 and Jn=5. Expected shape: P-Tucker
 // fastest at every size; wOpt O.O.M. once the dense tensor outgrows the
 // budget.
 #include "bench/bench_common.h"

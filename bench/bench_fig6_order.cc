@@ -1,6 +1,6 @@
 // Fig. 6(a): time per iteration vs tensor order N.
 // Paper setup: In=100, |Ω|=1e3, Jn=3, N=3..10 on a 20-core machine.
-// Scaled here to In=30, N=3..7 (see EXPERIMENTS.md). Expected shape:
+// Scaled here to In=30, N=3..7. Expected shape:
 // P-Tucker fastest; S-HOT/CSF slower but running at every order;
 // TUCKER-WOPT slowest and O.O.M. beyond small orders.
 #include "bench/bench_common.h"

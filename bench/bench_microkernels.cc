@@ -9,8 +9,8 @@
 #include <benchmark/benchmark.h>
 #endif
 
-#include "core/cache_table.h"
 #include "core/delta.h"
+#include "core/delta_engine.h"
 #include "data/synthetic.h"
 #include "linalg/blas.h"
 #include "linalg/cholesky.h"
@@ -57,13 +57,11 @@ BENCHMARK(BM_ComputeDelta)->Arg(4)->Arg(8)->Arg(12);
 
 void BM_CachedDelta(benchmark::State& state) {
   Fixture f(state.range(0));
-  const std::vector<FactorView> views = MakeFactorViews(f.factors);
-  CacheTable cache(f.x, f.list, views, nullptr);
+  CachedDeltaEngine cached(f.x, f.list, f.factors, nullptr);
   std::vector<double> delta(static_cast<std::size_t>(state.range(0)));
   std::int64_t entry = 0;
   for (auto _ : state) {
-    cache.ComputeDeltaCached(f.list, views, entry, f.x.index(entry), 0,
-                             delta.data());
+    cached.ComputeDelta(entry, f.x.index(entry), 0, delta.data());
     benchmark::DoNotOptimize(delta.data());
     entry = (entry + 1) % f.x.nnz();
   }

@@ -5,8 +5,8 @@
 // The originals (Yahoo-music 252M nnz, MovieLens 20M nnz, sea-wave video,
 // Lena image) are not available offline; these generators keep the order,
 // the mode-dimensionality ratios, the popularity skew and the low-rank
-// structure at a scale this environment can run (see DESIGN.md §4 and
-// EXPERIMENTS.md for the exact scale factors).
+// structure at laptop scale (docs/benchmarks.md); each generator's comment
+// gives its scale factors.
 
 #include <string>
 #include <vector>

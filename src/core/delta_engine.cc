@@ -20,21 +20,6 @@ namespace {
 #define PTUCKER_OMP_SIMD
 #endif
 
-// Moves the charge `*charged` held on `tracker` (null: no tracking) to
-// `bytes`, charging any growth first, which throws OutOfMemoryBudget when
-// over budget and then leaves `*charged` unchanged.
-void MoveCharge(MemoryTracker* tracker, std::int64_t bytes,
-                std::int64_t* charged) {
-  if (tracker != nullptr) {
-    if (bytes > *charged) {
-      tracker->Charge(bytes - *charged);
-    } else {
-      tracker->Release(*charged - bytes);
-    }
-  }
-  *charged = bytes;
-}
-
 // Throws std::invalid_argument, naming `engine`, unless the tensor order
 // is in [1, DeltaEngine::kMaxOrder].
 void CheckOrder(const char* engine, std::int64_t order) {
@@ -109,21 +94,11 @@ ModeMajorDeltaEngine::ModeMajorDeltaEngine(const CoreEntryList& core,
 ModeMajorDeltaEngine::ModeMajorDeltaEngine(const CoreEntryList& core,
                                            std::vector<FactorView> factors,
                                            MemoryTracker* tracker)
-    : DeltaEngine(core, std::move(factors)), tracker_(tracker) {
+    : DeltaEngine(core, std::move(factors)), charge_(tracker, 0) {
   CheckOrder("modemajor", core.order());
   PTUCKER_CHECK(static_cast<std::int64_t>(this->factors().size()) ==
                 core.order());
-  try {
-    BuildLanes();
-  } catch (...) {
-    // A throwing constructor runs no destructor: return the charge here.
-    MoveCharge(tracker_, 0, &charged_bytes_);
-    throw;
-  }
-}
-
-ModeMajorDeltaEngine::~ModeMajorDeltaEngine() {
-  MoveCharge(tracker_, 0, &charged_bytes_);
+  BuildLanes();
 }
 
 std::int64_t ModeMajorDeltaEngine::MergeGroups(std::int64_t mode,
@@ -208,7 +183,7 @@ void ModeMajorDeltaEngine::BuildLanes() {
   }
   // Charge before allocating, like the cache table, so an over-budget
   // engine fails as OutOfMemoryBudget without building anything.
-  MoveCharge(tracker_, lane_bytes, &charged_bytes_);
+  charge_.Resize(lane_bytes);
 
   lanes_.resize(static_cast<std::size_t>(order));
   for (std::int64_t n = 0; n < order; ++n) {
@@ -347,8 +322,40 @@ CachedDeltaEngine::CachedDeltaEngine(const SparseTensor& x,
                                      const CoreEntryList& core,
                                      const std::vector<Matrix>& factors,
                                      MemoryTracker* tracker)
-    : DeltaEngine(core, factors), x_(&x), tracker_(tracker),
-      table_(std::make_unique<CacheTable>(x, core, this->factors(), tracker)) {}
+    : DeltaEngine(core, factors), x_(&x), charge_(tracker, 0) {
+  BuildTable();
+}
+
+double CachedDeltaEngine::Product(const std::int64_t* entry_index,
+                                  std::int64_t b) const {
+  const CoreEntryList& list = core();
+  const std::int64_t order = list.order();
+  const std::int32_t* beta = list.index(b);
+  double product = list.value(b);
+  for (std::int64_t k = 0; k < order; ++k) {
+    product *= factors()[static_cast<std::size_t>(k)](entry_index[k], beta[k]);
+  }
+  return product;
+}
+
+void CachedDeltaEngine::BuildTable() {
+  const std::int64_t n_entries = x_->nnz();
+  const std::int64_t n_core = core().size();
+  // Charge before allocating; free the old table before the new one.
+  charge_.Resize(static_cast<std::int64_t>(sizeof(double)) * n_entries *
+                 n_core);
+  table_ = std::vector<double>();
+  table_.resize(static_cast<std::size_t>(n_entries * n_core));
+
+  // Section 1 of §III-D: rows of Pres are independent; fill in parallel
+  // with static scheduling (uniform |G| work per row).
+#pragma omp parallel for schedule(static)
+  for (std::int64_t e = 0; e < n_entries; ++e) {
+    const std::int64_t* idx = x_->index(e);
+    double* row = table_.data() + static_cast<std::size_t>(e * n_core);
+    for (std::int64_t b = 0; b < n_core; ++b) row[b] = Product(idx, b);
+  }
+}
 
 void CachedDeltaEngine::ComputeDelta(std::int64_t entry,
                                      const std::int64_t* entry_index,
@@ -358,8 +365,32 @@ void CachedDeltaEngine::ComputeDelta(std::int64_t entry,
     ptucker::ComputeDelta(core(), factors(), entry_index, mode, delta);
     return;
   }
-  table_->ComputeDeltaCached(core(), factors(), entry, entry_index, mode,
-                             delta);
+  const CoreEntryList& list = core();
+  const std::int64_t order = list.order();
+  const std::int64_t n_core = list.size();
+  const FactorView& a_n = factors()[static_cast<std::size_t>(mode)];
+  const std::int64_t rank = a_n.cols();
+  for (std::int64_t j = 0; j < rank; ++j) delta[j] = 0.0;
+
+  const double* row = table_.data() + static_cast<std::size_t>(entry * n_core);
+  for (std::int64_t b = 0; b < n_core; ++b) {
+    const std::int32_t* beta = list.index(b);
+    const double coefficient = a_n(entry_index[mode], beta[mode]);
+    double contribution;
+    if (coefficient != 0.0) {
+      contribution = row[b] / coefficient;  // O(1) path (line 12)
+    } else {
+      // Zero coefficient: recompute the N-1 term product directly
+      // (the paper's fallback to line 10).
+      contribution = list.value(b);
+      for (std::int64_t k = 0; k < order; ++k) {
+        if (k == mode) continue;
+        contribution *=
+            factors()[static_cast<std::size_t>(k)](entry_index[k], beta[k]);
+      }
+    }
+    delta[beta[mode]] += contribution;
+  }
 }
 
 void CachedDeltaEngine::ReconstructBatch(std::int64_t count,
@@ -370,20 +401,31 @@ void CachedDeltaEngine::ReconstructBatch(std::int64_t count,
 
 void CachedDeltaEngine::OnFactorUpdated(std::int64_t mode,
                                         const Matrix& old_factor) {
-  table_->UpdateAfterMode(*x_, core(), factors(), mode, old_factor);
+  const CoreEntryList& list = core();
+  const FactorView& new_factor = factors()[static_cast<std::size_t>(mode)];
+  const std::int64_t n_entries = x_->nnz();
+  const std::int64_t n_core = list.size();
+#pragma omp parallel for schedule(static)
+  for (std::int64_t e = 0; e < n_entries; ++e) {
+    const std::int64_t* idx = x_->index(e);
+    double* row = table_.data() + static_cast<std::size_t>(e * n_core);
+    for (std::int64_t b = 0; b < n_core; ++b) {
+      const std::int32_t* beta = list.index(b);
+      const double old_coefficient = old_factor(idx[mode], beta[mode]);
+      if (old_coefficient != 0.0) {
+        row[b] *= new_factor(idx[mode], beta[mode]) / old_coefficient;
+      } else {
+        row[b] = Product(idx, b);
+      }
+    }
+  }
 }
 
-void CachedDeltaEngine::OnCoreValuesChanged() { RebuildTable(); }
+void CachedDeltaEngine::OnCoreValuesChanged() { BuildTable(); }
 
 void CachedDeltaEngine::OnCoreEntriesRemoved(
-    const std::vector<char>& removed) {
-  (void)removed;  // the table is dense in |G|; rebuild from the new list
-  RebuildTable();
-}
-
-void CachedDeltaEngine::RebuildTable() {
-  table_.reset();  // release the old charge before taking the new one
-  table_ = std::make_unique<CacheTable>(*x_, core(), factors(), tracker_);
+    const std::vector<char>& /*removed*/) {
+  BuildTable();  // the table is dense in |G|; rebuild from the new list
 }
 
 // ---------------------------------------------------------------------------
@@ -436,22 +478,10 @@ void WalkTree(const std::vector<std::vector<std::int32_t>>& coords,
 ContractionDeltaEngine::ContractionDeltaEngine(
     const SparseTensor& x, const CoreEntryList& core,
     const std::vector<Matrix>& factors, MemoryTracker* tracker)
-    : DeltaEngine(core, factors),
-      nnz_(x.nnz()),
-      tracker_(tracker) {
+    : DeltaEngine(core, factors), nnz_(x.nnz()), charge_(tracker, 0) {
   CheckOrder("contraction", core.order());
   PTUCKER_CHECK(static_cast<std::int64_t>(factors.size()) == core.order());
-  try {
-    Rebuild();
-  } catch (...) {
-    // A throwing constructor runs no destructor: return the charge here.
-    MoveCharge(tracker_, 0, &charged_bytes_);
-    throw;
-  }
-}
-
-ContractionDeltaEngine::~ContractionDeltaEngine() {
-  MoveCharge(tracker_, 0, &charged_bytes_);
+  Rebuild();
 }
 
 std::int64_t ContractionDeltaEngine::MemoCapBytes(std::int64_t nnz,
@@ -629,7 +659,7 @@ std::int64_t ContractionDeltaEngine::PlanBytes(
 void ContractionDeltaEngine::Rebuild() {
   std::vector<ModePlan> plans = MakePlans();
   // Charge the trees and every leaf array before allocating the arrays.
-  MoveCharge(tracker_, PlanBytes(plans), &charged_bytes_);
+  charge_.Resize(PlanBytes(plans));
   plans_ = std::move(plans);
   const std::int64_t order = core().order();
   std::int64_t best_cost = kInt64Max;

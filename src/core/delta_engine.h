@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/cache_table.h"
 #include "core/delta.h"
 #include "core/options.h"
 #include "linalg/factor_view.h"
@@ -141,7 +140,9 @@ class DeltaEngine {
   /// ids; the list is already compacted.
   virtual void OnCoreEntriesRemoved(const std::vector<char>& removed);
 
-  /// Bytes of engine-owned derived state (0 for the naive engine).
+  /// Bytes of engine-owned derived state, as charged to the tracker (0
+  /// for the naive engine). Each stateful engine holds its charge in one
+  /// ScopedCharge member and returns its bytes().
   virtual std::int64_t ByteSize() const { return 0; }
 
  protected:
@@ -205,8 +206,6 @@ class ModeMajorDeltaEngine final : public DeltaEngine {
   ModeMajorDeltaEngine(const CoreEntryList& core,
                        std::vector<FactorView> factors,
                        MemoryTracker* tracker);
-  /// Releases the lane bytes charged to the tracker.
-  ~ModeMajorDeltaEngine() override;
 
   DeltaEngineChoice kind() const override {
     return DeltaEngineChoice::kModeMajor;
@@ -220,7 +219,7 @@ class ModeMajorDeltaEngine final : public DeltaEngine {
   void OnCoreValuesChanged() override;
   void OnCoreEntriesRemoved(const std::vector<char>& removed) override;
 
-  std::int64_t ByteSize() const override { return charged_bytes_; }
+  std::int64_t ByteSize() const override { return charge_.bytes(); }
 
  private:
   /// Lanes Reconstruct sums per pass over a lane view (sizes its stack
@@ -251,21 +250,31 @@ class ModeMajorDeltaEngine final : public DeltaEngine {
                 std::int64_t lane_begin, std::int64_t lane_count,
                 double* acc) const;
 
+  ScopedCharge charge_;  // the lane bytes
   std::vector<LaneView> lanes_;
-  MemoryTracker* tracker_;
-  std::int64_t charged_bytes_ = 0;
 };
 
-/// The §III-C Pres table (CacheTable) behind the engine interface: δ by
-/// dividing the cached full product by the mode-n coefficient, with the
-/// after-mode rescale applied through the OnFactorUpdated hook. Core
-/// structure/value changes rebuild the table (the table is keyed by the
-/// entry pattern). Reconstruction falls back to the entry-major scan —
-/// the table's time-for-memory trade only pays in δ.
+/// P-TUCKER-CACHE (§III-C; Algorithm 3 lines 1-4 and 16-19): the Pres
+/// table Pres[α][β] = G_β · Π_{k=1..N} A(k)(ik, βk) for every observed
+/// entry α of `x` and every core list entry β, one |Ω|×|G| row-major array.
+///
+/// δ divides the cached full product by the mode-n coefficient,
+/// δ(βn) += Pres[α][β] / A(n)(in, βn) in list order — O(1) per pair
+/// instead of O(N). A zero coefficient recomputes the N−1 term product
+/// instead, as the paper specifies. OnFactorUpdated rescales every row by
+/// a_new/a_old after a mode's rows change (Algorithm 3 lines 16-19; a
+/// zero a_old recomputes the product). Both core hooks rebuild the table,
+/// which is keyed by the list. Reconstruction, and δ at coordinates
+/// outside `x` (entry < 0), fall back to the entry-major scan — the
+/// table's time-for-memory trade only pays in δ.
+///
+/// The Θ(|Ω|·|G|) doubles are charged to the tracker before they are
+/// allocated, for the engine's lifetime; ByteSize() is that charge.
 class CachedDeltaEngine final : public DeltaEngine {
  public:
   /// Builds the Pres table over the observed entries of `x` (charged to
-  /// `tracker`; throws OutOfMemoryBudget when over budget).
+  /// `tracker`; throws OutOfMemoryBudget when over budget). `x` must
+  /// outlive the engine.
   CachedDeltaEngine(const SparseTensor& x, const CoreEntryList& core,
                     const std::vector<Matrix>& factors,
                     MemoryTracker* tracker);
@@ -284,17 +293,18 @@ class CachedDeltaEngine final : public DeltaEngine {
   void OnCoreValuesChanged() override;
   void OnCoreEntriesRemoved(const std::vector<char>& removed) override;
 
-  std::int64_t ByteSize() const override { return table_->ByteSize(); }
-
-  /// The underlying Pres table (for tests and the Fig. 8 bench).
-  const CacheTable& table() const { return *table_; }
+  std::int64_t ByteSize() const override { return charge_.bytes(); }
 
  private:
-  void RebuildTable();
+  /// Charges |Ω|·|G| doubles, frees the old table, and fills the new one
+  /// from the core list and the factors (constructor, core hooks).
+  void BuildTable();
+  /// G_b · Π_k A(k)(entry_index[k], β_k), the factors in ascending k.
+  double Product(const std::int64_t* entry_index, std::int64_t b) const;
 
   const SparseTensor* x_;
-  MemoryTracker* tracker_;
-  std::unique_ptr<CacheTable> table_;
+  ScopedCharge charge_;        // the table bytes
+  std::vector<double> table_;  // |Ω| × |G|, row-major
 };
 
 /// Contraction-order δ: the core is contracted one mode at a time along a
@@ -348,8 +358,6 @@ class ContractionDeltaEngine final : public DeltaEngine {
   ContractionDeltaEngine(const SparseTensor& x, const CoreEntryList& core,
                          const std::vector<Matrix>& factors,
                          MemoryTracker* tracker);
-  /// Releases the bytes charged to the tracker.
-  ~ContractionDeltaEngine() override;
 
   DeltaEngineChoice kind() const override {
     return DeltaEngineChoice::kContraction;
@@ -364,7 +372,7 @@ class ContractionDeltaEngine final : public DeltaEngine {
   void OnCoreValuesChanged() override;
   void OnCoreEntriesRemoved(const std::vector<char>& removed) override;
 
-  std::int64_t ByteSize() const override { return charged_bytes_; }
+  std::int64_t ByteSize() const override { return charge_.bytes(); }
 
   /// The memoized set S_n of mode `mode`, in ascending mode order.
   const std::vector<std::int64_t>& memo_modes(std::int64_t mode) const {
@@ -406,10 +414,9 @@ class ContractionDeltaEngine final : public DeltaEngine {
   void FillTables(std::int64_t mode);
 
   std::int64_t nnz_;
-  MemoryTracker* tracker_;
+  ScopedCharge charge_;  // the trees and the leaf arrays
   std::vector<ModePlan> plans_;
   std::int64_t reconstruct_mode_ = 0;
-  std::int64_t charged_bytes_ = 0;
 };
 
 /// One row of the engine name table: the enumerator, its canonical CLI

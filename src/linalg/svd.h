@@ -58,8 +58,7 @@ SvdResult OneSidedJacobiSvd(const Matrix& a, int max_sweeps = 64);
 /// model of the paper's baselines (Algorithm 1 line 5), which call
 /// LAPACK's exact SVD — O(min(m·n², m²·n)) work regardless of the
 /// requested rank. The HOOI/Tucker-CSF reimplementations use this so
-/// their measured cost matches the systems the paper evaluated
-/// (see DESIGN.md §4).
+/// their measured cost matches the systems the paper evaluated.
 Matrix ExactSvdLeftSingularVectors(const Matrix& a, std::int64_t rank);
 
 }  // namespace ptucker

@@ -1,6 +1,8 @@
 #include "stream/event_log.h"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -37,10 +39,16 @@ std::string FormatEventLog(const std::vector<StreamEvent>& events,
   std::ostringstream out;
   out << "ptucker-stream v1 " << order << "\n";
   char value_buf[64];
-  for (const StreamEvent& event : events) {
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    const StreamEvent& event = events[e];
     if (static_cast<std::int64_t>(event.index.size()) != order) {
       throw std::invalid_argument(
           "event log: event coordinate count does not match order");
+    }
+    if (event.op != StreamOp::kDelete && !std::isfinite(event.value)) {
+      // The parser would reject the line: refuse to write it.
+      throw std::invalid_argument("event log: events[" + std::to_string(e) +
+                                  "] has a value that is not a finite number");
     }
     out << event.timestamp << ' ' << OpChar(event.op);
     for (const std::int64_t i : event.index) out << ' ' << i + 1;
@@ -77,6 +85,7 @@ std::vector<StreamEvent> ParseEventLog(const std::string& text,
 
   std::vector<StreamEvent> events;
   std::int64_t previous_timestamp = std::numeric_limits<std::int64_t>::min();
+  std::string value_token;  // reused across lines
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
@@ -107,7 +116,14 @@ std::vector<StreamEvent> ParseEventLog(const std::string& text,
       event.index[static_cast<std::size_t>(m)] = coord - 1;
     }
     if (event.op != StreamOp::kDelete) {
-      if (!(fields >> event.value)) Malformed(line_no, "missing value");
+      if (!(fields >> value_token)) Malformed(line_no, "missing value");
+      char* end = nullptr;
+      event.value = std::strtod(value_token.c_str(), &end);
+      if (end != value_token.c_str() + value_token.size() ||
+          !std::isfinite(event.value)) {
+        Malformed(line_no,
+                  "value '" + value_token + "' is not a finite number");
+      }
     }
     std::string extra;
     if (fields >> extra) Malformed(line_no, "trailing tokens");

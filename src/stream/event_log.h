@@ -34,15 +34,18 @@ struct StreamEvent {
 ///
 /// Coordinates are 1-based on the wire (matching the .tns convention);
 /// values print with max_digits10 so a round trip is bit-exact. Every
-/// event must have `order` coordinates.
+/// event must have `order` coordinates, and every append or update a
+/// finite value; otherwise throws std::invalid_argument naming the
+/// event's position.
 std::string FormatEventLog(const std::vector<StreamEvent>& events,
                            std::int64_t order);
 
 /// Parses a replay log produced by FormatEventLog (or by hand). Throws
 /// std::runtime_error with a line number on malformed input: bad header,
 /// wrong coordinate count, non-positive coordinates, unknown op, a value
-/// on a delete / a missing value elsewhere, or a timestamp that
-/// decreases. `order` (if non-null) receives the header's order.
+/// on a delete / a missing value elsewhere, a value that is not a finite
+/// number, or a timestamp that decreases. `order` (if non-null) receives
+/// the header's order.
 std::vector<StreamEvent> ParseEventLog(const std::string& text,
                                        std::int64_t* order);
 

@@ -1,6 +1,7 @@
 #include "stream/ingest_pipeline.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -39,6 +40,20 @@ std::string CheckpointFileName(std::int64_t seq) {
   return "ckpt-" + std::to_string(seq) + ".ptks";
 }
 
+// Throws std::invalid_argument naming the coordinate unless the `op`
+// ("append" or "update") value is finite: one NaN or Inf in Ω would
+// poison every row re-solve that reads it.
+void CheckFiniteValue(const char* op, const std::vector<std::int64_t>& index,
+                      double value) {
+  if (std::isfinite(value)) return;
+  std::string coordinate;
+  for (const std::int64_t i : index) {
+    coordinate += (coordinate.empty() ? "(" : ", ") + std::to_string(i);
+  }
+  throw std::invalid_argument(std::string("ingest: ") + op + " value at " +
+                              coordinate + ") is not a finite number");
+}
+
 }  // namespace
 
 IngestPipeline::IngestPipeline(SparseTensor tensor, TuckerFactorization model,
@@ -71,9 +86,6 @@ IngestPipeline::IngestPipeline(SparseTensor tensor, TuckerFactorization model,
   }
   if (options_.checkpoint_every < 0) {
     throw std::invalid_argument("ingest: checkpoint_every must be >= 0");
-  }
-  if (options_.solve_passes < 1) {
-    throw std::invalid_argument("ingest: solve_passes must be >= 1");
   }
   if (options_.ops_already_applied < 0) {
     throw std::invalid_argument("ingest: ops_already_applied must be >= 0");
@@ -137,6 +149,7 @@ void IngestPipeline::ValidateIndex(
 void IngestPipeline::Append(const std::vector<std::int64_t>& index,
                             double value) {
   ValidateIndex(index);
+  CheckFiniteValue("append", index, value);
   const std::int64_t key = Linearize(index.data(), strides_, tensor_.order());
   if (live_.count(key) != 0) {
     throw std::invalid_argument(
@@ -155,6 +168,7 @@ void IngestPipeline::Append(const std::vector<std::int64_t>& index,
 void IngestPipeline::Update(const std::vector<std::int64_t>& index,
                             double value) {
   ValidateIndex(index);
+  CheckFiniteValue("update", index, value);
   const std::int64_t key = Linearize(index.data(), strides_, tensor_.order());
   if (live_.count(key) == 0) {
     throw std::invalid_argument(
@@ -346,21 +360,19 @@ void IngestPipeline::SolveTouchedRows(
   OmpEnvironmentGuard omp_guard(options_.num_threads, options_.scheduling);
   RowUpdateOptions row_options;
   row_options.lambda = options_.lambda;
-  for (int pass = 0; pass < options_.solve_passes; ++pass) {
-    for (std::int64_t mode = 0; mode < tensor_.order(); ++mode) {
-      const std::vector<std::int64_t>& mode_rows =
-          rows[static_cast<std::size_t>(mode)];
-      if (mode_rows.empty()) continue;
-      Matrix old_factor;
-      if (engine_->WantsFactorSnapshot()) {
-        old_factor = model_.factors[static_cast<std::size_t>(mode)];
-      }
-      UpdateFactorRows(tensor_, mode, mode_rows.data(),
-                       static_cast<std::int64_t>(mode_rows.size()), *engine_,
-                       &model_.factors[static_cast<std::size_t>(mode)],
-                       row_options);
-      engine_->OnFactorUpdated(mode, old_factor);
+  for (std::int64_t mode = 0; mode < tensor_.order(); ++mode) {
+    const std::vector<std::int64_t>& mode_rows =
+        rows[static_cast<std::size_t>(mode)];
+    if (mode_rows.empty()) continue;
+    Matrix old_factor;
+    if (engine_->WantsFactorSnapshot()) {
+      old_factor = model_.factors[static_cast<std::size_t>(mode)];
     }
+    UpdateFactorRows(tensor_, mode, mode_rows.data(),
+                     static_cast<std::int64_t>(mode_rows.size()), *engine_,
+                     &model_.factors[static_cast<std::size_t>(mode)],
+                     row_options);
+    engine_->OnFactorUpdated(mode, old_factor);
   }
 }
 

@@ -47,10 +47,6 @@ struct IngestOptions {
   int num_threads = 0;
   Scheduling scheduling = Scheduling::kDynamic;
 
-  /// Row-update sweeps over the touched rows per flush. One pass is the
-  /// pure incremental step; more passes trade latency for accuracy.
-  int solve_passes = 1;
-
   /// Buffered mutations before a flush applies them and re-solves. 1
   /// flushes every mutation immediately.
   std::int64_t flush_every = 64;
@@ -105,10 +101,11 @@ struct CheckpointInfo {
 /// thread-safe: mutations come from one writer thread (readers query the
 /// service, which is lock-free against the swap).
 ///
-/// Mutation semantics are strict — Append of a live coordinate, or
-/// Update/Delete of an unobserved one, throws std::invalid_argument and
-/// leaves the pipeline unchanged (duplicate Ω coordinates would silently
-/// double-count in every engine).
+/// Mutation semantics are strict — Append of a live coordinate,
+/// Update/Delete of an unobserved one, or an Append/Update value that is
+/// NaN or Inf throws std::invalid_argument and leaves the pipeline
+/// unchanged (duplicate Ω coordinates would silently double-count in
+/// every engine; a non-finite value would poison every re-solved row).
 class IngestPipeline {
  public:
   /// Takes ownership of the tensor (the live Ω) and the model fitted to
@@ -122,9 +119,10 @@ class IngestPipeline {
   IngestPipeline(const IngestPipeline&) = delete;             ///< has refs
   IngestPipeline& operator=(const IngestPipeline&) = delete;  ///< has refs
 
-  /// Buffers a new observation at an unobserved coordinate.
+  /// Buffers a new observation at an unobserved coordinate. `value`
+  /// must be finite.
   void Append(const std::vector<std::int64_t>& index, double value);
-  /// Buffers a new value for a live coordinate.
+  /// Buffers a new finite value for a live coordinate.
   void Update(const std::vector<std::int64_t>& index, double value);
   /// Buffers removal of a live coordinate from Ω.
   void Delete(const std::vector<std::int64_t>& index);
@@ -132,10 +130,10 @@ class IngestPipeline {
   void Apply(const StreamEvent& event);
 
   /// Applies every buffered mutation to Ω in arrival order, re-solves
-  /// the touched factor rows (solve_passes sweeps per mode, modes in
-  /// order), and fires any checkpoint whose boundary was crossed. No-op
-  /// when nothing is buffered. Called automatically when the buffer
-  /// reaches flush_every.
+  /// the touched factor rows (one sweep per mode, modes in order), and
+  /// fires any checkpoint whose boundary was crossed. No-op when nothing
+  /// is buffered. Called automatically when the buffer reaches
+  /// flush_every.
   void Flush();
 
   /// Flushes, then writes the next checkpoint (file + MANIFEST when

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -77,6 +78,27 @@ TEST(EventLogTest, EmptyLogRoundTrips) {
   EXPECT_EQ(order, 4);
 }
 
+// The writer refuses what the parser would reject: a NaN or Inf append
+// or update value, naming the event's position. A delete's value is not
+// written, so it may be anything.
+TEST(EventLogTest, FormatRejectsNonFiniteValues) {
+  std::vector<StreamEvent> events = SampleEvents();
+  events[0].value = std::numeric_limits<double>::quiet_NaN();
+  try {
+    FormatEventLog(events, 3);
+    FAIL() << "formatted a NaN append";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("events[0]"), std::string::npos)
+        << error.what();
+  }
+  events = SampleEvents();
+  events[1].value = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(FormatEventLog(events, 3), std::invalid_argument);
+  events = SampleEvents();
+  events[2].value = std::numeric_limits<double>::quiet_NaN();  // the delete
+  EXPECT_EQ(FormatEventLog(events, 3), FormatEventLog(SampleEvents(), 3));
+}
+
 // Every malformed shape dies loudly, naming the line.
 TEST(EventLogTest, RejectsMalformedInput) {
   const auto expect_throw_mentioning = [](const std::string& text,
@@ -101,6 +123,17 @@ TEST(EventLogTest, RejectsMalformedInput) {
   expect_throw_mentioning("ptucker-stream v1 3\n1 a 0 2 3 0.5\n", "line 2");
   // missing value on an append
   expect_throw_mentioning("ptucker-stream v1 3\n1 a 1 2 3\n", "line 2");
+  expect_throw_mentioning("ptucker-stream v1 3\n1 a 1 2 3\n",
+                          "missing value");
+  // a value token that is not a finite number
+  expect_throw_mentioning("ptucker-stream v1 3\n1 a 1 2 3 nan\n",
+                          "line 2: value 'nan' is not a finite number");
+  expect_throw_mentioning("ptucker-stream v1 3\n1 u 1 2 3 inf\n",
+                          "is not a finite number");
+  expect_throw_mentioning("ptucker-stream v1 3\n1 a 1 2 3 1e999\n",
+                          "is not a finite number");
+  expect_throw_mentioning("ptucker-stream v1 3\n1 a 1 2 3 0.5x\n",
+                          "is not a finite number");
   // trailing tokens after a delete
   expect_throw_mentioning("ptucker-stream v1 3\n1 d 1 2 3 0.5\n", "line 2");
   // decreasing timestamps

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -285,11 +286,31 @@ TEST(IngestPipelineTest, StrictMutationSemantics) {
   const std::vector<std::int64_t> out_of_bounds = {12, 0, 0};
   EXPECT_THROW(pipeline.Update(out_of_bounds, 0.5), std::invalid_argument);
 
+  // NaN and Inf are refused before anything is buffered, naming the
+  // coordinate.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(pipeline.Update(live, nan), std::invalid_argument);
+  EXPECT_THROW(pipeline.Update(live, inf), std::invalid_argument);
+  EXPECT_EQ(pipeline.pending(), 0);
+
   // Validation covers buffered (not yet flushed) state: delete frees the
   // coordinate for re-append within the same batch, and the re-appended
   // key rejects a second append.
   pipeline.Delete(live);
   EXPECT_THROW(pipeline.Update(live, 0.5), std::invalid_argument);
+  try {
+    pipeline.Append(live, nan);
+    ADD_FAILURE() << "Append accepted NaN";
+  } catch (const std::invalid_argument& error) {
+    const std::string coordinate = "(" + std::to_string(live[0]) + ", " +
+                                   std::to_string(live[1]) + ", " +
+                                   std::to_string(live[2]) + ")";
+    EXPECT_NE(std::string(error.what()).find(coordinate), std::string::npos)
+        << error.what();
+  }
+  EXPECT_THROW(pipeline.Append(live, inf), std::invalid_argument);
+  EXPECT_EQ(pipeline.pending(), 1);
   pipeline.Append(live, 0.25);
   EXPECT_THROW(pipeline.Append(live, 0.5), std::invalid_argument);
   EXPECT_EQ(pipeline.pending(), 2);
