@@ -120,7 +120,7 @@ inline MethodOutcome RunHooi(const SparseTensor& x, HooiOptions options,
   });
 }
 
-inline MethodOutcome RunShot(const SparseTensor& x, ShotOptions options,
+inline MethodOutcome RunShot(const SparseTensor& x, HooiOptions options,
                              const SparseTensor* test = nullptr,
                              std::int64_t budget = kDefaultBudgetBytes) {
   return RunWithBudget(budget, [&](MemoryTracker* tracker,
@@ -158,7 +158,7 @@ inline MethodOutcome RunCsf(const SparseTensor& x, HooiOptions options,
   });
 }
 
-inline MethodOutcome RunWopt(const SparseTensor& x, WoptOptions options,
+inline MethodOutcome RunWopt(const SparseTensor& x, HooiOptions options,
                              const SparseTensor* test = nullptr,
                              std::int64_t budget = kDefaultBudgetBytes) {
   return RunWithBudget(budget, [&](MemoryTracker* tracker,

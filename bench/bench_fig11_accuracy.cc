@@ -27,7 +27,7 @@ int main() {
     popt.max_iterations = 8;
     MethodOutcome ptucker = RunPTucker(split.train, popt, &split.test);
 
-    ShotOptions sopt;
+    HooiOptions sopt;
     sopt.core_dims = dataset.ranks;
     sopt.max_iterations = 8;
     MethodOutcome shot = RunShot(split.train, sopt, &split.test);
@@ -40,7 +40,7 @@ int main() {
     // NCG needs more (cheap) iterations than ALS to converge; the paper's
     // 20-iteration cap applied to its Matlab implementation whose single
     // "iteration" runs many inner line-search steps.
-    WoptOptions wopt;
+    HooiOptions wopt;
     wopt.core_dims = dataset.ranks;
     wopt.max_iterations = 60;
     wopt.tolerance = 1e-6;

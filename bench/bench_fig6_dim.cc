@@ -27,7 +27,7 @@ int main() {
     popt.tolerance = 0.0;
     MethodOutcome ptucker = RunPTucker(x, popt);
 
-    ShotOptions sopt;
+    HooiOptions sopt;
     sopt.core_dims = ranks;
     sopt.max_iterations = 2;
     sopt.tolerance = 0.0;
@@ -39,7 +39,7 @@ int main() {
     hopt.tolerance = 0.0;
     MethodOutcome csf = RunCsf(x, hopt);
 
-    WoptOptions wopt;
+    HooiOptions wopt;
     wopt.core_dims = ranks;
     wopt.max_iterations = 2;
     wopt.tolerance = 0.0;
@@ -70,7 +70,7 @@ int main() {
     popt.tolerance = 0.0;
     MethodOutcome ptucker = RunPTucker(x, popt, nullptr, budget);
 
-    ShotOptions sopt;
+    HooiOptions sopt;
     sopt.core_dims = ranks;
     sopt.max_iterations = 1;
     sopt.tolerance = 0.0;
@@ -83,7 +83,7 @@ int main() {
     MethodOutcome hooi = RunHooi(x, hopt, nullptr, budget);
     MethodOutcome csf = RunCsf(x, hopt, nullptr, budget);
 
-    WoptOptions wopt;
+    HooiOptions wopt;
     wopt.core_dims = ranks;
     wopt.max_iterations = 1;
     MethodOutcome wopt_outcome = RunWopt(x, wopt, nullptr, budget);

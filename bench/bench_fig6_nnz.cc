@@ -26,7 +26,7 @@ int main() {
     popt.tolerance = 0.0;
     MethodOutcome ptucker = RunPTucker(x, popt);
 
-    ShotOptions sopt;
+    HooiOptions sopt;
     sopt.core_dims = ranks;
     sopt.max_iterations = 2;
     sopt.tolerance = 0.0;
@@ -38,7 +38,7 @@ int main() {
     hopt.tolerance = 0.0;
     MethodOutcome csf = RunCsf(x, hopt);
 
-    WoptOptions wopt;
+    HooiOptions wopt;
     wopt.core_dims = ranks;
     wopt.max_iterations = 2;
     MethodOutcome wopt_outcome = RunWopt(x, wopt);

@@ -30,7 +30,7 @@ int main() {
     popt.variant = PTuckerVariant::kApprox;
     MethodOutcome approx = RunPTucker(x, popt);
 
-    ShotOptions sopt;
+    HooiOptions sopt;
     sopt.core_dims = ranks;
     sopt.max_iterations = 2;
     sopt.tolerance = 0.0;
@@ -42,7 +42,7 @@ int main() {
     hopt.tolerance = 0.0;
     MethodOutcome csf = RunCsf(x, hopt);
 
-    WoptOptions wopt;
+    HooiOptions wopt;
     wopt.core_dims = ranks;
     wopt.max_iterations = 2;
     wopt.tolerance = 0.0;

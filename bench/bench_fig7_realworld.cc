@@ -24,7 +24,7 @@ int main() {
     popt.variant = PTuckerVariant::kApprox;
     MethodOutcome approx = RunPTucker(dataset.tensor, popt);
 
-    ShotOptions sopt;
+    HooiOptions sopt;
     sopt.core_dims = dataset.ranks;
     sopt.max_iterations = 2;
     sopt.tolerance = 0.0;
@@ -36,7 +36,7 @@ int main() {
     hopt.tolerance = 0.0;
     MethodOutcome csf = RunCsf(dataset.tensor, hopt);
 
-    WoptOptions wopt;
+    HooiOptions wopt;
     wopt.core_dims = dataset.ranks;
     wopt.max_iterations = 2;
     MethodOutcome wopt_outcome = RunWopt(dataset.tensor, wopt);

@@ -75,7 +75,7 @@ int main() {
   hooi_options.max_iterations = 15;
   BaselineResult hooi = HooiDecompose(train, hooi_options);
 
-  WoptOptions wopt_options;
+  HooiOptions wopt_options;
   wopt_options.core_dims = {3, 3, 3};
   wopt_options.max_iterations = 25;
   BaselineResult wopt = TuckerWoptDecompose(train, wopt_options);

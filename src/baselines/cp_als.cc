@@ -1,15 +1,13 @@
 #include "baselines/cp_als.h"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include <omp.h>
 
+#include "baselines/common.h"
+#include "core/row_update.h"
 #include "linalg/blas.h"
-#include "linalg/cholesky.h"
-#include "linalg/lu.h"
-#include "util/logging.h"
 #include "util/parallel.h"
 #include "util/random.h"
 #include "obs/stopwatch.h"
@@ -119,9 +117,7 @@ CpResult CpAlsDecompose(const SparseTensor& x, const CpOptions& options) {
       static_cast<std::int64_t>(sizeof(double)) * (rank * rank + 3 * rank);
   ScopedCharge scratch_charge(options.tracker, scratch_bytes);
 
-  double previous_error = std::numeric_limits<double>::infinity();
-  for (int iteration = 1; iteration <= options.max_iterations; ++iteration) {
-    Stopwatch iteration_clock;
+  const auto sweep = [&](int) {
     for (std::int64_t mode = 0; mode < order; ++mode) {
       Matrix& factor = result.factors[static_cast<std::size_t>(mode)];
 #pragma omp parallel
@@ -146,14 +142,7 @@ CpResult CpAlsDecompose(const SparseTensor& x, const CpOptions& options) {
             Axpy(x.value(entry), delta.data(), c.data(), rank);
           }
           for (std::int64_t r = 0; r < rank; ++r) b(r, r) += options.lambda;
-          if (!CholeskySolveRow(b, c.data(), new_row.data())) {
-            LuDecomposition lu(b);
-            if (lu.ok()) {
-              lu.Solve(c.data(), new_row.data());
-            } else {
-              std::fill(new_row.begin(), new_row.end(), 0.0);
-            }
-          }
+          SolveRow(b, c.data(), new_row.data(), rank);
           for (std::int64_t r = 0; r < rank; ++r) {
             factor(row, r) = new_row[static_cast<std::size_t>(r)];
           }
@@ -161,28 +150,13 @@ CpResult CpAlsDecompose(const SparseTensor& x, const CpOptions& options) {
       }
     }
 
-    const double error = CpError(x, result.factors, rank);
-    IterationStats stats;
-    stats.iteration = iteration;
-    stats.error = error;
-    stats.seconds = iteration_clock.ElapsedSeconds();
-    stats.core_nnz = rank;  // superdiagonal
-    stats.peak_intermediate_bytes =
-        options.tracker != nullptr ? options.tracker->peak_bytes() : 0;
-    result.iterations.push_back(stats);
-    if (options.verbose) {
-      PTUCKER_LOG(kInfo) << "CP-ALS iteration " << iteration
-                         << ": error=" << error;
-    }
-
-    const double change =
-        std::fabs(previous_error - error) / std::max(previous_error, 1e-12);
-    previous_error = error;
-    if (change < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
+    // The core is superdiagonal: |G| = R.
+    return BaselineIteration{CpError(x, result.factors, rank), rank};
+  };
+  result.converged =
+      RunBaselineIterations("CP-ALS", options.max_iterations,
+                            options.tolerance, options.tracker,
+                            options.verbose, sweep, &result.iterations);
 
   result.final_error = CpError(x, result.factors, rank);
   result.total_seconds = total_clock.ElapsedSeconds();

@@ -1,25 +1,9 @@
 #ifndef PTUCKER_BASELINES_HOOI_H_
 #define PTUCKER_BASELINES_HOOI_H_
 
-#include <cstdint>
-#include <vector>
-
 #include "baselines/common.h"
-#include "tensor/sparse_tensor.h"
-#include "util/memory_tracker.h"
 
 namespace ptucker {
-
-/// Configuration shared by the HOOI-family baselines (HOOI, S-HOT,
-/// Tucker-CSF).
-struct HooiOptions {
-  std::vector<std::int64_t> core_dims;
-  int max_iterations = 20;
-  double tolerance = 1e-4;
-  std::uint64_t seed = 0x5eedULL;
-  MemoryTracker* tracker = nullptr;
-  bool verbose = false;
-};
 
 /// Conventional Tucker-ALS / HOOI (paper Algorithm 1, De Lathauwer et
 /// al.): per mode, materialize Y(n) = X ×_{k≠n} A(k)ᵀ as an In × Π Jk

@@ -1,16 +1,12 @@
 #include "baselines/shot.h"
 
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "core/delta_engine.h"
 #include "core/reconstruction.h"
 #include "linalg/blas.h"
 #include "linalg/qr.h"
-#include "linalg/svd.h"
 #include "tensor/index.h"
-#include "util/logging.h"
 #include "util/parallel.h"
 #include "util/random.h"
 #include "obs/stopwatch.h"
@@ -18,6 +14,11 @@
 namespace ptucker {
 
 namespace {
+
+// Orthogonal-iteration steps that refresh the leading left singular
+// subspace of the implicit Y(n) per mode per sweep. Warm-started from the
+// previous sweep, a few steps suffice.
+constexpr int kSubspaceIterations = 3;
 
 // Writes the Kronecker vector ⊗_{k≠skip} A(k)(idx[k], :) · scale into
 // `out` (size Π_{k≠skip} Jk), lowest mode fastest — the SparseTtmChain /
@@ -44,22 +45,11 @@ void ExpandKron(const std::vector<Matrix>& factors, const std::int64_t* idx,
 }  // namespace
 
 BaselineResult ShotDecompose(const SparseTensor& x,
-                             const ShotOptions& options) {
-  if (x.nnz() == 0) {
-    throw std::invalid_argument("S-HOT: tensor has no observed entries");
-  }
+                             const HooiOptions& options) {
+  ValidateBaselineInputs("S-HOT", x, options);
   if (!x.has_mode_index()) {
     throw std::invalid_argument(
         "S-HOT: call SparseTensor::BuildModeIndex() first");
-  }
-  if (static_cast<std::int64_t>(options.core_dims.size()) != x.order()) {
-    throw std::invalid_argument("S-HOT: core_dims order mismatch");
-  }
-  for (std::int64_t n = 0; n < x.order(); ++n) {
-    const std::int64_t rank = options.core_dims[static_cast<std::size_t>(n)];
-    if (rank < 1 || rank > x.dim(n)) {
-      throw std::invalid_argument("S-HOT: requires 1 <= Jn <= In");
-    }
   }
 
   const std::int64_t order = x.order();
@@ -80,13 +70,13 @@ BaselineResult ShotDecompose(const SparseTensor& x,
 
   BaselineResult result;
   DenseTensor core(options.core_dims);
-  double previous_error = std::numeric_limits<double>::infinity();
 
   // Per-entry reconstruction error through the mode-major δ-engine
   // (docs/architecture.md), whose lane kernel is bit-identical to the
-  // entry-major scan for finite factor values. The core is recomputed from scratch every iteration (its sparsity pattern
-  // may change), so the engine cannot be kept alive across iterations via
-  // the mutation hooks; a fresh build is Θ(N·|G|) and cheap next to the
+  // entry-major scan for finite factor values. The core is recomputed
+  // from scratch every iteration (its sparsity pattern may change), so
+  // the engine cannot be kept alive across iterations via the mutation
+  // hooks; a fresh build is Θ(N·|G|) and cheap next to the
   // scan itself. The engine's transient view bytes are NOT charged to the
   // tracker: the benches report this baseline's "required memory" as
   // S-HOT was published, and an error metric must not trip the budget.
@@ -96,9 +86,7 @@ BaselineResult ShotDecompose(const SparseTensor& x,
     return ReconstructionError(x, engine);
   };
 
-  for (int iteration = 1; iteration <= options.max_iterations; ++iteration) {
-    Stopwatch iteration_clock;
-
+  const auto sweep = [&](int) {
     for (std::int64_t mode = 0; mode < order; ++mode) {
       const std::int64_t rank =
           options.core_dims[static_cast<std::size_t>(mode)];
@@ -119,7 +107,7 @@ BaselineResult ShotDecompose(const SparseTensor& x,
       Matrix u = factors[static_cast<std::size_t>(mode)];  // warm start
       std::vector<double> kron(static_cast<std::size_t>(k_cols));
 
-      for (int step = 0; step < options.subspace_iterations; ++step) {
+      for (int step = 0; step < kSubspaceIterations; ++step) {
         // W = Yᵀ U, streamed: each nonzero contributes
         // x_α · kron_α ⊗ U(in, :).
         Matrix w(k_cols, rank);
@@ -178,28 +166,12 @@ BaselineResult ShotDecompose(const SparseTensor& x,
           });
     }
 
-    const double error = model_error();
-    IterationStats stats;
-    stats.iteration = iteration;
-    stats.error = error;
-    stats.seconds = iteration_clock.ElapsedSeconds();
-    stats.core_nnz = core.CountNonZeros();
-    stats.peak_intermediate_bytes =
-        tracker != nullptr ? tracker->peak_bytes() : 0;
-    result.iterations.push_back(stats);
-    if (options.verbose) {
-      PTUCKER_LOG(kInfo) << "S-HOT iteration " << iteration
-                         << ": error=" << error;
-    }
-
-    const double change =
-        std::fabs(previous_error - error) / std::max(previous_error, 1e-12);
-    previous_error = error;
-    if (change < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
+    return BaselineIteration{model_error(), core.CountNonZeros()};
+  };
+  result.converged =
+      RunBaselineIterations("S-HOT", options.max_iterations,
+                            options.tolerance, tracker, options.verbose,
+                            sweep, &result.iterations);
 
   result.final_error = model_error();
   result.model.factors = std::move(factors);

@@ -5,24 +5,18 @@
 
 namespace ptucker {
 
-/// Options for the S-HOT baseline; extends HooiOptions with the number of
-/// inner subspace-iteration steps per mode.
-struct ShotOptions : HooiOptions {
-  /// Orthogonal-iteration steps used to refresh the leading left singular
-  /// subspace of the implicit Y(n) per mode per ALS sweep. Warm-started
-  /// from the previous sweep, a few steps suffice.
-  int subspace_iterations = 3;
-};
-
 /// S-HOT_scan-style Tucker-ALS (Oh et al., WSDM 2017): identical fixed
 /// point to HOOI (missing entries as zeros) but *never materializes* the
 /// In × Π_{k≠n} Jk matrix Y(n). The leading left singular vectors are
 /// found by orthogonal iteration where each product Y·(Yᵀ·U) is evaluated
 /// on the fly by streaming the nonzeros, so intermediate data stays
 /// O(Jᴺ⁻¹·Jn + In·Jn) — avoiding the M-bottleneck, as the paper's Table
-/// III records for S-HOT.
+/// III records for S-HOT. Each mode takes three orthogonal-iteration
+/// steps per sweep, warm-started from the previous sweep.
+///
+/// `x` needs its mode index (SparseTensor::BuildModeIndex).
 BaselineResult ShotDecompose(const SparseTensor& x,
-                             const ShotOptions& options);
+                             const HooiOptions& options);
 
 }  // namespace ptucker
 

@@ -13,7 +13,8 @@ namespace ptucker {
 /// paper configured one allocation, which trades memory for a little
 /// time — the asymptotics in Table III are unchanged). Like HOOI, Y(n) is
 /// materialized (memory O(In·Jᴺ⁻¹)) and missing entries are zeros, so the
-/// accuracy matches HOOI/S-HOT in Fig. 11.
+/// accuracy matches HOOI/S-HOT in Fig. 11. It runs on HOOI's own driver
+/// (hooi.cc) and differs from HOOI only in how Y(n) is evaluated.
 BaselineResult TuckerCsfDecompose(const SparseTensor& x,
                                   const HooiOptions& options);
 

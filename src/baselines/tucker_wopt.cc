@@ -1,14 +1,11 @@
 #include "baselines/tucker_wopt.h"
 
 #include <cmath>
-#include <limits>
-#include <stdexcept>
 
 #include "linalg/blas.h"
 #include "tensor/index.h"
 #include "tensor/matricize.h"
 #include "tensor/nmode.h"
-#include "util/logging.h"
 #include "util/random.h"
 #include "obs/stopwatch.h"
 
@@ -47,19 +44,8 @@ void ParamsScale(double scale, Params* a) {
 }  // namespace
 
 BaselineResult TuckerWoptDecompose(const SparseTensor& x,
-                                   const WoptOptions& options) {
-  if (x.nnz() == 0) {
-    throw std::invalid_argument("wOpt: tensor has no observed entries");
-  }
-  if (static_cast<std::int64_t>(options.core_dims.size()) != x.order()) {
-    throw std::invalid_argument("wOpt: core_dims order mismatch");
-  }
-  for (std::int64_t n = 0; n < x.order(); ++n) {
-    const std::int64_t rank = options.core_dims[static_cast<std::size_t>(n)];
-    if (rank < 1 || rank > x.dim(n)) {
-      throw std::invalid_argument("wOpt: requires 1 <= Jn <= In");
-    }
-  }
+                                   const HooiOptions& options) {
+  ValidateBaselineInputs("wOpt", x, options);
 
   const std::int64_t order = x.order();
   const std::int64_t total = NumElements(x.dims());
@@ -153,12 +139,9 @@ BaselineResult TuckerWoptDecompose(const SparseTensor& x,
   Params direction = grad;
   ParamsScale(-1.0, &direction);
   double grad_norm_sq = ParamsDot(grad, grad);
-  double previous_error = std::numeric_limits<double>::infinity();
   double step = 1.0;
 
-  for (int iteration = 1; iteration <= options.max_iterations; ++iteration) {
-    Stopwatch iteration_clock;
-
+  const auto ncg_iteration = [&](int) {
     // Backtracking Armijo line search along `direction`.
     const double directional = ParamsDot(grad, direction);
     double slope = directional;
@@ -185,9 +168,10 @@ BaselineResult TuckerWoptDecompose(const SparseTensor& x,
       alpha *= 0.5;
     }
     if (!accepted) {
-      // Stuck: record and stop (converged to numerical precision).
-      result.converged = true;
-      break;
+      // Stuck: stop without a record (converged to numerical precision).
+      BaselineIteration stalled;
+      stalled.stalled = true;
+      return stalled;
     }
     params = std::move(trial);
     step = std::max(alpha * 2.0, 1e-8);  // warm-start the next search
@@ -206,28 +190,12 @@ BaselineResult TuckerWoptDecompose(const SparseTensor& x,
     grad = std::move(new_grad);
     grad_norm_sq = new_norm_sq;
 
-    const double error = std::sqrt(loss);
-    IterationStats stats;
-    stats.iteration = iteration;
-    stats.error = error;
-    stats.seconds = iteration_clock.ElapsedSeconds();
-    stats.core_nnz = params.core.CountNonZeros();
-    stats.peak_intermediate_bytes =
-        tracker != nullptr ? tracker->peak_bytes() : 0;
-    result.iterations.push_back(stats);
-    if (options.verbose) {
-      PTUCKER_LOG(kInfo) << "wOpt iteration " << iteration
-                         << ": error=" << error;
-    }
-
-    const double change =
-        std::fabs(previous_error - error) / std::max(previous_error, 1e-12);
-    previous_error = error;
-    if (change < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
+    return BaselineIteration{std::sqrt(loss), params.core.CountNonZeros()};
+  };
+  result.converged =
+      RunBaselineIterations("wOpt", options.max_iterations, options.tolerance,
+                            tracker, options.verbose, ncg_iteration,
+                            &result.iterations);
 
   result.final_error = std::sqrt(evaluate(params, nullptr));
   result.model.factors = std::move(params.factors);

@@ -1,26 +1,9 @@
 #ifndef PTUCKER_BASELINES_TUCKER_WOPT_H_
 #define PTUCKER_BASELINES_TUCKER_WOPT_H_
 
-#include <cstdint>
-#include <vector>
-
 #include "baselines/common.h"
-#include "tensor/sparse_tensor.h"
-#include "util/memory_tracker.h"
 
 namespace ptucker {
-
-/// Options for TUCKER-WOPT.
-struct WoptOptions {
-  std::vector<std::int64_t> core_dims;
-  /// Nonlinear-conjugate-gradient iterations (the paper caps all methods
-  /// at 20 iterations).
-  int max_iterations = 20;
-  double tolerance = 1e-4;
-  std::uint64_t seed = 0x5eedULL;
-  MemoryTracker* tracker = nullptr;
-  bool verbose = false;
-};
 
 /// TUCKER-WOPT (Filipović & Jukić, 2015): Tucker *weighted* optimization.
 /// Minimizes Σ_{α∈Ω}(X_α − X̂_α)² over the core and all factors jointly by
@@ -32,9 +15,10 @@ struct WoptOptions {
 /// at the full size Π In and pushed through dense mode-product chains
 /// (memory O(Iᴺ⁻¹J), paper Table III). All dense temporaries are charged
 /// to the tracker, which is why this method — and only this method — hits
-/// O.O.M. across most of Figs. 6/7/11.
+/// O.O.M. across most of Figs. 6/7/11. `options.max_iterations` caps the
+/// NCG iterations.
 BaselineResult TuckerWoptDecompose(const SparseTensor& x,
-                                   const WoptOptions& options);
+                                   const HooiOptions& options);
 
 }  // namespace ptucker
 

@@ -24,6 +24,9 @@ namespace ptucker {
 
 namespace {
 
+// Conjugate-gradient steps per core update (when update_core).
+constexpr int kCoreUpdateCgIterations = 8;
+
 // Throws std::invalid_argument, naming the option, unless `x` and
 // `options` are a valid P-Tucker input: a non-empty tensor of order at
 // most DeltaEngine::kMaxOrder with its mode index built, one rank
@@ -174,7 +177,7 @@ PTuckerResult RunAls(const SparseTensor& x, const PTuckerOptions& options,
             backend->DesignLaneSums(residual_from_x, input, iteration,
                                     lane_sums);
           },
-          options.lambda, options.core_update_cg_iterations, &model.core,
+          options.lambda, kCoreUpdateCgIterations, &model.core,
           &model.core_list);
       backend->CommitCore(g, iteration);
     }

@@ -136,9 +136,6 @@ struct PTuckerOptions {
   /// entries by regularized least squares after each iteration.
   bool update_core = false;
 
-  /// Conjugate-gradient steps per core update (when update_core).
-  int core_update_cg_iterations = 8;
-
   /// Extension (the paper's future work: "applying sampling techniques on
   /// observable entries to accelerate decompositions, while sacrificing
   /// little accuracy"): each row update uses a Bernoulli(sample_rate)

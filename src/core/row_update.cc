@@ -63,20 +63,6 @@ std::uint64_t SampleStreamSeed(std::uint64_t seed, int iteration,
   return h;
 }
 
-// Solves row (B + λI) = c, writing the Jn results into `row`.
-// Cholesky first (B + λI is SPD for λ > 0, Theorem 1); LU fallback covers
-// λ = 0 with rank-deficient B; as a last resort the row is zeroed.
-void SolveRow(const Matrix& b_plus_lambda, const double* c, double* row,
-              std::int64_t rank) {
-  if (CholeskySolveRow(b_plus_lambda, c, row)) return;
-  LuDecomposition lu(b_plus_lambda);
-  if (lu.ok()) {
-    lu.Solve(c, row);
-    return;
-  }
-  for (std::int64_t j = 0; j < rank; ++j) row[j] = 0.0;
-}
-
 // Per-thread intermediate data (Fig. 4): B, c and δ, plus the records the
 // SparseTensor route copies a row's slice into.
 struct RowScratch {
@@ -202,6 +188,17 @@ void CheckArguments(std::int64_t order, std::int64_t mode,
 }
 
 }  // namespace
+
+void SolveRow(const Matrix& b_plus_lambda, const double* c, double* row,
+              std::int64_t rank) {
+  if (CholeskySolveRow(b_plus_lambda, c, row)) return;
+  LuDecomposition lu(b_plus_lambda);
+  if (lu.ok()) {
+    lu.Solve(c, row);
+    return;
+  }
+  for (std::int64_t j = 0; j < rank; ++j) row[j] = 0.0;
+}
 
 SliceOrderedOmega::SliceOrderedOmega(const SparseTensor& x, bool entry_ids)
     : entry_ids_(entry_ids), dims_(x.dims()) {

@@ -82,6 +82,14 @@ class OmpEnvironmentGuard {
   int saved_chunk_;
 };
 
+/// Solves Eq. 9's normal equations `b_plus_lambda` · row = `c` for the
+/// `rank` entries of `row`: Cholesky first (B + λI is SPD for λ > 0,
+/// Theorem 1), then LU, which covers λ = 0 with a rank-deficient B, and
+/// as a last resort a zeroed row. The one row-solve policy of P-Tucker's
+/// row update and the CP-ALS baseline.
+void SolveRow(const Matrix& b_plus_lambda, const double* c, double* row,
+              std::int64_t rank);
+
 /// Knobs of one UpdateFactorRows call — the subset of PTuckerOptions the
 /// row update actually consumes.
 struct RowUpdateOptions {
@@ -178,7 +186,7 @@ class SliceOrderedOmega {
 /// state seen through `engine`: for each requested row, accumulates the
 /// Eq. 10/11 normal equations over the row's slice Ω(mode, in), one
 /// DeltaEngine::ComputeDelta per entry in slice order, and solves Eq. 9
-/// (Cholesky with an LU fallback), writing the row into `factor`.
+/// with SolveRow, writing the row into `factor`.
 ///
 /// `rows` selects the subset: `num_rows` row indices, each in
 /// [0, dim(mode)), or nullptr to update every row of the mode (the full

@@ -22,8 +22,8 @@ struct SvdResult {
 };
 
 /// Right singular vectors + singular values recovered from a Gram matrix
-/// G = AᵀA. The S-HOT baseline accumulates G by streaming nonzeros and
-/// calls this without ever materializing A.
+/// G = AᵀA: the eigendecomposition step of ThinSvd, its only caller in
+/// the library.
 struct GramSvd {
   Matrix v;                             // n x r
   std::vector<double> singular_values;  // descending, length r

@@ -1,5 +1,7 @@
 #include "serve/snapshot.h"
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "serve/snapshot_v2.h"
@@ -7,7 +9,13 @@
 namespace ptucker {
 
 TuckerFactorization LoadSnapshot(const std::string& path) {
-  return MaterializeModel(*MmapSnapshot::Open(path));
+  TuckerFactorization model = MaterializeModel(*MmapSnapshot::Open(path));
+  const std::string non_finite = NonFiniteValuePlace(model);
+  if (!non_finite.empty()) {
+    throw std::runtime_error("snapshot: non-finite value at " + non_finite +
+                             " (file " + path + ")");
+  }
+  return model;
 }
 
 std::uint32_t SnapshotCrc32(const char* data, std::size_t size) {

@@ -21,8 +21,9 @@ namespace ptucker {
 /// Reads the snapshot at `path` into an owning model: opens it with
 /// MmapSnapshot::Open and copies the factor and core bits out
 /// (MaterializeModel). Throws std::runtime_error naming the path on an
-/// unopenable file and on every parse failure, including an unsupported
-/// format version (only v2 is read).
+/// unopenable file, on every parse failure, including an unsupported
+/// format version (only v2 is read), and on a NaN or Inf factor or core
+/// value, which it also places (NonFiniteValuePlace).
 TuckerFactorization LoadSnapshot(const std::string& path);
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — the checksum the

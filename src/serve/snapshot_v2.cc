@@ -1,8 +1,10 @@
 #include "serve/snapshot_v2.h"
 
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "serve/snapshot.h"
 #include "tensor/dense_tensor.h"
@@ -134,6 +136,11 @@ std::string SerializeSnapshotV2(const TuckerFactorization& model,
   if (ivf != nullptr &&
       static_cast<std::int64_t>(ivf->size()) != order) {
     throw std::runtime_error("snapshot: IVF index count does not match order");
+  }
+  const std::string non_finite = NonFiniteValuePlace(model);
+  if (!non_finite.empty()) {
+    throw std::invalid_argument("snapshot: refusing to serialize the "
+                                "non-finite value at " + non_finite);
   }
 
   // VeST-compact core: nonzeros only, in linear (mode-0-fastest) order
@@ -291,6 +298,32 @@ std::string SerializeSnapshotV2(const TuckerFactorization& model,
   PutRaw(&out, 40, &payload_offset_u, sizeof(payload_offset_u));
   PutRaw(&out, 48, &flags, sizeof(flags));
   return out;
+}
+
+std::string NonFiniteValuePlace(const TuckerFactorization& model) {
+  for (std::size_t n = 0; n < model.factors.size(); ++n) {
+    const Matrix& factor = model.factors[n];
+    for (std::int64_t i = 0; i < factor.rows(); ++i) {
+      for (std::int64_t j = 0; j < factor.cols(); ++j) {
+        if (std::isfinite(factor(i, j))) continue;
+        return "factor " + std::to_string(n) + " row " + std::to_string(i) +
+               " column " + std::to_string(j);
+      }
+    }
+  }
+  const DenseTensor& core = model.core;
+  std::vector<std::int64_t> index(static_cast<std::size_t>(core.order()));
+  for (std::int64_t linear = 0; linear < core.size(); ++linear) {
+    if (std::isfinite(core[linear])) continue;
+    core.IndexOf(linear, index.data());
+    std::string place = "core entry (";
+    for (std::size_t k = 0; k < index.size(); ++k) {
+      if (k > 0) place += ", ";
+      place += std::to_string(index[k]);
+    }
+    return place + ")";
+  }
+  return "";
 }
 
 void SaveSnapshotV2(const std::string& path, const TuckerFactorization& model,

@@ -31,9 +31,16 @@ inline constexpr std::int64_t kSnapshotV2Alignment = 64;
 
 /// Serializes `model` into the v2 format. `ivf` optionally supplies one
 /// IvfIndex per mode (entries with k == 0 are skipped); pass nullptr for
-/// no centroid section.
+/// no centroid section. Throws std::invalid_argument, naming the value's
+/// place (NonFiniteValuePlace), when a factor or core value is NaN or
+/// Inf.
 std::string SerializeSnapshotV2(const TuckerFactorization& model,
                                 const std::vector<IvfIndex>* ivf);
+
+/// The place of the first NaN or Inf value of `model`, factors first:
+/// "factor n row i column j" or "core entry (j1, …, jN)", all 0-based.
+/// Empty when every value is finite.
+std::string NonFiniteValuePlace(const TuckerFactorization& model);
 
 /// Writes `model` to `path` in v2. When `with_centroids` is set, builds
 /// the per-mode IVF indexes (BuildIvfRows defaults: √I clusters, modes

@@ -32,6 +32,13 @@ TEST(HooiValidationTest, RejectsBadInputs) {
   EXPECT_THROW(HooiDecompose(x, options), std::invalid_argument);
   options.core_dims = {2};
   EXPECT_THROW(HooiDecompose(x, options), std::invalid_argument);
+  options.core_dims = {0, 2};
+  EXPECT_THROW(HooiDecompose(x, options), std::invalid_argument);
+  options.core_dims = {2, 2, 2};
+  EXPECT_THROW(HooiDecompose(x, options), std::invalid_argument);
+  options.core_dims = {2, 2};
+  options.max_iterations = 0;
+  EXPECT_THROW(HooiDecompose(x, options), std::invalid_argument);
 }
 
 TEST(HooiTest, FactorsOrthonormal) {

@@ -13,8 +13,8 @@
 namespace ptucker {
 namespace {
 
-ShotOptions SmallOptions() {
-  ShotOptions options;
+HooiOptions SmallOptions() {
+  HooiOptions options;
   options.core_dims = {3, 3, 3};
   options.max_iterations = 8;
   return options;
@@ -23,9 +23,19 @@ ShotOptions SmallOptions() {
 TEST(ShotValidationTest, RejectsBadInputs) {
   SparseTensor no_index({4, 4});
   no_index.AddEntry({0, 0}, 1.0);
-  ShotOptions options;
+  HooiOptions options;
   options.core_dims = {2, 2};
   EXPECT_THROW(ShotDecompose(no_index, options), std::invalid_argument);
+
+  Rng rng(1);
+  SparseTensor x = UniformSparseTensor({4, 4}, 8, rng);
+  options.core_dims = {0, 2};
+  EXPECT_THROW(ShotDecompose(x, options), std::invalid_argument);
+  options.core_dims = {2};
+  EXPECT_THROW(ShotDecompose(x, options), std::invalid_argument);
+  options.core_dims = {2, 2};
+  options.max_iterations = 0;
+  EXPECT_THROW(ShotDecompose(x, options), std::invalid_argument);
 }
 
 TEST(ShotTest, FactorsOrthonormal) {
@@ -51,10 +61,9 @@ TEST(ShotTest, MatchesHooiFixedPointOnFullyObservedData) {
     x.AddEntry(index, dense[linear]);
   }
   x.BuildModeIndex();
-  ShotOptions options;
+  HooiOptions options;
   options.core_dims = {2, 2, 2};
   options.max_iterations = 20;
-  options.subspace_iterations = 5;
   BaselineResult result = ShotDecompose(x, options);
   EXPECT_LT(result.final_error, 1e-5 * dense.FrobeniusNorm() + 1e-8);
 }
@@ -66,7 +75,7 @@ TEST(ShotTest, CloseToHooiErrorOnSparseData) {
   hooi_options.core_dims = {3, 3, 3};
   hooi_options.max_iterations = 10;
   BaselineResult hooi = HooiDecompose(x, hooi_options);
-  ShotOptions shot_options = SmallOptions();
+  HooiOptions shot_options = SmallOptions();
   shot_options.max_iterations = 10;
   BaselineResult shot = ShotDecompose(x, shot_options);
   // Same objective, same fixed point family: errors within a few percent.
@@ -80,7 +89,7 @@ TEST(ShotTest, AvoidsMaterializingY) {
   Rng rng(4);
   SparseTensor x = UniformSparseTensor({4000, 50, 50}, 500, rng);
   MemoryTracker shot_tracker;
-  ShotOptions options;
+  HooiOptions options;
   options.core_dims = {4, 4, 4};
   options.max_iterations = 1;
   options.tracker = &shot_tracker;
@@ -92,7 +101,7 @@ TEST(ShotTest, AvoidsMaterializingY) {
 TEST(ShotTest, HigherOrderTensor) {
   Rng rng(5);
   SparseTensor x = UniformCubicTensor(6, 6, 100, rng);
-  ShotOptions options;
+  HooiOptions options;
   options.core_dims.assign(6, 2);
   options.max_iterations = 3;
   BaselineResult result = ShotDecompose(x, options);

@@ -23,6 +23,16 @@ TEST(TuckerCsfValidationTest, RejectsBadInputs) {
   HooiOptions options;
   options.core_dims = {2, 2};
   EXPECT_THROW(TuckerCsfDecompose(empty, options), std::invalid_argument);
+
+  Rng rng(1);
+  SparseTensor x = UniformSparseTensor({4, 4}, 8, rng);
+  options.core_dims = {0, 2};
+  EXPECT_THROW(TuckerCsfDecompose(x, options), std::invalid_argument);
+  options.core_dims = {2};
+  EXPECT_THROW(TuckerCsfDecompose(x, options), std::invalid_argument);
+  options.core_dims = {2, 2};
+  options.max_iterations = 0;
+  EXPECT_THROW(TuckerCsfDecompose(x, options), std::invalid_argument);
 }
 
 TEST(TuckerCsfTest, IdenticalToHooiSameSeed) {

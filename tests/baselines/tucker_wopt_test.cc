@@ -11,8 +11,8 @@
 namespace ptucker {
 namespace {
 
-WoptOptions SmallOptions() {
-  WoptOptions options;
+HooiOptions SmallOptions() {
+  HooiOptions options;
   options.core_dims = {2, 2, 2};
   options.max_iterations = 15;
   return options;
@@ -20,13 +20,20 @@ WoptOptions SmallOptions() {
 
 TEST(WoptValidationTest, RejectsBadInputs) {
   SparseTensor empty({4, 4});
-  WoptOptions options;
+  HooiOptions options;
   options.core_dims = {2, 2};
   EXPECT_THROW(TuckerWoptDecompose(empty, options), std::invalid_argument);
 
   Rng rng(1);
   SparseTensor x = UniformSparseTensor({4, 4}, 8, rng);
   options.core_dims = {5, 2};
+  EXPECT_THROW(TuckerWoptDecompose(x, options), std::invalid_argument);
+  options.core_dims = {0, 2};
+  EXPECT_THROW(TuckerWoptDecompose(x, options), std::invalid_argument);
+  options.core_dims = {2};
+  EXPECT_THROW(TuckerWoptDecompose(x, options), std::invalid_argument);
+  options.core_dims = {2, 2};
+  options.max_iterations = 0;
   EXPECT_THROW(TuckerWoptDecompose(x, options), std::invalid_argument);
 }
 
@@ -47,7 +54,7 @@ TEST(WoptTest, FitsObservedEntriesOfLowRankData) {
   Rng rng(3);
   PlantedTucker model = RandomTuckerModel({10, 10, 10}, {2, 2, 2}, rng);
   SparseTensor x = SampleFromModel(model, 400, 0.01, rng);
-  WoptOptions options = SmallOptions();
+  HooiOptions options = SmallOptions();
   options.max_iterations = 40;
   BaselineResult result = TuckerWoptDecompose(x, options);
   EXPECT_LT(result.final_error, 0.25 * x.FrobeniusNorm());
@@ -63,7 +70,7 @@ TEST(WoptTest, PredictsMissingEntriesBetterThanZero) {
     (e < 500 ? train : test).AddEntry(all.index(e), all.value(e));
   }
   train.BuildModeIndex();
-  WoptOptions options = SmallOptions();
+  HooiOptions options = SmallOptions();
   options.max_iterations = 40;
   BaselineResult result = TuckerWoptDecompose(train, options);
   const double rmse = TestRmse(test, result.model.core, result.model.factors);
@@ -82,7 +89,7 @@ TEST(WoptTest, DenseAllocationHitsOomBudget) {
   Rng rng(5);
   SparseTensor x = UniformSparseTensor({300, 300, 300}, 200, rng);
   MemoryTracker tracker(1024 * 1024);  // 1 MB << 300³ doubles
-  WoptOptions options = SmallOptions();
+  HooiOptions options = SmallOptions();
   options.tracker = &tracker;
   EXPECT_THROW(TuckerWoptDecompose(x, options), OutOfMemoryBudget);
 }
@@ -91,7 +98,7 @@ TEST(WoptTest, SmallTensorFitsInBudget) {
   Rng rng(6);
   SparseTensor x = UniformSparseTensor({10, 10, 10}, 100, rng);
   MemoryTracker tracker(64 * 1024 * 1024);
-  WoptOptions options = SmallOptions();
+  HooiOptions options = SmallOptions();
   options.max_iterations = 3;
   options.tracker = &tracker;
   EXPECT_NO_THROW(TuckerWoptDecompose(x, options));

@@ -112,7 +112,6 @@ TEST(DistSolverTest, CoreUpdateRunsDistributedCgBitwise) {
   const SparseTensor x = TestTensor(14);
   PTuckerOptions options = TestOptions();
   options.update_core = true;
-  options.core_update_cg_iterations = 4;
   const PTuckerResult expected = PTuckerDecompose(x, options);
   for (const std::int64_t workers : {2, 3}) {
     DistOptions dist;

@@ -96,7 +96,7 @@ TEST_F(VariantEquivalence, ZeroImputingBaselinesAgreeWithEachOther) {
   hopt.max_iterations = 8;
   BaselineResult hooi = HooiDecompose(workload_.train, hopt);
   BaselineResult csf = TuckerCsfDecompose(workload_.train, hopt);
-  ShotOptions sopt;
+  HooiOptions sopt;
   sopt.core_dims = {3, 3, 3};
   sopt.max_iterations = 8;
   BaselineResult shot = ShotDecompose(workload_.train, sopt);

@@ -1,13 +1,16 @@
 // Snapshot front-door tests (serve/snapshot.h): bit-identical v2 file
 // round trips through LoadSnapshot, sparse-core storage, rejection of
-// the retired v1 format and of missing files, and warm-start trajectory
-// continuation through PTuckerOptions::init_snapshot.
+// the retired v1 format, of missing files and of NaN/Inf values, and
+// warm-start trajectory continuation through PTuckerOptions::init_snapshot.
 #include "serve/snapshot.h"
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -170,6 +173,75 @@ TEST(SnapshotTest, SerializeRejectsInconsistentModel) {
   TuckerFactorization model = TrainModel(MakeTensor(), 1);
   model.factors.pop_back();
   EXPECT_THROW(SerializeSnapshotV2(model, nullptr), std::runtime_error);
+}
+
+// `serialize` must throw std::invalid_argument whose message contains
+// `place`.
+template <typename Serialize>
+void ExpectNonFiniteRefused(Serialize&& serialize, const std::string& place) {
+  try {
+    serialize();
+    ADD_FAILURE() << "serialized a non-finite value at " << place;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(place), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SnapshotTest, SerializeRejectsNonFiniteValues) {
+  const TuckerFactorization trained = TrainModel(MakeTensor(), 1);
+
+  TuckerFactorization model = trained;
+  model.factors[1](3, 2) = std::numeric_limits<double>::quiet_NaN();
+  ExpectNonFiniteRefused([&] { SerializeSnapshotV2(model, nullptr); },
+                         "factor 1 row 3 column 2");
+
+  model = trained;
+  std::vector<std::int64_t> index = {2, 1, 0};
+  model.core.at(index.data()) = -std::numeric_limits<double>::infinity();
+  ExpectNonFiniteRefused([&] { SerializeSnapshotV2(model, nullptr); },
+                         "core entry (2, 1, 0)");
+}
+
+// A saved file whose factor value is overwritten by NaN's bit pattern
+// (the payload CRC is only checked on request) must not load.
+TEST(SnapshotTest, LoadRejectsNonFiniteFactorValue) {
+  const TuckerFactorization model = TrainModel(MakeTensor(), 1);
+  const std::string path = TempPath("snapshot_test_nan.ptks");
+  SaveSnapshotV2(path, model, /*with_centroids=*/false);
+
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.is_open());
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const double value = model.factors[2](4, 1);
+  const std::string pattern(reinterpret_cast<const char*>(&value),
+                            sizeof(value));
+  const std::size_t at = bytes.find(pattern);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(at, bytes.rfind(pattern)) << "value bytes are not unique";
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bytes.replace(at, sizeof(nan), reinterpret_cast<const char*>(&nan),
+                sizeof(nan));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good());
+  }
+
+  try {
+    LoadSnapshot(path);
+    ADD_FAILURE() << "LoadSnapshot accepted a NaN factor value";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("factor 2 row 4 column 1"), std::string::npos)
+        << what;
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

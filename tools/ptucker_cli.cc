@@ -1004,18 +1004,11 @@ int Run(const CliConfig& config) {
     if (config.method == "hooi") {
       result = HooiDecompose(train, hooi_options);
     } else if (config.method == "shot") {
-      ShotOptions shot_options;
-      static_cast<HooiOptions&>(shot_options) = hooi_options;
-      result = ShotDecompose(train, shot_options);
+      result = ShotDecompose(train, hooi_options);
     } else if (config.method == "csf") {
       result = TuckerCsfDecompose(train, hooi_options);
     } else if (config.method == "wopt") {
-      WoptOptions wopt_options;
-      wopt_options.core_dims = ranks;
-      wopt_options.max_iterations = config.max_iters;
-      wopt_options.tolerance = config.tolerance;
-      wopt_options.seed = config.seed;
-      result = TuckerWoptDecompose(train, wopt_options);
+      result = TuckerWoptDecompose(train, hooi_options);
     } else {
       Fail("unknown --method: " + config.method);
     }
