@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include <omp.h>
 
@@ -91,8 +92,10 @@ CpResult CpAlsDecompose(const SparseTensor& x, const CpOptions& options) {
   if (options.rank < 1) {
     throw std::invalid_argument("CP-ALS: rank must be >= 1");
   }
-  if (options.lambda < 0.0) {
-    throw std::invalid_argument("CP-ALS: lambda must be non-negative");
+  if (!std::isfinite(options.lambda) || options.lambda < 0.0) {
+    throw std::invalid_argument(
+        "CP-ALS: lambda must be a finite non-negative number, got " +
+        std::to_string(options.lambda));
   }
   if (options.max_iterations < 1) {
     throw std::invalid_argument("CP-ALS: max_iterations must be >= 1");

@@ -61,8 +61,10 @@ void ValidateAlsInputs(const SparseTensor& x, const PTuckerOptions& options) {
           "P-Tucker: Jn > In is incompatible with QR orthogonalization");
     }
   }
-  if (options.lambda < 0.0) {
-    throw std::invalid_argument("P-Tucker: lambda must be non-negative");
+  if (!std::isfinite(options.lambda) || options.lambda < 0.0) {
+    throw std::invalid_argument(
+        "P-Tucker: lambda must be a finite non-negative number, got " +
+        std::to_string(options.lambda));
   }
   if (options.max_iterations < 1) {
     throw std::invalid_argument("P-Tucker: max_iterations must be >= 1");

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -78,8 +79,10 @@ IngestPipeline::IngestPipeline(SparseTensor tensor, TuckerFactorization model,
           "ingest: model shape mismatch in mode " + std::to_string(n));
     }
   }
-  if (options_.lambda < 0.0) {
-    throw std::invalid_argument("ingest: lambda must be non-negative");
+  if (!std::isfinite(options_.lambda) || options_.lambda < 0.0) {
+    throw std::invalid_argument(
+        "ingest: lambda must be a finite non-negative number, got " +
+        std::to_string(options_.lambda));
   }
   if (options_.flush_every < 1) {
     throw std::invalid_argument("ingest: flush_every must be >= 1");
@@ -104,12 +107,17 @@ IngestPipeline::IngestPipeline(SparseTensor tensor, TuckerFactorization model,
                   : 0;
 
   tensor_.BuildModeIndex();
-  RebuildKeyMap();
-  if (static_cast<std::int64_t>(key_to_entry_.size()) != tensor_.nnz()) {
-    throw std::invalid_argument("ingest: tensor has duplicate coordinates");
+  // Entry e starts with handle e.
+  next_handle_ = tensor_.nnz();
+  handle_of_.reserve(static_cast<std::size_t>(next_handle_) * 2);
+  for (std::int64_t e = 0; e < next_handle_; ++e) {
+    if (!handle_of_.emplace(Linearize(tensor_.index(e), strides_, order), e)
+             .second) {
+      throw std::invalid_argument("ingest: tensor has duplicate coordinates");
+    }
   }
-  live_.reserve(key_to_entry_.size() * 2);
-  for (const auto& kv : key_to_entry_) live_.emplace(kv.first, 1);
+  entry_handle_.resize(static_cast<std::size_t>(next_handle_));
+  std::iota(entry_handle_.begin(), entry_handle_.end(), std::int64_t{0});
 
   core_list_ = std::make_unique<CoreEntryList>(model_.core);
   RebuildEngine();
@@ -138,62 +146,57 @@ IngestPipeline::IngestPipeline(SparseTensor tensor, TuckerFactorization model,
 
 IngestPipeline::~IngestPipeline() = default;
 
-void IngestPipeline::ValidateIndex(
+std::int64_t IngestPipeline::KeyOf(
     const std::vector<std::int64_t>& index) const {
   if (static_cast<std::int64_t>(index.size()) != tensor_.order() ||
       !IndexInBounds(index.data(), tensor_.dims())) {
     throw std::invalid_argument("ingest: coordinate out of bounds");
   }
+  return Linearize(index.data(), strides_, tensor_.order());
 }
 
 void IngestPipeline::Append(const std::vector<std::int64_t>& index,
                             double value) {
-  ValidateIndex(index);
+  const std::int64_t key = KeyOf(index);
   CheckFiniteValue("append", index, value);
-  const std::int64_t key = Linearize(index.data(), strides_, tensor_.order());
-  if (live_.count(key) != 0) {
+  if (!handle_of_.emplace(key, next_handle_).second) {
     throw std::invalid_argument(
         "ingest: append to an already-observed coordinate (update instead)");
   }
-  live_.emplace(key, 1);
-  StreamEvent event;
-  event.op = StreamOp::kAppend;
-  event.index = index;
-  event.value = value;
-  pending_.push_back(std::move(event));
-  if (metric_pending_ != nullptr) metric_pending_->Set(pending());
-  if (pending() >= options_.flush_every) Flush();
+  Buffer(StreamOp::kAppend, index, value, next_handle_++);
 }
 
 void IngestPipeline::Update(const std::vector<std::int64_t>& index,
                             double value) {
-  ValidateIndex(index);
+  const std::int64_t key = KeyOf(index);
   CheckFiniteValue("update", index, value);
-  const std::int64_t key = Linearize(index.data(), strides_, tensor_.order());
-  if (live_.count(key) == 0) {
+  const auto it = handle_of_.find(key);
+  if (it == handle_of_.end()) {
     throw std::invalid_argument(
         "ingest: update of an unobserved coordinate (append instead)");
   }
-  StreamEvent event;
-  event.op = StreamOp::kUpdate;
-  event.index = index;
-  event.value = value;
-  pending_.push_back(std::move(event));
-  if (metric_pending_ != nullptr) metric_pending_->Set(pending());
-  if (pending() >= options_.flush_every) Flush();
+  Buffer(StreamOp::kUpdate, index, value, it->second);
 }
 
 void IngestPipeline::Delete(const std::vector<std::int64_t>& index) {
-  ValidateIndex(index);
-  const std::int64_t key = Linearize(index.data(), strides_, tensor_.order());
-  if (live_.count(key) == 0) {
+  const auto it = handle_of_.find(KeyOf(index));
+  if (it == handle_of_.end()) {
     throw std::invalid_argument("ingest: delete of an unobserved coordinate");
   }
-  live_.erase(key);
-  StreamEvent event;
-  event.op = StreamOp::kDelete;
-  event.index = index;
-  pending_.push_back(std::move(event));
+  const std::int64_t handle = it->second;
+  handle_of_.erase(it);
+  Buffer(StreamOp::kDelete, index, 0.0, handle);
+}
+
+void IngestPipeline::Buffer(StreamOp op,
+                            const std::vector<std::int64_t>& index,
+                            double value, std::int64_t handle) {
+  PendingEvent buffered;
+  buffered.event.op = op;
+  buffered.event.index = index;
+  buffered.event.value = value;
+  buffered.handle = handle;
+  pending_.push_back(std::move(buffered));
   if (metric_pending_ != nullptr) metric_pending_->Set(pending());
   if (pending() >= options_.flush_every) Flush();
 }
@@ -221,45 +224,53 @@ void IngestPipeline::Flush() {
 
   // Apply the buffered mutations to Ω in arrival order. Deletes only
   // flag entries; the compaction runs once at the end so earlier ids
-  // stay valid throughout the batch.
+  // stay valid throughout the batch, and an entry id is the rank of its
+  // handle in entry_handle_ until then.
   bool structural = false;
-  std::vector<std::int64_t> delete_ids;
   std::vector<std::vector<std::int64_t>> touched(
       static_cast<std::size_t>(order));
-  for (const StreamEvent& event : pending_) {
-    const std::int64_t key =
-        Linearize(event.index.data(), strides_, order);
-    switch (event.op) {
-      case StreamOp::kAppend: {
-        const std::int64_t id = tensor_.nnz();
-        tensor_.AddEntry(event.index, event.value);
-        key_to_entry_[key] = id;
-        structural = true;
-        break;
+  {
+    PTUCKER_TRACE_SPAN("stream.apply");
+    std::vector<std::int64_t> delete_ids;
+    for (const PendingEvent& buffered : pending_) {
+      const StreamEvent& event = buffered.event;
+      switch (event.op) {
+        case StreamOp::kAppend:
+          tensor_.AddEntry(event.index, event.value);
+          entry_handle_.push_back(buffered.handle);
+          structural = true;
+          break;
+        case StreamOp::kUpdate:
+          tensor_.set_value(EntryOf(buffered.handle), event.value);
+          break;
+        case StreamOp::kDelete:
+          delete_ids.push_back(EntryOf(buffered.handle));
+          structural = true;
+          break;
       }
-      case StreamOp::kUpdate:
-        tensor_.set_value(key_to_entry_.at(key), event.value);
-        break;
-      case StreamOp::kDelete:
-        delete_ids.push_back(key_to_entry_.at(key));
-        key_to_entry_.erase(key);
-        structural = true;
-        break;
+      for (std::int64_t n = 0; n < order; ++n) {
+        touched[static_cast<std::size_t>(n)].push_back(
+            event.index[static_cast<std::size_t>(n)]);
+      }
     }
-    for (std::int64_t n = 0; n < order; ++n) {
-      touched[static_cast<std::size_t>(n)].push_back(
-          event.index[static_cast<std::size_t>(n)]);
+    if (!delete_ids.empty()) {
+      std::vector<char> remove(static_cast<std::size_t>(tensor_.nnz()), 0);
+      for (const std::int64_t id : delete_ids) {
+        remove[static_cast<std::size_t>(id)] = 1;
+      }
+      tensor_.RemoveEntries(remove);
+      std::size_t kept = 0;
+      for (std::size_t e = 0; e < remove.size(); ++e) {
+        if (remove[e] == 0) entry_handle_[kept++] = entry_handle_[e];
+      }
+      entry_handle_.resize(kept);
+    }
+    if (!tensor_.has_mode_index()) tensor_.BuildModeIndex();
+    for (auto& rows : touched) {
+      std::sort(rows.begin(), rows.end());
+      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
     }
   }
-  if (!delete_ids.empty()) {
-    std::vector<char> remove(static_cast<std::size_t>(tensor_.nnz()), 0);
-    for (const std::int64_t id : delete_ids) {
-      remove[static_cast<std::size_t>(id)] = 1;
-    }
-    tensor_.RemoveEntries(remove);
-    RebuildKeyMap();
-  }
-  if (!tensor_.has_mode_index()) tensor_.BuildModeIndex();
 
   if (metric_events_ != nullptr) {
     metric_events_->Increment(static_cast<std::uint64_t>(pending()));
@@ -271,11 +282,9 @@ void IngestPipeline::Flush() {
   // Engines with Ω-keyed derived state (the Pres table, the contraction
   // plan) see a different entry set now; value-only batches keep the
   // engine as-is.
-  if (structural) RebuildEngine();
-
-  for (auto& rows : touched) {
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  if (structural) {
+    PTUCKER_TRACE_SPAN("stream.engine_rebuild");
+    RebuildEngine();
   }
   SolveTouchedRows(touched);
 
@@ -339,14 +348,10 @@ void IngestPipeline::WriteCheckpoint(std::int64_t seq) {
   if (metric_staleness_ != nullptr) metric_staleness_->Set(0);
 }
 
-void IngestPipeline::RebuildKeyMap() {
-  key_to_entry_.clear();
-  key_to_entry_.reserve(static_cast<std::size_t>(tensor_.nnz()) * 2);
-  for (std::int64_t e = 0; e < tensor_.nnz(); ++e) {
-    key_to_entry_.emplace(Linearize(tensor_.index(e), strides_,
-                                    tensor_.order()),
-                          e);
-  }
+std::int64_t IngestPipeline::EntryOf(std::int64_t handle) const {
+  return std::lower_bound(entry_handle_.begin(), entry_handle_.end(),
+                          handle) -
+         entry_handle_.begin();
 }
 
 void IngestPipeline::RebuildEngine() {
@@ -357,6 +362,7 @@ void IngestPipeline::RebuildEngine() {
 
 void IngestPipeline::SolveTouchedRows(
     const std::vector<std::vector<std::int64_t>>& rows) {
+  PTUCKER_TRACE_SPAN("stream.row_solve");
   OmpEnvironmentGuard omp_guard(options_.num_threads, options_.scheduling);
   RowUpdateOptions row_options;
   row_options.lambda = options_.lambda;

@@ -159,8 +159,13 @@ class IngestPipeline {
   std::int64_t checkpoints_written() const { return checkpoints_written_; }
 
  private:
-  void ValidateIndex(const std::vector<std::int64_t>& index) const;
-  void RebuildKeyMap();
+  // Throws unless `index` is in bounds; returns its linearized key.
+  std::int64_t KeyOf(const std::vector<std::int64_t>& index) const;
+  // Queues a validated mutation; flushes once flush_every are queued.
+  void Buffer(StreamOp op, const std::vector<std::int64_t>& index,
+              double value, std::int64_t handle);
+  // Entry id of an applied entry's handle: its rank in entry_handle_.
+  std::int64_t EntryOf(std::int64_t handle) const;
   void RebuildEngine();
   void SolveTouchedRows(const std::vector<std::vector<std::int64_t>>& rows);
   void WriteCheckpoint(std::int64_t seq);
@@ -171,14 +176,23 @@ class IngestPipeline {
   DeltaEngineChoice engine_choice_;  // resolved, never kAuto
 
   std::vector<std::int64_t> strides_;
-  // Linearized coordinate → live entry id in tensor_. Reflects applied
-  // state only; live_ below also covers buffered mutations.
-  std::unordered_map<std::int64_t, std::int64_t> key_to_entry_;
-  // Linearized coordinates observed after all buffered mutations run —
-  // what Append/Update/Delete validate against.
-  std::unordered_map<std::int64_t, char> live_;
+  // Linearized coordinate → handle of every coordinate live after all
+  // buffered mutations run — what Append/Update/Delete validate against.
+  // A handle is a counter value handed out per append in arrival order
+  // (the constructor hands entry e handle e) and never reused.
+  std::unordered_map<std::int64_t, std::int64_t> handle_of_;
+  std::int64_t next_handle_ = 0;
+  // Handle of each applied entry id of tensor_. Strictly ascending:
+  // appends take fresh handles at the end of Ω and RemoveEntries
+  // compacts stably, so an entry id is the rank of its handle here.
+  std::vector<std::int64_t> entry_handle_;
 
-  std::vector<StreamEvent> pending_;
+  // A buffered mutation and the handle of the entry it targets.
+  struct PendingEvent {
+    StreamEvent event;
+    std::int64_t handle = 0;
+  };
+  std::vector<PendingEvent> pending_;
   std::int64_t ops_applied_ = 0;
   std::int64_t checkpoints_written_ = 0;
   std::int64_t next_seq_ = 0;  // last sequence number handed out

@@ -1,6 +1,7 @@
 #include "baselines/cp_als.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -60,6 +61,13 @@ TEST(CpAlsValidationTest, RejectsBadInputs) {
   SparseTensor x = UniformSparseTensor({4, 4}, 8, rng);
   options.rank = 0;
   EXPECT_THROW(CpAlsDecompose(x, options), std::invalid_argument);
+
+  options.rank = 2;
+  for (const double lambda : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    options.lambda = lambda;
+    EXPECT_THROW(CpAlsDecompose(x, options), std::invalid_argument) << lambda;
+  }
 }
 
 TEST(CpAlsTest, ErrorMonotoneNonIncreasing) {

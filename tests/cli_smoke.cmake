@@ -2,7 +2,10 @@
 # (--selftest) and assert exit code 0 plus parseable output, then run the
 # same selftest through `solve` and assert the same final error line, with
 # and without a --test-fraction hold-out (then also the same test RMSE),
-# and a missing --load-model fails `solve`.
+# and a missing --load-model fails `solve`. Last, `replay` streams a
+# gen-stream log through the ingest pipeline: the final model must be
+# byte-identical at 1 and 3 threads, and a second run over the same
+# --checkpoint-dir must resume from its checkpoint.
 #
 # Invoked by ctest as:
 #   cmake -DPTUCKER_CLI=<path> -P cli_smoke.cmake
@@ -101,6 +104,62 @@ execute_process(
 if(missing_rc EQUAL 0)
   message(FATAL_ERROR
     "solve --load-model <missing file> exited 0:\n${missing_out}")
+endif()
+
+# gen-stream -> decompose -> replay. Each step must exit 0.
+set(replay_dir ${CMAKE_CURRENT_BINARY_DIR}/cli_smoke_replay)
+file(REMOVE_RECURSE ${replay_dir})
+file(MAKE_DIRECTORY ${replay_dir})
+function(run_cli label out_var)
+  execute_process(
+    COMMAND ${PTUCKER_CLI} ${ARGN}
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc
+  )
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+      "${label} exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+  endif()
+  set(${out_var} "${out}" PARENT_SCOPE)
+endfunction()
+
+run_cli("gen-stream" gen_out gen-stream
+        --output-tensor ${replay_dir}/initial.tns
+        --events ${replay_dir}/stream.log --num-events 256)
+run_cli("decompose --save-model" fit_out
+        --input ${replay_dir}/initial.tns --ranks 4,4,4,4 --max-iters 3
+        --save-model ${replay_dir}/epoch.ptks)
+set(replay_flags replay --input ${replay_dir}/initial.tns
+    --load-model ${replay_dir}/epoch.ptks --events ${replay_dir}/stream.log)
+
+# Flushes are deterministic: the replayed model may not depend on the
+# thread count, byte for byte.
+foreach(threads IN ITEMS 1 3)
+  run_cli("replay --threads ${threads}" replay_out ${replay_flags}
+          --threads ${threads}
+          --save-model ${replay_dir}/replayed_${threads}.ptks)
+endforeach()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+          ${replay_dir}/replayed_1.ptks ${replay_dir}/replayed_3.ptks
+  RESULT_VARIABLE compare_rc
+)
+if(NOT compare_rc EQUAL 0)
+  message(FATAL_ERROR
+    "replay --save-model differs between --threads 1 and --threads 3")
+endif()
+
+# A durable replay ends on a checkpoint; replaying into the same
+# directory again picks it up instead of starting over.
+run_cli("replay --checkpoint-dir (first run)" first_out ${replay_flags}
+        --checkpoint-dir ${replay_dir}/ckpts)
+run_cli("replay --checkpoint-dir (second run)" second_out ${replay_flags}
+        --checkpoint-dir ${replay_dir}/ckpts)
+if(NOT second_out MATCHES "resuming from checkpoint")
+  message(FATAL_ERROR
+    "second replay over the same --checkpoint-dir did not resume:\n"
+    "${second_out}")
 endif()
 
 message(STATUS "cli_smoke passed")

@@ -1,6 +1,7 @@
 #include "core/ptucker.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -67,8 +68,17 @@ TEST(PTuckerValidationTest, RejectsRankAboveDimWithQr) {
 TEST(PTuckerValidationTest, RejectsBadScalarOptions) {
   SparseTensor x = SmallTensor(3);
   PTuckerOptions options = SmallOptions();
-  options.lambda = -1.0;
-  EXPECT_THROW(PTuckerDecompose(x, options), std::invalid_argument);
+  for (const double lambda : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    options.lambda = lambda;
+    try {
+      PTuckerDecompose(x, options);
+      ADD_FAILURE() << "accepted lambda " << lambda;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("lambda"), std::string::npos)
+          << error.what();
+    }
+  }
   options = SmallOptions();
   options.max_iterations = 0;
   EXPECT_THROW(PTuckerDecompose(x, options), std::invalid_argument);

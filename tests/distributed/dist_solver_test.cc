@@ -1,6 +1,7 @@
 #include "distributed/proc/dist_solver.h"
 
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -234,6 +235,14 @@ TEST(DistSolverTest, RejectsWhatTheLocalSolverRejects) {
       std::pair<std::string, std::function<void(PTuckerOptions*)>>>
       cases = {
           {"lambda -1", [](PTuckerOptions* o) { o->lambda = -1.0; }},
+          {"lambda NaN",
+           [](PTuckerOptions* o) {
+             o->lambda = std::numeric_limits<double>::quiet_NaN();
+           }},
+          {"lambda +Inf",
+           [](PTuckerOptions* o) {
+             o->lambda = std::numeric_limits<double>::infinity();
+           }},
           {"max_iterations 0",
            [](PTuckerOptions* o) { o->max_iterations = 0; }},
           {"sample_rate 0", [](PTuckerOptions* o) { o->sample_rate = 0.0; }},

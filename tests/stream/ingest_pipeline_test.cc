@@ -8,12 +8,13 @@
 // crashes the pipeline in the window between checkpoint durability and
 // publish and proves recovery (last MANIFEST + tail replay) lands on
 // factors bit-identical to the uninterrupted run. Hot-swap publication
-// into a PredictionService and the strict mutation semantics are pinned
-// here too.
+// into a PredictionService, the strict mutation semantics, Ω at every
+// batch length and the flush's child spans are pinned here too.
 #include "stream/ingest_pipeline.h"
 
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
@@ -26,6 +27,7 @@
 
 #include "core/delta_engine.h"
 #include "data/synthetic.h"
+#include "obs/trace.h"
 #include "serve/snapshot.h"
 #include "serve/service.h"
 #include "tensor/dense_tensor.h"
@@ -133,11 +135,12 @@ struct RunResult {
 RunResult RunPipeline(const SparseTensor& initial,
                       const TuckerFactorization& model,
                       const std::vector<StreamEvent>& events,
-                      DeltaEngineChoice engine, int threads) {
+                      DeltaEngineChoice engine, int threads,
+                      std::int64_t flush_every = 8) {
   IngestOptions options;
   options.delta_engine = engine;
   options.num_threads = threads;
-  options.flush_every = 8;
+  options.flush_every = flush_every;
   IngestPipeline pipeline(initial, model, options);
   for (const StreamEvent& event : events) pipeline.Apply(event);
   pipeline.Flush();
@@ -318,6 +321,144 @@ TEST(IngestPipelineTest, StrictMutationSemantics) {
   EXPECT_EQ(pipeline.pending(), 0);
   EXPECT_EQ(pipeline.ops_applied(), 2);
   EXPECT_EQ(pipeline.tensor().nnz(), initial.nnz());
+
+  // The constructor refuses an Ω that already holds a coordinate twice.
+  SparseTensor duplicated = initial;
+  duplicated.AddEntry(live, 0.75);
+  EXPECT_THROW(IngestPipeline(duplicated, model, options),
+               std::invalid_argument);
+}
+
+TEST(IngestPipelineTest, RejectsNegativeOrNonFiniteLambda) {
+  const SparseTensor initial = MakeInitial(43);
+  const TuckerFactorization model = MakeModel(initial, 44);
+  for (const double lambda : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    IngestOptions options;
+    options.lambda = lambda;
+    try {
+      IngestPipeline pipeline(initial, model, options);
+      ADD_FAILURE() << "accepted lambda " << lambda;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("lambda"), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(IngestPipelineTest, OmegaMatchesReplayAtEveryBatchLength) {
+  // Entry ids are found by handle rank, so Ω must come out the same
+  // whether every delete compacts on its own (flush_every 1) or the whole
+  // log is one batch: an update after an append, a delete of an entry
+  // appended in the same batch, and a delete then re-append all resolve
+  // to the right entry.
+  const SparseTensor initial = MakeInitial(45);
+  const TuckerFactorization model = MakeModel(initial, 46);
+  std::vector<StreamEvent> events = RandomEvents(initial, 64, 905);
+
+  const SparseTensor prefix = ReplayOmega(
+      initial, events, static_cast<std::int64_t>(events.size()));
+  const std::vector<std::int64_t> live = {prefix.index(0, 0),
+                                          prefix.index(0, 1),
+                                          prefix.index(0, 2)};
+  std::unordered_set<std::int64_t> observed;
+  const std::vector<std::int64_t> strides = ComputeStrides(prefix.dims());
+  for (std::int64_t e = 0; e < prefix.nnz(); ++e) {
+    observed.insert(Linearize(prefix.index(e), strides, prefix.order()));
+  }
+  std::int64_t fresh_key = 0;
+  while (observed.count(fresh_key) != 0) ++fresh_key;
+  std::vector<std::int64_t> fresh(3);
+  Delinearize(fresh_key, prefix.dims(), fresh.data());
+  const auto add = [&](StreamOp op, const std::vector<std::int64_t>& index,
+                       double value) {
+    StreamEvent event;
+    event.op = op;
+    event.index = index;
+    event.value = value;
+    events.push_back(std::move(event));
+  };
+  add(StreamOp::kAppend, fresh, 0.1);
+  add(StreamOp::kUpdate, fresh, 0.2);
+  add(StreamOp::kDelete, live, 0.0);
+  add(StreamOp::kAppend, live, 0.3);
+  add(StreamOp::kUpdate, live, 0.4);
+  add(StreamOp::kDelete, fresh, 0.0);
+  add(StreamOp::kAppend, fresh, 0.5);
+
+  const std::int64_t count = static_cast<std::int64_t>(events.size());
+  const SparseTensor replayed = ReplayOmega(initial, events, count);
+  for (const std::int64_t flush_every : {std::int64_t{1}, count + 1}) {
+    const RunResult run =
+        RunPipeline(initial, model, events, DeltaEngineChoice::kContraction,
+                    1, flush_every);
+    ExpectSameTensor(run.omega, replayed);
+  }
+}
+
+TEST(IngestPipelineTest, FlushTracesItsPhases) {
+  // stream.flush holds three child spans: stream.apply and
+  // stream.row_solve on every flush, stream.engine_rebuild only when Ω
+  // changed structurally.
+  const SparseTensor initial = MakeInitial(47);
+  const TuckerFactorization model = MakeModel(initial, 48);
+  IngestOptions options;
+  options.flush_every = 100;
+  options.num_threads = 1;
+  IngestPipeline pipeline(initial, model, options);
+  const std::vector<std::int64_t> first = {
+      initial.index(0, 0), initial.index(0, 1), initial.index(0, 2)};
+  const std::vector<std::int64_t> second = {
+      initial.index(1, 0), initial.index(1, 1), initial.index(1, 2)};
+
+  obs::Tracer& tracer = obs::Tracer::Global();
+  const auto traced_flush = [&](const std::function<void()>& mutate) {
+    tracer.Clear();
+    tracer.Enable();
+    mutate();
+    pipeline.Flush();
+    std::vector<obs::TraceEvent> spans = tracer.Snapshot();
+    tracer.Disable();
+    tracer.Clear();
+    return spans;
+  };
+  const auto find = [](const std::vector<obs::TraceEvent>& spans,
+                       const std::string& name) {
+    const obs::TraceEvent* found = nullptr;
+    for (const obs::TraceEvent& span : spans) {
+      if (name == span.name) {
+        EXPECT_EQ(found, nullptr) << "two " << name << " spans";
+        found = &span;
+      }
+    }
+    return found;
+  };
+  const auto expect_inside = [](const obs::TraceEvent* child,
+                                const obs::TraceEvent& parent) {
+    ASSERT_NE(child, nullptr);
+    EXPECT_GE(child->ts_us, parent.ts_us) << child->name;
+    EXPECT_LE(child->ts_us + child->dur_us, parent.ts_us + parent.dur_us)
+        << child->name;
+  };
+
+  const std::vector<obs::TraceEvent> structural = traced_flush([&] {
+    pipeline.Delete(first);
+    pipeline.Append(first, 0.5);
+  });
+  const obs::TraceEvent* flush = find(structural, "stream.flush");
+  ASSERT_NE(flush, nullptr);
+  for (const char* child :
+       {"stream.apply", "stream.engine_rebuild", "stream.row_solve"}) {
+    expect_inside(find(structural, child), *flush);
+  }
+
+  const std::vector<obs::TraceEvent> values_only =
+      traced_flush([&] { pipeline.Update(second, 0.25); });
+  flush = find(values_only, "stream.flush");
+  ASSERT_NE(flush, nullptr);
+  expect_inside(find(values_only, "stream.apply"), *flush);
+  expect_inside(find(values_only, "stream.row_solve"), *flush);
+  EXPECT_EQ(find(values_only, "stream.engine_rebuild"), nullptr);
 }
 
 TEST(IngestPipelineTest, CheckpointPublishesHotSwappedSnapshot) {
