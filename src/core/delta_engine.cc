@@ -706,32 +706,66 @@ void ContractionDeltaEngine::FillTables(std::int64_t mode) {
   }
 }
 
-void ContractionDeltaEngine::ComputeDelta(std::int64_t /*entry*/,
+void ContractionDeltaEngine::ComputeDelta(std::int64_t entry,
                                           const std::int64_t* entry_index,
                                           std::int64_t mode,
                                           double* delta) const {
+  DeltaBatch(1, &entry, &entry_index, mode, delta);
+}
+
+void ContractionDeltaEngine::DeltaBatch(
+    std::int64_t count, const std::int64_t* /*entries*/,
+    const std::int64_t* const* entry_indices, std::int64_t mode,
+    double* deltas) const {
   const ModePlan& plan = plans_[static_cast<std::size_t>(mode)];
   const std::int64_t rank = factors()[static_cast<std::size_t>(mode)].cols();
-  std::int64_t table = 0;
-  for (std::size_t s = 0; s < plan.memo.size(); ++s) {
-    table += entry_index[plan.memo[s]] * plan.strides[s];
-  }
-  const double* values = plan.values.data() + table * plan.leaves * rank;
+  const std::size_t memo_count = plan.memo.size();
+  const std::int64_t* memo = plan.memo.data();
+  const std::int64_t* strides = plan.strides.data();
+  const std::int64_t table_size = plan.leaves * rank;
+  // The leaf array of the entry's short-mode tuple.
+  const auto leaf_values = [&](const std::int64_t* entry_index) {
+    std::int64_t table = 0;
+    for (std::size_t s = 0; s < memo_count; ++s) {
+      table += entry_index[memo[s]] * strides[s];
+    }
+    return plan.values.data() + table * table_size;
+  };
   if (plan.levels.empty()) {
-    std::copy(values, values + rank, delta);
+    for (std::int64_t i = 0; i < count; ++i) {
+      const double* values = leaf_values(entry_indices[i]);
+      std::copy(values, values + rank, deltas + i * rank);
+    }
     return;
   }
-  const double* rows[kMaxOrder];
-  for (std::size_t l = 0; l < plan.levels.size(); ++l) {
-    const std::int64_t k = plan.levels[l];
-    rows[l] = factors()[static_cast<std::size_t>(k)].Row(entry_index[k]);
+  // Level l reads row entry_index[levels[l]] of that mode's factor.
+  const std::size_t depth = plan.levels.size();
+  std::int64_t level_modes[kMaxOrder];
+  const double* bases[kMaxOrder];
+  std::int64_t widths[kMaxOrder];
+  for (std::size_t l = 0; l < depth; ++l) {
+    level_modes[l] = plan.levels[l];
+    const FactorView& factor =
+        factors()[static_cast<std::size_t>(level_modes[l])];
+    bases[l] = factor.data();
+    widths[l] = factor.cols();
   }
-  std::fill(delta, delta + rank, 0.0);
   const std::int64_t roots =
       static_cast<std::int64_t>(plan.tree.fids[0].size());
   const auto walk = [&](auto lanes) {
-    WalkTree<decltype(lanes)::value>(plan.tree.fids, plan.tree.fptr, rows,
-                                     values, rank, 0, 0, roots, 1.0, delta);
+    for (std::int64_t i = 0; i < count; ++i) {
+      const std::int64_t* entry_index = entry_indices[i];
+      const double* rows[kMaxOrder];
+      for (std::size_t l = 0; l < depth; ++l) {
+        rows[l] = bases[l] + static_cast<std::size_t>(
+                                 entry_index[level_modes[l]] * widths[l]);
+      }
+      double* delta = deltas + i * rank;
+      std::fill(delta, delta + rank, 0.0);
+      WalkTree<decltype(lanes)::value>(plan.tree.fids, plan.tree.fptr, rows,
+                                       leaf_values(entry_index), rank, 0, 0,
+                                       roots, 1.0, delta);
+    }
   };
   switch (rank) {
     case 1: walk(std::integral_constant<int, 1>()); break;

@@ -49,16 +49,18 @@ namespace ptucker {
 /// derived state (lane views, the Pres table, the contraction
 /// engine's memo arrays) stay consistent.
 ///
-/// Every consumer calls the per-entry kernels (ComputeDelta, Reconstruct),
-/// except the residual sums, which reconstruct through ReconstructBatch.
+/// The row kernel computes δ through DeltaBatch, one call per chunk of up
+/// to kDeltaChunk records; the residual sums reconstruct through
+/// ReconstructBatch; every other consumer calls the per-entry kernels
+/// (ComputeDelta, Reconstruct).
 /// The core refit's design products need no δ and are not engine
 /// operations: they are one entry-major scan (DesignLanePartials in
 /// core/core_update.h) under every engine. Adding another engine means
-/// subclassing DeltaEngine, overriding ComputeDelta (plus Reconstruct if
-/// worth specializing), handling the three hooks, and wiring a new
-/// enumerator through DeltaEngineChoice + DeltaEngineCatalog() +
-/// MakeDeltaEngine. See docs/architecture.md and docs/delta_engines.md
-/// for the full walkthrough.
+/// subclassing DeltaEngine, overriding ComputeDelta (plus DeltaBatch and
+/// Reconstruct if worth specializing), handling the three hooks, and
+/// wiring a new enumerator through DeltaEngineChoice +
+/// DeltaEngineCatalog() + MakeDeltaEngine. See docs/architecture.md and
+/// docs/delta_engines.md for the full walkthrough.
 class DeltaEngine {
  public:
   /// Binds the engine to a (non-owning) view of the core entry list and
@@ -94,19 +96,24 @@ class DeltaEngine {
                             const std::int64_t* entry_index, std::int64_t mode,
                             double* delta) const = 0;
 
-  /// `count` ComputeDelta calls against the same mode, written
-  /// contiguously (`deltas[i·Jn .. (i+1)·Jn)` belongs to entry i).
-  /// `entries[i]` and `entry_indices[i]` follow the ComputeDelta
-  /// conventions. Exists only for the repository benchmark (perfbench),
-  /// which calls it; the library calls ComputeDelta per entry.
-  void DeltaBatch(std::int64_t count, const std::int64_t* entries,
-                  const std::int64_t* const* entry_indices, std::int64_t mode,
-                  double* deltas) const;
+  /// Entries per DeltaBatch call in the row kernel (core/row_update.h):
+  /// it stages up to this many kept records of a slice, then computes
+  /// their δ in one call.
+  static constexpr std::int64_t kDeltaChunk = 64;
 
-  /// Always 1: no engine amortizes work across entries. Exists only for
-  /// the repository benchmark (perfbench), which sizes its DeltaBatch
-  /// calls by it.
-  std::int64_t PreferredBatch() const { return 1; }
+  /// `count` ComputeDelta calls against the same mode, written
+  /// contiguously (`deltas[i·Jn .. (i+1)·Jn)` belongs to entry i), bit
+  /// for bit. `entries[i]` and `entry_indices[i]` follow the ComputeDelta
+  /// conventions. The row kernel calls it once per chunk of a slice's
+  /// records. The default is the per-entry loop; an engine overrides it
+  /// to pay its per-call set-up once per batch.
+  virtual void DeltaBatch(std::int64_t count, const std::int64_t* entries,
+                          const std::int64_t* const* entry_indices,
+                          std::int64_t mode, double* deltas) const;
+
+  /// kDeltaChunk for every engine: the batch size the row kernel uses,
+  /// and the tile size of perfbench's separate δ sweep.
+  std::int64_t PreferredBatch() const { return kDeltaChunk; }
 
   /// Full reconstruction x̂_α (Eq. 4) at arbitrary coordinates.
   virtual double Reconstruct(const std::int64_t* entry_index) const;
@@ -364,8 +371,15 @@ class ContractionDeltaEngine final : public DeltaEngine {
   }
   const char* name() const override { return "contraction"; }
 
+  /// DeltaBatch(1, …): one entry's δ.
   void ComputeDelta(std::int64_t entry, const std::int64_t* entry_index,
                     std::int64_t mode, double* delta) const override;
+  /// Looks up the plan, the memo strides, each tree level's factor and
+  /// the rank dispatch once per call, then walks the tree once per entry,
+  /// in entry order.
+  void DeltaBatch(std::int64_t count, const std::int64_t* entries,
+                  const std::int64_t* const* entry_indices, std::int64_t mode,
+                  double* deltas) const override;
   double Reconstruct(const std::int64_t* entry_index) const override;
 
   void OnFactorUpdated(std::int64_t mode, const Matrix& old_factor) override;

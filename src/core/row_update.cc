@@ -63,33 +63,145 @@ std::uint64_t SampleStreamSeed(std::uint64_t seed, int iteration,
   return h;
 }
 
-// Per-thread intermediate data (Fig. 4): B, c and δ, plus the records the
-// SparseTensor route copies a row's slice into.
+// Per-thread intermediate data (Fig. 4): B and c, and one chunk of kept
+// records staged for DeltaBatch: a pointer to each record's int64
+// coordinates (into `index` when they had to be widened), entry ids or
+// −1, values and δ.
 struct RowScratch {
-  explicit RowScratch(std::int64_t rank)
+  RowScratch(std::int64_t rank, std::int64_t order)
       : b(rank, rank),
         c(static_cast<std::size_t>(rank)),
-        delta(static_cast<std::size_t>(rank)) {}
+        index(static_cast<std::size_t>(DeltaEngine::kDeltaChunk * order)),
+        indices(static_cast<std::size_t>(DeltaEngine::kDeltaChunk)),
+        entries(static_cast<std::size_t>(DeltaEngine::kDeltaChunk)),
+        values(static_cast<std::size_t>(DeltaEngine::kDeltaChunk)),
+        deltas(static_cast<std::size_t>(DeltaEngine::kDeltaChunk * rank)) {}
   Matrix b;
   std::vector<double> c;
-  std::vector<double> delta;
-  std::vector<std::int32_t> coords;
+  std::vector<std::int64_t> index;
+  std::vector<const std::int64_t*> indices;
+  std::vector<std::int64_t> entries;
   std::vector<double> values;
-  std::vector<std::int32_t> ids;
+  std::vector<double> deltas;
 };
+
+// A row's records as the kernel reads them: their count and, for record
+// r, its full int64 coordinates, its entry id (or −1) and its value.
+// Index(r, buffer) returns the coordinates, widened into the order-long
+// `buffer` when the source does not hold them as int64.
+
+// The SliceOrderedOmega route: the slice's int32 records, widened.
+struct LayoutRecords {
+  SliceRecords slice;
+  std::int64_t order;
+  std::int64_t mode;
+  std::int64_t row;
+
+  std::int64_t count() const { return slice.count; }
+  const std::int64_t* Index(std::int64_t r, std::int64_t* buffer) const {
+    const std::int32_t* coords = slice.coords + r * (order - 1);
+    for (std::int64_t m = 0; m < mode; ++m) buffer[m] = coords[m];
+    buffer[mode] = row;
+    for (std::int64_t m = mode + 1; m < order; ++m) buffer[m] = coords[m - 1];
+    return buffer;
+  }
+  std::int64_t Entry(std::int64_t r) const {
+    return slice.entry_ids != nullptr ? slice.entry_ids[r] : -1;
+  }
+  double Value(std::int64_t r) const { return slice.values[r]; }
+};
+
+// The SparseTensor route: the slice's entries, their coordinates read in
+// place from the tensor. Outside mode 0 they lie scattered over the
+// tensor, so Index prefetches them while the chunk is staged and
+// DeltaBatch finds them in cache.
+struct TensorRecords {
+  const SparseTensor* x;
+  Span<const std::int64_t> slice;
+  bool entry_ids;
+
+  std::int64_t count() const { return static_cast<std::int64_t>(slice.size()); }
+  const std::int64_t* Index(std::int64_t r, std::int64_t* /*buffer*/) const {
+    const std::int64_t* index = x->index(slice[static_cast<std::size_t>(r)]);
+    __builtin_prefetch(index);
+    return index;
+  }
+  std::int64_t Entry(std::int64_t r) const {
+    return entry_ids ? slice[static_cast<std::size_t>(r)] : -1;
+  }
+  double Value(std::int64_t r) const {
+    return x->value(slice[static_cast<std::size_t>(r)]);
+  }
+};
+
+// Eqs. 10-11 over `count` records: B += δδᵀ and c += x·δ, record by
+// record, δ of record r at deltas[r·J ..] and x at values[r]. Every
+// element of B and c gets the additions SymmetricRank1Update (which skips
+// row i when δ[i] == 0) and Axpy would give it, in the same order, so
+// the bits are theirs. kRank > 0 fixes J at compile time and keeps B and
+// c in locals across the records; kRank = 0 calls those two routines.
+template <int kRank>
+void FoldRecords(std::int64_t count, const double* deltas,
+                 const double* values, Matrix* b_matrix, double* c_out) {
+  if constexpr (kRank == 0) {
+    const std::int64_t rank = b_matrix->cols();
+    for (std::int64_t r = 0; r < count; ++r) {
+      SymmetricRank1Update(*b_matrix, deltas + r * rank);
+      Axpy(values[r], deltas + r * rank, c_out, rank);
+    }
+  } else {
+    double* b_out = b_matrix->data();
+    double b[kRank * kRank];
+    double c[kRank];
+    std::copy(b_out, b_out + kRank * kRank, b);
+    std::copy(c_out, c_out + kRank, c);
+    for (std::int64_t r = 0; r < count; ++r) {
+      const double* delta = deltas + r * kRank;
+      for (int i = 0; i < kRank; ++i) {
+        const double scale = delta[i];
+        if (scale == 0.0) continue;
+        for (int k = 0; k < kRank; ++k) b[i * kRank + k] += scale * delta[k];
+      }
+      const double x = values[r];
+      for (int k = 0; k < kRank; ++k) c[k] += x * delta[k];
+    }
+    std::copy(b, b + kRank * kRank, b_out);
+    std::copy(c, c + kRank, c_out);
+  }
+}
+
+// FoldRecords with its rank dispatched from the matrix.
+void FoldRecords(std::int64_t count, const double* deltas,
+                 const double* values, Matrix* b, double* c) {
+  switch (b->cols()) {
+    case 1: FoldRecords<1>(count, deltas, values, b, c); break;
+    case 2: FoldRecords<2>(count, deltas, values, b, c); break;
+    case 3: FoldRecords<3>(count, deltas, values, b, c); break;
+    case 4: FoldRecords<4>(count, deltas, values, b, c); break;
+    case 5: FoldRecords<5>(count, deltas, values, b, c); break;
+    case 6: FoldRecords<6>(count, deltas, values, b, c); break;
+    case 7: FoldRecords<7>(count, deltas, values, b, c); break;
+    case 8: FoldRecords<8>(count, deltas, values, b, c); break;
+    default: FoldRecords<0>(count, deltas, values, b, c); break;
+  }
+}
 
 // Eqs. 9-11 for row `row` of `mode` over its slice `records`, in record
 // order. With subsampling each record is kept with probability
 // sample_rate, drawn from the row's own stream, and a row that keeps none
-// is anchored to its first record.
-void SolveRowFromRecords(const SliceRecords& records, std::int64_t order,
+// is anchored to its first record. Kept records are staged
+// DeltaEngine::kDeltaChunk at a time: one DeltaBatch call computes their
+// δ, then FoldRecords adds them to B and c.
+template <typename Records>
+void SolveRowFromRecords(const Records& records, std::int64_t order,
                          std::int64_t mode, std::int64_t row,
                          const DeltaEngine& engine,
                          const RowUpdateOptions& options, RowScratch* s,
                          Matrix* factor) {
   const std::int64_t rank = factor->cols();
   double* out = factor->Row(row);
-  if (records.count == 0) {
+  const std::int64_t count = records.count();
+  if (count == 0) {
     // No observations touch this row: the regularized minimum is 0.
     std::fill(out, out + rank, 0.0);
     return;
@@ -100,38 +212,41 @@ void SolveRowFromRecords(const SliceRecords& records, std::int64_t order,
   Rng sampler(subsample ? SampleStreamSeed(options.seed, options.iteration,
                                            mode, row)
                         : 0);
-  const std::int64_t others = order - 1;
-  std::int64_t index[DeltaEngine::kMaxOrder];
-  index[mode] = row;
-  // δ, then the Eq. 10 / Eq. 11 accumulations, for record r.
-  const auto accumulate_record = [&](std::int64_t r) {
-    const std::int32_t* coords = records.coords + r * others;
-    for (std::int64_t m = 0; m < mode; ++m) index[m] = coords[m];
-    for (std::int64_t m = mode + 1; m < order; ++m) index[m] = coords[m - 1];
-    engine.ComputeDelta(
-        records.entry_ids != nullptr ? records.entry_ids[r] : -1, index, mode,
-        s->delta.data());
-    SymmetricRank1Update(s->b, s->delta.data());                  // Eq. 10
-    Axpy(records.values[r], s->delta.data(), s->c.data(), rank);  // Eq. 11
+  std::int64_t staged = 0;
+  // δ of the staged records, then Eqs. 10 and 11.
+  const auto flush = [&] {
+    engine.DeltaBatch(staged, s->entries.data(), s->indices.data(), mode,
+                      s->deltas.data());
+    FoldRecords(staged, s->deltas.data(), s->values.data(), &s->b,
+                s->c.data());
+    staged = 0;
+  };
+  const auto stage = [&](std::int64_t r) {
+    const std::size_t slot = static_cast<std::size_t>(staged);
+    s->indices[slot] = records.Index(r, s->index.data() + staged * order);
+    s->entries[slot] = records.Entry(r);
+    s->values[slot] = records.Value(r);
+    if (++staged == DeltaEngine::kDeltaChunk) flush();
   };
   std::int64_t used = 0;
-  for (std::int64_t r = 0; r < records.count; ++r) {
+  for (std::int64_t r = 0; r < count; ++r) {
     if (subsample && sampler.Uniform() >= options.sample_rate) continue;
     ++used;
-    accumulate_record(r);
+    stage(r);
   }
   if (subsample && used == 0) {
     // Keep every observed row anchored to at least one entry.
-    accumulate_record(0);
+    stage(0);
   }
+  if (staged > 0) flush();
   for (std::int64_t j = 0; j < rank; ++j) s->b(j, j) += options.lambda;
   SolveRow(s->b, s->c.data(), out, rank);  // Eq. 9
 }
 
 // Both routes' shared half: validates the factor and the rows, then runs
 // the kernel over every row of `mode` (rows == nullptr) or each distinct
-// listed row once, in parallel, with `records_of(row, scratch)` giving
-// each row's records. Solving a row twice would let two threads write it
+// listed row once, in parallel, with `records_of(row)` giving each row's
+// records. Solving a row twice would let two threads write it
 // at once.
 template <typename RecordsOf>
 void SweepRows(std::int64_t order, std::int64_t dim, std::int64_t mode,
@@ -164,15 +279,15 @@ void SweepRows(std::int64_t order, std::int64_t dim, std::int64_t mode,
 
 #pragma omp parallel
   {
-    RowScratch scratch(rank);
+    RowScratch scratch(rank, order);
     // schedule(runtime): dynamic under the paper's careful
     // distribution of work, static for the naive ablation.
 #pragma omp for schedule(runtime)
     for (std::int64_t i = 0; i < n_rows; ++i) {
       const std::int64_t row =
           rows == nullptr ? i : distinct[static_cast<std::size_t>(i)];
-      SolveRowFromRecords(records_of(row, &scratch), order, mode, row, engine,
-                          options, &scratch, factor);
+      SolveRowFromRecords(records_of(row), order, mode, row, engine, options,
+                          &scratch, factor);
     }
   }
 }
@@ -284,8 +399,9 @@ void UpdateFactorRows(const SliceOrderedOmega& omega, std::int64_t mode,
         "has no entry-id column");
   }
   SweepRows(omega.order(), omega.dim(mode), mode, rows, num_rows, engine,
-            factor, options, [&](std::int64_t row, RowScratch* /*scratch*/) {
-              return omega.Slice(mode, row);
+            factor, options, [&](std::int64_t row) {
+              return LayoutRecords{omega.Slice(mode, row), omega.order(),
+                                   mode, row};
             });
 }
 
@@ -296,37 +412,10 @@ void UpdateFactorRows(const SparseTensor& x, std::int64_t mode,
   CheckArguments(x.order(), mode, factor);
   CheckRecordSource(x);
   const bool entry_ids = engine.UsesEntryIds();
-  const std::int64_t others = x.order() - 1;
-  // Copies the row's records into the thread's scratch, in slice order.
-  const auto gather = [&](std::int64_t row, RowScratch* s) {
-    const auto slice = x.Slice(mode, row);
-    const std::size_t count = slice.size();
-    s->coords.resize(count * static_cast<std::size_t>(others));
-    s->values.resize(count);
-    if (entry_ids) s->ids.resize(count);
-    for (std::size_t r = 0; r < count; ++r) {
-      const std::int64_t entry = slice[r];
-      const std::int64_t* index = x.index(entry);
-      std::int32_t* coords =
-          s->coords.data() + static_cast<std::int64_t>(r) * others;
-      for (std::int64_t m = 0; m < mode; ++m) {
-        coords[m] = static_cast<std::int32_t>(index[m]);
-      }
-      for (std::int64_t m = mode + 1; m < x.order(); ++m) {
-        coords[m - 1] = static_cast<std::int32_t>(index[m]);
-      }
-      s->values[r] = x.value(entry);
-      if (entry_ids) s->ids[r] = static_cast<std::int32_t>(entry);
-    }
-    SliceRecords records;
-    records.coords = s->coords.data();
-    records.values = s->values.data();
-    records.entry_ids = entry_ids ? s->ids.data() : nullptr;
-    records.count = static_cast<std::int64_t>(count);
-    return records;
-  };
   SweepRows(x.order(), x.dim(mode), mode, rows, num_rows, engine, factor,
-            options, gather);
+            options, [&](std::int64_t row) {
+              return TensorRecords{&x, x.Slice(mode, row), entry_ids};
+            });
 }
 
 }  // namespace ptucker

@@ -9,11 +9,14 @@
 ///
 /// **What the kernel reads.** Row i of A(n) depends on Ω(n, i) alone.
 /// The kernel reads that slice as records, in ascending entry id: the
-/// N−1 coordinates of the other modes (int32), the value and, only for
-/// an engine whose DeltaEngine::UsesEntryIds() is true, the entry id.
-/// For each record it widens the coordinates to int64, calls
-/// DeltaEngine::ComputeDelta and adds δδᵀ to B (Eq. 10) and x·δ to c
-/// (Eq. 11); then it solves Eq. 9.
+/// coordinates, the value and, only for an engine whose
+/// DeltaEngine::UsesEntryIds() is true, the entry id. It stages the kept
+/// records (their int64 coordinates, entry ids and values) in runs of up
+/// to DeltaEngine::kDeltaChunk (64): one DeltaEngine::DeltaBatch
+/// call computes a run's δ, then the run is folded into B += δδᵀ (Eq. 10)
+/// and c += x·δ (Eq. 11) in record order, with the additions and the
+/// bits of the per-record SymmetricRank1Update and Axpy. Then it solves
+/// Eq. 9.
 ///
 /// **Two routes to the records.** The solver builds a SliceOrderedOmega
 /// once per solve: every mode's records, stored in slice order, which
@@ -22,9 +25,12 @@
 /// Ω changes between flushes and which re-solves few rows; perfbench's
 /// traced solve; and, for now, the distributed workers, which re-solve the
 /// same rows of a fixed shard every iteration and could keep a layout of
-/// their own (an open item in ROADMAP.md). Each thread copies its row's
-/// records out of the tensor's mode index into per-thread scratch. Both
-/// routes hand the kernel the same records in the same order, so they
+/// their own (an open item in ROADMAP.md). The layout's records hold the
+/// other modes' coordinates as int32, which the kernel widens to int64 as
+/// it stages them; the SparseTensor route reads each entry's int64
+/// coordinates and value in place, through the mode index, and
+/// prefetches the coordinates as it stages them. Both routes
+/// hand the kernel the same records in the same order, so they
 /// produce the same rows bit for bit, whatever the thread count, the
 /// schedule or the other rows of the call.
 #ifndef PTUCKER_CORE_ROW_UPDATE_H_
@@ -184,9 +190,10 @@ class SliceOrderedOmega {
 
 /// Re-solves factor rows of `mode` against the current (core, factors)
 /// state seen through `engine`: for each requested row, accumulates the
-/// Eq. 10/11 normal equations over the row's slice Ω(mode, in), one
-/// DeltaEngine::ComputeDelta per entry in slice order, and solves Eq. 9
-/// with SolveRow, writing the row into `factor`.
+/// Eq. 10/11 normal equations over the row's slice Ω(mode, in) in slice
+/// order, one DeltaEngine::DeltaBatch call per run of up to kDeltaChunk
+/// kept entries, and solves Eq. 9 with SolveRow, writing the row into
+/// `factor`.
 ///
 /// `rows` selects the subset: `num_rows` row indices, each in
 /// [0, dim(mode)), or nullptr to update every row of the mode (the full
@@ -211,9 +218,9 @@ void UpdateFactorRows(const SliceOrderedOmega& omega, std::int64_t mode,
                       const DeltaEngine& engine, Matrix* factor,
                       const RowUpdateOptions& options);
 
-/// The same update reading Ω straight from `x` (mode index required): each
-/// thread copies its row's records into per-thread scratch, so no
-/// |Ω|-sized state is built. Bit-identical to the SliceOrderedOmega
+/// The same update reading Ω straight from `x` (mode index required): the
+/// kernel reads each entry of a row's slice in place, so no |Ω|-sized
+/// state is built. Bit-identical to the SliceOrderedOmega
 /// overload on the same tensor. Every dimension and |Ω| of `x` must be at
 /// most INT32_MAX.
 void UpdateFactorRows(const SparseTensor& x, std::int64_t mode,

@@ -99,29 +99,52 @@ struct Engines {
   std::vector<DeltaEngine*> All() { return {&naive, &mode_major, &cached}; }
 };
 
-// DeltaBatch over every observed entry at once must equal the per-entry
-// ComputeDelta loop bit-for-bit — for every engine.
-void ExpectBatchMatchesLoop(const Ctx& s, const DeltaEngine& engine) {
-  const std::int64_t order = s.x.order();
-  const std::int64_t nnz = s.x.nnz();
-  std::vector<std::int64_t> entries(static_cast<std::size_t>(nnz));
-  std::vector<const std::int64_t*> indices(static_cast<std::size_t>(nnz));
+// DeltaBatch must equal per-entry ComputeDelta bit for bit for every mode
+// and for batches of 1, 63, 64 and 65 probes and of all of them. The
+// probes are every observed entry (with its id), then every entry shifted
+// one step along each mode, outside the tensor in general (entry −1).
+void ExpectBatchMatchesComputeDelta(const SparseTensor& x,
+                                    const DeltaEngine& engine,
+                                    const std::vector<Matrix>& factors,
+                                    const std::string& where) {
+  const std::int64_t order = x.order();
+  const std::int64_t nnz = x.nnz();
+  std::vector<std::int64_t> shifted(static_cast<std::size_t>(nnz * order));
+  std::vector<std::int64_t> entries;
+  std::vector<const std::int64_t*> indices;
   for (std::int64_t e = 0; e < nnz; ++e) {
-    entries[static_cast<std::size_t>(e)] = e;
-    indices[static_cast<std::size_t>(e)] = s.x.index(e);
+    entries.push_back(e);
+    indices.push_back(x.index(e));
   }
+  for (std::int64_t e = 0; e < nnz; ++e) {
+    std::int64_t* index = shifted.data() + e * order;
+    for (std::int64_t k = 0; k < order; ++k) {
+      index[k] = (x.index(e)[k] + 1) % x.dim(k);
+    }
+    entries.push_back(-1);
+    indices.push_back(index);
+  }
+  const std::int64_t probes = static_cast<std::int64_t>(entries.size());
+  ASSERT_GT(probes, 65) << where;
   for (std::int64_t mode = 0; mode < order; ++mode) {
-    const std::int64_t rank = s.core.dim(mode);
-    std::vector<double> batched(static_cast<std::size_t>(nnz * rank));
-    engine.DeltaBatch(nnz, entries.data(), indices.data(), mode,
-                      batched.data());
+    const std::int64_t rank = factors[static_cast<std::size_t>(mode)].cols();
     std::vector<double> single(static_cast<std::size_t>(rank));
-    for (std::int64_t e = 0; e < nnz; ++e) {
-      engine.ComputeDelta(e, s.x.index(e), mode, single.data());
-      for (std::int64_t j = 0; j < rank; ++j) {
-        EXPECT_EQ(batched[static_cast<std::size_t>(e * rank + j)],
-                  single[static_cast<std::size_t>(j)])
-            << engine.name() << " batch, entry " << e << " mode " << mode;
+    for (const std::int64_t count :
+         {std::int64_t{1}, std::int64_t{63}, std::int64_t{64},
+          std::int64_t{65}, probes}) {
+      std::vector<double> batched(static_cast<std::size_t>(count * rank),
+                                  7.0);
+      engine.DeltaBatch(count, entries.data(), indices.data(), mode,
+                        batched.data());
+      for (std::int64_t i = 0; i < count; ++i) {
+        const std::size_t p = static_cast<std::size_t>(i);
+        engine.ComputeDelta(entries[p], indices[p], mode, single.data());
+        for (std::int64_t j = 0; j < rank; ++j) {
+          ASSERT_EQ(batched[static_cast<std::size_t>(i * rank + j)],
+                    single[static_cast<std::size_t>(j)])
+              << where << ": mode " << mode << " batch of " << count
+              << " probe " << i << " lane " << j;
+        }
       }
     }
   }
@@ -133,7 +156,7 @@ void ExpectBatchMatchesLoop(const Ctx& s, const DeltaEngine& engine) {
 void ExpectEnginesAgree(const Ctx& s, const Engines& e) {
   const DeltaEngine* all_engines[] = {&e.naive, &e.mode_major, &e.cached};
   for (const DeltaEngine* engine : all_engines) {
-    ExpectBatchMatchesLoop(s, *engine);
+    ExpectBatchMatchesComputeDelta(s.x, *engine, s.factors, engine->name());
   }
   const std::int64_t order = s.x.order();
   for (std::int64_t entry = 0; entry < s.x.nnz(); ++entry) {
@@ -579,12 +602,12 @@ TEST(DeltaEngineTest, FactoryResolvesAutoFromVariant) {
                                       s.list, s.factors, nullptr);
   EXPECT_EQ(engine->kind(), DeltaEngineChoice::kModeMajor);
   EXPECT_STREQ(engine->name(), "modemajor");
-  EXPECT_EQ(engine->PreferredBatch(), 1);
+  EXPECT_EQ(engine->PreferredBatch(), DeltaEngine::kDeltaChunk);
   // The width parameter is accepted and ignored.
   const auto wide =
       MakeDeltaEngine(DeltaEngineChoice::kModeMajor, s.x, s.list, s.factors,
                       nullptr, /*adaptive_epsilon=*/0.0, /*tile_width=*/32);
-  EXPECT_EQ(wide->PreferredBatch(), 1);
+  EXPECT_EQ(wide->PreferredBatch(), DeltaEngine::kDeltaChunk);
 }
 
 TEST(DeltaEngineTest, NonzeroAdaptiveEpsilonIsRejected) {
@@ -938,6 +961,55 @@ TEST(ContractionEngineTest, EveryHookRebuildsToTheFreshEngine) {
   s.list.Remove(remove, &s.core);
   engine.OnCoreEntriesRemoved(remove);
   expect_fresh("core removal");
+}
+
+TEST(ContractionEngineTest, DeltaBatchMatchesComputeDelta) {
+  // The default engine overrides DeltaBatch with the set-up hoisted out
+  // of the entry loop. Ranks 1-9 run every unrolled lane width and the
+  // generic one; each state after a hook is checked again.
+  for (std::int64_t rank = 1; rank <= 9; ++rank) {
+    const std::string where = "rank " + std::to_string(rank);
+    Ctx s = MakeShapedCtx({50, 4, 30, 5}, {rank, rank, rank, rank}, 600,
+                          700 + static_cast<std::uint64_t>(rank));
+    ContractionDeltaEngine engine(s.x, s.list, s.factors, nullptr);
+    ExpectBatchMatchesComputeDelta(s.x, engine, s.factors, where);
+
+    Rng rng(800 + static_cast<std::uint64_t>(rank));
+    Matrix& factor = s.factors[1];  // a short mode other modes memoize
+    const Matrix old_factor = factor;
+    for (std::int64_t i = 0; i < factor.size(); ++i) {
+      factor.data()[i] = rng.Uniform(-1.0, 1.0);
+    }
+    engine.OnFactorUpdated(1, old_factor);
+    ExpectBatchMatchesComputeDelta(s.x, engine, s.factors,
+                                   where + " after a factor update");
+
+    for (std::int64_t linear = 0; linear < s.core.size(); ++linear) {
+      s.core[linear] = rng.Uniform(-0.5, 0.5);
+    }
+    s.list.RefreshValues(s.core);
+    engine.OnCoreValuesChanged();
+    ExpectBatchMatchesComputeDelta(s.x, engine, s.factors,
+                                   where + " after new core values");
+
+    if (s.list.size() > 1) {
+      std::vector<char> remove(static_cast<std::size_t>(s.list.size()), 0);
+      for (std::size_t b = 0; b < remove.size(); b += 3) remove[b] = 1;
+      s.list.Remove(remove, &s.core);
+      engine.OnCoreEntriesRemoved(remove);
+      ExpectBatchMatchesComputeDelta(s.x, engine, s.factors,
+                                     where + " after a core removal");
+    }
+  }
+}
+
+TEST(ContractionEngineTest, DeltaBatchMatchesComputeDeltaWithoutTreeLevels) {
+  // Two short modes and a dense tensor: mode 0 memoizes both other
+  // modes, so its δ is a copy of one leaf array and its plan has no tree.
+  Ctx s = MakeShapedCtx({300, 3, 2}, {3, 2, 2}, 1200, 901);
+  const ContractionDeltaEngine engine(s.x, s.list, s.factors, nullptr);
+  ASSERT_EQ(engine.memo_modes(0), (std::vector<std::int64_t>{1, 2}));
+  ExpectBatchMatchesComputeDelta(s.x, engine, s.factors, "no tree levels");
 }
 
 TEST(ContractionEngineTest, BitIdenticalAcrossThreadCounts) {

@@ -85,6 +85,19 @@ TEST(PTuckerValidationTest, RejectsBadScalarOptions) {
   options = SmallOptions();
   options.truncation_rate = 1.0;
   EXPECT_THROW(PTuckerDecompose(x, options), std::invalid_argument);
+  // A NaN rate must be rejected up front, not abort the process inside
+  // the truncation step.
+  options = SmallOptions();
+  options.variant = PTuckerVariant::kApprox;
+  options.truncation_rate = std::numeric_limits<double>::quiet_NaN();
+  try {
+    PTuckerDecompose(x, options);
+    ADD_FAILURE() << "accepted a NaN truncation_rate";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("truncation_rate"),
+              std::string::npos)
+        << error.what();
+  }
   options = SmallOptions();
   options.num_threads = -2;
   EXPECT_THROW(PTuckerDecompose(x, options), std::invalid_argument);

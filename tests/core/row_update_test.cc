@@ -5,12 +5,14 @@
 // call touches only the listed rows, results are independent of thread
 // count and scheduling, both routes (the per-solve SliceOrderedOmega and
 // the SparseTensor overload) equal an entry-gathering oracle bit for bit,
-// and the full-sweep path is exactly what PTuckerDecompose runs (the
-// golden-trajectory tests in ptucker_test.cc cover that end to end).
+// across the kernel's 64-record chunks too, and the full-sweep path is
+// exactly what PTuckerDecompose runs (the golden-trajectory tests in
+// ptucker_test.cc cover that end to end).
 #include "core/row_update.h"
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -162,6 +164,37 @@ Ctx MakeOrderCtx(std::int64_t order, std::uint64_t seed) {
   return s;
 }
 
+// An order-3 tensor whose mode-0 slices hold kChunkSlices[i] records:
+// none, one, and counts on both sides of one and two row-kernel chunks
+// (DeltaEngine::kDeltaChunk = 64). Every mode has rank `rank`.
+constexpr std::int64_t kChunkSlices[] = {0, 1, 63, 64, 65, 128, 130};
+
+Ctx MakeChunkCtx(std::int64_t rank, std::uint64_t seed) {
+  Rng rng(seed);
+  const std::int64_t rows = static_cast<std::int64_t>(std::size(kChunkSlices));
+  const std::int64_t dims[] = {rows, 12, 11};
+  Ctx s;
+  s.x = SparseTensor({dims[0], dims[1], dims[2]});
+  for (std::int64_t i = 0; i < rows; ++i) {
+    // Distinct (j, k) cells of the 12 x 11 slice.
+    for (const std::int64_t cell :
+         rng.Sample(dims[1] * dims[2], kChunkSlices[i])) {
+      s.x.AddEntry({i, cell / dims[2], cell % dims[2]},
+                   rng.Uniform(-1.0, 1.0));
+    }
+  }
+  s.x.BuildModeIndex();
+  s.core = DenseTensor({rank, rank, rank});
+  s.core.FillUniform(rng);
+  s.list = std::make_unique<CoreEntryList>(s.core);
+  for (std::int64_t n = 0; n < 3; ++n) {
+    Matrix factor(dims[n], rank);
+    factor.FillUniform(rng);
+    s.factors.push_back(std::move(factor));
+  }
+  return s;
+}
+
 void ExpectSameMatrix(const Matrix& a, const Matrix& b) {
   ASSERT_EQ(a.rows(), b.rows());
   ASSERT_EQ(a.cols(), b.cols());
@@ -303,6 +336,55 @@ TEST(RowUpdateTest, BothRoutesMatchGatherOracle) {
           OracleUpdateFactorRows(ctx.x, mode, *engine, &expected, options);
           for (const int threads : {1, 4, 13}) {
             SCOPED_TRACE("order " + std::to_string(order) + " engine " +
+                         engine->name() + " rate " + std::to_string(rate) +
+                         " mode " + std::to_string(mode) + " threads " +
+                         std::to_string(threads));
+            Matrix by_layout = ctx.factors[static_cast<std::size_t>(mode)];
+            Matrix by_tensor = by_layout;
+            {
+              OmpEnvironmentGuard omp(threads, Scheduling::kDynamic);
+              UpdateFactorRows(omega, mode, nullptr, 0, *engine, &by_layout,
+                               options);
+              UpdateFactorRows(ctx.x, mode, nullptr, 0, *engine, &by_tensor,
+                               options);
+            }
+            ExpectSameMatrix(by_layout, expected);
+            ExpectSameMatrix(by_tensor, expected);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RowUpdateTest, ChunkBoundariesMatchGatherOracle) {
+  // The kernel computes δ and folds B and c 64 records at a time. Slices
+  // of 0, 1, 63, 64, 65, 128 and 130 records, every unrolled fold width
+  // and the generic one (ranks 1-9), every engine, and a sample rate low
+  // enough that rows fall back to their first record must all give the
+  // oracle's bits on both routes.
+  for (std::int64_t rank = 1; rank <= 9; ++rank) {
+    Ctx ctx = MakeChunkCtx(rank, 400 + static_cast<std::uint64_t>(rank));
+    for (std::size_t i = 0; i < std::size(kChunkSlices); ++i) {
+      ASSERT_EQ(ctx.x.SliceSize(0, static_cast<std::int64_t>(i)),
+                kChunkSlices[i]);
+    }
+    for (const DeltaEngineChoice choice :
+         {DeltaEngineChoice::kNaive, DeltaEngineChoice::kModeMajor,
+          DeltaEngineChoice::kCached, DeltaEngineChoice::kContraction}) {
+      const auto engine = MakeDeltaEngine(choice, ctx.x, *ctx.list,
+                                          ctx.factors, nullptr);
+      const SliceOrderedOmega omega(ctx.x, engine->UsesEntryIds());
+      for (const double rate : {1.0, 0.5, 0.02}) {
+        RowUpdateOptions options;
+        options.sample_rate = rate;
+        options.seed = 11;
+        options.iteration = 2;
+        for (std::int64_t mode = 0; mode < 3; ++mode) {
+          Matrix expected = ctx.factors[static_cast<std::size_t>(mode)];
+          OracleUpdateFactorRows(ctx.x, mode, *engine, &expected, options);
+          for (const int threads : {1, 4, 13}) {
+            SCOPED_TRACE("rank " + std::to_string(rank) + " engine " +
                          engine->name() + " rate " + std::to_string(rate) +
                          " mode " + std::to_string(mode) + " threads " +
                          std::to_string(threads));

@@ -2,6 +2,9 @@
 // direction): each row update uses a Bernoulli(sample_rate) subsample of
 // its slice.
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -24,6 +27,17 @@ TEST(SamplingTest, RejectsInvalidRate) {
   EXPECT_THROW(PTuckerDecompose(x, options), std::invalid_argument);
   options.sample_rate = 1.5;
   EXPECT_THROW(PTuckerDecompose(x, options), std::invalid_argument);
+  // NaN fails every comparison, so a range check alone lets it through
+  // to a silent full-rate run.
+  options.sample_rate = std::numeric_limits<double>::quiet_NaN();
+  try {
+    PTuckerDecompose(x, options);
+    ADD_FAILURE() << "accepted a NaN sample_rate";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("sample_rate"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(SamplingTest, FullRateIsExactAlgorithm) {

@@ -247,10 +247,18 @@ TEST(DistSolverTest, RejectsWhatTheLocalSolverRejects) {
            [](PTuckerOptions* o) { o->max_iterations = 0; }},
           {"sample_rate 0", [](PTuckerOptions* o) { o->sample_rate = 0.0; }},
           {"sample_rate 1.5", [](PTuckerOptions* o) { o->sample_rate = 1.5; }},
+          {"sample_rate NaN",
+           [](PTuckerOptions* o) {
+             o->sample_rate = std::numeric_limits<double>::quiet_NaN();
+           }},
           {"num_threads -2", [](PTuckerOptions* o) { o->num_threads = -2; }},
           {"tile_width 0", [](PTuckerOptions* o) { o->tile_width = 0; }},
           {"truncation_rate 1",
            [](PTuckerOptions* o) { o->truncation_rate = 1.0; }},
+          {"truncation_rate NaN",
+           [](PTuckerOptions* o) {
+             o->truncation_rate = std::numeric_limits<double>::quiet_NaN();
+           }},
           {"adaptive_epsilon 0.2",
            [](PTuckerOptions* o) { o->adaptive_epsilon = 0.2; }},
           {"core_dims order", [](PTuckerOptions* o) { o->core_dims = {3, 2}; }},
