@@ -37,7 +37,7 @@ struct MethodOutcome {
   double test_rmse = 0.0;
   std::int64_t peak_intermediate_bytes = 0;
   /// P-Tucker's slice-ordered copy of Ω (not intermediate data; 0 for
-  /// the other methods).
+  /// the Tucker baselines).
   std::int64_t slice_layout_bytes = 0;
   TuckerFactorization model;
   std::vector<IterationStats> iterations;
@@ -81,93 +81,22 @@ MethodOutcome RunWithBudget(std::int64_t budget_bytes, Body&& body) {
   return outcome;
 }
 
-inline MethodOutcome RunPTucker(const SparseTensor& x, PTuckerOptions options,
-                                const SparseTensor* test = nullptr,
-                                std::int64_t budget = kDefaultBudgetBytes) {
+/// Runs `decompose(x, options)`: PTuckerDecompose, CpAlsDecompose or a
+/// Tucker baseline, with `options.tracker` set to RunWithBudget's
+/// tracker, and fills the outcome from its PTuckerResult, plus the RMSE
+/// on `test` when given.
+template <typename Decompose, typename Options>
+MethodOutcome RunMethod(Decompose&& decompose, const SparseTensor& x,
+                        Options options, const SparseTensor* test = nullptr,
+                        std::int64_t budget = kDefaultBudgetBytes) {
   return RunWithBudget(budget, [&](MemoryTracker* tracker,
                                    MethodOutcome* outcome) {
     options.tracker = tracker;
-    PTuckerResult result = PTuckerDecompose(x, options);
+    PTuckerResult result = decompose(x, options);
     outcome->seconds_per_iteration = result.SecondsPerIteration();
     outcome->total_seconds = result.total_seconds;
     outcome->final_error = result.final_error;
     outcome->slice_layout_bytes = result.slice_layout_bytes;
-    outcome->iterations = result.iterations;
-    if (test != nullptr) {
-      outcome->test_rmse =
-          TestRmse(*test, result.model.core, result.model.factors);
-    }
-    outcome->model = std::move(result.model);
-  });
-}
-
-inline MethodOutcome RunHooi(const SparseTensor& x, HooiOptions options,
-                             const SparseTensor* test = nullptr,
-                             std::int64_t budget = kDefaultBudgetBytes) {
-  return RunWithBudget(budget, [&](MemoryTracker* tracker,
-                                   MethodOutcome* outcome) {
-    options.tracker = tracker;
-    BaselineResult result = HooiDecompose(x, options);
-    outcome->seconds_per_iteration = result.SecondsPerIteration();
-    outcome->total_seconds = result.total_seconds;
-    outcome->final_error = result.final_error;
-    outcome->iterations = result.iterations;
-    if (test != nullptr) {
-      outcome->test_rmse =
-          TestRmse(*test, result.model.core, result.model.factors);
-    }
-    outcome->model = std::move(result.model);
-  });
-}
-
-inline MethodOutcome RunShot(const SparseTensor& x, HooiOptions options,
-                             const SparseTensor* test = nullptr,
-                             std::int64_t budget = kDefaultBudgetBytes) {
-  return RunWithBudget(budget, [&](MemoryTracker* tracker,
-                                   MethodOutcome* outcome) {
-    options.tracker = tracker;
-    BaselineResult result = ShotDecompose(x, options);
-    outcome->seconds_per_iteration = result.SecondsPerIteration();
-    outcome->total_seconds = result.total_seconds;
-    outcome->final_error = result.final_error;
-    outcome->iterations = result.iterations;
-    if (test != nullptr) {
-      outcome->test_rmse =
-          TestRmse(*test, result.model.core, result.model.factors);
-    }
-    outcome->model = std::move(result.model);
-  });
-}
-
-inline MethodOutcome RunCsf(const SparseTensor& x, HooiOptions options,
-                            const SparseTensor* test = nullptr,
-                            std::int64_t budget = kDefaultBudgetBytes) {
-  return RunWithBudget(budget, [&](MemoryTracker* tracker,
-                                   MethodOutcome* outcome) {
-    options.tracker = tracker;
-    BaselineResult result = TuckerCsfDecompose(x, options);
-    outcome->seconds_per_iteration = result.SecondsPerIteration();
-    outcome->total_seconds = result.total_seconds;
-    outcome->final_error = result.final_error;
-    outcome->iterations = result.iterations;
-    if (test != nullptr) {
-      outcome->test_rmse =
-          TestRmse(*test, result.model.core, result.model.factors);
-    }
-    outcome->model = std::move(result.model);
-  });
-}
-
-inline MethodOutcome RunWopt(const SparseTensor& x, HooiOptions options,
-                             const SparseTensor* test = nullptr,
-                             std::int64_t budget = kDefaultBudgetBytes) {
-  return RunWithBudget(budget, [&](MemoryTracker* tracker,
-                                   MethodOutcome* outcome) {
-    options.tracker = tracker;
-    BaselineResult result = TuckerWoptDecompose(x, options);
-    outcome->seconds_per_iteration = result.SecondsPerIteration();
-    outcome->total_seconds = result.total_seconds;
-    outcome->final_error = result.final_error;
     outcome->iterations = result.iterations;
     if (test != nullptr) {
       outcome->test_rmse =

@@ -25,7 +25,7 @@ int main() {
       options.core_dims = {5, 5, 5};
       options.max_iterations = 2;
       options.tolerance = 0.0;
-      MethodOutcome outcome = RunPTucker(x, options);
+      MethodOutcome outcome = RunMethod(PTuckerDecompose, x, options);
       table.AddRow({std::to_string(nnz),
                     FormatDouble(outcome.seconds_per_iteration, 4),
                     previous > 0.0
@@ -50,7 +50,7 @@ int main() {
       options.core_dims = {5, 5, 5};
       options.max_iterations = 1;
       options.tolerance = 0.0;
-      MethodOutcome outcome = RunPTucker(x, options);
+      MethodOutcome outcome = RunMethod(PTuckerDecompose, x, options);
       table.AddRow({std::to_string(dim),
                     std::to_string(outcome.peak_intermediate_bytes),
                     std::to_string(outcome.slice_layout_bytes)});
@@ -74,7 +74,7 @@ int main() {
       options.core_dims = {rank, rank, rank};
       options.max_iterations = 1;
       options.tolerance = 0.0;
-      MethodOutcome outcome = RunPTucker(x, options);
+      MethodOutcome outcome = RunMethod(PTuckerDecompose, x, options);
       const double expected = static_cast<double>(rank * rank);
       table.AddRow(
           {std::to_string(rank),

@@ -27,12 +27,14 @@ int main() {
     PTuckerOptions options;
     options.core_dims = dataset.ranks;
     options.max_iterations = 8;
-    MethodOutcome fixed = RunPTucker(split.train, options, &split.test);
+    MethodOutcome fixed =
+        RunMethod(PTuckerDecompose, split.train, options, &split.test);
     table.AddRow({dataset.name, "fixed core (paper)", fixed.TimeCell(),
                   fixed.ErrorCell(), fixed.RmseCell()});
 
     options.update_core = true;
-    MethodOutcome updated = RunPTucker(split.train, options, &split.test);
+    MethodOutcome updated =
+        RunMethod(PTuckerDecompose, split.train, options, &split.test);
     table.AddRow({dataset.name, "core update (ext)", updated.TimeCell(),
                   updated.ErrorCell(), updated.RmseCell()});
   }

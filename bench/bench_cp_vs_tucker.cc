@@ -33,7 +33,8 @@ int main() {
     PTuckerOptions options;
     options.core_dims = {5, 5, 4, 5};
     options.max_iterations = 10;
-    MethodOutcome outcome = RunPTucker(split.train, options, &split.test);
+    MethodOutcome outcome =
+        RunMethod(PTuckerDecompose, split.train, options, &split.test);
     std::int64_t params = 5 * 5 * 4 * 5;
     for (std::int64_t n = 0; n < 4; ++n) {
       params += split.train.dim(n) * options.core_dims[
@@ -48,17 +49,8 @@ int main() {
     CpOptions options;
     options.rank = rank;
     options.max_iterations = 10;
-    MethodOutcome outcome = RunWithBudget(
-        kDefaultBudgetBytes,
-        [&](MemoryTracker* tracker, MethodOutcome* out) {
-          options.tracker = tracker;
-          CpResult result = CpAlsDecompose(split.train, options);
-          out->seconds_per_iteration = result.SecondsPerIteration();
-          out->final_error = result.final_error;
-          TuckerFactorization model = result.ToTucker();
-          out->test_rmse = TestRmse(split.test, model.core, model.factors);
-          out->model = std::move(model);
-        });
+    MethodOutcome outcome =
+        RunMethod(CpAlsDecompose, split.train, options, &split.test);
     std::int64_t params = 0;
     for (std::int64_t n = 0; n < 4; ++n) {
       params += split.train.dim(n) * rank;

@@ -113,7 +113,7 @@ double SolveSeconds(DeltaEngineChoice choice, const SparseTensor& x,
   options.max_iterations = 2;
   options.tolerance = 0.0;
   options.delta_engine = choice;
-  const MethodOutcome outcome = RunPTucker(x, options);
+  const MethodOutcome outcome = RunMethod(PTuckerDecompose, x, options);
   return outcome.ok ? outcome.total_seconds : -1.0;
 }
 

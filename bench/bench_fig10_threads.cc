@@ -27,7 +27,7 @@ int main() {
     options.max_iterations = 3;
     options.tolerance = 0.0;
     options.num_threads = threads;
-    MethodOutcome outcome = RunPTucker(x, options);
+    MethodOutcome outcome = RunMethod(PTuckerDecompose, x, options);
     if (threads == 1) time_one = outcome.seconds_per_iteration;
     table.AddRow({std::to_string(threads),
                   FormatDouble(outcome.seconds_per_iteration, 3),

@@ -25,17 +25,20 @@ int main() {
     PTuckerOptions popt;
     popt.core_dims = dataset.ranks;
     popt.max_iterations = 8;
-    MethodOutcome ptucker = RunPTucker(split.train, popt, &split.test);
+    MethodOutcome ptucker =
+        RunMethod(PTuckerDecompose, split.train, popt, &split.test);
 
     HooiOptions sopt;
     sopt.core_dims = dataset.ranks;
     sopt.max_iterations = 8;
-    MethodOutcome shot = RunShot(split.train, sopt, &split.test);
+    MethodOutcome shot =
+        RunMethod(ShotDecompose, split.train, sopt, &split.test);
 
     HooiOptions hopt;
     hopt.core_dims = dataset.ranks;
     hopt.max_iterations = 8;
-    MethodOutcome csf = RunCsf(split.train, hopt, &split.test);
+    MethodOutcome csf =
+        RunMethod(TuckerCsfDecompose, split.train, hopt, &split.test);
 
     // NCG needs more (cheap) iterations than ALS to converge; the paper's
     // 20-iteration cap applied to its Matlab implementation whose single
@@ -44,7 +47,8 @@ int main() {
     wopt.core_dims = dataset.ranks;
     wopt.max_iterations = 60;
     wopt.tolerance = 1e-6;
-    MethodOutcome wopt_outcome = RunWopt(split.train, wopt, &split.test);
+    MethodOutcome wopt_outcome =
+        RunMethod(TuckerWoptDecompose, split.train, wopt, &split.test);
 
     error_table.AddRow({dataset.name, ptucker.ErrorCell(), shot.ErrorCell(),
                         csf.ErrorCell(), wopt_outcome.ErrorCell()});

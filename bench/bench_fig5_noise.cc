@@ -84,7 +84,7 @@ int main() {
   options.max_iterations = 1;
   options.tolerance = 0.0;
   options.orthogonalize_output = false;
-  MethodOutcome fit = RunPTucker(data.tensor, options);
+  MethodOutcome fit = RunMethod(PTuckerDecompose, data.tensor, options);
   CoreEntryList fitted_list(fit.model.core);
   const std::vector<double> after_sweep =
       ComputePartialErrors(data.tensor, fitted_list, fit.model.factors);

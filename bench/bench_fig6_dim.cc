@@ -25,25 +25,25 @@ int main() {
     popt.core_dims = ranks;
     popt.max_iterations = 2;
     popt.tolerance = 0.0;
-    MethodOutcome ptucker = RunPTucker(x, popt);
+    MethodOutcome ptucker = RunMethod(PTuckerDecompose, x, popt);
 
     HooiOptions sopt;
     sopt.core_dims = ranks;
     sopt.max_iterations = 2;
     sopt.tolerance = 0.0;
-    MethodOutcome shot = RunShot(x, sopt);
+    MethodOutcome shot = RunMethod(ShotDecompose, x, sopt);
 
     HooiOptions hopt;
     hopt.core_dims = ranks;
     hopt.max_iterations = 2;
     hopt.tolerance = 0.0;
-    MethodOutcome csf = RunCsf(x, hopt);
+    MethodOutcome csf = RunMethod(TuckerCsfDecompose, x, hopt);
 
     HooiOptions wopt;
     wopt.core_dims = ranks;
     wopt.max_iterations = 2;
     wopt.tolerance = 0.0;
-    MethodOutcome wopt_outcome = RunWopt(x, wopt);
+    MethodOutcome wopt_outcome = RunMethod(TuckerWoptDecompose, x, wopt);
 
     table.AddRow({std::to_string(dim), ptucker.TimeCell(), shot.TimeCell(),
                   csf.TimeCell(), wopt_outcome.TimeCell()});
@@ -68,25 +68,27 @@ int main() {
     popt.core_dims = ranks;
     popt.max_iterations = 1;
     popt.tolerance = 0.0;
-    MethodOutcome ptucker = RunPTucker(x, popt, nullptr, budget);
+    MethodOutcome ptucker =
+        RunMethod(PTuckerDecompose, x, popt, nullptr, budget);
 
     HooiOptions sopt;
     sopt.core_dims = ranks;
     sopt.max_iterations = 1;
     sopt.tolerance = 0.0;
-    MethodOutcome shot = RunShot(x, sopt, nullptr, budget);
+    MethodOutcome shot = RunMethod(ShotDecompose, x, sopt, nullptr, budget);
 
     HooiOptions hopt;
     hopt.core_dims = ranks;
     hopt.max_iterations = 1;
     hopt.tolerance = 0.0;
-    MethodOutcome hooi = RunHooi(x, hopt, nullptr, budget);
-    MethodOutcome csf = RunCsf(x, hopt, nullptr, budget);
+    MethodOutcome hooi = RunMethod(HooiDecompose, x, hopt, nullptr, budget);
+    MethodOutcome csf = RunMethod(TuckerCsfDecompose, x, hopt, nullptr, budget);
 
     HooiOptions wopt;
     wopt.core_dims = ranks;
     wopt.max_iterations = 1;
-    MethodOutcome wopt_outcome = RunWopt(x, wopt, nullptr, budget);
+    MethodOutcome wopt_outcome =
+        RunMethod(TuckerWoptDecompose, x, wopt, nullptr, budget);
 
     TablePrinter cliff({"method", "secs/iter", "intermediate memory"});
     cliff.AddRow({"P-Tucker", ptucker.TimeCell(), ptucker.MemoryCell()});

@@ -24,24 +24,24 @@ int main() {
     popt.core_dims = ranks;
     popt.max_iterations = 2;
     popt.tolerance = 0.0;
-    MethodOutcome ptucker = RunPTucker(x, popt);
+    MethodOutcome ptucker = RunMethod(PTuckerDecompose, x, popt);
 
     HooiOptions sopt;
     sopt.core_dims = ranks;
     sopt.max_iterations = 2;
     sopt.tolerance = 0.0;
-    MethodOutcome shot = RunShot(x, sopt);
+    MethodOutcome shot = RunMethod(ShotDecompose, x, sopt);
 
     HooiOptions hopt;
     hopt.core_dims = ranks;
     hopt.max_iterations = 2;
     hopt.tolerance = 0.0;
-    MethodOutcome csf = RunCsf(x, hopt);
+    MethodOutcome csf = RunMethod(TuckerCsfDecompose, x, hopt);
 
     HooiOptions wopt;
     wopt.core_dims = ranks;
     wopt.max_iterations = 2;
-    MethodOutcome wopt_outcome = RunWopt(x, wopt);
+    MethodOutcome wopt_outcome = RunMethod(TuckerWoptDecompose, x, wopt);
 
     table.AddRow({std::to_string(nnz), ptucker.TimeCell(), shot.TimeCell(),
                   csf.TimeCell(), wopt_outcome.TimeCell()});

@@ -19,27 +19,28 @@ int main() {
     popt.core_dims = dataset.ranks;
     popt.max_iterations = 2;
     popt.tolerance = 0.0;
-    MethodOutcome ptucker = RunPTucker(dataset.tensor, popt);
+    MethodOutcome ptucker = RunMethod(PTuckerDecompose, dataset.tensor, popt);
 
     popt.variant = PTuckerVariant::kApprox;
-    MethodOutcome approx = RunPTucker(dataset.tensor, popt);
+    MethodOutcome approx = RunMethod(PTuckerDecompose, dataset.tensor, popt);
 
     HooiOptions sopt;
     sopt.core_dims = dataset.ranks;
     sopt.max_iterations = 2;
     sopt.tolerance = 0.0;
-    MethodOutcome shot = RunShot(dataset.tensor, sopt);
+    MethodOutcome shot = RunMethod(ShotDecompose, dataset.tensor, sopt);
 
     HooiOptions hopt;
     hopt.core_dims = dataset.ranks;
     hopt.max_iterations = 2;
     hopt.tolerance = 0.0;
-    MethodOutcome csf = RunCsf(dataset.tensor, hopt);
+    MethodOutcome csf = RunMethod(TuckerCsfDecompose, dataset.tensor, hopt);
 
     HooiOptions wopt;
     wopt.core_dims = dataset.ranks;
     wopt.max_iterations = 2;
-    MethodOutcome wopt_outcome = RunWopt(dataset.tensor, wopt);
+    MethodOutcome wopt_outcome =
+        RunMethod(TuckerWoptDecompose, dataset.tensor, wopt);
 
     table.AddRow({dataset.name, ptucker.TimeCell(), approx.TimeCell(),
                   shot.TimeCell(), csf.TimeCell(),

@@ -29,11 +29,11 @@ int main() {
     // against Algorithm 3 as published, not against the mode-major
     // default (bench_delta_engines covers that comparison).
     options.delta_engine = DeltaEngineChoice::kNaive;
-    MethodOutcome memory_variant = RunPTucker(x, options);
+    MethodOutcome memory_variant = RunMethod(PTuckerDecompose, x, options);
 
     options.variant = PTuckerVariant::kCache;
     options.delta_engine = DeltaEngineChoice::kAuto;
-    MethodOutcome cache_variant = RunPTucker(x, options);
+    MethodOutcome cache_variant = RunMethod(PTuckerDecompose, x, options);
 
     table.AddRow({std::to_string(order), memory_variant.TimeCell(),
                   cache_variant.TimeCell(), memory_variant.MemoryCell(),

@@ -54,11 +54,11 @@ int main() {
   for (int run = 0; run < kRuns; ++run) {
     MethodOutcome p, a;
     if (run % 2 == 0) {
-      p = RunPTucker(data.tensor, options);
-      a = RunPTucker(data.tensor, approx_options);
+      p = RunMethod(PTuckerDecompose, data.tensor, options);
+      a = RunMethod(PTuckerDecompose, data.tensor, approx_options);
     } else {
-      a = RunPTucker(data.tensor, approx_options);
-      p = RunPTucker(data.tensor, options);
+      a = RunMethod(PTuckerDecompose, data.tensor, approx_options);
+      p = RunMethod(PTuckerDecompose, data.tensor, options);
     }
     if (run > 0) {
       same_errors = same_errors && p.final_error == plain.final_error &&

@@ -29,7 +29,8 @@ int main() {
     options.max_iterations = 8;
     options.tolerance = 0.0;
     options.sample_rate = rate;
-    MethodOutcome outcome = RunPTucker(split.train, options, &split.test);
+    MethodOutcome outcome =
+        RunMethod(PTuckerDecompose, split.train, options, &split.test);
     if (rate == 1.0) exact_time = outcome.seconds_per_iteration;
     table.AddRow({FormatDouble(rate, 2), outcome.TimeCell(),
                   FormatDouble(exact_time / outcome.seconds_per_iteration, 2),

@@ -27,12 +27,12 @@ int main() {
     // Warm-up pass (caches, page faults), then best-of-2 per schedule to
     // suppress noise from the shared container.
     options.max_iterations = 1;
-    RunPTucker(x, options);
+    RunMethod(PTuckerDecompose, x, options);
     options.max_iterations = 3;
     auto best_of = [&](Scheduling scheduling) {
       options.scheduling = scheduling;
-      MethodOutcome a = RunPTucker(x, options);
-      MethodOutcome b = RunPTucker(x, options);
+      MethodOutcome a = RunMethod(PTuckerDecompose, x, options);
+      MethodOutcome b = RunMethod(PTuckerDecompose, x, options);
       return a.seconds_per_iteration < b.seconds_per_iteration ? a : b;
     };
     MethodOutcome dynamic_outcome = best_of(Scheduling::kDynamic);

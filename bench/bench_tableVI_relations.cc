@@ -29,7 +29,7 @@ int main() {
   PTuckerOptions options;
   options.core_dims = {5, 5, 4, 5};
   options.max_iterations = 12;
-  MethodOutcome fit = RunPTucker(data.tensor, options);
+  MethodOutcome fit = RunMethod(PTuckerDecompose, data.tensor, options);
 
   // Planted ground truth: hours with a positive genre boost.
   std::set<std::int64_t> planted_hours;

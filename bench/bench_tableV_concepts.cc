@@ -26,7 +26,7 @@ int main() {
   PTuckerOptions options;
   options.core_dims = {6, 6, 4, 4};
   options.max_iterations = 12;
-  MethodOutcome fit = RunPTucker(data.tensor, options);
+  MethodOutcome fit = RunMethod(PTuckerDecompose, data.tensor, options);
 
   auto concepts = DiscoverConcepts(fit.model, /*movie mode=*/1,
                                    config.num_genres);

@@ -73,12 +73,12 @@ int main() {
   HooiOptions hooi_options;
   hooi_options.core_dims = {3, 3, 3};
   hooi_options.max_iterations = 15;
-  BaselineResult hooi = HooiDecompose(train, hooi_options);
+  PTuckerResult hooi = HooiDecompose(train, hooi_options);
 
   HooiOptions wopt_options;
   wopt_options.core_dims = {3, 3, 3};
   wopt_options.max_iterations = 25;
-  BaselineResult wopt = TuckerWoptDecompose(train, wopt_options);
+  PTuckerResult wopt = TuckerWoptDecompose(train, wopt_options);
 
   std::printf("\ncompletion RMSE on missing pixels (lower is better)\n");
   std::printf("  P-Tucker    : %.4f\n",

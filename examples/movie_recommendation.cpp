@@ -84,7 +84,7 @@ int main() {
   HooiOptions hooi_options;
   hooi_options.core_dims = options.core_dims;
   hooi_options.max_iterations = 12;
-  BaselineResult hooi = HooiDecompose(split.train, hooi_options);
+  PTuckerResult hooi = HooiDecompose(split.train, hooi_options);
   const double hooi_rmse =
       TestRmse(split.test, hooi.model.core, hooi.model.factors);
 

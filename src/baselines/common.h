@@ -25,26 +25,6 @@ struct HooiOptions {
   bool verbose = false;
 };
 
-/// Outcome of a baseline Tucker solver. All competitors report the same
-/// quantities as P-Tucker so the benchmark harness can print the paper's
-/// method x metric tables directly.
-struct BaselineResult {
-  TuckerFactorization model;
-  std::vector<IterationStats> iterations;
-  bool converged = false;
-  /// Reconstruction error over *observed* entries (Eq. 5) — the paper's
-  /// common accuracy metric across all methods (Fig. 11).
-  double final_error = 0.0;
-  double total_seconds = 0.0;
-
-  double SecondsPerIteration() const {
-    if (iterations.empty()) return 0.0;
-    double total = 0.0;
-    for (const auto& stats : iterations) total += stats.seconds;
-    return total / static_cast<double>(iterations.size());
-  }
-};
-
 /// The Tucker baselines' input checks. Throws std::invalid_argument, the
 /// message prefixed with `method`, when `x` has no observed entry, when
 /// `options.core_dims` does not hold one rank per mode, when a rank Jn

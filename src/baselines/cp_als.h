@@ -2,10 +2,8 @@
 #define PTUCKER_BASELINES_CP_ALS_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "core/ptucker.h"
-#include "core/trace.h"
 #include "tensor/sparse_tensor.h"
 #include "util/memory_tracker.h"
 
@@ -23,33 +21,30 @@ struct CpOptions {
   bool verbose = false;
 };
 
-/// Result of a CP decomposition: X ≈ Σ_r a(1)_:r ∘ … ∘ a(N)_:r.
-struct CpResult {
-  std::vector<Matrix> factors;  // A(n) ∈ R^{In×R}
-  std::vector<IterationStats> iterations;
-  bool converged = false;
-  double final_error = 0.0;  // Eq. 5 over observed entries
-  double total_seconds = 0.0;
-
-  double SecondsPerIteration() const;
-
-  /// Predicted value Σ_r Π_n A(n)(in, r).
-  double Predict(const std::int64_t* index) const;
-
-  /// The equivalent Tucker model (superdiagonal R x … x R core of ones) —
-  /// CP is the special case of Tucker the paper's §II describes, and this
-  /// lets CP results flow through the same metrics/discovery tooling.
-  TuckerFactorization ToTucker() const;
-};
-
 /// CP-ALS for partially observed sparse tensors with a row-wise update
-/// rule (Shin, Sael & Kang's CDTF [24] — the CP counterpart of P-Tucker's
-/// update that the paper credits as prior art for row-wise ALS). Only
-/// observed entries enter the loss; rows of a factor are independent and
-/// updated in parallel.
+/// rule (Shin, Sael & Kang's CDTF [24], the CP counterpart of P-Tucker's
+/// update that the paper credits as prior art for row-wise ALS). CP is
+/// Tucker with a superdiagonal core (§II), so this is P-Tucker's driver
+/// over the R×…×R core with ones on its superdiagonal, held fixed: the
+/// factors are drawn Uniform[0, 1) from options.seed in mode order, the
+/// rows are solved by Eqs. 9–11 through the naive δ-engine (whose δ and x̂
+/// are the CP products Π_{k≠n} A(k)(ik, r) and Σ_r Π_k A(k)(ik, r)), and
+/// the factors are returned without orthogonalization. The result's
+/// model.core is that superdiagonal core, so X ≈ Σ_r a(1)_:r ∘ … ∘ a(N)_:r
+/// is model.Predict, and final_error is Eq. 5 over the observed entries.
 ///
-/// Per iteration: O(N·|Ω|·R² + N·I·R³) time, O(T·R²) intermediate memory.
-CpResult CpAlsDecompose(const SparseTensor& x, const CpOptions& options);
+/// Rejects (std::invalid_argument) an empty tensor, a missing mode index,
+/// rank < 1, a negative or non-finite λ and max_iterations < 1, and
+/// inherits P-Tucker's limits: order <= 32, every dimension and |Ω| at
+/// most INT32_MAX. Throws std::runtime_error, naming the iteration, when
+/// the reconstruction error turns NaN or Inf (e.g. a NaN observed value).
+///
+/// Per iteration: O(N·|Ω|·R·(N + R) + N·I·R³) time. Memory: the dense core
+/// (Rᴺ doubles), P-Tucker's slice-ordered copy of Ω (untracked, see
+/// PTuckerResult::slice_layout_bytes) and the row kernel's per-thread
+/// scratch, RowUpdateScratchBytes (core/row_update.h), charged to
+/// options.tracker.
+PTuckerResult CpAlsDecompose(const SparseTensor& x, const CpOptions& options);
 
 }  // namespace ptucker
 

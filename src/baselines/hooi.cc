@@ -26,9 +26,9 @@ using TtmcFunction = std::function<Matrix(
 // TUCKER-CSF, which differ only in how they evaluate the TTMc. The
 // caller validated the inputs and started `total_clock` before its own
 // setup.
-BaselineResult RunHooi(const char* method, const SparseTensor& x,
-                       const HooiOptions& options, const TtmcFunction& ttmc,
-                       const Stopwatch& total_clock) {
+PTuckerResult RunHooi(const char* method, const SparseTensor& x,
+                      const HooiOptions& options, const TtmcFunction& ttmc,
+                      const Stopwatch& total_clock) {
   const std::int64_t order = x.order();
 
   Rng rng(options.seed);
@@ -43,7 +43,7 @@ BaselineResult RunHooi(const char* method, const SparseTensor& x,
     factors.push_back(std::move(factor));
   }
 
-  BaselineResult result;
+  PTuckerResult result;
   DenseTensor core(options.core_dims);
   result.converged = RunBaselineIterations(
       method, options.max_iterations, options.tolerance, options.tracker,
@@ -90,8 +90,8 @@ std::vector<std::int64_t> RootedModeOrder(std::int64_t order,
 
 }  // namespace
 
-BaselineResult HooiDecompose(const SparseTensor& x,
-                             const HooiOptions& options) {
+PTuckerResult HooiDecompose(const SparseTensor& x,
+                            const HooiOptions& options) {
   ValidateBaselineInputs("HOOI", x, options);
   const Stopwatch total_clock;
   return RunHooi(
@@ -102,8 +102,8 @@ BaselineResult HooiDecompose(const SparseTensor& x,
       total_clock);
 }
 
-BaselineResult TuckerCsfDecompose(const SparseTensor& x,
-                                  const HooiOptions& options) {
+PTuckerResult TuckerCsfDecompose(const SparseTensor& x,
+                                 const HooiOptions& options) {
   ValidateBaselineInputs("Tucker-CSF", x, options);
   const Stopwatch total_clock;
 

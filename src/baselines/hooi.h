@@ -13,8 +13,8 @@ namespace ptucker {
 /// This is the method whose "intermediate data explosion" motivates the
 /// paper: the materialized Y(n) is charged to the tracker, so large
 /// tensors hit the O.O.M. budget exactly as in Figs. 6/7/11.
-BaselineResult HooiDecompose(const SparseTensor& x,
-                             const HooiOptions& options);
+PTuckerResult HooiDecompose(const SparseTensor& x,
+                            const HooiOptions& options);
 
 }  // namespace ptucker
 

@@ -44,8 +44,8 @@ void ExpandKron(const std::vector<Matrix>& factors, const std::int64_t* idx,
 
 }  // namespace
 
-BaselineResult ShotDecompose(const SparseTensor& x,
-                             const HooiOptions& options) {
+PTuckerResult ShotDecompose(const SparseTensor& x,
+                            const HooiOptions& options) {
   ValidateBaselineInputs("S-HOT", x, options);
   if (!x.has_mode_index()) {
     throw std::invalid_argument(
@@ -68,7 +68,7 @@ BaselineResult ShotDecompose(const SparseTensor& x,
 
   const std::int64_t core_size = NumElements(options.core_dims);
 
-  BaselineResult result;
+  PTuckerResult result;
   DenseTensor core(options.core_dims);
 
   // Per-entry reconstruction error through the mode-major δ-engine

@@ -15,8 +15,8 @@ namespace ptucker {
 /// steps per sweep, warm-started from the previous sweep.
 ///
 /// `x` needs its mode index (SparseTensor::BuildModeIndex).
-BaselineResult ShotDecompose(const SparseTensor& x,
-                             const HooiOptions& options);
+PTuckerResult ShotDecompose(const SparseTensor& x,
+                            const HooiOptions& options);
 
 }  // namespace ptucker
 

@@ -15,8 +15,8 @@ namespace ptucker {
 /// materialized (memory O(In·Jᴺ⁻¹)) and missing entries are zeros, so the
 /// accuracy matches HOOI/S-HOT in Fig. 11. It runs on HOOI's own driver
 /// (hooi.cc) and differs from HOOI only in how Y(n) is evaluated.
-BaselineResult TuckerCsfDecompose(const SparseTensor& x,
-                                  const HooiOptions& options);
+PTuckerResult TuckerCsfDecompose(const SparseTensor& x,
+                                 const HooiOptions& options);
 
 }  // namespace ptucker
 

@@ -43,8 +43,8 @@ void ParamsScale(double scale, Params* a) {
 
 }  // namespace
 
-BaselineResult TuckerWoptDecompose(const SparseTensor& x,
-                                   const HooiOptions& options) {
+PTuckerResult TuckerWoptDecompose(const SparseTensor& x,
+                                  const HooiOptions& options) {
   ValidateBaselineInputs("wOpt", x, options);
 
   const std::int64_t order = x.order();
@@ -132,7 +132,7 @@ BaselineResult TuckerWoptDecompose(const SparseTensor& x,
     return grad;
   };
 
-  BaselineResult result;
+  PTuckerResult result;
   DenseTensor residual;
   double loss = evaluate(params, &residual);
   Params grad = gradient(params, residual);

@@ -17,8 +17,8 @@ namespace ptucker {
 /// to the tracker, which is why this method — and only this method — hits
 /// O.O.M. across most of Figs. 6/7/11. `options.max_iterations` caps the
 /// NCG iterations.
-BaselineResult TuckerWoptDecompose(const SparseTensor& x,
-                                   const HooiOptions& options);
+PTuckerResult TuckerWoptDecompose(const SparseTensor& x,
+                                  const HooiOptions& options);
 
 }  // namespace ptucker
 

@@ -150,27 +150,14 @@ PTuckerResult RunAls(const SparseTensor& x, const PTuckerOptions& options,
   AlsModel model = InitAlsModel(x, options);
   std::unique_ptr<AlsBackend> backend = make_backend(&model);
 
-  // Intermediate data of the default variant, per thread: B, c, δ and
-  // the solved row (J²+3J doubles) — the O(T J²) of Theorem 4 — plus the
-  // row kernel's chunk of kDeltaChunk staged records, each J doubles of δ,
-  // N int64 coordinates (written only on the SliceOrderedOmega route,
-  // which PTuckerDecompose runs), a coordinate pointer, an entry id and a
-  // value.
-  // (The truncation scorer charges its own scratch — sorted order, dense
-  // core, per-thread contraction buffers, lane partials — inside
-  // ComputePartialErrors.)
+  // Intermediate data of the default variant: the row kernel's
+  // per-thread scratch, Theorem 4's O(T J²). (The truncation scorer
+  // charges its own scratch — sorted order, dense core, per-thread
+  // contraction buffers, lane partials — inside ComputePartialErrors.)
   const std::int64_t max_rank = *std::max_element(options.core_dims.begin(),
                                                   options.core_dims.end());
-  const std::int64_t chunk_record_bytes =
-      static_cast<std::int64_t>(sizeof(double)) * max_rank +
-      static_cast<std::int64_t>(sizeof(std::int64_t)) * x.order() +
-      static_cast<std::int64_t>(sizeof(const std::int64_t*)) +
-      static_cast<std::int64_t>(sizeof(std::int64_t) + sizeof(double));
   const std::int64_t scratch_bytes =
-      static_cast<std::int64_t>(threads) *
-      (static_cast<std::int64_t>(sizeof(double)) *
-           (max_rank * max_rank + 3 * max_rank) +
-       DeltaEngine::kDeltaChunk * chunk_record_bytes);
+      RowUpdateScratchBytes(threads, x.order(), max_rank);
   ScopedCharge scratch_charge(tracker, scratch_bytes);
 
   PTuckerResult result;

@@ -28,15 +28,18 @@ struct TuckerFactorization {
   double Predict(const std::vector<std::int64_t>& index) const;
 };
 
-/// Outcome of a P-Tucker run.
+/// Outcome of a decomposition: PTuckerDecompose, CP-ALS and the Tucker
+/// baselines (src/baselines/) all return it.
 struct PTuckerResult {
-  /// The fitted model (factors orthogonalized when the option is on).
+  /// The fitted model (factors orthogonalized when the option is on; for
+  /// CP-ALS the superdiagonal core of ones and the raw factors).
   TuckerFactorization model;
   /// Per-iteration error/time/memory measurements.
   std::vector<IterationStats> iterations;
   /// True if the error converged before max_iterations.
   bool converged = false;
-  /// Reconstruction error (Eq. 5) of the returned model on the input:
+  /// Reconstruction error (Eq. 5) of the returned model on the input.
+  /// From P-Tucker's driver (PTuckerDecompose, CP-ALS) it is
   /// ReconstructionError(x, model.core, model.factors) bit for bit,
   /// computed by the entry-major oracle after the solve's engine is
   /// released, whichever engine ran the loop.
@@ -46,7 +49,8 @@ struct PTuckerResult {
   /// Bytes of the slice-ordered copy of Ω the row sweeps read
   /// (SliceOrderedOmega in core/row_update.h). O(N·|Ω|) and held for the
   /// whole solve, but a re-layout of the input rather than intermediate
-  /// data, so options.tracker's peak does not include it.
+  /// data, so options.tracker's peak does not include it. 0 from the
+  /// Tucker baselines, which build no such layout.
   std::int64_t slice_layout_bytes = 0;
 
   /// Mean seconds per ALS iteration — the paper's reporting unit

@@ -76,6 +76,17 @@ struct RowScratch {
         entries(static_cast<std::size_t>(DeltaEngine::kDeltaChunk)),
         values(static_cast<std::size_t>(DeltaEngine::kDeltaChunk)),
         deltas(static_cast<std::size_t>(DeltaEngine::kDeltaChunk * rank)) {}
+
+  // Bytes the constructor allocates for `rank` and `order`.
+  static std::int64_t Bytes(std::int64_t rank, std::int64_t order) {
+    const std::int64_t chunk = DeltaEngine::kDeltaChunk;
+    return static_cast<std::int64_t>(
+        sizeof(b(0, 0)) * rank * rank + sizeof(c[0]) * rank +
+        sizeof(index[0]) * chunk * order + sizeof(indices[0]) * chunk +
+        sizeof(entries[0]) * chunk + sizeof(values[0]) * chunk +
+        sizeof(deltas[0]) * chunk * rank);
+  }
+
   Matrix b;
   std::vector<double> c;
   std::vector<std::int64_t> index;
@@ -313,6 +324,12 @@ void SolveRow(const Matrix& b_plus_lambda, const double* c, double* row,
     return;
   }
   for (std::int64_t j = 0; j < rank; ++j) row[j] = 0.0;
+}
+
+std::int64_t RowUpdateScratchBytes(int threads, std::int64_t order,
+                                   std::int64_t max_rank) {
+  return static_cast<std::int64_t>(threads) *
+         RowScratch::Bytes(max_rank, order);
 }
 
 SliceOrderedOmega::SliceOrderedOmega(const SparseTensor& x, bool entry_ids)

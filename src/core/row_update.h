@@ -91,10 +91,19 @@ class OmpEnvironmentGuard {
 /// Solves Eq. 9's normal equations `b_plus_lambda` · row = `c` for the
 /// `rank` entries of `row`: Cholesky first (B + λI is SPD for λ > 0,
 /// Theorem 1), then LU, which covers λ = 0 with a rank-deficient B, and
-/// as a last resort a zeroed row. The one row-solve policy of P-Tucker's
-/// row update and the CP-ALS baseline.
+/// as a last resort a zeroed row. The row-solve policy of every row-wise
+/// ALS solve (P-Tucker's and CP-ALS's).
 void SolveRow(const Matrix& b_plus_lambda, const double* c, double* row,
               std::int64_t rank);
+
+/// Bytes of the row kernel's per-thread scratch over `threads` threads,
+/// for a tensor of order `order` and factors of at most `max_rank`
+/// columns: B and c, and one chunk of DeltaEngine::kDeltaChunk staged
+/// records with their int64 coordinates (written only on the
+/// SliceOrderedOmega route), coordinate pointers, entry ids, values and
+/// δ. The solver charges it as Theorem 4's O(T·J²) intermediate data.
+std::int64_t RowUpdateScratchBytes(int threads, std::int64_t order,
+                                   std::int64_t max_rank);
 
 /// Knobs of one UpdateFactorRows call — the subset of PTuckerOptions the
 /// row update actually consumes.

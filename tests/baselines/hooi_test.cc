@@ -44,7 +44,7 @@ TEST(HooiValidationTest, RejectsBadInputs) {
 TEST(HooiTest, FactorsOrthonormal) {
   Rng rng(2);
   SparseTensor x = UniformSparseTensor({10, 9, 8}, 200, rng);
-  BaselineResult result = HooiDecompose(x, SmallOptions());
+  PTuckerResult result = HooiDecompose(x, SmallOptions());
   for (const auto& factor : result.model.factors) {
     EXPECT_LT(OrthonormalityDefect(factor), 1e-8);
   }
@@ -65,7 +65,7 @@ TEST(HooiTest, ExactRecoveryOfFullyObservedLowRankTensor) {
   HooiOptions options;
   options.core_dims = {2, 2, 2};
   options.max_iterations = 15;
-  BaselineResult result = HooiDecompose(x, options);
+  PTuckerResult result = HooiDecompose(x, options);
   EXPECT_LT(result.final_error, 1e-6 * dense.FrobeniusNorm() + 1e-9);
 }
 
@@ -78,7 +78,7 @@ TEST(HooiTest, ZeroImputationHurtsOnSparseData) {
   HooiOptions options;
   options.core_dims = {2, 2, 2};
   options.max_iterations = 10;
-  BaselineResult result = HooiDecompose(x, options);
+  PTuckerResult result = HooiDecompose(x, options);
   EXPECT_GT(result.final_error, 0.3 * x.FrobeniusNorm());
 }
 
@@ -106,7 +106,7 @@ TEST(HooiTest, OomOnBudget) {
 TEST(HooiTest, IterationStatsRecorded) {
   Rng rng(7);
   SparseTensor x = UniformSparseTensor({8, 8, 8}, 100, rng);
-  BaselineResult result = HooiDecompose(x, SmallOptions());
+  PTuckerResult result = HooiDecompose(x, SmallOptions());
   ASSERT_FALSE(result.iterations.empty());
   EXPECT_GT(result.SecondsPerIteration(), 0.0);
   EXPECT_EQ(result.iterations.front().iteration, 1);

@@ -41,7 +41,7 @@ TEST(ShotValidationTest, RejectsBadInputs) {
 TEST(ShotTest, FactorsOrthonormal) {
   Rng rng(1);
   SparseTensor x = UniformSparseTensor({10, 9, 8}, 150, rng);
-  BaselineResult result = ShotDecompose(x, SmallOptions());
+  PTuckerResult result = ShotDecompose(x, SmallOptions());
   for (const auto& factor : result.model.factors) {
     EXPECT_LT(OrthonormalityDefect(factor), 1e-8);
   }
@@ -64,7 +64,7 @@ TEST(ShotTest, MatchesHooiFixedPointOnFullyObservedData) {
   HooiOptions options;
   options.core_dims = {2, 2, 2};
   options.max_iterations = 20;
-  BaselineResult result = ShotDecompose(x, options);
+  PTuckerResult result = ShotDecompose(x, options);
   EXPECT_LT(result.final_error, 1e-5 * dense.FrobeniusNorm() + 1e-8);
 }
 
@@ -74,10 +74,10 @@ TEST(ShotTest, CloseToHooiErrorOnSparseData) {
   HooiOptions hooi_options;
   hooi_options.core_dims = {3, 3, 3};
   hooi_options.max_iterations = 10;
-  BaselineResult hooi = HooiDecompose(x, hooi_options);
+  PTuckerResult hooi = HooiDecompose(x, hooi_options);
   HooiOptions shot_options = SmallOptions();
   shot_options.max_iterations = 10;
-  BaselineResult shot = ShotDecompose(x, shot_options);
+  PTuckerResult shot = ShotDecompose(x, shot_options);
   // Same objective, same fixed point family: errors within a few percent.
   EXPECT_NEAR(shot.final_error, hooi.final_error,
               0.05 * hooi.final_error + 1e-9);
@@ -104,7 +104,7 @@ TEST(ShotTest, HigherOrderTensor) {
   HooiOptions options;
   options.core_dims.assign(6, 2);
   options.max_iterations = 3;
-  BaselineResult result = ShotDecompose(x, options);
+  PTuckerResult result = ShotDecompose(x, options);
   EXPECT_TRUE(std::isfinite(result.final_error));
   for (const auto& factor : result.model.factors) {
     EXPECT_LT(OrthonormalityDefect(factor), 1e-8);

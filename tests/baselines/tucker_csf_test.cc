@@ -41,8 +41,8 @@ TEST(TuckerCsfTest, IdenticalToHooiSameSeed) {
   Rng rng(1);
   SparseTensor x = UniformSparseTensor({12, 10, 8}, 250, rng);
   HooiOptions options = SmallOptions();
-  BaselineResult hooi = HooiDecompose(x, options);
-  BaselineResult csf = TuckerCsfDecompose(x, options);
+  PTuckerResult hooi = HooiDecompose(x, options);
+  PTuckerResult csf = TuckerCsfDecompose(x, options);
   EXPECT_NEAR(hooi.final_error, csf.final_error,
               1e-8 * (1.0 + hooi.final_error));
   for (std::size_t k = 0; k < 3; ++k) {
@@ -53,7 +53,7 @@ TEST(TuckerCsfTest, IdenticalToHooiSameSeed) {
 TEST(TuckerCsfTest, FactorsOrthonormal) {
   Rng rng(2);
   SparseTensor x = UniformSparseTensor({9, 9, 9}, 150, rng);
-  BaselineResult result = TuckerCsfDecompose(x, SmallOptions());
+  PTuckerResult result = TuckerCsfDecompose(x, SmallOptions());
   for (const auto& factor : result.model.factors) {
     EXPECT_LT(OrthonormalityDefect(factor), 1e-8);
   }
@@ -65,7 +65,7 @@ TEST(TuckerCsfTest, HandlesOrderFour) {
   HooiOptions options;
   options.core_dims = {2, 2, 2, 2};
   options.max_iterations = 4;
-  BaselineResult result = TuckerCsfDecompose(x, options);
+  PTuckerResult result = TuckerCsfDecompose(x, options);
   EXPECT_TRUE(std::isfinite(result.final_error));
 }
 

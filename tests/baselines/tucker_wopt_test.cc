@@ -40,7 +40,7 @@ TEST(WoptValidationTest, RejectsBadInputs) {
 TEST(WoptTest, ErrorDecreasesMonotonically) {
   Rng rng(2);
   SparseTensor x = UniformSparseTensor({8, 7, 6}, 100, rng);
-  BaselineResult result = TuckerWoptDecompose(x, SmallOptions());
+  PTuckerResult result = TuckerWoptDecompose(x, SmallOptions());
   ASSERT_GE(result.iterations.size(), 2u);
   for (std::size_t i = 1; i < result.iterations.size(); ++i) {
     EXPECT_LE(result.iterations[i].error,
@@ -56,7 +56,7 @@ TEST(WoptTest, FitsObservedEntriesOfLowRankData) {
   SparseTensor x = SampleFromModel(model, 400, 0.01, rng);
   HooiOptions options = SmallOptions();
   options.max_iterations = 40;
-  BaselineResult result = TuckerWoptDecompose(x, options);
+  PTuckerResult result = TuckerWoptDecompose(x, options);
   EXPECT_LT(result.final_error, 0.25 * x.FrobeniusNorm());
 }
 
@@ -72,7 +72,7 @@ TEST(WoptTest, PredictsMissingEntriesBetterThanZero) {
   train.BuildModeIndex();
   HooiOptions options = SmallOptions();
   options.max_iterations = 40;
-  BaselineResult result = TuckerWoptDecompose(train, options);
+  PTuckerResult result = TuckerWoptDecompose(train, options);
   const double rmse = TestRmse(test, result.model.core, result.model.factors);
   // Zero prediction RMSE = sqrt(mean(x²)).
   double zero_sq = 0.0;

@@ -314,6 +314,25 @@ TEST(PTuckerTest, MemoryScratchTrackedAsTJ2) {
   EXPECT_EQ(tracker.current_bytes(), 0);
 }
 
+TEST(PTuckerTest, NaiveEngineChargesTheRowUpdateScratch) {
+  // The naive engine keeps no derived state, so the tracked peak is the
+  // row kernel's per-thread scratch alone.
+  SparseTensor x = SmallTensor(24);
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    MemoryTracker tracker;
+    PTuckerOptions options = SmallOptions();
+    options.core_dims = {3, 5, 2};
+    options.delta_engine = DeltaEngineChoice::kNaive;
+    options.num_threads = threads;
+    options.tracker = &tracker;
+    PTuckerDecompose(x, options);
+    EXPECT_EQ(tracker.peak_bytes(),
+              RowUpdateScratchBytes(threads, x.order(), 5));
+    EXPECT_EQ(tracker.current_bytes(), 0);
+  }
+}
+
 TEST(PTuckerTest, SliceLayoutStaysOutOfTheIntermediateBudget) {
   // The row sweeps' slice-ordered Ω is a re-layout of the input, not
   // intermediate data: the result reports its bytes, and a budget that

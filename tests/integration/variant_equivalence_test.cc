@@ -78,11 +78,11 @@ TEST_F(VariantEquivalence, ObservedEntryMethodsBeatZeroImputingOnTestRmse) {
   HooiOptions hopt;
   hopt.core_dims = {3, 3, 3};
   hopt.max_iterations = 10;
-  BaselineResult hooi = HooiDecompose(workload_.train, hopt);
+  PTuckerResult hooi = HooiDecompose(workload_.train, hopt);
   const double hooi_rmse =
       TestRmse(workload_.test, hooi.model.core, hooi.model.factors);
 
-  BaselineResult csf = TuckerCsfDecompose(workload_.train, hopt);
+  PTuckerResult csf = TuckerCsfDecompose(workload_.train, hopt);
   const double csf_rmse =
       TestRmse(workload_.test, csf.model.core, csf.model.factors);
 
@@ -94,12 +94,12 @@ TEST_F(VariantEquivalence, ZeroImputingBaselinesAgreeWithEachOther) {
   HooiOptions hopt;
   hopt.core_dims = {3, 3, 3};
   hopt.max_iterations = 8;
-  BaselineResult hooi = HooiDecompose(workload_.train, hopt);
-  BaselineResult csf = TuckerCsfDecompose(workload_.train, hopt);
+  PTuckerResult hooi = HooiDecompose(workload_.train, hopt);
+  PTuckerResult csf = TuckerCsfDecompose(workload_.train, hopt);
   HooiOptions sopt;
   sopt.core_dims = {3, 3, 3};
   sopt.max_iterations = 8;
-  BaselineResult shot = ShotDecompose(workload_.train, sopt);
+  PTuckerResult shot = ShotDecompose(workload_.train, sopt);
   EXPECT_NEAR(hooi.final_error, csf.final_error,
               0.01 * hooi.final_error + 1e-9);
   EXPECT_NEAR(hooi.final_error, shot.final_error,

@@ -935,8 +935,7 @@ int Run(const CliConfig& config) {
                 static_cast<long long>(test.nnz()));
   }
 
-  TuckerFactorization model;
-  double final_error = 0.0;
+  PTuckerResult result;
   if (config.method == "ptucker") {
     PTuckerOptions options;
     options.core_dims = ranks;
@@ -965,7 +964,6 @@ int Run(const CliConfig& config) {
       Fail("unknown --delta-engine: " + config.delta_engine);
     }
     options.delta_engine = engine->choice;
-    PTuckerResult result;
     if (solve) {
       DistOptions dist;
       dist.workers = config.dist_workers;
@@ -980,9 +978,6 @@ int Run(const CliConfig& config) {
     } else {
       result = PTuckerDecompose(train, options);
     }
-    PrintTrace(result.iterations, config.quiet);
-    model = std::move(result.model);
-    final_error = result.final_error;
   } else if (config.method == "cp") {
     CpOptions options;
     options.rank = ranks.front();
@@ -990,17 +985,13 @@ int Run(const CliConfig& config) {
     options.max_iterations = config.max_iters;
     options.tolerance = config.tolerance;
     options.seed = config.seed;
-    CpResult result = CpAlsDecompose(train, options);
-    PrintTrace(result.iterations, config.quiet);
-    model = result.ToTucker();
-    final_error = result.final_error;
+    result = CpAlsDecompose(train, options);
   } else {
     HooiOptions hooi_options;
     hooi_options.core_dims = ranks;
     hooi_options.max_iterations = config.max_iters;
     hooi_options.tolerance = config.tolerance;
     hooi_options.seed = config.seed;
-    BaselineResult result;
     if (config.method == "hooi") {
       result = HooiDecompose(train, hooi_options);
     } else if (config.method == "shot") {
@@ -1012,27 +1003,27 @@ int Run(const CliConfig& config) {
     } else {
       Fail("unknown --method: " + config.method);
     }
-    PrintTrace(result.iterations, config.quiet);
-    model = std::move(result.model);
-    final_error = result.final_error;
   }
+  PrintTrace(result.iterations, config.quiet);
 
-  std::printf("final reconstruction error (Eq. 5): %.6f\n", final_error);
+  std::printf("final reconstruction error (Eq. 5): %.6f\n",
+              result.final_error);
   if (test.nnz() > 0) {
     std::printf("test RMSE on held-out entries:      %.6f\n",
-                TestRmse(test, model.core, model.factors));
+                TestRmse(test, result.model.core, result.model.factors));
   }
-  if (!config.output_dir.empty()) WriteModel(model, config.output_dir);
+  if (!config.output_dir.empty()) WriteModel(result.model, config.output_dir);
   if (!config.save_model.empty()) {
     // Checkpoints are written in the mmap-able v2 format with IVF
     // centroids, so the serving subcommands can load them zero-copy and
     // answer --topk-nprobe probes without a conversion step.
-    SaveSnapshotV2(config.save_model, model, /*with_centroids=*/true);
+    SaveSnapshotV2(config.save_model, result.model, /*with_centroids=*/true);
     std::printf("model snapshot written to %s\n", config.save_model.c_str());
   }
   if (config.selftest) {
     // Sanity gates for the ctest integration run.
-    if (!(final_error > 0.0) || !(final_error < train.FrobeniusNorm())) {
+    if (!(result.final_error > 0.0) ||
+        !(result.final_error < train.FrobeniusNorm())) {
       std::fprintf(stderr, "selftest FAILED: implausible error\n");
       return 1;
     }
