@@ -684,6 +684,9 @@ void ContractionDeltaEngine::FillTables(std::int64_t mode) {
   const std::int64_t rank = f[static_cast<std::size_t>(mode)].cols();
   const std::int64_t width = plan.leaves * rank;
   const std::size_t memo_count = plan.memo.size();
+  // Each array is its own serial sum over the core list, so filling the
+  // arrays in parallel changes no bits.
+#pragma omp parallel for schedule(static) if (plan.tables > 1)
   for (std::int64_t t = 0; t < plan.tables; ++t) {
     const double* memo_rows[kMaxOrder];
     std::int64_t rest = t;
@@ -797,6 +800,38 @@ double ContractionDeltaEngine::Reconstruct(
   double sum = 0.0;
   for (std::int64_t j = 0; j < rank; ++j) sum += coefficients[j] * delta[j];
   return sum;
+}
+
+void ContractionDeltaEngine::ReconstructBatch(
+    std::int64_t count, const std::int64_t* const* indices,
+    double* out) const {
+  const std::int64_t mode = reconstruct_mode_;
+  const FactorView& factor = factors()[static_cast<std::size_t>(mode)];
+  const std::int64_t rank = factor.cols();
+  // δ of up to kDeltaChunk entries: on the stack up to rank 8, else one
+  // heap buffer for the whole call.
+  constexpr std::int64_t kStackRank = 8;
+  double stack[kDeltaChunk * kStackRank];
+  std::vector<double> heap;
+  double* deltas = stack;
+  if (rank > kStackRank) {
+    heap.resize(static_cast<std::size_t>(kDeltaChunk * rank));
+    deltas = heap.data();
+  }
+  std::int64_t entries[kDeltaChunk];
+  std::fill(entries, entries + kDeltaChunk, std::int64_t{-1});
+  for (std::int64_t first = 0; first < count; first += kDeltaChunk) {
+    const std::int64_t chunk = std::min(kDeltaChunk, count - first);
+    DeltaBatch(chunk, entries, indices + first, mode, deltas);
+    // Reconstruct's fold, entry by entry.
+    for (std::int64_t i = 0; i < chunk; ++i) {
+      const double* coefficients = factor.Row(indices[first + i][mode]);
+      const double* delta = deltas + i * rank;
+      double sum = 0.0;
+      for (std::int64_t j = 0; j < rank; ++j) sum += coefficients[j] * delta[j];
+      out[first + i] = sum;
+    }
+  }
 }
 
 void ContractionDeltaEngine::OnFactorUpdated(std::int64_t mode,

@@ -121,7 +121,8 @@ class DeltaEngine {
   /// out[i] = Reconstruct(indices[i]) for `count` coordinate arrays, bit
   /// for bit. The default calls Reconstruct per entry; the engines whose
   /// Reconstruct is the entry-major list scan run the batched
-  /// ReconstructFromList instead.
+  /// ReconstructFromList instead, and the contraction engine computes δ
+  /// through DeltaBatch, kDeltaChunk entries per call.
   virtual void ReconstructBatch(std::int64_t count,
                                 const std::int64_t* const* indices,
                                 double* out) const;
@@ -342,13 +343,14 @@ class CachedDeltaEngine final : public DeltaEngine {
 /// **Rebuilds.** The constructor and every hook rebuild the affected leaf
 /// arrays whole (OnFactorUpdated(m): every mode with m ∈ S_n;
 /// OnCoreValuesChanged: all; OnCoreEntriesRemoved: a new plan, trees and
-/// arrays). Nothing is patched in place, so the engine's state is a pure
-/// function of (dims, |Ω|, core, factors): traced and untraced runs,
-/// N workers and one process, resumed and straight runs, and every
-/// thread count see bit-identical δ. The contract this adds to the base
-/// class: a factor's values may change in place only while that mode is
-/// being solved (row-wise ALS); any other change must be announced with
-/// OnFactorUpdated before the next δ or x̂.
+/// arrays). The arrays of a mode fill in parallel, each one a serial sum
+/// over the core list in list order. Nothing is patched in place, so the
+/// engine's state is a pure function of (dims, |Ω|, core, factors):
+/// traced and untraced runs, N workers and one process, resumed and
+/// straight runs, and every thread count see bit-identical δ. The
+/// contract this adds to the base class: a factor's values may change in
+/// place only while that mode is being solved (row-wise ALS); any other
+/// change must be announced with OnFactorUpdated before the next δ or x̂.
 ///
 /// **Exactness: reassociated.** δ differs from the naive scan only by
 /// summation order and the grouping of the N−1 products, so
@@ -381,6 +383,11 @@ class ContractionDeltaEngine final : public DeltaEngine {
                   const std::int64_t* const* entry_indices, std::int64_t mode,
                   double* deltas) const override;
   double Reconstruct(const std::int64_t* entry_index) const override;
+  /// Reconstruct's arithmetic, bit for bit, with one DeltaBatch call on
+  /// reconstruct_mode() per kDeltaChunk entries and no heap memory per
+  /// entry.
+  void ReconstructBatch(std::int64_t count, const std::int64_t* const* indices,
+                        double* out) const override;
 
   void OnFactorUpdated(std::int64_t mode, const Matrix& old_factor) override;
   void OnCoreValuesChanged() override;
@@ -424,7 +431,8 @@ class ContractionDeltaEngine final : public DeltaEngine {
   std::int64_t PlanBytes(const std::vector<ModePlan>& plans) const;
   /// Plans, charges and builds everything (constructor, core removal).
   void Rebuild();
-  /// Recomputes mode `mode`'s leaf arrays from the core and the factors.
+  /// Recomputes mode `mode`'s leaf arrays from the core and the factors,
+  /// the arrays in parallel (schedule(static)).
   void FillTables(std::int64_t mode);
 
   std::int64_t nnz_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -254,11 +255,55 @@ void SolveRowFromRecords(const Records& records, std::int64_t order,
   SolveRow(s->b, s->c.data(), out, rank);  // Eq. 9
 }
 
+// True when the runtime schedule is static: the naive split of
+// Scheduling::kStatic.
+bool RuntimeScheduleIsStatic() {
+  omp_sched_t kind;
+  int chunk;
+  omp_get_schedule(&kind, &chunk);
+  return (static_cast<unsigned>(kind) &
+          ~static_cast<unsigned>(omp_sched_monotonic)) ==
+         static_cast<unsigned>(omp_sched_static);
+}
+
+// Splits the n_rows rows to solve into blocks of consecutive rows and
+// returns the block boundaries: block b is rows [starts[b], starts[b+1]).
+// A block closes once it holds at least min(4·kDeltaChunk, ⌈R/(8T)⌉)
+// records, R the records of all n_rows rows and T the thread count, so a
+// heavy row forms a block of its own and even a small subset gives every
+// thread about 8 blocks. Under a static runtime schedule every block is
+// one row, so static scheduling stays the naive split of rows.
+template <typename CountOf>
+std::vector<std::int64_t> RowBlocks(std::int64_t n_rows,
+                                    const CountOf& count_of) {
+  if (RuntimeScheduleIsStatic()) {
+    std::vector<std::int64_t> starts(static_cast<std::size_t>(n_rows + 1));
+    std::iota(starts.begin(), starts.end(), std::int64_t{0});
+    return starts;
+  }
+  std::int64_t records = 0;
+  for (std::int64_t i = 0; i < n_rows; ++i) records += count_of(i);
+  const std::int64_t parts = 8 * std::int64_t{omp_get_max_threads()};
+  const std::int64_t target = std::min<std::int64_t>(
+      4 * DeltaEngine::kDeltaChunk, (records + parts - 1) / parts);
+  std::vector<std::int64_t> starts = {0};
+  std::int64_t held = 0;
+  for (std::int64_t i = 0; i < n_rows; ++i) {
+    held += count_of(i);
+    if (held >= target || i + 1 == n_rows) {
+      starts.push_back(i + 1);
+      held = 0;
+    }
+  }
+  return starts;
+}
+
 // Both routes' shared half: validates the factor and the rows, then runs
 // the kernel over every row of `mode` (rows == nullptr) or each distinct
-// listed row once, in parallel, with `records_of(row)` giving each row's
-// records. Solving a row twice would let two threads write it
-// at once.
+// listed row once, with `records_of(row)` giving each row's records. The
+// threads take RowBlocks' blocks under the runtime schedule; rows are
+// independent (Lemma 1), so the bits do not depend on the blocks. Solving
+// a row twice would let two threads write it at once.
 template <typename RecordsOf>
 void SweepRows(std::int64_t order, std::int64_t dim, std::int64_t mode,
                const std::int64_t* rows, std::int64_t num_rows,
@@ -274,6 +319,10 @@ void SweepRows(std::int64_t order, std::int64_t dim, std::int64_t mode,
   }
   std::vector<std::int64_t> distinct;
   if (rows != nullptr) {
+    if (num_rows < 0) {
+      throw std::invalid_argument("row update: num_rows is negative (" +
+                                  std::to_string(num_rows) + ")");
+    }
     distinct.assign(rows, rows + num_rows);
     for (const std::int64_t row : distinct) {
       if (row < 0 || row >= dim) {
@@ -287,6 +336,12 @@ void SweepRows(std::int64_t order, std::int64_t dim, std::int64_t mode,
   const std::int64_t n_rows =
       rows == nullptr ? dim : static_cast<std::int64_t>(distinct.size());
   const std::int64_t rank = factor->cols();
+  const auto row_at = [&](std::int64_t i) {
+    return rows == nullptr ? i : distinct[static_cast<std::size_t>(i)];
+  };
+  const std::vector<std::int64_t> starts = RowBlocks(
+      n_rows, [&](std::int64_t i) { return records_of(row_at(i)).count(); });
+  const std::int64_t n_blocks = static_cast<std::int64_t>(starts.size()) - 1;
 
 #pragma omp parallel
   {
@@ -294,11 +349,13 @@ void SweepRows(std::int64_t order, std::int64_t dim, std::int64_t mode,
     // schedule(runtime): dynamic under the paper's careful
     // distribution of work, static for the naive ablation.
 #pragma omp for schedule(runtime)
-    for (std::int64_t i = 0; i < n_rows; ++i) {
-      const std::int64_t row =
-          rows == nullptr ? i : distinct[static_cast<std::size_t>(i)];
-      SolveRowFromRecords(records_of(row), order, mode, row, engine, options,
-                          &scratch, factor);
+    for (std::int64_t block = 0; block < n_blocks; ++block) {
+      for (std::int64_t i = starts[static_cast<std::size_t>(block)];
+           i < starts[static_cast<std::size_t>(block + 1)]; ++i) {
+        const std::int64_t row = row_at(i);
+        SolveRowFromRecords(records_of(row), order, mode, row, engine,
+                            options, &scratch, factor);
+      }
     }
   }
 }

@@ -18,6 +18,15 @@
 /// bits of the per-record SymmetricRank1Update and Axpy. Then it solves
 /// Eq. 9.
 ///
+/// **How the rows are shared out.** Rows are independent (Lemma 1), so
+/// the threads take them in blocks of consecutive rows under
+/// schedule(runtime). A block closes once it holds at least
+/// min(4·kDeltaChunk, ⌈R/(8T)⌉) records, R the records of the rows being
+/// solved and T the thread count: a heavy row forms a block of its own,
+/// light rows share one grab of the dynamic schedule's counter, and a
+/// small subset still gives every thread about 8 blocks. Under a static
+/// runtime schedule every block is one row, the paper's naive split.
+///
 /// **Two routes to the records.** The solver builds a SliceOrderedOmega
 /// once per solve: every mode's records, stored in slice order, which
 /// every sweep then reads front to back. The SparseTensor overload of
@@ -53,11 +62,12 @@ class DeltaEngine;
 /// Scopes the OpenMP thread-count and schedule ICVs so a solver honors
 /// its options without leaking settings to the caller. Row updates use
 /// schedule(runtime); §III-D prescribes dynamic scheduling because
-/// |Ω(n,in)| is skewed. The dynamic chunk is one row: a single heavy row
-/// can hold a tenth of Ω, and a chunk of several rows would pin its
-/// neighbours to the same thread. Instantiate one around a batch of
-/// UpdateFactorRows calls (the solver wraps a whole decomposition, the
-/// ingest pipeline wraps each flush).
+/// |Ω(n,in)| is skewed. The dynamic chunk is one block of rows, sized by
+/// its records (see the file comment): a single heavy row, which can hold
+/// a tenth of Ω, is a block of its own, and light rows are grabbed
+/// together so they do not pay one grab each. Instantiate one around a
+/// batch of UpdateFactorRows calls (the solver wraps a whole
+/// decomposition, the ingest pipeline wraps each flush).
 class OmpEnvironmentGuard {
  public:
   /// Applies `num_threads` (0 keeps the ambient setting) and the runtime
@@ -221,7 +231,9 @@ class SliceOrderedOmega {
 ///
 /// Rows are independent within a mode (Lemma 1), so the parallel loop
 /// is bit-deterministic: the same state and row set produce identical
-/// factor rows at every thread count.
+/// factor rows at every thread count, schedule and blocking. Throws
+/// std::invalid_argument, naming it, when `rows` is set and `num_rows` is
+/// negative.
 void UpdateFactorRows(const SliceOrderedOmega& omega, std::int64_t mode,
                       const std::int64_t* rows, std::int64_t num_rows,
                       const DeltaEngine& engine, Matrix* factor,

@@ -1041,6 +1041,128 @@ TEST(ContractionEngineTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+// ReconstructBatch must equal per-entry Reconstruct bit for bit for
+// batches of 0, 1, 63, 64, 65 and 257 probes: the observed entries, then
+// each shifted one step along every mode, repeated until there are 257.
+void ExpectReconstructBatchMatches(const SparseTensor& x,
+                                   const DeltaEngine& engine,
+                                   const std::string& where) {
+  const std::int64_t order = x.order();
+  std::vector<std::int64_t> shifted(static_cast<std::size_t>(x.nnz() * order));
+  std::vector<const std::int64_t*> probes;
+  for (std::int64_t e = 0; e < x.nnz(); ++e) {
+    probes.push_back(x.index(e));
+    std::int64_t* index = shifted.data() + e * order;
+    for (std::int64_t k = 0; k < order; ++k) {
+      index[k] = (x.index(e)[k] + 1) % x.dim(k);
+    }
+    probes.push_back(index);
+  }
+  ASSERT_FALSE(probes.empty()) << where;
+  for (std::size_t p = 0; probes.size() < 257; ++p) {
+    probes.push_back(probes[p]);
+  }
+  for (const std::int64_t count :
+       {std::int64_t{0}, std::int64_t{1}, std::int64_t{63}, std::int64_t{64},
+        std::int64_t{65}, std::int64_t{257}}) {
+    std::vector<double> batched(static_cast<std::size_t>(count) + 1, 7.0);
+    engine.ReconstructBatch(count, probes.data(), batched.data());
+    for (std::int64_t i = 0; i < count; ++i) {
+      const std::size_t p = static_cast<std::size_t>(i);
+      ASSERT_EQ(Bits(batched[p]), Bits(engine.Reconstruct(probes[p])))
+          << where << ": batch of " << count << " probe " << i;
+    }
+    EXPECT_EQ(batched.back(), 7.0) << where << ": batch of " << count
+                                   << " wrote past its end";
+  }
+}
+
+TEST(ContractionEngineTest, ReconstructBatchMatchesReconstruct) {
+  // Orders 3-5 with and without memoized modes, plus a rank-10 shape for
+  // the generic tree walk; each again after a factor update and a core
+  // removal.
+  std::vector<Shape> shapes = ContractionShapes();
+  shapes.push_back({{30, 4, 20, 5}, {10, 10, 10, 10}, 400, true});
+  std::uint64_t seed = 1300;
+  bool memoized_reconstruct = false;
+  bool generic_rank = false;
+  for (const Shape& shape : shapes) {
+    Ctx s = MakeShapedCtx(shape.dims, shape.ranks, shape.nnz, ++seed);
+    ContractionDeltaEngine engine(s.x, s.list, s.factors, nullptr);
+    const std::int64_t mode = engine.reconstruct_mode();
+    memoized_reconstruct =
+        memoized_reconstruct || !engine.memo_modes(mode).empty();
+    generic_rank =
+        generic_rank || s.factors[static_cast<std::size_t>(mode)].cols() > 8;
+    const std::string where = "order " + std::to_string(shape.dims.size()) +
+                              " nnz " + std::to_string(shape.nnz);
+    ExpectReconstructBatchMatches(s.x, engine, where);
+
+    Rng rng(seed + 50);
+    const std::int64_t updated = engine.memo_modes(mode).empty()
+                                     ? mode
+                                     : engine.memo_modes(mode).front();
+    Matrix& factor = s.factors[static_cast<std::size_t>(updated)];
+    const Matrix old_factor = factor;
+    for (std::int64_t i = 0; i < factor.size(); ++i) {
+      factor.data()[i] = rng.Uniform(-1.0, 1.0);
+    }
+    engine.OnFactorUpdated(updated, old_factor);
+    ExpectReconstructBatchMatches(s.x, engine, where + " after a factor update");
+
+    if (s.list.size() > 1) {
+      std::vector<char> remove(static_cast<std::size_t>(s.list.size()), 0);
+      for (std::size_t b = 0; b < remove.size(); b += 3) remove[b] = 1;
+      s.list.Remove(remove, &s.core);
+      engine.OnCoreEntriesRemoved(remove);
+      ExpectReconstructBatchMatches(s.x, engine, where + " after a removal");
+    }
+  }
+  EXPECT_TRUE(memoized_reconstruct);
+  EXPECT_TRUE(generic_rank);
+}
+
+TEST(ContractionEngineTest, ParallelRefillsAreBitIdenticalAcrossThreadCounts) {
+  // The leaf arrays fill in parallel in the constructor and in every
+  // refill hook. An engine built and refilled at 1 thread and one at 4
+  // give the same δ bits for every entry and mode.
+  const auto deltas_after_refills = [](int threads) {
+    ThreadCountGuard guard(threads);
+    Ctx s = MakeShapedCtx({60, 4, 40, 6}, {3, 2, 4, 3}, 800, 1401);
+    ContractionDeltaEngine engine(s.x, s.list, s.factors, nullptr);
+    EXPECT_FALSE(engine.memo_modes(0).empty());
+    std::vector<std::vector<double>> states;
+    states.push_back(AllDeltas(s.x, engine, s.factors));
+    Rng rng(1402);
+    for (const std::int64_t mode : {std::int64_t{1}, std::int64_t{3}}) {
+      Matrix& factor = s.factors[static_cast<std::size_t>(mode)];
+      const Matrix old_factor = factor;
+      for (std::int64_t i = 0; i < factor.size(); ++i) {
+        factor.data()[i] = rng.Uniform(-1.0, 1.0);
+      }
+      engine.OnFactorUpdated(mode, old_factor);
+      states.push_back(AllDeltas(s.x, engine, s.factors));
+    }
+    for (std::int64_t linear = 0; linear < s.core.size(); ++linear) {
+      s.core[linear] = rng.Uniform(-0.5, 0.5);
+    }
+    s.list.RefreshValues(s.core);
+    engine.OnCoreValuesChanged();
+    states.push_back(AllDeltas(s.x, engine, s.factors));
+    return states;
+  };
+  const std::vector<std::vector<double>> serial = deltas_after_refills(1);
+  const std::vector<std::vector<double>> parallel = deltas_after_refills(4);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t state = 0; state < serial.size(); ++state) {
+    ASSERT_EQ(serial[state].size(), parallel[state].size());
+    for (std::size_t v = 0; v < serial[state].size(); ++v) {
+      ASSERT_EQ(Bits(serial[state][v]), Bits(parallel[state][v]))
+          << "state " << state << " value " << v;
+    }
+  }
+}
+
 TEST(ContractionEngineTest, MemoCapHoldsAndPlanIgnoresTheTracker) {
   // Four equal modes of 30: memoizing one other mode costs 30 arrays x 9
   // leaves x 3 lanes x 8 B = 6,480 B against a cap of 400 x 5 x 8 =

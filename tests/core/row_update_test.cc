@@ -12,10 +12,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -312,6 +314,117 @@ TEST(RowUpdateTest, RejectsBadArguments) {
   EXPECT_THROW(UpdateFactorRows(ctx.x, 0, &bad_row, 1, *engine, &factor,
                                 options),
                std::invalid_argument);
+}
+
+TEST(RowUpdateTest, RejectsANegativeRowCount) {
+  // A negative count names num_rows on both routes, instead of forming
+  // rows + num_rows before the array.
+  Ctx ctx = MakeCtx(17);
+  const auto engine = MakeDeltaEngine(DeltaEngineChoice::kModeMajor, ctx.x,
+                                      *ctx.list, ctx.factors, nullptr);
+  const SliceOrderedOmega omega(ctx.x, /*entry_ids=*/false);
+  Matrix factor = ctx.factors[0];
+  const std::int64_t rows[] = {1, 2};
+  const auto expect_names_num_rows = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("num_rows"), std::string::npos)
+          << error.what();
+    }
+  };
+  expect_names_num_rows([&] {
+    UpdateFactorRows(ctx.x, 0, rows, -1, *engine, &factor, RowUpdateOptions());
+  });
+  expect_names_num_rows([&] {
+    UpdateFactorRows(omega, 0, rows, -2, *engine, &factor, RowUpdateOptions());
+  });
+  ExpectSameMatrix(factor, ctx.factors[0]);
+}
+
+// An order-3 tensor whose mode-0 row 0 holds a tenth of Ω, followed by
+// thousands of one-record rows with every 50th row empty. Ranks 4, 3, 3.
+Ctx MakeSkewedCtx(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::int64_t rows = 3700;
+  const std::int64_t dims[] = {rows, 30, 20};
+  Ctx s;
+  s.x = SparseTensor({dims[0], dims[1], dims[2]});
+  for (std::int64_t i = 1; i < rows; ++i) {
+    if (i % 50 == 0) continue;
+    s.x.AddEntry({i, static_cast<std::int64_t>(rng.UniformInt(dims[1] - 1)),
+                  static_cast<std::int64_t>(rng.UniformInt(dims[2] - 1))},
+                 rng.Uniform(-1.0, 1.0));
+  }
+  const std::int64_t heavy = s.x.nnz() / 9;
+  for (const std::int64_t cell : rng.Sample(dims[1] * dims[2], heavy)) {
+    s.x.AddEntry({0, cell / dims[2], cell % dims[2]}, rng.Uniform(-1.0, 1.0));
+  }
+  s.x.BuildModeIndex();
+  s.core = DenseTensor({4, 3, 3});
+  s.core.FillUniform(rng);
+  s.list = std::make_unique<CoreEntryList>(s.core);
+  for (std::int64_t n = 0; n < 3; ++n) {
+    Matrix factor(dims[n], s.core.dim(n));
+    factor.FillUniform(rng);
+    s.factors.push_back(std::move(factor));
+  }
+  return s;
+}
+
+TEST(RowUpdateTest, RowBlocksKeepTheBitsOnASkewedTensor) {
+  // The threads take blocks of consecutive rows sized by their records. A
+  // skewed mode must give the oracle's bits at 1-4 threads, under both
+  // schedules, on both routes, for the full sweep and for an unsorted
+  // row list that names every row, some twice.
+  Ctx ctx = MakeSkewedCtx(31);
+  ASSERT_LE(std::abs(ctx.x.SliceSize(0, 0) * 10 - ctx.x.nnz()), 10);
+  ASSERT_EQ(ctx.x.SliceSize(0, 50), 0);
+  ASSERT_EQ(ctx.x.SliceSize(0, 1), 1);
+  for (const DeltaEngineChoice choice :
+       {DeltaEngineChoice::kModeMajor, DeltaEngineChoice::kContraction}) {
+    const auto engine = MakeDeltaEngine(choice, ctx.x, *ctx.list,
+                                        ctx.factors, nullptr);
+    const SliceOrderedOmega omega(ctx.x, engine->UsesEntryIds());
+    for (std::int64_t mode = 0; mode < 3; ++mode) {
+      const Matrix& start = ctx.factors[static_cast<std::size_t>(mode)];
+      Matrix expected = start;
+      OracleUpdateFactorRows(ctx.x, mode, *engine, &expected,
+                             RowUpdateOptions());
+      std::vector<std::int64_t> listed(static_cast<std::size_t>(start.rows()));
+      std::iota(listed.begin(), listed.end(), 0);
+      listed.insert(listed.end(), listed.begin(), listed.begin() + 20);
+      Rng shuffle(41 + static_cast<std::uint64_t>(mode));
+      for (std::size_t i = listed.size(); i > 1; --i) {
+        std::swap(listed[i - 1], listed[shuffle.UniformInt(i - 1)]);
+      }
+      for (const int threads : {1, 2, 3, 4}) {
+        for (const Scheduling scheduling :
+             {Scheduling::kDynamic, Scheduling::kStatic}) {
+          SCOPED_TRACE(std::string(engine->name()) + " mode " +
+                       std::to_string(mode) + " threads " +
+                       std::to_string(threads) +
+                       (scheduling == Scheduling::kStatic ? " static"
+                                                          : " dynamic"));
+          OmpEnvironmentGuard omp(threads, scheduling);
+          const std::int64_t* const row_lists[] = {nullptr, listed.data()};
+          for (const std::int64_t* rows : row_lists) {
+            const std::int64_t num_rows =
+                static_cast<std::int64_t>(listed.size());
+            Matrix by_layout = start;
+            Matrix by_tensor = start;
+            UpdateFactorRows(omega, mode, rows, num_rows, *engine, &by_layout,
+                             RowUpdateOptions());
+            UpdateFactorRows(ctx.x, mode, rows, num_rows, *engine,
+                             &by_tensor, RowUpdateOptions());
+            ExpectSameMatrix(by_layout, expected);
+            ExpectSameMatrix(by_tensor, expected);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(RowUpdateTest, BothRoutesMatchGatherOracle) {
