@@ -31,8 +31,7 @@ int main() {
     options.delta_engine = DeltaEngineChoice::kNaive;
     MethodOutcome memory_variant = RunMethod(PTuckerDecompose, x, options);
 
-    options.variant = PTuckerVariant::kCache;
-    options.delta_engine = DeltaEngineChoice::kAuto;
+    options.delta_engine = DeltaEngineChoice::kCached;  // P-TUCKER-CACHE
     MethodOutcome cache_variant = RunMethod(PTuckerDecompose, x, options);
 
     table.AddRow({std::to_string(order), memory_variant.TimeCell(),

@@ -864,18 +864,16 @@ void ContractionDeltaEngine::OnCoreEntriesRemoved(
 namespace {
 
 // The one table every consumer reads: the CLI parser accepts exactly these
-// names/aliases and generates its --help engine list from the summaries,
-// so accepted spellings and documentation cannot drift apart.
+// names and generates its --help engine list from the summaries, so
+// accepted spellings and documentation cannot drift apart.
 constexpr DeltaEngineDescriptor kDeltaEngineCatalog[] = {
-    {DeltaEngineChoice::kAuto, "auto", nullptr,
-     "follow the variant: cache variant -> Pres table, else contraction"},
-    {DeltaEngineChoice::kNaive, "naive", nullptr,
+    {DeltaEngineChoice::kNaive, "naive",
      "entry-major scan of the core list; the correctness oracle"},
-    {DeltaEngineChoice::kModeMajor, "modemajor", nullptr,
+    {DeltaEngineChoice::kModeMajor, "modemajor",
      "per-mode lane views, bit-identical to naive (serving's kernel)"},
-    {DeltaEngineChoice::kCached, "cache", "cached",
-     "the paper's Sec. III-C Pres table; O(1) delta per (alpha, beta)"},
-    {DeltaEngineChoice::kContraction, "contraction", nullptr,
+    {DeltaEngineChoice::kCached, "cache",
+     "P-Tucker-Cache: Sec. III-C Pres table, O(1) delta per (alpha, beta)"},
+    {DeltaEngineChoice::kContraction, "contraction",
      "core trees with memoized short modes, reassociated (default)"},
 };
 
@@ -888,10 +886,7 @@ Span<const DeltaEngineDescriptor> DeltaEngineCatalog() {
 
 const DeltaEngineDescriptor* FindDeltaEngineByName(const std::string& name) {
   for (const DeltaEngineDescriptor& descriptor : DeltaEngineCatalog()) {
-    if (name == descriptor.name ||
-        (descriptor.alias != nullptr && name == descriptor.alias)) {
-      return &descriptor;
-    }
+    if (name == descriptor.name) return &descriptor;
   }
   return nullptr;
 }
@@ -905,12 +900,7 @@ const char* DeltaEngineChoiceName(DeltaEngineChoice choice) {
 }
 
 DeltaEngineChoice ResolveDeltaEngineChoice(const PTuckerOptions& options) {
-  if (options.delta_engine != DeltaEngineChoice::kAuto) {
-    return options.delta_engine;
-  }
-  return options.variant == PTuckerVariant::kCache
-             ? DeltaEngineChoice::kCached
-             : DeltaEngineChoice::kContraction;
+  return options.delta_engine;
 }
 
 std::unique_ptr<DeltaEngine> MakeDeltaEngine(
@@ -932,10 +922,8 @@ std::unique_ptr<DeltaEngine> MakeDeltaEngine(
     case DeltaEngineChoice::kContraction:
       return std::make_unique<ContractionDeltaEngine>(x, core, factors,
                                                       tracker);
-    case DeltaEngineChoice::kAuto:
-      break;
   }
-  PTUCKER_CHECK(false && "MakeDeltaEngine: resolve kAuto first");
+  PTUCKER_CHECK(false && "MakeDeltaEngine: enumerator not handled");
   return nullptr;
 }
 

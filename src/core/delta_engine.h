@@ -81,8 +81,6 @@ class DeltaEngine {
   /// arrays of the engines' hot kernels and of the row kernel.
   static constexpr std::int64_t kMaxOrder = 32;
 
-  /// The enumerator this engine was built for (kind() never is kAuto).
-  virtual DeltaEngineChoice kind() const = 0;
   /// Canonical catalog name (the `--delta-engine` token).
   virtual const char* name() const = 0;
 
@@ -172,7 +170,6 @@ class NaiveDeltaEngine final : public DeltaEngine {
  public:
   using DeltaEngine::DeltaEngine;
 
-  DeltaEngineChoice kind() const override { return DeltaEngineChoice::kNaive; }
   const char* name() const override { return "naive"; }
 
   void ComputeDelta(std::int64_t entry, const std::int64_t* entry_index,
@@ -215,9 +212,6 @@ class ModeMajorDeltaEngine final : public DeltaEngine {
                        std::vector<FactorView> factors,
                        MemoryTracker* tracker);
 
-  DeltaEngineChoice kind() const override {
-    return DeltaEngineChoice::kModeMajor;
-  }
   const char* name() const override { return "modemajor"; }
 
   void ComputeDelta(std::int64_t entry, const std::int64_t* entry_index,
@@ -287,7 +281,6 @@ class CachedDeltaEngine final : public DeltaEngine {
                     const std::vector<Matrix>& factors,
                     MemoryTracker* tracker);
 
-  DeltaEngineChoice kind() const override { return DeltaEngineChoice::kCached; }
   const char* name() const override { return "cache"; }
 
   void ComputeDelta(std::int64_t entry, const std::int64_t* entry_index,
@@ -368,9 +361,6 @@ class ContractionDeltaEngine final : public DeltaEngine {
                          const std::vector<Matrix>& factors,
                          MemoryTracker* tracker);
 
-  DeltaEngineChoice kind() const override {
-    return DeltaEngineChoice::kContraction;
-  }
   const char* name() const override { return "contraction"; }
 
   /// DeltaBatch(1, …): one entry's δ.
@@ -441,34 +431,33 @@ class ContractionDeltaEngine final : public DeltaEngine {
   std::int64_t reconstruct_mode_ = 0;
 };
 
-/// One row of the engine name table: the enumerator, its canonical CLI
-/// token, an optional accepted alias, and a one-line summary. The CLI
-/// parser and its --help text are both generated from this table, so the
-/// accepted spellings and the documentation cannot drift apart.
+/// One row of the engine name table: the enumerator, its CLI token and a
+/// one-line summary. The CLI parser and its --help text are both
+/// generated from this table, so the accepted spellings and the
+/// documentation cannot drift apart.
 struct DeltaEngineDescriptor {
   DeltaEngineChoice choice;
-  const char* name;     ///< canonical --delta-engine token
-  const char* alias;    ///< accepted alternative spelling, or nullptr
+  const char* name;     ///< the --delta-engine token
   const char* summary;  ///< one-line help text
 };
 
 /// The authoritative list of selectable engines, in help-display order
-/// (kAuto first). Every DeltaEngineChoice enumerator has exactly one row.
+/// (the default, kContraction, last). Every DeltaEngineChoice enumerator
+/// has exactly one row.
 Span<const DeltaEngineDescriptor> DeltaEngineCatalog();
 
-/// Catalog row whose name or alias equals `name`, or nullptr if unknown.
+/// Catalog row whose name equals `name`, or nullptr if unknown.
 const DeltaEngineDescriptor* FindDeltaEngineByName(const std::string& name);
 
 /// Canonical CLI token of `choice` (from the catalog).
 const char* DeltaEngineChoiceName(DeltaEngineChoice choice);
 
-/// The engine a PTuckerOptions value actually asks for: an explicit
-/// delta_engine wins; kAuto maps kCache to kCached and everything else to
-/// kContraction. Never returns kAuto.
+/// Returns options.delta_engine. Exists only for the repository benchmark
+/// (perfbench), which calls it; library code reads the field directly.
 DeltaEngineChoice ResolveDeltaEngineChoice(const PTuckerOptions& options);
 
 /// Builds the requested engine over `x`, `core` and `factors` (all
-/// outliving the engine). `choice` must not be kAuto — resolve it first.
+/// outliving the engine).
 /// `x` and `tracker` may go unused depending on the engine. The last two
 /// parameters exist only for the repository benchmark (perfbench), which
 /// passes PTuckerOptions' fields of the same names: a nonzero

@@ -14,13 +14,11 @@ namespace ptucker {
 
 struct TuckerFactorization;  // core/ptucker.h (which includes this header)
 
-/// Which P-Tucker algorithm to run (paper §III-C).
+/// Whether the core is truncated (paper §III-C). P-TUCKER-CACHE is not a
+/// variant here but a δ-engine: DeltaEngineChoice::kCached.
 enum class PTuckerVariant {
   /// Default memory-optimized algorithm: O(T J²) intermediate data.
   kMemory,
-  /// P-TUCKER-CACHE: memoizes per-(entry, core-entry) products in the
-  /// Pres table; faster δ at O(|Ω|·|G|) memory.
-  kCache,
   /// P-TUCKER-APPROX: truncates "noisy" core entries by partial
   /// reconstruction error after every iteration.
   kApprox,
@@ -32,17 +30,13 @@ enum class PTuckerVariant {
 /// (core/delta_engine.h) — the CLI parser and its --help text are both
 /// generated from that one table. See docs/architecture.md.
 enum class DeltaEngineChoice {
-  /// Defer to the variant: kCache → kCached, everything else →
-  /// kContraction. The solvers, the distributed workers and
-  /// IngestPipeline all resolve it through ResolveDeltaEngineChoice.
-  kAuto,
   /// Entry-major scan of the core list — the correctness oracle.
   kNaive,
   /// Per-mode lane-interleaved core views, bit-identical to kNaive for
-  /// finite factors. Serves predictions (serve/service.h); no longer
-  /// what kAuto picks.
+  /// finite factors. Serves predictions (serve/service.h).
   kModeMajor,
-  /// The §III-C Pres table behind the engine interface.
+  /// P-TUCKER-CACHE: the §III-C Pres table of per-(entry, core-entry)
+  /// products behind the engine interface; O(|Ω|·|G|) memory.
   kCached,
   /// Core trees with memoized short modes (reassociated sums) — the
   /// default hot path of the solvers and the ingest pipeline.
@@ -80,13 +74,12 @@ struct PTuckerOptions {
   /// below this.
   double tolerance = 1e-4;
 
-  /// Which P-Tucker algorithm to run (§III-C): memory-optimized, cached,
-  /// or approx (core truncation).
+  /// Whether to truncate the core (§III-C): memory-optimized or approx.
   PTuckerVariant variant = PTuckerVariant::kMemory;
 
-  /// δ-computation engine. kAuto lets the variant choose; an explicit
-  /// value overrides it (e.g. kNaive pins the oracle scan for debugging).
-  DeltaEngineChoice delta_engine = DeltaEngineChoice::kAuto;
+  /// δ-computation engine, the only engine selector: kCached is
+  /// P-TUCKER-CACHE, kNaive pins the oracle scan for debugging.
+  DeltaEngineChoice delta_engine = DeltaEngineChoice::kContraction;
 
   /// Exists only for the repository benchmark (perfbench), which passes
   /// it to MakeDeltaEngine. Must be 0: any other value throws

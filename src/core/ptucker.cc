@@ -29,10 +29,9 @@ class LocalAlsBackend : public AlsBackend {
         model_(model),
         // The δ-computation engine (derived state charged inside):
         // contraction trees by default, the §III-C Pres table for
-        // P-TUCKER-CACHE, or whatever options.delta_engine pins.
-        engine_(MakeDeltaEngine(ResolveDeltaEngineChoice(options), x,
-                                model->core_list, model->factors,
-                                options.tracker)),
+        // P-TUCKER-CACHE (kCached), or whatever options.delta_engine pins.
+        engine_(MakeDeltaEngine(options.delta_engine, x, model->core_list,
+                                model->factors, options.tracker)),
         // Ω in slice order, read by every row sweep of the solve. A
         // re-layout of the input, so not charged to options.tracker.
         omega_(x, engine_->UsesEntryIds()) {

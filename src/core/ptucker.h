@@ -67,7 +67,7 @@ struct PTuckerResult {
 /// with 1 <= Jn <= In. Violations throw std::invalid_argument.
 ///
 /// Throws OutOfMemoryBudget if options.tracker has a budget and the
-/// variant's intermediate data exceeds it (only realistic for kCache).
+/// engine's intermediate data exceeds it (only realistic for kCached).
 PTuckerResult PTuckerDecompose(const SparseTensor& x,
                                const PTuckerOptions& options);
 

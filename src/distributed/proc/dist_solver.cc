@@ -37,10 +37,11 @@ void ValidateDistributed(const PTuckerOptions& options,
         std::to_string(kReductionLanes) +
         "] (each worker owns a contiguous reduction-lane subrange)");
   }
-  if (options.variant != PTuckerVariant::kMemory) {
+  if (options.variant == PTuckerVariant::kApprox) {
     throw std::invalid_argument(
-        "distributed P-Tucker: only the kMemory variant is supported (the "
-        "cache table is node-local and approx re-plans |G| mid-flight)");
+        "distributed P-Tucker: the kApprox variant is not supported (its "
+        "truncation changes |G| mid-flight, which the workers' core "
+        "replicas would have to re-plan)");
   }
   if (options.tracker != nullptr) {
     throw std::invalid_argument(
@@ -148,8 +149,8 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
   AlsModel model = InitAlsModel(x, options);
   std::vector<Matrix>& factors = model.factors;
   const std::unique_ptr<DeltaEngine> engine =
-      MakeDeltaEngine(ResolveDeltaEngineChoice(options), x, model.core_list,
-                      factors, /*tracker=*/nullptr);
+      MakeDeltaEngine(options.delta_engine, x, model.core_list, factors,
+                      /*tracker=*/nullptr);
 
   // Row ownership per mode (every worker derives the same partition) and
   // this rank's contiguous reduction-lane subrange.

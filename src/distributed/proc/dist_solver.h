@@ -80,9 +80,9 @@ struct DistributedPTuckerResult {
 /// Decomposes `x` with `dist.workers` forked worker processes and
 /// returns the same result a single-process PTuckerDecompose(x, options)
 /// produces, bit for bit, plus cluster stats (measured wire bytes).
-/// Supports the kMemory variant with options.tracker == nullptr (the
-/// tracker is a process-local memory model; the approx variant changes
-/// |G| mid-flight, which would need re-planning); throws
+/// Supports every δ-engine, but not the kApprox variant (its truncation
+/// changes |G| mid-flight, which would need re-planning) and only
+/// options.tracker == nullptr (a process-local memory model); throws
 /// std::invalid_argument for unsupported options and DistError when the
 /// cluster fails mid-protocol (all workers are reaped first).
 DistributedPTuckerResult DistributedPTuckerDecompose(const SparseTensor& x,

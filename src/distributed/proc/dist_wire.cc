@@ -119,9 +119,20 @@ bool ParseRowBlock(const std::vector<std::uint8_t>& payload,
              std::to_string(block->cols) + " is invalid";
     return false;
   }
+  // Bound row_count by the bytes present before multiplying, so a hostile
+  // header cannot overflow row_count · cols · 8.
+  const std::size_t value_bytes = payload.size() - 24;
+  const std::size_t row_bytes = static_cast<std::size_t>(block->cols) * 8;
+  const std::size_t max_rows = value_bytes / row_bytes;
+  if (static_cast<std::uint64_t>(block->row_count) > max_rows) {
+    *error = "row-block row_count " + std::to_string(block->row_count) +
+             " x cols " + std::to_string(block->cols) + " overruns the " +
+             std::to_string(value_bytes) + " value bytes present (want " +
+             "row_count <= " + std::to_string(max_rows) + ")";
+    return false;
+  }
   const std::size_t want =
-      24 + static_cast<std::size_t>(block->row_count) *
-               static_cast<std::size_t>(block->cols) * 8;
+      24 + static_cast<std::size_t>(block->row_count) * row_bytes;
   if (payload.size() != want) {
     *error = "row-block payload is " + std::to_string(payload.size()) +
              " bytes, want " + std::to_string(want) + " for " +
@@ -153,9 +164,10 @@ bool ParseDoubleVector(const std::vector<std::uint8_t>& payload,
     return false;
   }
   const std::uint32_t count = ReadU32(payload.data());
-  if (payload.size() != 4 + static_cast<std::size_t>(count) * 8) {
+  const std::size_t want = 4 + static_cast<std::size_t>(count) * 8;
+  if (payload.size() != want) {
     *error = "vector payload is " + std::to_string(payload.size()) +
-             " bytes, want " + std::to_string(4 + count * 8u) +
+             " bytes, want " + std::to_string(want) +
              " for length " + std::to_string(count);
     return false;
   }

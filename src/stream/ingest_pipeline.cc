@@ -84,6 +84,10 @@ IngestPipeline::IngestPipeline(SparseTensor tensor, TuckerFactorization model,
         "ingest: lambda must be a finite non-negative number, got " +
         std::to_string(options_.lambda));
   }
+  if (options_.num_threads < 0) {
+    throw std::invalid_argument("ingest: num_threads must be >= 0, got " +
+                                std::to_string(options_.num_threads));
+  }
   if (options_.flush_every < 1) {
     throw std::invalid_argument("ingest: flush_every must be >= 1");
   }
@@ -94,9 +98,6 @@ IngestPipeline::IngestPipeline(SparseTensor tensor, TuckerFactorization model,
     throw std::invalid_argument("ingest: ops_already_applied must be >= 0");
   }
 
-  PTuckerOptions engine_options;
-  engine_options.delta_engine = options_.delta_engine;
-  engine_choice_ = ResolveDeltaEngineChoice(engine_options);
   if (!options_.checkpoint_dir.empty()) {
     std::filesystem::create_directories(options_.checkpoint_dir);
   }
@@ -356,14 +357,14 @@ std::int64_t IngestPipeline::EntryOf(std::int64_t handle) const {
 
 void IngestPipeline::RebuildEngine() {
   engine_.reset();
-  engine_ = MakeDeltaEngine(engine_choice_, tensor_, *core_list_,
+  engine_ = MakeDeltaEngine(options_.delta_engine, tensor_, *core_list_,
                             model_.factors, options_.tracker);
 }
 
 void IngestPipeline::SolveTouchedRows(
     const std::vector<std::vector<std::int64_t>>& rows) {
   PTUCKER_TRACE_SPAN("stream.row_solve");
-  OmpEnvironmentGuard omp_guard(options_.num_threads, options_.scheduling);
+  OmpEnvironmentGuard omp_guard(options_.num_threads, Scheduling::kDynamic);
   RowUpdateOptions row_options;
   row_options.lambda = options_.lambda;
   for (std::int64_t mode = 0; mode < tensor_.order(); ++mode) {

@@ -37,15 +37,15 @@ struct IngestOptions {
   /// produced the initial model).
   double lambda = 0.01;
 
-  /// δ-engine for the re-solves, resolved like the solvers' (kAuto picks
-  /// kContraction, see ResolveDeltaEngineChoice). The engine is rebuilt
-  /// whenever Ω changes structurally: the Pres table is keyed by entry
-  /// ids and the contraction plan by |Ω|.
-  DeltaEngineChoice delta_engine = DeltaEngineChoice::kAuto;
+  /// δ-engine for the re-solves, defaulting like the solvers' to
+  /// kContraction. The engine is rebuilt whenever Ω changes
+  /// structurally: the Pres table is keyed by entry ids and the
+  /// contraction plan by |Ω|.
+  DeltaEngineChoice delta_engine = DeltaEngineChoice::kContraction;
 
-  /// OpenMP environment of the re-solves (0 threads = ambient).
+  /// Threads of the re-solves, which are dynamically scheduled like the
+  /// solvers' (§III-D); 0 = ambient, negative throws.
   int num_threads = 0;
-  Scheduling scheduling = Scheduling::kDynamic;
 
   /// Buffered mutations before a flush applies them and re-solves. 1
   /// flushes every mutation immediately.
@@ -173,7 +173,6 @@ class IngestPipeline {
   SparseTensor tensor_;
   TuckerFactorization model_;
   IngestOptions options_;
-  DeltaEngineChoice engine_choice_;  // resolved, never kAuto
 
   std::vector<std::int64_t> strides_;
   // Linearized coordinate → handle of every coordinate live after all

@@ -106,6 +106,38 @@ if(missing_rc EQUAL 0)
     "solve --load-model <missing file> exited 0:\n${missing_out}")
 endif()
 
+# `--variant cache` is the paper's name for `--delta-engine cache`, which
+# `solve` runs like any other engine: the same final error as `decompose`.
+set(cache_flags --selftest --variant cache --max-iters 5 --seed 42)
+execute_process(
+  COMMAND ${PTUCKER_CLI} ${cache_flags}
+  OUTPUT_VARIABLE cache_decompose_out
+  ERROR_VARIABLE cache_decompose_err
+  RESULT_VARIABLE cache_decompose_rc
+)
+execute_process(
+  COMMAND ${PTUCKER_CLI} solve --workers 2 ${cache_flags}
+  OUTPUT_VARIABLE cache_solve_out
+  ERROR_VARIABLE cache_solve_err
+  RESULT_VARIABLE cache_solve_rc
+)
+if(NOT cache_decompose_rc EQUAL 0 OR NOT cache_solve_rc EQUAL 0)
+  message(FATAL_ERROR
+    "--variant cache runs exited with ${cache_decompose_rc} (decompose) and "
+    "${cache_solve_rc} (solve)\n"
+    "decompose stderr:\n${cache_decompose_err}\n"
+    "solve stderr:\n${cache_solve_err}")
+endif()
+string(REGEX MATCH "${final_error_line}" cache_decompose_final
+       "${cache_decompose_out}")
+string(REGEX MATCH "${final_error_line}" cache_solve_final "${cache_solve_out}")
+if(cache_decompose_final STREQUAL ""
+   OR NOT cache_solve_final STREQUAL cache_decompose_final)
+  message(FATAL_ERROR
+    "solve and decompose disagree under --variant cache:\n"
+    "decompose: '${cache_decompose_final}'\nsolve: '${cache_solve_final}'")
+endif()
+
 # gen-stream -> decompose -> replay. Each step must exit 0.
 set(replay_dir ${CMAKE_CURRENT_BINARY_DIR}/cli_smoke_replay)
 file(REMOVE_RECURSE ${replay_dir})

@@ -285,9 +285,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(DeltaEngineTest, CatalogCoversEveryChoiceAndParsesNames) {
-  // One row per enumerator, names round-trip, alias resolves, unknown
-  // names are rejected — the CLI parser and --help both lean on this.
-  EXPECT_EQ(DeltaEngineCatalog().size(), 5u);
+  // One row per enumerator, names round-trip, unknown names are
+  // rejected — the CLI parser and --help both lean on this.
+  EXPECT_EQ(DeltaEngineCatalog().size(), 4u);
   for (const DeltaEngineDescriptor& descriptor : DeltaEngineCatalog()) {
     const DeltaEngineDescriptor* found =
         FindDeltaEngineByName(descriptor.name);
@@ -295,9 +295,6 @@ TEST(DeltaEngineTest, CatalogCoversEveryChoiceAndParsesNames) {
     EXPECT_EQ(found->choice, descriptor.choice);
     EXPECT_STREQ(DeltaEngineChoiceName(descriptor.choice), descriptor.name);
   }
-  const DeltaEngineDescriptor* alias = FindDeltaEngineByName("cached");
-  ASSERT_NE(alias, nullptr);
-  EXPECT_EQ(alias->choice, DeltaEngineChoice::kCached);
   EXPECT_EQ(FindDeltaEngineByName("warp"), nullptr);
 }
 
@@ -589,18 +586,15 @@ TEST(DeltaEngineTest, ModeMajorBudgetTriggersOom) {
   EXPECT_EQ(fits.ByteSize(), full);
 }
 
-TEST(DeltaEngineTest, FactoryResolvesAutoFromVariant) {
+TEST(DeltaEngineTest, FactoryBuildsTheChosenEngine) {
   PTuckerOptions options;
   EXPECT_EQ(ResolveDeltaEngineChoice(options), DeltaEngineChoice::kContraction);
-  options.variant = PTuckerVariant::kCache;
-  EXPECT_EQ(ResolveDeltaEngineChoice(options), DeltaEngineChoice::kCached);
   options.delta_engine = DeltaEngineChoice::kNaive;
   EXPECT_EQ(ResolveDeltaEngineChoice(options), DeltaEngineChoice::kNaive);
 
   Ctx s = MakeCtx(3, 2, 11);
   const auto engine = MakeDeltaEngine(DeltaEngineChoice::kModeMajor, s.x,
                                       s.list, s.factors, nullptr);
-  EXPECT_EQ(engine->kind(), DeltaEngineChoice::kModeMajor);
   EXPECT_STREQ(engine->name(), "modemajor");
   EXPECT_EQ(engine->PreferredBatch(), DeltaEngine::kDeltaChunk);
   // The width parameter is accepted and ignored.

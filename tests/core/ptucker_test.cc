@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,19 +162,21 @@ struct WrapUpConfig {
 };
 
 constexpr WrapUpConfig kWrapUpConfigs[] = {
-    {"auto", DeltaEngineChoice::kAuto, PTuckerVariant::kMemory, false, true},
+    {"contraction", DeltaEngineChoice::kContraction, PTuckerVariant::kMemory,
+     false, true},
     {"naive", DeltaEngineChoice::kNaive, PTuckerVariant::kMemory, false, true},
     {"modemajor", DeltaEngineChoice::kModeMajor, PTuckerVariant::kMemory,
      false, true},
     {"cache", DeltaEngineChoice::kCached, PTuckerVariant::kMemory, false,
      true},
-    {"approx", DeltaEngineChoice::kAuto, PTuckerVariant::kApprox, false, true},
+    {"approx", DeltaEngineChoice::kContraction, PTuckerVariant::kApprox, false,
+     true},
     {"approx+naive", DeltaEngineChoice::kNaive, PTuckerVariant::kApprox, false,
      true},
-    {"update_core", DeltaEngineChoice::kAuto, PTuckerVariant::kMemory, true,
-     true},
-    {"no orthogonalize", DeltaEngineChoice::kAuto, PTuckerVariant::kMemory,
-     false, false},
+    {"update_core", DeltaEngineChoice::kContraction, PTuckerVariant::kMemory,
+     true, true},
+    {"no orthogonalize", DeltaEngineChoice::kContraction,
+     PTuckerVariant::kMemory, false, false},
 };
 
 PTuckerOptions WrapUpOptions(const WrapUpConfig& config, int threads) {
@@ -379,7 +382,7 @@ TEST(PTuckerCacheTest, CacheVariantMatchesMemoryVariant) {
   SparseTensor x = SmallTensor(16);
   PTuckerOptions options = SmallOptions();
   PTuckerResult memory_result = PTuckerDecompose(x, options);
-  options.variant = PTuckerVariant::kCache;
+  options.delta_engine = DeltaEngineChoice::kCached;
   PTuckerResult cache_result = PTuckerDecompose(x, options);
   EXPECT_NEAR(memory_result.final_error, cache_result.final_error, 1e-8);
   for (std::size_t k = 0; k < 3; ++k) {
@@ -392,7 +395,7 @@ TEST(PTuckerCacheTest, CacheChargesOmegaCoreMemory) {
   SparseTensor x = SmallTensor(17);
   MemoryTracker tracker;
   PTuckerOptions options = SmallOptions();
-  options.variant = PTuckerVariant::kCache;
+  options.delta_engine = DeltaEngineChoice::kCached;
   options.tracker = &tracker;
   PTuckerDecompose(x, options);
   // Theorem 6: O(|Ω|·|G|) intermediate data.
@@ -405,7 +408,7 @@ TEST(PTuckerCacheTest, CacheOverBudgetThrowsOom) {
   SparseTensor x = SmallTensor(18);
   MemoryTracker tracker(1024);
   PTuckerOptions options = SmallOptions();
-  options.variant = PTuckerVariant::kCache;
+  options.delta_engine = DeltaEngineChoice::kCached;
   options.tracker = &tracker;
   EXPECT_THROW(PTuckerDecompose(x, options), OutOfMemoryBudget);
 }
@@ -451,18 +454,21 @@ TEST(PTuckerCoreUpdateTest, WorksCombinedWithCacheVariant) {
   options.max_iterations = 3;
   options.update_core = true;
   PTuckerResult plain = PTuckerDecompose(x, options);
-  options.variant = PTuckerVariant::kCache;
+  options.delta_engine = DeltaEngineChoice::kCached;
   PTuckerResult cached = PTuckerDecompose(x, options);
   EXPECT_NEAR(plain.final_error, cached.final_error, 1e-7);
 }
 
-// Property sweep: all variants on tensors of different orders stay finite
-// and monotone.
+// Property sweep: all variants (P-TUCKER-CACHE as the cached engine) on
+// tensors of different orders stay finite and monotone.
+using VariantAndEngine = std::pair<PTuckerVariant, DeltaEngineChoice>;
+
 class PTuckerVariantSweep
-    : public ::testing::TestWithParam<std::tuple<int, PTuckerVariant>> {};
+    : public ::testing::TestWithParam<std::tuple<int, VariantAndEngine>> {};
 
 TEST_P(PTuckerVariantSweep, MonotoneAndFinite) {
-  const auto [order, variant] = GetParam();
+  const auto [order, variant_and_engine] = GetParam();
+  const auto [variant, engine] = variant_and_engine;
   Rng rng(100 + order);
   std::int64_t total = 1;
   for (int k = 0; k < order; ++k) total *= 8;
@@ -472,6 +478,7 @@ TEST_P(PTuckerVariantSweep, MonotoneAndFinite) {
   options.core_dims.assign(static_cast<std::size_t>(order), 2);
   options.max_iterations = 4;
   options.variant = variant;
+  options.delta_engine = engine;
   PTuckerResult result = PTuckerDecompose(x, options);
   EXPECT_TRUE(std::isfinite(result.final_error));
   for (std::size_t i = 1; i < result.iterations.size(); ++i) {
@@ -484,9 +491,13 @@ TEST_P(PTuckerVariantSweep, MonotoneAndFinite) {
 INSTANTIATE_TEST_SUITE_P(
     OrdersAndVariants, PTuckerVariantSweep,
     ::testing::Combine(::testing::Values(2, 3, 4, 5),
-                       ::testing::Values(PTuckerVariant::kMemory,
-                                         PTuckerVariant::kCache,
-                                         PTuckerVariant::kApprox)));
+                       ::testing::Values(
+                           VariantAndEngine{PTuckerVariant::kMemory,
+                                            DeltaEngineChoice::kContraction},
+                           VariantAndEngine{PTuckerVariant::kMemory,
+                                            DeltaEngineChoice::kCached},
+                           VariantAndEngine{PTuckerVariant::kApprox,
+                                            DeltaEngineChoice::kContraction})));
 
 }  // namespace
 }  // namespace ptucker

@@ -132,7 +132,7 @@ TEST(SamplingTest, WorksWithCacheVariant) {
   options.max_iterations = 4;
   options.sample_rate = 0.5;
   PTuckerResult plain = PTuckerDecompose(x, options);
-  options.variant = PTuckerVariant::kCache;
+  options.delta_engine = DeltaEngineChoice::kCached;
   PTuckerResult cached = PTuckerDecompose(x, options);
   // Same subsample stream (seeded by iteration/mode/row) -> same result.
   EXPECT_NEAR(plain.final_error, cached.final_error, 1e-7);

@@ -479,8 +479,8 @@ TEST_P(OracleRemovalSet, EveryTruncationRemovesTheOraclesSet) {
   options.variant = PTuckerVariant::kApprox;
   AlsModel model = InitAlsModel(x, options);
   const std::unique_ptr<DeltaEngine> engine =
-      MakeDeltaEngine(ResolveDeltaEngineChoice(options), x, model.core_list,
-                      model.factors, nullptr);
+      MakeDeltaEngine(options.delta_engine, x, model.core_list, model.factors,
+                      nullptr);
   RowUpdateOptions row_options;
   row_options.lambda = options.lambda;
   row_options.seed = options.seed;

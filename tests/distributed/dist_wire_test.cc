@@ -182,6 +182,44 @@ TEST(DistWireTest, RowBlockSizeMismatchRejected) {
   EXPECT_NE(error.find("want"), std::string::npos) << error;
 }
 
+TEST(DistWireTest, RowBlockSizeOverflowRejected) {
+  // Header-only payloads whose row_count · cols · 8 overflows: the parser
+  // must refuse them before sizing anything from the header.
+  struct Header {
+    std::int64_t row_count;
+    std::uint32_t cols;
+  };
+  for (const Header& header : {Header{std::int64_t{1} << 61, 1u},
+                               Header{std::int64_t{1} << 33, 1u << 31}}) {
+    std::vector<std::uint8_t> payload;
+    AppendU32(&payload, 0);          // mode
+    AppendI64(&payload, 0);          // row_begin
+    AppendI64(&payload, header.row_count);
+    AppendU32(&payload, header.cols);
+    ASSERT_EQ(payload.size(), 24u);
+    DistRowBlock block;
+    std::string error;
+    EXPECT_FALSE(ParseRowBlock(payload, &block, &error));
+    EXPECT_NE(error.find("row_count " + std::to_string(header.row_count)),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("cols " + std::to_string(header.cols)),
+              std::string::npos)
+        << error;
+    EXPECT_TRUE(block.values.empty());
+  }
+}
+
+TEST(DistWireTest, DoubleVectorSizeErrorNamesTheFullWant) {
+  // The wanted size of a 2^32 − 1 element vector does not fit 32 bits.
+  std::vector<std::uint8_t> payload;
+  AppendU32(&payload, 0xffffffffu);
+  std::vector<double> values;
+  std::string error;
+  EXPECT_FALSE(ParseDoubleVector(payload, &values, &error));
+  EXPECT_NE(error.find("want 34359738364 "), std::string::npos) << error;
+}
+
 TEST(DistWireTest, DoubleVectorRoundTripIsBitExact) {
   const std::vector<double> values = {0.1, -2.5e300, 3.0 / 7.0, 0.0};
   std::vector<double> decoded;

@@ -40,7 +40,7 @@ TEST_F(VariantEquivalence, CacheIsExactlyEquivalent) {
   options.core_dims = {3, 3, 3};
   options.max_iterations = 6;
   PTuckerResult memory_run = PTuckerDecompose(workload_.train, options);
-  options.variant = PTuckerVariant::kCache;
+  options.delta_engine = DeltaEngineChoice::kCached;
   PTuckerResult cache_run = PTuckerDecompose(workload_.train, options);
   // Same iterates to fp tolerance across the whole trajectory.
   ASSERT_EQ(memory_run.iterations.size(), cache_run.iterations.size());

@@ -118,6 +118,19 @@ run(bad_engine_out 2 --selftest --delta-engine tiled)
 if(NOT bad_engine_out MATCHES "unknown --delta-engine")
   message(FATAL_ERROR "removed tiled engine not refused in:\n${bad_engine_out}")
 endif()
+run(retired_auto_out 2 --selftest --delta-engine auto)
+if(NOT retired_auto_out MATCHES "unknown --delta-engine: auto")
+  message(FATAL_ERROR "retired auto engine not refused in:\n${retired_auto_out}")
+endif()
+# `--variant cache` spells `--delta-engine cache`; naming another engine
+# beside it is a flag conflict that names both flags.
+run(cache_conflict_out 2 --selftest --variant cache --delta-engine naive)
+if(NOT cache_conflict_out MATCHES "--variant cache"
+   OR NOT cache_conflict_out MATCHES "--delta-engine naive")
+  message(FATAL_ERROR
+    "--variant cache beside --delta-engine naive not refused in:\n"
+    "${cache_conflict_out}")
+endif()
 run(bad_nprobe_out 2 topk --load-model ${model_path} --mode 2 --index 3,1,5
     --topk-nprobe maybe)
 if(NOT bad_nprobe_out MATCHES "bad --topk-nprobe value")

@@ -346,6 +346,21 @@ TEST(IngestPipelineTest, RejectsNegativeOrNonFiniteLambda) {
   }
 }
 
+TEST(IngestPipelineTest, RejectsNegativeThreadCount) {
+  const SparseTensor initial = MakeInitial(45);
+  const TuckerFactorization model = MakeModel(initial, 46);
+  IngestOptions options;
+  options.num_threads = -1;
+  try {
+    IngestPipeline pipeline(initial, model, options);
+    ADD_FAILURE() << "accepted num_threads -1";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("num_threads"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(IngestPipelineTest, OmegaMatchesReplayAtEveryBatchLength) {
   // Entry ids are found by handle rank, so Ω must come out the same
   // whether every delete compacts on its own (flush_every 1) or the whole

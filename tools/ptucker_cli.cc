@@ -26,12 +26,13 @@
 //   --input PATH          input tensor (.tns, 1-based indices)
 //   --ranks J1,J2,...     core dimensionality per mode (or --rank J)
 //   --method NAME         ptucker (default) | hooi | shot | csf | wopt | cp
-//   --variant NAME        memory (default) | cache | approx  (ptucker only)
-//   --delta-engine NAME   δ-computation engine; the accepted names and
-//                         their one-line summaries come from
-//                         DeltaEngineCatalog() (core/delta_engine.h) and
-//                         are printed by --help — parser and help share
-//                         that one table so they cannot drift
+//   --variant NAME        memory (default) | cache | approx  (ptucker only;
+//                         cache = --delta-engine cache)
+//   --delta-engine NAME   δ-computation engine (default contraction); the
+//                         accepted names and their one-line summaries come
+//                         from DeltaEngineCatalog() (core/delta_engine.h)
+//                         and are printed by --help — parser and help
+//                         share that one table so they cannot drift
 //   --lambda X            L2 regularization (default 0.01)
 //   --max-iters N         maximum ALS iterations (default 20)
 //   --tolerance X         relative-error convergence (default 1e-4)
@@ -95,6 +96,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,7 +177,7 @@ struct CliConfig {
   std::string output_dir;
   std::string method = "ptucker";
   std::string variant = "memory";
-  std::string delta_engine = "auto";
+  std::optional<std::string> delta_engine;  // unset = contraction
   std::vector<std::int64_t> ranks;
   std::int64_t uniform_rank = 0;
   double lambda = 0.01;
@@ -258,16 +260,13 @@ void PrintUsageAndExit() {
   }
   std::printf(
       "\nmethods:  ptucker (default) hooi shot csf wopt cp\n"
-      "variants: memory (default) cache approx\n");
+      "variants: memory (default) cache approx (cache = --delta-engine "
+      "cache)\n");
   // The engine list is generated from DeltaEngineCatalog() — the same
   // table the parser consults — so help and parser cannot drift.
-  std::printf("engines (--delta-engine NAME; default auto):\n");
+  std::printf("engines (--delta-engine NAME; default contraction):\n");
   for (const DeltaEngineDescriptor& engine : DeltaEngineCatalog()) {
-    std::string name = engine.name;
-    if (engine.alias != nullptr) {
-      name += std::string(" (or ") + engine.alias + ")";
-    }
-    std::printf("  %-18s %s\n", name.c_str(), engine.summary);
+    std::printf("  %-18s %s\n", engine.name, engine.summary);
   }
   std::printf(
       "options:  --lambda --max-iters --tolerance --truncation-rate\n"
@@ -748,6 +747,27 @@ int RunGenStream(const CliConfig& config) {
   return 0;
 }
 
+// The δ-engine of decompose, solve and replay. `--variant cache` is the
+// paper's name for `--delta-engine cache` (§III-C), so naming another
+// engine beside it is a flag conflict. Engine names resolve through the
+// same catalog --help prints.
+DeltaEngineChoice DeltaEngineFromFlags(const CliConfig& config) {
+  if (config.variant != "memory" && config.variant != "cache" &&
+      config.variant != "approx") {
+    Fail("unknown --variant: " + config.variant);
+  }
+  const bool cache = config.variant == "cache";
+  const std::string name = config.delta_engine.value_or(
+      cache ? "cache" : DeltaEngineChoiceName(PTuckerOptions().delta_engine));
+  const DeltaEngineDescriptor* engine = FindDeltaEngineByName(name);
+  if (engine == nullptr) Fail("unknown --delta-engine: " + name);
+  if (cache && engine->choice != DeltaEngineChoice::kCached) {
+    Fail("--variant cache runs the cache delta-engine; it conflicts with "
+         "--delta-engine " + name);
+  }
+  return engine->choice;
+}
+
 // replay: stream an event log through the ingest pipeline over the
 // stream's initial tensor and a model fitted to it. With
 // --checkpoint-dir the run is durable and resumable: an existing
@@ -776,12 +796,7 @@ int RunReplay(const CliConfig& config) {
 
   IngestOptions options;
   options.lambda = config.lambda;
-  const DeltaEngineDescriptor* engine =
-      FindDeltaEngineByName(config.delta_engine);
-  if (engine == nullptr) {
-    Fail("unknown --delta-engine: " + config.delta_engine);
-  }
-  options.delta_engine = engine->choice;
+  options.delta_engine = DeltaEngineFromFlags(config);
   options.num_threads = config.threads;
   options.flush_every = config.flush_every;
   options.checkpoint_every = config.checkpoint_every;
@@ -873,10 +888,6 @@ int Run(const CliConfig& config) {
   if (solve && config.method != "ptucker") {
     Fail("solve supports --method ptucker only");
   }
-  if (solve && config.variant != "memory") {
-    Fail("solve supports --variant memory only (got '" + config.variant +
-         "')");
-  }
   SparseTensor x;
   if (config.selftest) {
     Rng rng(7);
@@ -947,23 +958,10 @@ int Run(const CliConfig& config) {
     options.num_threads = config.threads;
     options.seed = config.seed;
     options.update_core = config.update_core;
-    if (config.variant == "memory") {
-      options.variant = PTuckerVariant::kMemory;
-    } else if (config.variant == "cache") {
-      options.variant = PTuckerVariant::kCache;
-    } else if (config.variant == "approx") {
-      options.variant = PTuckerVariant::kApprox;
-    } else {
-      Fail("unknown --variant: " + config.variant);
-    }
+    options.delta_engine = DeltaEngineFromFlags(config);
+    options.variant = config.variant == "approx" ? PTuckerVariant::kApprox
+                                                 : PTuckerVariant::kMemory;
     if (has_warm_start) options.init_snapshot = &warm_start;
-    // Engine names resolve through the same catalog --help prints.
-    const DeltaEngineDescriptor* engine =
-        FindDeltaEngineByName(config.delta_engine);
-    if (engine == nullptr) {
-      Fail("unknown --delta-engine: " + config.delta_engine);
-    }
-    options.delta_engine = engine->choice;
     if (solve) {
       DistOptions dist;
       dist.workers = config.dist_workers;
