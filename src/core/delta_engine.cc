@@ -5,8 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 
+#include "core/contraction_walk.h"
 #include "util/logging.h"
 
 namespace ptucker {
@@ -442,37 +442,6 @@ std::int64_t SaturatingProduct(std::int64_t a, std::int64_t b) {
   return a * b;
 }
 
-// acc[j] += prefix·(subtree sum, lane j) over the level-`level` nodes
-// [begin, end): each node multiplies its factor value into the running
-// product once, and each leaf adds its Jn lanes scaled by that product.
-// kRank > 0 fixes Jn at compile time (unrolled lanes); kRank = 0 reads it
-// from `rank`.
-template <int kRank>
-void WalkTree(const std::vector<std::vector<std::int32_t>>& coords,
-              const std::vector<std::vector<std::int64_t>>& child,
-              const double* const* rows, const double* values,
-              std::int64_t rank, std::size_t level, std::int64_t begin,
-              std::int64_t end, double prefix, double* acc) {
-  const std::int32_t* coord = coords[level].data();
-  const double* row = rows[level];
-  if (level + 1 == coords.size()) {
-    const std::int64_t lanes = kRank > 0 ? kRank : rank;
-    for (std::int64_t leaf = begin; leaf < end; ++leaf) {
-      const double product = prefix * row[coord[leaf]];
-      const double* lane = values + leaf * lanes;
-      PTUCKER_OMP_SIMD
-      for (std::int64_t j = 0; j < lanes; ++j) acc[j] += product * lane[j];
-    }
-    return;
-  }
-  const std::int64_t* children = child[level].data();
-  for (std::int64_t node = begin; node < end; ++node) {
-    WalkTree<kRank>(coords, child, rows, values, rank, level + 1,
-                    children[node], children[node + 1],
-                    prefix * row[coord[node]], acc);
-  }
-}
-
 }  // namespace
 
 ContractionDeltaEngine::ContractionDeltaEngine(
@@ -722,64 +691,18 @@ void ContractionDeltaEngine::DeltaBatch(
     double* deltas) const {
   const ModePlan& plan = plans_[static_cast<std::size_t>(mode)];
   const std::int64_t rank = factors()[static_cast<std::size_t>(mode)].cols();
-  const std::size_t memo_count = plan.memo.size();
-  const std::int64_t* memo = plan.memo.data();
-  const std::int64_t* strides = plan.strides.data();
-  const std::int64_t table_size = plan.leaves * rank;
-  // The leaf array of the entry's short-mode tuple.
-  const auto leaf_values = [&](const std::int64_t* entry_index) {
-    std::int64_t table = 0;
-    for (std::size_t s = 0; s < memo_count; ++s) {
-      table += entry_index[memo[s]] * strides[s];
-    }
-    return plan.values.data() + table * table_size;
-  };
+  const LeafArrays leaves{plan.values.data(), plan.memo.data(),
+                          plan.strides.data(), plan.memo.size(),
+                          plan.leaves * rank};
   if (plan.levels.empty()) {
     for (std::int64_t i = 0; i < count; ++i) {
-      const double* values = leaf_values(entry_indices[i]);
+      const double* values = leaves.Of(entry_indices[i]);
       std::copy(values, values + rank, deltas + i * rank);
     }
     return;
   }
-  // Level l reads row entry_index[levels[l]] of that mode's factor.
-  const std::size_t depth = plan.levels.size();
-  std::int64_t level_modes[kMaxOrder];
-  const double* bases[kMaxOrder];
-  std::int64_t widths[kMaxOrder];
-  for (std::size_t l = 0; l < depth; ++l) {
-    level_modes[l] = plan.levels[l];
-    const FactorView& factor =
-        factors()[static_cast<std::size_t>(level_modes[l])];
-    bases[l] = factor.data();
-    widths[l] = factor.cols();
-  }
-  const std::int64_t roots =
-      static_cast<std::int64_t>(plan.tree.fids[0].size());
-  const auto walk = [&](auto lanes) {
-    for (std::int64_t i = 0; i < count; ++i) {
-      const std::int64_t* entry_index = entry_indices[i];
-      const double* rows[kMaxOrder];
-      for (std::size_t l = 0; l < depth; ++l) {
-        rows[l] = bases[l] + static_cast<std::size_t>(
-                                 entry_index[level_modes[l]] * widths[l]);
-      }
-      double* delta = deltas + i * rank;
-      std::fill(delta, delta + rank, 0.0);
-      WalkTree<decltype(lanes)::value>(plan.tree.fids, plan.tree.fptr, rows,
-                                       leaf_values(entry_index), rank, 0, 0,
-                                       roots, 1.0, delta);
-    }
-  };
-  switch (rank) {
-    case 1: walk(std::integral_constant<int, 1>()); break;
-    case 2: walk(std::integral_constant<int, 2>()); break;
-    case 3: walk(std::integral_constant<int, 3>()); break;
-    case 4: walk(std::integral_constant<int, 4>()); break;
-    case 5: walk(std::integral_constant<int, 5>()); break;
-    case 6: walk(std::integral_constant<int, 6>()); break;
-    case 8: walk(std::integral_constant<int, 8>()); break;
-    default: walk(std::integral_constant<int, 0>()); break;
-  }
+  WalkContractionTree(plan.tree, plan.levels, factors(), leaves, rank, count,
+                      entry_indices, deltas);
 }
 
 double ContractionDeltaEngine::Reconstruct(

@@ -366,9 +366,12 @@ class ContractionDeltaEngine final : public DeltaEngine {
   /// DeltaBatch(1, …): one entry's δ.
   void ComputeDelta(std::int64_t entry, const std::int64_t* entry_index,
                     std::int64_t mode, double* delta) const override;
-  /// Looks up the plan, the memo strides, each tree level's factor and
-  /// the rank dispatch once per call, then walks the tree once per entry,
-  /// in entry order.
+  /// Looks up the plan and the memo strides once per call, then walks the
+  /// mode's tree for the whole batch (WalkContractionTree,
+  /// core/contraction_walk.h): trees of depth 2-4 at Jn ≤ 4 four entries
+  /// at once and at Jn ∈ {5, 6, 8} two at once. Every entry sees the same
+  /// operations in the same order on every path, so δ does not depend on
+  /// the batch.
   void DeltaBatch(std::int64_t count, const std::int64_t* entries,
                   const std::int64_t* const* entry_indices, std::int64_t mode,
                   double* deltas) const override;

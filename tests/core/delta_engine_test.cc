@@ -1116,6 +1116,180 @@ TEST(ContractionEngineTest, ReconstructBatchMatchesReconstruct) {
   EXPECT_TRUE(generic_rank);
 }
 
+// Cuts the probes (every observed entry, then each shifted one step along
+// every mode) into consecutive chunks of each count and asserts, bit for
+// bit, that DeltaBatch over a chunk equals ComputeDelta per entry on every
+// mode, that ReconstructBatch over a chunk equals Reconstruct per entry,
+// and that neither writes past its chunk. Chunks of W − 1, W and W + 1
+// put every probe in every position of the multi-entry walk.
+void ExpectChunksMatchOneEntryWalk(const SparseTensor& x,
+                                   const ContractionDeltaEngine& engine,
+                                   const std::vector<Matrix>& factors,
+                                   const std::string& where) {
+  const std::int64_t order = x.order();
+  std::vector<std::int64_t> shifted(static_cast<std::size_t>(x.nnz() * order));
+  std::vector<std::int64_t> entries;
+  std::vector<const std::int64_t*> probes;
+  for (std::int64_t e = 0; e < x.nnz(); ++e) {
+    entries.push_back(e);
+    probes.push_back(x.index(e));
+    std::int64_t* index = shifted.data() + e * order;
+    for (std::int64_t k = 0; k < order; ++k) {
+      index[k] = (x.index(e)[k] + 1) % x.dim(k);
+    }
+  }
+  for (std::int64_t e = 0; e < x.nnz(); ++e) {
+    entries.push_back(-1);
+    probes.push_back(shifted.data() + e * order);
+  }
+  const std::int64_t n_probes = static_cast<std::int64_t>(probes.size());
+  ASSERT_GT(n_probes, 65) << where;
+  constexpr std::int64_t kCounts[] = {0, 1, 2, 3, 4, 5, 63, 64, 65};
+  std::vector<double> single;
+  for (std::int64_t mode = 0; mode < order; ++mode) {
+    const std::int64_t rank = factors[static_cast<std::size_t>(mode)].cols();
+    single.assign(static_cast<std::size_t>(n_probes * rank), 0.0);
+    for (std::int64_t p = 0; p < n_probes; ++p) {
+      const std::size_t i = static_cast<std::size_t>(p);
+      engine.ComputeDelta(entries[i], probes[i], mode,
+                          single.data() + p * rank);
+    }
+    for (const std::int64_t count : kCounts) {
+      std::vector<double> batched(static_cast<std::size_t>((count + 1) * rank));
+      // Count 0 is one empty call; every other count covers all probes.
+      for (std::int64_t first = 0; count == 0 ? first == 0 : first < n_probes;
+           first += std::max<std::int64_t>(count, 1)) {
+        const std::int64_t chunk = std::min(count, n_probes - first);
+        std::fill(batched.begin(), batched.end(), 7.0);
+        engine.DeltaBatch(chunk, entries.data() + first, probes.data() + first,
+                          mode, batched.data());
+        for (std::int64_t v = 0; v < chunk * rank; ++v) {
+          ASSERT_EQ(Bits(batched[static_cast<std::size_t>(v)]),
+                    Bits(single[static_cast<std::size_t>(first * rank + v)]))
+              << where << ": mode " << mode << " chunks of " << count
+              << " probe " << first + v / rank << " lane " << v % rank;
+        }
+        for (std::int64_t v = chunk * rank; v < (count + 1) * rank; ++v) {
+          ASSERT_EQ(batched[static_cast<std::size_t>(v)], 7.0)
+              << where << ": mode " << mode << " chunk of " << chunk
+              << " wrote past its end";
+        }
+      }
+    }
+  }
+
+  std::vector<double> reconstructed(static_cast<std::size_t>(n_probes));
+  for (std::int64_t p = 0; p < n_probes; ++p) {
+    reconstructed[static_cast<std::size_t>(p)] =
+        engine.Reconstruct(probes[static_cast<std::size_t>(p)]);
+  }
+  for (const std::int64_t count : kCounts) {
+    std::vector<double> batched(static_cast<std::size_t>(count + 1));
+    for (std::int64_t first = 0; count == 0 ? first == 0 : first < n_probes;
+         first += std::max<std::int64_t>(count, 1)) {
+      const std::int64_t chunk = std::min(count, n_probes - first);
+      std::fill(batched.begin(), batched.end(), 7.0);
+      engine.ReconstructBatch(chunk, probes.data() + first, batched.data());
+      for (std::int64_t i = 0; i < chunk; ++i) {
+        ASSERT_EQ(Bits(batched[static_cast<std::size_t>(i)]),
+                  Bits(reconstructed[static_cast<std::size_t>(first + i)]))
+            << where << ": x-hat, chunks of " << count << " probe "
+            << first + i;
+      }
+      EXPECT_EQ(batched[static_cast<std::size_t>(chunk)], 7.0)
+          << where << ": x-hat chunk of " << chunk << " wrote past its end";
+    }
+  }
+}
+
+TEST(ContractionEngineTest, FixedDepthWalkMatchesOneEntryWalk) {
+  // DeltaBatch walks trees of depth 2-4 at the unrolled ranks W entries
+  // abreast (W = 4 at Jn ≤ 4, W = 2 at Jn ≤ 8), the rest of a chunk one
+  // entry at a time; depth 1 walks one entry at a time by the same nest,
+  // and depth 5+ and the generic rank recursively. ComputeDelta and
+  // Reconstruct take the one-entry path, so chunks of every size must
+  // reproduce them bit for bit. Orders 3-7 give
+  // tree depths 1-6; mode 0 carries the rank under test (1-9) and the
+  // others rank 2, so every rank meets every width. Dense and truncated
+  // cores, each state after a hook checked again.
+  // Short modes of 3 and 4 rows get memoized; with only long modes no
+  // mode is, and every tree is order − 1 deep.
+  const std::vector<std::vector<std::int64_t>> shapes = {
+      {30, 3, 25},         {30, 25, 20},
+      {30, 3, 25, 4},      {30, 25, 20, 22},
+      {30, 3, 25, 4, 20},  {30, 25, 20, 22, 28},
+      {30, 25, 20, 22, 28, 24},
+      {30, 3, 25, 20, 22, 28, 24},
+  };
+  std::set<std::int64_t> depths;
+  std::set<std::pair<std::int64_t, std::int64_t>> walked;  // (depth, Jn)
+  std::uint64_t seed = 2000;
+  for (const std::vector<std::int64_t>& dims : shapes) {
+    const std::int64_t order = static_cast<std::int64_t>(dims.size());
+    for (std::int64_t rank = 1; rank <= 9; ++rank) {
+      std::vector<std::int64_t> ranks(dims.size(), 2);
+      ranks[0] = rank;
+      Ctx s = MakeShapedCtx(dims, ranks, 100, ++seed);
+      ContractionDeltaEngine engine(s.x, s.list, s.factors, nullptr);
+      const std::string where = "order " + std::to_string(order) + " rank " +
+                                std::to_string(rank);
+      const auto check = [&](const std::string& state) {
+        for (std::int64_t n = 0; n < order; ++n) {
+          const auto memoized =
+              static_cast<std::int64_t>(engine.memo_modes(n).size());
+          const std::int64_t depth = order - 1 - memoized;
+          depths.insert(depth);
+          walked.insert({depth, s.factors[static_cast<std::size_t>(n)].cols()});
+        }
+        ExpectChunksMatchOneEntryWalk(s.x, engine, s.factors,
+                                      where + " " + state);
+      };
+      check("dense core");
+
+      Rng rng(seed + 500);
+      const auto update_factor = [&](std::int64_t mode) {
+        Matrix& factor = s.factors[static_cast<std::size_t>(mode)];
+        const Matrix old_factor = factor;
+        for (std::int64_t i = 0; i < factor.size(); ++i) {
+          factor.data()[i] = rng.Uniform(-1.0, 1.0);
+        }
+        engine.OnFactorUpdated(mode, old_factor);
+      };
+      // A memoized mode when there is one, else mode 1.
+      const std::int64_t updated = engine.memo_modes(0).empty()
+                                       ? std::int64_t{1}
+                                       : engine.memo_modes(0).front();
+      update_factor(updated);
+      check("after a factor update");
+
+      for (std::int64_t linear = 0; linear < s.core.size(); ++linear) {
+        s.core[linear] = linear % 5 == 2 ? -0.0 : rng.Uniform(-0.5, 0.5);
+      }
+      s.list.RefreshValues(s.core);
+      engine.OnCoreValuesChanged();
+      check("after new core values");
+
+      if (s.list.size() > 1) {
+        std::vector<char> remove(static_cast<std::size_t>(s.list.size()), 0);
+        for (std::size_t b = 0; b < remove.size(); b += 3) remove[b] = 1;
+        s.list.Remove(remove, &s.core);
+        engine.OnCoreEntriesRemoved(remove);
+        check("truncated core");
+        update_factor(updated);
+        check("truncated core after a factor update");
+      }
+    }
+  }
+  // Order 7's one short mode memoizes nothing, so depth 6 runs as well.
+  EXPECT_EQ(depths, (std::set<std::int64_t>{1, 2, 3, 4, 5, 6}));
+  for (std::int64_t depth = 1; depth <= 4; ++depth) {
+    for (std::int64_t rank = 1; rank <= 9; ++rank) {
+      EXPECT_EQ(walked.count({depth, rank}), 1u)
+          << "no mode walked a depth-" << depth << " tree at rank " << rank;
+    }
+  }
+}
+
 TEST(ContractionEngineTest, ParallelRefillsAreBitIdenticalAcrossThreadCounts) {
   // The leaf arrays fill in parallel in the constructor and in every
   // refill hook. An engine built and refilled at 1 thread and one at 4

@@ -3,7 +3,9 @@
 # --save-model snapshot with file(SHA256) and compares the digests with
 # tests/golden/digests.txt. The matrix covers `decompose --selftest` for
 # every variant and delta-engine (with and without --update-core), every
-# baseline --method, `solve --workers 3` and `replay` of a gen-stream log.
+# baseline --method, `solve --workers 3`, `replay` of a gen-stream log and
+# an order-5 input (tests/golden/order5.tns) whose contraction trees are 3
+# and 4 levels deep.
 #
 # Rows that must produce the same model (thread counts, worker counts,
 # solve vs decompose, the naive and mode-major engines, the auto engine
@@ -147,6 +149,19 @@ set(replay replay --input ${stream_dir}/initial.tns
     --load-model ${WORK_DIR}/stream-fit.ptks --events ${stream_dir}/stream.log)
 golden_row(stream-replay stream-replay ${replay} ${t1})
 golden_row(stream-replay stream-replay-t3 ${replay} ${t3})
+
+# An order-5 input: at ranks 4^5 one mode's contraction tree is 3 levels
+# deep and the other four are 4 deep.
+get_filename_component(golden_dir ${DIGESTS} DIRECTORY)
+set(order5 --input ${golden_dir}/order5.tns --ranks 4,4,4,4,4 --seed 42
+    --max-iters 3 --quiet)
+golden_row(order5-contraction order5-memory ${order5} ${t1})
+golden_row(order5-contraction order5-memory-t3 ${order5} ${t3})
+golden_row(order5-contraction order5-solve-w3
+           solve ${order5} ${t1} --workers 3)
+golden_row(order5-approx order5-approx ${order5} ${t1} --variant approx)
+golden_row(order5-approx order5-approx-t3 ${order5} ${t3} --variant approx)
+golden_row(order5-naive order5-naive ${order5} ${t1} --delta-engine naive)
 
 # One line per group: every row of a group must have produced one model.
 set(table "")

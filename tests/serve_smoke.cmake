@@ -136,6 +136,18 @@ run(bad_nprobe_out 2 topk --load-model ${model_path} --mode 2 --index 3,1,5
 if(NOT bad_nprobe_out MATCHES "bad --topk-nprobe value")
   message(FATAL_ERROR "missing nprobe validation in:\n${bad_nprobe_out}")
 endif()
+# Numeric flags read the whole token: a trailing suffix, a fraction for an
+# integer, a sign the type cannot hold and a non-number all exit 2 naming
+# the flag and the token, before any solve runs.
+foreach(case "--max-iters;2x" "--threads;1.5" "--seed;-1" "--lambda;abc")
+  list(GET case 0 flag)
+  list(GET case 1 token)
+  run(bad_number_out 2 --selftest ${flag} ${token})
+  if(NOT bad_number_out MATCHES "bad ${flag} value '${token}'")
+    message(FATAL_ERROR
+      "${flag} ${token} not refused by name in:\n${bad_number_out}")
+  endif()
+endforeach()
 
 # 7. Serving-flag validation: every serve knob dies at the flag parser
 # with exit code 2 and a message naming the flag — before any socket or

@@ -90,11 +90,14 @@
 //   --metrics-log-ms N    serve: log one compact metrics line every N ms
 //                         (0 = off, the default; [0, 3600000])
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -292,6 +295,37 @@ void PrintUsageAndExit() {
   std::exit(0);
 }
 
+// The whole of `token` as an integer of type T in [min, max]. Anything
+// else — trailing characters, a fraction, a sign T cannot hold, a value
+// out of range — exits 2, naming `flag` and the token.
+template <typename T>
+T ParseInteger(const std::string& token, const std::string& flag,
+               T min = std::numeric_limits<T>::min(),
+               T max = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, value);
+  if (token.empty() || error != std::errc() || stop != end || value < min ||
+      value > max) {
+    Fail("bad " + flag + " value '" + token + "' (an integer in [" +
+         std::to_string(min) + ", " + std::to_string(max) + "] expected)");
+  }
+  return value;
+}
+
+// The whole of `token` as a finite double; anything else exits 2, naming
+// `flag` and the token.
+double ParseDouble(const std::string& token, const std::string& flag) {
+  double value = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, value);
+  if (token.empty() || error != std::errc() || stop != end ||
+      !std::isfinite(value)) {
+    Fail("bad " + flag + " value '" + token + "' (a finite number expected)");
+  }
+  return value;
+}
+
 // Comma-separated list of positive integers (--ranks, --index).
 std::vector<std::int64_t> ParseIntList(const std::string& spec,
                                        const char* flag) {
@@ -305,13 +339,7 @@ std::vector<std::int64_t> ParseIntList(const std::string& spec,
     if (token.empty()) {
       Fail(std::string("bad ") + flag + " value: '" + spec + "'");
     }
-    char* end = nullptr;
-    const long value = std::strtol(token.c_str(), &end, 10);
-    if (*end != '\0' || value < 1) {
-      Fail("bad value '" + token + "' in " + flag +
-           " (positive integers expected)");
-    }
-    values.push_back(value);
+    values.push_back(ParseInteger<std::int64_t>(token, flag, 1));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -350,8 +378,14 @@ CliConfig ParseArgs(int argc, char** argv) {
     if (i + 1 >= argc) Fail(std::string("missing value for ") + argv[i]);
     return argv[++i];
   };
+  std::string arg;
+  // The value of flag `arg` as an int64 or a finite double (exit 2 if not).
+  const auto integer = [&](int& i) {
+    return ParseInteger<std::int64_t>(need_value(i), arg);
+  };
+  const auto number = [&](int& i) { return ParseDouble(need_value(i), arg); };
   for (int i = first_flag; i < argc; ++i) {
-    std::string arg = argv[i];
+    arg = argv[i];
     has_inline_value = false;
     if (arg.empty() || arg[0] != '-') {
       // `stats` is the one subcommand with a positional operand: the
@@ -380,78 +414,72 @@ CliConfig ParseArgs(int argc, char** argv) {
     else if (arg == "--delta-engine") config.delta_engine = need_value(i);
     else if (arg == "--ranks")
       config.ranks = ParseIntList(need_value(i), "--ranks");
-    else if (arg == "--rank") config.uniform_rank = std::stoll(need_value(i));
-    else if (arg == "--lambda") config.lambda = std::stod(need_value(i));
-    else if (arg == "--max-iters") config.max_iters = std::stoi(need_value(i));
-    else if (arg == "--tolerance") config.tolerance = std::stod(need_value(i));
+    else if (arg == "--rank") config.uniform_rank = integer(i);
+    else if (arg == "--lambda") config.lambda = number(i);
+    else if (arg == "--max-iters")
+      config.max_iters = ParseInteger<int>(need_value(i), arg);
+    else if (arg == "--tolerance") config.tolerance = number(i);
     else if (arg == "--truncation-rate")
-      config.truncation_rate = std::stod(need_value(i));
+      config.truncation_rate = number(i);
     else if (arg == "--sample-rate")
-      config.sample_rate = std::stod(need_value(i));
-    else if (arg == "--threads") config.threads = std::stoi(need_value(i));
-    else if (arg == "--seed") config.seed = std::stoull(need_value(i));
+      config.sample_rate = number(i);
+    else if (arg == "--threads")
+      config.threads = ParseInteger<int>(need_value(i), arg);
+    else if (arg == "--seed")
+      config.seed = ParseInteger<std::uint64_t>(need_value(i), arg);
     else if (arg == "--test-fraction")
-      config.test_fraction = std::stod(need_value(i));
+      config.test_fraction = number(i);
     else if (arg == "--update-core") config.update_core = true;
     else if (arg == "--quiet") config.quiet = true;
     else if (arg == "--selftest") config.selftest = true;
     else if (arg == "--save-model") config.save_model = need_value(i);
     else if (arg == "--load-model") config.load_model = need_value(i);
     else if (arg == "--queries") config.queries = need_value(i);
-    else if (arg == "--mode") config.topk_mode = std::stoll(need_value(i));
+    else if (arg == "--mode") config.topk_mode = integer(i);
     else if (arg == "--index")
       config.topk_index = ParseIntList(need_value(i), "--index");
-    else if (arg == "--k") config.topk_k = std::stoll(need_value(i));
+    else if (arg == "--k") config.topk_k = integer(i);
     else if (arg == "--topk-nprobe") {
       const std::string value = need_value(i);
-      if (value == "all") {
-        config.topk_nprobe = -1;
-      } else {
-        char* end = nullptr;
-        const long long parsed = std::strtoll(value.c_str(), &end, 10);
-        if (value.empty() || *end != '\0' || parsed < 0) {
-          Fail("bad --topk-nprobe value '" + value +
-               "' (a non-negative integer or 'all' expected)");
-        }
-        config.topk_nprobe = parsed;
-      }
+      config.topk_nprobe =
+          value == "all" ? -1 : ParseInteger<std::int64_t>(value, arg, 0);
     }
-    else if (arg == "--port") config.serve_port = std::stoll(need_value(i));
+    else if (arg == "--port") config.serve_port = integer(i);
     else if (arg == "--listen-threads")
-      config.serve_listen_threads = std::stoll(need_value(i));
+      config.serve_listen_threads = integer(i);
     else if (arg == "--worker-threads")
-      config.serve_worker_threads = std::stoll(need_value(i));
+      config.serve_worker_threads = integer(i);
     else if (arg == "--max-batch")
-      config.serve_max_batch = std::stoll(need_value(i));
+      config.serve_max_batch = integer(i);
     else if (arg == "--batch-window-us")
-      config.serve_batch_window_us = std::stoll(need_value(i));
+      config.serve_batch_window_us = integer(i);
     else if (arg == "--queue-capacity")
-      config.serve_queue_capacity = std::stoll(need_value(i));
+      config.serve_queue_capacity = integer(i);
     else if (arg == "--serve-seconds")
-      config.serve_seconds = std::stoll(need_value(i));
+      config.serve_seconds = integer(i);
     else if (arg == "--overload-timeout-ms")
-      config.serve_overload_timeout_ms = std::stoll(need_value(i));
+      config.serve_overload_timeout_ms = integer(i);
     else if (arg == "--output-tensor") config.output_tensor = need_value(i);
     else if (arg == "--events") config.events = need_value(i);
     else if (arg == "--num-events")
-      config.stream_num_events = std::stoll(need_value(i));
+      config.stream_num_events = integer(i);
     else if (arg == "--update-fraction")
-      config.stream_update_fraction = std::stod(need_value(i));
+      config.stream_update_fraction = number(i);
     else if (arg == "--delete-fraction")
-      config.stream_delete_fraction = std::stod(need_value(i));
+      config.stream_delete_fraction = number(i);
     else if (arg == "--max-timestamp-step")
-      config.stream_max_timestamp_step = std::stoll(need_value(i));
+      config.stream_max_timestamp_step = integer(i);
     else if (arg == "--flush-every")
-      config.flush_every = std::stoll(need_value(i));
+      config.flush_every = integer(i);
     else if (arg == "--checkpoint-every")
-      config.checkpoint_every = std::stoll(need_value(i));
+      config.checkpoint_every = integer(i);
     else if (arg == "--checkpoint-dir")
       config.checkpoint_dir = need_value(i);
     else if (arg == "--workers")
-      config.dist_workers = std::stoll(need_value(i));
+      config.dist_workers = integer(i);
     else if (arg == "--trace-out") config.trace_out = need_value(i);
     else if (arg == "--metrics-log-ms")
-      config.metrics_log_ms = std::stoll(need_value(i));
+      config.metrics_log_ms = integer(i);
     else Fail("unknown flag: " + arg);
     if (has_inline_value) Fail("flag does not take a value: " + arg);
   }
@@ -707,13 +735,9 @@ int RunStats(const CliConfig& config) {
     Fail("stats target must be HOST:PORT, got '" + config.stats_target + "'");
   }
   const std::string host = config.stats_target.substr(0, colon);
-  char* end = nullptr;
-  const long port =
-      std::strtol(config.stats_target.c_str() + colon + 1, &end, 10);
-  if (*end != '\0' || port < 1 || port > 65535) {
-    Fail("bad port in stats target '" + config.stats_target + "'");
-  }
-  NetClient client(host, static_cast<int>(port));
+  const int port = ParseInteger<int>(config.stats_target.substr(colon + 1),
+                                     "stats target port", 1, 65535);
+  NetClient client(host, port);
   std::fputs(client.Metrics().c_str(), stdout);
   return 0;
 }
