@@ -1,9 +1,10 @@
 # Serving smoke test: drive the full checkpoint-and-serve loop through
 # ptucker_cli — train a tiny model, save a snapshot, warm-start from it,
 # answer predict and topk queries, validate every serve flag at the
-# parser boundary, run a bounded `serve` over TCP, and check that
-# unknown subcommands fail loudly (not by silently defaulting to
-# decompose). The wire-level behavior of the server itself is covered by
+# parser boundary, reject flags the subcommand or method does not read,
+# check that --help lists each flag once, run a bounded `serve` over
+# TCP, and check that unknown subcommands fail loudly (not by silently
+# defaulting to decompose). The wire-level behavior of the server itself is covered by
 # tests/serve/net/.
 #
 # Invoked by ctest as:
@@ -148,6 +149,44 @@ foreach(case "--max-iters;2x" "--threads;1.5" "--seed;-1" "--lambda;abc")
       "${flag} ${token} not refused by name in:\n${bad_number_out}")
   endif()
 endforeach()
+
+# 6b. A flag the subcommand does not take, or a solver flag the --method
+# does not read, exits 2 naming the flag and the subcommand or method,
+# before any file is read (the replay paths need not exist).
+set(replay_args replay --input ${WORK_DIR}/absent.tns
+    --load-model ${model_path} --events ${WORK_DIR}/absent.log)
+foreach(case
+    "--workers;decompose;decompose;--selftest;--workers;3"
+    "--port;decompose;decompose;--selftest;--port;80"
+    "--max-iters;replay;${replay_args};--max-iters;5"
+    "--variant;replay;${replay_args};--variant;approx"
+    "--update-core;hooi;--selftest;--method;hooi;--update-core")
+  list(POP_FRONT case flag named)
+  run(inapplicable_out 2 ${case})
+  if(NOT inapplicable_out MATCHES "${flag}[^\n]*${named}")
+    message(FATAL_ERROR
+      "ptucker_cli ${case}: ${flag} not refused naming ${named} in:\n"
+      "${inapplicable_out}")
+  endif()
+endforeach()
+
+# 6c. --help lists every flag of the CLI's flag table exactly once.
+file(STRINGS ${CMAKE_CURRENT_LIST_DIR}/../tools/ptucker_cli.cc table_rows
+     REGEX "^    {\"--[a-z-]+\",")
+run(help_out 0 --help)
+foreach(row IN LISTS table_rows)
+  string(REGEX MATCH "--[a-z-]+" flag "${row}")
+  string(REGEX MATCHALL "[^a-z-]${flag}[^a-z-]" mentions "\n${help_out}")
+  list(LENGTH mentions count)
+  if(NOT count EQUAL 1)
+    message(FATAL_ERROR "--help names ${flag} ${count} times:\n${help_out}")
+  endif()
+endforeach()
+list(LENGTH table_rows flag_count)
+if(flag_count LESS 40)
+  message(FATAL_ERROR
+    "the flag table of tools/ptucker_cli.cc was not found (${flag_count} rows)")
+endif()
 
 # 7. Serving-flag validation: every serve knob dies at the flag parser
 # with exit code 2 and a message naming the flag — before any socket or

@@ -1,107 +1,25 @@
-// ptucker_cli — command-line driver for the library.
-//
-// Subcommands (first argument; `decompose` is assumed when omitted):
-//   decompose      factorize --input and optionally checkpoint the model
-//   solve          factorize --input across --workers forked processes
-//                  (bit-identical to decompose; see docs/distributed.md)
-//   predict        batch x-hat predictions from a saved model snapshot
-//   topk           top-K completions along one mode from a saved snapshot
-//   convert-model  rewrite a snapshot as format v2 with IVF centroids
-//   serve          serve a snapshot over TCP (epoll + batch coalescing)
-//   stats          fetch live telemetry from a running serve (host:port)
-//   gen-stream     write a simulated tensor + timestamped event stream
-//   replay         stream an event log through the ingest pipeline
-//
-// Typical usage:
-//   ptucker_cli --input ratings.tns --ranks 10,10,5 --output-dir model/
-//               --variant cache --max-iters 20 --test-fraction 0.1
-//               --save-model model.ptks
-//
-//   ptucker_cli predict --load-model model.ptks --queries coords.tns
-//   ptucker_cli topk --load-model model.ptks --mode 2 --index 7,1,3 --k 5
-//
-//   ptucker_cli --selftest       # end-to-end smoke run on synthetic data
-//
-// Flags:
-//   --input PATH          input tensor (.tns, 1-based indices)
-//   --ranks J1,J2,...     core dimensionality per mode (or --rank J)
-//   --method NAME         ptucker (default) | hooi | shot | csf | wopt | cp
-//   --variant NAME        memory (default) | cache | approx  (ptucker only;
-//                         cache = --delta-engine cache)
-//   --delta-engine NAME   δ-computation engine (default contraction); the
-//                         accepted names and their one-line summaries come
-//                         from DeltaEngineCatalog() (core/delta_engine.h)
-//                         and are printed by --help — parser and help
-//                         share that one table so they cannot drift
-//   --lambda X            L2 regularization (default 0.01)
-//   --max-iters N         maximum ALS iterations (default 20)
-//   --tolerance X         relative-error convergence (default 1e-4)
-//   --truncation-rate P   approx variant's p (default 0.2)
-//   --sample-rate P       entry-sampling extension, (0,1] (default 1.0)
-//   --threads T           OpenMP threads (default: all)
-//   --seed S              RNG seed (default 0x5eed)
-//   --test-fraction F     hold out F of the entries; report test RMSE
-//   --output-dir DIR      write factor_<n>.txt + core.tns there
-//   --update-core         enable the core-update extension
-//   --quiet               suppress per-iteration output
-//   --save-model PATH     write a binary model snapshot after decomposing
-//   --load-model PATH     decompose/solve: warm-start from this snapshot
-//                         (--ranks defaults to the snapshot's ranks);
-//                         predict/topk: the model to serve
-//   --queries PATH        predict: .tns file of query coordinates
-//                         (values are ignored)
-//   --mode M              topk: 1-based mode to rank candidates along
-//   --index i1,i2,...     topk: 1-based query coordinates (the --mode
-//                         slot is a placeholder and is ignored)
-//   --k K                 topk: number of results (default 10)
-//   --topk-nprobe N|all   topk: IVF clusters to probe ('all' = exact scan,
-//                         the default; 0 = auto ≈ a tenth of the lists;
-//                         N >= 0 requires a snapshot written with
-//                         centroids — see convert-model)
-//   --port P              serve: TCP port in [0, 65535]; 0 = ephemeral
-//   --listen-threads N    serve: epoll loops / SO_REUSEPORT shards, [1, 64]
-//   --worker-threads N    serve: coalescer batch executors, [1, 64]
-//   --max-batch B         serve: coalesced batch cap, [1, 4096]
-//   --batch-window-us U   serve: batch fill window, [0, 1000000] us
-//   --queue-capacity Q    serve: bounded request queue, >= --max-batch
-//   --serve-seconds S     serve: stop after S seconds (0 = run forever,
-//                         the default; [0, 86400])
-//   --overload-timeout-ms D  serve: shed a request parked on a full queue
-//                         after D ms with an OVERLOADED reply; -1 (the
-//                         default) parks forever behind TCP backpressure,
-//                         0 sheds immediately ([-1, 3600000])
-//   --output-tensor PATH  gen-stream: the initial tensor (.tns)
-//   --events PATH         gen-stream: event log to write;
-//                         replay: event log to play back
-//   --num-events N        gen-stream: mutations after the initial load
-//   --update-fraction F   gen-stream: P(event re-rates a live entry)
-//   --delete-fraction F   gen-stream: P(event deletes a live entry)
-//   --max-timestamp-step N  gen-stream: max timestamp gap between events
-//   --flush-every N       replay: buffered mutations per flush (>= 1)
-//   --checkpoint-every N  replay: applied mutations between automatic
-//                         checkpoints (0 = only the final one)
-//   --checkpoint-dir DIR  replay: durable ckpt-<seq>.ptks + MANIFEST
-//                         directory; an existing MANIFEST there resumes
-//                         the replay from its checkpoint
-//   --workers N           solve: worker processes, [1, 64] (default 2)
-//   --trace-out PATH      record phase spans and write them as Chrome
-//                         trace-event JSON on exit (chrome://tracing;
-//                         docs/observability.md)
-//   --metrics-log-ms N    serve: log one compact metrics line every N ms
-//                         (0 = off, the default; [0, 3600000])
+// ptucker_cli — command-line driver for the library. `ptucker_cli --help`
+// lists the subcommands, the methods, the δ-engines and each flag under
+// the subcommands that take it, generated from the tables below.
+#include <omp.h>
+
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "baselines/cp_als.h"
@@ -134,53 +52,98 @@ namespace {
 
 using namespace ptucker;
 
-// One row of the subcommand table. The dispatcher and the --help text
-// both read this one table (the DeltaEngineCatalog() pattern), so the
-// accepted subcommands and their documentation cannot drift apart.
+// One row of the subcommand table. The parser, the flag table's
+// subcommand sets and the --help text all read this one table (the
+// DeltaEngineCatalog() pattern), so the accepted subcommands and their
+// documentation cannot drift apart. Summaries name no flag: --help
+// lists each flag once, in the flag table's part.
 struct SubcommandDescriptor {
   const char* name;
   const char* summary;
 };
 
 constexpr SubcommandDescriptor kSubcommands[] = {
-    {"decompose", "factorize --input (the default when no subcommand given)"},
+    {"decompose", "factorize a tensor (the default when no subcommand given)"},
     {"solve",
-     "factorize --input across --workers forked processes, bit-identical "
-     "to decompose (docs/distributed.md)"},
-    {"predict", "batch x-hat predictions from --load-model at --queries"},
-    {"topk", "top-K completions along --mode from --load-model at --index"},
-    {"convert-model",
-     "rewrite --load-model as a v2 snapshot (+IVF centroids) at --save-model"},
+     "factorize across forked worker processes, bit-identical to decompose "
+     "(docs/distributed.md)"},
+    {"predict", "batch x-hat predictions from a model snapshot"},
+    {"topk", "top-K completions along one mode of a model snapshot"},
+    {"convert-model", "rewrite a model snapshot as v2 with IVF centroids"},
     {"serve",
-     "serve --load-model over TCP: epoll loops + cross-client batch "
+     "serve a model snapshot over TCP: epoll loops + cross-client batch "
      "coalescing (docs/serving.md)"},
     {"stats",
      "fetch live telemetry from a running serve: `stats host:port` prints "
      "the METRICS exposition text (docs/observability.md)"},
-    {"gen-stream",
-     "simulate a tensor (--output-tensor) + timestamped event stream "
-     "(--events)"},
+    {"gen-stream", "simulate a tensor + a timestamped event stream on it"},
     {"replay",
-     "stream --events through the ingest pipeline over --input + "
-     "--load-model (docs/streaming.md)"},
+     "stream an event log through the ingest pipeline over a fitted model "
+     "(docs/streaming.md)"},
 };
 
-std::string SubcommandNames() {
+// The decompositions `decompose` runs; ptucker is the default.
+constexpr const char* kMethods[] = {"ptucker", "hooi", "shot",
+                                    "csf",     "wopt", "cp"};
+
+constexpr std::string_view NameOf(const SubcommandDescriptor& sub) {
+  return sub.name;
+}
+constexpr std::string_view NameOf(const char* name) { return name; }
+
+// The position of `name` in `table`, or N when it is not there.
+template <typename Entry, std::size_t N>
+constexpr std::size_t IndexOf(const Entry (&table)[N], std::string_view name) {
+  std::size_t i = 0;
+  while (i < N && NameOf(table[i]) != name) ++i;
+  return i;
+}
+
+// The set of the space-separated `names` as bits: bit i is table[i]. A
+// name not in the table throws, which fails the build where the flag
+// table below evaluates this as a constant expression.
+template <typename Entry, std::size_t N>
+constexpr unsigned BitsOf(const Entry (&table)[N], std::string_view names) {
+  unsigned bits = 0;
+  while (!names.empty()) {
+    const std::string_view name = names.substr(0, names.find(' '));
+    const std::size_t i = IndexOf(table, name);
+    if (i == N) throw std::logic_error("name not in the table");
+    bits |= 1u << i;
+    names.remove_prefix(std::min(names.size(), name.size() + 1));
+  }
+  return bits;
+}
+
+// The names of the set `bits`, comma-separated.
+template <typename Entry, std::size_t N>
+std::string NamesOf(const Entry (&table)[N], unsigned bits) {
   std::string names;
-  for (const SubcommandDescriptor& sub : kSubcommands) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if ((bits >> i & 1u) == 0) continue;
     if (!names.empty()) names += ", ";
-    names += sub.name;
+    names += NameOf(table[i]);
   }
   return names;
 }
 
+constexpr unsigned Subcommands(std::string_view names) {
+  return BitsOf(kSubcommands, names);
+}
+constexpr unsigned Methods(std::string_view names) {
+  return BitsOf(kMethods, names);
+}
+constexpr unsigned kEverySubcommand = (1u << std::size(kSubcommands)) - 1;
+constexpr unsigned kAnyMethod = (1u << std::size(kMethods)) - 1;
+
 struct CliConfig {
   std::string subcommand = "decompose";
+  bool help = false;
   std::string input;
   std::string output_dir;
   std::string method = "ptucker";
   std::string variant = "memory";
-  std::optional<std::string> delta_engine;  // unset = contraction
+  std::string delta_engine;  // empty = contraction
   std::vector<std::int64_t> ranks;
   std::int64_t uniform_rank = 0;
   double lambda = 0.01;
@@ -200,28 +163,160 @@ struct CliConfig {
   std::int64_t topk_mode = 0;  // 1-based, as in .tns files
   std::vector<std::int64_t> topk_index;
   std::int64_t topk_k = 10;
-  std::int64_t topk_nprobe = -1;  // -1 = 'all' (exact scan)
-  std::int64_t serve_port = 0;    // 0 = ephemeral, printed at startup
+  std::optional<std::int64_t> topk_nprobe;  // unset = 'all' (exact scan)
+  std::int64_t serve_port = 0;
   std::int64_t serve_listen_threads = 1;
   std::int64_t serve_worker_threads = 2;
   std::int64_t serve_max_batch = 64;
   std::int64_t serve_batch_window_us = 100;
   std::int64_t serve_queue_capacity = 8192;
-  std::int64_t serve_seconds = 0;  // 0 = run until killed
-  std::int64_t serve_overload_timeout_ms = -1;  // -1 = park forever
-  std::string output_tensor;                    // gen-stream
-  std::string events;                           // gen-stream + replay
+  std::int64_t serve_seconds = 0;
+  std::int64_t serve_overload_timeout_ms = -1;
+  std::string output_tensor;
+  std::string events;
   std::int64_t stream_num_events = 5000;
   double stream_update_fraction = 0.2;
   double stream_delete_fraction = 0.1;
   std::int64_t stream_max_timestamp_step = 1000;
-  std::int64_t flush_every = 64;       // replay
-  std::int64_t checkpoint_every = 0;   // replay; 0 = final only
-  std::string checkpoint_dir;          // replay
-  std::int64_t dist_workers = 2;       // solve
-  std::string stats_target;            // stats: the host:port positional
-  std::string trace_out;               // --trace-out; empty = tracing off
-  std::int64_t metrics_log_ms = 0;     // serve; 0 = no periodic log line
+  std::int64_t flush_every = 64;
+  std::int64_t checkpoint_every = 0;
+  std::string checkpoint_dir;
+  std::int64_t dist_workers = 2;
+  std::string stats_target;  // stats: the host:port positional
+  std::string trace_out;     // empty = tracing off
+  std::int64_t metrics_log_ms = 0;
+};
+
+// The CliConfig field a flag writes; its type is the flag's value kind.
+// A bool field is a switch that takes no value, an optional int64 reads
+// `N|all` (all = unset), a vector reads a comma-separated list.
+using FlagField =
+    std::variant<bool CliConfig::*, std::string CliConfig::*,
+                 int CliConfig::*, std::int64_t CliConfig::*,
+                 std::uint64_t CliConfig::*, double CliConfig::*,
+                 std::vector<std::int64_t> CliConfig::*,
+                 std::optional<std::int64_t> CliConfig::*>;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// One row of the flag table. Parsing, the range checks, the subcommand
+// and method checks and the --help text all read this one table.
+struct FlagSpec {
+  const char* name;
+  const char* value;  // --help's placeholder for the value; "" for a switch
+  FlagField field;
+  unsigned subcommands;  // bit i: kSubcommands[i] takes the flag
+  unsigned methods;      // bit i: --method kMethods[i] reads it
+  const char* help;
+  double min = -kInf;  // the value must lie in [min, max]
+  double max = kInf;
+};
+
+constexpr unsigned kSolvers = Subcommands("decompose solve");
+constexpr unsigned kAlsRuns = Subcommands("decompose solve replay");
+constexpr unsigned kServe = Subcommands("serve");
+constexpr unsigned kTopk = Subcommands("topk");
+constexpr unsigned kGenStream = Subcommands("gen-stream");
+constexpr unsigned kReplay = Subcommands("replay");
+constexpr unsigned kPTucker = Methods("ptucker");
+
+constexpr FlagSpec kFlags[] = {
+    {"--help", "", &CliConfig::help, kEverySubcommand, kAnyMethod,
+     "print this text and exit"},
+    {"--selftest", "", &CliConfig::selftest, kSolvers, kAnyMethod,
+     "factorize a synthetic 50x40x30 tensor and check the error"},
+    {"--ranks", "J1,J2,...", &CliConfig::ranks, kSolvers, kAnyMethod,
+     "core dimensionality per mode"},
+    {"--rank", "J", &CliConfig::uniform_rank, kSolvers, kAnyMethod,
+     "one core dimensionality for every mode", 1},
+    {"--max-iters", "N", &CliConfig::max_iters, kSolvers, kAnyMethod,
+     "maximum ALS iterations (default 20)"},
+    {"--tolerance", "X", &CliConfig::tolerance, kSolvers, kAnyMethod,
+     "relative-error convergence (default 1e-4)"},
+    {"--truncation-rate", "P", &CliConfig::truncation_rate, kSolvers, kPTucker,
+     "the approx variant's p (default 0.2)"},
+    {"--sample-rate", "P", &CliConfig::sample_rate, kSolvers, kPTucker,
+     "entry-sampling extension, (0, 1] (default 1)"},
+    {"--update-core", "", &CliConfig::update_core, kSolvers, kPTucker,
+     "enable the core-update extension"},
+    {"--test-fraction", "F", &CliConfig::test_fraction, kSolvers, kAnyMethod,
+     "hold out this fraction of the entries; report test RMSE"},
+    {"--output-dir", "DIR", &CliConfig::output_dir, kSolvers, kAnyMethod,
+     "write factor_<n>.txt + core.tns there"},
+    {"--quiet", "", &CliConfig::quiet, kSolvers, kAnyMethod,
+     "suppress per-iteration output"},
+    {"--method", "NAME", &CliConfig::method, Subcommands("decompose"),
+     kAnyMethod, "the decomposition (methods above; default ptucker)"},
+    {"--workers", "N", &CliConfig::dist_workers, Subcommands("solve"),
+     kAnyMethod, "worker processes (default 2)", 1, 64},
+    {"--seed", "S", &CliConfig::seed, kSolvers | kGenStream, kAnyMethod,
+     "RNG seed (default 0x5eed)"},
+    {"--input", "PATH", &CliConfig::input, kAlsRuns, kAnyMethod,
+     "input tensor (.tns, 1-based indices)"},
+    {"--threads", "T", &CliConfig::threads, kAlsRuns, kAnyMethod,
+     "OpenMP threads (default 0 = all)", 0},
+    {"--lambda", "X", &CliConfig::lambda, kAlsRuns, Methods("ptucker cp"),
+     "L2 regularization (default 0.01)"},
+    {"--variant", "NAME", &CliConfig::variant, kAlsRuns, kPTucker,
+     "memory (default), cache (= the cache engine) or approx (not replay)"},
+    {"--delta-engine", "NAME", &CliConfig::delta_engine, kAlsRuns, kPTucker,
+     "the δ-engine (engines above; default contraction)"},
+    {"--trace-out", "PATH", &CliConfig::trace_out, kAlsRuns | kServe,
+     kAnyMethod, "write phase spans as Chrome trace JSON on exit"},
+    {"--save-model", "PATH", &CliConfig::save_model,
+     kAlsRuns | Subcommands("convert-model"), kAnyMethod,
+     "write the model as a v2 snapshot with IVF centroids"},
+    {"--load-model", "PATH", &CliConfig::load_model,
+     kEverySubcommand & ~Subcommands("stats gen-stream"), kPTucker,
+     "the model snapshot (a warm start for decompose and solve)"},
+    {"--queries", "PATH", &CliConfig::queries, Subcommands("predict"),
+     kAnyMethod, ".tns file of query coordinates (values are ignored)"},
+    {"--mode", "M", &CliConfig::topk_mode, kTopk, kAnyMethod,
+     "1-based mode to rank candidates along"},
+    {"--index", "i1,i2,...", &CliConfig::topk_index, kTopk, kAnyMethod,
+     "1-based query coordinates (the mode's slot is ignored)"},
+    {"--k", "K", &CliConfig::topk_k, kTopk, kAnyMethod,
+     "number of results (default 10)", 1},
+    {"--topk-nprobe", "N|all", &CliConfig::topk_nprobe, kTopk, kAnyMethod,
+     "IVF clusters to probe: all = exact scan (default), 0 = auto"},
+    {"--port", "P", &CliConfig::serve_port, kServe, kAnyMethod,
+     "TCP port; 0 = ephemeral (default)", 0, 65535},
+    {"--listen-threads", "N", &CliConfig::serve_listen_threads, kServe,
+     kAnyMethod, "epoll loops / SO_REUSEPORT shards (default 1)", 1, 64},
+    {"--worker-threads", "N", &CliConfig::serve_worker_threads, kServe,
+     kAnyMethod, "coalescer batch executors (default 2)", 1, 64},
+    {"--max-batch", "B", &CliConfig::serve_max_batch, kServe, kAnyMethod,
+     "coalesced batch cap (default 64)", 1, 4096},
+    {"--batch-window-us", "U", &CliConfig::serve_batch_window_us, kServe,
+     kAnyMethod, "batch fill window (default 100)", 0, 1000000},
+    {"--queue-capacity", "Q", &CliConfig::serve_queue_capacity, kServe,
+     kAnyMethod, "request queue bound, >= the batch cap (default 8192)"},
+    {"--serve-seconds", "S", &CliConfig::serve_seconds, kServe, kAnyMethod,
+     "stop after S seconds; 0 = run forever (default)", 0, 86400},
+    {"--overload-timeout-ms", "D", &CliConfig::serve_overload_timeout_ms,
+     kServe, kAnyMethod,
+     "shed a request parked on a full queue after D ms; -1 = park forever "
+     "(default), 0 = at once", -1, 3600000},
+    {"--metrics-log-ms", "N", &CliConfig::metrics_log_ms, kServe, kAnyMethod,
+     "log a metrics line every N ms; 0 = off (default)", 0, 3600000},
+    {"--events", "PATH", &CliConfig::events, kGenStream | kReplay, kAnyMethod,
+     "the event log gen-stream writes and replay plays back"},
+    {"--output-tensor", "PATH", &CliConfig::output_tensor, kGenStream,
+     kAnyMethod, "the initial tensor (.tns)"},
+    {"--num-events", "N", &CliConfig::stream_num_events, kGenStream, kAnyMethod,
+     "mutations after the initial load (default 5000)", 0},
+    {"--update-fraction", "F", &CliConfig::stream_update_fraction, kGenStream,
+     kAnyMethod, "P(an event re-rates a live entry) (default 0.2)", 0, 1},
+    {"--delete-fraction", "F", &CliConfig::stream_delete_fraction, kGenStream,
+     kAnyMethod, "P(an event deletes a live entry) (default 0.1)", 0, 1},
+    {"--max-timestamp-step", "N", &CliConfig::stream_max_timestamp_step,
+     kGenStream, kAnyMethod, "max gap between timestamps (default 1000)", 0},
+    {"--flush-every", "N", &CliConfig::flush_every, kReplay, kAnyMethod,
+     "buffered mutations per flush (default 64)", 1},
+    {"--checkpoint-every", "N", &CliConfig::checkpoint_every, kReplay,
+     kAnyMethod, "mutations between checkpoints; 0 = final only (default)", 0},
+    {"--checkpoint-dir", "DIR", &CliConfig::checkpoint_dir, kReplay, kAnyMethod,
+     "durable checkpoints; a MANIFEST there resumes from its checkpoint"},
 };
 
 [[noreturn]] void Fail(const std::string& message) {
@@ -230,68 +325,55 @@ struct CliConfig {
   std::exit(2);
 }
 
-void PrintUsageAndExit() {
-  std::printf(
-      "usage: ptucker_cli [subcommand] --input X.tns --ranks J1,J2,... "
-      "[options]\n"
-      "       ptucker_cli solve --input X.tns --ranks J1,J2,... "
-      "[--workers N]\n"
-      "       ptucker_cli predict --load-model M.ptks --queries Q.tns\n"
-      "       ptucker_cli topk --load-model M.ptks --mode M --index "
-      "i1,i2,... [--k K] [--topk-nprobe N|all]\n"
-      "       ptucker_cli convert-model --load-model M.ptks --save-model "
-      "M2.ptks\n"
-      "       ptucker_cli serve --load-model M.ptks [--port P] "
-      "[--listen-threads N]\n"
-      "                  [--worker-threads N] [--max-batch B] "
-      "[--batch-window-us U]\n"
-      "                  [--queue-capacity Q] [--serve-seconds S]\n"
-      "                  [--overload-timeout-ms D] [--metrics-log-ms N]\n"
-      "       ptucker_cli stats HOST:PORT\n"
-      "       ptucker_cli gen-stream --output-tensor X.tns --events E.log\n"
-      "                  [--num-events N] [--update-fraction F]\n"
-      "                  [--delete-fraction F] [--max-timestamp-step N]\n"
-      "       ptucker_cli replay --input X.tns --load-model M.ptks "
-      "--events E.log\n"
-      "                  [--flush-every N] [--checkpoint-every N]\n"
-      "                  [--checkpoint-dir DIR] [--save-model OUT.ptks]\n"
-      "       ptucker_cli --selftest\n\n");
-  // Subcommand list generated from the same table the dispatcher uses.
+std::string Number(double value) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%.15g", value);
+  return text;
+}
+
+// A flag's range as "in [min, max]", ">= min" or "<= max"; empty when
+// the flag takes any value of its type.
+std::string RangeText(const FlagSpec& flag) {
+  if (flag.min > -kInf && flag.max < kInf) {
+    return "in [" + Number(flag.min) + ", " + Number(flag.max) + "]";
+  }
+  if (flag.min > -kInf) return ">= " + Number(flag.min);
+  if (flag.max < kInf) return "<= " + Number(flag.max);
+  return "";
+}
+
+[[noreturn]] void PrintUsageAndExit() {
+  std::printf("usage: ptucker_cli [SUBCOMMAND] [FLAG [VALUE]]...\n\n");
   std::printf("subcommands (first argument; default decompose):\n");
   for (const SubcommandDescriptor& sub : kSubcommands) {
     std::printf("  %-18s %s\n", sub.name, sub.summary);
   }
-  std::printf(
-      "\nmethods:  ptucker (default) hooi shot csf wopt cp\n"
-      "variants: memory (default) cache approx (cache = --delta-engine "
-      "cache)\n");
-  // The engine list is generated from DeltaEngineCatalog() — the same
-  // table the parser consults — so help and parser cannot drift.
-  std::printf("engines (--delta-engine NAME; default contraction):\n");
+  std::printf("\nmethods of decompose: %s\n",
+              NamesOf(kMethods, kAnyMethod).c_str());
+  std::printf("engines of ptucker:\n");
   for (const DeltaEngineDescriptor& engine : DeltaEngineCatalog()) {
     std::printf("  %-18s %s\n", engine.name, engine.summary);
   }
-  std::printf(
-      "options:  --lambda --max-iters --tolerance --truncation-rate\n"
-      "          --sample-rate --threads --seed --test-fraction\n"
-      "          --output-dir --update-core --quiet\n"
-      "model:    --save-model PATH (checkpoint after decompose, format v2)\n"
-      "          --load-model PATH (decompose/solve: warm start; predict/\n"
-      "          topk/serve: the served model) --queries PATH --mode M\n"
-      "          --index i1,... --k K --topk-nprobe N|all\n"
-      "serving:  --port --listen-threads --worker-threads --max-batch\n"
-      "          --batch-window-us --queue-capacity --serve-seconds\n"
-      "          --overload-timeout-ms --metrics-log-ms\n"
-      "          (wire protocol and semantics: docs/serving.md)\n"
-      "observability: --trace-out PATH (Chrome trace-event JSON of phase\n"
-      "          spans, written on exit; docs/observability.md)\n"
-      "stream:   --output-tensor --events --num-events --update-fraction\n"
-      "          --delete-fraction --max-timestamp-step --flush-every\n"
-      "          --checkpoint-every --checkpoint-dir\n"
-      "          (ingest pipeline and replay format: docs/streaming.md)\n"
-      "solve:    --workers N (worker processes, [1, 64])\n"
-      "          (protocol and determinism contract: docs/distributed.md)\n"
-      "flags accept both '--flag value' and '--flag=value'\n");
+  // Each flag once, in table order, under the subcommands that take it.
+  for (std::size_t i = 0; i < std::size(kFlags); ++i) {
+    const FlagSpec& flag = kFlags[i];
+    if (i == 0 || flag.subcommands != kFlags[i - 1].subcommands) {
+      std::printf("\nflags of %s:\n",
+                  flag.subcommands == kEverySubcommand
+                      ? "every subcommand"
+                      : NamesOf(kSubcommands, flag.subcommands).c_str());
+    }
+    std::string help = flag.help;
+    const std::string range = RangeText(flag);
+    if (!range.empty()) help += "; " + range;
+    if (flag.methods != kAnyMethod) {
+      help += " (method " + NamesOf(kMethods, flag.methods) + ")";
+    }
+    std::printf("  %-26s %s\n",
+                (std::string(flag.name) + " " + flag.value).c_str(),
+                help.c_str());
+  }
+  std::printf("\nflags accept both '--flag value' and '--flag=value'\n");
   std::exit(0);
 }
 
@@ -328,7 +410,7 @@ double ParseDouble(const std::string& token, const std::string& flag) {
 
 // Comma-separated list of positive integers (--ranks, --index).
 std::vector<std::int64_t> ParseIntList(const std::string& spec,
-                                       const char* flag) {
+                                       const std::string& flag) {
   std::vector<std::int64_t> values;
   std::size_t start = 0;
   while (start <= spec.size()) {
@@ -336,14 +418,52 @@ std::vector<std::int64_t> ParseIntList(const std::string& spec,
     const std::string token =
         spec.substr(start, comma == std::string::npos ? std::string::npos
                                                       : comma - start);
-    if (token.empty()) {
-      Fail(std::string("bad ") + flag + " value: '" + spec + "'");
-    }
+    if (token.empty()) Fail("bad " + flag + " value: '" + spec + "'");
     values.push_back(ParseInteger<std::int64_t>(token, flag, 1));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
   return values;
+}
+
+// Reads `token`, the value of `flag`, into a field of the flag's kind.
+void Assign(const std::string&, const std::string&, bool& out) { out = true; }
+void Assign(const std::string& token, const std::string&, std::string& out) {
+  out = token;
+}
+void Assign(const std::string& token, const std::string& flag, double& out) {
+  out = ParseDouble(token, flag);
+}
+void Assign(const std::string& token, const std::string& flag,
+            std::vector<std::int64_t>& out) {
+  out = ParseIntList(token, flag);
+}
+void Assign(const std::string& token, const std::string& flag,
+            std::optional<std::int64_t>& out) {
+  out.reset();
+  if (token != "all") out = ParseInteger<std::int64_t>(token, flag, 0);
+}
+template <typename Integer>
+void Assign(const std::string& token, const std::string& flag, Integer& out) {
+  out = ParseInteger<Integer>(token, flag);
+}
+
+// Exits 2 unless the numeric value `flag` wrote lies in its range.
+void CheckRange(const FlagSpec& flag, const CliConfig& config) {
+  std::visit(
+      [&](auto field) {
+        const auto& value = config.*field;
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+          if (value < flag.min || value > flag.max) {
+            Fail(std::string(flag.name) + " must be " + RangeText(flag) +
+                 ", got " +
+                 (std::is_integral_v<T> ? std::to_string(value)
+                                        : Number(value)));
+          }
+        }
+      },
+      flag.field);
 }
 
 CliConfig ParseArgs(int argc, char** argv) {
@@ -354,39 +474,17 @@ CliConfig ParseArgs(int argc, char** argv) {
   // decompose.
   int first_flag = 1;
   if (argc > 1 && argv[1][0] != '-') {
-    const std::string token = argv[1];
-    bool known = false;
-    for (const SubcommandDescriptor& sub : kSubcommands) {
-      known |= token == sub.name;
+    config.subcommand = argv[1];
+    if (IndexOf(kSubcommands, config.subcommand) == std::size(kSubcommands)) {
+      Fail("unknown subcommand '" + config.subcommand +
+           "'; expected one of: " +
+           NamesOf(kSubcommands, kEverySubcommand));
     }
-    if (!known) {
-      Fail("unknown subcommand '" + token + "'; expected one of: " +
-           SubcommandNames());
-    }
-    config.subcommand = token;
     first_flag = 2;
   }
-  // `--flag=value` is split into flag + inline value; `--flag value` reads
-  // the next argv slot.
-  std::string inline_value;
-  bool has_inline_value = false;
-  auto need_value = [&](int& i) -> std::string {
-    if (has_inline_value) {
-      has_inline_value = false;
-      return inline_value;
-    }
-    if (i + 1 >= argc) Fail(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  std::string arg;
-  // The value of flag `arg` as an int64 or a finite double (exit 2 if not).
-  const auto integer = [&](int& i) {
-    return ParseInteger<std::int64_t>(need_value(i), arg);
-  };
-  const auto number = [&](int& i) { return ParseDouble(need_value(i), arg); };
+  std::vector<const FlagSpec*> given;
   for (int i = first_flag; i < argc; ++i) {
-    arg = argv[i];
-    has_inline_value = false;
+    std::string arg = argv[i];
     if (arg.empty() || arg[0] != '-') {
       // `stats` is the one subcommand with a positional operand: the
       // host:port of the serve to query.
@@ -396,165 +494,64 @@ CliConfig ParseArgs(int argc, char** argv) {
       }
       Fail("unexpected positional argument '" + arg +
            "' (only one leading subcommand is accepted; subcommands: " +
-           SubcommandNames() + ")");
+           NamesOf(kSubcommands, kEverySubcommand) + ")");
     }
-    if (arg.rfind("--", 0) == 0) {
-      const std::size_t eq = arg.find('=');
-      if (eq != std::string::npos) {
-        inline_value = arg.substr(eq + 1);
-        arg = arg.substr(0, eq);
-        has_inline_value = true;
-      }
+    // `--flag=value` carries its value inline; `--flag value` reads the
+    // next argv slot.
+    std::optional<std::string> value;
+    const std::size_t eq = arg.find('=');
+    if (arg.rfind("--", 0) == 0 && eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+      arg.resize(eq);
     }
-    if (arg == "--help" || arg == "-h") PrintUsageAndExit();
-    else if (arg == "--input") config.input = need_value(i);
-    else if (arg == "--output-dir") config.output_dir = need_value(i);
-    else if (arg == "--method") config.method = need_value(i);
-    else if (arg == "--variant") config.variant = need_value(i);
-    else if (arg == "--delta-engine") config.delta_engine = need_value(i);
-    else if (arg == "--ranks")
-      config.ranks = ParseIntList(need_value(i), "--ranks");
-    else if (arg == "--rank") config.uniform_rank = integer(i);
-    else if (arg == "--lambda") config.lambda = number(i);
-    else if (arg == "--max-iters")
-      config.max_iters = ParseInteger<int>(need_value(i), arg);
-    else if (arg == "--tolerance") config.tolerance = number(i);
-    else if (arg == "--truncation-rate")
-      config.truncation_rate = number(i);
-    else if (arg == "--sample-rate")
-      config.sample_rate = number(i);
-    else if (arg == "--threads")
-      config.threads = ParseInteger<int>(need_value(i), arg);
-    else if (arg == "--seed")
-      config.seed = ParseInteger<std::uint64_t>(need_value(i), arg);
-    else if (arg == "--test-fraction")
-      config.test_fraction = number(i);
-    else if (arg == "--update-core") config.update_core = true;
-    else if (arg == "--quiet") config.quiet = true;
-    else if (arg == "--selftest") config.selftest = true;
-    else if (arg == "--save-model") config.save_model = need_value(i);
-    else if (arg == "--load-model") config.load_model = need_value(i);
-    else if (arg == "--queries") config.queries = need_value(i);
-    else if (arg == "--mode") config.topk_mode = integer(i);
-    else if (arg == "--index")
-      config.topk_index = ParseIntList(need_value(i), "--index");
-    else if (arg == "--k") config.topk_k = integer(i);
-    else if (arg == "--topk-nprobe") {
-      const std::string value = need_value(i);
-      config.topk_nprobe =
-          value == "all" ? -1 : ParseInteger<std::int64_t>(value, arg, 0);
+    if (arg == "-h") PrintUsageAndExit();
+    const FlagSpec* flag = std::find_if(
+        std::begin(kFlags), std::end(kFlags),
+        [&](const FlagSpec& row) { return arg == row.name; });
+    if (flag == std::end(kFlags)) Fail("unknown flag: " + arg);
+    const bool is_switch =
+        std::holds_alternative<bool CliConfig::*>(flag->field);
+    if (is_switch && value) Fail("flag does not take a value: " + arg);
+    if (!is_switch && !value) {
+      if (i + 1 >= argc) Fail("missing value for " + arg);
+      value = argv[++i];
     }
-    else if (arg == "--port") config.serve_port = integer(i);
-    else if (arg == "--listen-threads")
-      config.serve_listen_threads = integer(i);
-    else if (arg == "--worker-threads")
-      config.serve_worker_threads = integer(i);
-    else if (arg == "--max-batch")
-      config.serve_max_batch = integer(i);
-    else if (arg == "--batch-window-us")
-      config.serve_batch_window_us = integer(i);
-    else if (arg == "--queue-capacity")
-      config.serve_queue_capacity = integer(i);
-    else if (arg == "--serve-seconds")
-      config.serve_seconds = integer(i);
-    else if (arg == "--overload-timeout-ms")
-      config.serve_overload_timeout_ms = integer(i);
-    else if (arg == "--output-tensor") config.output_tensor = need_value(i);
-    else if (arg == "--events") config.events = need_value(i);
-    else if (arg == "--num-events")
-      config.stream_num_events = integer(i);
-    else if (arg == "--update-fraction")
-      config.stream_update_fraction = number(i);
-    else if (arg == "--delete-fraction")
-      config.stream_delete_fraction = number(i);
-    else if (arg == "--max-timestamp-step")
-      config.stream_max_timestamp_step = integer(i);
-    else if (arg == "--flush-every")
-      config.flush_every = integer(i);
-    else if (arg == "--checkpoint-every")
-      config.checkpoint_every = integer(i);
-    else if (arg == "--checkpoint-dir")
-      config.checkpoint_dir = need_value(i);
-    else if (arg == "--workers")
-      config.dist_workers = integer(i);
-    else if (arg == "--trace-out") config.trace_out = need_value(i);
-    else if (arg == "--metrics-log-ms")
-      config.metrics_log_ms = integer(i);
-    else Fail("unknown flag: " + arg);
-    if (has_inline_value) Fail("flag does not take a value: " + arg);
+    std::visit(
+        [&](auto field) { Assign(value.value_or(""), arg, config.*field); },
+        flag->field);
+    if (config.help) PrintUsageAndExit();
+    given.push_back(flag);
   }
-  // Serving knobs are validated here, at the boundary — same ranges
-  // NetServer's constructor enforces for library users, but with exit
-  // code 2 and the flag named so a typo'd systemd unit fails its start
-  // instead of half-working.
-  if (config.serve_port < 0 || config.serve_port > 65535) {
-    Fail("--port must be in [0, 65535], got " +
-         std::to_string(config.serve_port));
+  // A flag the subcommand or the method does not read is an error, not
+  // a silent no-op: it would otherwise run a different experiment than
+  // the one asked for.
+  const std::size_t subcommand = IndexOf(kSubcommands, config.subcommand);
+  const std::size_t method = IndexOf(kMethods, config.method);
+  if (method == std::size(kMethods)) {
+    Fail("unknown --method: " + config.method + "; expected one of: " +
+         NamesOf(kMethods, kAnyMethod));
   }
-  if (config.serve_listen_threads < 1 || config.serve_listen_threads > 64) {
-    Fail("--listen-threads must be in [1, 64], got " +
-         std::to_string(config.serve_listen_threads));
+  for (const FlagSpec* flag : given) {
+    if ((flag->subcommands >> subcommand & 1u) == 0) {
+      Fail(std::string(flag->name) + " does not apply to " +
+           config.subcommand + " (it applies to " +
+           NamesOf(kSubcommands, flag->subcommands) + ")");
+    }
+    if ((flag->methods >> method & 1u) == 0) {
+      Fail(std::string(flag->name) + " is not read by --method " +
+           config.method + " (only by " + NamesOf(kMethods, flag->methods) +
+           ")");
+    }
+    CheckRange(*flag, config);
   }
-  if (config.serve_worker_threads < 1 || config.serve_worker_threads > 64) {
-    Fail("--worker-threads must be in [1, 64], got " +
-         std::to_string(config.serve_worker_threads));
-  }
-  if (config.serve_max_batch < 1 || config.serve_max_batch > 4096) {
-    Fail("--max-batch must be in [1, 4096], got " +
-         std::to_string(config.serve_max_batch));
-  }
-  if (config.serve_batch_window_us < 0 ||
-      config.serve_batch_window_us > 1000000) {
-    Fail("--batch-window-us must be in [0, 1000000], got " +
-         std::to_string(config.serve_batch_window_us));
-  }
+  // The two checks that relate two flags.
   if (config.serve_queue_capacity < config.serve_max_batch) {
     Fail("--queue-capacity must be >= --max-batch (" +
          std::to_string(config.serve_max_batch) + "), got " +
          std::to_string(config.serve_queue_capacity));
   }
-  if (config.serve_seconds < 0 || config.serve_seconds > 86400) {
-    Fail("--serve-seconds must be in [0, 86400], got " +
-         std::to_string(config.serve_seconds));
-  }
-  if (config.serve_overload_timeout_ms < -1 ||
-      config.serve_overload_timeout_ms > 3600000) {
-    Fail("--overload-timeout-ms must be in [-1, 3600000], got " +
-         std::to_string(config.serve_overload_timeout_ms));
-  }
-  // Stream knobs: same boundary-validation discipline as the serving
-  // flags above — the library would throw, the CLI names the flag.
-  if (config.stream_num_events < 0) {
-    Fail("--num-events must be >= 0, got " +
-         std::to_string(config.stream_num_events));
-  }
-  if (config.stream_update_fraction < 0.0 ||
-      config.stream_delete_fraction < 0.0 ||
-      config.stream_update_fraction + config.stream_delete_fraction > 1.0) {
-    Fail("--update-fraction and --delete-fraction must be >= 0 and sum "
-         "to <= 1");
-  }
-  if (config.stream_max_timestamp_step < 0) {
-    Fail("--max-timestamp-step must be >= 0, got " +
-         std::to_string(config.stream_max_timestamp_step));
-  }
-  if (config.flush_every < 1) {
-    Fail("--flush-every must be >= 1, got " +
-         std::to_string(config.flush_every));
-  }
-  if (config.checkpoint_every < 0) {
-    Fail("--checkpoint-every must be >= 0, got " +
-         std::to_string(config.checkpoint_every));
-  }
-  // Distributed knobs: same boundary discipline — the [1, 64] ceiling is
-  // the fixed 64-lane reduction partition (docs/distributed.md).
-  if (config.dist_workers < 1 || config.dist_workers > 64) {
-    Fail("--workers must be in [1, 64], got " +
-         std::to_string(config.dist_workers));
-  }
-  if (config.metrics_log_ms < 0 || config.metrics_log_ms > 3600000) {
-    Fail("--metrics-log-ms must be in [0, 3600000], got " +
-         std::to_string(config.metrics_log_ms));
+  if (config.stream_update_fraction + config.stream_delete_fraction > 1.0) {
+    Fail("--update-fraction and --delete-fraction must sum to <= 1");
   }
   return config;
 }
@@ -638,7 +635,6 @@ int RunTopk(const CliConfig& config) {
          " comma-separated 1-based coordinates (the --mode slot is "
          "ignored)");
   }
-  if (config.topk_k < 1) Fail("--k must be >= 1");
   const std::int64_t mode = config.topk_mode - 1;
   std::vector<std::int64_t> index;
   for (std::size_t n = 0; n < config.topk_index.size(); ++n) {
@@ -649,7 +645,8 @@ int RunTopk(const CliConfig& config) {
                         : config.topk_index[n] - 1);
   }
   const std::vector<ScoredIndex> top = service.TopK(
-      mode, index, config.topk_k, /*exclude=*/nullptr, config.topk_nprobe);
+      mode, index, config.topk_k, /*exclude=*/nullptr,
+      config.topk_nprobe.value_or(-1));
   std::printf("top-%lld along mode %lld:\n",
               static_cast<long long>(config.topk_k),
               static_cast<long long>(config.topk_mode));
@@ -774,15 +771,23 @@ int RunGenStream(const CliConfig& config) {
 // The δ-engine of decompose, solve and replay. `--variant cache` is the
 // paper's name for `--delta-engine cache` (§III-C), so naming another
 // engine beside it is a flag conflict. Engine names resolve through the
-// same catalog --help prints.
+// same catalog --help prints. The ingest pipeline never truncates, so
+// replay has no approx variant.
 DeltaEngineChoice DeltaEngineFromFlags(const CliConfig& config) {
   if (config.variant != "memory" && config.variant != "cache" &&
       config.variant != "approx") {
     Fail("unknown --variant: " + config.variant);
   }
+  if (config.variant == "approx" && config.subcommand == "replay") {
+    Fail("--variant approx does not apply to replay (its ingest pipeline "
+         "never truncates)");
+  }
   const bool cache = config.variant == "cache";
-  const std::string name = config.delta_engine.value_or(
-      cache ? "cache" : DeltaEngineChoiceName(PTuckerOptions().delta_engine));
+  std::string name = config.delta_engine;
+  if (name.empty()) {
+    name = cache ? "cache"
+                 : DeltaEngineChoiceName(PTuckerOptions().delta_engine);
+  }
   const DeltaEngineDescriptor* engine = FindDeltaEngineByName(name);
   if (engine == nullptr) Fail("unknown --delta-engine: " + name);
   if (cache && engine->choice != DeltaEngineChoice::kCached) {
@@ -798,6 +803,8 @@ DeltaEngineChoice DeltaEngineFromFlags(const CliConfig& config) {
 // MANIFEST there restarts from its checkpoint and replays only the tail
 // — landing on the same factors as an uninterrupted run.
 int RunReplay(const CliConfig& config) {
+  IngestOptions options;
+  options.delta_engine = DeltaEngineFromFlags(config);
   if (config.input.empty()) {
     Fail("replay requires --input PATH (the stream's initial tensor)");
   }
@@ -818,9 +825,7 @@ int RunReplay(const CliConfig& config) {
          std::to_string(initial.order()));
   }
 
-  IngestOptions options;
   options.lambda = config.lambda;
-  options.delta_engine = DeltaEngineFromFlags(config);
   options.num_threads = config.threads;
   options.flush_every = config.flush_every;
   options.checkpoint_every = config.checkpoint_every;
@@ -909,9 +914,6 @@ int RunConvertModel(const CliConfig& config) {
 // flags (docs/distributed.md).
 int Run(const CliConfig& config) {
   const bool solve = config.subcommand == "solve";
-  if (solve && config.method != "ptucker") {
-    Fail("solve supports --method ptucker only");
-  }
   SparseTensor x;
   if (config.selftest) {
     Rng rng(7);
@@ -927,9 +929,6 @@ int Run(const CliConfig& config) {
   TuckerFactorization warm_start;
   const bool has_warm_start = !config.load_model.empty();
   if (has_warm_start) {
-    if (config.method != "ptucker") {
-      Fail("--load-model warm start requires --method ptucker");
-    }
     warm_start = LoadSnapshot(config.load_model);
     std::printf("warm start from %s (core nnz %lld)\n",
                 config.load_model.c_str(),
@@ -970,6 +969,9 @@ int Run(const CliConfig& config) {
                 static_cast<long long>(test.nnz()));
   }
 
+  // Every method runs at --threads; P-Tucker reads the count back, and
+  // solve's forked workers inherit it.
+  if (config.threads > 0) omp_set_num_threads(config.threads);
   PTuckerResult result;
   if (config.method == "ptucker") {
     PTuckerOptions options;
@@ -979,7 +981,6 @@ int Run(const CliConfig& config) {
     options.tolerance = config.tolerance;
     options.truncation_rate = config.truncation_rate;
     options.sample_rate = config.sample_rate;
-    options.num_threads = config.threads;
     options.seed = config.seed;
     options.update_core = config.update_core;
     options.delta_engine = DeltaEngineFromFlags(config);
@@ -1020,10 +1021,8 @@ int Run(const CliConfig& config) {
       result = ShotDecompose(train, hooi_options);
     } else if (config.method == "csf") {
       result = TuckerCsfDecompose(train, hooi_options);
-    } else if (config.method == "wopt") {
-      result = TuckerWoptDecompose(train, hooi_options);
     } else {
-      Fail("unknown --method: " + config.method);
+      result = TuckerWoptDecompose(train, hooi_options);
     }
   }
   PrintTrace(result.iterations, config.quiet);
@@ -1053,10 +1052,6 @@ int Run(const CliConfig& config) {
   }
   return 0;
 }
-
-}  // namespace
-
-namespace {
 
 int Dispatch(const CliConfig& config) {
   if (config.subcommand == "predict") return RunPredict(config);
