@@ -10,6 +10,7 @@
 
 #include "linalg/factor_view.h"
 #include "tensor/csf.h"
+#include "util/cpu.h"
 
 namespace ptucker {
 
@@ -48,6 +49,11 @@ struct LeafArrays {
 ///   a time;
 /// - depth 5 and up, or another rank: a recursive walk, one entry at a
 ///   time.
+///
+/// Runs the AVX2 build of the walk when the CPU has AVX2 (CpuHasAvx2,
+/// util/cpu.h), the generic build otherwise. **Exactness: bit-identical
+/// across ISA clones**: neither build contracts a multiply-add, so both
+/// perform the operations above in the same order.
 void WalkContractionTree(const CsfTree& tree,
                          const std::vector<std::int64_t>& levels,
                          const std::vector<FactorView>& factors,
@@ -55,6 +61,33 @@ void WalkContractionTree(const CsfTree& tree,
                          std::int64_t count,
                          const std::int64_t* const* entry_indices,
                          double* deltas);
+
+/// The walk built for the baseline instruction set.
+namespace contraction_walk_generic {
+/// WalkContractionTree, generic build.
+void WalkContractionTree(const CsfTree& tree,
+                         const std::vector<std::int64_t>& levels,
+                         const std::vector<FactorView>& factors,
+                         const LeafArrays& leaves, std::int64_t rank,
+                         std::int64_t count,
+                         const std::int64_t* const* entry_indices,
+                         double* deltas);
+}  // namespace contraction_walk_generic
+
+#if PTUCKER_AVX2_CLONES
+/// The walk built under `#pragma GCC target("avx2")`; call it only where
+/// CpuHasAvx2() holds.
+namespace contraction_walk_avx2 {
+/// WalkContractionTree, AVX2 build.
+void WalkContractionTree(const CsfTree& tree,
+                         const std::vector<std::int64_t>& levels,
+                         const std::vector<FactorView>& factors,
+                         const LeafArrays& leaves, std::int64_t rank,
+                         std::int64_t count,
+                         const std::int64_t* const* entry_indices,
+                         double* deltas);
+}  // namespace contraction_walk_avx2
+#endif
 
 }  // namespace ptucker
 

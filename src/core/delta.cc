@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/cpu.h"
 #include "util/logging.h"
 
 namespace ptucker {
@@ -114,54 +115,29 @@ double ReconstructFromList(const CoreEntryList& core,
   return sum;
 }
 
+namespace delta_generic {
+#include "core/delta_batch.inc"
+}  // namespace delta_generic
+
+#if PTUCKER_AVX2_CLONES
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace delta_avx2 {
+#include "core/delta_batch.inc"
+}  // namespace delta_avx2
+#pragma GCC pop_options
+#endif
+
 void ReconstructFromList(const CoreEntryList& core,
                          const std::vector<FactorView>& factors,
                          std::int64_t count, const std::int64_t* const* indices,
                          double* out) {
-  // Entries per block: enough independent sums to hide the add latency
-  // and fill the vector units, few enough to stay in registers.
-  constexpr std::int64_t kBlock = 16;
-  const std::int64_t order = core.order();
-  const std::int64_t n_entries = core.size();
-  // Mode k's rows of the block, transposed: rows[offsets[k] + j·kBlock + e]
-  // = A(k)(i_k of block entry e, j).
-  std::vector<std::int64_t> offsets(static_cast<std::size_t>(order));
-  std::int64_t total = 0;
-  for (std::int64_t k = 0; k < order; ++k) {
-    offsets[static_cast<std::size_t>(k)] = total;
-    total += factors[static_cast<std::size_t>(k)].cols() * kBlock;
+#if PTUCKER_AVX2_CLONES
+  if (CpuHasAvx2()) {
+    return delta_avx2::ReconstructFromList(core, factors, count, indices, out);
   }
-  std::vector<double> rows(static_cast<std::size_t>(total));
-
-  for (std::int64_t first = 0; first < count; first += kBlock) {
-    const std::int64_t width = std::min(kBlock, count - first);
-    // A short last block repeats its first entry; those sums are dropped.
-    for (std::int64_t k = 0; k < order; ++k) {
-      const FactorView& factor = factors[static_cast<std::size_t>(k)];
-      double* block = rows.data() + offsets[static_cast<std::size_t>(k)];
-      for (std::int64_t e = 0; e < kBlock; ++e) {
-        const std::int64_t* index = indices[first + (e < width ? e : 0)];
-        const double* row = factor.Row(index[k]);
-        for (std::int64_t j = 0; j < factor.cols(); ++j) {
-          block[j * kBlock + e] = row[j];
-        }
-      }
-    }
-    double sum[kBlock] = {};
-    for (std::int64_t b = 0; b < n_entries; ++b) {
-      const std::int32_t* beta = core.index(b);
-      double product[kBlock];
-      for (std::int64_t e = 0; e < kBlock; ++e) product[e] = core.value(b);
-      for (std::int64_t k = 0; k < order; ++k) {
-        const double* column = rows.data() +
-                               offsets[static_cast<std::size_t>(k)] +
-                               beta[k] * kBlock;
-        for (std::int64_t e = 0; e < kBlock; ++e) product[e] *= column[e];
-      }
-      for (std::int64_t e = 0; e < kBlock; ++e) sum[e] += product[e];
-    }
-    for (std::int64_t e = 0; e < width; ++e) out[first + e] = sum[e];
-  }
+#endif
+  delta_generic::ReconstructFromList(core, factors, count, indices, out);
 }
 
 }  // namespace ptucker

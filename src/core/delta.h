@@ -11,6 +11,7 @@
 #include "linalg/factor_view.h"
 #include "linalg/matrix.h"
 #include "tensor/dense_tensor.h"
+#include "util/cpu.h"
 #include "util/span.h"
 
 namespace ptucker {
@@ -87,11 +88,34 @@ double ReconstructFromList(const CoreEntryList& core,
 /// scratch, so one pass over the list advances every entry of a block
 /// side by side (independent sums, contiguous operands) while each entry
 /// keeps the scalar scan's multiply order and list-order sum. Nothing is
-/// reassociated.
+/// reassociated. Runs the AVX2 build of the kernel when the CPU has AVX2
+/// (CpuHasAvx2, util/cpu.h), the generic build otherwise: **bit-identical
+/// across ISA clones**, since neither contracts a multiply-add.
 void ReconstructFromList(const CoreEntryList& core,
                          const std::vector<FactorView>& factors,
                          std::int64_t count, const std::int64_t* const* indices,
                          double* out);
+
+/// The batched reconstruct built for the baseline instruction set.
+namespace delta_generic {
+/// The batched ReconstructFromList, generic build.
+void ReconstructFromList(const CoreEntryList& core,
+                         const std::vector<FactorView>& factors,
+                         std::int64_t count, const std::int64_t* const* indices,
+                         double* out);
+}  // namespace delta_generic
+
+#if PTUCKER_AVX2_CLONES
+/// The batched reconstruct built under `#pragma GCC target("avx2")`; call
+/// it only where CpuHasAvx2() holds.
+namespace delta_avx2 {
+/// The batched ReconstructFromList, AVX2 build.
+void ReconstructFromList(const CoreEntryList& core,
+                         const std::vector<FactorView>& factors,
+                         std::int64_t count, const std::int64_t* const* indices,
+                         double* out);
+}  // namespace delta_avx2
+#endif
 
 }  // namespace ptucker
 

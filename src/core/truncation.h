@@ -13,6 +13,7 @@
 #include "linalg/matrix.h"
 #include "tensor/dense_tensor.h"
 #include "tensor/sparse_tensor.h"
+#include "util/cpu.h"
 #include "util/memory_tracker.h"
 
 namespace ptucker {
@@ -53,10 +54,35 @@ class DeltaEngine;
 /// buffers and the Λ·|G| lane partials — is charged to `tracker`, when
 /// given, before it is allocated (OutOfMemoryBudget when over budget,
 /// with nothing left charged), and released on return.
+///
+/// The lane pass runs in its AVX2 build when the CPU has AVX2
+/// (CpuHasAvx2, util/cpu.h), in its generic build otherwise; the two are
+/// **bit-identical across ISA clones** (neither contracts a multiply-add).
 std::vector<double> ComputePartialErrors(const SparseTensor& x,
                                          const CoreEntryList& core,
                                          const std::vector<Matrix>& factors,
                                          MemoryTracker* tracker = nullptr);
+
+/// The scorer with its lane pass built for the baseline instruction set.
+namespace truncation_generic {
+/// ComputePartialErrors, generic lane pass.
+std::vector<double> ComputePartialErrors(const SparseTensor& x,
+                                         const CoreEntryList& core,
+                                         const std::vector<Matrix>& factors,
+                                         MemoryTracker* tracker = nullptr);
+}  // namespace truncation_generic
+
+#if PTUCKER_AVX2_CLONES
+/// The scorer with its lane pass built under `#pragma GCC
+/// target("avx2")`; call it only where CpuHasAvx2() holds.
+namespace truncation_avx2 {
+/// ComputePartialErrors, AVX2 lane pass.
+std::vector<double> ComputePartialErrors(const SparseTensor& x,
+                                         const CoreEntryList& core,
+                                         const std::vector<Matrix>& factors,
+                                         MemoryTracker* tracker = nullptr);
+}  // namespace truncation_avx2
+#endif
 
 /// Removes the top-⌊p·|G|⌋ entries by R(β) from `core_list` and zeroes
 /// them in `core` (Algorithm 4). Always keeps at least one entry. Returns

@@ -1,5 +1,6 @@
 # CLI smoke test: run ptucker_cli end-to-end on a tiny synthetic tensor
-# (--selftest) and assert exit code 0 plus parseable output, then run the
+# (--selftest) and assert exit code 0 plus parseable output (with the
+# kernel build named in the header and on --help's last line), then run the
 # same selftest through `solve` and assert the same final error line, with
 # and without a --test-fraction hold-out (then also the same test RMSE),
 # and a missing --load-model fails `solve`. Last, `replay` streams a
@@ -33,6 +34,22 @@ if(NOT smoke_out MATCHES "final reconstruction error \\(Eq\\. 5\\): [0-9]+\\.[0-
 endif()
 if(NOT smoke_out MATCHES "selftest OK")
   message(FATAL_ERROR "missing 'selftest OK' in:\n${smoke_out}")
+endif()
+
+# --help ends by naming the kernel build the dispatched kernels run, and
+# the solve header names it too (util/cpu.h).
+execute_process(
+  COMMAND ${PTUCKER_CLI} --help
+  OUTPUT_VARIABLE help_out
+  RESULT_VARIABLE help_rc
+)
+if(NOT help_rc EQUAL 0 OR NOT help_out MATCHES "\nkernels: (avx2|generic)\n$")
+  message(FATAL_ERROR
+    "--help (exit ${help_rc}) does not end with 'kernels: avx2|generic':\n"
+    "${help_out}")
+endif()
+if(NOT smoke_out MATCHES "\nkernels: (avx2|generic)\n")
+  message(FATAL_ERROR "missing 'kernels:' line in the solve header:\n${smoke_out}")
 endif()
 
 # `solve` must print the same final error as `decompose` on the same flags

@@ -1,6 +1,7 @@
 // ptucker_cli — command-line driver for the library. `ptucker_cli --help`
 // lists the subcommands, the methods, the δ-engines and each flag under
-// the subcommands that take it, generated from the tables below.
+// the subcommands that take it, generated from the tables below, and
+// names the kernel build this CPU runs (util/cpu.h).
 #include <omp.h>
 
 #include <algorithm>
@@ -45,6 +46,7 @@
 #include "stream/event_log.h"
 #include "stream/ingest_pipeline.h"
 #include "tensor/io.h"
+#include "util/cpu.h"
 #include "util/format.h"
 #include "util/random.h"
 
@@ -374,6 +376,7 @@ std::string RangeText(const FlagSpec& flag) {
                 help.c_str());
   }
   std::printf("\nflags accept both '--flag value' and '--flag=value'\n");
+  std::printf("\nkernels: %s\n", KernelIsaName());
   std::exit(0);
 }
 
@@ -955,6 +958,7 @@ int Run(const CliConfig& config) {
   } else {
     std::printf("method: %s\n", config.method.c_str());
   }
+  std::printf("kernels: %s\n", KernelIsaName());
 
   // Optional hold-out split.
   SparseTensor train = std::move(x);
