@@ -269,6 +269,14 @@ TEST_F(IsaCloneTest, BatchedReconstructClonesAgree) {
   }
 }
 
+// CpuHasAvx2 reads CPUID and XGETBV itself; it must agree with GCC's own
+// CPU probe, which also asks whether the OS saves the YMM registers.
+TEST(CpuTest, HasAvx2AgreesWithGccsProbe) {
+  __builtin_cpu_init();
+  EXPECT_EQ(CpuHasAvx2(), __builtin_cpu_supports("avx2") != 0);
+  EXPECT_STREQ(KernelIsaName(), CpuHasAvx2() ? "avx2" : "generic");
+}
+
 #else  // !PTUCKER_AVX2_CLONES
 
 TEST(IsaCloneTest, NoAvx2Clones) {
