@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include <utility>
 
 #include <locale.h>
+#include <omp.h>
 #include <sys/stat.h>
 
 #include "tensor/dense_tensor.h"
@@ -77,53 +79,164 @@ bool SpellsNonFinite(const char* p, const char* end) {
   return word == "inf" || word == "infinity" || word == "nan";
 }
 
-// Scans `.tns` lines straight into flat coordinate and value arrays,
-// which Finish() hands to the SparseTensor without a copy.
+// The first character of [p, end) other than ' ', '\t' and '\r', or `end`.
+const char* SkipBlanks(const char* p, const char* end) {
+  while (p < end && (*p == ' ' || *p == '\t' || *p == '\r')) ++p;
+  return p;
+}
+
+// Whether the line [p, end) is skipped: blank, or a comment.
+bool IsSkipped(const char* p, const char* end) {
+  p = SkipBlanks(p, end);
+  return p == end || *p == '#';
+}
+
+// Calls `line(p, end)` for each line in [begin, end), without its '\n';
+// the last line needs none.
+template <typename LineFn>
+void ForEachLine(const char* begin, const char* end, LineFn&& line) {
+  while (begin < end) {
+    const auto* newline = static_cast<const char*>(
+        std::memchr(begin, '\n', static_cast<std::size_t>(end - begin)));
+    line(begin, newline != nullptr ? newline : end);
+    begin = newline != nullptr ? newline + 1 : end;
+  }
+}
+
+// A run of whole lines, scanned by one thread. The counting pass fills
+// `lines`, `entries` and `first_entry`; the prefix sums over the chunks
+// before it fill `lines_before` and `entries_before`.
+struct TnsChunk {
+  const char* begin = nullptr;
+  const char* end = nullptr;
+  std::int64_t lines = 0;
+  std::int64_t entries = 0;  // lines neither blank nor a comment
+  const char* first_entry = nullptr;  // the first of them
+  std::int64_t first_entry_line = 0;  // its line number in the chunk
+  std::int64_t lines_before = 0;
+  std::int64_t entries_before = 0;
+};
+
+// Cuts `content` into `count` runs of whole lines of about equal size. A
+// run is empty when the line that ends the run before it also crosses
+// its cut.
+std::vector<TnsChunk> CutChunks(const std::string& content,
+                                std::size_t count) {
+  const char* begin = content.data();
+  const char* end = begin + content.size();
+  std::vector<TnsChunk> chunks(count);
+  const char* at = begin;
+  for (std::size_t c = 0; c < count; ++c) {
+    chunks[c].begin = at;
+    const char* target = begin + content.size() * (c + 1) / count;
+    if (c + 1 == count) {
+      at = end;
+    } else if (target > at) {
+      const auto* newline = static_cast<const char*>(std::memchr(
+          target - 1, '\n', static_cast<std::size_t>(end - target + 1)));
+      at = newline != nullptr ? newline + 1 : end;
+    }
+    chunks[c].end = at;
+  }
+  return chunks;
+}
+
+// Counts the chunk's lines and entries and finds its first entry. A line
+// that starts with a digit is an entry, and in most inputs every line
+// does, so one pass that compiles to byte-wide vector compares counts the
+// newlines and the line starts that are not digits. Only a chunk with
+// such a start, a blank line or a comment say, is walked line by line.
+void CountLines(TnsChunk* chunk) {
+  if (chunk->begin == chunk->end) return;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(chunk->begin);
+  // The last byte ends the last line, whether it is a newline or not.
+  const auto last = static_cast<std::size_t>(chunk->end - chunk->begin) - 1;
+  std::int64_t newlines = 0;
+  std::int64_t other_starts = IsDigit(chunk->begin[0]) ? 0 : 1;
+  // Blocks of 255 bytes let the counts run in bytes without overflow.
+  for (std::size_t block = 0; block < last; block += 255) {
+    const std::size_t stop = std::min(last, block + 255);
+    unsigned char block_newlines = 0;
+    unsigned char block_other_starts = 0;
+    for (std::size_t i = block; i < stop; ++i) {
+      const unsigned char newline = bytes[i] == '\n';
+      block_newlines += newline;
+      block_other_starts +=
+          newline & (static_cast<unsigned char>(bytes[i + 1] - '0') > 9);
+    }
+    newlines += block_newlines;
+    other_starts += block_other_starts;
+  }
+  if (other_starts == 0) {
+    chunk->lines = chunk->entries = newlines + 1;
+    chunk->first_entry = chunk->begin;
+    chunk->first_entry_line = 1;
+    return;
+  }
+  ForEachLine(chunk->begin, chunk->end, [chunk](const char* p,
+                                                const char* end) {
+    ++chunk->lines;
+    if (IsSkipped(p, end)) return;
+    if (chunk->entries++ == 0) {
+      chunk->first_entry = p;
+      chunk->first_entry_line = chunk->lines;
+    }
+  });
+}
+
+// Throws "<prefix>tns parse error at line <line>: <detail>", or, for
+// input that is wrong as a whole, with `line` 0, without "at line".
+[[noreturn]] void ThrowParseError(const std::string& prefix, std::int64_t line,
+                                  const std::string& detail) {
+  throw std::runtime_error(
+      prefix + "tns parse error" +
+      (line > 0 ? " at line " + std::to_string(line) : std::string()) + ": " +
+      detail);
+}
+
+// Scans `.tns` lines straight into their slots of the flat coordinate and
+// value arrays, which the SparseTensor then adopts without a copy.
 class TnsScanner {
  public:
-  // `prefix` starts every error message (the file path for ReadTns). The
-  // input holds at most `max_lines` lines of `max_bytes` bytes in all, so
-  // the storage is reserved once, when the first data line fixes the order.
-  TnsScanner(const std::vector<std::int64_t>& dims, std::string prefix,
-             std::int64_t max_lines, std::int64_t max_bytes)
-      : dims_(dims),
-        prefix_(std::move(prefix)),
-        max_lines_(max_lines),
-        max_bytes_(max_bytes) {}
+  // `prefix` starts every error message; `lines_before` lines precede the
+  // first line scanned.
+  TnsScanner(const std::vector<std::int64_t>& dims, const std::string& prefix,
+             std::int64_t lines_before)
+      : dims_(dims), prefix_(prefix), line_(lines_before) {}
 
-  // Scans the lines in [begin, end); each ends in '\n' but the last may
-  // not.
-  void ScanLines(const char* begin, const char* end) {
-    while (begin < end) {
-      const auto* newline = static_cast<const char*>(
-          std::memchr(begin, '\n', static_cast<std::size_t>(end - begin)));
+  // The number of indices on the data line [p, end), the next line;
+  // throws if the line is malformed.
+  std::size_t Order(const char* p, const char* end) {
+    ++line_;
+    return Tokenize(p, end);
+  }
+
+  // Scans the lines in [begin, end), each ending in '\n' but the last,
+  // into consecutive entries of `order` indices from `coords` and
+  // `values` on.
+  void ScanLines(const char* begin, const char* end, std::size_t order,
+                 std::int64_t* coords, double* values) {
+    order_ = order;
+    coords_ = coords;
+    values_ = values;
+    if (dims_.empty()) extent_.assign(order, 1);
+    ForEachLine(begin, end, [this](const char* p, const char* line_end) {
       ++line_;
-      ScanLine(begin, newline != nullptr ? newline : end);
-      begin = newline != nullptr ? newline + 1 : end;
-    }
+      ScanLine(p, line_end);
+    });
   }
 
-  // The tensor of every line scanned; call once.
-  SparseTensor Finish() {
-    if (values_.empty() && dims_.empty()) {
-      throw std::runtime_error(prefix_ +
-                               "tns parse error: no entries and no dims given");
-    }
-    if (!values_.empty() && !dims_.empty() && dims_.size() != order_) {
-      throw std::runtime_error(
-          prefix_ + "tns parse error: dims order mismatch: " +
-          std::to_string(dims_.size()) + " dims for " +
-          std::to_string(order_) + " indices per entry");
-    }
+  // Throws for the first line with an index beyond `dims`, if any.
+  void CheckBounds() const {
     if (out_of_bounds_line_ != 0) Fail(out_of_bounds_line_, out_of_bounds_);
-    return SparseTensor(dims_.empty() ? std::move(extent_) : dims_,
-                        std::move(coords_), std::move(values_));
   }
+
+  // The per-mode maximum index of the lines scanned, without `dims`.
+  const std::vector<std::int64_t>& extent() const { return extent_; }
 
  private:
   [[noreturn]] void Fail(std::int64_t line, const std::string& detail) const {
-    throw std::runtime_error(prefix_ + "tns parse error at line " +
-                             std::to_string(line) + ": " + detail);
+    ThrowParseError(prefix_, line, detail);
   }
 
   // Reads the token that starts at `p` (not a space) into `*value` and
@@ -166,10 +279,9 @@ class TnsScanner {
     return token_end;
   }
 
-  void ScanLine(const char* p, const char* end) {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\r')) ++p;
-    if (p == end || *p == '#') return;
-
+  // Reads the data line [p, end) into `tokens_`, checks its indices and
+  // returns their number.
+  std::size_t Tokenize(const char* p, const char* end) {
     tokens_.clear();
     for (;;) {
       while (p < end && IsSpace(*p)) ++p;
@@ -190,9 +302,14 @@ class TnsScanner {
         Fail(line_, "index must be a positive integer");
       }
     }
-    if (order_ == 0) {
-      StartEntries(order);
-    } else if (order != order_) {
+    return order;
+  }
+
+  void ScanLine(const char* p, const char* end) {
+    p = SkipBlanks(p, end);
+    if (p == end || *p == '#') return;
+    const std::size_t order = Tokenize(p, end);
+    if (order != order_) {
       Fail(line_, "inconsistent number of indices: expected " +
                       std::to_string(order_) + ", found " +
                       std::to_string(order));
@@ -201,7 +318,7 @@ class TnsScanner {
     const bool check_bounds = dims_.size() == order_;
     for (std::size_t k = 0; k < order; ++k) {
       const auto index = static_cast<std::int64_t>(tokens_[k]) - 1;
-      coords_.push_back(index);
+      *coords_++ = index;
       if (dims_.empty()) {
         extent_[k] = std::max(extent_[k], index + 1);
       } else if (check_bounds && out_of_bounds_line_ == 0 &&
@@ -212,47 +329,106 @@ class TnsScanner {
                          std::to_string(dims_[k]);
       }
     }
-    values_.push_back(tokens_.back());
-  }
-
-  void StartEntries(std::size_t order) {
-    order_ = order;
-    if (dims_.empty()) extent_.assign(order, 1);
-    // A data line holds order + 1 tokens of one byte or more, so the byte
-    // count bounds the entries too, whatever the number of blank lines.
-    const std::int64_t entries = std::min(
-        max_lines_, max_bytes_ / static_cast<std::int64_t>(order + 1));
-    values_.reserve(static_cast<std::size_t>(entries));
-    coords_.reserve(static_cast<std::size_t>(entries) * order);
+    *values_++ = tokens_.back();
   }
 
   const std::vector<std::int64_t>& dims_;
-  const std::string prefix_;
-  const std::int64_t max_lines_;
-  const std::int64_t max_bytes_;
-  std::int64_t line_ = 0;
-  std::size_t order_ = 0;  // indices per entry; 0 until the first entry
+  const std::string& prefix_;
+  std::int64_t line_;
+  std::size_t order_ = 0;  // indices per entry
+  std::int64_t* coords_ = nullptr;  // the next entry's slots, 0-based
+  double* values_ = nullptr;
   std::vector<double> tokens_;  // the current line's tokens
-  std::vector<std::int64_t> coords_;  // 0-based, entry-major
-  std::vector<double> values_;
   std::vector<std::int64_t> extent_;  // per-mode maximum index, without dims
   std::int64_t out_of_bounds_line_ = 0;  // first line beyond dims, or 0
   std::string out_of_bounds_;
 };
 
-// Scans all of `content`; `prefix` starts every error message.
+// Scans all of `content`; `prefix` starts every error message. Each
+// thread takes one chunk of whole lines: a counting pass gives every
+// chunk its first line number and its first entry, the output is
+// allocated once at its exact size, and each chunk scans into its own
+// slice of it. The first error in file order wins, so the tensor and the
+// error do not depend on the thread count. (Scanning into per-chunk
+// arrays and concatenating them would hold the entries twice at the
+// peak.)
 SparseTensor ScanTns(const std::string& content,
                      const std::vector<std::int64_t>& dims,
-                     std::string prefix) {
-  const char* begin = content.data();
-  const char* end = begin + content.size();
-  const bool unterminated = !content.empty() && content.back() != '\n';
-  const std::int64_t lines =
-      std::count(begin, end, '\n') + (unterminated ? 1 : 0);
-  TnsScanner scanner(dims, std::move(prefix), lines,
-                     static_cast<std::int64_t>(content.size()));
-  scanner.ScanLines(begin, end);
-  return scanner.Finish();
+                     const std::string& prefix) {
+  std::vector<TnsChunk> chunks = CutChunks(
+      content, static_cast<std::size_t>(std::max(1, omp_get_max_threads())));
+  const auto count = static_cast<std::int64_t>(chunks.size());
+#pragma omp parallel for schedule(static, 1)
+  for (std::int64_t c = 0; c < count; ++c) {
+    CountLines(&chunks[static_cast<std::size_t>(c)]);
+  }
+
+  std::int64_t lines = 0;
+  std::int64_t entries = 0;
+  for (TnsChunk& chunk : chunks) {
+    chunk.lines_before = lines;
+    chunk.entries_before = entries;
+    lines += chunk.lines;
+    entries += chunk.entries;
+  }
+  // The first data line fixes the order; lines before it are blank or
+  // comments, so if it is malformed, its error is the first.
+  std::size_t order = 0;
+  for (const TnsChunk& chunk : chunks) {
+    if (chunk.entries == 0) continue;
+    const char* p = chunk.first_entry;
+    const auto* newline = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<std::size_t>(chunk.end - p)));
+    order = TnsScanner(dims, prefix,
+                       chunk.lines_before + chunk.first_entry_line - 1)
+                .Order(p, newline != nullptr ? newline : chunk.end);
+    break;
+  }
+
+  std::vector<std::int64_t> coords(static_cast<std::size_t>(entries) * order);
+  std::vector<double> values(static_cast<std::size_t>(entries));
+  std::vector<TnsScanner> scanners;
+  scanners.reserve(chunks.size());
+  for (const TnsChunk& chunk : chunks) {
+    scanners.emplace_back(dims, prefix, chunk.lines_before);
+  }
+  std::vector<std::exception_ptr> errors(chunks.size());
+#pragma omp parallel for schedule(static, 1)
+  for (std::int64_t c = 0; c < count; ++c) {
+    const TnsChunk& chunk = chunks[static_cast<std::size_t>(c)];
+    const auto first = static_cast<std::size_t>(chunk.entries_before);
+    try {
+      scanners[static_cast<std::size_t>(c)].ScanLines(
+          chunk.begin, chunk.end, order, coords.data() + first * order,
+          values.data() + first);
+    } catch (...) {
+      errors[static_cast<std::size_t>(c)] = std::current_exception();
+    }
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+
+  if (entries == 0 && dims.empty()) {
+    ThrowParseError(prefix, 0, "no entries and no dims given");
+  }
+  if (entries != 0 && !dims.empty() && dims.size() != order) {
+    ThrowParseError(prefix, 0,
+                    "dims order mismatch: " + std::to_string(dims.size()) +
+                        " dims for " + std::to_string(order) +
+                        " indices per entry");
+  }
+  for (const TnsScanner& scanner : scanners) scanner.CheckBounds();
+  if (!dims.empty()) {
+    return SparseTensor(dims, std::move(coords), std::move(values));
+  }
+  std::vector<std::int64_t> extent(order, 1);
+  for (const TnsScanner& scanner : scanners) {
+    for (std::size_t k = 0; k < scanner.extent().size(); ++k) {
+      extent[k] = std::max(extent[k], scanner.extent()[k]);
+    }
+  }
+  return SparseTensor(std::move(extent), std::move(coords), std::move(values));
 }
 
 }  // namespace

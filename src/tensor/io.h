@@ -35,6 +35,11 @@ namespace ptucker {
 /// line holding one, naming the index and its mode (1-based, as in the
 /// file) and the dimension. Input with no entries needs `dims`, and `dims`
 /// must have one entry per index column.
+///
+/// Threads. Both readers cut the input at newlines into one chunk per
+/// `omp_get_max_threads()` thread and scan the chunks in parallel. The
+/// tensor, its entry order and the first error, message and line number
+/// included, do not depend on the thread count.
 
 /// Reads a `.tns` file, which may be a pipe or FIFO: the input is read once,
 /// whole, then parsed. Mode dimensionalities are the per-mode maximum

@@ -77,14 +77,22 @@ void SparseTensor::BuildModeIndex() {
   const std::int64_t entries = nnz();
   slice_ptr_.assign(static_cast<std::size_t>(n_modes), {});
   slice_entries_.assign(static_cast<std::size_t>(n_modes), {});
+  for (std::int64_t mode = 0; mode < n_modes; ++mode) {
+    slice_ptr_[static_cast<std::size_t>(mode)].assign(
+        static_cast<std::size_t>(dim(mode)) + 1, 0);
+    slice_entries_[static_cast<std::size_t>(mode)].resize(
+        static_cast<std::size_t>(entries));
+  }
 
+  // One counting sort of entry ids by their mode coordinate per mode; the
+  // modes are independent. Their arrays are allocated above, on this
+  // thread and in mode order, and each cursor lives only as long as its
+  // sort: both keep a solve's peak RSS where it was with one thread
+  // (docs/benchmarks.md).
+#pragma omp parallel for schedule(static, 1)
   for (std::int64_t mode = 0; mode < n_modes; ++mode) {
     auto& ptr = slice_ptr_[static_cast<std::size_t>(mode)];
     auto& ids = slice_entries_[static_cast<std::size_t>(mode)];
-    ptr.assign(static_cast<std::size_t>(dim(mode)) + 1, 0);
-    ids.resize(static_cast<std::size_t>(entries));
-
-    // Counting sort of entry ids by their mode coordinate.
     for (std::int64_t e = 0; e < entries; ++e) {
       ++ptr[static_cast<std::size_t>(index(e, mode)) + 1];
     }

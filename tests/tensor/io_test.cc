@@ -15,6 +15,7 @@
 #include <sys/stat.h>
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include "data/movielens_sim.h"
 #include "data/synthetic.h"
@@ -578,6 +579,258 @@ TEST(TnsFuzzTest, RandomTokenSoupMatchesOracle) {
                                           ? std::vector<std::int64_t>{3, 3}
                                           : std::vector<std::int64_t>{});
   }
+}
+
+// The reader cuts its input into one chunk of whole lines per OpenMP
+// thread. Everything below runs it at several thread counts, against the
+// oracle and against its own 1-thread result, tensor and error message
+// alike.
+
+// Scopes omp_set_num_threads so a test can pin the team size.
+class ThreadCountGuard {
+ public:
+  explicit ThreadCountGuard(int threads) : saved_(omp_get_max_threads()) {
+    omp_set_num_threads(threads);
+  }
+  ~ThreadCountGuard() { omp_set_num_threads(saved_); }
+
+ private:
+  int saved_;
+};
+
+const int kThreadCounts[] = {1, 2, 3, 8};
+
+// A document and the dims it is parsed with.
+struct TnsCase {
+  std::string content;
+  std::vector<std::int64_t> dims;
+};
+
+// ParseTns on every case at every thread count, one thread count at a
+// time: each result matches the oracle, and equals the 1-thread result
+// bit for bit or with the same message.
+void ExpectSameAtEveryThreadCount(const std::vector<TnsCase>& cases) {
+  std::vector<Outcome> serial;
+  for (const int threads : kThreadCounts) {
+    ThreadCountGuard guard(threads);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const TnsCase& c = cases[i];
+      const Outcome got = Capture([&] { return ParseTns(c.content, c.dims); });
+      if (threads == 1) {
+        ExpectMatchesOracle(got, c.content, c.dims);
+        serial.push_back(got);
+        continue;
+      }
+      const Outcome& want = serial[i];
+      ASSERT_EQ(got.ok, want.ok) << threads << " threads, content \""
+                                 << Escaped(c.content) << "\"";
+      EXPECT_EQ(got.error, want.error) << threads << " threads";
+      if (got.ok) {
+        EXPECT_TRUE(BitwiseEqual(got.tensor, want.tensor))
+            << threads << " threads, content \"" << Escaped(c.content)
+            << "\"";
+      }
+    }
+  }
+}
+
+// The documents of the oracle tests above: every edge token and line
+// shape, every byte flip and truncation of the fuzz document, and the
+// first 1,000 rounds of the token soup.
+std::vector<TnsCase> OracleSweepCases() {
+  std::vector<TnsCase> cases;
+  for (const char* ending : {"", "\n", " \n", "\r\n", "\t# x\n"}) {
+    for (const std::string token :
+         {"+5", "+.5", "5.", ".5", "-0", "1E2", "00012", "1e-400", "+-1",
+          "--1", "1e", "1e+", "0x10", "1,5", "inf", "nan"}) {
+      cases.push_back({"3 1 0.5\n2 " + token + ending, {}});
+      cases.push_back({token + " 2 0.25" + ending, {}});
+      cases.push_back({"2 " + token + " 0.5" + ending, {}});
+    }
+  }
+  for (const std::string& content : std::vector<std::string>{
+           "1 2 0.5\r\n2 1 -1.5\r\n", "1 2 0.5\n2 1 -1.5",
+           "  # lead\n\t# tab\n1 1 2\n", "1 1 2\n\v\n", "1 1 2\n\f\n",
+           "1\v1\f2\n", "\v# not a comment\n1 1 2\n",
+           "\r\n \r\n\t\n1 1 2\n\n\n", "1+2 0.5\n", "1 1 2.5.5\n",
+           "1 1 1e5e5\n", "1 1 0.5\n\n1 1\n1 1 1\n", "", "\n\n",
+           "1 1 \x80\n", std::string("1 1 0.5\n1 1\0 0.5\n", 17)}) {
+    cases.push_back({content, {}});
+    cases.push_back({content, {3, 3}});
+  }
+  const std::string document = kFuzzDocument;
+  for (std::size_t offset = 0; offset < document.size(); ++offset) {
+    for (const char byte : {'\n', ' ', '\v', '\r', '#', '+', '-', '.', 'e',
+                            '0', '7', 'i', '\0', '\x80'}) {
+      std::string mutated = document;
+      mutated[offset] = byte;
+      cases.push_back({mutated, {}});
+      cases.push_back({mutated, {3, 3, 3}});
+    }
+  }
+  for (std::size_t length = 0; length <= document.size(); ++length) {
+    cases.push_back({document.substr(0, length), {}});
+    cases.push_back({document.substr(0, length), {3, 3, 3}});
+  }
+  const std::string alphabet = "0123456789+-.eE \t\r\v\f#xi,\n11 ";
+  Rng rng(31);
+  for (int round = 0; round < 1000; ++round) {
+    std::string content = round % 2 == 0 ? "1 2 " : "";
+    const std::uint64_t length = rng.UniformInt(24);
+    for (std::uint64_t i = 0; i < length; ++i) {
+      content += alphabet[rng.UniformInt(alphabet.size())];
+    }
+    cases.push_back({content, round % 4 == 0
+                                  ? std::vector<std::int64_t>{3, 3}
+                                  : std::vector<std::int64_t>{}});
+  }
+  return cases;
+}
+
+// Documents this short put a cut in or next to nearly every line at 2, 3
+// or 8 threads, and many chunks are empty.
+TEST(TnsThreadsTest, OracleSweepsAtEveryThreadCount) {
+  ExpectSameAtEveryThreadCount(OracleSweepCases());
+}
+
+// Twelve entry lines with one odd line moved through every position, so
+// that at some position and thread count a cut lands on the odd line: a
+// comment, a blank line, blanks of ' ', '\t' and '\r', a CRLF entry, an
+// entry led by blanks, and a malformed line. Each document also runs
+// with CRLF endings and without its final newline.
+TEST(TnsThreadsTest, CutsLandOnEveryLineKind) {
+  std::vector<TnsCase> cases;
+  for (const std::string odd :
+       {"# 1 2 3", "", " \t\r", "5 5 2.5\r", "  4 4 -1", "4 x 1"}) {
+    for (std::size_t at = 0; at <= 12; ++at) {
+      for (const std::string newline : {"\n", "\r\n"}) {
+        std::string content;
+        for (std::size_t line = 0; line <= 12; ++line) {
+          content += line == at ? odd
+                                : std::to_string(line % 5 + 1) + " " +
+                                      std::to_string(line % 3 + 1) + " 0." +
+                                      std::to_string(line);
+          content += newline;
+        }
+        cases.push_back({content, {}});
+        cases.push_back({content, {5, 3}});
+        content.resize(content.size() - newline.size());
+        cases.push_back({content, {}});
+      }
+    }
+  }
+  ExpectSameAtEveryThreadCount(cases);
+}
+
+// Fewer bytes than threads: most chunks are empty.
+TEST(TnsThreadsTest, DocumentShorterThanTheThreadCount) {
+  std::vector<TnsCase> cases;
+  for (const std::string content :
+       {"", "\n", "#", "7", "1 2", "1 1 2", "1 1 2\n", "\r\n1 1"}) {
+    cases.push_back({content, {}});
+    cases.push_back({content, {1, 1}});
+  }
+  ExpectSameAtEveryThreadCount(cases);
+  ThreadCountGuard guard(8);
+  const SparseTensor t = ParseTns("2 3 4");
+  EXPECT_EQ(t.dims(), (std::vector<std::int64_t>{2, 3}));
+  EXPECT_EQ(t.value(0), 4.0);
+}
+
+// Each half is 16 bytes, so at 2 threads the cut falls on the newline
+// that ends line 2 and the second chunk opens with the order change
+// (after a comment in the second document). Its line is numbered in the
+// whole file.
+TEST(TnsThreadsTest, SecondChunkOpensWithAnOrderChange) {
+  for (const auto& [content, line] :
+       std::vector<std::pair<std::string, int>>{
+           {"1 1 0.5\n2 2 0.5\n1 1 1 5\n2 2 2 5\n", 3},
+           {"1 1 0.5\n2 2 0.5\n# c\n1 1 1 5\n2 2\n", 4}}) {
+    for (const int threads : kThreadCounts) {
+      ThreadCountGuard guard(threads);
+      try {
+        ParseTns(content);
+        ADD_FAILURE() << "accepted an order change at " << threads
+                      << " threads";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "tns parse error at line " + std::to_string(line) +
+                      ": inconsistent number of indices: expected 2, "
+                      "found 3");
+      }
+    }
+  }
+}
+
+// The message `ParseTns(content, dims)` throws at `threads` threads.
+std::string ParseError(const std::string& content,
+                       const std::vector<std::int64_t>& dims, int threads) {
+  ThreadCountGuard guard(threads);
+  try {
+    ParseTns(content, dims);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+// The first malformed line in file order wins, wherever the chunks fall;
+// an out-of-bounds line counts only when no line is malformed.
+TEST(TnsThreadsTest, FirstErrorInFileOrderWins) {
+  std::string entries;
+  for (int e = 0; e < 30; ++e) entries += "1 1 0.5\n";
+  const std::vector<std::int64_t> dims = {4, 4};
+  for (const int threads : kThreadCounts) {
+    // A malformed last line beats an out-of-bounds first line.
+    EXPECT_EQ(ParseError("9 1 0.5\n" + entries + "1 x 0.5\n", dims, threads),
+              "tns parse error at line 32: non-numeric token");
+    // Of two malformed lines, the earlier wins, whatever each one's fault.
+    EXPECT_EQ(ParseError("1 1 0.5\n1 1e 0.5\n" + entries + "1 1 1 0.5\n",
+                         dims, threads),
+              "tns parse error at line 2: non-numeric token");
+    EXPECT_EQ(ParseError("1 1 0.5\n1 1 1 0.5\n" + entries + "1 1e 0.5\n",
+                         dims, threads),
+              "tns parse error at line 2: inconsistent number of indices: "
+              "expected 2, found 3");
+    // Of two out-of-bounds lines, the earlier wins.
+    EXPECT_EQ(ParseError(entries + "1 5 0.5\n" + entries + "6 1 0.5\n", dims,
+                         threads),
+              "tns parse error at line 31: index 5 of mode 2 exceeds "
+              "dimension 4");
+  }
+}
+
+// ReadTns at every thread count, on a file long enough that every chunk
+// holds thousands of lines, and with a malformed line near its end; and
+// a tensor whose extents each chunk sees only in part.
+TEST(TnsThreadsTest, LongInputsAtEveryThreadCount) {
+  const std::string body = EntryLines(200000);
+  const std::string path = TempPath("ptucker_io_threads.tns");
+  for (const std::string& content :
+       {body, body + "1 1 x\n" + body.substr(0, 1000)}) {
+    WriteFile(path, content);
+    const Outcome serial = Capture([&] { return ReadTns(path); });
+    ExpectMatchesOracle(serial, content);
+    for (const int threads : kThreadCounts) {
+      ThreadCountGuard guard(threads);
+      const Outcome got = Capture([&] { return ReadTns(path); });
+      ASSERT_EQ(got.ok, serial.ok) << threads << " threads: " << got.error;
+      EXPECT_EQ(got.error, serial.error) << threads << " threads";
+      if (got.ok) {
+        EXPECT_TRUE(BitwiseEqual(got.tensor, serial.tensor))
+            << threads << " threads";
+      }
+    }
+  }
+  std::remove(path.c_str());
+
+  MovieLensConfig config;
+  config.num_users = 60;
+  config.num_movies = 30;
+  config.num_years = 5;
+  config.nnz = 2000;
+  const MovieLensData data = SimulateMovieLens(config);
+  ExpectSameAtEveryThreadCount({{FormatTns(data.tensor), {}}});
 }
 
 }  // namespace

@@ -1,15 +1,30 @@
 #include "tensor/sparse_tensor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include "data/synthetic.h"
 #include "util/random.h"
 
 namespace ptucker {
 namespace {
+
+// Scopes omp_set_num_threads so a test can pin the team size.
+class ThreadCountGuard {
+ public:
+  explicit ThreadCountGuard(int threads) : saved_(omp_get_max_threads()) {
+    omp_set_num_threads(threads);
+  }
+  ~ThreadCountGuard() { omp_set_num_threads(saved_); }
+
+ private:
+  int saved_;
+};
 
 SparseTensor MakeSmall() {
   SparseTensor t({3, 4, 2});
@@ -118,6 +133,46 @@ TEST_P(ModeIndexSweep, RandomTensorPartition) {
       }
     }
     EXPECT_EQ(total, t.nnz());
+  }
+}
+
+// BuildModeIndex sorts the modes in parallel, so orders 1-6 at 2, 3 and
+// 5 threads have fewer modes than threads, as many, and more. Every
+// slice must list the same entry ids in the same order as at 1 thread,
+// also after RemoveEntries shifts the ids.
+TEST_P(ModeIndexSweep, SameIndexAtEveryThreadCount) {
+  const int order = GetParam();
+  Rng rng(order + 100);
+  std::int64_t cells = 1;
+  for (int k = 0; k < order; ++k) cells *= 6;
+  SparseTensor t =
+      UniformCubicTensor(order, 6, std::min<std::int64_t>(200, cells), rng);
+  for (const bool removed : {false, true}) {
+    if (removed) {
+      std::vector<char> remove(static_cast<std::size_t>(t.nnz()));
+      for (std::size_t e = 0; e < remove.size(); ++e) remove[e] = e % 3 == 1;
+      t.RemoveEntries(remove);
+    }
+    std::vector<std::vector<std::vector<std::int64_t>>> serial;
+    for (const int threads : {1, 2, 3, 5}) {
+      ThreadCountGuard guard(threads);
+      t.BuildModeIndex();
+      for (std::int64_t mode = 0; mode < order; ++mode) {
+        for (std::int64_t i = 0; i < t.dim(mode); ++i) {
+          const Span<const std::int64_t> slice = t.Slice(mode, i);
+          const std::vector<std::int64_t> ids(slice.begin(), slice.end());
+          if (threads == 1) {
+            if (i == 0) serial.emplace_back();
+            serial[static_cast<std::size_t>(mode)].push_back(ids);
+          } else {
+            EXPECT_EQ(ids, serial[static_cast<std::size_t>(mode)]
+                              [static_cast<std::size_t>(i)])
+                << threads << " threads, mode " << mode << ", row " << i
+                << (removed ? ", after RemoveEntries" : "");
+          }
+        }
+      }
+    }
   }
 }
 

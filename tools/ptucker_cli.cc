@@ -973,9 +973,6 @@ int Run(const CliConfig& config) {
                 static_cast<long long>(test.nnz()));
   }
 
-  // Every method runs at --threads; P-Tucker reads the count back, and
-  // solve's forked workers inherit it.
-  if (config.threads > 0) omp_set_num_threads(config.threads);
   PTuckerResult result;
   if (config.method == "ptucker") {
     PTuckerOptions options;
@@ -1058,6 +1055,10 @@ int Run(const CliConfig& config) {
 }
 
 int Dispatch(const CliConfig& config) {
+  // --threads bounds the whole run: reading the .tns input and building
+  // its mode index, every method (P-Tucker reads the count back), the
+  // replay pipeline and solve's forked workers, which inherit it.
+  if (config.threads > 0) omp_set_num_threads(config.threads);
   if (config.subcommand == "predict") return RunPredict(config);
   if (config.subcommand == "topk") return RunTopk(config);
   if (config.subcommand == "convert-model") return RunConvertModel(config);
