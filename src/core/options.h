@@ -95,7 +95,9 @@ struct PTuckerOptions {
   /// Truncation rate p per iteration (P-TUCKER-APPROX only). Paper: 0.2.
   double truncation_rate = 0.2;
 
-  /// Worker threads T; 0 uses the OpenMP default.
+  /// Worker threads T of the solve; 0 uses the OpenMP default. Reading
+  /// the tensor and building its mode index, which the caller does, run
+  /// at the ambient count.
   int num_threads = 0;
 
   /// OpenMP scheduling of the row updates (§III-D); dynamic is the

@@ -107,7 +107,7 @@ IngestPipeline::IngestPipeline(SparseTensor tensor, TuckerFactorization model,
                   ? ops_applied_ / options_.checkpoint_every
                   : 0;
 
-  tensor_.BuildModeIndex();
+  BuildModeIndex();
   // Entry e starts with handle e.
   next_handle_ = tensor_.nnz();
   handle_of_.reserve(static_cast<std::size_t>(next_handle_) * 2);
@@ -266,7 +266,7 @@ void IngestPipeline::Flush() {
       }
       entry_handle_.resize(kept);
     }
-    if (!tensor_.has_mode_index()) tensor_.BuildModeIndex();
+    if (!tensor_.has_mode_index()) BuildModeIndex();
     for (auto& rows : touched) {
       std::sort(rows.begin(), rows.end());
       rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
@@ -353,6 +353,11 @@ std::int64_t IngestPipeline::EntryOf(std::int64_t handle) const {
   return std::lower_bound(entry_handle_.begin(), entry_handle_.end(),
                           handle) -
          entry_handle_.begin();
+}
+
+void IngestPipeline::BuildModeIndex() {
+  OmpEnvironmentGuard omp_guard(options_.num_threads, Scheduling::kDynamic);
+  tensor_.BuildModeIndex();
 }
 
 void IngestPipeline::RebuildEngine() {

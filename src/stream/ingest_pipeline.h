@@ -44,7 +44,8 @@ struct IngestOptions {
   DeltaEngineChoice delta_engine = DeltaEngineChoice::kContraction;
 
   /// Threads of the re-solves, which are dynamically scheduled like the
-  /// solvers' (§III-D); 0 = ambient, negative throws.
+  /// solvers' (§III-D), and of the mode index builds; 0 = ambient,
+  /// negative throws.
   int num_threads = 0;
 
   /// Buffered mutations before a flush applies them and re-solves. 1
@@ -166,6 +167,8 @@ class IngestPipeline {
               double value, std::int64_t handle);
   // Entry id of an applied entry's handle: its rank in entry_handle_.
   std::int64_t EntryOf(std::int64_t handle) const;
+  // Builds the tensor's mode index at num_threads threads.
+  void BuildModeIndex();
   void RebuildEngine();
   void SolveTouchedRows(const std::vector<std::vector<std::int64_t>>& rows);
   void WriteCheckpoint(std::int64_t seq);

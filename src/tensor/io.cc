@@ -91,28 +91,32 @@ bool IsSkipped(const char* p, const char* end) {
   return p == end || *p == '#';
 }
 
+// Where the line that starts at `p` ends: its '\n', or `end`.
+const char* LineEnd(const char* p, const char* end) {
+  const auto* newline = static_cast<const char*>(
+      std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+  return newline != nullptr ? newline : end;
+}
+
 // Calls `line(p, end)` for each line in [begin, end), without its '\n';
 // the last line needs none.
 template <typename LineFn>
 void ForEachLine(const char* begin, const char* end, LineFn&& line) {
   while (begin < end) {
-    const auto* newline = static_cast<const char*>(
-        std::memchr(begin, '\n', static_cast<std::size_t>(end - begin)));
-    line(begin, newline != nullptr ? newline : end);
-    begin = newline != nullptr ? newline + 1 : end;
+    const char* line_end = LineEnd(begin, end);
+    line(begin, line_end);
+    begin = line_end < end ? line_end + 1 : end;
   }
 }
 
 // A run of whole lines, scanned by one thread. The counting pass fills
-// `lines`, `entries` and `first_entry`; the prefix sums over the chunks
-// before it fill `lines_before` and `entries_before`.
+// `lines` and `entries`; the prefix sums over the chunks before it fill
+// `lines_before` and `entries_before`.
 struct TnsChunk {
   const char* begin = nullptr;
   const char* end = nullptr;
   std::int64_t lines = 0;
   std::int64_t entries = 0;  // lines neither blank nor a comment
-  const char* first_entry = nullptr;  // the first of them
-  std::int64_t first_entry_line = 0;  // its line number in the chunk
   std::int64_t lines_before = 0;
   std::int64_t entries_before = 0;
 };
@@ -141,11 +145,11 @@ std::vector<TnsChunk> CutChunks(const std::string& content,
   return chunks;
 }
 
-// Counts the chunk's lines and entries and finds its first entry. A line
-// that starts with a digit is an entry, and in most inputs every line
-// does, so one pass that compiles to byte-wide vector compares counts the
-// newlines and the line starts that are not digits. Only a chunk with
-// such a start, a blank line or a comment say, is walked line by line.
+// Counts the chunk's lines and entries. A line that starts with a digit
+// is an entry, and WriteTns writes no other kind, so one pass that
+// compiles to byte-wide vector compares counts the newlines and the line
+// starts that are not digits. Only a chunk with such a start, a blank
+// line or a comment say, is walked line by line.
 void CountLines(TnsChunk* chunk) {
   if (chunk->begin == chunk->end) return;
   const auto* bytes = reinterpret_cast<const unsigned char*>(chunk->begin);
@@ -169,18 +173,12 @@ void CountLines(TnsChunk* chunk) {
   }
   if (other_starts == 0) {
     chunk->lines = chunk->entries = newlines + 1;
-    chunk->first_entry = chunk->begin;
-    chunk->first_entry_line = 1;
     return;
   }
   ForEachLine(chunk->begin, chunk->end, [chunk](const char* p,
                                                 const char* end) {
     ++chunk->lines;
-    if (IsSkipped(p, end)) return;
-    if (chunk->entries++ == 0) {
-      chunk->first_entry = p;
-      chunk->first_entry_line = chunk->lines;
-    }
+    if (!IsSkipped(p, end)) ++chunk->entries;
   });
 }
 
@@ -223,6 +221,16 @@ class TnsScanner {
     ForEachLine(begin, end, [this](const char* p, const char* line_end) {
       ++line_;
       ScanLine(p, line_end);
+    });
+  }
+
+  // Checks the lines in [begin, end) as ScanLines does, but stores no
+  // entry and skips the bounds check.
+  void CheckLines(const char* begin, const char* end, std::size_t order) {
+    order_ = order;
+    ForEachLine(begin, end, [this](const char* p, const char* line_end) {
+      ++line_;
+      CheckLine(p, line_end);
     });
   }
 
@@ -305,17 +313,24 @@ class TnsScanner {
     return order;
   }
 
-  void ScanLine(const char* p, const char* end) {
+  // Reads the line [p, end) into `tokens_` and checks that it holds an
+  // entry of `order_` indices; false for a blank line or a comment.
+  bool CheckLine(const char* p, const char* end) {
     p = SkipBlanks(p, end);
-    if (p == end || *p == '#') return;
+    if (p == end || *p == '#') return false;
     const std::size_t order = Tokenize(p, end);
     if (order != order_) {
       Fail(line_, "inconsistent number of indices: expected " +
                       std::to_string(order_) + ", found " +
                       std::to_string(order));
     }
+    return true;
+  }
 
-    const bool check_bounds = dims_.size() == order_;
+  void ScanLine(const char* p, const char* end) {
+    if (!CheckLine(p, end)) return;
+    const std::size_t order = order_;
+    const bool check_bounds = dims_.size() == order;
     for (std::size_t k = 0; k < order; ++k) {
       const auto index = static_cast<std::int64_t>(tokens_[k]) - 1;
       *coords_++ = index;
@@ -371,22 +386,28 @@ SparseTensor ScanTns(const std::string& content,
     lines += chunk.lines;
     entries += chunk.entries;
   }
-  // The first data line fixes the order; lines before it are blank or
-  // comments, so if it is malformed, its error is the first.
+  // The first data line fixes the order; only blank lines and comments
+  // come before it, so if it is malformed, its error is the first.
+  const char* const end = content.data() + content.size();
   std::size_t order = 0;
-  for (const TnsChunk& chunk : chunks) {
-    if (chunk.entries == 0) continue;
-    const char* p = chunk.first_entry;
-    const auto* newline = static_cast<const char*>(
-        std::memchr(p, '\n', static_cast<std::size_t>(chunk.end - p)));
-    order = TnsScanner(dims, prefix,
-                       chunk.lines_before + chunk.first_entry_line - 1)
-                .Order(p, newline != nullptr ? newline : chunk.end);
-    break;
+  std::int64_t line = 0;
+  for (const char* p = content.data(); order == 0 && p < end; ++line) {
+    const char* line_end = LineEnd(p, end);
+    if (!IsSkipped(p, line_end)) {
+      order = TnsScanner(dims, prefix, line).Order(p, line_end);
+    }
+    p = line_end < end ? line_end + 1 : end;
   }
 
-  std::vector<std::int64_t> coords(static_cast<std::size_t>(entries) * order);
-  std::vector<double> values(static_cast<std::size_t>(entries));
+  // A data line holds order + 1 tokens of a byte or more. When the bytes
+  // cannot hold that many lines, one of them is malformed: the chunks are
+  // then only checked, which throws, so the arrays never outgrow the
+  // input, whatever its line count.
+  const bool fits =
+      entries <= static_cast<std::int64_t>(content.size() / (order + 1));
+  std::vector<std::int64_t> coords(
+      fits ? static_cast<std::size_t>(entries) * order : 0);
+  std::vector<double> values(fits ? static_cast<std::size_t>(entries) : 0);
   std::vector<TnsScanner> scanners;
   scanners.reserve(chunks.size());
   for (const TnsChunk& chunk : chunks) {
@@ -397,10 +418,15 @@ SparseTensor ScanTns(const std::string& content,
   for (std::int64_t c = 0; c < count; ++c) {
     const TnsChunk& chunk = chunks[static_cast<std::size_t>(c)];
     const auto first = static_cast<std::size_t>(chunk.entries_before);
+    TnsScanner& scanner = scanners[static_cast<std::size_t>(c)];
     try {
-      scanners[static_cast<std::size_t>(c)].ScanLines(
-          chunk.begin, chunk.end, order, coords.data() + first * order,
-          values.data() + first);
+      if (fits) {
+        scanner.ScanLines(chunk.begin, chunk.end, order,
+                          coords.data() + first * order,
+                          values.data() + first);
+      } else {
+        scanner.CheckLines(chunk.begin, chunk.end, order);
+      }
     } catch (...) {
       errors[static_cast<std::size_t>(c)] = std::current_exception();
     }

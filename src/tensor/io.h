@@ -39,7 +39,9 @@ namespace ptucker {
 /// Threads. Both readers cut the input at newlines into one chunk per
 /// `omp_get_max_threads()` thread and scan the chunks in parallel. The
 /// tensor, its entry order and the first error, message and line number
-/// included, do not depend on the thread count.
+/// included, do not depend on the thread count. The entries are stored
+/// only when the input's bytes can hold every data line, so a malformed
+/// input never sizes the arrays beyond the input's size.
 
 /// Reads a `.tns` file, which may be a pipe or FIFO: the input is read once,
 /// whole, then parsed. Mode dimensionalities are the per-mode maximum

@@ -15,8 +15,8 @@
 #include <sys/stat.h>
 
 #include <gtest/gtest.h>
-#include <omp.h>
 
+#include "core/row_update.h"
 #include "data/movielens_sim.h"
 #include "data/synthetic.h"
 #include "util/random.h"
@@ -586,18 +586,6 @@ TEST(TnsFuzzTest, RandomTokenSoupMatchesOracle) {
 // oracle and against its own 1-thread result, tensor and error message
 // alike.
 
-// Scopes omp_set_num_threads so a test can pin the team size.
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(int threads) : saved_(omp_get_max_threads()) {
-    omp_set_num_threads(threads);
-  }
-  ~ThreadCountGuard() { omp_set_num_threads(saved_); }
-
- private:
-  int saved_;
-};
-
 const int kThreadCounts[] = {1, 2, 3, 8};
 
 // A document and the dims it is parsed with.
@@ -612,7 +600,7 @@ struct TnsCase {
 void ExpectSameAtEveryThreadCount(const std::vector<TnsCase>& cases) {
   std::vector<Outcome> serial;
   for (const int threads : kThreadCounts) {
-    ThreadCountGuard guard(threads);
+    OmpEnvironmentGuard guard(threads, Scheduling::kStatic);
     for (std::size_t i = 0; i < cases.size(); ++i) {
       const TnsCase& c = cases[i];
       const Outcome got = Capture([&] { return ParseTns(c.content, c.dims); });
@@ -731,7 +719,7 @@ TEST(TnsThreadsTest, DocumentShorterThanTheThreadCount) {
     cases.push_back({content, {1, 1}});
   }
   ExpectSameAtEveryThreadCount(cases);
-  ThreadCountGuard guard(8);
+  OmpEnvironmentGuard guard(8, Scheduling::kStatic);
   const SparseTensor t = ParseTns("2 3 4");
   EXPECT_EQ(t.dims(), (std::vector<std::int64_t>{2, 3}));
   EXPECT_EQ(t.value(0), 4.0);
@@ -747,7 +735,7 @@ TEST(TnsThreadsTest, SecondChunkOpensWithAnOrderChange) {
            {"1 1 0.5\n2 2 0.5\n1 1 1 5\n2 2 2 5\n", 3},
            {"1 1 0.5\n2 2 0.5\n# c\n1 1 1 5\n2 2\n", 4}}) {
     for (const int threads : kThreadCounts) {
-      ThreadCountGuard guard(threads);
+      OmpEnvironmentGuard guard(threads, Scheduling::kStatic);
       try {
         ParseTns(content);
         ADD_FAILURE() << "accepted an order change at " << threads
@@ -765,7 +753,7 @@ TEST(TnsThreadsTest, SecondChunkOpensWithAnOrderChange) {
 // The message `ParseTns(content, dims)` throws at `threads` threads.
 std::string ParseError(const std::string& content,
                        const std::vector<std::int64_t>& dims, int threads) {
-  ThreadCountGuard guard(threads);
+  OmpEnvironmentGuard guard(threads, Scheduling::kStatic);
   try {
     ParseTns(content, dims);
   } catch (const std::runtime_error& e) {
@@ -800,6 +788,30 @@ TEST(TnsThreadsTest, FirstErrorInFileOrderWins) {
   }
 }
 
+// A first line of 20,000 indices, then 20,000 short lines: so few bytes
+// cannot hold that many entries of that order, and the reader reports the
+// first short line without sizing its arrays by the line count, which
+// would take 3.2 GB.
+TEST(TnsThreadsTest, WideFirstLineThenShortLines) {
+  std::string wide;
+  for (int k = 0; k < 20000; ++k) wide += "1 ";
+  wide += "0.5\n";
+  std::string ones;
+  std::string pairs;
+  for (int line = 0; line < 20000; ++line) {
+    ones += "1\n";
+    pairs += "1 0.5\n";
+  }
+  for (const int threads : kThreadCounts) {
+    EXPECT_EQ(ParseError(wide + ones, {}, threads),
+              "tns parse error at line 2: expected at least one index and "
+              "a value");
+    EXPECT_EQ(ParseError(wide + "# c\n\n" + pairs, {}, threads),
+              "tns parse error at line 4: inconsistent number of indices: "
+              "expected 20000, found 1");
+  }
+}
+
 // ReadTns at every thread count, on a file long enough that every chunk
 // holds thousands of lines, and with a malformed line near its end; and
 // a tensor whose extents each chunk sees only in part.
@@ -812,7 +824,7 @@ TEST(TnsThreadsTest, LongInputsAtEveryThreadCount) {
     const Outcome serial = Capture([&] { return ReadTns(path); });
     ExpectMatchesOracle(serial, content);
     for (const int threads : kThreadCounts) {
-      ThreadCountGuard guard(threads);
+      OmpEnvironmentGuard guard(threads, Scheduling::kStatic);
       const Outcome got = Capture([&] { return ReadTns(path); });
       ASSERT_EQ(got.ok, serial.ok) << threads << " threads: " << got.error;
       EXPECT_EQ(got.error, serial.error) << threads << " threads";

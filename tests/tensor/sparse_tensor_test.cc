@@ -6,25 +6,13 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-#include <omp.h>
 
+#include "core/row_update.h"
 #include "data/synthetic.h"
 #include "util/random.h"
 
 namespace ptucker {
 namespace {
-
-// Scopes omp_set_num_threads so a test can pin the team size.
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(int threads) : saved_(omp_get_max_threads()) {
-    omp_set_num_threads(threads);
-  }
-  ~ThreadCountGuard() { omp_set_num_threads(saved_); }
-
- private:
-  int saved_;
-};
 
 SparseTensor MakeSmall() {
   SparseTensor t({3, 4, 2});
@@ -155,7 +143,7 @@ TEST_P(ModeIndexSweep, SameIndexAtEveryThreadCount) {
     }
     std::vector<std::vector<std::vector<std::int64_t>>> serial;
     for (const int threads : {1, 2, 3, 5}) {
-      ThreadCountGuard guard(threads);
+      OmpEnvironmentGuard guard(threads, Scheduling::kStatic);
       t.BuildModeIndex();
       for (std::int64_t mode = 0; mode < order; ++mode) {
         for (std::int64_t i = 0; i < t.dim(mode); ++i) {
