@@ -8,16 +8,11 @@
 
 #include <omp.h>
 
-#include "core/core_update.h"
-#include "core/delta_engine.h"
 #include "core/orthogonalize.h"
-#include "core/reconstruction.h"
-#include "core/row_update.h"
 #include "core/truncation.h"
 #include "obs/stopwatch.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/random.h"
 
 namespace ptucker {

@@ -11,6 +11,7 @@
 #include "linalg/blas.h"
 #include "linalg/cholesky.h"
 #include "linalg/lu.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace ptucker {
@@ -37,6 +38,14 @@ void CheckRecordLimits(const std::vector<std::int64_t>& dims,
                                 " entries, above the int32 limit " +
                                 std::to_string(kInt32Max));
   }
+}
+
+// Bytes of one record of a tensor of order `order`: the other modes'
+// int32 coordinates, the value and, with `entry_ids`, the int32 entry id.
+std::int64_t RecordBytes(std::int64_t order, bool entry_ids) {
+  return static_cast<std::int64_t>(sizeof(std::int32_t)) * (order - 1) +
+         static_cast<std::int64_t>(sizeof(double)) +
+         (entry_ids ? static_cast<std::int64_t>(sizeof(std::int32_t)) : 0);
 }
 
 // Throws std::invalid_argument unless records can be read out of `x`:
@@ -300,12 +309,14 @@ std::vector<std::int64_t> RowBlocks(std::int64_t n_rows,
 
 // Both routes' shared half: validates the factor and the rows, then runs
 // the kernel over every row of `mode` (rows == nullptr) or each distinct
-// listed row once, with `records_of(row)` giving each row's records. The
-// threads take RowBlocks' blocks under the runtime schedule; rows are
-// independent (Lemma 1), so the bits do not depend on the blocks. Solving
-// a row twice would let two threads write it at once.
+// listed row once, with `records_of(row)` giving the records of each row
+// of the source's block [row_begin, row_end). The threads take RowBlocks'
+// blocks under the runtime schedule; rows are independent (Lemma 1), so
+// the bits do not depend on the blocks. Solving a row twice would let two
+// threads write it at once.
 template <typename RecordsOf>
-void SweepRows(std::int64_t order, std::int64_t dim, std::int64_t mode,
+void SweepRows(std::int64_t order, std::int64_t dim, std::int64_t row_begin,
+               std::int64_t row_end, std::int64_t mode,
                const std::int64_t* rows, std::int64_t num_rows,
                const DeltaEngine& engine, Matrix* factor,
                const RowUpdateOptions& options, const RecordsOf& records_of) {
@@ -317,6 +328,15 @@ void SweepRows(std::int64_t order, std::int64_t dim, std::int64_t mode,
     throw std::invalid_argument("row update: tensor order above " +
                                 std::to_string(DeltaEngine::kMaxOrder));
   }
+  const auto outside_block = [&](const std::string& what) {
+    return std::invalid_argument(
+        "row update: " + what + " of mode " + std::to_string(mode) +
+        " is not in the layout's row block [" + std::to_string(row_begin) +
+        ", " + std::to_string(row_end) + ")");
+  };
+  if (rows == nullptr && row_end - row_begin != dim) {
+    throw outside_block("every row (rows == nullptr)");
+  }
   std::vector<std::int64_t> distinct;
   if (rows != nullptr) {
     if (num_rows < 0) {
@@ -327,6 +347,9 @@ void SweepRows(std::int64_t order, std::int64_t dim, std::int64_t mode,
     for (const std::int64_t row : distinct) {
       if (row < 0 || row >= dim) {
         throw std::invalid_argument("row update: row index out of range");
+      }
+      if (row < row_begin || row >= row_end) {
+        throw outside_block("row " + std::to_string(row));
       }
     }
     std::sort(distinct.begin(), distinct.end());
@@ -389,10 +412,15 @@ std::int64_t RowUpdateScratchBytes(int threads, std::int64_t order,
          RowScratch::Bytes(max_rank, order);
 }
 
-SliceOrderedOmega::SliceOrderedOmega(const SparseTensor& x, bool entry_ids)
+SliceOrderedOmega::SliceOrderedOmega(const SparseTensor& x, bool entry_ids,
+                                     std::int64_t rank, std::int64_t workers)
     : entry_ids_(entry_ids), dims_(x.dims()) {
   CheckRecordSource(x);
-  bytes_ = Bytes(dims_, x.nnz(), entry_ids);
+  if (workers < 1 || rank < 0 || rank >= workers) {
+    throw std::invalid_argument("slice layout: no rank " +
+                                std::to_string(rank) + " of " +
+                                std::to_string(workers));
+  }
   const std::int64_t order = x.order();
   const std::int64_t entries = x.nnz();
   const std::int64_t others = order - 1;
@@ -401,27 +429,36 @@ SliceOrderedOmega::SliceOrderedOmega(const SparseTensor& x, bool entry_ids)
   // inside the parallel fill would land in per-thread malloc arenas.
   for (std::int64_t n = 0; n < order; ++n) {
     ModeRecords& records = modes_[static_cast<std::size_t>(n)];
-    records.offsets.reset(new std::int64_t[x.dim(n) + 1]);
-    records.coords.reset(new std::int32_t[entries * others]);
-    records.values.reset(new double[entries]);
-    if (entry_ids) records.ids.reset(new std::int32_t[entries]);
+    records.row_begin = WorkerBlockBegin(x.dim(n), rank, workers);
+    records.row_end = WorkerBlockBegin(x.dim(n), rank + 1, workers);
+    const std::int64_t rows = records.row_end - records.row_begin;
+    // offsets[i + 1] starts at the block's slice i's first slot and is
+    // the fill's cursor for it, so it ends at that slice's end.
+    records.offsets.reset(new std::int64_t[rows + 1]);
+    std::int64_t count = 0;
+    records.offsets[0] = 0;
+    for (std::int64_t i = 0; i < rows; ++i) {
+      records.offsets[i + 1] = count;
+      count += x.SliceSize(n, records.row_begin + i);
+    }
+    bytes_ += count * RecordBytes(order, entry_ids) +
+              static_cast<std::int64_t>(sizeof(std::int64_t)) * (rows + 1);
+    records.coords.reset(new std::int32_t[count * others]);
+    records.values.reset(new double[count]);
+    if (entry_ids) records.ids.reset(new std::int32_t[count]);
   }
 #pragma omp parallel for schedule(dynamic, 1)
   for (std::int64_t n = 0; n < order; ++n) {
     ModeRecords& records = modes_[static_cast<std::size_t>(n)];
     std::int64_t* offsets = records.offsets.get();
-    // offsets[i + 1] starts at slice i's first slot and is its fill
-    // cursor, so it ends at slice i's end.
-    std::int64_t begin = 0;
-    offsets[0] = 0;
-    for (std::int64_t i = 0; i < x.dim(n); ++i) {
-      offsets[i + 1] = begin;
-      begin += x.SliceSize(n, i);
-    }
+    const std::int64_t rows = records.row_end - records.row_begin;
     // One stable scatter in entry order: ascending entry id per slice.
+    // Entries of rows outside the block are skipped.
     for (std::int64_t e = 0; e < entries; ++e) {
       const std::int64_t* index = x.index(e);
-      const std::int64_t slot = offsets[index[n] + 1]++;
+      const std::int64_t i = index[n] - records.row_begin;
+      if (i < 0 || i >= rows) continue;
+      const std::int64_t slot = offsets[i + 1]++;
       std::int32_t* coords = records.coords.get() + slot * others;
       for (std::int64_t m = 0; m < n; ++m) {
         coords[m] = static_cast<std::int32_t>(index[m]);
@@ -439,11 +476,7 @@ std::int64_t SliceOrderedOmega::Bytes(const std::vector<std::int64_t>& dims,
                                       std::int64_t nnz, bool entry_ids) {
   CheckRecordLimits(dims, nnz);
   const std::int64_t order = static_cast<std::int64_t>(dims.size());
-  const std::int64_t record_bytes =
-      static_cast<std::int64_t>(sizeof(std::int32_t)) * (order - 1) +
-      static_cast<std::int64_t>(sizeof(double)) +
-      (entry_ids ? static_cast<std::int64_t>(sizeof(std::int32_t)) : 0);
-  std::int64_t bytes = order * nnz * record_bytes;
+  std::int64_t bytes = order * nnz * RecordBytes(order, entry_ids);
   for (const std::int64_t dim : dims) {
     bytes += static_cast<std::int64_t>(sizeof(std::int64_t)) * (dim + 1);
   }
@@ -453,6 +486,7 @@ std::int64_t SliceOrderedOmega::Bytes(const std::vector<std::int64_t>& dims,
 SliceRecords SliceOrderedOmega::Slice(std::int64_t mode,
                                       std::int64_t i) const {
   const ModeRecords& records = modes_[static_cast<std::size_t>(mode)];
+  i -= records.row_begin;
   const std::int64_t begin = records.offsets[i];
   SliceRecords slice;
   slice.coords = records.coords.get() + begin * (order() - 1);
@@ -472,8 +506,9 @@ void UpdateFactorRows(const SliceOrderedOmega& omega, std::int64_t mode,
         "row update: the engine keys state by entry id, but the layout "
         "has no entry-id column");
   }
-  SweepRows(omega.order(), omega.dim(mode), mode, rows, num_rows, engine,
-            factor, options, [&](std::int64_t row) {
+  SweepRows(omega.order(), omega.dim(mode), omega.row_begin(mode),
+            omega.row_end(mode), mode, rows, num_rows, engine, factor,
+            options, [&](std::int64_t row) {
               return LayoutRecords{omega.Slice(mode, row), omega.order(),
                                    mode, row};
             });
@@ -486,8 +521,8 @@ void UpdateFactorRows(const SparseTensor& x, std::int64_t mode,
   CheckArguments(x.order(), mode, factor);
   CheckRecordSource(x);
   const bool entry_ids = engine.UsesEntryIds();
-  SweepRows(x.order(), x.dim(mode), mode, rows, num_rows, engine, factor,
-            options, [&](std::int64_t row) {
+  SweepRows(x.order(), x.dim(mode), 0, x.dim(mode), mode, rows, num_rows,
+            engine, factor, options, [&](std::int64_t row) {
               return TensorRecords{&x, x.Slice(mode, row), entry_ids};
             });
 }

@@ -5,7 +5,7 @@
 /// so the same kernel serves three callers: the solver sweeps every row of
 /// every mode per iteration, the streaming ingest pipeline
 /// (stream/ingest_pipeline.h) re-solves only the rows touched by changed
-/// Ω entries, and each distributed worker solves the rows it owns.
+/// Ω entries, and each distributed worker solves the row block it owns.
 ///
 /// **What the kernel reads.** Row i of A(n) depends on Ω(n, i) alone.
 /// The kernel reads that slice as records, in ascending entry id: the
@@ -29,12 +29,12 @@
 ///
 /// **Two routes to the records.** The solver builds a SliceOrderedOmega
 /// once per solve: every mode's records, stored in slice order, which
-/// every sweep then reads front to back. The SparseTensor overload of
-/// UpdateFactorRows serves every other caller: the ingest pipeline, whose
-/// Ω changes between flushes and which re-solves few rows; perfbench's
-/// traced solve; and, for now, the distributed workers, which re-solve the
-/// same rows of a fixed shard every iteration and could keep a layout of
-/// their own (an open item in ROADMAP.md). The layout's records hold the
+/// every sweep then reads front to back. A distributed worker builds one
+/// over its own row block of each mode, so it holds its share of the
+/// layout and not a copy of all of it. The SparseTensor overload of
+/// UpdateFactorRows serves the other callers: the ingest pipeline, whose
+/// Ω changes between flushes and which re-solves few rows, and
+/// perfbench's traced solve. The layout's records hold the
 /// other modes' coordinates as int32, which the kernel widens to int64 as
 /// it stages them; the SparseTensor route reads each entry's int64
 /// coordinates and value in place, through the mode index, and
@@ -148,11 +148,12 @@ struct SliceRecords {
 };
 
 /// Ω stored once per mode in slice order: the row kernel's input for a
-/// whole solve. Mode n holds one record per observed entry (see
-/// SliceRecords), grouped by the mode-n coordinate with int64 slice
-/// offsets; inside a slice the records keep ascending entry id, which is
-/// SparseTensor::Slice's order. The row's own coordinate is the row index,
-/// so it is not stored.
+/// whole solve. Mode n holds its rows [row_begin(n), row_end(n)), all of
+/// them unless the layout is one rank's share, with one record per
+/// observed entry of those rows (see SliceRecords), grouped by the mode-n
+/// coordinate with int64 slice offsets; inside a slice the records keep
+/// ascending entry id, which is SparseTensor::Slice's order. The row's own
+/// coordinate is the row index, so it is not stored.
 ///
 /// The layout is O(N·|Ω|) state owned by the solve, bytes() of it. Like
 /// the tensor's mode index it is a re-layout of the input, so it is not
@@ -165,9 +166,12 @@ class SliceOrderedOmega {
   /// Builds the layout of `x` with one scatter pass per mode over `x` in
   /// entry order, the modes in parallel, after allocating every buffer on
   /// the calling thread. Keeps the entry-id column when `entry_ids`.
-  /// Throws std::invalid_argument, before allocating, when a dimension or
-  /// |Ω| exceeds INT32_MAX or `x` has no mode index.
-  SliceOrderedOmega(const SparseTensor& x, bool entry_ids);
+  /// Holds only the row block of each mode that rank `rank` of `workers`
+  /// owns (WorkerBlockBegin). Throws std::invalid_argument, before
+  /// allocating, when a dimension or |Ω| exceeds INT32_MAX, `x` has no
+  /// mode index or `rank` is not in [0, workers).
+  SliceOrderedOmega(const SparseTensor& x, bool entry_ids,
+                    std::int64_t rank = 0, std::int64_t workers = 1);
 
   /// Bytes of the layout of a tensor with mode dimensions `dims` and
   /// `nnz` entries: N·nnz·(4(N−1) + 8) + 8·Σ(In + 1), plus N·nnz·4 with
@@ -183,22 +187,33 @@ class SliceOrderedOmega {
   std::int64_t dim(std::int64_t mode) const {
     return dims_[static_cast<std::size_t>(mode)];
   }
+  /// First row of `mode` the layout holds.
+  std::int64_t row_begin(std::int64_t mode) const {
+    return modes_[static_cast<std::size_t>(mode)].row_begin;
+  }
+  /// One past the last row of `mode` the layout holds.
+  std::int64_t row_end(std::int64_t mode) const {
+    return modes_[static_cast<std::size_t>(mode)].row_end;
+  }
   /// True when the records carry entry ids.
   bool has_entry_ids() const { return entry_ids_; }
-  /// Bytes(dims, |Ω|, has_entry_ids()) of this layout.
+  /// Bytes of this layout: its records plus 8·(rows + 1) offset bytes per
+  /// mode. Bytes(dims, |Ω|, has_entry_ids()) when it holds every row.
   std::int64_t bytes() const { return bytes_; }
 
-  /// The records of Ω(mode, i).
+  /// The records of Ω(mode, i), for i in [row_begin(mode), row_end(mode)).
   SliceRecords Slice(std::int64_t mode, std::int64_t i) const;
 
  private:
   /// One mode's records, in slice order. The arrays are left
   /// uninitialized when allocated: the parallel fill writes every element.
   struct ModeRecords {
-    std::unique_ptr<std::int64_t[]> offsets;  ///< In + 1 slice boundaries
-    std::unique_ptr<std::int32_t[]> coords;   ///< |Ω| × (N−1) coordinates
-    std::unique_ptr<double[]> values;         ///< |Ω| values
-    std::unique_ptr<std::int32_t[]> ids;      ///< |Ω| entry ids, or null
+    std::int64_t row_begin = 0;               ///< first row held
+    std::int64_t row_end = 0;                 ///< one past the last row held
+    std::unique_ptr<std::int64_t[]> offsets;  ///< rows + 1 slice boundaries
+    std::unique_ptr<std::int32_t[]> coords;   ///< records × (N−1) coordinates
+    std::unique_ptr<double[]> values;         ///< record values
+    std::unique_ptr<std::int32_t[]> ids;      ///< record entry ids, or null
   };
 
   bool entry_ids_;
@@ -221,7 +236,9 @@ class SliceOrderedOmega {
 /// regularized minimum).
 ///
 /// `omega` must be the layout of the tensor `engine` was built over, with
-/// the entry-id column when `engine.UsesEntryIds()`.
+/// the entry-id column when `engine.UsesEntryIds()`. A row outside the
+/// layout's row block of `mode`, or nullptr on a layout without every row,
+/// throws std::invalid_argument naming the row and the block.
 ///
 /// The caller owns the engine lifecycle hooks: snapshot the factor
 /// first when `engine.WantsFactorSnapshot()` and fire

@@ -8,10 +8,6 @@
 
 #include "core/als_driver.h"
 #include "core/core_update.h"
-#include "core/delta_engine.h"
-#include "core/reconstruction.h"
-#include "core/row_update.h"
-#include "distributed/partition.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "obs/trace.h"
@@ -19,13 +15,6 @@
 namespace ptucker {
 
 namespace {
-
-// First lane owned by `rank` in the fixed 64-lane partition — the same
-// balanced boundary formula as PartitionRowsBlock, over lanes instead of
-// rows. Worker r owns [WorkerLaneBegin(r), WorkerLaneBegin(r+1)).
-std::int64_t WorkerLaneBegin(std::int64_t rank, std::int64_t workers) {
-  return kReductionLanes * rank / workers;
-}
 
 // The cluster-only checks; everything else is RunAls's
 // ValidateAlsInputs, shared with PTuckerDecompose.
@@ -127,9 +116,11 @@ void GatherLaneSums(Cluster* cluster, DistOpcode opcode,
   }
 }
 
-// The worker body: replicate the model, build the engine, then obey
-// coordinator commands until kShutdown. Throws DistError to exit (the
-// forked child's wrapper swallows it and EOFs the channel).
+// The worker body: replicate the model, build rank `rank`'s backend over
+// its own row blocks and lanes, then obey coordinator commands until
+// kShutdown. Each command decodes its frame, calls the backend and encodes
+// the reply. Throws DistError to exit (the forked child's wrapper
+// swallows it and EOFs the channel).
 void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
                    const DistOptions& dist, std::int64_t rank,
                    FrameChannel& channel) {
@@ -147,28 +138,40 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
   // The same draw as RunAls on the coordinator, so all N + 1 model
   // replicas start bit-identical.
   AlsModel model = InitAlsModel(x, options);
-  std::vector<Matrix>& factors = model.factors;
-  const std::unique_ptr<DeltaEngine> engine =
-      MakeDeltaEngine(options.delta_engine, x, model.core_list, factors,
-                      /*tracker=*/nullptr);
-
-  // Row ownership per mode (every worker derives the same partition) and
-  // this rank's contiguous reduction-lane subrange.
-  std::vector<std::vector<std::int64_t>> own_rows(
-      static_cast<std::size_t>(order));
-  for (std::int64_t mode = 0; mode < order; ++mode) {
-    own_rows[static_cast<std::size_t>(mode)] = std::move(
-        PartitionRowsBlock(x, mode, workers)
-            .rows_per_worker[static_cast<std::size_t>(rank)]);
-  }
+  LocalAlsBackend backend(x, options, &model, rank, workers);
   const std::int64_t lane_begin = WorkerLaneBegin(rank, workers);
-  const std::int64_t lane_end = WorkerLaneBegin(rank + 1, workers);
-  const std::int64_t lane_count = lane_end - lane_begin;
+  const std::int64_t lane_count = WorkerLaneBegin(rank + 1, workers) -
+                                  lane_begin;
+  // This rank's rows of `mode` as a kRows payload.
+  const auto own_rows = [&](std::int64_t mode) {
+    const std::int64_t begin = WorkerBlockBegin(x.dim(mode), rank, workers);
+    return EncodeRowBlock(
+        mode, model.factors[static_cast<std::size_t>(mode)], begin,
+        WorkerBlockBegin(x.dim(mode), rank + 1, workers) - begin);
+  };
+  // The |G| core values a kCore* frame carries; `what` names it in errors.
+  const auto core_values = [&](const DistFrame& frame, const char* what) {
+    std::vector<double> values;
+    std::string error;
+    if (!ParseDoubleVector(frame.payload, &values, &error)) {
+      throw std::runtime_error(error);
+    }
+    if (static_cast<std::int64_t>(values.size()) != model.core_list.size()) {
+      throw std::runtime_error(std::string(what) + " length mismatch");
+    }
+    return values;
+  };
+  // Replies under `opcode` with this rank's lanes, `width` values each.
+  const auto send_lanes = [&](DistOpcode opcode, std::uint64_t tag,
+                              std::int64_t width,
+                              const std::vector<double>& lanes) {
+    channel.SendFrame(opcode, tag, EncodeLaneBlock(lane_begin, lane_count,
+                                                   width, lanes.data()));
+  };
 
-  Matrix pending_old;
-  std::vector<double> lane_buffer;
   for (;;) {
     const DistFrame frame = channel.RecvFrame();
+    const int iteration = static_cast<int>(frame.tag);
     try {
       switch (frame.opcode) {
         case DistOpcode::kSolveMode: {
@@ -181,11 +184,10 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
             throw std::runtime_error("solve-mode " + std::to_string(mode) +
                                      " out of range");
           }
-          const auto& rows = own_rows[static_cast<std::size_t>(mode)];
           const DistFaultInjection& fault = dist.fault;
           if (fault.kind != DistFaultInjection::Kind::kNone &&
               fault.rank == rank &&
-              fault.iteration == static_cast<int>(frame.tag) &&
+              fault.iteration == iteration &&
               fault.mode == mode) {
             if (fault.kind == DistFaultInjection::Kind::kKillWorker) {
               // Die silently: the coordinator sees a clean EOF where a
@@ -200,35 +202,14 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
               continue;  // sit silent; the coordinator will abort us
             }
             // kTruncatedFrame: half a legitimate frame, then EOF.
-            const std::vector<std::uint8_t> bytes = EncodeDistFrame(
-                DistOpcode::kRows, frame.tag,
-                EncodeRowBlock(mode, factors[static_cast<std::size_t>(mode)],
-                               rows.empty() ? 0 : rows.front(),
-                               static_cast<std::int64_t>(rows.size())));
+            const std::vector<std::uint8_t> bytes =
+                EncodeDistFrame(DistOpcode::kRows, frame.tag, own_rows(mode));
             channel.SendRaw(bytes.data(), bytes.size() / 2);
             throw DistError("fault injection: frame truncated");
           }
           PTUCKER_TRACE_SPAN("dist.row_solve");
-          pending_old = Matrix();
-          if (engine->WantsFactorSnapshot()) {
-            pending_old = factors[static_cast<std::size_t>(mode)];
-          }
-          if (!rows.empty()) {
-            RowUpdateOptions row_options;
-            row_options.lambda = options.lambda;
-            row_options.sample_rate = options.sample_rate;
-            row_options.seed = options.seed;
-            row_options.iteration = static_cast<int>(frame.tag);
-            UpdateFactorRows(x, mode, rows.data(),
-                             static_cast<std::int64_t>(rows.size()), *engine,
-                             &factors[static_cast<std::size_t>(mode)],
-                             row_options);
-          }
-          channel.SendFrame(
-              DistOpcode::kRows, frame.tag,
-              EncodeRowBlock(mode, factors[static_cast<std::size_t>(mode)],
-                             rows.empty() ? 0 : rows.front(),
-                             static_cast<std::int64_t>(rows.size())));
+          backend.SolveOwnRows(mode, iteration);
+          channel.SendFrame(DistOpcode::kRows, frame.tag, own_rows(mode));
           break;
         }
         case DistOpcode::kFactor: {
@@ -241,7 +222,7 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
           if (block.mode < 0 || block.mode >= order) {
             throw std::runtime_error("factor mode out of range");
           }
-          Matrix& factor = factors[static_cast<std::size_t>(block.mode)];
+          Matrix& factor = model.factors[static_cast<std::size_t>(block.mode)];
           if (block.row_begin != 0 || block.row_count != factor.rows() ||
               block.cols != factor.cols()) {
             throw std::runtime_error("factor broadcast shape mismatch");
@@ -249,56 +230,33 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
           // In-place copy: engines hold views into this storage, so the
           // buffer must never reallocate.
           std::copy(block.values.begin(), block.values.end(), factor.data());
-          engine->OnFactorUpdated(block.mode, pending_old);
+          backend.FactorMerged(block.mode);
           break;
         }
         case DistOpcode::kCoreResidual:
         case DistOpcode::kCoreMatVec: {
           PTUCKER_TRACE_SPAN("dist.reduction");
-          std::vector<double> input;
-          std::string error;
-          if (!ParseDoubleVector(frame.payload, &input, &error)) {
-            throw std::runtime_error(error);
-          }
-          if (static_cast<std::int64_t>(input.size()) !=
-              model.core_list.size()) {
-            throw std::runtime_error("core vector length mismatch");
-          }
-          lane_buffer.assign(
-              static_cast<std::size_t>(lane_count) * input.size(), 0.0);
-          DesignLanePartials(
-              x, model.core_list, model.factors,
-              /*residual_from_x=*/frame.opcode == DistOpcode::kCoreResidual,
-              input, lane_begin, lane_end, lane_buffer.data());
-          channel.SendFrame(
-              DistOpcode::kCorePartials, frame.tag,
-              EncodeLaneBlock(lane_begin, lane_count,
-                              static_cast<std::int64_t>(input.size()),
-                              lane_buffer.data()));
+          const std::vector<double> input = core_values(frame, "core vector");
+          const std::int64_t width = static_cast<std::int64_t>(input.size());
+          std::vector<double> lanes(
+              static_cast<std::size_t>(lane_count * width));
+          backend.DesignLaneSums(frame.opcode == DistOpcode::kCoreResidual,
+                                 input, iteration, lanes.data());
+          send_lanes(DistOpcode::kCorePartials, frame.tag, width, lanes);
           break;
         }
         case DistOpcode::kCoreWrite: {
-          std::vector<double> g;
-          std::string error;
-          if (!ParseDoubleVector(frame.payload, &g, &error)) {
-            throw std::runtime_error(error);
-          }
-          if (static_cast<std::int64_t>(g.size()) != model.core_list.size()) {
-            throw std::runtime_error("core write length mismatch");
-          }
+          const std::vector<double> g = core_values(frame, "core write");
           StoreCoreValues(g, &model.core, &model.core_list);
-          engine->OnCoreValuesChanged();
+          backend.CommitCore(g, iteration);
           channel.SendFrame(DistOpcode::kAck, frame.tag, {});
           break;
         }
         case DistOpcode::kErrorSums: {
           PTUCKER_TRACE_SPAN("dist.reduction");
-          lane_buffer.assign(static_cast<std::size_t>(lane_count), 0.0);
-          SquaredResidualLaneSums(x, *engine, lane_begin, lane_end,
-                                  lane_buffer.data());
-          channel.SendFrame(
-              DistOpcode::kErrorSums, frame.tag,
-              EncodeLaneBlock(lane_begin, lane_count, 1, lane_buffer.data()));
+          std::vector<double> lanes(static_cast<std::size_t>(lane_count));
+          backend.ErrorLaneSums(iteration, lanes.data());
+          send_lanes(DistOpcode::kErrorSums, frame.tag, 1, lanes);
           break;
         }
         case DistOpcode::kShutdown: {
@@ -336,21 +294,14 @@ void RunDistWorker(const SparseTensor& x, const PTuckerOptions& options,
 // the merged rows and the CG iterate.
 class FrameBackend : public AlsBackend {
  public:
-  FrameBackend(const SparseTensor& x, Cluster* cluster, AlsModel* model)
-      : cluster_(cluster), model_(model) {
-    // Row ownership: the same blocks every worker derives.
-    for (std::int64_t mode = 0; mode < x.order(); ++mode) {
-      partitions_.push_back(PartitionRowsBlock(x, mode, cluster->workers()));
-    }
-  }
+  FrameBackend(Cluster* cluster, AlsModel* model)
+      : cluster_(cluster), model_(model) {}
 
   void SolveMode(std::int64_t mode, int iteration) override {
     const std::uint64_t tag = static_cast<std::uint64_t>(iteration);
     const std::int64_t workers = cluster_->workers();
     Broadcast(cluster_, DistOpcode::kSolveMode, tag, EncodeSolveMode(mode));
     Matrix& factor = model_->factors[static_cast<std::size_t>(mode)];
-    const RowPartition& partition =
-        partitions_[static_cast<std::size_t>(mode)];
     for (std::int64_t r = 0; r < workers; ++r) {
       const DistFrame frame =
           ExpectFrame(cluster_->Channel(r), r, DistOpcode::kRows, tag);
@@ -360,12 +311,11 @@ class FrameBackend : public AlsBackend {
         throw DistError("worker " + std::to_string(r) +
                         " sent a malformed row block: " + error);
       }
-      const auto& owned =
-          partition.rows_per_worker[static_cast<std::size_t>(r)];
-      const std::int64_t want_begin = owned.empty() ? 0 : owned.front();
+      // Row ownership: the same block the worker derives.
+      const std::int64_t begin = WorkerBlockBegin(factor.rows(), r, workers);
+      const std::int64_t end = WorkerBlockBegin(factor.rows(), r + 1, workers);
       if (block.mode != mode || block.cols != factor.cols() ||
-          block.row_begin != want_begin ||
-          block.row_count != static_cast<std::int64_t>(owned.size())) {
+          block.row_begin != begin || block.row_count != end - begin) {
         throw DistError("worker " + std::to_string(r) + " sent rows [" +
                         std::to_string(block.row_begin) + ", +" +
                         std::to_string(block.row_count) + ") of mode " +
@@ -408,7 +358,6 @@ class FrameBackend : public AlsBackend {
  private:
   Cluster* cluster_;
   AlsModel* model_;
-  std::vector<RowPartition> partitions_;
 };
 
 // Clean shutdown: every worker says goodbye, shipping its span ring when
@@ -452,7 +401,7 @@ DistributedPTuckerResult DistributedPTuckerDecompose(
     out.result = RunAls(x, options, [&](AlsModel* model) {
       cluster =
           LaunchCluster(dist.workers, worker_main, dist.recv_timeout_ms);
-      return std::make_unique<FrameBackend>(x, cluster.get(), model);
+      return std::make_unique<FrameBackend>(cluster.get(), model);
     });
     ShutdownCluster(cluster.get());
     out.stats.total_comm_bytes = cluster->TotalCommBytes();

@@ -1,10 +1,11 @@
 /// \file
 /// \brief The multi-process P-Tucker solver: a coordinator forks N
 /// worker processes, each on its own socketpair (transport.h), owning a
-/// contiguous block of factor rows per mode (PartitionRowsBlock) and a
-/// contiguous subrange of the fixed reduction lanes. Workers solve their
-/// rows through the shared core/row_update.h kernel and ship raw
-/// per-lane reduction partials (never locally pre-folded sums); the
+/// contiguous block of factor rows per mode and a contiguous subrange of
+/// the fixed reduction lanes (WorkerBlockBegin, WorkerLaneBegin). Each
+/// worker runs the single-process backend (LocalAlsBackend in
+/// core/als_driver.h) over its own blocks and lanes and ships its rows and
+/// raw per-lane reduction partials (never locally pre-folded sums); the
 /// coordinator merges rows and folds lanes in fixed rank/lane order, so
 /// the N-process trajectory
 /// — every factor row, core value, and per-iteration error — is

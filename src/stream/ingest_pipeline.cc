@@ -41,18 +41,19 @@ std::string CheckpointFileName(std::int64_t seq) {
   return "ckpt-" + std::to_string(seq) + ".ptks";
 }
 
-// Throws std::invalid_argument naming the coordinate unless the `op`
-// ("append" or "update") value is finite: one NaN or Inf in Ω would
-// poison every row re-solve that reads it.
-void CheckFiniteValue(const char* op, const std::vector<std::int64_t>& index,
-                      double value) {
-  if (std::isfinite(value)) return;
+// Throws std::invalid_argument, "`prefix``op` value at (i, j, ...) is not
+// a finite number". IngestPipeline and ReplayOmega reject a NaN or Inf
+// append or update value: one in Ω would poison every row re-solve that
+// reads it.
+[[noreturn]] void ThrowNonFiniteValue(const std::string& prefix,
+                                      const char* op,
+                                      const std::vector<std::int64_t>& index) {
   std::string coordinate;
   for (const std::int64_t i : index) {
     coordinate += (coordinate.empty() ? "(" : ", ") + std::to_string(i);
   }
-  throw std::invalid_argument(std::string("ingest: ") + op + " value at " +
-                              coordinate + ") is not a finite number");
+  throw std::invalid_argument(prefix + op + " value at " + coordinate +
+                              ") is not a finite number");
 }
 
 }  // namespace
@@ -159,7 +160,7 @@ std::int64_t IngestPipeline::KeyOf(
 void IngestPipeline::Append(const std::vector<std::int64_t>& index,
                             double value) {
   const std::int64_t key = KeyOf(index);
-  CheckFiniteValue("append", index, value);
+  if (!std::isfinite(value)) ThrowNonFiniteValue("ingest: ", "append", index);
   if (!handle_of_.emplace(key, next_handle_).second) {
     throw std::invalid_argument(
         "ingest: append to an already-observed coordinate (update instead)");
@@ -170,7 +171,7 @@ void IngestPipeline::Append(const std::vector<std::int64_t>& index,
 void IngestPipeline::Update(const std::vector<std::int64_t>& index,
                             double value) {
   const std::int64_t key = KeyOf(index);
-  CheckFiniteValue("update", index, value);
+  if (!std::isfinite(value)) ThrowNonFiniteValue("ingest: ", "update", index);
   const auto it = handle_of_.find(key);
   if (it == handle_of_.end()) {
     throw std::invalid_argument(
@@ -427,7 +428,8 @@ SparseTensor ReplayOmega(const SparseTensor& initial,
                          const std::vector<StreamEvent>& events,
                          std::int64_t count) {
   if (count < 0 || count > static_cast<std::int64_t>(events.size())) {
-    throw std::out_of_range("replay: count out of range");
+    throw std::out_of_range("replay: count " + std::to_string(count) +
+                            " out of range");
   }
   SparseTensor tensor = initial;
   const std::int64_t order = tensor.order();
@@ -438,24 +440,34 @@ SparseTensor ReplayOmega(const SparseTensor& initial,
   for (std::int64_t e = 0; e < tensor.nnz(); ++e) {
     if (!key_to_entry.emplace(Linearize(tensor.index(e), strides, order), e)
              .second) {
-      throw std::invalid_argument("replay: tensor has duplicate coordinates");
+      throw std::invalid_argument("replay: initial entry " +
+                                  std::to_string(e) + " repeats a coordinate");
     }
   }
 
   std::vector<std::int64_t> delete_ids;
   for (std::int64_t n = 0; n < count; ++n) {
     const StreamEvent& event = events[static_cast<std::size_t>(n)];
+    // Every replay error names the 0-based event it stopped at.
+    const auto fail = [n](const std::string& what) {
+      throw std::invalid_argument("replay: event " + std::to_string(n) +
+                                  ": " + what);
+    };
     if (static_cast<std::int64_t>(event.index.size()) != order ||
         !IndexInBounds(event.index.data(), tensor.dims())) {
-      throw std::invalid_argument("replay: coordinate out of bounds");
+      fail("coordinate out of bounds");
+    }
+    if (event.op != StreamOp::kDelete && !std::isfinite(event.value)) {
+      ThrowNonFiniteValue("replay: event " + std::to_string(n) + ": ",
+                          event.op == StreamOp::kAppend ? "append" : "update",
+                          event.index);
     }
     const std::int64_t key = Linearize(event.index.data(), strides, order);
     const auto it = key_to_entry.find(key);
     switch (event.op) {
       case StreamOp::kAppend: {
         if (it != key_to_entry.end()) {
-          throw std::invalid_argument(
-              "replay: append to an already-observed coordinate");
+          fail("append to an already-observed coordinate");
         }
         const std::int64_t id = tensor.nnz();
         tensor.AddEntry(event.index, event.value);
@@ -464,15 +476,13 @@ SparseTensor ReplayOmega(const SparseTensor& initial,
       }
       case StreamOp::kUpdate:
         if (it == key_to_entry.end()) {
-          throw std::invalid_argument(
-              "replay: update of an unobserved coordinate");
+          fail("update of an unobserved coordinate");
         }
         tensor.set_value(it->second, event.value);
         break;
       case StreamOp::kDelete:
         if (it == key_to_entry.end()) {
-          throw std::invalid_argument(
-              "replay: delete of an unobserved coordinate");
+          fail("delete of an unobserved coordinate");
         }
         delete_ids.push_back(it->second);
         key_to_entry.erase(it);

@@ -219,9 +219,10 @@ bool LatestCheckpoint(const std::string& dir, CheckpointInfo* info);
 /// Structurally replays `events[0..count)` onto a copy of `initial`
 /// (no solving): appends add, updates overwrite, deletes remove. The
 /// result has its mode index built — it is the Ω a pipeline that applied
-/// the same prefix holds. Throws std::invalid_argument on a mutation
-/// that violates the strict semantics, std::out_of_range when count
-/// exceeds events.size().
+/// the same prefix holds. Throws std::invalid_argument naming the 0-based
+/// event on a mutation IngestPipeline would reject (NaN and Inf values
+/// included), or the entry when `initial` repeats a coordinate;
+/// std::out_of_range when count is outside [0, events.size()].
 SparseTensor ReplayOmega(const SparseTensor& initial,
                          const std::vector<StreamEvent>& events,
                          std::int64_t count);

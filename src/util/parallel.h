@@ -32,12 +32,25 @@ namespace ptucker {
 inline constexpr std::int64_t kReductionLanes = 64;
 
 /// First index of `lane` in the fixed Λ-way partition of [0, n): the
-/// same balanced `n·l/Λ` boundary formula as PartitionRowsBlock, so
-/// lanes differ in size by at most one index. Lane Λ maps to n (the
-/// exclusive end of the last lane).
+/// balanced `n·l/Λ` boundary formula, so lanes differ in size by at most
+/// one index. Lane Λ maps to n (the exclusive end of the last lane).
 inline constexpr std::int64_t ReductionLaneBegin(std::int64_t n,
                                                  std::int64_t lane) {
   return n * lane / kReductionLanes;
+}
+
+/// First of `count` items (a mode's rows) that rank `rank` of `workers`
+/// owns: [count·r/W, count·(r+1)/W). The single process is rank 0 of 1.
+inline constexpr std::int64_t WorkerBlockBegin(std::int64_t count,
+                                               std::int64_t rank,
+                                               std::int64_t workers) {
+  return count * rank / workers;
+}
+
+/// First reduction lane rank `rank` of `workers` owns.
+inline constexpr std::int64_t WorkerLaneBegin(std::int64_t rank,
+                                              std::int64_t workers) {
+  return WorkerBlockBegin(kReductionLanes, rank, workers);
 }
 
 /// The primitive under DeterministicParallelLaneSums: lane l of

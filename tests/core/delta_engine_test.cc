@@ -20,7 +20,6 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include "core/ptucker.h"
 #include "core/reconstruction.h"
@@ -29,20 +28,10 @@
 #include "util/parallel.h"
 #include "util/random.h"
 
+#include "thread_count_guard.h"
+
 namespace ptucker {
 namespace {
-
-// Scopes omp_set_num_threads so a test can pin the team size.
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(int threads) : saved_(omp_get_max_threads()) {
-    omp_set_num_threads(threads);
-  }
-  ~ThreadCountGuard() { omp_set_num_threads(saved_); }
-
- private:
-  int saved_;
-};
 
 struct Ctx {
   SparseTensor x;

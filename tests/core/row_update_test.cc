@@ -22,7 +22,6 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include "core/delta_engine.h"
 #include "data/synthetic.h"
@@ -30,21 +29,13 @@
 #include "linalg/cholesky.h"
 #include "linalg/lu.h"
 #include "tensor/dense_tensor.h"
+#include "util/parallel.h"
 #include "util/random.h"
+
+#include "thread_count_guard.h"
 
 namespace ptucker {
 namespace {
-
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(int threads) : saved_(omp_get_max_threads()) {
-    omp_set_num_threads(threads);
-  }
-  ~ThreadCountGuard() { omp_set_num_threads(saved_); }
-
- private:
-  int saved_;
-};
 
 struct Ctx {
   SparseTensor x;
@@ -601,6 +592,125 @@ TEST(SliceOrderedOmegaTest, RecordsFollowTheSliceOrder) {
       }
     }
   }
+}
+
+TEST(SliceOrderedOmegaTest, RowBlocksSolveTheirRowsLikeTheFullLayout) {
+  // Rank r of W holds only its row block of each mode (the distributed
+  // workers' layout). Solving the block's rows through it must give the
+  // full layout's rows bit for bit, for every engine and W = 1..4, and
+  // leave the other rows alone. Subsampling keys its streams by row, so
+  // it is covered too.
+  for (std::int64_t order = 3; order <= 4; ++order) {
+    const Ctx ctx =
+        MakeOrderCtx(order, 400 + static_cast<std::uint64_t>(order));
+    for (const DeltaEngineChoice choice :
+         {DeltaEngineChoice::kNaive, DeltaEngineChoice::kModeMajor,
+          DeltaEngineChoice::kCached, DeltaEngineChoice::kContraction}) {
+      const auto engine = MakeDeltaEngine(choice, ctx.x, *ctx.list,
+                                          ctx.factors, nullptr);
+      const SliceOrderedOmega full(ctx.x, engine->UsesEntryIds());
+      for (const double rate : {1.0, 0.3}) {
+        RowUpdateOptions options;
+        options.sample_rate = rate;
+        options.seed = 5;
+        for (std::int64_t mode = 0; mode < order; ++mode) {
+          const Matrix& start = ctx.factors[static_cast<std::size_t>(mode)];
+          Matrix expected = start;
+          UpdateFactorRows(full, mode, nullptr, 0, *engine, &expected,
+                           options);
+          for (std::int64_t workers = 1; workers <= 4; ++workers) {
+            for (std::int64_t rank = 0; rank < workers; ++rank) {
+              SCOPED_TRACE("order " + std::to_string(order) + " engine " +
+                           engine->name() + " rate " + std::to_string(rate) +
+                           " mode " + std::to_string(mode) + " rank " +
+                           std::to_string(rank) + " of " +
+                           std::to_string(workers));
+              const SliceOrderedOmega block(ctx.x, engine->UsesEntryIds(),
+                                            rank, workers);
+              const std::int64_t begin =
+                  WorkerBlockBegin(ctx.x.dim(mode), rank, workers);
+              const std::int64_t end =
+                  WorkerBlockBegin(ctx.x.dim(mode), rank + 1, workers);
+              ASSERT_EQ(block.row_begin(mode), begin);
+              ASSERT_EQ(block.row_end(mode), end);
+              std::vector<std::int64_t> rows(
+                  static_cast<std::size_t>(end - begin));
+              std::iota(rows.begin(), rows.end(), begin);
+              Matrix by_block = start;
+              UpdateFactorRows(block, mode, rows.data(), end - begin,
+                               *engine, &by_block, options);
+              for (std::int64_t i = 0; i < start.rows(); ++i) {
+                const Matrix& want = i >= begin && i < end ? expected : start;
+                for (std::int64_t j = 0; j < start.cols(); ++j) {
+                  EXPECT_EQ(by_block(i, j), want(i, j))
+                      << "row " << i << " col " << j;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SliceOrderedOmegaTest, RowBlockRecordBytesSumToTheFullLayout) {
+  // The W blocks split the records of every mode between them, so their
+  // record bytes add up to the full layout's; each block adds one slice
+  // offset per mode.
+  const Ctx ctx = MakeOrderCtx(4, 301);
+  for (const bool entry_ids : {false, true}) {
+    const SliceOrderedOmega full(ctx.x, entry_ids);
+    ASSERT_EQ(full.bytes(),
+              SliceOrderedOmega::Bytes(ctx.x.dims(), ctx.x.nnz(), entry_ids));
+    for (const std::int64_t workers : {1, 2, 3, 4, 12}) {
+      std::int64_t sum = 0;
+      for (std::int64_t rank = 0; rank < workers; ++rank) {
+        sum += SliceOrderedOmega(ctx.x, entry_ids, rank, workers).bytes();
+      }
+      EXPECT_EQ(sum, full.bytes() + 8 * ctx.x.order() * (workers - 1))
+          << "workers " << workers << " entry ids " << entry_ids;
+    }
+  }
+}
+
+TEST(SliceOrderedOmegaTest, RowOutsideTheBlockThrowsNamingRowAndBlock) {
+  Ctx ctx = MakeCtx(18);
+  const auto engine = MakeDeltaEngine(DeltaEngineChoice::kModeMajor, ctx.x,
+                                      *ctx.list, ctx.factors, nullptr);
+  // Rank 1 of 3 holds rows [4, 9) of mode 0's 14.
+  const SliceOrderedOmega block(ctx.x, /*entry_ids=*/false, 1, 3);
+  ASSERT_EQ(block.row_begin(0), 4);
+  ASSERT_EQ(block.row_end(0), 9);
+  Matrix factor = ctx.factors[0];
+  const auto expect_message = [](const auto& call, const std::string& want) {
+    try {
+      call();
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(want), std::string::npos) << what;
+      EXPECT_NE(what.find("[4, 9)"), std::string::npos) << what;
+    }
+  };
+  const std::int64_t rows[] = {5, 9, 6};
+  expect_message(
+      [&] {
+        UpdateFactorRows(block, 0, rows, 3, *engine, &factor,
+                         RowUpdateOptions());
+      },
+      "row 9 of mode 0 is not in");
+  // nullptr means "every row", which this layout does not hold: it must
+  // not zero rows [0, 4) and [9, 14) for want of their records.
+  expect_message(
+      [&] {
+        UpdateFactorRows(block, 0, nullptr, 0, *engine, &factor,
+                         RowUpdateOptions());
+      },
+      "nullptr");
+  ExpectSameMatrix(factor, ctx.factors[0]);
+  EXPECT_THROW(SliceOrderedOmega(ctx.x, false, 3, 3), std::invalid_argument);
+  EXPECT_THROW(SliceOrderedOmega(ctx.x, false, 0, 0), std::invalid_argument);
 }
 
 TEST(SliceOrderedOmegaTest, BytesFollowTheRecordLayout) {

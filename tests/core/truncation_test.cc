@@ -9,7 +9,6 @@
 #include <string>
 
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include "core/als_driver.h"
 #include "core/delta_engine.h"
@@ -22,6 +21,8 @@
 #include "util/memory_tracker.h"
 #include "util/parallel.h"
 #include "util/random.h"
+
+#include "thread_count_guard.h"
 
 namespace ptucker {
 namespace {
@@ -145,18 +146,6 @@ TEST(TruncationTest, RemovingPositiveRBetaReducesError) {
 }
 
 // --- The fused scorer against the per-(α,β) oracle. ---
-
-// Scopes omp_set_num_threads so a test can pin the team size.
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(int threads) : saved_(omp_get_max_threads()) {
-    omp_set_num_threads(threads);
-  }
-  ~ThreadCountGuard() { omp_set_num_threads(saved_); }
-
- private:
-  int saved_;
-};
 
 // c_αβ = G_β·Π_k A(k)(ik, βk), value first and modes ascending.
 double Product(const CoreEntryList& list, const std::vector<Matrix>& factors,

@@ -14,8 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include "core/delta.h"
 #include "core/ptucker.h"
 #include "core/reconstruction.h"
@@ -23,6 +21,8 @@
 #include "serve/snapshot_v2.h"
 #include "util/memory_tracker.h"
 #include "util/random.h"
+
+#include "thread_count_guard.h"
 
 namespace ptucker {
 namespace {
@@ -134,9 +134,8 @@ TEST(PredictionServiceTest, TopKDeterministicAcrossThreads) {
   const std::vector<std::int64_t> at = {7, 0, 1};
 
   std::vector<ScoredIndex> reference;
-  const int saved_threads = omp_get_max_threads();
   for (const int threads : {1, 3, 8}) {
-    omp_set_num_threads(threads);
+    ThreadCountGuard guard(threads);
     const PredictionService service(ModelSnapshot::Create(model));
     const std::vector<ScoredIndex> top = service.TopK(1, at, 17);
     if (reference.empty()) {
@@ -151,7 +150,6 @@ TEST(PredictionServiceTest, TopKDeterministicAcrossThreads) {
           << "threads " << threads << " rank " << r;
     }
   }
-  omp_set_num_threads(saved_threads);
 }
 
 TEST(PredictionServiceTest, ValidatesQueriesAndConstruction) {

@@ -17,13 +17,13 @@
 #include <functional>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include "core/delta_engine.h"
 #include "data/synthetic.h"
@@ -34,19 +34,10 @@
 #include "tensor/index.h"
 #include "util/random.h"
 
+#include "thread_count_guard.h"
+
 namespace ptucker {
 namespace {
-
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(int threads) : saved_(omp_get_max_threads()) {
-    omp_set_num_threads(threads);
-  }
-  ~ThreadCountGuard() { omp_set_num_threads(saved_); }
-
- private:
-  int saved_;
-};
 
 SparseTensor MakeInitial(std::uint64_t seed) {
   Rng rng(seed);
@@ -327,6 +318,102 @@ TEST(IngestPipelineTest, StrictMutationSemantics) {
   duplicated.AddEntry(live, 0.75);
   EXPECT_THROW(IngestPipeline(duplicated, model, options),
                std::invalid_argument);
+}
+
+// The `k`-th (0-based) coordinate of the order-3 `x`, in row-major
+// order, that no entry of `x` holds.
+std::vector<std::int64_t> UnobservedCoordinate(const SparseTensor& x,
+                                               int k) {
+  std::set<std::vector<std::int64_t>> held;
+  for (std::int64_t e = 0; e < x.nnz(); ++e) {
+    held.insert({x.index(e, 0), x.index(e, 1), x.index(e, 2)});
+  }
+  for (std::int64_t i = 0; i < x.dim(0); ++i) {
+    for (std::int64_t j = 0; j < x.dim(1); ++j) {
+      for (std::int64_t l = 0; l < x.dim(2); ++l) {
+        if (held.count({i, j, l}) == 0 && k-- == 0) return {i, j, l};
+      }
+    }
+  }
+  ADD_FAILURE() << "too few unobserved coordinates";
+  return {};
+}
+
+TEST(ReplayOmegaTest, RejectsWhatThePipelineRejectsNamingTheEvent) {
+  // ReplayOmega refuses every mutation IngestPipeline refuses, and each
+  // error names the 0-based event it stopped at.
+  const SparseTensor initial = MakeInitial(43);
+  const std::vector<std::int64_t> live = {
+      initial.index(0, 0), initial.index(0, 1), initial.index(0, 2)};
+  const std::vector<std::int64_t> fresh = UnobservedCoordinate(initial, 0);
+  const std::vector<std::int64_t> unobserved =
+      UnobservedCoordinate(initial, 1);
+  const auto event = [](StreamOp op, std::vector<std::int64_t> index,
+                        double value) {
+    StreamEvent e;
+    e.op = op;
+    e.index = std::move(index);
+    e.value = value;
+    return e;
+  };
+  // Two valid events, then the bad one at event 2.
+  const auto expect_event_error = [&](const StreamEvent& bad,
+                                      const std::string& want) {
+    const std::vector<StreamEvent> events = {
+        event(StreamOp::kUpdate, live, 0.5),
+        event(StreamOp::kAppend, fresh, 0.25), bad};
+    try {
+      ReplayOmega(initial, events, 3);
+      ADD_FAILURE() << "no exception for " << want;
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("replay: event 2: "), std::string::npos) << what;
+      EXPECT_NE(what.find(want), std::string::npos) << what;
+    }
+    // The prefix before the bad event replays.
+    EXPECT_EQ(ReplayOmega(initial, events, 2).nnz(), initial.nnz() + 1);
+  };
+  expect_event_error(event(StreamOp::kUpdate, {12, 0, 0}, 0.5),
+                     "coordinate out of bounds");
+  expect_event_error(event(StreamOp::kDelete, {0, 0}, 0.0),
+                     "coordinate out of bounds");
+  expect_event_error(event(StreamOp::kAppend, live, 0.5),
+                     "append to an already-observed coordinate");
+  expect_event_error(event(StreamOp::kAppend, fresh, 0.5),
+                     "append to an already-observed coordinate");
+  expect_event_error(event(StreamOp::kUpdate, unobserved, 0.5),
+                     "update of an unobserved coordinate");
+  expect_event_error(event(StreamOp::kDelete, unobserved, 0.0),
+                     "delete of an unobserved coordinate");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::string at_live = "(" + std::to_string(live[0]) + ", " +
+                              std::to_string(live[1]) + ", " +
+                              std::to_string(live[2]) + ")";
+  expect_event_error(event(StreamOp::kUpdate, live, nan),
+                     "update value at " + at_live + " is not a finite number");
+  expect_event_error(event(StreamOp::kUpdate, live, -inf),
+                     "is not a finite number");
+  expect_event_error(event(StreamOp::kAppend, unobserved, inf),
+                     "append value at");
+
+  // Count outside [0, events.size()].
+  const std::vector<StreamEvent> one = {event(StreamOp::kUpdate, live, 0.5)};
+  EXPECT_THROW(ReplayOmega(initial, one, 2), std::out_of_range);
+  EXPECT_THROW(ReplayOmega(initial, one, -1), std::out_of_range);
+
+  // An initial tensor that holds a coordinate twice names the entry.
+  SparseTensor duplicated = initial;
+  duplicated.AddEntry(live, 0.75);
+  try {
+    ReplayOmega(duplicated, one, 1);
+    ADD_FAILURE() << "no exception for a duplicate initial coordinate";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("entry " + std::to_string(initial.nnz())),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(IngestPipelineTest, RejectsNegativeOrNonFiniteLambda) {
