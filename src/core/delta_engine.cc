@@ -459,12 +459,17 @@ std::int64_t ContractionDeltaEngine::MemoCapBytes(std::int64_t nnz,
       nnz, (order + 1) * static_cast<std::int64_t>(sizeof(double)));
 }
 
+std::int64_t ContractionDeltaEngine::memo_bytes(std::int64_t mode) const {
+  const ModePlan& plan = plans_[static_cast<std::size_t>(mode)];
+  return plan.memo.empty()
+             ? 0
+             : static_cast<std::int64_t>(sizeof(double) * plan.values.size());
+}
+
 std::int64_t ContractionDeltaEngine::MemoTableBytes() const {
   std::int64_t bytes = 0;
-  for (const ModePlan& plan : plans_) {
-    if (!plan.memo.empty()) {
-      bytes += static_cast<std::int64_t>(sizeof(double) * plan.values.size());
-    }
+  for (std::size_t n = 0; n < plans_.size(); ++n) {
+    bytes += memo_bytes(static_cast<std::int64_t>(n));
   }
   return bytes;
 }
@@ -521,15 +526,10 @@ ContractionDeltaEngine::MakePlans() const {
   const std::int64_t n_core = core().size();
   const std::int64_t cap = MemoCapBytes(nnz_, order);
 
-  // Every mode's feasible candidates k = |S_n| = 0, 1, … with their cost
-  // in multiply-adds per sweep and their memo bytes.
-  struct Candidate {
-    ModePlan plan;
-    double cost;
-    std::int64_t bytes;
-  };
-  std::vector<std::vector<Candidate>> candidates(
-      static_cast<std::size_t>(order));
+  // Each mode on its own: of the candidates k = |S_n| = 0, 1, … whose memo
+  // bytes fit under the cap, the cheapest in multiply-adds per sweep (ties
+  // keep the smaller k; k = 0 holds no memo bytes and always fits).
+  std::vector<ModePlan> plans(static_cast<std::size_t>(order));
   for (std::int64_t n = 0; n < order; ++n) {
     const std::int64_t rank = factors()[static_cast<std::size_t>(n)].cols();
     std::vector<std::int64_t> others;
@@ -541,6 +541,7 @@ ContractionDeltaEngine::MakePlans() const {
                        return factors()[static_cast<std::size_t>(a)].rows() <
                               factors()[static_cast<std::size_t>(b)].rows();
                      });
+    double best_cost = 0.0;
     std::int64_t tables = 1;
     for (std::size_t k = 0; k <= others.size(); ++k) {
       if (k > 0) {
@@ -551,56 +552,22 @@ ContractionDeltaEngine::MakePlans() const {
       }
       ModePlan plan = MakeTree(
           n, std::vector<std::int64_t>(others.begin(), others.begin() + k));
-      const std::int64_t bytes =
-          k == 0 ? 0
-                 : SaturatingProduct(
-                       SaturatingProduct(plan.tables, plan.leaves), rank * 8);
-      if (bytes > cap) continue;
+      if (k > 0 && SaturatingProduct(SaturatingProduct(plan.tables,
+                                                       plan.leaves),
+                                     rank * 8) > cap) {
+        continue;
+      }
       const double sweep = static_cast<double>(nnz_) *
                            static_cast<double>(plan.madds);
       const double rebuilds = static_cast<double>(k) *
                               static_cast<double>(plan.tables) *
                               static_cast<double>(n_core) *
                               static_cast<double>(k + 1);
-      candidates[static_cast<std::size_t>(n)].push_back(
-          {std::move(plan), sweep + rebuilds, bytes});
-    }
-  }
-
-  // Modes claim the memo budget in order of their best saving (ties by
-  // mode index); each takes its cheapest candidate that still fits.
-  const auto cheapest = [&](std::int64_t n, std::int64_t budget) {
-    const std::vector<Candidate>& options =
-        candidates[static_cast<std::size_t>(n)];
-    std::size_t best = 0;  // k = 0 always fits: it holds no memo bytes
-    for (std::size_t c = 1; c < options.size(); ++c) {
-      if (options[c].bytes <= budget && options[c].cost < options[best].cost) {
-        best = c;
+      if (k == 0 || sweep + rebuilds < best_cost) {
+        best_cost = sweep + rebuilds;
+        plans[static_cast<std::size_t>(n)] = std::move(plan);
       }
     }
-    return best;
-  };
-  std::vector<double> saving(static_cast<std::size_t>(order));
-  std::vector<std::int64_t> by_saving(static_cast<std::size_t>(order));
-  for (std::int64_t n = 0; n < order; ++n) {
-    const std::vector<Candidate>& options =
-        candidates[static_cast<std::size_t>(n)];
-    saving[static_cast<std::size_t>(n)] =
-        options[0].cost - options[cheapest(n, cap)].cost;
-    by_saving[static_cast<std::size_t>(n)] = n;
-  }
-  std::stable_sort(by_saving.begin(), by_saving.end(),
-                   [&](std::int64_t a, std::int64_t b) {
-                     return saving[static_cast<std::size_t>(a)] >
-                            saving[static_cast<std::size_t>(b)];
-                   });
-  std::vector<ModePlan> plans(static_cast<std::size_t>(order));
-  std::int64_t budget = cap;
-  for (const std::int64_t n : by_saving) {
-    std::vector<Candidate>& options = candidates[static_cast<std::size_t>(n)];
-    Candidate& chosen = options[cheapest(n, budget)];
-    budget -= chosen.bytes;
-    plans[static_cast<std::size_t>(n)] = std::move(chosen.plan);
   }
   return plans;
 }

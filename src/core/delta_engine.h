@@ -325,13 +325,14 @@ class CachedDeltaEngine final : public DeltaEngine {
 ///
 /// **The plan** is fixed from shapes alone — the factor dims and ranks,
 /// |Ω| of the tensor the engine is built over, and the core pattern — and
-/// never from the tracker or the thread count. S_n is the k shortest
-/// other modes (ties by mode index); k minimizes the multiply-add count
+/// never from the tracker or the thread count. Each mode is planned on
+/// its own, never from another mode's plan. S_n is the k shortest other
+/// modes (ties by mode index); k minimizes the multiply-add count
 /// |Ω|·(tree cost per δ) + |S_n|·(tables)·|G|·(|S_n| + 1), the second
-/// term being the |S_n| leaf-array rebuilds per sweep. All memo arrays
-/// (S_n ≠ ∅) together hold at most MemoCapBytes() = |Ω|·(N+1)·8 bytes,
-/// the size of the observed tensor; modes claim that budget in order of
-/// their saving, and a mode the budget cannot fit keeps S_n = ∅.
+/// term being the |S_n| leaf-array rebuilds per sweep, over the k whose
+/// memo arrays hold at most MemoCapBytes() = |Ω|·(N+1)·8 bytes, the size
+/// of the observed tensor. A mode with no such k > 0 keeps S_n = ∅. All
+/// memo arrays together hold at most N·MemoCapBytes().
 ///
 /// **Rebuilds.** The constructor and every hook rebuild the affected leaf
 /// arrays whole (OnFactorUpdated(m): every mode with m ∈ S_n;
@@ -394,10 +395,18 @@ class ContractionDeltaEngine final : public DeltaEngine {
   }
   /// The mode whose δ Reconstruct folds (the cheapest tree).
   std::int64_t reconstruct_mode() const { return reconstruct_mode_; }
-  /// Bytes of the memo leaf arrays (modes with S_n ≠ ∅), ≤ MemoCapBytes().
+  /// Multiply-adds per δ of mode `mode` under its plan (the cost model).
+  std::int64_t madds_per_delta(std::int64_t mode) const {
+    return plans_[static_cast<std::size_t>(mode)].madds;
+  }
+  /// Bytes of mode `mode`'s memo leaf arrays, 0 when S_n = ∅;
+  /// ≤ MemoCapBytes().
+  std::int64_t memo_bytes(std::int64_t mode) const;
+  /// Bytes of every mode's memo leaf arrays, ≤ N·MemoCapBytes().
   std::int64_t MemoTableBytes() const;
-  /// The memo budget for `nnz` observed entries of an order-`order`
-  /// tensor: the bytes of its coordinates and values, nnz·(order+1)·8.
+  /// One mode's memo bound for `nnz` observed entries of an
+  /// order-`order` tensor: the bytes of its coordinates and values,
+  /// nnz·(order+1)·8.
   static std::int64_t MemoCapBytes(std::int64_t nnz, std::int64_t order);
 
  private:
@@ -418,7 +427,7 @@ class ContractionDeltaEngine final : public DeltaEngine {
   /// Builds mode `mode`'s tree with S = `memo` (no leaf values).
   ModePlan MakeTree(std::int64_t mode,
                     const std::vector<std::int64_t>& memo) const;
-  /// Chooses every mode's S_n under the memo cap and builds the trees.
+  /// Chooses each mode's S_n under its memo bound and builds the trees.
   std::vector<ModePlan> MakePlans() const;
   /// Bytes of `plans` (trees plus leaf arrays, allocated or not).
   std::int64_t PlanBytes(const std::vector<ModePlan>& plans) const;

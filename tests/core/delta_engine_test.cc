@@ -1201,12 +1201,15 @@ TEST(ContractionEngineTest, FixedDepthWalkMatchesOneEntryWalk) {
   // tree depths 1-6; mode 0 carries the rank under test (1-9) and the
   // others rank 2, so every rank meets every width. Dense and truncated
   // cores, each state after a hook checked again.
-  // Short modes of 3 and 4 rows get memoized; with only long modes no
-  // mode is, and every tree is order − 1 deep.
+  // Short modes of 3 and 4 rows get memoized, modes of 20-30 rows at low
+  // orders or low ranks only. A mode of 80 rows or more never fits the
+  // memo bound at 100 entries (4,800 B at order 5), so in the 80-95 shape
+  // mode 0's tree is order − 1 deep at every rank.
   const std::vector<std::vector<std::int64_t>> shapes = {
       {30, 3, 25},         {30, 25, 20},
       {30, 3, 25, 4},      {30, 25, 20, 22},
       {30, 3, 25, 4, 20},  {30, 25, 20, 22, 28},
+      {30, 80, 90, 85, 95},
       {30, 25, 20, 22, 28, 24},
       {30, 3, 25, 20, 22, 28, 24},
   };
@@ -1322,19 +1325,31 @@ TEST(ContractionEngineTest, ParallelRefillsAreBitIdenticalAcrossThreadCounts) {
 
 TEST(ContractionEngineTest, MemoCapHoldsAndPlanIgnoresTheTracker) {
   // Four equal modes of 30: memoizing one other mode costs 30 arrays x 9
-  // leaves x 3 lanes x 8 B = 6,480 B against a cap of 400 x 5 x 8 =
-  // 16,000 B, so two modes memoize and the others fall back to S_n = ∅.
+  // leaves x 3 lanes x 8 B = 6,480 B against each mode's own bound of
+  // 400 x 5 x 8 = 16,000 B, so every mode memoizes.
   Ctx s = MakeShapedCtx({30, 30, 30, 30}, {3, 3, 3, 3}, 400, 501);
-  ASSERT_EQ(ContractionDeltaEngine::MemoCapBytes(s.x.nnz(), 4), 16000);
+  const std::int64_t cap = ContractionDeltaEngine::MemoCapBytes(s.x.nnz(), 4);
+  ASSERT_EQ(cap, 16000);
   const ContractionDeltaEngine engine(s.x, s.list, s.factors, nullptr);
-  EXPECT_LE(engine.MemoTableBytes(),
-            ContractionDeltaEngine::MemoCapBytes(s.x.nnz(), s.x.order()));
-  std::int64_t memoized = 0;
   for (std::int64_t n = 0; n < 4; ++n) {
-    memoized += engine.memo_modes(n).empty() ? 0 : 1;
+    EXPECT_FALSE(engine.memo_modes(n).empty()) << "mode " << n;
+    EXPECT_EQ(engine.memo_bytes(n), 6480) << "mode " << n;
+    EXPECT_LE(engine.memo_bytes(n), cap) << "mode " << n;
   }
-  EXPECT_EQ(memoized, 2);
-  EXPECT_EQ(engine.MemoTableBytes(), 2 * 6480);
+  EXPECT_EQ(engine.MemoTableBytes(), 4 * 6480);
+
+  // Mode 0 at rank 12: one memoized mode costs 30 x 9 x 12 x 8 = 25,920 B
+  // and two cost more, so every candidate is over the bound and mode 0
+  // keeps S_n = ∅. The other modes keep the first engine's plans: no mode's
+  // plan depends on another's.
+  Ctx wide = MakeShapedCtx({30, 30, 30, 30}, {12, 3, 3, 3}, 400, 502);
+  const ContractionDeltaEngine over(wide.x, wide.list, wide.factors, nullptr);
+  EXPECT_TRUE(over.memo_modes(0).empty());
+  EXPECT_EQ(over.memo_bytes(0), 0);
+  for (std::int64_t n = 1; n < 4; ++n) {
+    EXPECT_EQ(over.memo_modes(n), engine.memo_modes(n)) << "mode " << n;
+    EXPECT_EQ(over.memo_bytes(n), 6480) << "mode " << n;
+  }
 
   // A tight tracker changes nothing about the plan.
   MemoryTracker tracker(engine.ByteSize());
@@ -1345,6 +1360,23 @@ TEST(ContractionEngineTest, MemoCapHoldsAndPlanIgnoresTheTracker) {
   EXPECT_EQ(tracked.reconstruct_mode(), engine.reconstruct_mode());
   EXPECT_EQ(AllDeltas(s.x, tracked, s.factors),
             AllDeltas(s.x, engine, s.factors));
+}
+
+TEST(ContractionEngineTest, ReportsEachModesWorkAndMemoBytes) {
+  // A dense 4⁵ core over 80⁵ with 7,200 entries. Each mode's bound is
+  // 7,200 x 6 x 8 = 345,600 B; memoizing one other mode costs 80 arrays x
+  // 64 leaves x 4 lanes x 8 B = 163,840 B and leaves a 3-level tree of
+  // 4 + 16 internal nodes and 64 leaves: 20 + 64 x 5 = 340 multiply-adds
+  // per δ. Under one budget shared by all modes, only two memo sets fit:
+  // the plan was 340, 340, 1,364, 1,364, 1,364 (4-level trees,
+  // 84 + 256 x 5).
+  Ctx s = MakeShapedCtx({80, 80, 80, 80, 80}, {4, 4, 4, 4, 4}, 7200, 503);
+  ASSERT_EQ(s.x.nnz(), 7200);
+  const ContractionDeltaEngine engine(s.x, s.list, s.factors, nullptr);
+  for (std::int64_t n = 0; n < 5; ++n) {
+    EXPECT_EQ(engine.madds_per_delta(n), 340) << "mode " << n;
+    EXPECT_EQ(engine.memo_bytes(n), 163840) << "mode " << n;
+  }
 }
 
 TEST(ContractionEngineTest, ChargesTrackerBeforeAllocating) {

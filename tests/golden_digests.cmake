@@ -150,10 +150,10 @@ set(replay replay --input ${stream_dir}/initial.tns
 golden_row(stream-replay stream-replay ${replay} ${t1})
 golden_row(stream-replay stream-replay-t3 ${replay} ${t3})
 
-# An order-5 input: at ranks 4^5 one mode's contraction tree is 3 levels
-# deep and the other four are 4 deep.
+# An order-5 input: at ranks 5,4,4,4,4 mode 0's contraction tree is 4
+# levels deep and the other four are 3 deep.
 get_filename_component(golden_dir ${DIGESTS} DIRECTORY)
-set(order5 --input ${golden_dir}/order5.tns --ranks 4,4,4,4,4 --seed 42
+set(order5 --input ${golden_dir}/order5.tns --ranks 5,4,4,4,4 --seed 42
     --max-iters 3 --quiet)
 golden_row(order5-contraction order5-memory ${order5} ${t1})
 golden_row(order5-contraction order5-memory-t3 ${order5} ${t3})
